@@ -100,3 +100,36 @@ func TestPublishAllocsPinned(t *testing.T) {
 		}
 	})
 }
+
+// TestControlAllocsPinned pins the control plane at O(change): a
+// subscribe+unsubscribe pair edits the matching table along one expression's
+// path, so it must cost the same allocations on a broker holding 2,000
+// subscriptions as on one holding 200 (within 10%). A snapshot that copies
+// the PRT, the client trees, or a whole shard's automaton per change makes
+// the large broker cost about ten times the small one.
+func TestControlAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is meaningless under -short's reduced runs")
+	}
+	for _, shards := range []int{1, 8} {
+		small, large := controlPairAllocs(200, shards), controlPairAllocs(2000, shards)
+		if large > small*1.1 {
+			t.Errorf("shards=%d: subscribe+unsubscribe = %.1f allocs at 2,000 subscriptions vs %.1f at 200 — control-plane cost grows with the table",
+				shards, large, small)
+		}
+	}
+}
+
+// controlPairAllocs measures allocations per subscribe+unsubscribe pair of
+// fresh expressions on a churnBroker holding size subscriptions.
+func controlPairAllocs(size, shards int) float64 {
+	br := churnBroker(size, shards)
+	fresh := churnXPEs(size, 64, 2)
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		x := fresh[i%len(fresh)]
+		i++
+		br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: x}, "n1")
+		br.HandleMessage(&broker.Message{Type: broker.MsgUnsubscribe, XPE: x}, "n1")
+	})
+}

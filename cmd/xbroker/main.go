@@ -45,7 +45,7 @@ func main() {
 		merging   = flag.String("merge", "off", "merging mode: off|perfect|imperfect")
 		degree    = flag.Float64("degree", 0.1, "imperfect-merging degree tolerance")
 		streaming = flag.Bool("streaming", true, "streaming SAX-path matching for document publications (false = parse and decompose into paths first)")
-		shards    = flag.Int("shards", 0, "matching-engine shards: control changes recompile only the affected shard (0 = GOMAXPROCS, 1 = single monolithic automaton)")
+		shards    = flag.Int("shards", 0, "matching-engine shards, keyed by the subscription's root element; a publication consults its root's shard and the wild shard (0 = GOMAXPROCS, 1 = single monolithic automaton)")
 		parallel  = flag.Int("parallel-match", 0, "fan a decomposed document's paths across cores when it has at least this many (0 disables; only affects -streaming=false)")
 		statsEach = flag.Duration("stats", 30*time.Second, "stats logging interval (0 disables)")
 		traceBuf  = flag.Int("tracebuf", 1024, "trace events retained in the in-memory ring")

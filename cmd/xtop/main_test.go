@@ -252,8 +252,8 @@ func TestXtopThreeBrokerChain(t *testing.T) {
 		}
 		// Per-shard matching-engine state: a 2-shard broker reports 2
 		// anchored slots plus the wild slot, the subscription landed exactly
-		// one entry somewhere, and the populated slot records the snapshot
-		// epoch of its last rebuild.
+		// one entry somewhere, and the populated slot records the last
+		// snapshot epoch that changed it.
 		if len(st.Shards) != 3 {
 			t.Fatalf("%s: shard slots = %d, want 3 (%+v)", st.Broker, len(st.Shards), st.Shards)
 		}
@@ -264,7 +264,7 @@ func TestXtopThreeBrokerChain(t *testing.T) {
 		for _, sh := range st.Shards {
 			entries += sh.Entries
 			if sh.Entries > 0 && sh.Epoch == 0 {
-				t.Errorf("%s: populated shard %s has no rebuild epoch: %+v", st.Broker, sh.Shard, sh)
+				t.Errorf("%s: populated shard %s has no change epoch: %+v", st.Broker, sh.Shard, sh)
 			}
 		}
 		if entries == 0 {

@@ -96,8 +96,8 @@ type StatusSnapshot struct {
 	SlowTotal            int64   `json:"slow_total,omitempty"`
 	SlowThresholdSeconds float64 `json:"slow_threshold_seconds,omitempty"`
 	// Shards is the matching engine's per-shard state (see
-	// broker.ShardStatus): entries, compiled states, the snapshot epoch of
-	// the slot's last rebuild, and that rebuild's duration.
+	// broker.ShardStatus): entries, states, the last snapshot epoch that
+	// changed the slot, and what that change cost it.
 	Shards any `json:"shards,omitempty"`
 	// Publog is the durable-subscription publication log's state (see
 	// publog.Status): segment count, byte size, and per-name cursor lag.

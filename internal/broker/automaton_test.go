@@ -5,10 +5,15 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/advert"
+	"repro/internal/dtd"
+	"repro/internal/merge"
 	"repro/internal/pmatch"
+	"repro/internal/subtree"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -35,8 +40,12 @@ func (s *sink) send(to string, m *Message) {
 	if m.Type != MsgPublish {
 		return
 	}
+	rec := to + "<-" + m.Pub.String()
+	if m.Durable != "" {
+		rec += fmt.Sprintf("#%s:%d", m.Durable, m.Seq)
+	}
 	s.mu.Lock()
-	s.sent = append(s.sent, to+"<-"+m.Pub.String())
+	s.sent = append(s.sent, rec)
 	s.mu.Unlock()
 }
 
@@ -72,74 +81,173 @@ func randomWorkloadXPE(r *rand.Rand) *xpath.XPE {
 	return xpath.New(r.Intn(4) == 0, steps...)
 }
 
-// TestAutomatonRoutesLikeTreeWalk drives two brokers — shared NFA on
-// (default) and off (fallback) — through identical random control and
-// publication sequences and requires byte-identical forwarding and
-// delivery. This is the broker-level equivalence contract on top of
-// pmatch's own property tests.
-func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			run := func(cfg Config) ([]string, Stats) {
-				r := rand.New(rand.NewSource(seed))
-				s := &sink{}
-				cfg.ID = "b1"
-				cfg.UseCovering = true
-				b := New(cfg, s.send)
-				b.AddNeighbor("n1")
-				b.AddNeighbor("n2")
-				b.AddClient("c1")
-				b.AddClient("c2")
-				peers := []string{"n1", "n2", "c1", "c2"}
-				var subs []*xpath.XPE
-				for i := 0; i < 300; i++ {
-					switch op := r.Intn(10); {
-					case op < 4: // subscribe
-						x := randomWorkloadXPE(r)
-						subs = append(subs, x)
-						b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, peers[r.Intn(len(peers))])
-					case op < 5 && len(subs) > 0: // unsubscribe
-						b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: subs[r.Intn(len(subs))]}, peers[r.Intn(len(peers))])
-					default: // publish
-						alpha := []string{"a", "b", "c", "d", "zz"}
-						n := 1 + r.Intn(5)
-						path := make([]string, n)
-						attrs := make([]map[string]string, n)
-						for j := range path {
-							path[j] = alpha[r.Intn(len(alpha))]
-							if r.Intn(3) == 0 {
-								attrs[j] = map[string]string{"k": alpha[r.Intn(2)]}
-							}
-						}
-						b.HandleMessage(&Message{Type: MsgPublish, Pub: pub(path, attrs, r.Int())}, "producer")
-					}
-				}
-				return s.sorted(), b.Stats()
-			}
-			gotNFA, statsNFA := run(Config{})
-			gotTree, statsTree := run(Config{DisableSharedNFA: true})
-			gotSharded, statsSharded := run(Config{Shards: 8})
-			if !reflect.DeepEqual(gotNFA, gotTree) {
-				t.Fatalf("forwarding diverged:\nnfa:  %v\ntree: %v", gotNFA, gotTree)
-			}
-			if !reflect.DeepEqual(gotNFA, gotSharded) {
-				t.Fatalf("forwarding diverged:\nnfa:     %v\nsharded: %v", gotNFA, gotSharded)
-			}
-			if statsNFA.Deliveries != statsTree.Deliveries || statsNFA.FalsePositives != statsTree.FalsePositives {
-				t.Fatalf("stats diverged: nfa=%+v tree=%+v", statsNFA, statsTree)
-			}
-			if statsNFA.Deliveries != statsSharded.Deliveries || statsNFA.FalsePositives != statsSharded.FalsePositives {
-				t.Fatalf("stats diverged: nfa=%+v sharded=%+v", statsNFA, statsSharded)
-			}
-		})
+// memStore is an in-memory DurableStore: enough for a durable subscriber
+// to register and receive sequenced deliveries.
+type memStore struct{}
+
+func (memStore) Append(string, uint64, *Message) error { return nil }
+func (memStore) Ack(string, uint64) error              { return nil }
+func (memStore) SaveSub(string, []string) error        { return nil }
+func (memStore) Replay(string, uint64, uint64, func(uint64, *Message) error) error {
+	return nil
+}
+func (memStore) Recover() []DurableState { return nil }
+
+// routingScenario is one control-plane shape the equivalence test drives.
+type routingScenario struct {
+	name    string // subtest prefix; "" is the plain covering broker
+	cfg     Config
+	durable bool // a durable subscriber registers expressions
+	resync  bool // neighbour n1 resyncs random claims; ResyncFor runs
+}
+
+func routingScenarios(t *testing.T) []routingScenario {
+	// Over the workload alphabet: the siblings /a/b, /a/c, /a/d merge
+	// perfectly into /a/*, two of them imperfectly.
+	d := dtd.MustParse(`
+<!ELEMENT a (b | c | d)>
+<!ELEMENT b (c | d)>
+<!ELEMENT c (d)>
+<!ELEMENT d (#PCDATA)>
+`)
+	advs, err := advert.Generate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := merge.NewDegreeEstimator(advs, 10, 100)
+	return []routingScenario{
+		{name: ""},
+		{name: "merge-perfect/", cfg: Config{Merging: MergePerfect, Estimator: est, MergeEvery: 4}},
+		{name: "merge-imperfect/", cfg: Config{Merging: MergeImperfect, ImperfectDegree: 0.5, Estimator: est, MergeEvery: 3}},
+		{name: "durable/", cfg: Config{Durable: memStore{}}, durable: true},
+		{name: "resync/", resync: true},
 	}
 }
 
-// TestAutomatonRebuildTracksControlPlane pins the copy-on-write lifecycle:
-// the automaton is absent on an empty broker, grows with subscriptions,
-// shrinks on unsubscribe, and is not recompiled by control changes that
-// touch neither the PRT nor a client filter tree.
+// TestAutomatonRoutesLikeTreeWalk drives three brokers — shared NFA on
+// (default), off (tree-walk fallback), and sharded 8 ways — through
+// identical random control and publication sequences and requires
+// byte-identical forwarding and delivery. The scenarios cover every path
+// that edits the matching table: plain subscribe/unsubscribe, merge passes
+// (which re-seed it), a durable subscriber (a virtual client), and resync
+// claims (which subscribe and withdraw in bulk). After each run the live
+// table must have the Stats of a fresh build over the master tables. This
+// is the broker-level equivalence contract on top of pmatch's own property
+// tests.
+func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
+	mergers := map[string]int64{}
+	for _, sc := range routingScenarios(t) {
+		for seed := int64(1); seed <= 5; seed++ {
+			sc, seed := sc, seed
+			t.Run(fmt.Sprintf("%sseed=%d", sc.name, seed), func(t *testing.T) {
+				run := func(cfg Config) ([]string, Stats) {
+					r := rand.New(rand.NewSource(seed))
+					s := &sink{}
+					cfg.ID = "b1"
+					cfg.UseCovering = true
+					b := New(cfg, s.send)
+					b.AddNeighbor("n1")
+					b.AddNeighbor("n2")
+					b.AddClient("c1")
+					b.AddClient("c2")
+					peers := []string{"n1", "n2", "c1", "c2"}
+					var subs []*xpath.XPE
+					for i := 0; i < 300; i++ {
+						switch op := r.Intn(20); {
+						case op < 8: // subscribe
+							x := randomWorkloadXPE(r)
+							subs = append(subs, x)
+							b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, peers[r.Intn(len(peers))])
+						case op < 10 && len(subs) > 0: // unsubscribe
+							b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: subs[r.Intn(len(subs))]}, peers[r.Intn(len(peers))])
+						case op == 10 && sc.durable:
+							b.HandleMessage(&Message{Type: MsgSubscribeDurable, Durable: "d1", XPE: randomWorkloadXPE(r)}, "c1")
+						case op == 10 && sc.resync:
+							claim := &ResyncState{}
+							for _, x := range subs {
+								if r.Intn(2) == 0 {
+									claim.Subs = append(claim.Subs, x)
+								}
+							}
+							b.HandleMessage(&Message{Type: MsgResync, Resync: claim}, "n1")
+							b.ResyncFor("n2")
+						default: // publish
+							alpha := []string{"a", "b", "c", "d", "zz"}
+							n := 1 + r.Intn(5)
+							path := make([]string, n)
+							attrs := make([]map[string]string, n)
+							for j := range path {
+								path[j] = alpha[r.Intn(len(alpha))]
+								if r.Intn(3) == 0 {
+									attrs[j] = map[string]string{"k": alpha[r.Intn(2)]}
+								}
+							}
+							b.HandleMessage(&Message{Type: MsgPublish, Pub: pub(path, attrs, r.Int())}, "producer")
+						}
+					}
+					if !cfg.DisableSharedNFA {
+						if got, want := b.NFAStats(), freshTableStats(b); got != want {
+							t.Fatalf("live table %+v, fresh build over the master tables %+v", got, want)
+						}
+					}
+					return s.sorted(), b.Stats()
+				}
+				base := sc.cfg
+				gotNFA, statsNFA := run(base)
+				tree := base
+				tree.DisableSharedNFA = true
+				gotTree, statsTree := run(tree)
+				sharded := base
+				sharded.Shards = 8
+				gotSharded, statsSharded := run(sharded)
+				if !reflect.DeepEqual(gotNFA, gotTree) {
+					t.Fatalf("forwarding diverged:\nnfa:  %v\ntree: %v", gotNFA, gotTree)
+				}
+				if !reflect.DeepEqual(gotNFA, gotSharded) {
+					t.Fatalf("forwarding diverged:\nnfa:     %v\nsharded: %v", gotNFA, gotSharded)
+				}
+				for _, other := range []Stats{statsTree, statsSharded} {
+					if statsNFA.Deliveries != other.Deliveries || statsNFA.FalsePositives != other.FalsePositives ||
+						statsNFA.Mergers != other.Mergers {
+						t.Fatalf("stats diverged: nfa=%+v other=%+v", statsNFA, other)
+					}
+				}
+				if sc.durable && !strings.Contains(strings.Join(gotNFA, " "), "#d1:") {
+					t.Fatal("the durable subscriber received nothing: scenario is vacuous")
+				}
+				mergers[sc.name] += statsNFA.Mergers
+			})
+		}
+	}
+	for _, sc := range []string{"merge-perfect/", "merge-imperfect/"} {
+		if mergers[sc] == 0 {
+			t.Errorf("%s: no merger applied in any seed: scenario is vacuous", sc)
+		}
+	}
+}
+
+// freshTableStats compiles the broker's master tables in one shot — every
+// PRT node with a last hop, every client filter node — for comparison with
+// the incrementally maintained table.
+func freshTableStats(b *Broker) pmatch.Stats {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	sb := pmatch.NewShardedBuilder(b.cfg.Shards)
+	b.prt.Walk(func(n *subtree.Node) {
+		if st := stateOf(n); st != nil && len(st.lastHops) > 0 {
+			sb.Add(n.XPE, nil)
+		}
+	})
+	for _, t := range b.clientSubs {
+		t.Walk(func(n *subtree.Node) { sb.Add(n.XPE, nil) })
+	}
+	return sb.Build().Stats()
+}
+
+// TestAutomatonRebuildTracksControlPlane pins the table's lifecycle: the
+// automaton is empty on an empty broker, grows with subscriptions, shrinks
+// on unsubscribe, and does not change on control messages that touch
+// neither the PRT nor a client filter tree.
 func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 	b := New(Config{ID: "b1", UseCovering: true}, func(string, *Message) {})
 	if s := b.NFAStats(); s.Entries != 0 {
@@ -169,11 +277,11 @@ func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 	}
 }
 
-// TestShardedRebuildGranularity pins the per-shard copy-on-write contract:
-// a control change recompiles only the shard its expression hashes to, and
-// each slot's ShardStatus epoch records the snapshot in which that slot was
-// last rebuilt — untouched slots keep their old epoch because the new
-// snapshot aliases their automatons.
+// TestShardedRebuildGranularity pins the per-shard contract of the
+// persistent table: a control change changes only the shard its expression
+// hashes to, and each slot's ShardStatus epoch records the last snapshot
+// that changed it — untouched slots keep their epoch because the new
+// snapshot shares their automaton version.
 func TestShardedRebuildGranularity(t *testing.T) {
 	const n = 4
 	b := New(Config{ID: "b1", UseCovering: true, Shards: n}, func(string, *Message) {})
@@ -205,8 +313,9 @@ func TestShardedRebuildGranularity(t *testing.T) {
 		t.Fatalf("slot %d after first subscription: %+v (epoch %d)", s1, st[s1], e1)
 	}
 
-	// A subscription in a different shard rebuilds only that shard: s1 keeps
-	// its old epoch because its automaton is aliased, not recompiled.
+	// A subscription in a different shard changes only that shard: s1 keeps
+	// its epoch and its automaton version.
+	v1 := b.snap.Load().auto.Slot(s1)
 	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x2}, "n1")
 	e2 := b.SnapshotEpoch()
 	if e2 == e1 {
@@ -216,12 +325,12 @@ func TestShardedRebuildGranularity(t *testing.T) {
 	if st[s2].Entries != 1 || st[s2].Epoch != e2 {
 		t.Fatalf("slot %d after second subscription: %+v (epoch %d)", s2, st[s2], e2)
 	}
-	if st[s1].Epoch != e1 {
-		t.Fatalf("untouched slot %d was recompiled: epoch %d, want %d", s1, st[s1].Epoch, e1)
+	if st[s1].Epoch != e1 || b.snap.Load().auto.Slot(s1) != v1 {
+		t.Fatalf("untouched slot %d changed: epoch %d, want %d", s1, st[s1].Epoch, e1)
 	}
 
 	// A descendant-rooted expression goes to the wild slot; anchored slots
-	// stay aliased.
+	// stay unchanged.
 	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: xpath.MustParse("//z")}, "n1")
 	e3 := b.SnapshotEpoch()
 	st = b.ShardStatus()
@@ -229,18 +338,22 @@ func TestShardedRebuildGranularity(t *testing.T) {
 		t.Fatalf("wild slot after relative subscription: %+v (epoch %d)", wild, e3)
 	}
 	if st[s1].Epoch != e1 || st[s2].Epoch != e2 {
-		t.Fatalf("anchored slots recompiled by wild-slot change: %+v", st)
+		t.Fatalf("anchored slots changed by a wild-slot change: %+v", st)
 	}
 
-	// Unsubscribe recompiles only the affected shard and shrinks it.
+	// Unsubscribe changes only the affected shard and shrinks it back to the
+	// bare start state.
 	b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x2}, "n1")
 	e4 := b.SnapshotEpoch()
 	st = b.ShardStatus()
-	if st[s2].Entries != 0 || st[s2].Epoch != e4 {
+	if st[s2].Entries != 0 || st[s2].States != 1 || st[s2].Epoch != e4 {
 		t.Fatalf("slot %d after unsubscribe: %+v (epoch %d)", s2, st[s2], e4)
 	}
 	if st[s1].Epoch != e1 {
-		t.Fatalf("untouched slot %d recompiled on unrelated unsubscribe", s1)
+		t.Fatalf("untouched slot %d changed on an unrelated unsubscribe", s1)
+	}
+	if st[s2].LastBuildSeconds < 0 {
+		t.Fatalf("slot %d change cost %v", s2, st[s2].LastBuildSeconds)
 	}
 }
 

@@ -74,13 +74,12 @@ type Config struct {
 	DisableSharedNFA bool
 
 	// Shards partitions the shared matching automaton into this many
-	// independently-recompiled shards keyed by the subscription's root
-	// symbol (pmatch.ShardIndex; DESIGN.md §5g). A control-plane change
-	// recompiles only the shard(s) its expression lives in, so recompile
-	// work at large tables drops roughly with the shard count, and a
-	// publication consults only its root's shard plus the wild shard.
-	// 0 selects GOMAXPROCS; 1 is the single-automaton ablation (exactly
-	// the pre-sharding behaviour). Ignored with DisableSharedNFA.
+	// shards keyed by the subscription's root symbol (pmatch.ShardIndex;
+	// DESIGN.md §5g), each a persistent table of its own: a publication
+	// consults only its root's shard plus the wild shard, and a control
+	// change reseals only the shard its expression lives in. 0 selects
+	// GOMAXPROCS; 1 is the single-automaton ablation. Ignored with
+	// DisableSharedNFA.
 	Shards int
 
 	// ParallelMatchPaths, when positive, fans a decomposed document's
@@ -207,6 +206,10 @@ type Broker struct {
 	// dirty tracks which master tables the current control message touched;
 	// guarded by mu.
 	dirty snapDirty
+	// table is the single writer of the snapshot's matching automaton,
+	// edited by the control handlers at the point of change; nil with
+	// Config.DisableSharedNFA. Guarded by mu.
+	table *pmatch.ShardedTable
 
 	neighbors []string        // broker peers
 	clients   map[string]bool // client peers
@@ -242,8 +245,9 @@ type Broker struct {
 	stageQueue, stageMatch, stageFilter, stageEnqueue *metrics.Histogram
 	// slow mirrors Config.SlowLog for the hot-path nil check.
 	slow *slowlog.Log
-	// nfaBuildSeconds times shared-automaton recompilation at snapshot
-	// publication (control-plane time; nil when Config.Metrics is nil).
+	// nfaBuildSeconds records what each automaton-changing control message
+	// cost the matching table (writes plus seal; nil when Config.Metrics is
+	// nil).
 	nfaBuildSeconds *metrics.Histogram
 }
 
@@ -259,6 +263,9 @@ type subState struct {
 	lastHops    map[string]bool
 	forwardedTo map[string]bool
 	merger      bool
+	// entry is the node's matching-table entry (payload: sorted lastHops);
+	// the zero Handle while it has none.
+	entry pmatch.Handle
 }
 
 func stateOf(n *subtree.Node) *subState {
@@ -285,7 +292,13 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		durables:   make(map[string]*durState),
 		durable:    cfg.Durable,
 	}
-	b.snap.Store(emptySnapshot())
+	snap := emptySnapshot()
+	if !cfg.DisableSharedNFA {
+		b.table = pmatch.NewShardedTable(cfg.Shards)
+		snap.auto = b.table.Seal()
+		snap.slotEpochs = make([]uint64, snap.auto.SlotCount())
+	}
+	b.snap.Store(snap)
 	b.slow = cfg.SlowLog
 	if cfg.Metrics != nil {
 		b.registerMetrics(cfg.Metrics)
@@ -365,7 +378,7 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 			func() float64 { return float64(len(b.snap.Load().durables)) })
 	}
 	b.nfaBuildSeconds = reg.Histogram("xbroker_nfa_build_seconds",
-		"Shared matching-automaton compile time at snapshot publication.",
+		"Matching-table time per control change that edited the shared automaton (table writes plus seal).",
 		metrics.DefBuckets)
 	reg.GaugeFunc("xbroker_nfa_states",
 		"States in the shared path-matching automaton of the current snapshot.",
@@ -389,10 +402,10 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 			"States in this shard of the sharded matching automaton.",
 			func() float64 { return float64(b.shardSlotStatus(slot).States) }, "shard", name)
 		reg.GaugeFunc("xbroker_nfa_shard_epoch",
-			"Snapshot epoch at which this shard was last recompiled.",
+			"Last snapshot epoch that changed this shard.",
 			func() float64 { return float64(b.shardSlotStatus(slot).Epoch) }, "shard", name)
 		reg.GaugeFunc("xbroker_nfa_shard_build_seconds",
-			"Duration of this shard's last recompilation.",
+			"What the last change to this shard cost it: matching-table writes plus seal.",
 			func() float64 { return b.shardSlotStatus(slot).LastBuildSeconds }, "shard", name)
 	}
 }
@@ -446,7 +459,7 @@ func (b *Broker) Stats() Stats {
 // PRTSize returns the number of subscriptions stored in the PRT. It reads
 // the routing snapshot and never blocks on the broker lock.
 func (b *Broker) PRTSize() int {
-	return b.snap.Load().prt.Size()
+	return b.snap.Load().prtSize
 }
 
 // SRTSize returns the number of advertisements stored in the SRT. It reads
@@ -466,11 +479,10 @@ type TreeStats struct {
 	SuperEdges int // cross-subtree covering relations
 }
 
-// PRTStats measures the covering tree. It walks the immutable routing
-// snapshot, so metric exposition never blocks the control plane.
+// PRTStats measures the covering tree. It reads the routing snapshot, so
+// metric exposition never blocks the control plane.
 func (b *Broker) PRTStats() TreeStats {
-	n, e, s := b.snap.Load().prt.Stats()
-	return TreeStats{Nodes: n, Edges: e, SuperEdges: s}
+	return b.snap.Load().prtStats
 }
 
 // RouteTables is a JSON-serialisable snapshot of the broker's routing

@@ -2,10 +2,10 @@ package broker
 
 // Control plane: advertisement and subscription handlers, forwarding rules,
 // and the periodic merge pass. Every function here runs with b.mu held
-// exclusively (HandleMessage takes it before dispatching) and mutates the
-// master tables; publishSnapshot projects the result into the immutable
-// routeSnapshot before the lock drops. Split from broker.go so the sharded
-// matching refactor lands in reviewable units; behavior is unchanged.
+// exclusively (HandleMessage takes it before dispatching), mutates the
+// master tables, and applies each change to the matching table where it
+// happens; publishSnapshot seals the result into the immutable
+// routeSnapshot before the lock drops.
 
 import (
 	"sort"
@@ -92,7 +92,7 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 		// filtering.
 		if cres := b.clientSubs[from].Insert(m.XPE); !cres.Duplicate {
 			b.dirty.markClientSubs(from)
-			b.markShard(m.XPE) // new client filter entry
+			b.addFilterEntry(from, cres.Node)
 		}
 	}
 
@@ -113,7 +113,7 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 		return // a pure repeat from the same peer changes nothing
 	}
 	b.dirty.prt = true
-	b.markShard(m.XPE) // the node's hop payload changed
+	b.syncEntry(res.Node, st)
 	// A known expression arriving from a NEW direction must still
 	// propagate: reverse-path delivery needs every broker between the
 	// publisher and the new subscriber to record the new interest
@@ -217,7 +217,7 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 		if n := b.clientSubs[from].Lookup(m.XPE); n != nil {
 			b.clientSubs[from].Remove(n)
 			b.dirty.markClientSubs(from)
-			b.markShard(m.XPE) // client filter entry removed
+			b.removeFilterEntry(n)
 		}
 	}
 	n := b.prt.Lookup(m.XPE)
@@ -225,10 +225,10 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 		return
 	}
 	b.dirty.prt = true
-	b.markShard(m.XPE) // the node's hop payload changed or it is removed
 	st := stateOf(n)
 	if st != nil {
 		delete(st.lastHops, from)
+		b.syncEntry(n, st) // re-pointed, or removed with the last direction
 		if len(st.lastHops) > 0 {
 			// Other peers still need the subscription, but a forward to a
 			// hop is justified only by interest from some *other* direction.
@@ -280,10 +280,6 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 // the merger.
 func (b *Broker) runMergePass() {
 	b.dirty.prt = true
-	// A merge pass rewrites arbitrary sibling groups across the tree —
-	// sources vanish, mergers appear, hop sets union — so every shard may
-	// have gained or lost entries.
-	b.dirty.shardsAll = true
 	maxDegree := 0.0
 	if b.cfg.Merging == MergeImperfect {
 		maxDegree = b.cfg.ImperfectDegree
@@ -334,4 +330,7 @@ func (b *Broker) runMergePass() {
 		},
 	}
 	merge.Pass(b.prt, opts)
+	// Sources vanished, mergers appeared, hop sets unioned — anywhere in
+	// the tree.
+	b.reseedTable()
 }

@@ -1,43 +1,34 @@
 package broker
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/pmatch"
 	"repro/internal/subtree"
 	"repro/internal/symtab"
-	"repro/internal/xpath"
 )
 
 // routeSnapshot is the immutable routing state the publish data plane reads.
 // The control plane mutates the broker's master tables under the exclusive
-// lock and, before releasing it, publishes a fresh snapshot through an
-// atomic pointer; Publish loads the pointer once and matches against a
-// consistent view without acquiring any mutex. Components a control change
-// did not touch are aliased from the previous snapshot — every component is
-// immutable once published, so aliasing is free and a snapshot swap costs
-// only the copies for what actually changed (copy-on-write).
-//
-// Snapshot PRT nodes carry the publish-plane projection of the routing
-// state: Node.Data holds the subscription's sorted last-hop list ([]string,
-// nil for stateless nodes) instead of the control plane's mutable *subState,
-// so matching iterates a slice instead of a map and never sees a map the
-// control plane might be writing.
+// lock, applying each change to the persistent matching table at the point
+// of change, and before releasing the lock publishes a fresh snapshot
+// through an atomic pointer; Publish loads the pointer once and matches
+// against a consistent view without acquiring any mutex. Components a
+// control change did not touch are carried over from the previous snapshot —
+// every component is immutable once published, so sharing is free and a
+// swap costs only what the change touched.
 type routeSnapshot struct {
 	// epoch increments on every swap; 0 is the empty snapshot a new broker
 	// starts with. Metrics expose it and traced publications record the
 	// epoch they matched under. The epoch moves on EVERY effective control
-	// change, even one that recompiled a single shard; shardMeta records per
-	// shard which epoch last recompiled it (DESIGN.md §5g).
+	// change; slotEpochs records per shard the last epoch that changed it
+	// (DESIGN.md §5g).
 	epoch uint64
-	// prt is a deep copy of the subscription tree (see subtree.CloneWithData).
-	prt *subtree.Tree
+	// prtSize and prtStats describe the master PRT at this epoch.
+	prtSize  int
+	prtStats TreeStats
 	// clients is the client-peer set.
 	clients map[string]bool
-	// clientSubs holds each client's original subscriptions for the edge
-	// delivery filter.
-	clientSubs map[string]*subtree.Tree
 	// srt is the advertisement table view (entries are immutable after
 	// insertion; the slice is copied on change).
 	srt []*advEntry
@@ -48,27 +39,24 @@ type routeSnapshot struct {
 	// durable subscriptions, keeping the publish filter pass to one map
 	// length check.
 	durables map[string]*durState
-	// auto is the sharded path-matching automaton compiled from this
-	// snapshot's PRT (payload: sorted last-hop slices) and per-client filter
-	// trees (payload: clientMatch keys), partitioned by root symbol
+	// auto is the sealed version of the broker's matching table: PRT nodes
+	// (payload: sorted last-hop slices) and per-client filter expressions
+	// (payload: clientMatch keys), partitioned by root symbol
 	// (pmatch.ShardIndex). handlePublish runs the shard(s) a path can hit
-	// instead of walking every subscription-tree node; a control change
-	// recompiles only the shard(s) its expression lives in, aliasing the
-	// other slots from the previous snapshot. Nil when the broker disables
-	// the shared NFA (Config.DisableSharedNFA) or before any subscription
-	// arrives with the empty snapshot — the publish path then falls back to
-	// the covering tree walk.
+	// instead of walking every subscription-tree node. Successive versions
+	// share every state and every slot a change did not touch. Nil when the
+	// broker disables the shared NFA (Config.DisableSharedNFA) — the publish
+	// path then falls back to the covering tree walk.
 	auto *pmatch.ShardedAutomaton
-	// shardMeta parallels auto's slots: when and how expensively each shard
-	// was last recompiled. Aliased slots keep their previous meta.
-	shardMeta []shardMeta
-}
-
-// shardMeta records one shard's last recompilation for /statusz and the
-// per-shard metrics.
-type shardMeta struct {
-	epoch        uint64  // snapshot epoch of the last rebuild of this shard
-	buildSeconds float64 // duration of that rebuild
+	// slotEpochs parallels auto's slots: the last epoch that changed each.
+	slotEpochs []uint64
+	// prt and clientSubs exist for the tree walk only (DisableSharedNFA):
+	// deep copies of the PRT, whose Node.Data holds the subscription's
+	// sorted last-hop list ([]string, nil for stateless nodes) instead of
+	// the control plane's mutable *subState, and of each client's original
+	// subscriptions for the edge delivery filter.
+	prt        *subtree.Tree
+	clientSubs map[string]*subtree.Tree
 }
 
 // clientMatch is the automaton payload type of a per-client filter-tree
@@ -87,18 +75,14 @@ func emptySnapshot() *routeSnapshot {
 }
 
 // snapDirty records which master tables a control message touched, so
-// publishSnapshot copies only those — and which matching shards the
-// change's expressions live in, so only those shards recompile.
+// publishSnapshot copies only those. The matching table needs no flag: it
+// was edited in place and Seal knows which slots changed.
 type snapDirty struct {
 	prt        bool
 	srt        bool
 	clients    bool
 	durables   bool
 	clientSubs map[string]bool // per-client filter trees
-	// shards are the slots whose entry sets may have changed; shardsAll is
-	// the conservative everything-changed mark (merge passes, resync).
-	shards    map[int]bool
-	shardsAll bool
 }
 
 func (d *snapDirty) markClientSubs(id string) {
@@ -108,25 +92,8 @@ func (d *snapDirty) markClientSubs(id string) {
 	d.clientSubs[id] = true
 }
 
-func (d *snapDirty) markShard(slot int) {
-	if d.shards == nil {
-		d.shards = make(map[int]bool)
-	}
-	d.shards[slot] = true
-}
-
 func (d *snapDirty) any() bool {
 	return d.prt || d.srt || d.clients || d.durables || len(d.clientSubs) > 0
-}
-
-// markShard records that a control change touched the matching entries of
-// x's shard, so publishSnapshot recompiles only that slot. Handlers must
-// call it whenever they change WHICH expressions carry routing state or a
-// stateful expression's hop payload; structural-only changes (covering
-// links, forwardedTo bookkeeping) don't move entries between shards and
-// need no mark. Must run with b.mu held.
-func (b *Broker) markShard(x *xpath.XPE) {
-	b.dirty.markShard(pmatch.ShardIndex(x, b.cfg.Shards))
 }
 
 // publishSnapshot swaps in a new immutable snapshot reflecting the master
@@ -137,18 +104,15 @@ func (b *Broker) publishSnapshot() {
 		return
 	}
 	old := b.snap.Load()
-	next := &routeSnapshot{
-		epoch:      old.epoch + 1,
-		prt:        old.prt,
-		clients:    old.clients,
-		clientSubs: old.clientSubs,
-		srt:        old.srt,
-		durables:   old.durables,
-		auto:       old.auto,
-		shardMeta:  old.shardMeta,
-	}
+	next := *old
+	next.epoch++
 	if b.dirty.prt {
-		next.prt = b.prt.CloneWithData(snapshotHops)
+		next.prtSize = b.prt.Size()
+		n, e, s := b.prt.Stats()
+		next.prtStats = TreeStats{Nodes: n, Edges: e, SuperEdges: s}
+		if b.table == nil {
+			next.prt = b.prt.CloneWithData(snapshotHops)
+		}
 	}
 	if b.dirty.srt {
 		next.srt = append([]*advEntry(nil), b.srt...)
@@ -167,7 +131,7 @@ func (b *Broker) publishSnapshot() {
 		}
 		next.durables = durables
 	}
-	if len(b.dirty.clientSubs) > 0 {
+	if b.table == nil && len(b.dirty.clientSubs) > 0 {
 		subs := make(map[string]*subtree.Tree, len(b.clientSubs))
 		for id, t := range old.clientSubs {
 			subs[id] = t
@@ -181,106 +145,87 @@ func (b *Broker) publishSnapshot() {
 		}
 		next.clientSubs = subs
 	}
-	// Recompile only the marked matching shards; control messages touching
-	// no entry (e.g. a pure client registration or an advertisement) alias
-	// the previous automaton like any other snapshot component.
-	if !b.cfg.DisableSharedNFA && (b.dirty.shardsAll || len(b.dirty.shards) > 0) {
-		var start time.Time
-		if b.nfaBuildSeconds != nil {
-			start = time.Now()
-		}
-		b.rebuildShards(next, old)
-		if b.nfaBuildSeconds != nil {
-			b.nfaBuildSeconds.Observe(time.Since(start).Seconds())
-		}
+	if b.table != nil {
+		b.sealTable(&next, old)
 	}
 	b.dirty = snapDirty{}
-	b.snap.Store(next)
+	b.snap.Store(&next)
 }
 
-// rebuildShards compiles the dirty slots of the sharded automaton from the
-// new snapshot's (immutable) PRT and client filter trees, aliasing every
-// clean slot's automaton from the previous snapshot. One walk of the tables
-// buckets the dirty slots' expressions; slots then build independently — on
-// parallel goroutines when more than one is dirty, each with its own
-// pmatch.Builder (the Builder's concurrency guard enforces that isolation).
-func (b *Broker) rebuildShards(next, old *routeSnapshot) {
-	n := b.cfg.Shards
-	nslots := pmatch.Slots(n)
-	dirty := make([]bool, nslots)
-	if old.auto == nil || b.dirty.shardsAll {
-		for i := range dirty {
-			dirty[i] = true
-		}
-	} else {
-		for slot := range b.dirty.shards {
-			if slot >= 0 && slot < nslots {
-				dirty[slot] = true
-			}
+// sealTable publishes the matching table's working version into next and
+// stamps the slots the change touched with next's epoch. Control messages
+// touching no entry (a pure client registration, an advertisement) seal to
+// the previous version and leave every slot's epoch alone.
+func (b *Broker) sealTable(next, old *routeSnapshot) {
+	next.auto = b.table.Seal()
+	if next.auto == old.auto {
+		return
+	}
+	next.slotEpochs = append([]uint64(nil), old.slotEpochs...)
+	var cost time.Duration
+	for i := range next.slotEpochs {
+		if a := next.auto.Slot(i); a != old.auto.Slot(i) {
+			next.slotEpochs[i] = next.epoch
+			cost += a.Cost()
 		}
 	}
+	if b.nfaBuildSeconds != nil {
+		b.nfaBuildSeconds.Observe(cost.Seconds())
+	}
+}
 
-	type pair struct {
-		x    *xpath.XPE
-		data any
+// syncEntry brings a PRT node's matching entry in line with its last hops:
+// added with the first direction, re-pointed when the set changes, removed
+// with the last. Handlers call it at the point of change, under b.mu.
+func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
+	switch {
+	case b.table == nil:
+	case len(st.lastHops) == 0:
+		b.table.Remove(st.entry)
+		st.entry = pmatch.Handle{}
+	case st.entry == pmatch.Handle{}:
+		st.entry = b.table.Add(n.XPE, sortedKeys(st.lastHops))
+	default:
+		b.table.Set(st.entry, sortedKeys(st.lastHops))
 	}
-	buckets := make([][]pair, nslots)
-	addTo := func(x *xpath.XPE, data any) {
-		if slot := pmatch.ShardIndex(x, n); dirty[slot] {
-			buckets[slot] = append(buckets[slot], pair{x, data})
-		}
+}
+
+// addFilterEntry enters a new client filter-tree node into the matching
+// table; its handle lives in the node's Data.
+func (b *Broker) addFilterEntry(client string, n *subtree.Node) {
+	if b.table != nil {
+		n.Data = b.table.Add(n.XPE, clientMatch(client))
 	}
-	next.prt.Walk(func(nd *subtree.Node) {
-		if hops := snapshotNodeHops(nd); len(hops) > 0 {
-			addTo(nd.XPE, hops)
+}
+
+// removeFilterEntry withdraws a removed client filter-tree node.
+func (b *Broker) removeFilterEntry(n *subtree.Node) {
+	if h, ok := n.Data.(pmatch.Handle); ok {
+		b.table.Remove(h)
+	}
+}
+
+// reseedTable refills the matching table from the master PRT and client
+// trees. A merge pass rewrites arbitrary sibling groups and is O(table)
+// already, so it re-seeds rather than tracking each merged source.
+func (b *Broker) reseedTable() {
+	if b.table == nil {
+		return
+	}
+	b.table.Reset()
+	b.prt.Walk(func(n *subtree.Node) {
+		if st := stateOf(n); st != nil {
+			st.entry = pmatch.Handle{}
+			b.syncEntry(n, st)
 		}
 	})
-	for id, t := range next.clientSubs {
-		key := clientMatch(id)
-		t.Walk(func(nd *subtree.Node) { addTo(nd.XPE, key) })
+	for id, t := range b.clientSubs {
+		t.Walk(func(n *subtree.Node) { b.addFilterEntry(id, n) })
 	}
-
-	autos := make([]*pmatch.Automaton, nslots)
-	meta := make([]shardMeta, nslots)
-	var todo []int
-	for slot := 0; slot < nslots; slot++ {
-		if dirty[slot] {
-			todo = append(todo, slot)
-		} else {
-			autos[slot] = old.auto.Slot(slot)
-			meta[slot] = old.shardMeta[slot]
-		}
-	}
-	build := func(slot int) {
-		start := time.Now()
-		bld := pmatch.NewBuilder()
-		for _, p := range buckets[slot] {
-			bld.Add(p.x, p.data)
-		}
-		autos[slot] = bld.Build()
-		meta[slot] = shardMeta{epoch: next.epoch, buildSeconds: time.Since(start).Seconds()}
-	}
-	if len(todo) > 1 {
-		var wg sync.WaitGroup
-		for _, slot := range todo {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				build(slot)
-			}(slot)
-		}
-		wg.Wait()
-	} else {
-		for _, slot := range todo {
-			build(slot)
-		}
-	}
-	next.auto = pmatch.NewSharded(n, autos)
-	next.shardMeta = meta
 }
 
-// snapshotHops projects a PRT node's routing state into the snapshot form:
-// the sorted last-hop slice, or nil for nodes without state.
+// snapshotHops projects a PRT node's routing state into the tree-walk
+// snapshot form: the sorted last-hop slice, or nil for nodes without state.
 func snapshotHops(n *subtree.Node) any {
 	st := stateOf(n)
 	if st == nil || len(st.lastHops) == 0 {
@@ -337,10 +282,11 @@ type ShardStatus struct {
 	// Entries and States size the slot's automaton.
 	Entries int `json:"entries"`
 	States  int `json:"states"`
-	// Epoch is the snapshot epoch at which this shard was last recompiled
-	// (it lags the broker's snapshot epoch while the shard is aliased).
+	// Epoch is the last snapshot epoch that changed this slot (it lags the
+	// broker's snapshot epoch while changes land in other slots).
 	Epoch uint64 `json:"epoch"`
-	// LastBuildSeconds is the duration of that recompilation.
+	// LastBuildSeconds is what that change cost the slot: the matching
+	// table's writes plus the seal.
 	LastBuildSeconds float64 `json:"last_build_seconds"`
 }
 
@@ -354,16 +300,8 @@ func (b *Broker) ShardStatus() []ShardStatus {
 	}
 	out := make([]ShardStatus, snap.auto.SlotCount())
 	for i := range out {
-		slot := snap.auto.Slot(i)
-		out[i] = ShardStatus{
-			Shard:   pmatch.SlotName(i, snap.auto.N()),
-			Entries: slot.NumEntries(),
-			States:  slot.NumStates(),
-		}
-		if i < len(snap.shardMeta) {
-			out[i].Epoch = snap.shardMeta[i].epoch
-			out[i].LastBuildSeconds = snap.shardMeta[i].buildSeconds
-		}
+		out[i] = snap.slotStatus(i)
+		out[i].Shard = pmatch.SlotName(i, snap.auto.N())
 	}
 	return out
 }
@@ -375,11 +313,15 @@ func (b *Broker) shardSlotStatus(slot int) ShardStatus {
 	if snap.auto == nil || slot >= snap.auto.SlotCount() {
 		return ShardStatus{}
 	}
-	a := snap.auto.Slot(slot)
-	st := ShardStatus{Entries: a.NumEntries(), States: a.NumStates()}
-	if slot < len(snap.shardMeta) {
-		st.Epoch = snap.shardMeta[slot].epoch
-		st.LastBuildSeconds = snap.shardMeta[slot].buildSeconds
+	return snap.slotStatus(slot)
+}
+
+func (s *routeSnapshot) slotStatus(slot int) ShardStatus {
+	a := s.auto.Slot(slot)
+	return ShardStatus{
+		Entries:          a.NumEntries(),
+		States:           a.NumStates(),
+		Epoch:            s.slotEpochs[slot],
+		LastBuildSeconds: a.Cost().Seconds(),
 	}
-	return st
 }

@@ -19,44 +19,64 @@ func TestWrapZeroFaultsIsIdentity(t *testing.T) {
 	}
 }
 
-func TestCloseAfterWrites(t *testing.T) {
-	a, b := pipePair()
-	defer b.Close()
-	w := Wrap(a, ConnFaults{CloseAfterWrites: 3})
-	go func() { // drain the reader side so writes complete
+// drain reads c until it fails, returning everything read.
+func drain(c net.Conn) <-chan []byte {
+	out := make(chan []byte, 1)
+	go func() {
+		var all []byte
 		buf := make([]byte, 16)
 		for {
-			if _, err := b.Read(buf); err != nil {
+			n, err := c.Read(buf)
+			all = append(all, buf[:n]...)
+			if err != nil {
+				out <- all
 				return
 			}
 		}
 	}()
-	for i := 0; i < 2; i++ {
-		if _, err := w.Write([]byte("ok")); err != nil {
-			t.Fatalf("write %d failed early: %v", i+1, err)
-		}
+	return out
+}
+
+func TestCloseAfterWriteBytes(t *testing.T) {
+	a, b := pipePair()
+	defer b.Close()
+	w := Wrap(a, ConnFaults{CloseAfterWriteBytes: 5})
+	got := drain(b)
+	if n, err := w.Write([]byte("ok")); err != nil || n != 2 {
+		t.Fatalf("write inside the limit: n=%d err=%v", n, err)
 	}
-	if _, err := w.Write([]byte("boom")); err == nil {
-		t.Fatal("third write should have failed")
+	// Crossing the limit: the bytes up to it are delivered, then the kill.
+	if n, err := w.Write([]byte("boom")); err == nil || n != 3 {
+		t.Fatalf("crossing write: n=%d err=%v, want 3 bytes and an error", n, err)
 	}
 	if _, err := w.Write([]byte("after")); err == nil {
 		t.Fatal("writes after the close should keep failing")
 	}
+	if delivered := string(<-got); delivered != "okboo" {
+		t.Fatalf("peer read %q, want exactly the first 5 bytes", delivered)
+	}
 }
 
-func TestCloseAfterReads(t *testing.T) {
+func TestCloseAfterReadBytes(t *testing.T) {
 	a, b := pipePair()
 	defer b.Close()
-	r := Wrap(a, ConnFaults{CloseAfterReads: 2})
-	go func() {
-		b.Write([]byte("x"))
-	}()
-	buf := make([]byte, 1)
-	if _, err := r.Read(buf); err != nil {
-		t.Fatalf("first read failed: %v", err)
+	r := Wrap(a, ConnFaults{CloseAfterReadBytes: 3})
+	go b.Write([]byte("hello"))
+	// One large read is clipped at the limit however the bytes arrived.
+	buf := make([]byte, 16)
+	var read []byte
+	for len(read) < 3 {
+		n, err := r.Read(buf)
+		if err != nil {
+			t.Fatalf("read inside the limit failed: %v", err)
+		}
+		read = append(read, buf[:n]...)
+	}
+	if string(read) != "hel" {
+		t.Fatalf("read %q, want the first 3 bytes", read)
 	}
 	if _, err := r.Read(buf); err == nil {
-		t.Fatal("second read should have failed")
+		t.Fatal("the read past the limit should have failed")
 	}
 }
 
@@ -107,11 +127,12 @@ func TestWriteDelay(t *testing.T) {
 }
 
 func TestSequenceAppliesInOrder(t *testing.T) {
-	hook := Sequence(ConnFaults{CloseAfterWrites: 1}, ConnFaults{})
+	hook := Sequence(ConnFaults{CloseAfterWriteBytes: 1}, ConnFaults{})
 	a1, b1 := pipePair()
 	defer b1.Close()
 	c1 := hook(a1)
-	if _, err := c1.Write([]byte("x")); err == nil {
+	drain(b1)
+	if _, err := c1.Write([]byte("xy")); err == nil {
 		t.Fatal("first connection should die on its first write")
 	}
 	a2, b2 := pipePair()

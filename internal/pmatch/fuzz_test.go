@@ -16,14 +16,22 @@ import (
 // comparison. A mismatch would mean the shared automaton routes differently
 // from the per-subscription semantics — the one bug class this package must
 // never ship.
+//
+// With empty ops the expressions are bulk-built. Otherwise ops is an edit
+// script for a Table, one op per byte: below 128 adds expression b%len, below
+// 192 re-points a live entry to a fresh payload, the rest remove one. The
+// final version must match the oracle over the live entries and have a fresh
+// build's Stats, and a version sealed halfway must still give the answer it
+// gave when sealed.
 func FuzzAutomatonEquivalence(f *testing.F) {
-	f.Add("/a/b;//c;a/*", "a/b/c")
-	f.Add("/a//b;b//c;//*", "a/x/b/c")
-	f.Add("*;/a;//a/a", "a/a/a")
-	f.Add("/a[@k='v']/b;a/b", "a/b")
-	f.Fuzz(func(t *testing.T, exprList, pathStr string) {
+	f.Add("/a/b;//c;a/*", "a/b/c", []byte(nil))
+	f.Add("/a//b;b//c;//*", "a/x/b/c", []byte(nil))
+	f.Add("*;/a;//a/a", "a/a/a", []byte(nil))
+	f.Add("/a[@k='v']/b;a/b", "a/b", []byte(nil))
+	f.Add("/a/b;//c;a/*;/a//c", "a/b/c", []byte{0, 1, 2, 3, 200, 130, 0, 255, 66})
+	f.Add("//a;//a/b;/a/b/c", "a/b/c", []byte{0, 1, 2, 250, 251, 252, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, exprList, pathStr string, ops []byte) {
 		var xs []*xpath.XPE
-		b := NewBuilder()
 		for _, src := range strings.Split(exprList, ";") {
 			if len(src) > 80 {
 				continue // keep match cost bounded
@@ -32,10 +40,8 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			b.Add(x, len(xs))
 			xs = append(xs, x)
 		}
-		auto := b.Build()
 
 		var path []string
 		for _, el := range strings.Split(pathStr, "/") {
@@ -48,16 +54,81 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 		}
 		sp := symtab.InternPath(path)
 
-		var got []int
-		auto.MatchStructural(sp, func(d any) { got = append(got, d.(int)) })
-		sort.Ints(got)
-		var want []int
-		for i, x := range xs {
-			if x.MatchesSymPath(sp) {
-				want = append(want, i)
+		// live maps each payload to its expression.
+		live := map[int]*xpath.XPE{}
+		oracle := func() []int {
+			var want []int
+			for p, x := range live {
+				if x.MatchesSymPath(sp) {
+					want = append(want, p)
+				}
+			}
+			sort.Ints(want)
+			return want
+		}
+		var auto *Automaton
+		if len(ops) == 0 {
+			b := NewBuilder()
+			for i, x := range xs {
+				b.Add(x, i)
+				live[i] = x
+			}
+			auto = b.Build()
+		} else {
+			if len(ops) > 64 {
+				ops = ops[:64]
+			}
+			tbl := NewTable()
+			handles := map[int]Handle{}
+			var order []int // live payloads in a deterministic order
+			var mid *Automaton
+			var midWant []int
+			for i, op := range ops {
+				if i == len(ops)/2 {
+					mid, midWant = tbl.Seal(), oracle()
+				}
+				switch {
+				case len(xs) == 0:
+				case op < 128 || len(order) == 0:
+					p := i + 1
+					x := xs[int(op)%len(xs)]
+					handles[p] = tbl.Add(x, p)
+					live[p] = x
+					order = append(order, p)
+				case op < 192:
+					k := int(op) % len(order)
+					old, p := order[k], -(i + 1)
+					tbl.Set(handles[old], p)
+					handles[p], live[p] = handles[old], live[old]
+					delete(handles, old)
+					delete(live, old)
+					order[k] = p
+				default:
+					k := int(op) % len(order)
+					p := order[k]
+					tbl.Remove(handles[p])
+					delete(handles, p)
+					delete(live, p)
+					order = append(order[:k], order[k+1:]...)
+				}
+			}
+			auto = tbl.Seal()
+			fresh := NewBuilder()
+			for _, p := range order {
+				fresh.Add(live[p], p)
+			}
+			if got, want := auto.Stats(), fresh.Build().Stats(); got != want {
+				t.Fatalf("Stats %+v, fresh build %+v\nexprs=%s", got, want, dumpExprs(xs))
+			}
+			if mid != nil {
+				if got := structuralInts(mid, sp); !eqInts(got, midWant) {
+					t.Fatalf("version sealed halfway now gives %v, gave %v", got, midWant)
+				}
 			}
 		}
-		if !eqInts(got, want) {
+
+		got := structuralInts(auto, sp)
+		if want := oracle(); !eqInts(got, want) {
 			t.Fatalf("accept sets diverge on path %q:\nautomaton=%v\nflat=%v\nexprs=%s",
 				path, got, want, dumpExprs(xs))
 		}

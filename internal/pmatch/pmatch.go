@@ -34,56 +34,95 @@
 // run. This keeps the automaton alphabet small and the transition tables
 // dense while preserving MatchesSymPathAttrs semantics bit for bit.
 //
+// # Persistence
+//
+// The automaton is a trie of states — every state but the start state hangs
+// off exactly one parent — maintained by a single writer, Table. Add, Set
+// and Remove change one expression's path from the start state to its
+// accept state; Seal publishes the result as an immutable Automaton. A state
+// that an earlier sealed version can reach is never written: the writer
+// copies it (and, transitively, its ancestors) first, so a change costs
+// O(expression length) copies and every untouched state is shared between
+// versions. States created since the last Seal are the writer's own and are
+// mutated in place, so a bulk load — Builder, or a Table filled before its
+// first Seal — costs exactly a one-shot build. Remove prunes the states left
+// with no entry and no edge, so after any sequence of operations the trie
+// has the shape a fresh build over the live entries would have.
+//
 // # Concurrency
 //
-// An Automaton is immutable after Build and safe for any number of
-// concurrent Match calls: per-run scratch (active state sets and epoch
-// stamps) is pooled via sync.Pool, so steady-state matching allocates
-// nothing. The Builder is not safe for concurrent use.
+// An Automaton is immutable and safe for any number of concurrent Match
+// calls and Cursors. Per-run scratch (active state sets and epoch stamps,
+// indexed by state and entry ids) is pooled per Table and shared by all of
+// its versions, so steady-state matching allocates nothing, even across
+// versions. Ids are unique within one version and recycled by the writer, so
+// the stamp tables stay bounded by the largest table the writer has held.
+// Table and Builder are not safe for concurrent use.
 //
 // Symbols are interned against symtab.Default (via XPE.Syms); an automaton
 // must be matched against paths interned into the same table.
 package pmatch
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
-
-// noEdge marks an absent wild/dslash/skip transition.
-const noEdge = int32(-1)
 
 // state is one automaton state. Transition lookup is hash-indexed: next maps
 // a concrete interned symbol to the target state; wild is the target of the
 // wildcard transition (taken on every element); dslash is the skip state
 // entered by epsilon when this state activates (for a following "//" step).
 // Skip states carry selfLoop=true: once active they stay active, consuming
-// any element.
+// any element. id indexes the per-run stamp tables; gen is the writer
+// generation that created the state — only that generation may mutate it.
 type state struct {
-	next     map[symtab.Sym]int32
-	wild     int32
-	dslash   int32
+	id       int32
+	gen      uint32
 	selfLoop bool
+	next     map[symtab.Sym]*state
+	wild     *state
+	dslash   *state
 	// accept lists the entries whose final step lands on this state.
-	accept []int32
+	accept []*entry
 }
 
-// entry is one compiled expression with its caller payload.
+// entry is one compiled expression with its caller payload. Entries are
+// immutable: Set replaces the entry with a copy carrying the new payload.
 type entry struct {
+	id       int32
+	hasPreds bool
 	x        *xpath.XPE
 	data     any
-	hasPreds bool
 }
 
-// Automaton is the compiled shared matcher. Build one with a Builder.
+// Automaton is one immutable version of a shared matcher. Build one with a
+// Builder, or seal successive versions from a Table.
 type Automaton struct {
-	states  []state
-	entries []entry
-	pool    sync.Pool // *scratch
+	root  *state
+	stats Stats
+	// stateIDs and entryIDs bound the ids reachable in this version; the
+	// stamp tables of a run must cover them.
+	stateIDs, entryIDs int32
+	cost               time.Duration
+	pools              *pools
+}
+
+// pools holds the per-run scratch of every version sealed from one Table.
+type pools struct {
+	scratch sync.Pool // *scratch
 	cursors sync.Pool // *Cursor (streaming execution, see stream.go)
+}
+
+func newPools() *pools {
+	p := &pools{}
+	p.scratch.New = func() any { return &scratch{} }
+	p.cursors.New = func() any { return &Cursor{offs: make([]int32, 0, 16)} }
+	return p
 }
 
 // Stats describes an automaton's size for observability.
@@ -100,18 +139,334 @@ type Stats struct {
 	AcceptStates int
 }
 
-// Builder accumulates expressions and compiles the shared automaton.
-// The zero value is not usable; call NewBuilder.
+// Handle names one live entry of a Table or ShardedTable, for Set and
+// Remove. The zero Handle names no entry; Set and Remove ignore it. A
+// handle is dead once its entry is removed — the writer recycles entry ids.
+type Handle struct {
+	slot int32 // ShardedTable slot
+	ref  int32 // entry id + 1
+}
+
+// Table is the single writer of a persistent automaton: Add, Set and Remove
+// edit the working version, Seal publishes it as an immutable Automaton
+// (see the package comment). The zero value is not usable; call NewTable.
+type Table struct {
+	root *state
+	gen  uint32
+	// entries holds the live entries by id; nil marks a free id.
+	entries     []*entry
+	freeEntries []int32
+	freeStates  []int32
+	stateIDs    int32 // state id high-water mark
+	stats       Stats
+	// sealed is the version the last Seal returned, nil once a write
+	// follows it.
+	sealed *Automaton
+	path   []pathStep // scratch: the path the last reach walked
+	pools  *pools
+	// blocks, when set, carves new states and entries out of shared
+	// blocks — a Builder's one-shot load, whose automaton is never edited.
+	// A live table allocates each on its own, so no long-lived object ever
+	// pins a block of dead ones.
+	blocks     bool
+	stateBlock []state
+	entryBlock []entry
+}
+
+// blockSize is how many states or entries one block holds.
+const blockSize = 64
+
+// pathStep is one state on a start-to-accept path and how it hangs off the
+// previous one.
+type pathStep struct {
+	s    *state
+	kind uint8
+	sym  symtab.Sym // for viaNext
+}
+
+const (
+	viaNext uint8 = iota
+	viaWild
+	viaSkip
+)
+
+// NewTable returns a writer holding only the start state.
+func NewTable() *Table {
+	t := &Table{gen: 1, pools: newPools()}
+	t.root = t.newState(false)
+	return t
+}
+
+// Len returns the number of live entries.
+func (t *Table) Len() int { return t.stats.Entries }
+
+// Add compiles one expression into the working version and associates data
+// with it: every Match over a path the expression matches will visit data.
+// The same expression may be added multiple times with different payloads
+// (each is reported). Expressions with zero steps match nothing; they are
+// ignored and yield the zero Handle. The expression must not be mutated
+// afterwards (its interned step symbols are cached, see XPE.Syms).
+func (t *Table) Add(x *xpath.XPE, data any) Handle {
+	if x == nil || x.Len() == 0 {
+		return Handle{}
+	}
+	acc := t.reach(x)
+	var id int32
+	if n := len(t.freeEntries); n > 0 {
+		id = t.freeEntries[n-1]
+		t.freeEntries = t.freeEntries[:n-1]
+	} else {
+		id = int32(len(t.entries))
+		t.entries = append(t.entries, nil)
+	}
+	e := t.newEntry(entry{id: id, hasPreds: x.HasPredicates(), x: x, data: data})
+	t.entries[id] = e
+	if len(acc.accept) == 0 {
+		t.stats.AcceptStates++
+		// An edge broker's accept state typically holds two entries: the
+		// PRT node's and the client filter's.
+		acc.accept = make([]*entry, 0, 2)
+	}
+	acc.accept = append(acc.accept, e)
+	t.stats.Entries++
+	t.sealed = nil
+	return Handle{ref: id + 1}
+}
+
+// Set replaces the payload of a live entry.
+func (t *Table) Set(h Handle, data any) {
+	e := t.lookup(h)
+	if e == nil {
+		return
+	}
+	acc := t.reach(e.x)
+	ne := t.newEntry(entry{id: e.id, hasPreds: e.hasPreds, x: e.x, data: data})
+	for i, a := range acc.accept {
+		if a == e {
+			acc.accept[i] = ne
+			break
+		}
+	}
+	t.entries[e.id] = ne
+	t.sealed = nil
+}
+
+// Remove deletes a live entry and prunes the states it leaves with no entry
+// and no edge.
+func (t *Table) Remove(h Handle) {
+	e := t.lookup(h)
+	if e == nil {
+		return
+	}
+	acc := t.reach(e.x)
+	for i, a := range acc.accept {
+		if a == e {
+			last := len(acc.accept) - 1
+			acc.accept[i] = acc.accept[last]
+			acc.accept[last] = nil
+			acc.accept = acc.accept[:last]
+			break
+		}
+	}
+	if len(acc.accept) == 0 {
+		acc.accept = nil
+		t.stats.AcceptStates--
+	}
+	t.stats.Entries--
+	t.entries[e.id] = nil
+	t.freeEntries = append(t.freeEntries, e.id)
+	t.prune()
+	t.sealed = nil
+}
+
+// Reset drops every entry: the working version becomes the empty automaton.
+// Versions sealed earlier are unaffected.
+func (t *Table) Reset() {
+	*t = Table{gen: t.gen, path: t.path[:0], pools: t.pools, blocks: t.blocks}
+	t.root = t.newState(false)
+}
+
+// Seal publishes the working version. Later writes never reach the returned
+// Automaton; sealing again without writes in between returns it unchanged.
+func (t *Table) Seal() *Automaton {
+	if t.sealed == nil {
+		t.sealed = &Automaton{
+			root:     t.root,
+			stats:    t.stats,
+			stateIDs: t.stateIDs,
+			entryIDs: int32(len(t.entries)),
+			pools:    t.pools,
+		}
+		// Every state reachable now belongs to the sealed version; the next
+		// write copies instead of mutating.
+		t.gen++
+	}
+	return t.sealed
+}
+
+func (t *Table) lookup(h Handle) *entry {
+	if h.ref <= 0 || int(h.ref) > len(t.entries) {
+		return nil
+	}
+	return t.entries[h.ref-1]
+}
+
+func (t *Table) newState(selfLoop bool) *state {
+	id := t.stateIDs
+	if n := len(t.freeStates); n > 0 {
+		id = t.freeStates[n-1]
+		t.freeStates = t.freeStates[:n-1]
+	} else {
+		t.stateIDs++
+	}
+	t.stats.States++
+	if !t.blocks {
+		return &state{id: id, gen: t.gen, selfLoop: selfLoop}
+	}
+	if len(t.stateBlock) == 0 {
+		t.stateBlock = make([]state, blockSize)
+	}
+	s := &t.stateBlock[0]
+	t.stateBlock = t.stateBlock[1:]
+	*s = state{id: id, gen: t.gen, selfLoop: selfLoop}
+	return s
+}
+
+func (t *Table) newEntry(e entry) *entry {
+	if !t.blocks {
+		p := new(entry) // not &e: that would heap-allocate e on every path
+		*p = e
+		return p
+	}
+	if len(t.entryBlock) == 0 {
+		t.entryBlock = make([]entry, blockSize)
+	}
+	p := &t.entryBlock[0]
+	t.entryBlock = t.entryBlock[1:]
+	*p = e
+	return p
+}
+
+// own returns a state the writer may mutate in s's place: s itself when the
+// current generation created it, else a copy with the same id (the copy
+// replaces s in this version, so the id stays unique within it).
+func (t *Table) own(s *state) *state {
+	if s.gen == t.gen {
+		return s
+	}
+	c := &state{id: s.id, gen: t.gen, selfLoop: s.selfLoop, wild: s.wild, dslash: s.dslash}
+	if len(s.next) > 0 {
+		c.next = maps.Clone(s.next)
+	}
+	if len(s.accept) > 0 {
+		c.accept = append([]*entry(nil), s.accept...)
+	}
+	return c
+}
+
+// reach makes every state on x's path writable — creating missing states,
+// copying shared ones — records the path in t.path, and returns the accept
+// state. All descendant steps leaving one state share its skip state, so
+// "//a" and "//b" from a common prefix share the self-loop. Wildcard steps
+// use the dedicated wildcard transition so that a concrete path element
+// named "*" is still only matched by wildcard steps (mirroring
+// symStepMatches).
+func (t *Table) reach(x *xpath.XPE) *state {
+	t.root = t.own(t.root)
+	cur := t.root
+	t.path = append(t.path[:0], pathStep{s: cur})
+	syms := x.Syms()
+	for i, st := range x.Steps {
+		axis := st.Axis
+		if i == 0 && x.Relative {
+			// A relative expression may begin at any position: same
+			// language as a leading "//" step.
+			axis = xpath.Descendant
+		}
+		if axis == xpath.Descendant {
+			d := cur.dslash
+			if d == nil {
+				d = t.newState(true)
+				t.stats.Edges += 2 // the epsilon edge and the self-loop
+			} else {
+				d = t.own(d)
+			}
+			cur.dslash = d
+			cur = d
+			t.path = append(t.path, pathStep{s: cur, kind: viaSkip})
+		}
+		sym := syms[i]
+		if sym == symtab.Wildcard {
+			w := cur.wild
+			if w == nil {
+				w = t.newState(false)
+				t.stats.Edges++
+			} else {
+				w = t.own(w)
+			}
+			cur.wild = w
+			cur = w
+			t.path = append(t.path, pathStep{s: cur, kind: viaWild})
+			continue
+		}
+		nx, ok := cur.next[sym]
+		switch {
+		case !ok:
+			nx = t.newState(false)
+			t.stats.Edges++
+			if cur.next == nil {
+				cur.next = make(map[symtab.Sym]*state)
+			}
+			cur.next[sym] = nx
+		case nx.gen != t.gen:
+			nx = t.own(nx)
+			cur.next[sym] = nx
+		}
+		cur = nx
+		t.path = append(t.path, pathStep{s: cur, kind: viaNext, sym: sym})
+	}
+	return cur
+}
+
+// prune walks the last reached path upward, unlinking every state left
+// with no entry and no outgoing edge. The rest of the trie is untouched, so
+// its invariant — every state leads to an entry — holds again afterwards.
+func (t *Table) prune() {
+	for i := len(t.path) - 1; i > 0; i-- {
+		s := t.path[i].s
+		if len(s.accept) > 0 || len(s.next) > 0 || s.wild != nil || s.dslash != nil {
+			return
+		}
+		parent := t.path[i-1].s
+		switch t.path[i].kind {
+		case viaSkip:
+			parent.dslash = nil
+			t.stats.Edges -= 2
+		case viaWild:
+			parent.wild = nil
+			t.stats.Edges--
+		default:
+			delete(parent.next, t.path[i].sym)
+			if len(parent.next) == 0 {
+				parent.next = nil
+			}
+			t.stats.Edges--
+		}
+		t.stats.States--
+		t.freeStates = append(t.freeStates, s.id)
+	}
+}
+
+// Builder accumulates expressions and compiles the shared automaton in one
+// shot: a Table sealed once. The zero value is not usable; call NewBuilder.
 //
 // A Builder is single-use and single-goroutine: the busy/done guards turn
 // concurrent Add/Build calls and use after Build into panics instead of
-// silent corruption — per-shard builders run on parallel goroutines in the
-// broker, so the non-concurrency contract is enforced, not just documented.
+// silent corruption.
 type Builder struct {
-	states  []state
-	entries []entry
-	busy    atomic.Int32
-	done    bool
+	t    *Table
+	busy atomic.Int32
+	done bool
 }
 
 // begin enters a guarded builder operation; end leaves it.
@@ -129,84 +484,25 @@ func (b *Builder) end() { b.busy.Store(0) }
 
 // NewBuilder returns an empty builder holding only the start state.
 func NewBuilder() *Builder {
-	return &Builder{states: []state{{wild: noEdge, dslash: noEdge}}}
+	t := NewTable()
+	t.blocks = true
+	return &Builder{t: t}
 }
 
 // Len returns the number of entries added so far.
-func (b *Builder) Len() int { return len(b.entries) }
+func (b *Builder) Len() int {
+	if b.t == nil {
+		return 0
+	}
+	return b.t.Len()
+}
 
-// Add compiles one expression into the automaton under construction and
-// associates data with it: every Match over a path the expression matches
-// will visit data. The same expression may be added multiple times with
-// different payloads (each is reported). Expressions with zero steps match
-// nothing and are ignored. The expression must not be mutated afterwards
-// (its interned step symbols are cached, see XPE.Syms).
+// Add compiles one expression into the automaton under construction; see
+// Table.Add.
 func (b *Builder) Add(x *xpath.XPE, data any) {
 	b.begin()
 	defer b.end()
-	if x == nil || x.Len() == 0 {
-		return
-	}
-	syms := x.Syms()
-	cur := int32(0)
-	for i, st := range x.Steps {
-		axis := st.Axis
-		if i == 0 && x.Relative {
-			// A relative expression may begin at any position: same
-			// language as a leading "//" step.
-			axis = xpath.Descendant
-		}
-		from := cur
-		if axis == xpath.Descendant {
-			from = b.ensureSkip(cur)
-		}
-		cur = b.ensureEdge(from, syms[i])
-	}
-	idx := int32(len(b.entries))
-	b.entries = append(b.entries, entry{x: x, data: data, hasPreds: x.HasPredicates()})
-	b.states[cur].accept = append(b.states[cur].accept, idx)
-}
-
-// ensureSkip returns the skip ("//") state hanging off from, creating it on
-// first use. All descendant steps leaving the same state share one skip
-// state, so "//a" and "//b" from a common prefix share the self-loop.
-func (b *Builder) ensureSkip(from int32) int32 {
-	if d := b.states[from].dslash; d != noEdge {
-		return d
-	}
-	d := b.newState()
-	b.states[d].selfLoop = true
-	b.states[from].dslash = d
-	return d
-}
-
-// ensureEdge returns the target of from's transition for the step symbol,
-// creating the edge and target state on first use. Wildcard steps use the
-// dedicated wildcard transition so that a concrete path element named "*"
-// is still only matched by wildcard steps (mirroring symStepMatches).
-func (b *Builder) ensureEdge(from int32, sym symtab.Sym) int32 {
-	if sym == symtab.Wildcard {
-		if w := b.states[from].wild; w != noEdge {
-			return w
-		}
-		t := b.newState()
-		b.states[from].wild = t
-		return t
-	}
-	if t, ok := b.states[from].next[sym]; ok {
-		return t
-	}
-	t := b.newState()
-	if b.states[from].next == nil {
-		b.states[from].next = make(map[symtab.Sym]int32)
-	}
-	b.states[from].next[sym] = t
-	return t
-}
-
-func (b *Builder) newState() int32 {
-	b.states = append(b.states, state{wild: noEdge, dslash: noEdge})
-	return int32(len(b.states) - 1)
+	b.t.Add(x, data)
 }
 
 // Build finalises the automaton. The builder must not be used afterwards
@@ -215,68 +511,55 @@ func (b *Builder) Build() *Automaton {
 	b.begin()
 	defer b.end()
 	b.done = true
-	a := &Automaton{states: b.states, entries: b.entries}
-	nstates, nentries := len(a.states), len(a.entries)
-	a.pool.New = func() any {
-		return &scratch{
-			cur:        make([]int32, 0, nstates),
-			nxt:        make([]int32, 0, nstates),
-			stateStamp: make([]uint32, nstates),
-			entryStamp: make([]uint32, nentries),
-		}
-	}
-	a.cursors.New = func() any {
-		return &Cursor{
-			a:          a,
-			frontier:   make([]int32, 0, nstates),
-			offs:       make([]int32, 0, 16),
-			stateStamp: make([]uint32, nstates),
-			entryStamp: make([]uint32, nentries),
-		}
-	}
-	b.states, b.entries = nil, nil
+	a := b.t.Seal()
+	b.t = nil
 	return a
 }
 
-// NumEntries returns the number of compiled expressions (O(1), unlike the
-// full Stats walk — per-shard status surfaces poll it).
-func (a *Automaton) NumEntries() int { return len(a.entries) }
+// NumEntries returns the number of compiled expressions.
+func (a *Automaton) NumEntries() int { return a.stats.Entries }
 
-// NumStates returns the number of automaton states (O(1)).
-func (a *Automaton) NumStates() int { return len(a.states) }
+// NumStates returns the number of automaton states.
+func (a *Automaton) NumStates() int { return a.stats.States }
 
-// Stats measures the automaton.
-func (a *Automaton) Stats() Stats {
-	s := Stats{States: len(a.states), Entries: len(a.entries)}
-	for i := range a.states {
-		st := &a.states[i]
-		s.Edges += len(st.next)
-		if st.wild != noEdge {
-			s.Edges++
-		}
-		if st.dslash != noEdge {
-			s.Edges++ // the epsilon edge into the skip state
-		}
-		if st.selfLoop {
-			s.Edges++
-		}
-		if len(st.accept) > 0 {
-			s.AcceptStates++
-		}
-	}
-	return s
-}
+// Stats measures the automaton (O(1): the writer keeps the counts).
+func (a *Automaton) Stats() Stats { return a.stats }
+
+// Cost returns the writer time spent producing this version from the one
+// sealed before it, as measured by a ShardedTable (zero otherwise).
+func (a *Automaton) Cost() time.Duration { return a.cost }
 
 // scratch is the per-run working set: the active state frontier (cur/nxt)
 // plus epoch-stamped visited markers. stateEpoch advances once per consumed
 // path element (a state may re-activate at a later position); entryEpoch
 // advances once per run (each entry is reported at most once per Match).
 type scratch struct {
-	cur, nxt   []int32
+	cur, nxt   []*state
 	stateStamp []uint32
 	entryStamp []uint32
 	stateEpoch uint32
 	entryEpoch uint32
+}
+
+// fitStamps returns a stamp table covering n ids: s itself when it is long
+// enough, else a fresh zeroed one with headroom, so a growing table
+// reallocates rarely. Zero never equals a live epoch, so fresh stamps are
+// unvisited.
+func fitStamps(s []uint32, n int32) []uint32 {
+	if len(s) >= int(n) {
+		return s
+	}
+	return make([]uint32, int(n)+int(n)/4)
+}
+
+// frontierCap sizes a fresh frontier once, so a new scratch or cursor does
+// not grow it append by append: room for every state of small automata, a
+// generous bound on the active set of large ones.
+func frontierCap(f []*state, n int32) []*state {
+	if cap(f) > 0 {
+		return f
+	}
+	return make([]*state, 0, min(int(n), 1024))
 }
 
 // Match runs the automaton over one interned publication path and invokes
@@ -297,10 +580,14 @@ func (a *Automaton) MatchStructural(path []symtab.Sym, visit func(data any)) {
 }
 
 func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) {
-	if len(a.entries) == 0 || len(path) == 0 {
+	if a.stats.Entries == 0 || len(path) == 0 {
 		return
 	}
-	s := a.pool.Get().(*scratch)
+	s := a.pools.scratch.Get().(*scratch)
+	s.stateStamp = fitStamps(s.stateStamp, a.stateIDs)
+	s.entryStamp = fitStamps(s.entryStamp, a.entryIDs)
+	s.cur = frontierCap(s.cur, a.stateIDs)
+	s.nxt = frontierCap(s.nxt, a.stateIDs)
 	s.entryEpoch++
 	if s.entryEpoch == 0 { // epoch wrapped: stale stamps could collide
 		clearStamps(s.entryStamp)
@@ -310,21 +597,20 @@ func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural
 	s.beginPosition()
 	// Position 0: the start state and, by epsilon, its skip state. No entry
 	// can accept here (expressions have at least one step).
-	s.cur = a.activate(0, s.cur, s, path, attrs, structural, visit)
+	s.cur = activate(a.root, s.cur, s, path, attrs, structural, visit)
 	for _, sym := range path {
 		s.beginPosition()
 		s.nxt = s.nxt[:0]
-		for _, si := range s.cur {
-			st := &a.states[si]
+		for _, st := range s.cur {
 			if st.selfLoop {
 				// Skip states consume any element and stay active.
-				s.nxt = a.activate(si, s.nxt, s, path, attrs, structural, visit)
+				s.nxt = activate(st, s.nxt, s, path, attrs, structural, visit)
 			}
 			if t, ok := st.next[sym]; ok {
-				s.nxt = a.activate(t, s.nxt, s, path, attrs, structural, visit)
+				s.nxt = activate(t, s.nxt, s, path, attrs, structural, visit)
 			}
-			if st.wild != noEdge {
-				s.nxt = a.activate(st.wild, s.nxt, s, path, attrs, structural, visit)
+			if st.wild != nil {
+				s.nxt = activate(st.wild, s.nxt, s, path, attrs, structural, visit)
 			}
 		}
 		s.cur, s.nxt = s.nxt, s.cur
@@ -332,7 +618,7 @@ func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural
 			break // no live prefix can revive
 		}
 	}
-	a.pool.Put(s)
+	a.pools.scratch.Put(s)
 }
 
 // beginPosition opens a fresh state-dedup window.
@@ -348,29 +634,27 @@ func (s *scratch) beginPosition() {
 // reports its accepting entries, and follows the epsilon edge into its skip
 // state. Accepting here — at activation, i.e. the moment the entry's last
 // step is consumed — implements prefix-match acceptance at every position.
-func (a *Automaton) activate(si int32, frontier []int32, s *scratch, path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) []int32 {
+func activate(st *state, frontier []*state, s *scratch, path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) []*state {
 	for {
-		if s.stateStamp[si] == s.stateEpoch {
+		if s.stateStamp[st.id] == s.stateEpoch {
 			return frontier
 		}
-		s.stateStamp[si] = s.stateEpoch
-		frontier = append(frontier, si)
-		st := &a.states[si]
-		for _, ei := range st.accept {
-			if s.entryStamp[ei] == s.entryEpoch {
+		s.stateStamp[st.id] = s.stateEpoch
+		frontier = append(frontier, st)
+		for _, e := range st.accept {
+			if s.entryStamp[e.id] == s.entryEpoch {
 				continue
 			}
-			s.entryStamp[ei] = s.entryEpoch
-			e := &a.entries[ei]
+			s.entryStamp[e.id] = s.entryEpoch
 			if !structural && e.hasPreds && !e.x.MatchesSymPathAttrs(path, attrs) {
 				continue
 			}
 			visit(e.data)
 		}
-		if st.dslash == noEdge {
+		if st.dslash == nil {
 			return frontier
 		}
-		si = st.dslash // epsilon into the skip state
+		st = st.dslash // epsilon into the skip state
 	}
 }
 

@@ -2,14 +2,16 @@ package pmatch
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
-// This file partitions the shared automaton into independently-built shards
-// so a control-plane change recompiles 1/N of the table instead of all of
-// it (DESIGN.md §5g). The partition key is the expression's ROOT symbol:
+// This file partitions the shared automaton into independent shards, each a
+// persistent table of its own, so a publication consults only the part of
+// the table its root can hit (DESIGN.md §5g). The partition key is the
+// expression's ROOT symbol:
 //
 //   - an ANCHORED expression — absolute, first step on the child axis with
 //     a concrete (non-wildcard) name — can only match paths whose first
@@ -94,14 +96,13 @@ func itoa(v int) string {
 
 // ShardedAutomaton is a vector of immutable Automatons partitioned by
 // ShardIndex. Like Automaton it is immutable after construction and safe
-// for any number of concurrent Match/Cursor calls; slots may be shared
-// (aliased) between successive ShardedAutomatons when only some shards were
-// rebuilt.
+// for any number of concurrent Match/Cursor calls; successive versions
+// sealed by a ShardedTable share every slot a change did not touch.
 type ShardedAutomaton struct {
 	n       int
 	slots   []*Automaton
 	entries int
-	pool    sync.Pool // *ShardedCursor
+	pool    *sync.Pool // *ShardedCursor, shared by every version of a table
 }
 
 // NewSharded assembles a sharded automaton from per-slot automatons. The
@@ -109,21 +110,28 @@ type ShardedAutomaton struct {
 // last), each built with expressions whose ShardIndex equals the slot;
 // violating the placement contract loses the at-most-once visit guarantee.
 func NewSharded(n int, slots []*Automaton) *ShardedAutomaton {
+	return newSharded(n, slots, newCursorPool())
+}
+
+func newSharded(n int, slots []*Automaton, pool *sync.Pool) *ShardedAutomaton {
 	if n < 1 {
 		n = 1
 	}
 	if len(slots) != Slots(n) {
 		panic("pmatch: NewSharded slot count does not match Slots(n)")
 	}
-	s := &ShardedAutomaton{n: n, slots: slots}
+	s := &ShardedAutomaton{n: n, slots: slots, pool: pool}
 	for _, a := range slots {
 		if a == nil {
 			panic("pmatch: NewSharded nil slot")
 		}
-		s.entries += len(a.entries)
+		s.entries += a.NumEntries()
 	}
-	s.pool.New = func() any { return &ShardedCursor{s: s} }
 	return s
+}
+
+func newCursorPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return &ShardedCursor{} }}
 }
 
 // Single wraps one monolithic automaton as a 1-shard ShardedAutomaton (the
@@ -138,8 +146,8 @@ func (s *ShardedAutomaton) N() int { return s.n }
 // SlotCount returns the number of automaton slots (Slots(N)).
 func (s *ShardedAutomaton) SlotCount() int { return len(s.slots) }
 
-// Slot returns the automaton in the given slot (read-only; aliasing it
-// into a new ShardedAutomaton is how unchanged shards skip rebuilds).
+// Slot returns the automaton in the given slot. Successive versions of a
+// ShardedTable return the same *Automaton for a slot no write touched.
 func (s *ShardedAutomaton) Slot(i int) *Automaton { return s.slots[i] }
 
 // Entries returns the total number of expressions across all slots.
@@ -189,10 +197,90 @@ func (s *ShardedAutomaton) MatchStructural(path []symtab.Sym, visit func(data an
 	s.slots[s.n].MatchStructural(path, visit)
 }
 
-// ShardedBuilder routes expressions to per-slot Builders by ShardIndex.
-// Like Builder it is not safe for concurrent use. The broker's selective
-// rebuild drives raw Builders directly (it only recompiles dirty slots);
-// this type is the convenient whole-table form for tests and benchmarks.
+// ShardedTable is the single writer of a sharded automaton: one Table per
+// slot, entries routed by ShardIndex. Add, Set and Remove touch one slot;
+// Seal reseals only the slots written since the previous Seal and shares the
+// rest, so an untouched slot keeps its *Automaton across versions. Each
+// resealed slot records the writer time spent on it (Automaton.Cost). Not
+// safe for concurrent use.
+type ShardedTable struct {
+	n      int
+	slots  []*Table
+	cost   []time.Duration // write time per slot since its last seal
+	sealed *ShardedAutomaton
+	pool   *sync.Pool
+}
+
+// NewShardedTable returns an empty writer for an n-shard partition.
+func NewShardedTable(n int) *ShardedTable {
+	if n < 1 {
+		n = 1
+	}
+	t := &ShardedTable{n: n, slots: make([]*Table, Slots(n)), cost: make([]time.Duration, Slots(n)), pool: newCursorPool()}
+	for i := range t.slots {
+		t.slots[i] = NewTable()
+	}
+	return t
+}
+
+// Add compiles the expression into its shard's table; see Table.Add.
+func (t *ShardedTable) Add(x *xpath.XPE, data any) Handle {
+	slot := ShardIndex(x, t.n)
+	start := time.Now()
+	h := t.slots[slot].Add(x, data)
+	t.cost[slot] += time.Since(start)
+	h.slot = int32(slot)
+	return h
+}
+
+// Set replaces the payload of a live entry; see Table.Set.
+func (t *ShardedTable) Set(h Handle, data any) {
+	start := time.Now()
+	t.slots[h.slot].Set(h, data)
+	t.cost[h.slot] += time.Since(start)
+}
+
+// Remove deletes a live entry; see Table.Remove.
+func (t *ShardedTable) Remove(h Handle) {
+	start := time.Now()
+	t.slots[h.slot].Remove(h)
+	t.cost[h.slot] += time.Since(start)
+}
+
+// Reset drops every entry of every slot (re-seeding starts here).
+func (t *ShardedTable) Reset() {
+	for _, tb := range t.slots {
+		tb.Reset()
+	}
+}
+
+// Seal publishes the working version, resealing only the slots written
+// since the previous Seal; with no writes it returns the previous version.
+func (t *ShardedTable) Seal() *ShardedAutomaton {
+	dirty := t.sealed == nil
+	for _, tb := range t.slots {
+		dirty = dirty || tb.sealed == nil
+	}
+	if !dirty {
+		return t.sealed
+	}
+	slots := make([]*Automaton, len(t.slots))
+	for i, tb := range t.slots {
+		written := tb.sealed == nil
+		start := time.Now()
+		slots[i] = tb.Seal()
+		if written {
+			slots[i].cost = t.cost[i] + time.Since(start)
+			t.cost[i] = 0
+		}
+	}
+	t.sealed = newSharded(t.n, slots, t.pool)
+	return t.sealed
+}
+
+// ShardedBuilder routes expressions to per-slot Builders by ShardIndex: the
+// one-shot whole-table form of ShardedTable, for bulk builds, tests and
+// benchmarks. Like Builder it is not safe for concurrent use.
 type ShardedBuilder struct {
 	n  int
 	bs []*Builder
@@ -259,10 +347,11 @@ type ShardedCursor struct {
 // Cursor returns a pooled sharded cursor positioned at the document root.
 func (s *ShardedAutomaton) Cursor() *ShardedCursor {
 	c := s.pool.Get().(*ShardedCursor)
+	c.s = s
 	c.depth = 0
 	if s.n == 1 {
 		c.cur = c.acquire(0)
-	} else if len(s.slots[s.n].entries) > 0 {
+	} else if s.slots[s.n].NumEntries() > 0 {
 		c.wild = s.slots[s.n].Cursor()
 	}
 	return c
@@ -277,7 +366,7 @@ func (c *ShardedCursor) acquire(slot int) *Cursor {
 		}
 	}
 	var cur *Cursor
-	if a := c.s.slots[slot]; len(a.entries) > 0 {
+	if a := c.s.slots[slot]; a.NumEntries() > 0 {
 		cur = a.Cursor()
 	}
 	c.held = append(c.held, heldCursor{slot: slot, c: cur})
@@ -337,5 +426,7 @@ func (c *ShardedCursor) Release() {
 		c.wild = nil
 	}
 	c.cur = nil
-	c.s.pool.Put(c)
+	pool := c.s.pool
+	c.s = nil // a pooled cursor must not pin an old version
+	pool.Put(c)
 }

@@ -201,8 +201,7 @@ func TestShardedCursorLeavePanics(t *testing.T) {
 // really is immutable after Build: matcher goroutines run Match and Cursor
 // walks against a snapshot pointer while a rebuilder continuously
 // recompiles random subsets of shards on parallel goroutines (one fresh
-// Builder each, the broker's selective-rebuild shape), aliasing the
-// untouched slots, and swaps the snapshot. Any write into a live automaton
+// Builder each), reusing the untouched slots, and swaps the snapshot. Any write into a live automaton
 // or cross-goroutine Builder sharing is a race or a guard panic; any
 // corruption shows up as an oracle mismatch.
 func TestConcurrentShardRebuildAndMatch(t *testing.T) {

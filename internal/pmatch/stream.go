@@ -32,7 +32,7 @@ import (
 // completed at the element just entered. Returning true settles the entry —
 // it is not reported again for the rest of the run; returning false keeps
 // it eligible (used by predicate post-filters that could not yet confirm
-// the match). data is the payload registered with Builder.Add.
+// the match). data is the payload registered with Table.Add.
 type AcceptFunc func(x *xpath.XPE, hasPreds bool, data any) bool
 
 // Cursor is a stack-shaped execution of the automaton over a document's
@@ -45,7 +45,7 @@ type Cursor struct {
 	// frontier holds the active state sets of all open depths back to back;
 	// offs[d] is the start of depth d's set (depth 0 is the start closure).
 	// Leave is two truncations — the document stack IS the NFA state.
-	frontier []int32
+	frontier []*state
 	offs     []int32
 	// Epoch-stamped dedup, as in scratch: states per position (one Enter is
 	// one position), entries per run.
@@ -58,14 +58,22 @@ type Cursor struct {
 // Cursor returns a pooled cursor positioned at the document root (depth 0,
 // before any Enter): the start state and its epsilon closure are active.
 func (a *Automaton) Cursor() *Cursor {
-	c := a.cursors.Get().(*Cursor)
+	c := a.pools.cursors.Get().(*Cursor)
+	c.a = a
+	c.stateStamp = fitStamps(c.stateStamp, a.stateIDs)
+	c.entryStamp = fitStamps(c.entryStamp, a.entryIDs)
+	c.frontier = frontierCap(c.frontier, a.stateIDs)
 	c.Reset()
 	return c
 }
 
 // Release returns the cursor to its automaton's pool. The cursor must not
 // be used afterwards.
-func (c *Cursor) Release() { c.a.cursors.Put(c) }
+func (c *Cursor) Release() {
+	p := c.a.pools
+	c.a = nil // a pooled cursor must not pin an old version
+	p.cursors.Put(c)
+}
 
 // Reset rewinds the cursor to the root of a new document. Entries settled
 // in the previous document become eligible again.
@@ -81,7 +89,7 @@ func (c *Cursor) Reset() {
 	c.offs = append(c.offs, 0)
 	// Depth 0: the start state and, by epsilon, its skip state. No entry can
 	// accept here (expressions have at least one step), so no visitor runs.
-	c.push(0, nil)
+	c.push(c.a.root, nil)
 }
 
 // Depth returns the number of open elements (Enters minus Leaves).
@@ -102,15 +110,15 @@ func (c *Cursor) Enter(sym symtab.Sym, visit AcceptFunc) {
 	// Iterate the parent frontier by index: push appends to the shared
 	// backing slice and may reallocate it.
 	for i := parentStart; i < parentEnd; i++ {
-		st := &c.a.states[c.frontier[i]]
+		st := c.frontier[i]
 		if st.selfLoop {
 			// Skip states consume any element and stay active.
-			c.push(c.frontier[i], visit)
+			c.push(st, visit)
 		}
 		if t, ok := st.next[sym]; ok {
 			c.push(t, visit)
 		}
-		if st.wild != noEdge {
+		if st.wild != nil {
 			c.push(st.wild, visit)
 		}
 	}
@@ -138,28 +146,26 @@ func (c *Cursor) beginPosition() {
 // push adds a state to the top frontier (deduplicated per position),
 // reports its accepting entries, and follows the epsilon edge into its
 // skip state — the Cursor form of Automaton.activate.
-func (c *Cursor) push(si int32, visit AcceptFunc) {
+func (c *Cursor) push(st *state, visit AcceptFunc) {
 	for {
-		if c.stateStamp[si] == c.stateEpoch {
+		if c.stateStamp[st.id] == c.stateEpoch {
 			return
 		}
-		c.stateStamp[si] = c.stateEpoch
-		c.frontier = append(c.frontier, si)
-		st := &c.a.states[si]
+		c.stateStamp[st.id] = c.stateEpoch
+		c.frontier = append(c.frontier, st)
 		if visit != nil {
-			for _, ei := range st.accept {
-				if c.entryStamp[ei] == c.entryEpoch {
+			for _, e := range st.accept {
+				if c.entryStamp[e.id] == c.entryEpoch {
 					continue
 				}
-				e := &c.a.entries[ei]
 				if visit(e.x, e.hasPreds, e.data) {
-					c.entryStamp[ei] = c.entryEpoch
+					c.entryStamp[e.id] = c.entryEpoch
 				}
 			}
 		}
-		if st.dslash == noEdge {
+		if st.dslash == nil {
 			return
 		}
-		si = st.dslash // epsilon into the skip state
+		st = st.dslash // epsilon into the skip state
 	}
 }

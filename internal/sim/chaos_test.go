@@ -50,8 +50,8 @@ func TestChaosEquivalence(t *testing.T) {
 		{broker.Config{UseCovering: true}, false},
 		{broker.Config{UseAdvertisements: true, UseCovering: true}, false},
 		// The sharded matching engine under the full strategy: crash/resync
-		// churn drives per-shard rebuilds, and delivery equivalence pins that
-		// partitioning changes nothing (Shards is explicit — the default is
+		// churn drives per-shard table edits, and delivery equivalence pins
+		// that partitioning changes nothing (Shards is explicit — the default is
 		// GOMAXPROCS, which is 1 on small hosts).
 		{broker.Config{UseAdvertisements: true, UseCovering: true, Shards: 4}, false},
 	}

@@ -25,6 +25,7 @@ func buildCloneFixture(t *testing.T) (*Tree, *Node, *Node) {
 	// subtree boundaries).
 	mid.super = append(mid.super, other)
 	other.superRefs = append(other.superRefs, mid)
+	tr.superEdges++ // what Insert would have counted
 	return tr, mid, other
 }
 

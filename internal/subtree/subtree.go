@@ -81,9 +81,10 @@ func (n *Node) Super() []*Node { return n.super }
 
 // Tree is the subscription tree. The zero value is not usable; call New.
 type Tree struct {
-	root  *Node // virtual root; XPE == nil, covers everything
-	size  int
-	index map[string]*Node // exact-expression lookup
+	root       *Node // virtual root; XPE == nil, covers everything
+	size       int
+	superEdges int              // super pointers, kept by Insert and Remove
+	index      map[string]*Node // exact-expression lookup
 }
 
 // New returns an empty subscription tree.
@@ -136,8 +137,11 @@ descent:
 	}
 
 	// Among the parent's children, the ones x covers become x's children.
+	// kept is fresh, sized once: callers may be iterating the old child
+	// slice (merge passes do), and growing it by appends would cost
+	// O(log children) allocations per insert.
 	var adopted []*Node
-	kept := parent.children[:0:0]
+	kept := make([]*Node, 0, len(parent.children)+1)
 	for _, c := range parent.children {
 		if cover.Covers(x, c.XPE) {
 			adopted = append(adopted, c)
@@ -165,6 +169,7 @@ descent:
 		n.super = append(n.super, c)
 		c.superRefs = append(c.superRefs, n)
 	}
+	t.superEdges += len(external)
 
 	newly := make([]*Node, 0, len(adopted)+len(external))
 	newly = append(newly, adopted...)
@@ -282,6 +287,7 @@ func (t *Tree) Remove(n *Node) {
 	for _, owner := range n.superRefs {
 		owner.super = removeNode(owner.super, n)
 	}
+	t.superEdges -= len(n.super) + len(n.superRefs)
 	delete(t.index, n.XPE.Key())
 	t.size--
 	n.parent = nil
@@ -403,7 +409,7 @@ func (t *Tree) Walk(visit func(*Node)) {
 // form its publish snapshot wants. CloneWithData itself is read-only on the
 // receiver.
 func (t *Tree) CloneWithData(mapData func(*Node) any) *Tree {
-	clone := &Tree{root: &Node{}, size: t.size, index: make(map[string]*Node, len(t.index))}
+	clone := &Tree{root: &Node{}, size: t.size, superEdges: t.superEdges, index: make(map[string]*Node, len(t.index))}
 	mapped := make(map[*Node]*Node, len(t.index)+1)
 	mapped[t.root] = clone.root
 	var copyNode func(n *Node, parent *Node) *Node
@@ -449,15 +455,12 @@ func (t *Tree) CloneWithData(mapData func(*Node) any) *Tree {
 }
 
 // Stats reports the covering structure's shape for observability: stored
-// nodes, parent-child edges, and super-pointer edges. Read-only (see the
-// package concurrency contract).
+// nodes, parent-child edges, and super-pointer edges. O(1): every stored
+// node but the top-level ones has exactly one parent edge, and Insert and
+// Remove keep the super-pointer count. Read-only (see the package
+// concurrency contract).
 func (t *Tree) Stats() (nodes, edges, superEdges int) {
-	t.Walk(func(n *Node) {
-		nodes++
-		edges += len(n.children)
-		superEdges += len(n.super)
-	})
-	return
+	return t.size, t.size - len(t.root.children), t.superEdges
 }
 
 // Depth returns the maximum node depth (1 for children of the root).

@@ -230,13 +230,15 @@ func randomXPE(r *rand.Rand, maxLen int) *xpath.XPE {
 }
 
 // checkInvariants verifies the tree's structural invariants: parents cover
-// children, the index is consistent, size matches, and super pointers are
-// symmetric covering relations.
+// children, the index is consistent, size matches, super pointers are
+// symmetric covering relations, and the O(1) Stats agree with a walk.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	count := 0
+	count, edges, supers := 0, 0, 0
 	tr.Walk(func(n *Node) {
 		count++
+		edges += len(n.Children())
+		supers += len(n.Super())
 		if got := tr.Lookup(n.XPE); got != n {
 			t.Fatalf("index inconsistent for %s", n.XPE)
 		}
@@ -251,6 +253,9 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	})
 	if count != tr.Size() {
 		t.Fatalf("walked %d nodes, Size = %d", count, tr.Size())
+	}
+	if n, e, s := tr.Stats(); n != count || e != edges || s != supers {
+		t.Fatalf("Stats = %d/%d/%d, walked %d/%d/%d", n, e, s, count, edges, supers)
 	}
 }
 

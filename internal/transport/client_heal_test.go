@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/gob"
 	"net"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/faultinject"
+	"repro/internal/wirefmt"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -37,16 +39,48 @@ func startEdge(t *testing.T, wrap func(net.Conn) net.Conn) (*Server, string) {
 	return s, addr
 }
 
+// helloBytes is the length of the hello a dialler with this id writes: the
+// gob type descriptor and the value, offering the binary codec.
+func helloBytes(t *testing.T, id string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(hello{ID: id, Wire: WireBinary}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Len()
+}
+
+// frameBytes is the length of msgs as the first binary frames on a fresh
+// connection: the per-link dictionary starts empty, so the extension
+// frames the messages need are included.
+func frameBytes(t *testing.T, msgs ...*broker.Message) int {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := wirefmt.NewEncoder(&buf, wirefmt.DefaultLimits)
+	for _, m := range msgs {
+		if err := enc.Encode(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Len()
+}
+
+// killAfterFirstSubscribe is a fault plan for the edge broker: its first
+// inbound connection dies on the first read after the client's hello and
+// one subscribe frame — byte offsets, so it holds however TCP segments the
+// stream. Everything after reconnects cleanly.
+func killAfterFirstSubscribe(t *testing.T, id string, subscribe *broker.Message) func(net.Conn) net.Conn {
+	return faultinject.Sequence(faultinject.ConnFaults{
+		CloseAfterReadBytes: helloBytes(t, id) + frameBytes(t, subscribe),
+	})
+}
+
 // A reconnecting client whose connection is killed mid-stream must redial,
 // replay its subscriptions, and keep delivering on the same Deliveries
 // channel.
 func TestClientReconnectReplaysSubscriptions(t *testing.T) {
-	// The subscriber's first connection dies on the second raw read — at
-	// latest right after the subscribe frame, whether or not it coalesced
-	// with the hello; everything after reconnects cleanly.
-	s, addr := startEdge(t, faultinject.Sequence(
-		faultinject.ConnFaults{CloseAfterReads: 2},
-	))
+	subscribe := &broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}
+	s, addr := startEdge(t, killAfterFirstSubscribe(t, "sub", subscribe))
 
 	sub, err := DialOptions(addr, "sub", fastClient())
 	if err != nil {
@@ -55,7 +89,7 @@ func TestClientReconnectReplaysSubscriptions(t *testing.T) {
 	defer sub.Close()
 	deliveries := sub.Deliveries // must be the same channel after the swap
 
-	if err := sub.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+	if err := sub.Send(subscribe); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return s.PRTSize() == 1 })
@@ -87,15 +121,14 @@ func TestClientReconnectReplaysSubscriptions(t *testing.T) {
 // Without Reconnect the historical contract holds: the connection dropping
 // closes Deliveries.
 func TestClientDefaultClosesOnDrop(t *testing.T) {
-	_, addr := startEdge(t, faultinject.Sequence(
-		faultinject.ConnFaults{CloseAfterReads: 2},
-	))
+	subscribe := &broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}
+	_, addr := startEdge(t, killAfterFirstSubscribe(t, "sub", subscribe))
 	sub, err := Dial(addr, "sub")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+	if err := sub.Send(subscribe); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sub.WaitDelivery(5 * time.Second); err == nil {

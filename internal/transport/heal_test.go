@@ -55,13 +55,21 @@ func startPair(t *testing.T, cfg broker.Config, opts1, opts2 Options) (*Server, 
 // through the retry buffer, the reconnect, and the resync that repairs
 // whatever died inside the killed connection's send queue.
 func TestPeerKilledMidStreamControlNotLost(t *testing.T) {
+	const subs = 10
+	msgs := make([]*broker.Message, subs)
+	for i := range msgs {
+		msgs[i] = &broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a/b" + string(rune('0'+i)))}
+	}
 	opts1 := fastHeal()
 	// First wrapped connection is the subscriber client's inbound conn
-	// (untouched); the second is the dialled link to b2 — killed after a
-	// handful of raw writes, mid-way through the subscription stream.
+	// (untouched); the second is the dialled link to b2 — killed after its
+	// hello plus half the bytes the ten forwarded subscriptions take. b1
+	// writes at least all ten on that link (after a resync claim), so the
+	// kill always lands inside the subscription stream, whatever the
+	// batching.
 	opts1.ConnWrap = faultinject.Sequence(
 		faultinject.ConnFaults{},
-		faultinject.ConnFaults{CloseAfterWrites: 6},
+		faultinject.ConnFaults{CloseAfterWriteBytes: helloBytes(t, "b1") + frameBytes(t, msgs...)/2},
 	)
 	s1, s2, _ := startPair(t, broker.Config{}, opts1, fastHeal())
 
@@ -71,23 +79,25 @@ func TestPeerKilledMidStreamControlNotLost(t *testing.T) {
 	}
 	defer sub.Close()
 
-	const subs = 10
-	for i := 0; i < subs; i++ {
-		x := xpath.MustParse("/a/b" + string(rune('0'+i)))
-		if err := sub.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: x}); err != nil {
+	for _, m := range msgs {
+		if err := sub.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, func() bool { return s2.PRTSize() == subs })
 
-	h := s1.Health()
-	if h.Disconnects == 0 {
+	// Both ends see the cut, and either may redial first; the loser's stale
+	// connection is then no longer its link's current one and goes
+	// uncounted. The end that redials first has counted its loss, so the
+	// link is judged from both ends.
+	h1, h2 := s1.Health(), s2.Health()
+	if h1.Disconnects+h2.Disconnects == 0 {
 		t.Error("the fault never fired: no disconnect recorded")
 	}
-	if h.Reconnects == 0 {
+	if h1.Reconnects+h2.Reconnects == 0 {
 		t.Error("link was not re-established")
 	}
-	if h.Resyncs == 0 {
+	if h1.Resyncs == 0 {
 		t.Error("no resync after reconnect")
 	}
 }
