@@ -97,7 +97,7 @@ type StatusSnapshot struct {
 	SlowThresholdSeconds float64 `json:"slow_threshold_seconds,omitempty"`
 	// Shards is the matching engine's per-shard state (see
 	// broker.ShardStatus): entries, states, the last snapshot epoch that
-	// changed the slot, and what that change cost it.
+	// changed the slot, and how long that control message took to handle.
 	Shards any `json:"shards,omitempty"`
 	// Publog is the durable-subscription publication log's state (see
 	// publog.Status): segment count, byte size, and per-name cursor lag.

@@ -352,8 +352,12 @@ func TestShardedRebuildGranularity(t *testing.T) {
 	if st[s1].Epoch != e1 {
 		t.Fatalf("untouched slot %d changed on an unrelated unsubscribe", s1)
 	}
-	if st[s2].LastBuildSeconds < 0 {
+	if st[s2].LastBuildSeconds <= 0 {
 		t.Fatalf("slot %d change cost %v", s2, st[s2].LastBuildSeconds)
+	}
+	// The tree-walk copies are not maintained while the automaton routes.
+	if snap := b.snap.Load(); snap.prt != nil || snap.clientSubs != nil {
+		t.Fatal("shared-NFA snapshot carries tree-walk copies")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/advert"
 	"repro/internal/merge"
@@ -245,8 +246,8 @@ type Broker struct {
 	stageQueue, stageMatch, stageFilter, stageEnqueue *metrics.Histogram
 	// slow mirrors Config.SlowLog for the hot-path nil check.
 	slow *slowlog.Log
-	// nfaBuildSeconds records what each automaton-changing control message
-	// cost the matching table (writes plus seal; nil when Config.Metrics is
+	// nfaBuildSeconds records how long each automaton-changing control
+	// message took to handle, sealing included (nil when Config.Metrics is
 	// nil).
 	nfaBuildSeconds *metrics.Histogram
 }
@@ -292,11 +293,15 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		durables:   make(map[string]*durState),
 		durable:    cfg.Durable,
 	}
-	snap := emptySnapshot()
-	if !cfg.DisableSharedNFA {
+	// The empty snapshot a new broker publishes before any control traffic.
+	snap := &routeSnapshot{clients: map[string]bool{}, durables: map[string]*durState{}}
+	if cfg.DisableSharedNFA {
+		snap.prt = subtree.New()
+		snap.clientSubs = map[string]*subtree.Tree{}
+	} else {
 		b.table = pmatch.NewShardedTable(cfg.Shards)
 		snap.auto = b.table.Seal()
-		snap.slotEpochs = make([]uint64, snap.auto.SlotCount())
+		snap.slots = make([]slotChange, snap.auto.SlotCount())
 	}
 	b.snap.Store(snap)
 	b.slow = cfg.SlowLog
@@ -378,7 +383,7 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 			func() float64 { return float64(len(b.snap.Load().durables)) })
 	}
 	b.nfaBuildSeconds = reg.Histogram("xbroker_nfa_build_seconds",
-		"Matching-table time per control change that edited the shared automaton (table writes plus seal).",
+		"Handling time, sealing included, of each control message that changed the shared automaton.",
 		metrics.DefBuckets)
 	reg.GaugeFunc("xbroker_nfa_states",
 		"States in the shared path-matching automaton of the current snapshot.",
@@ -405,7 +410,7 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 			"Last snapshot epoch that changed this shard.",
 			func() float64 { return float64(b.shardSlotStatus(slot).Epoch) }, "shard", name)
 		reg.GaugeFunc("xbroker_nfa_shard_build_seconds",
-			"What the last change to this shard cost it: matching-table writes plus seal.",
+			"Handling time, sealing included, of the control message that last changed this shard.",
 			func() float64 { return b.shardSlotStatus(slot).LastBuildSeconds }, "shard", name)
 	}
 }
@@ -425,13 +430,14 @@ func (b *Broker) AddNeighbor(id string) {
 func (b *Broker) AddClient(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	start := time.Now()
 	b.clients[id] = true
 	b.dirty.clients = true
 	if b.clientSubs[id] == nil {
 		b.clientSubs[id] = subtree.New()
 		b.dirty.markClientSubs(id)
 	}
-	b.publishSnapshot()
+	b.publishSnapshot(start)
 }
 
 // Stats returns a snapshot of the broker's counters. It never blocks on the
@@ -582,6 +588,7 @@ func (b *Broker) HandleMessage(m *Message, from string) {
 	case MsgAdvertise, MsgUnadvertise, MsgSubscribe, MsgUnsubscribe, MsgResync, MsgSubscribeDurable:
 		b.mu.Lock()
 		defer b.mu.Unlock()
+		start := time.Now()
 		switch m.Type {
 		case MsgAdvertise:
 			b.handleAdvertise(m, from)
@@ -598,7 +605,7 @@ func (b *Broker) HandleMessage(m *Message, from string) {
 		}
 		// Swap the publish view before the lock drops: the next publication
 		// to load the snapshot observes this control change in full.
-		b.publishSnapshot()
+		b.publishSnapshot(start)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/subtree"
 	"repro/internal/xpath"
@@ -214,6 +215,7 @@ func (b *Broker) RecoverDurable() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	start := time.Now()
 	for _, st := range b.durable.Recover() {
 		d := b.durables[st.Name]
 		if d == nil {
@@ -250,7 +252,7 @@ func (b *Broker) RecoverDurable() {
 			b.handleSubscribe(&Message{Type: MsgSubscribe, XPE: x}, key)
 		}
 	}
-	b.publishSnapshot()
+	b.publishSnapshot(start)
 }
 
 // DurableStatus is one durable subscription's live cursor state for

@@ -21,7 +21,7 @@ type routeSnapshot struct {
 	// epoch increments on every swap; 0 is the empty snapshot a new broker
 	// starts with. Metrics expose it and traced publications record the
 	// epoch they matched under. The epoch moves on EVERY effective control
-	// change; slotEpochs records per shard the last epoch that changed it
+	// change; slots records per shard the last epoch that changed it
 	// (DESIGN.md §5g).
 	epoch uint64
 	// prtSize and prtStats describe the master PRT at this epoch.
@@ -48,31 +48,29 @@ type routeSnapshot struct {
 	// broker disables the shared NFA (Config.DisableSharedNFA) — the publish
 	// path then falls back to the covering tree walk.
 	auto *pmatch.ShardedAutomaton
-	// slotEpochs parallels auto's slots: the last epoch that changed each.
-	slotEpochs []uint64
-	// prt and clientSubs exist for the tree walk only (DisableSharedNFA):
-	// deep copies of the PRT, whose Node.Data holds the subscription's
-	// sorted last-hop list ([]string, nil for stateless nodes) instead of
-	// the control plane's mutable *subState, and of each client's original
-	// subscriptions for the edge delivery filter.
+	// slots parallels auto's slots: the last change to each.
+	slots []slotChange
+	// prt and clientSubs exist for the tree walk only (DisableSharedNFA),
+	// nil otherwise: deep copies of the PRT, whose Node.Data holds the
+	// subscription's sorted last-hop list ([]string, nil for stateless
+	// nodes) instead of the control plane's mutable *subState, and of each
+	// client's original subscriptions for the edge delivery filter.
 	prt        *subtree.Tree
 	clientSubs map[string]*subtree.Tree
+}
+
+// slotChange records the control message that last changed one automaton
+// slot: the snapshot epoch it published, and what handling it cost — the
+// whole handler plus the seal, timed once per message.
+type slotChange struct {
+	epoch uint64
+	cost  time.Duration
 }
 
 // clientMatch is the automaton payload type of a per-client filter-tree
 // entry: the client's peer ID. Distinguished from PRT payloads ([]string
 // last-hop slices) by type in handlePublish's single type switch.
 type clientMatch string
-
-// emptySnapshot is what a new broker publishes before any control traffic.
-func emptySnapshot() *routeSnapshot {
-	return &routeSnapshot{
-		prt:        subtree.New(),
-		clients:    map[string]bool{},
-		clientSubs: map[string]*subtree.Tree{},
-		durables:   map[string]*durState{},
-	}
-}
 
 // snapDirty records which master tables a control message touched, so
 // publishSnapshot copies only those. The matching table needs no flag: it
@@ -98,8 +96,10 @@ func (d *snapDirty) any() bool {
 
 // publishSnapshot swaps in a new immutable snapshot reflecting the master
 // tables. It must run with b.mu held exclusively (it reads the mutable
-// tables) and is a no-op when the preceding handler changed nothing.
-func (b *Broker) publishSnapshot() {
+// tables) and is a no-op when the preceding handler changed nothing. start
+// is when the handler began; the slots the change touched record the time
+// since.
+func (b *Broker) publishSnapshot(start time.Time) {
 	if !b.dirty.any() {
 		return
 	}
@@ -146,27 +146,26 @@ func (b *Broker) publishSnapshot() {
 		next.clientSubs = subs
 	}
 	if b.table != nil {
-		b.sealTable(&next, old)
+		b.sealTable(&next, old, start)
 	}
 	b.dirty = snapDirty{}
 	b.snap.Store(&next)
 }
 
 // sealTable publishes the matching table's working version into next and
-// stamps the slots the change touched with next's epoch. Control messages
-// touching no entry (a pure client registration, an advertisement) seal to
-// the previous version and leave every slot's epoch alone.
-func (b *Broker) sealTable(next, old *routeSnapshot) {
+// records the change on the slots it touched. Control messages touching no
+// entry (a pure client registration, an advertisement) seal to the previous
+// version and leave every slot's record alone.
+func (b *Broker) sealTable(next, old *routeSnapshot, start time.Time) {
 	next.auto = b.table.Seal()
 	if next.auto == old.auto {
 		return
 	}
-	next.slotEpochs = append([]uint64(nil), old.slotEpochs...)
-	var cost time.Duration
-	for i := range next.slotEpochs {
-		if a := next.auto.Slot(i); a != old.auto.Slot(i) {
-			next.slotEpochs[i] = next.epoch
-			cost += a.Cost()
+	cost := time.Since(start)
+	next.slots = append([]slotChange(nil), old.slots...)
+	for i := range next.slots {
+		if next.auto.Slot(i) != old.auto.Slot(i) {
+			next.slots[i] = slotChange{epoch: next.epoch, cost: cost}
 		}
 	}
 	if b.nfaBuildSeconds != nil {
@@ -285,8 +284,8 @@ type ShardStatus struct {
 	// Epoch is the last snapshot epoch that changed this slot (it lags the
 	// broker's snapshot epoch while changes land in other slots).
 	Epoch uint64 `json:"epoch"`
-	// LastBuildSeconds is what that change cost the slot: the matching
-	// table's writes plus the seal.
+	// LastBuildSeconds is how long the control message behind that change
+	// took to handle, sealing included.
 	LastBuildSeconds float64 `json:"last_build_seconds"`
 }
 
@@ -321,7 +320,7 @@ func (s *routeSnapshot) slotStatus(slot int) ShardStatus {
 	return ShardStatus{
 		Entries:          a.NumEntries(),
 		States:           a.NumStates(),
-		Epoch:            s.slotEpochs[slot],
-		LastBuildSeconds: a.Cost().Seconds(),
+		Epoch:            s.slots[slot].epoch,
+		LastBuildSeconds: s.slots[slot].cost.Seconds(),
 	}
 }

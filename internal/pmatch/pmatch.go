@@ -67,7 +67,6 @@ import (
 	"maps"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/symtab"
 	"repro/internal/xpath"
@@ -87,12 +86,12 @@ type state struct {
 	next     map[symtab.Sym]*state
 	wild     *state
 	dslash   *state
-	// accept lists the entries whose final step lands on this state.
-	accept []*entry
+	// accept lists the entries whose final step lands on this state, by
+	// value: a run reads them without another pointer hop.
+	accept []entry
 }
 
-// entry is one compiled expression with its caller payload. Entries are
-// immutable: Set replaces the entry with a copy carrying the new payload.
+// entry is one compiled expression with its caller payload.
 type entry struct {
 	id       int32
 	hasPreds bool
@@ -108,7 +107,6 @@ type Automaton struct {
 	// stateIDs and entryIDs bound the ids reachable in this version; the
 	// stamp tables of a run must cover them.
 	stateIDs, entryIDs int32
-	cost               time.Duration
 	pools              *pools
 }
 
@@ -153,8 +151,9 @@ type Handle struct {
 type Table struct {
 	root *state
 	gen  uint32
-	// entries holds the live entries by id; nil marks a free id.
-	entries     []*entry
+	// exprs holds each live entry's expression by entry id — the path to
+	// its accept state; nil marks a free id.
+	exprs       []*xpath.XPE
 	freeEntries []int32
 	freeStates  []int32
 	stateIDs    int32 // state id high-water mark
@@ -164,17 +163,7 @@ type Table struct {
 	sealed *Automaton
 	path   []pathStep // scratch: the path the last reach walked
 	pools  *pools
-	// blocks, when set, carves new states and entries out of shared
-	// blocks — a Builder's one-shot load, whose automaton is never edited.
-	// A live table allocates each on its own, so no long-lived object ever
-	// pins a block of dead ones.
-	blocks     bool
-	stateBlock []state
-	entryBlock []entry
 }
-
-// blockSize is how many states or entries one block holds.
-const blockSize = 64
 
 // pathStep is one state on a start-to-accept path and how it hangs off the
 // previous one.
@@ -216,18 +205,17 @@ func (t *Table) Add(x *xpath.XPE, data any) Handle {
 		id = t.freeEntries[n-1]
 		t.freeEntries = t.freeEntries[:n-1]
 	} else {
-		id = int32(len(t.entries))
-		t.entries = append(t.entries, nil)
+		id = int32(len(t.exprs))
+		t.exprs = append(t.exprs, nil)
 	}
-	e := t.newEntry(entry{id: id, hasPreds: x.HasPredicates(), x: x, data: data})
-	t.entries[id] = e
+	t.exprs[id] = x
 	if len(acc.accept) == 0 {
 		t.stats.AcceptStates++
 		// An edge broker's accept state typically holds two entries: the
 		// PRT node's and the client filter's.
-		acc.accept = make([]*entry, 0, 2)
+		acc.accept = make([]entry, 0, 2)
 	}
-	acc.accept = append(acc.accept, e)
+	acc.accept = append(acc.accept, entry{id: id, hasPreds: x.HasPredicates(), x: x, data: data})
 	t.stats.Entries++
 	t.sealed = nil
 	return Handle{ref: id + 1}
@@ -235,35 +223,33 @@ func (t *Table) Add(x *xpath.XPE, data any) Handle {
 
 // Set replaces the payload of a live entry.
 func (t *Table) Set(h Handle, data any) {
-	e := t.lookup(h)
-	if e == nil {
+	id, x := t.lookup(h)
+	if x == nil {
 		return
 	}
-	acc := t.reach(e.x)
-	ne := t.newEntry(entry{id: e.id, hasPreds: e.hasPreds, x: e.x, data: data})
-	for i, a := range acc.accept {
-		if a == e {
-			acc.accept[i] = ne
+	acc := t.reach(x)
+	for i := range acc.accept {
+		if acc.accept[i].id == id {
+			acc.accept[i].data = data
 			break
 		}
 	}
-	t.entries[e.id] = ne
 	t.sealed = nil
 }
 
 // Remove deletes a live entry and prunes the states it leaves with no entry
 // and no edge.
 func (t *Table) Remove(h Handle) {
-	e := t.lookup(h)
-	if e == nil {
+	id, x := t.lookup(h)
+	if x == nil {
 		return
 	}
-	acc := t.reach(e.x)
-	for i, a := range acc.accept {
-		if a == e {
+	acc := t.reach(x)
+	for i := range acc.accept {
+		if acc.accept[i].id == id {
 			last := len(acc.accept) - 1
 			acc.accept[i] = acc.accept[last]
-			acc.accept[last] = nil
+			acc.accept[last] = entry{}
 			acc.accept = acc.accept[:last]
 			break
 		}
@@ -273,8 +259,8 @@ func (t *Table) Remove(h Handle) {
 		t.stats.AcceptStates--
 	}
 	t.stats.Entries--
-	t.entries[e.id] = nil
-	t.freeEntries = append(t.freeEntries, e.id)
+	t.exprs[id] = nil
+	t.freeEntries = append(t.freeEntries, id)
 	t.prune()
 	t.sealed = nil
 }
@@ -282,7 +268,7 @@ func (t *Table) Remove(h Handle) {
 // Reset drops every entry: the working version becomes the empty automaton.
 // Versions sealed earlier are unaffected.
 func (t *Table) Reset() {
-	*t = Table{gen: t.gen, path: t.path[:0], pools: t.pools, blocks: t.blocks}
+	*t = Table{gen: t.gen, path: t.path[:0], pools: t.pools}
 	t.root = t.newState(false)
 }
 
@@ -294,7 +280,7 @@ func (t *Table) Seal() *Automaton {
 			root:     t.root,
 			stats:    t.stats,
 			stateIDs: t.stateIDs,
-			entryIDs: int32(len(t.entries)),
+			entryIDs: int32(len(t.exprs)),
 			pools:    t.pools,
 		}
 		// Every state reachable now belongs to the sealed version; the next
@@ -304,11 +290,13 @@ func (t *Table) Seal() *Automaton {
 	return t.sealed
 }
 
-func (t *Table) lookup(h Handle) *entry {
-	if h.ref <= 0 || int(h.ref) > len(t.entries) {
-		return nil
+// lookup resolves a handle to its entry id and expression (nil when the
+// handle names no live entry).
+func (t *Table) lookup(h Handle) (int32, *xpath.XPE) {
+	if h.ref <= 0 || int(h.ref) > len(t.exprs) {
+		return 0, nil
 	}
-	return t.entries[h.ref-1]
+	return h.ref - 1, t.exprs[h.ref-1]
 }
 
 func (t *Table) newState(selfLoop bool) *state {
@@ -320,31 +308,7 @@ func (t *Table) newState(selfLoop bool) *state {
 		t.stateIDs++
 	}
 	t.stats.States++
-	if !t.blocks {
-		return &state{id: id, gen: t.gen, selfLoop: selfLoop}
-	}
-	if len(t.stateBlock) == 0 {
-		t.stateBlock = make([]state, blockSize)
-	}
-	s := &t.stateBlock[0]
-	t.stateBlock = t.stateBlock[1:]
-	*s = state{id: id, gen: t.gen, selfLoop: selfLoop}
-	return s
-}
-
-func (t *Table) newEntry(e entry) *entry {
-	if !t.blocks {
-		p := new(entry) // not &e: that would heap-allocate e on every path
-		*p = e
-		return p
-	}
-	if len(t.entryBlock) == 0 {
-		t.entryBlock = make([]entry, blockSize)
-	}
-	p := &t.entryBlock[0]
-	t.entryBlock = t.entryBlock[1:]
-	*p = e
-	return p
+	return &state{id: id, gen: t.gen, selfLoop: selfLoop}
 }
 
 // own returns a state the writer may mutate in s's place: s itself when the
@@ -359,7 +323,7 @@ func (t *Table) own(s *state) *state {
 		c.next = maps.Clone(s.next)
 	}
 	if len(s.accept) > 0 {
-		c.accept = append([]*entry(nil), s.accept...)
+		c.accept = append([]entry(nil), s.accept...)
 	}
 	return c
 }
@@ -484,9 +448,7 @@ func (b *Builder) end() { b.busy.Store(0) }
 
 // NewBuilder returns an empty builder holding only the start state.
 func NewBuilder() *Builder {
-	t := NewTable()
-	t.blocks = true
-	return &Builder{t: t}
+	return &Builder{t: NewTable()}
 }
 
 // Len returns the number of entries added so far.
@@ -525,10 +487,6 @@ func (a *Automaton) NumStates() int { return a.stats.States }
 // Stats measures the automaton (O(1): the writer keeps the counts).
 func (a *Automaton) Stats() Stats { return a.stats }
 
-// Cost returns the writer time spent producing this version from the one
-// sealed before it, as measured by a ShardedTable (zero otherwise).
-func (a *Automaton) Cost() time.Duration { return a.cost }
-
 // scratch is the per-run working set: the active state frontier (cur/nxt)
 // plus epoch-stamped visited markers. stateEpoch advances once per consumed
 // path element (a state may re-activate at a later position); entryEpoch
@@ -553,13 +511,15 @@ func fitStamps(s []uint32, n int32) []uint32 {
 }
 
 // frontierCap sizes a fresh frontier once, so a new scratch or cursor does
-// not grow it append by append: room for every state of small automata, a
-// generous bound on the active set of large ones.
+// not grow it append by append: room for every state of automata up to 8k
+// states (a cursor's frontier stacks every open depth's set, so it can
+// outgrow one position's), a generous bound on the active set of larger
+// ones.
 func frontierCap(f []*state, n int32) []*state {
 	if cap(f) > 0 {
 		return f
 	}
-	return make([]*state, 0, min(int(n), 1024))
+	return make([]*state, 0, min(int(n), 8192))
 }
 
 // Match runs the automaton over one interned publication path and invokes
@@ -593,31 +553,35 @@ func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural
 		clearStamps(s.entryStamp)
 		s.entryEpoch = 1
 	}
-	s.cur = s.cur[:0]
+	// The frontiers live in locals for the run: swapping them in the pooled
+	// scratch would cost two pointer write barriers per position while the
+	// GC marks.
+	cur, nxt := s.cur[:0], s.nxt[:0]
 	s.beginPosition()
 	// Position 0: the start state and, by epsilon, its skip state. No entry
 	// can accept here (expressions have at least one step).
-	s.cur = activate(a.root, s.cur, s, path, attrs, structural, visit)
+	cur = activate(a.root, cur, s, path, attrs, structural, visit)
 	for _, sym := range path {
 		s.beginPosition()
-		s.nxt = s.nxt[:0]
-		for _, st := range s.cur {
+		nxt = nxt[:0]
+		for _, st := range cur {
 			if st.selfLoop {
 				// Skip states consume any element and stay active.
-				s.nxt = activate(st, s.nxt, s, path, attrs, structural, visit)
+				nxt = activate(st, nxt, s, path, attrs, structural, visit)
 			}
 			if t, ok := st.next[sym]; ok {
-				s.nxt = activate(t, s.nxt, s, path, attrs, structural, visit)
+				nxt = activate(t, nxt, s, path, attrs, structural, visit)
 			}
 			if st.wild != nil {
-				s.nxt = activate(st.wild, s.nxt, s, path, attrs, structural, visit)
+				nxt = activate(st.wild, nxt, s, path, attrs, structural, visit)
 			}
 		}
-		s.cur, s.nxt = s.nxt, s.cur
-		if len(s.cur) == 0 {
+		cur, nxt = nxt, cur
+		if len(cur) == 0 {
 			break // no live prefix can revive
 		}
 	}
+	s.cur, s.nxt = cur, nxt
 	a.pools.scratch.Put(s)
 }
 
@@ -630,18 +594,22 @@ func (s *scratch) beginPosition() {
 	}
 }
 
-// activate adds a state to the frontier (deduplicated per position),
-// reports its accepting entries, and follows the epsilon edge into its skip
-// state. Accepting here — at activation, i.e. the moment the entry's last
-// step is consumed — implements prefix-match acceptance at every position.
+// activate marks a state active (deduplicated per position), adds it to the
+// frontier if it can consume an element, reports its accepting entries, and
+// follows the epsilon edge into its skip state. Accepting here — at
+// activation, i.e. the moment the entry's last step is consumed — implements
+// prefix-match acceptance at every position.
 func activate(st *state, frontier []*state, s *scratch, path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) []*state {
 	for {
 		if s.stateStamp[st.id] == s.stateEpoch {
 			return frontier
 		}
 		s.stateStamp[st.id] = s.stateEpoch
-		frontier = append(frontier, st)
-		for _, e := range st.accept {
+		if st.consumes() {
+			frontier = append(frontier, st)
+		}
+		for i := range st.accept {
+			e := &st.accept[i]
 			if s.entryStamp[e.id] == s.entryEpoch {
 				continue
 			}
@@ -656,6 +624,14 @@ func activate(st *state, frontier []*state, s *scratch, path []symtab.Sym, attrs
 		}
 		st = st.dslash // epsilon into the skip state
 	}
+}
+
+// consumes reports whether the state has a transition on some element. A
+// state without one — typically an accept leaf — is never put on a
+// frontier: it has nothing to contribute to the next position, and every
+// frontier store of a pointer costs a write barrier while the GC marks.
+func (st *state) consumes() bool {
+	return st.selfLoop || len(st.next) > 0 || st.wild != nil
 }
 
 func clearStamps(s []uint32) {

@@ -2,7 +2,6 @@ package pmatch
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/symtab"
 	"repro/internal/xpath"
@@ -200,13 +199,11 @@ func (s *ShardedAutomaton) MatchStructural(path []symtab.Sym, visit func(data an
 // ShardedTable is the single writer of a sharded automaton: one Table per
 // slot, entries routed by ShardIndex. Add, Set and Remove touch one slot;
 // Seal reseals only the slots written since the previous Seal and shares the
-// rest, so an untouched slot keeps its *Automaton across versions. Each
-// resealed slot records the writer time spent on it (Automaton.Cost). Not
-// safe for concurrent use.
+// rest, so an untouched slot keeps its *Automaton across versions. Not safe
+// for concurrent use.
 type ShardedTable struct {
 	n      int
 	slots  []*Table
-	cost   []time.Duration // write time per slot since its last seal
 	sealed *ShardedAutomaton
 	pool   *sync.Pool
 }
@@ -216,7 +213,7 @@ func NewShardedTable(n int) *ShardedTable {
 	if n < 1 {
 		n = 1
 	}
-	t := &ShardedTable{n: n, slots: make([]*Table, Slots(n)), cost: make([]time.Duration, Slots(n)), pool: newCursorPool()}
+	t := &ShardedTable{n: n, slots: make([]*Table, Slots(n)), pool: newCursorPool()}
 	for i := range t.slots {
 		t.slots[i] = NewTable()
 	}
@@ -226,26 +223,16 @@ func NewShardedTable(n int) *ShardedTable {
 // Add compiles the expression into its shard's table; see Table.Add.
 func (t *ShardedTable) Add(x *xpath.XPE, data any) Handle {
 	slot := ShardIndex(x, t.n)
-	start := time.Now()
 	h := t.slots[slot].Add(x, data)
-	t.cost[slot] += time.Since(start)
 	h.slot = int32(slot)
 	return h
 }
 
 // Set replaces the payload of a live entry; see Table.Set.
-func (t *ShardedTable) Set(h Handle, data any) {
-	start := time.Now()
-	t.slots[h.slot].Set(h, data)
-	t.cost[h.slot] += time.Since(start)
-}
+func (t *ShardedTable) Set(h Handle, data any) { t.slots[h.slot].Set(h, data) }
 
 // Remove deletes a live entry; see Table.Remove.
-func (t *ShardedTable) Remove(h Handle) {
-	start := time.Now()
-	t.slots[h.slot].Remove(h)
-	t.cost[h.slot] += time.Since(start)
-}
+func (t *ShardedTable) Remove(h Handle) { t.slots[h.slot].Remove(h) }
 
 // Reset drops every entry of every slot (re-seeding starts here).
 func (t *ShardedTable) Reset() {
@@ -266,13 +253,7 @@ func (t *ShardedTable) Seal() *ShardedAutomaton {
 	}
 	slots := make([]*Automaton, len(t.slots))
 	for i, tb := range t.slots {
-		written := tb.sealed == nil
-		start := time.Now()
 		slots[i] = tb.Seal()
-		if written {
-			slots[i].cost = t.cost[i] + time.Since(start)
-			t.cost[i] = 0
-		}
 	}
 	t.sealed = newSharded(t.n, slots, t.pool)
 	return t.sealed

@@ -143,18 +143,22 @@ func (c *Cursor) beginPosition() {
 	}
 }
 
-// push adds a state to the top frontier (deduplicated per position),
-// reports its accepting entries, and follows the epsilon edge into its
-// skip state — the Cursor form of Automaton.activate.
+// push marks a state active (deduplicated per position), adds it to the top
+// frontier if it can consume an element, reports its accepting entries, and
+// follows the epsilon edge into its skip state — the Cursor form of
+// Automaton.activate.
 func (c *Cursor) push(st *state, visit AcceptFunc) {
 	for {
 		if c.stateStamp[st.id] == c.stateEpoch {
 			return
 		}
 		c.stateStamp[st.id] = c.stateEpoch
-		c.frontier = append(c.frontier, st)
+		if st.consumes() {
+			c.frontier = append(c.frontier, st)
+		}
 		if visit != nil {
-			for _, e := range st.accept {
+			for i := range st.accept {
+				e := &st.accept[i]
 				if c.entryStamp[e.id] == c.entryEpoch {
 					continue
 				}

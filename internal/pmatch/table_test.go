@@ -396,9 +396,6 @@ func TestShardedTableDifferential(t *testing.T) {
 					t.Fatalf("n=%d op %d: slot %d shared=%v, touched slot %d", n, op, i, same, touched)
 				}
 			}
-			if cur.Slot(touched).Cost() < 0 {
-				t.Fatalf("negative cost")
-			}
 			if tbl.Seal() != cur {
 				t.Fatal("Seal without writes must return the same version")
 			}
