@@ -2,25 +2,26 @@ package xmlrouter
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/broker"
 	"repro/internal/dtddata"
 	"repro/internal/experiment"
 	"repro/internal/gen"
+	"repro/internal/pmatch"
+	"repro/internal/subtree"
 	"repro/internal/xmldoc"
 )
 
 // BenchmarkAutomatonMatch isolates the effect of the shared path-matching
-// automaton (internal/pmatch, DESIGN.md §5c) on the publication data plane.
-// For each subscription-table size it routes the same publication stream
-// through two otherwise identical brokers: "treewalk" evaluates the covering
-// trees per publication (Config.DisableSharedNFA), "nfa" runs the shared
-// automaton compiled into the routing snapshot. The gap is the per-publication
-// matching cost the automaton removes; it widens with the table size because
-// the tree walk grows with the number of stored subscriptions while the NFA
-// run grows only with shared-prefix fan-out. EXPERIMENTS.md and
+// automaton (internal/pmatch, DESIGN.md §5c) at the matcher layer, without a
+// broker. For each subscription-table size it matches the same publication
+// stream against the same covering set held two ways: "treewalk" walks a
+// subtree.Tree with covering-based subtree pruning — the paper's router and
+// experiment.RunTable1's — and "nfa" runs one automaton compiled from the
+// same expressions. Both report every matching subscription, and the setup
+// checks that they report the same number. The gap widens with the table
+// size because the tree walk grows with the number of stored subscriptions
+// while the NFA run grows only with shared-prefix fan-out. EXPERIMENTS.md and
 // BENCH_pmatch.json record measured numbers.
 func BenchmarkAutomatonMatch(b *testing.B) {
 	dg := gen.NewDocGenerator(dtddata.NITF(), 6)
@@ -31,33 +32,50 @@ func BenchmarkAutomatonMatch(b *testing.B) {
 		pubs = append(pubs, xmldoc.Extract(doc, uint64(i))...)
 	}
 
-	var delivered atomic.Int64
-	newBroker := func(n int, disableNFA bool) *broker.Broker {
-		set, err := experiment.BuildCoveringSet(dtddata.NITF(), n, 0.9, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		br := broker.New(broker.Config{ID: "b1", UseCovering: true, DisableSharedNFA: disableNFA},
-			func(to string, m *broker.Message) { delivered.Add(1) })
-		br.AddClient("sub")
-		for _, x := range set.XPEs {
-			br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: x}, "sub")
-		}
-		return br
-	}
-
 	for _, n := range []int{100, 1000, 10000} {
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"treewalk", true}, {"nfa", false}} {
-			b.Run(fmt.Sprintf("subs=%d/%s", n, mode.name), func(b *testing.B) {
-				br := newBroker(n, mode.disable)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					br.HandleMessage(&broker.Message{Type: broker.MsgPublish, Pub: pubs[i%len(pubs)]}, "producer")
+		// Setup sits inside the size's benchmark, so a -bench filter that
+		// skips the size skips building its table too.
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			set, err := experiment.BuildCoveringSet(dtddata.NITF(), n, 0.9, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tree := subtree.New()
+			nfa := pmatch.NewBuilder()
+			for _, x := range set.XPEs {
+				tree.Insert(x)
+				nfa.Add(x, nil)
+			}
+			auto := nfa.Build()
+			matchers := []struct {
+				name  string
+				match func(p *xmldoc.Publication, visit func())
+			}{
+				{"treewalk", func(p *xmldoc.Publication, visit func()) {
+					tree.MatchSymPathAttrs(p.SymPath, p.Attrs, func(*subtree.Node) { visit() })
+				}},
+				{"nfa", func(p *xmldoc.Publication, visit func()) {
+					auto.Match(p.SymPath, p.Attrs, func(any) { visit() })
+				}},
+			}
+			var totals [2]int
+			for i, m := range matchers {
+				for j := range pubs {
+					m.match(&pubs[j], func() { totals[i]++ })
 				}
-			})
-		}
+			}
+			if totals[0] != totals[1] {
+				b.Fatalf("tree walk reports %d matches, automaton %d", totals[0], totals[1])
+			}
+			for _, m := range matchers {
+				b.Run(m.name, func(b *testing.B) {
+					matched := 0
+					visit := func() { matched++ }
+					for i := 0; i < b.N; i++ {
+						m.match(&pubs[i%len(pubs)], visit)
+					}
+				})
+			}
+		})
 	}
 }

@@ -226,7 +226,7 @@ func TestThreeBrokerChainObservability(t *testing.T) {
 	// /metrics on the middle broker: histogram, table gauges, queue depths.
 	metricsBody, _ := get(t, admins[1].URL+"/metrics")
 	for _, want := range []string{
-		`xbroker_match_seconds_count{strategy="adv+cov"} 1`,
+		`xbroker_stage_seconds_count{stage="match"} 1`,
 		`xbroker_prt_subscriptions 1`,
 		`xbroker_srt_advertisements 1`,
 		`xbroker_send_queue_depth{peer="b1"}`,

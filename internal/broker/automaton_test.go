@@ -29,30 +29,57 @@ func pub(path []string, attrs []map[string]string, id int) xmldoc.Publication {
 	return xmldoc.Publication{DocID: uint64(id), Path: path, Attrs: attrs}
 }
 
-// sink records every (to, publication) pair a broker emits, safe for
-// concurrent sends.
-type sink struct {
-	mu   sync.Mutex
-	sent []string
+// pubSink captures the publications a broker emits, safe for concurrent
+// sends. lines keeps every emission, with a form-independent body — raw
+// bodies and parsed documents of the same content render alike — for
+// comparing brokers byte for byte; dests collects the destinations of the
+// publication in flight for treeWalkRoute, durable deliveries under their
+// virtual-client key.
+type pubSink struct {
+	mu    sync.Mutex
+	lines []string
+	dests []string
 }
 
-func (s *sink) send(to string, m *Message) {
+func (s *pubSink) send(to string, m *Message) {
 	if m.Type != MsgPublish {
 		return
 	}
-	rec := to + "<-" + m.Pub.String()
+	var body string
+	switch {
+	case len(m.Raw) > 0:
+		body = string(m.Raw)
+	case m.Doc != nil:
+		body = string(m.Doc.Marshal())
+	default:
+		body = m.Pub.String()
+	}
+	line, dest := to+"<-"+body, to
 	if m.Durable != "" {
-		rec += fmt.Sprintf("#%s:%d", m.Durable, m.Seq)
+		line += fmt.Sprintf("#%s:%d", m.Durable, m.Seq)
+		dest = durKey(m.Durable)
 	}
 	s.mu.Lock()
-	s.sent = append(s.sent, rec)
+	s.lines = append(s.lines, line)
+	s.dests = append(s.dests, dest)
 	s.mu.Unlock()
 }
 
-func (s *sink) sorted() []string {
+// sorted returns every line recorded so far, sorted.
+func (s *pubSink) sorted() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]string(nil), s.sent...)
+	out := append([]string(nil), s.lines...)
+	sort.Strings(out)
+	return out
+}
+
+// takeDests returns the destinations recorded since the last call, sorted.
+func (s *pubSink) takeDests() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.dests
+	s.dests = nil
 	sort.Strings(out)
 	return out
 }
@@ -124,28 +151,33 @@ func routingScenarios(t *testing.T) []routingScenario {
 	}
 }
 
-// TestAutomatonRoutesLikeTreeWalk drives three brokers — shared NFA on
-// (default), off (tree-walk fallback), and sharded 8 ways — through
-// identical random control and publication sequences and requires
-// byte-identical forwarding and delivery. The scenarios cover every path
-// that edits the matching table: plain subscribe/unsubscribe, merge passes
-// (which re-seed it), a durable subscriber (a virtual client), and resync
-// claims (which subscribe and withdraw in bulk). After each run the live
-// table must have the Stats of a fresh build over the master tables. This
-// is the broker-level equivalence contract on top of pmatch's own property
-// tests.
-func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
-	mergers := map[string]int64{}
+// checkRoutesLikeTreeWalk drives a one-shard and an eight-shard broker
+// through identical random control sequences under every routing scenario
+// and checks each publication as it is routed: its destinations and its
+// delivery and false-positive counts must be exactly what treeWalkRoute
+// computes over the master tables at that moment. The two brokers must
+// also emit byte-identical publication streams, and after each run the
+// live table must have the Stats of a fresh build over the master tables.
+// publish builds the messages of one publish step from r. The scenarios
+// cover every path that edits the matching table: plain
+// subscribe/unsubscribe, merge passes (which re-seed it), a durable
+// subscriber (a virtual client), and resync claims (which subscribe and
+// withdraw in bulk). It returns each scenario's counters summed over the
+// seeds, for the callers' vacuity guards.
+func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message) map[string]Stats {
+	totals := map[string]Stats{}
 	for _, sc := range routingScenarios(t) {
 		for seed := int64(1); seed <= 5; seed++ {
 			sc, seed := sc, seed
 			t.Run(fmt.Sprintf("%sseed=%d", sc.name, seed), func(t *testing.T) {
-				run := func(cfg Config) ([]string, Stats) {
+				run := func(shards int) ([]string, Stats) {
 					r := rand.New(rand.NewSource(seed))
-					s := &sink{}
+					rec := &pubSink{}
+					cfg := sc.cfg
 					cfg.ID = "b1"
 					cfg.UseCovering = true
-					b := New(cfg, s.send)
+					cfg.Shards = shards
+					b := New(cfg, rec.send)
 					b.AddNeighbor("n1")
 					b.AddNeighbor("n2")
 					b.AddClient("c1")
@@ -171,56 +203,73 @@ func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
 							}
 							b.HandleMessage(&Message{Type: MsgResync, Resync: claim}, "n1")
 							b.ResyncFor("n2")
-						default: // publish
-							alpha := []string{"a", "b", "c", "d", "zz"}
-							n := 1 + r.Intn(5)
-							path := make([]string, n)
-							attrs := make([]map[string]string, n)
-							for j := range path {
-								path[j] = alpha[r.Intn(len(alpha))]
-								if r.Intn(3) == 0 {
-									attrs[j] = map[string]string{"k": alpha[r.Intn(2)]}
+						default:
+							for _, m := range publish(r) {
+								want := treeWalkRoute(t, b, m, "producer")
+								before := b.Stats()
+								rec.takeDests()
+								b.HandleMessage(m, "producer")
+								after := b.Stats()
+								if got := rec.takeDests(); !reflect.DeepEqual(got, want.dests) {
+									t.Fatalf("shards=%d step %d: routed to %v, tree walk %v", shards, i, got, want.dests)
+								}
+								if d, fp := after.Deliveries-before.Deliveries, after.FalsePositives-before.FalsePositives; d != want.deliveries || fp != want.falsePositives {
+									t.Fatalf("shards=%d step %d: %d deliveries and %d false positives, tree walk %d and %d",
+										shards, i, d, fp, want.deliveries, want.falsePositives)
 								}
 							}
-							b.HandleMessage(&Message{Type: MsgPublish, Pub: pub(path, attrs, r.Int())}, "producer")
 						}
 					}
-					if !cfg.DisableSharedNFA {
-						if got, want := b.NFAStats(), freshTableStats(b); got != want {
-							t.Fatalf("live table %+v, fresh build over the master tables %+v", got, want)
-						}
+					if got, want := b.NFAStats(), freshTableStats(b); got != want {
+						t.Fatalf("shards=%d: live table %+v, fresh build over the master tables %+v", shards, got, want)
 					}
-					return s.sorted(), b.Stats()
-				}
-				base := sc.cfg
-				gotNFA, statsNFA := run(base)
-				tree := base
-				tree.DisableSharedNFA = true
-				gotTree, statsTree := run(tree)
-				sharded := base
-				sharded.Shards = 8
-				gotSharded, statsSharded := run(sharded)
-				if !reflect.DeepEqual(gotNFA, gotTree) {
-					t.Fatalf("forwarding diverged:\nnfa:  %v\ntree: %v", gotNFA, gotTree)
-				}
-				if !reflect.DeepEqual(gotNFA, gotSharded) {
-					t.Fatalf("forwarding diverged:\nnfa:     %v\nsharded: %v", gotNFA, gotSharded)
-				}
-				for _, other := range []Stats{statsTree, statsSharded} {
-					if statsNFA.Deliveries != other.Deliveries || statsNFA.FalsePositives != other.FalsePositives ||
-						statsNFA.Mergers != other.Mergers {
-						t.Fatalf("stats diverged: nfa=%+v other=%+v", statsNFA, other)
+					if st := b.Stats(); st.BadDocuments != 0 {
+						t.Fatalf("shards=%d: %d well-formed documents dropped as bad", shards, st.BadDocuments)
 					}
+					return rec.sorted(), b.Stats()
 				}
-				if sc.durable && !strings.Contains(strings.Join(gotNFA, " "), "#d1:") {
+				got1, stats1 := run(1)
+				got8, stats8 := run(8)
+				if !reflect.DeepEqual(got1, got8) {
+					t.Fatalf("forwarding diverged:\nshards=1: %v\nshards=8: %v", got1, got8)
+				}
+				if stats1.Mergers != stats8.Mergers {
+					t.Fatalf("mergers diverged: shards=1 %d, shards=8 %d", stats1.Mergers, stats8.Mergers)
+				}
+				if sc.durable && !strings.Contains(strings.Join(got1, " "), "#d1:") {
 					t.Fatal("the durable subscriber received nothing: scenario is vacuous")
 				}
-				mergers[sc.name] += statsNFA.Mergers
+				sum := totals[sc.name]
+				sum.Deliveries += stats1.Deliveries
+				sum.FalsePositives += stats1.FalsePositives
+				sum.Mergers += stats1.Mergers
+				totals[sc.name] = sum
 			})
 		}
 	}
+	return totals
+}
+
+// TestAutomatonRoutesLikeTreeWalk holds path publications to the tree-walk
+// oracle under every routing scenario (checkRoutesLikeTreeWalk). This is
+// the broker-level equivalence contract on top of pmatch's own property
+// tests.
+func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
+	totals := checkRoutesLikeTreeWalk(t, func(r *rand.Rand) []*Message {
+		alpha := []string{"a", "b", "c", "d", "zz"}
+		n := 1 + r.Intn(5)
+		path := make([]string, n)
+		attrs := make([]map[string]string, n)
+		for j := range path {
+			path[j] = alpha[r.Intn(len(alpha))]
+			if r.Intn(3) == 0 {
+				attrs[j] = map[string]string{"k": alpha[r.Intn(2)]}
+			}
+		}
+		return []*Message{{Type: MsgPublish, Pub: pub(path, attrs, r.Int())}}
+	})
 	for _, sc := range []string{"merge-perfect/", "merge-imperfect/"} {
-		if mergers[sc] == 0 {
+		if totals[sc].Mergers == 0 {
 			t.Errorf("%s: no merger applied in any seed: scenario is vacuous", sc)
 		}
 	}
@@ -354,30 +403,5 @@ func TestShardedRebuildGranularity(t *testing.T) {
 	}
 	if st[s2].LastBuildSeconds <= 0 {
 		t.Fatalf("slot %d change cost %v", s2, st[s2].LastBuildSeconds)
-	}
-	// The tree-walk copies are not maintained while the automaton routes.
-	if snap := b.snap.Load(); snap.prt != nil || snap.clientSubs != nil {
-		t.Fatal("shared-NFA snapshot carries tree-walk copies")
-	}
-}
-
-// TestDisableSharedNFAFallback exercises the tree-walk fallback end to end:
-// with the automaton off, the snapshot carries none and routing still
-// works, including the edge client filter.
-func TestDisableSharedNFAFallback(t *testing.T) {
-	s := &sink{}
-	b := New(Config{ID: "b1", UseCovering: true, DisableSharedNFA: true}, s.send)
-	b.AddClient("c1")
-	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: xpath.MustParse("/a//b")}, "c1")
-	if st := b.NFAStats(); st.States != 0 {
-		t.Fatalf("automaton must be absent when disabled: %+v", st)
-	}
-	b.HandleMessage(&Message{Type: MsgPublish, Pub: pub([]string{"a", "x", "b"}, nil, 1)}, "producer")
-	b.HandleMessage(&Message{Type: MsgPublish, Pub: pub([]string{"a", "x"}, nil, 2)}, "producer")
-	if got := s.sorted(); len(got) != 1 {
-		t.Fatalf("want exactly the matching publication delivered, got %v", got)
-	}
-	if st := b.Stats(); st.Deliveries != 1 {
-		t.Fatalf("stats %+v", st)
 	}
 }

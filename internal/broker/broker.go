@@ -67,43 +67,15 @@ type Config struct {
 	// (default 64).
 	MergeEvery int
 
-	// DisableSharedNFA turns off the shared path-matching automaton and
-	// routes publications by walking the covering tree per subscription, as
-	// earlier versions did. The automaton is the default because one NFA
-	// run per publication replaces O(subscriptions) per-XPE evaluations;
-	// the flag exists as the ablation baseline and as an escape hatch.
-	DisableSharedNFA bool
-
 	// Shards partitions the shared matching automaton into this many
 	// shards keyed by the subscription's root symbol (pmatch.ShardIndex;
 	// DESIGN.md §5g), each a persistent table of its own: a publication
 	// consults only its root's shard plus the wild shard, and a control
 	// change reseals only the shard its expression lives in. 0 selects
-	// GOMAXPROCS; 1 is the single-automaton ablation. Ignored with
-	// DisableSharedNFA.
+	// GOMAXPROCS; 1 is the single-automaton ablation.
 	Shards int
 
-	// ParallelMatchPaths, when positive, fans a decomposed document's
-	// sym-paths out across worker goroutines once the document yields at
-	// least this many paths. It applies only to the decompose route
-	// (streaming routes a whole document in one pass); 0 disables the
-	// fan-out, keeping the decomposed publish path allocation-free.
-	ParallelMatchPaths int
-
-	// DisableStreaming turns off streaming SAX-path matching for
-	// publications: raw document bodies (Message.Raw) are parsed into a
-	// tree and decomposed into paths before matching, and parsed documents
-	// (Message.Doc) are decomposed as earlier versions did, instead of
-	// being routed by one automaton pass over the bytes/tree. Streaming is
-	// the default because its routing cost is proportional to depth ×
-	// automaton activity rather than document size; the flag exists as the
-	// ablation baseline alongside DisableSharedNFA. (With DisableSharedNFA
-	// set there is no automaton to stream against, so streaming is
-	// implicitly off as well.)
-	DisableStreaming bool
-
 	// Metrics, when non-nil, receives the broker's instruments: the
-	// match-latency histogram (labelled by routing strategy), the
 	// per-stage publish-path histograms (xbroker_stage_seconds), plus
 	// func-backed counters and gauges reading the broker's existing
 	// atomics and table sizes at exposition time, so the publish data
@@ -130,8 +102,8 @@ type Config struct {
 	Durable DurableStore
 }
 
-// StrategyName renders the routing strategy compactly for metric labels,
-// mirroring the paper's strategy matrix: "adv+cov", "noadv+nocov",
+// StrategyName renders the routing strategy compactly for logs and
+// /debug/routes, mirroring the paper's strategy matrix: "adv+cov", "noadv+nocov",
 // "adv+cov+merge-imperfect", ...
 func (c Config) StrategyName() string {
 	parts := make([]string, 0, 3)
@@ -208,8 +180,7 @@ type Broker struct {
 	// guarded by mu.
 	dirty snapDirty
 	// table is the single writer of the snapshot's matching automaton,
-	// edited by the control handlers at the point of change; nil with
-	// Config.DisableSharedNFA. Guarded by mu.
+	// edited by the control handlers at the point of change. Guarded by mu.
 	table *pmatch.ShardedTable
 
 	neighbors []string        // broker peers
@@ -236,13 +207,10 @@ type Broker struct {
 	sinceMerge int
 	stats      counters
 
-	// matchSeconds is the pre-resolved match-latency histogram (nil when
-	// Config.Metrics is nil), so the hot path never touches the registry.
-	matchSeconds *metrics.Histogram
 	// Per-stage publish-path histograms (xbroker_stage_seconds{stage=...}),
-	// pre-resolved like matchSeconds; all nil when Config.Metrics is nil.
-	// The decode and flush stages live in the transport, which measures
-	// them (see package transport).
+	// pre-resolved so the hot path never touches the registry; all nil when
+	// Config.Metrics is nil. The decode and flush stages live in the
+	// transport, which measures them (see package transport).
 	stageQueue, stageMatch, stageFilter, stageEnqueue *metrics.Histogram
 	// slow mirrors Config.SlowLog for the hot-path nil check.
 	slow *slowlog.Log
@@ -292,18 +260,16 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		clientSubs: make(map[string]*subtree.Tree),
 		durables:   make(map[string]*durState),
 		durable:    cfg.Durable,
+		table:      pmatch.NewShardedTable(cfg.Shards),
 	}
 	// The empty snapshot a new broker publishes before any control traffic.
-	snap := &routeSnapshot{clients: map[string]bool{}, durables: map[string]*durState{}}
-	if cfg.DisableSharedNFA {
-		snap.prt = subtree.New()
-		snap.clientSubs = map[string]*subtree.Tree{}
-	} else {
-		b.table = pmatch.NewShardedTable(cfg.Shards)
-		snap.auto = b.table.Seal()
-		snap.slots = make([]slotChange, snap.auto.SlotCount())
-	}
-	b.snap.Store(snap)
+	auto := b.table.Seal()
+	b.snap.Store(&routeSnapshot{
+		clients:  map[string]bool{},
+		durables: map[string]*durState{},
+		auto:     auto,
+		slots:    make([]slotChange, auto.SlotCount()),
+	})
 	b.slow = cfg.SlowLog
 	if cfg.Metrics != nil {
 		b.registerMetrics(cfg.Metrics)
@@ -313,13 +279,9 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 
 // registerMetrics publishes the broker's instruments. Counters and table
 // gauges are func-backed — they read the existing atomics and sizes at
-// exposition time — so only the match-latency histogram adds work (two
-// atomic adds) to the publish hot path.
+// exposition time — so only the stage histograms add work (a few atomic
+// adds) to the publish hot path.
 func (b *Broker) registerMetrics(reg *metrics.Registry) {
-	strategy := b.cfg.StrategyName()
-	b.matchSeconds = reg.Histogram("xbroker_match_seconds",
-		"Publication match latency in seconds, by routing strategy.",
-		metrics.DefBuckets, "strategy", strategy)
 	const stageHelp = "Publish-path stage latency in seconds, by pipeline stage " +
 		"(decode, queue, match, filter, enqueue, flush — see DESIGN.md §5f)."
 	b.stageQueue = reg.Histogram("xbroker_stage_seconds", stageHelp,
@@ -394,9 +356,6 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("xbroker_nfa_entries",
 		"Expressions compiled into the shared matching automaton (PRT last-hop nodes plus client filter entries).",
 		func() float64 { return float64(b.NFAStats().Entries) })
-	if b.cfg.DisableSharedNFA {
-		return
-	}
 	for slot := 0; slot < pmatch.Slots(b.cfg.Shards); slot++ {
 		slot := slot
 		name := pmatch.SlotName(slot, b.cfg.Shards)
@@ -435,7 +394,6 @@ func (b *Broker) AddClient(id string) {
 	b.dirty.clients = true
 	if b.clientSubs[id] == nil {
 		b.clientSubs[id] = subtree.New()
-		b.dirty.markClientSubs(id)
 	}
 	b.publishSnapshot(start)
 }

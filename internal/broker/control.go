@@ -91,7 +91,6 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 		// Remember the client's original subscription for delivery
 		// filtering.
 		if cres := b.clientSubs[from].Insert(m.XPE); !cres.Duplicate {
-			b.dirty.markClientSubs(from)
 			b.addFilterEntry(from, cres.Node)
 		}
 	}
@@ -216,7 +215,6 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 	if b.clients[from] {
 		if n := b.clientSubs[from].Lookup(m.XPE); n != nil {
 			b.clientSubs[from].Remove(n)
-			b.dirty.markClientSubs(from)
 			b.removeFilterEntry(n)
 		}
 	}

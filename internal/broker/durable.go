@@ -109,7 +109,6 @@ func (b *Broker) handleSubscribeDurable(m *Message, from string) {
 	}
 	if b.clientSubs[key] == nil {
 		b.clientSubs[key] = subtree.New()
-		b.dirty.markClientSubs(key)
 	}
 	if expr := m.XPE.String(); !d.xpes[expr] {
 		d.xpes[expr] = true
@@ -238,7 +237,6 @@ func (b *Broker) RecoverDurable() {
 		}
 		if b.clientSubs[key] == nil {
 			b.clientSubs[key] = subtree.New()
-			b.dirty.markClientSubs(key)
 		}
 		for _, expr := range st.Subs {
 			if d.xpes[expr] {

@@ -30,8 +30,8 @@ func TestStrategyName(t *testing.T) {
 }
 
 // TestBrokerInstrumentation checks that an instrumented broker populates
-// the registry: match-latency histogram, delivery counters, and table
-// gauges, all observable through the exposition text.
+// the registry: match-stage histogram, delivery counters, and table gauges,
+// all observable through the exposition text.
 func TestBrokerInstrumentation(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := Config{ID: "b1", UseCovering: true, Metrics: reg}
@@ -41,7 +41,7 @@ func TestBrokerInstrumentation(t *testing.T) {
 	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: xpath.MustParse("/a/*")}, "c1")
 	b.HandleMessage(&Message{Type: MsgPublish, Pub: xmldoc.Publication{Path: []string{"a", "b"}}}, "p1")
 
-	h := reg.Histogram("xbroker_match_seconds", "", metrics.DefBuckets, "strategy", cfg.StrategyName())
+	h := reg.Histogram("xbroker_stage_seconds", "", metrics.DefBuckets, "stage", trace.StageMatch)
 	if h.Count() != 1 {
 		t.Errorf("match histogram count = %d, want 1 (one publication matched)", h.Count())
 	}
@@ -52,7 +52,7 @@ func TestBrokerInstrumentation(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`xbroker_match_seconds_count{strategy="noadv+cov"} 1`,
+		`xbroker_stage_seconds_count{stage="match"} 1`,
 		`xbroker_deliveries_total 1`,
 		`xbroker_prt_subscriptions 2`,
 		`xbroker_prt_nodes 2`,

@@ -6,19 +6,13 @@ package broker
 // refactor lands in reviewable units; behavior is unchanged.
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/pmatch"
 	"repro/internal/slowlog"
 	"repro/internal/stream"
-	"repro/internal/subtree"
 	"repro/internal/symtab"
 	"repro/internal/trace"
-	"repro/internal/xmldoc"
 )
 
 // --- publications ---
@@ -27,20 +21,16 @@ import (
 // data plane: it loads the routing snapshot once and reads only that
 // immutable view plus atomic counters — zero mutex acquisitions, so
 // publications never contend with each other or with control-plane updates.
-// Matching is one shared-automaton run per publication sym-path (the
-// snapshot's pmatch NFA covers the PRT's last-hop entries and every client
-// filter expression; see DESIGN.md §5c), falling back to the per-
-// subscription covering tree walk when the automaton is absent. Whole
-// documents are routed by the streaming matcher by default — one automaton
-// pass over the raw bytes (Message.Raw, never parsed into a tree) or over
-// the parsed tree (Message.Doc), see DESIGN.md §5e — with
-// Config.DisableStreaming falling back to decompose-into-paths. A raw body
-// that fails the streaming scan (malformed XML or the wire document
-// bounds) is dropped and counted, never forwarded. Publication paths are
-// matched in interned symbol form; a publication carrying no pre-interned
-// path (hand-built, or a whole document) is converted on arrival. For
-// traced publications it returns the hop event for the caller to record;
-// untraced traffic returns nil.
+// Every publication is matched by one run of the snapshot's shared automaton,
+// which covers the PRT's last-hop entries and every client filter expression
+// (DESIGN.md §5c): a raw body (Message.Raw, never parsed into a tree) by one
+// streaming pass over its bytes, a parsed document (Message.Doc) by one walk
+// of its tree (DESIGN.md §5e), and a path publication by one run over its
+// interned path — a publication carrying no pre-interned path (hand-built)
+// is converted on arrival. A raw body that fails the streaming scan
+// (malformed XML or the wire document bounds) is dropped and counted, never
+// forwarded. For traced publications it returns the hop event for the
+// caller to record; untraced traffic returns nil.
 func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	snap := b.snap.Load()
 	// Per-stage spans are measured only when someone will read them — an
@@ -60,12 +50,10 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			}
 		}
 	}
-	// Collect next hops from all matching subscriptions — one shared-NFA
-	// run per document or path when the snapshot carries the automaton
-	// (the default), else the covering-pruned tree traversal. The same run
-	// also computes the per-client edge-filter verdicts (clientMatch
+	// Collect next hops from all matching subscriptions. The same automaton
+	// run also computes the per-client edge-filter verdicts (clientMatch
 	// payloads), so delivery filtering below re-matches nothing. Attribute
-	// predicates are evaluated in-network either way.
+	// predicates are evaluated in-network.
 	hops := make(map[string]bool)
 	var matchedClients map[string]bool
 	collect := func(data any) {
@@ -83,85 +71,26 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			matchedClients[string(v)] = true
 		}
 	}
-	// paths/attrs stay nil on the streaming routes; the edge filter below
-	// only consults them when the automaton is absent, which implies the
-	// decomposed route ran.
-	var paths [][]symtab.Sym
-	var attrs [][]map[string]string
-	streaming := snap.auto != nil && !b.cfg.DisableStreaming
 	switch {
-	case streaming && len(m.Raw) > 0:
+	case len(m.Raw) > 0:
 		// One pass over the bytes: syntax, wire bounds, and matching.
 		if err := stream.Match(m.Raw, snap.auto, stream.WireLimits, collect); err != nil {
 			b.stats.badDocs.Add(1)
 			return nil
 		}
-	case streaming && m.Doc != nil:
+	case m.Doc != nil:
 		stream.MatchDoc(m.Doc, snap.auto, collect)
 	default:
-		doc := m.Doc
-		if doc == nil && len(m.Raw) > 0 {
-			// Ablation fallback for raw bodies: parse, then enforce the
-			// same wire bounds the streaming scan checks incrementally.
-			parsed, err := xmldoc.Parse(m.Raw)
-			if err != nil || stream.CheckDoc(parsed, stream.WireLimits) != nil {
-				b.stats.badDocs.Add(1)
-				return nil
-			}
-			doc = parsed
+		path := m.Pub.SymPath
+		if path == nil {
+			path = symtab.InternPath(m.Pub.Path)
 		}
-		if doc != nil {
-			// Distinct variables on purpose: parallelMatch leaks its
-			// arguments into worker goroutines, and letting the single-path
-			// literals below flow into it would heap-allocate them on the
-			// serial hot path too (the alloc pin would regress).
-			docPaths, docAttrs := doc.AnnotatedSymPaths()
-			paths, attrs = docPaths, docAttrs
-			switch pn := b.cfg.ParallelMatchPaths; {
-			case snap.auto == nil:
-				for i, path := range docPaths {
-					snap.prt.MatchSymPathAttrs(path, docAttrs[i], func(n *subtree.Node) {
-						for _, hop := range snapshotNodeHops(n) {
-							if hop != from {
-								hops[hop] = true
-							}
-						}
-					})
-				}
-			case pn > 0 && len(docPaths) >= pn:
-				parallelMatch(snap.auto, docPaths, docAttrs, collect)
-			default:
-				for i, path := range docPaths {
-					snap.auto.Match(path, docAttrs[i], collect)
-				}
-			}
-		} else {
-			sp := m.Pub.SymPath
-			if sp == nil {
-				sp = symtab.InternPath(m.Pub.Path)
-			}
-			paths = [][]symtab.Sym{sp}
-			attrs = [][]map[string]string{m.Pub.Attrs}
-			if snap.auto != nil {
-				snap.auto.Match(sp, m.Pub.Attrs, collect)
-			} else {
-				snap.prt.MatchSymPathAttrs(sp, m.Pub.Attrs, func(n *subtree.Node) {
-					for _, hop := range snapshotNodeHops(n) {
-						if hop != from {
-							hops[hop] = true
-						}
-					}
-				})
-			}
-		}
+		snap.auto.Match(path, m.Pub.Attrs, collect)
 	}
 	var matchEnd time.Time
 	if measure {
 		matchEnd = time.Now()
 		sp.match = matchEnd.Sub(sp.start)
-		if b.matchSeconds != nil {
-			b.matchSeconds.Observe(sp.match.Seconds())
-		}
 	}
 	ordered := make([]string, 0, len(hops))
 	for hop := range hops {
@@ -188,13 +117,9 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	for _, hop := range ordered {
 		if snap.clients[hop] {
 			// Edge filtering: imperfect mergers must not leak false
-			// positives to clients. With the automaton the verdict was
-			// computed in the same run that produced the hop set.
-			passes := matchedClients[hop]
-			if snap.auto == nil {
-				passes = snap.matchesClient(hop, paths, attrs)
-			}
-			if !passes {
+			// positives to clients. The verdict was computed in the same
+			// automaton run that produced the hop set.
+			if !matchedClients[hop] {
 				b.stats.falsePositives.Add(1)
 				if ev != nil {
 					ev.FilteredFor = append(ev.FilteredFor, hop)
@@ -252,52 +177,10 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 		sp.enqueue = time.Since(filterEnd)
 		b.observeSpan(&sp)
 		if b.slow != nil && sp.total() >= b.slow.Threshold() {
-			b.recordSlow(&sp, fwd, from, snap, len(paths), kept)
+			b.recordSlow(&sp, fwd, from, snap, kept)
 		}
 	}
 	return ev
-}
-
-// parallelMatch fans a decomposed document's sym-paths across worker
-// goroutines (Config.ParallelMatchPaths gates it). The automaton is
-// immutable and Match is concurrency-safe, so workers share it freely;
-// each worker accumulates raw payloads privately and the results are
-// merged serially through collect afterwards, because collect closes over
-// the handler's (unsynchronised) hop and client-verdict maps. Payloads may
-// repeat across paths exactly as in the serial loop — collect dedups.
-func parallelMatch(auto *pmatch.ShardedAutomaton, paths [][]symtab.Sym, attrs [][]map[string]string, collect func(any)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers <= 1 {
-		for i, path := range paths {
-			auto.Match(path, attrs[i], collect)
-		}
-		return
-	}
-	results := make([][]any, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				auto.Match(paths[i], attrs[i], func(d any) { results[w] = append(results[w], d) })
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, rs := range results {
-		for _, d := range rs {
-			collect(d)
-		}
-	}
 }
 
 // pubSpan accumulates one publication's per-stage timings on the broker's
@@ -345,7 +228,7 @@ func (b *Broker) observeSpan(sp *pubSpan) {
 // recordSlow captures one over-threshold publication into the flight
 // recorder. It runs only for already-slow publications, so its allocations
 // and the QueueDepths callback stay off the healthy hot path.
-func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSnapshot, pathCount int, dests []string) {
+func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSnapshot, dests []string) {
 	e := slowlog.Entry{
 		Broker:     b.cfg.ID,
 		From:       from,
@@ -355,7 +238,6 @@ func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSna
 		Stages: append(sp.hopStages(),
 			trace.StageDur{Stage: trace.StageEnqueue, Nanos: int64(sp.enqueue)}),
 		DocBytes:     len(m.Raw),
-		Paths:        pathCount,
 		Epoch:        snap.epoch,
 		Hops:         len(m.Hops),
 		Destinations: append([]string(nil), dests...),

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/pmatch"
 	"repro/internal/subtree"
-	"repro/internal/symtab"
 )
 
 // routeSnapshot is the immutable routing state the publish data plane reads.
@@ -42,21 +41,13 @@ type routeSnapshot struct {
 	// auto is the sealed version of the broker's matching table: PRT nodes
 	// (payload: sorted last-hop slices) and per-client filter expressions
 	// (payload: clientMatch keys), partitioned by root symbol
-	// (pmatch.ShardIndex). handlePublish runs the shard(s) a path can hit
-	// instead of walking every subscription-tree node. Successive versions
-	// share every state and every slot a change did not touch. Nil when the
-	// broker disables the shared NFA (Config.DisableSharedNFA) — the publish
-	// path then falls back to the covering tree walk.
+	// (pmatch.ShardIndex). handlePublish runs the shard(s) a publication can
+	// hit instead of walking every subscription-tree node. Successive
+	// versions share every state and every slot a change did not touch.
+	// Never nil: a new broker starts with the empty automaton.
 	auto *pmatch.ShardedAutomaton
 	// slots parallels auto's slots: the last change to each.
 	slots []slotChange
-	// prt and clientSubs exist for the tree walk only (DisableSharedNFA),
-	// nil otherwise: deep copies of the PRT, whose Node.Data holds the
-	// subscription's sorted last-hop list ([]string, nil for stateless
-	// nodes) instead of the control plane's mutable *subState, and of each
-	// client's original subscriptions for the edge delivery filter.
-	prt        *subtree.Tree
-	clientSubs map[string]*subtree.Tree
 }
 
 // slotChange records the control message that last changed one automaton
@@ -73,25 +64,19 @@ type slotChange struct {
 type clientMatch string
 
 // snapDirty records which master tables a control message touched, so
-// publishSnapshot copies only those. The matching table needs no flag: it
-// was edited in place and Seal knows which slots changed.
+// publishSnapshot copies only those. The matching table was edited in place
+// and Seal knows which slots changed; filters only says that a client
+// filter entry did, so the snapshot swaps even when nothing else moved.
 type snapDirty struct {
-	prt        bool
-	srt        bool
-	clients    bool
-	durables   bool
-	clientSubs map[string]bool // per-client filter trees
-}
-
-func (d *snapDirty) markClientSubs(id string) {
-	if d.clientSubs == nil {
-		d.clientSubs = make(map[string]bool)
-	}
-	d.clientSubs[id] = true
+	prt      bool
+	srt      bool
+	clients  bool
+	durables bool
+	filters  bool
 }
 
 func (d *snapDirty) any() bool {
-	return d.prt || d.srt || d.clients || d.durables || len(d.clientSubs) > 0
+	return d.prt || d.srt || d.clients || d.durables || d.filters
 }
 
 // publishSnapshot swaps in a new immutable snapshot reflecting the master
@@ -110,9 +95,6 @@ func (b *Broker) publishSnapshot(start time.Time) {
 		next.prtSize = b.prt.Size()
 		n, e, s := b.prt.Stats()
 		next.prtStats = TreeStats{Nodes: n, Edges: e, SuperEdges: s}
-		if b.table == nil {
-			next.prt = b.prt.CloneWithData(snapshotHops)
-		}
 	}
 	if b.dirty.srt {
 		next.srt = append([]*advEntry(nil), b.srt...)
@@ -131,23 +113,7 @@ func (b *Broker) publishSnapshot(start time.Time) {
 		}
 		next.durables = durables
 	}
-	if b.table == nil && len(b.dirty.clientSubs) > 0 {
-		subs := make(map[string]*subtree.Tree, len(b.clientSubs))
-		for id, t := range old.clientSubs {
-			subs[id] = t
-		}
-		for id := range b.dirty.clientSubs {
-			if t := b.clientSubs[id]; t != nil {
-				subs[id] = t.CloneWithData(nil)
-			} else {
-				delete(subs, id)
-			}
-		}
-		next.clientSubs = subs
-	}
-	if b.table != nil {
-		b.sealTable(&next, old, start)
-	}
+	b.sealTable(&next, old, start)
 	b.dirty = snapDirty{}
 	b.snap.Store(&next)
 }
@@ -178,7 +144,6 @@ func (b *Broker) sealTable(next, old *routeSnapshot, start time.Time) {
 // with the last. Handlers call it at the point of change, under b.mu.
 func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
 	switch {
-	case b.table == nil:
 	case len(st.lastHops) == 0:
 		b.table.Remove(st.entry)
 		st.entry = pmatch.Handle{}
@@ -192,25 +157,20 @@ func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
 // addFilterEntry enters a new client filter-tree node into the matching
 // table; its handle lives in the node's Data.
 func (b *Broker) addFilterEntry(client string, n *subtree.Node) {
-	if b.table != nil {
-		n.Data = b.table.Add(n.XPE, clientMatch(client))
-	}
+	n.Data = b.table.Add(n.XPE, clientMatch(client))
+	b.dirty.filters = true
 }
 
 // removeFilterEntry withdraws a removed client filter-tree node.
 func (b *Broker) removeFilterEntry(n *subtree.Node) {
-	if h, ok := n.Data.(pmatch.Handle); ok {
-		b.table.Remove(h)
-	}
+	b.table.Remove(n.Data.(pmatch.Handle))
+	b.dirty.filters = true
 }
 
 // reseedTable refills the matching table from the master PRT and client
 // trees. A merge pass rewrites arbitrary sibling groups and is O(table)
 // already, so it re-seeds rather than tracking each merged source.
 func (b *Broker) reseedTable() {
-	if b.table == nil {
-		return
-	}
 	b.table.Reset()
 	b.prt.Walk(func(n *subtree.Node) {
 		if st := stateOf(n); st != nil {
@@ -223,37 +183,6 @@ func (b *Broker) reseedTable() {
 	}
 }
 
-// snapshotHops projects a PRT node's routing state into the tree-walk
-// snapshot form: the sorted last-hop slice, or nil for nodes without state.
-func snapshotHops(n *subtree.Node) any {
-	st := stateOf(n)
-	if st == nil || len(st.lastHops) == 0 {
-		return nil
-	}
-	return sortedKeys(st.lastHops)
-}
-
-// snapshotNodeHops reads the last-hop list of a snapshot PRT node.
-func snapshotNodeHops(n *subtree.Node) []string {
-	hops, _ := n.Data.([]string)
-	return hops
-}
-
-// matchesClient evaluates the edge delivery filter against the snapshot's
-// per-client subscription trees.
-func (s *routeSnapshot) matchesClient(client string, paths [][]symtab.Sym, attrs [][]map[string]string) bool {
-	tree := s.clientSubs[client]
-	if tree == nil {
-		return false
-	}
-	for i, path := range paths {
-		if tree.MatchSymPathAnyAttrs(path, attrs[i]) {
-			return true
-		}
-	}
-	return false
-}
-
 // SnapshotEpoch returns the current routing-snapshot epoch without taking
 // any lock. The epoch increments exactly when a control-plane change swaps
 // the publish view; a run of publications observing one epoch matched one
@@ -263,13 +192,9 @@ func (b *Broker) SnapshotEpoch() uint64 {
 }
 
 // NFAStats measures the current snapshot's shared matching automaton,
-// summed across shards (zeroes when it is absent). Lock-free, like every
-// snapshot reader.
+// summed across shards. Lock-free, like every snapshot reader.
 func (b *Broker) NFAStats() pmatch.Stats {
-	if a := b.snap.Load().auto; a != nil {
-		return a.Stats()
-	}
-	return pmatch.Stats{}
+	return b.snap.Load().auto.Stats()
 }
 
 // ShardStatus describes one slot of the current snapshot's sharded
@@ -290,13 +215,9 @@ type ShardStatus struct {
 }
 
 // ShardStatus reports the per-shard state of the current snapshot's
-// matching automaton, in slot order (nil when the automaton is absent).
-// Lock-free, like every snapshot reader.
+// matching automaton, in slot order. Lock-free, like every snapshot reader.
 func (b *Broker) ShardStatus() []ShardStatus {
 	snap := b.snap.Load()
-	if snap.auto == nil {
-		return nil
-	}
 	out := make([]ShardStatus, snap.auto.SlotCount())
 	for i := range out {
 		out[i] = snap.slotStatus(i)
@@ -305,14 +226,10 @@ func (b *Broker) ShardStatus() []ShardStatus {
 	return out
 }
 
-// shardSlotStatus reads one slot's status from the current snapshot (zero
-// value when absent) — the per-shard metrics gauges poll it.
+// shardSlotStatus reads one slot's status from the current snapshot — the
+// per-shard metrics gauges poll it.
 func (b *Broker) shardSlotStatus(slot int) ShardStatus {
-	snap := b.snap.Load()
-	if snap.auto == nil || slot >= snap.auto.SlotCount() {
-		return ShardStatus{}
-	}
-	return snap.slotStatus(slot)
+	return b.snap.Load().slotStatus(slot)
 }
 
 func (s *routeSnapshot) slotStatus(slot int) ShardStatus {

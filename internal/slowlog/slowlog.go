@@ -40,9 +40,6 @@ type Entry struct {
 	// DocBytes is the raw document size for streaming publications, 0
 	// otherwise.
 	DocBytes int `json:"doc_bytes,omitempty"`
-	// Paths is the number of decomposed paths matched (0 on the streaming
-	// route, which never decomposes).
-	Paths int `json:"paths,omitempty"`
 	// Epoch is the routing-snapshot epoch the publication was matched under.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Hops is the length of the carried hop list (traced publications).
@@ -68,9 +65,6 @@ func (e Entry) String() string {
 	fmt.Fprintf(&b, " epoch=%d dests=%d", e.Epoch, len(e.Destinations))
 	if e.DocBytes > 0 {
 		fmt.Fprintf(&b, " doc_bytes=%d", e.DocBytes)
-	}
-	if e.Paths > 0 {
-		fmt.Fprintf(&b, " paths=%d", e.Paths)
 	}
 	if e.TraceID != "" {
 		fmt.Fprintf(&b, " trace=%s", e.TraceID)

@@ -124,8 +124,9 @@ func Scan(data []byte, lim Limits) error {
 // MatchDoc runs the automaton over an already-parsed document with the same
 // verdict semantics as Match over its serialisation: one pre-order walk,
 // accept events per element, predicates post-filtered against the live
-// stack. The broker's parsed-publication path uses it so streaming on/off
-// differs only in parsing, never in matching. Safe for concurrent use.
+// stack. The broker routes parsed publications (Message.Doc) with it, so a
+// document matches alike whether it arrives as bytes or as a tree. Safe for
+// concurrent use.
 func MatchDoc(d *xmldoc.Document, a *pmatch.ShardedAutomaton, visit func(data any)) {
 	if d == nil || d.Root == nil || a == nil {
 		return
@@ -140,8 +141,8 @@ func MatchDoc(d *xmldoc.Document, a *pmatch.ShardedAutomaton, visit func(data an
 // CheckDoc validates a parsed document against lim with the transport's
 // checkWireDoc semantics (pre-order; depth, then count, then name length;
 // nil elements rejected). The transport delegates its wire-bound check
-// here, and the broker uses it to keep the ablation path (streaming off)
-// bound-equivalent to the streaming scan.
+// here, so parsed documents obey the same bounds Match enforces on raw
+// bodies.
 func CheckDoc(d *xmldoc.Document, lim Limits) error {
 	if d == nil || d.Root == nil {
 		return fmt.Errorf("stream: document without root element")

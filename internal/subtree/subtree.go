@@ -23,12 +23,12 @@
 //
 //   - READ-ONLY: MatchPath, MatchPathAttrs, MatchSymPath, MatchSymPathAttrs,
 //     MatchPathAny, MatchPathAnyAttrs, MatchSymPathAnyAttrs, Lookup, Size,
-//     Depth, Walk, Stats, TopLevel, Coverers, CoveredBy, CloneWithData,
-//     IsCovered, IsCoveredBesides, String, and the Node accessors. These never mutate
+//     Depth, Walk, Stats, TopLevel, Coverers, CoveredBy, IsCovered,
+//     IsCoveredBesides, String, and the Node accessors. These never mutate
 //     the tree (they may not even write transient scratch state into it) and
-//     are safe to run concurrently with each other. The broker's publication
-//     hot path depends on this invariant to match publications in parallel
-//     under a shared lock; changing any of these to mutate the tree is a
+//     are safe to run concurrently with each other. Callers matching
+//     publications in parallel against one tree under a shared lock depend
+//     on this invariant; changing any of these to mutate the tree is a
 //     breaking change and must be flagged in review. A race-detector test
 //     (TestMatchIsReadOnlyUnderRace) enforces the invariant.
 //
@@ -397,61 +397,6 @@ func (t *Tree) TopLevel() []*Node {
 // Walk visits every stored node in depth-first order.
 func (t *Tree) Walk(visit func(*Node)) {
 	t.matchWalk(func(*xpath.XPE) bool { return true }, visit)
-}
-
-// CloneWithData returns a deep structural copy of the tree: every node,
-// covering edge, super pointer, and the expression index are duplicated, so
-// subsequent mutations of the receiver never reach the copy. Node
-// expressions (*xpath.XPE) are shared — they are immutable once stored.
-// Each copied node's Data is produced by mapData from the original node
-// (nil mapData carries the Data values over unchanged), which lets the
-// broker translate its mutable per-node routing state into the immutable
-// form its publish snapshot wants. CloneWithData itself is read-only on the
-// receiver.
-func (t *Tree) CloneWithData(mapData func(*Node) any) *Tree {
-	clone := &Tree{root: &Node{}, size: t.size, superEdges: t.superEdges, index: make(map[string]*Node, len(t.index))}
-	mapped := make(map[*Node]*Node, len(t.index)+1)
-	mapped[t.root] = clone.root
-	var copyNode func(n *Node, parent *Node) *Node
-	copyNode = func(n *Node, parent *Node) *Node {
-		cp := &Node{XPE: n.XPE, parent: parent}
-		if mapData != nil {
-			cp.Data = mapData(n)
-		} else {
-			cp.Data = n.Data
-		}
-		mapped[n] = cp
-		if len(n.children) > 0 {
-			cp.children = make([]*Node, len(n.children))
-			for i, c := range n.children {
-				cp.children[i] = copyNode(c, cp)
-			}
-		}
-		clone.index[n.XPE.Key()] = cp
-		return cp
-	}
-	clone.root.children = make([]*Node, len(t.root.children))
-	for i, c := range t.root.children {
-		clone.root.children[i] = copyNode(c, clone.root)
-	}
-	// Super pointers reference nodes anywhere in the tree; rewrite them once
-	// every node has its copy.
-	t.Walk(func(n *Node) {
-		cp := mapped[n]
-		if len(n.super) > 0 {
-			cp.super = make([]*Node, len(n.super))
-			for i, s := range n.super {
-				cp.super[i] = mapped[s]
-			}
-		}
-		if len(n.superRefs) > 0 {
-			cp.superRefs = make([]*Node, len(n.superRefs))
-			for i, s := range n.superRefs {
-				cp.superRefs[i] = mapped[s]
-			}
-		}
-	})
-	return clone
 }
 
 // Stats reports the covering structure's shape for observability: stored

@@ -5,22 +5,23 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/broker"
+	"repro/internal/pmatch"
+	"repro/internal/stream"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
 // BenchmarkStreamMatch pins the streaming matcher's headline property
 // (internal/stream, DESIGN.md §5e): routing cost is proportional to
 // document depth × automaton activity, not document size. The same raw XML
-// body is published through two otherwise identical brokers — "stream" runs
-// the automaton over the bytes in one pass, "decompose" (the
-// Config.DisableStreaming ablation) parses the body into a tree and matches
-// every decomposed root-to-leaf path — while the document grows 1×→100× at
-// fixed depth. Streaming allocs/op must stay flat across the sweep (the
-// matcher, cursor, and per-frame stacks are pooled; only the broker's
-// constant per-publication bookkeeping allocates); the decompose column
-// grows with size because parsing materialises the tree. EXPERIMENTS.md and
-// BENCH_stream.json record measured numbers.
+// body is matched against the same automaton two ways, at the matcher layer
+// without a broker: "stream" runs the automaton over the bytes in one pass,
+// "decompose" parses the body into a tree (xmldoc.Parse), decomposes it into
+// annotated root-to-leaf paths and matches each — while the document grows
+// 1×→100× at fixed depth. Streaming allocs/op must stay flat across the
+// sweep (the matcher, cursor, and per-frame stacks are pooled); the
+// decompose column grows with size because parsing materialises the tree.
+// EXPERIMENTS.md and BENCH_stream.json record measured numbers.
 func BenchmarkStreamMatch(b *testing.B) {
 	// One fixed-depth section; document size scales by repetition only, so
 	// depth, names, and match structure are identical across sizes.
@@ -43,30 +44,43 @@ func BenchmarkStreamMatch(b *testing.B) {
 		"//head/*",
 		"/doc/other/miss",
 	}
-	newBroker := func(disableStreaming bool) *broker.Broker {
-		br := broker.New(broker.Config{ID: "b1", UseCovering: true, DisableStreaming: disableStreaming},
-			func(string, *broker.Message) {})
-		br.AddNeighbor("n1")
-		for _, s := range subs {
-			br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse(s)}, "n1")
-		}
-		return br
+	builder := pmatch.NewShardedBuilder(1)
+	for i, s := range subs {
+		builder.Add(xpath.MustParse(s), i)
+	}
+	auto := builder.Build()
+	matched := 0
+	visit := func(any) { matched++ }
+	modes := []struct {
+		name  string
+		match func(raw []byte) error
+	}{
+		{"stream", func(raw []byte) error {
+			return stream.Match(raw, auto, stream.WireLimits, visit)
+		}},
+		{"decompose", func(raw []byte) error {
+			doc, err := xmldoc.Parse(raw)
+			if err != nil {
+				return err
+			}
+			paths, attrs := doc.AnnotatedSymPaths()
+			for i, path := range paths {
+				auto.Match(path, attrs[i], visit)
+			}
+			return nil
+		}},
 	}
 
 	for _, scale := range []int{1, 10, 100} {
 		raw := mkRaw(4 * scale)
-		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"stream", false}, {"decompose", true}} {
+		for _, mode := range modes {
 			b.Run(fmt.Sprintf("doc=%dx/%s", scale, mode.name), func(b *testing.B) {
-				br := newBroker(mode.disable)
-				msg := &broker.Message{Type: broker.MsgPublish, Raw: raw}
 				b.SetBytes(int64(len(raw)))
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					br.HandleMessage(msg, "producer")
+					if err := mode.match(raw); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
