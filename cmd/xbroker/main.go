@@ -63,7 +63,6 @@ func main() {
 		retention     = flag.Int64("retention", 0, "force-reclaim the oldest closed log segments once the publication log exceeds this many bytes, even unacknowledged ones (0 = reclaim only fully-acknowledged segments)")
 		retainAge     = flag.Duration("retain-age", 0, "force-reclaim closed log segments older than this (0 = never by age)")
 
-		wire           = flag.String("wire", "binary", "neighbour/client wire codec: binary (zero-copy batched frames) or gob (legacy fallback; a binary offer from the peer is negotiated down)")
 		flushInterval  = flag.Duration("flush-interval", 0, "how long a queued publication may linger to grow its batch (0 = flush opportunistically, no added latency)")
 		maxBatchBytes  = flag.Int("max-batch-bytes", 0, "flush a neighbour batch once it holds this many bytes (default 256KiB)")
 		maxBatchFrames = flag.Int("max-batch-frames", 0, "flush a neighbour batch once it holds this many frames (default 128)")
@@ -120,9 +119,6 @@ func main() {
 		log.Fatalf("xbroker: unknown merging mode %q", *merging)
 	}
 
-	if *wire != transport.WireBinary && *wire != transport.WireGob {
-		log.Fatalf("xbroker: unknown wire codec %q (want binary or gob)", *wire)
-	}
 	srv := transport.NewServerOptions(cfg, nb, transport.Options{
 		Heartbeat:      *heartbeat,
 		DeadAfter:      *deadAfter,
@@ -130,7 +126,6 @@ func main() {
 		ReconnectMax:   *reconnectMax,
 		RetryBuffer:    *retryBuffer,
 		DialBudget:     *dialBudget,
-		Wire:           *wire,
 		FlushInterval:  *flushInterval,
 		MaxBatchBytes:  *maxBatchBytes,
 		MaxBatchFrames: *maxBatchFrames,

@@ -58,7 +58,6 @@ func run(args []string, out io.Writer) error {
 		reconnect    = fs.Bool("reconnect", false, "redial a lost broker connection with backoff and replay subscriptions/advertisements")
 		durable      = fs.String("durable", "", "durable subscription name: the broker logs matches under this name while disconnected and replays the unacknowledged gap on reattach (requires a broker started with -durable-dir)")
 		noAck        = fs.Bool("no-ack", false, "with -durable, do not auto-acknowledge deliveries (the unacked window then replays on every reattach)")
-		wire         = fs.String("wire", "binary", "wire codec to offer the broker: binary or gob (the broker may negotiate binary down)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,12 +66,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
-	if *wire != transport.WireBinary && *wire != transport.WireGob {
-		return fmt.Errorf("unknown wire codec %q (want binary or gob)", *wire)
-	}
 	c, err := transport.DialOptions(*connect, *id, transport.ClientOptions{
 		Reconnect: *reconnect,
-		Wire:      *wire,
 		Durable:   *durable,
 		AutoAck:   *durable != "" && !*noAck,
 	})

@@ -39,7 +39,6 @@ type linkInfo struct {
 	Up         bool    `json:"up"`
 	QueueDepth int     `json:"queue_depth"`
 	Buffered   int     `json:"buffered"`
-	Codec      string  `json:"codec"`
 	TxBytes    int64   `json:"tx_bytes"`
 	BatchP50   float64 `json:"batch_p50"`
 }
@@ -321,50 +320,27 @@ func formatLag(st *status) string {
 	return fmt.Sprintf("%.0f", v)
 }
 
-// formatWire summarises the neighbour links' wire state: the negotiated
-// codec (or codecs, mid-rollout), the worst median frames-per-flush across
-// up links, and the outbound byte rate from the xbroker_wire_tx_bytes_total
-// counters.
+// formatWire summarises the neighbour links' wire state: the worst median
+// frames-per-flush across up links and the outbound byte rate from the
+// xbroker_wire_tx_bytes_total counter; "-" when neither has a value.
 func formatWire(st *status) string {
-	codecs := []string{}
 	batch := 0.0
 	for _, l := range st.Links {
-		if !l.Up || l.Codec == "" {
-			continue
-		}
-		seen := false
-		for _, c := range codecs {
-			if c == l.Codec {
-				seen = true
-			}
-		}
-		if !seen {
-			codecs = append(codecs, l.Codec)
-		}
-		if l.BatchP50 > batch {
+		if l.Up && l.BatchP50 > batch {
 			batch = l.BatchP50
 		}
 	}
-	if len(codecs) == 0 {
+	var parts []string
+	if batch > 0 {
+		parts = append(parts, fmt.Sprintf("b%.0f", batch))
+	}
+	if rate := rateOf(st, "xbroker_wire_tx_bytes_total"); rate > 0 {
+		parts = append(parts, formatBytesRate(rate))
+	}
+	if len(parts) == 0 {
 		return "-"
 	}
-	sort.Strings(codecs)
-	out := strings.Join(codecs, "+")
-	if batch > 0 {
-		out += fmt.Sprintf(" b%.0f", batch)
-	}
-	// The tx-bytes counter is labelled per codec; sum the series so the
-	// rate stays truthful mid-rollout when both codecs carry traffic.
-	rate := 0.0
-	for k, v := range st.RatesPerSec {
-		if strings.HasPrefix(k, "xbroker_wire_tx_bytes_total") && v > 0 {
-			rate += v
-		}
-	}
-	if rate > 0 {
-		out += " " + formatBytesRate(rate)
-	}
-	return out
+	return strings.Join(parts, " ")
 }
 
 // formatBytesRate renders a bytes-per-second rate with a binary unit.

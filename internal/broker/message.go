@@ -149,8 +149,8 @@ type Message struct {
 	Hops []trace.Hop
 
 	// Receive-side span metadata, set by the local transport before the
-	// publication reaches the broker. Unexported on purpose: gob skips
-	// unexported fields, so the values are process-local and reset on every
+	// publication reaches the broker. Unexported on purpose: the wire codec
+	// never carries them, so the values are process-local and reset on every
 	// wire crossing — a peer can neither see nor forge them.
 	arrivalDecode   time.Duration // wire read + decode time of this frame
 	arrivalEnqueued time.Time     // when the frame entered the matching queue

@@ -138,14 +138,14 @@ func (s *scanner) run() error {
 }
 
 // startTag parses one start tag (name consumed from just after '<'),
-// enforces the document limits in checkWireDoc's order (depth, element
-// count, local name length), and fires the structural callbacks.
+// enforces the document limits in CheckDoc's order (depth, element count,
+// local name length), and fires the structural callbacks.
 func (s *scanner) startTag() error {
 	full, local, err := s.nsname("expected element name after <")
 	if err != nil {
 		return err
 	}
-	if s.lim.MaxDepth > 0 && len(s.names) > s.lim.MaxDepth {
+	if s.lim.MaxDepth > 0 && len(s.names) >= s.lim.MaxDepth {
 		return fmt.Errorf("stream: document deeper than %d", s.lim.MaxDepth)
 	}
 	s.elems++

@@ -245,9 +245,9 @@ func TestScanWireBounds(t *testing.T) {
 		src  string
 		ok   bool
 	}{
-		// nestedDoc(d) has depth d+1 (the leaf), i.e. the leaf has d ancestors.
-		{"depth-at-bound", nestedDoc(MaxDocDepth), true},
-		{"depth-over-bound", nestedDoc(MaxDocDepth + 1), false},
+		// nestedDoc(d) has d+1 levels (the leaf has d ancestors).
+		{"depth-at-bound", nestedDoc(MaxDocDepth - 1), true},
+		{"depth-over-bound", nestedDoc(MaxDocDepth), false},
 		{"elems-at-bound", flatDoc(MaxDocElems), true},
 		{"elems-over-bound", flatDoc(MaxDocElems + 1), false},
 		{"name-at-bound", "<" + strings.Repeat("n", MaxDocName) + "/>", true},

@@ -35,12 +35,12 @@ import (
 )
 
 // Limits bounds a document during a scan. A zero field disables that bound.
-// The checks run in the transport's checkWireDoc order — depth, element
-// count, local name length — as each start tag is parsed.
+// The checks run in CheckDoc's order — depth, element count, local name
+// length — as each start tag is parsed.
 type Limits struct {
-	// MaxDepth is the maximum element nesting depth, with the root at
-	// depth 0: a document is rejected when an element has more than
-	// MaxDepth ancestors.
+	// MaxDepth is the maximum number of nesting levels, the root included:
+	// a document is rejected when an element has MaxDepth or more
+	// ancestors.
 	MaxDepth int
 	// MaxElems is the maximum total element count.
 	MaxElems int
@@ -48,9 +48,9 @@ type Limits struct {
 	MaxName int
 }
 
-// The wire document bounds, shared with internal/transport: documents
-// accepted from the network are capped at this depth, element count, and
-// element name length.
+// The wire document bounds, shared with internal/wirefmt: documents
+// accepted from the network are capped at this many levels, elements, and
+// element-name bytes, whether they arrive raw or parsed.
 const (
 	MaxDocDepth = 256
 	MaxDocElems = 1 << 16
@@ -138,11 +138,9 @@ func MatchDoc(d *xmldoc.Document, a *pmatch.ShardedAutomaton, visit func(data an
 	m.matchElem(d.Root)
 }
 
-// CheckDoc validates a parsed document against lim with the transport's
-// checkWireDoc semantics (pre-order; depth, then count, then name length;
-// nil elements rejected). The transport delegates its wire-bound check
-// here, so parsed documents obey the same bounds Match enforces on raw
-// bodies.
+// CheckDoc validates a parsed document against lim with the bounds Match
+// enforces on raw bodies (pre-order; depth, then count, then name length;
+// nil elements rejected) — the parity tests' reference for the scanner.
 func CheckDoc(d *xmldoc.Document, lim Limits) error {
 	if d == nil || d.Root == nil {
 		return fmt.Errorf("stream: document without root element")
@@ -150,7 +148,7 @@ func CheckDoc(d *xmldoc.Document, lim Limits) error {
 	n := 0
 	var walk func(e *xmldoc.Elem, depth int) error
 	walk = func(e *xmldoc.Elem, depth int) error {
-		if lim.MaxDepth > 0 && depth > lim.MaxDepth {
+		if lim.MaxDepth > 0 && depth >= lim.MaxDepth {
 			return fmt.Errorf("stream: document deeper than %d", lim.MaxDepth)
 		}
 		if n++; lim.MaxElems > 0 && n > lim.MaxElems {

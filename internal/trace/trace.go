@@ -22,7 +22,7 @@ import (
 // stage durations are exact; only the per-hop UnixNano wall stamps compare
 // across brokers (see DESIGN.md §5f for the clock-domain rules).
 const (
-	// StageDecode is wire read + gob decode of the publication frame,
+	// StageDecode is wire read + decode of the publication frame,
 	// measured by the receiving transport from the arrival of the frame's
 	// first byte.
 	StageDecode = "decode"
@@ -38,7 +38,7 @@ const (
 	// StageEnqueue is handing the publication to every next hop's ordered
 	// send queue; it grows under backpressure from full queues.
 	StageEnqueue = "enqueue"
-	// StageFlush is the send-queue wait plus gob encode to the socket,
+	// StageFlush is the send-queue wait plus encode to the socket,
 	// measured by the sending transport's writer goroutine. It happens after
 	// the hop record was forwarded, so it appears in histograms but never in
 	// a Hop's stage list — across brokers it is part of the wall-clock gap

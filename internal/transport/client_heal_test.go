@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"runtime"
 	"testing"
@@ -39,16 +38,18 @@ func startEdge(t *testing.T, wrap func(net.Conn) net.Conn) (*Server, string) {
 	return s, addr
 }
 
-// helloBytes is the length of the hello a dialler with this id writes: the
-// gob type descriptor and the value, offering the binary codec.
-func helloBytes(t *testing.T, id string) int {
+// preamble is the preamble a dialler with this id writes.
+func preamble(t testing.TB, id string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(hello{ID: id, Wire: WireBinary}); err != nil {
+	if err := wirefmt.NewEncoder(&buf, wirefmt.DefaultLimits).Hello(id); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Len()
+	return buf.Bytes()
 }
+
+// helloBytes is the length of the preamble a dialler with this id writes.
+func helloBytes(t *testing.T, id string) int { return len(preamble(t, id)) }
 
 // frameBytes is the length of msgs as the first binary frames on a fresh
 // connection: the per-link dictionary starts empty, so the extension
@@ -66,7 +67,7 @@ func frameBytes(t *testing.T, msgs ...*broker.Message) int {
 }
 
 // killAfterFirstSubscribe is a fault plan for the edge broker: its first
-// inbound connection dies on the first read after the client's hello and
+// inbound connection dies on the first read after the client's preamble and
 // one subscribe frame — byte offsets, so it holds however TCP segments the
 // stream. Everything after reconnects cleanly.
 func killAfterFirstSubscribe(t *testing.T, id string, subscribe *broker.Message) func(net.Conn) net.Conn {
@@ -239,8 +240,8 @@ func TestCorruptFrameClosesConnNoGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A valid hello so the server registers the peer, then garbage.
-		if err := sendRaw(conn, i); err != nil {
+		// A valid preamble so the server registers the peer, then garbage.
+		if err := sendRaw(t, conn, i); err != nil {
 			t.Fatal(err)
 		}
 		// Half-close: junk that imitates an incomplete frame is legitimately
@@ -266,11 +267,10 @@ func TestCorruptFrameClosesConnNoGoroutineLeak(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= base+1 })
 }
 
-// sendRaw writes a valid hello followed by a deterministically corrupt
+// sendRaw writes a valid preamble followed by a deterministically corrupt
 // payload variant chosen by i.
-func sendRaw(conn net.Conn, i int) error {
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{ID: "evil"}); err != nil {
+func sendRaw(t *testing.T, conn net.Conn, i int) error {
+	if _, err := conn.Write(preamble(t, "evil")); err != nil {
 		return err
 	}
 	junk := [][]byte{

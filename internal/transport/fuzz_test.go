@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -13,40 +12,8 @@ import (
 	"repro/internal/xpath"
 )
 
-// FuzzFrameDecode throws arbitrary byte streams at a live server's wire
-// protocol. The invariant is process survival: whatever a connection sends —
-// truncated frames, bit-flipped gob, hostile lengths, or valid frames with
-// absurd contents — the server must at worst close that connection. A panic
-// anywhere (decoder, broker matching, worker pool) fails the fuzz run.
-func FuzzFrameDecode(f *testing.F) {
-	// Seed corpus: a valid session prefix, then progressively damaged ones.
-	valid := func(msgs ...any) []byte {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for _, m := range msgs {
-			if err := enc.Encode(m); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return buf.Bytes()
-	}
-	session := valid(
-		hello{ID: "fuzz"},
-		&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a/b")},
-		&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 1, Path: []string{"a", "b"}}},
-	)
-	f.Add(session)
-	f.Add(session[:len(session)/2]) // truncated mid-frame
-	corrupt := bytes.Clone(session)
-	for i := range corrupt {
-		if i%7 == 0 {
-			corrupt[i] ^= 0x80
-		}
-	}
-	f.Add(corrupt)
-	f.Add([]byte{0x7f, 0xff, 0xff, 0xff}) // huge declared length
-	f.Add([]byte{})
-
+// fuzzServer starts a listening server for a fuzz target.
+func fuzzServer(f *testing.F) string {
 	cfg := broker.Config{}
 	cfg.ID = "b1"
 	s := NewServerOptions(cfg, nil, Options{})
@@ -55,55 +22,85 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(s.Close)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Bounded dial: thousands of rapid-fire connections can fill the
-		// accept queue, and an unbounded Dial then blocks for the OS connect
-		// timeout (minutes) — long enough for the fuzz coordinator to declare
-		// the worker hung.
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			t.Skip("dial failed; nothing to exercise")
-		}
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		conn.Write(data)
-		// Closing hands the server an EOF after our bytes; it processes every
-		// complete frame first. A server-side panic aborts this whole process
-		// and fails the run — that is the assertion.
-		conn.Close()
-	})
+	return addr
 }
 
-// FuzzBinaryFrameDecode is FuzzFrameDecode for the binary wire: a valid
-// handshake negotiating the binary codec, then arbitrary bytes where frames
-// belong. Truncated batches, hostile varint lengths, unknown dictionary ids,
-// and corrupt frames must at worst cost the connection — process survival is
-// the invariant, exactly as for the gob target. The wirefmt package fuzzes
-// its decoder in isolation; this target proves the transport around it
-// (readLoop, bad-frame accounting, connection teardown) holds up too.
-func FuzzBinaryFrameDecode(f *testing.F) {
-	// Seed corpus: a valid binary session, then damaged variants. Frames are
-	// built with the real encoder so the corpus starts structurally deep
-	// (dictionary frames, symbol references, nested documents).
-	valid := func(msgs ...*broker.Message) []byte {
-		var buf bytes.Buffer
-		enc := wirefmt.NewEncoder(&buf, wirefmt.DefaultLimits)
-		for _, m := range msgs {
-			if err := enc.Encode(m); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return buf.Bytes()
+// fuzzSend writes prefix then data on a fresh connection and hangs up.
+func fuzzSend(t *testing.T, addr string, prefix, data []byte) {
+	// Bounded dial: thousands of rapid-fire connections can fill the accept
+	// queue, and an unbounded Dial then blocks for the OS connect timeout
+	// (minutes) — long enough for the fuzz coordinator to declare the worker
+	// hung.
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Skip("dial failed; nothing to exercise")
 	}
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	conn.Write(prefix)
+	conn.Write(data)
+	// Closing hands the server an EOF after our bytes; it processes every
+	// complete frame first. A server-side panic aborts this whole process
+	// and fails the run — that is the assertion.
+	conn.Close()
+}
+
+// fuzzFrames is a valid binary frame sequence built with the real encoder,
+// so seed corpora start structurally deep (dictionary frames, symbol
+// references, nested documents).
+func fuzzFrames(f *testing.F) []byte {
 	doc, err := xmldoc.Parse([]byte(`<stock><quote s="ACME"><price>42</price></quote></stock>`))
 	if err != nil {
 		f.Fatal(err)
 	}
-	session := valid(
-		&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a/b")},
-		&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 1, Path: []string{"a", "b"}}},
-		&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 2}, Doc: doc},
-	)
+	var buf bytes.Buffer
+	enc := wirefmt.NewEncoder(&buf, wirefmt.DefaultLimits)
+	for _, m := range []*broker.Message{
+		{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a/b")},
+		{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 1, Path: []string{"a", "b"}}},
+		{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 2}, Doc: doc},
+	} {
+		if err := enc.Encode(m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzFrameDecode throws arbitrary byte streams at a live server's wire
+// protocol from the first byte: the preamble, then frames. The invariant is
+// process survival: whatever a connection opens with — a bad or truncated
+// preamble, an old build's gob hello, or a valid session with damage after
+// it — the server must at worst close that connection. A panic anywhere
+// (preamble check, decoder, broker matching, worker pool) fails the run.
+func FuzzFrameDecode(f *testing.F) {
+	hello := preamble(f, "fuzz")
+	valid := append(bytes.Clone(hello), fuzzFrames(f)...)
+	f.Add(valid)
+	f.Add(hello[:len(hello)/2]) // truncated mid-preamble
+	badMagic := bytes.Clone(valid)
+	badMagic[0] = 'x'
+	f.Add(badMagic)
+	badVersion := bytes.Clone(valid)
+	badVersion[len("XRW")]++
+	f.Add(badVersion)
+	f.Add(overLongHello())
+	f.Add(gobHello(f)) // what a build from before the preamble sends
+	f.Add([]byte{})
+
+	addr := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzSend(t, addr, nil, data)
+	})
+}
+
+// FuzzBinaryFrameDecode is FuzzFrameDecode past the handshake: a valid
+// preamble, then arbitrary bytes where frames belong. Truncated batches,
+// hostile varint lengths, unknown dictionary ids, and corrupt frames must at
+// worst cost the connection. The wirefmt package fuzzes its decoder in
+// isolation; this target proves the transport around it (readLoop, bad-frame
+// accounting, connection teardown) holds up too.
+func FuzzBinaryFrameDecode(f *testing.F) {
+	session := fuzzFrames(f)
 	f.Add(session)
 	f.Add(session[:len(session)/2]) // truncated mid-batch
 	corrupt := bytes.Clone(session)
@@ -118,32 +115,10 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add([]byte{0x02, 0x02, 0x07})                   // message referencing an unknown id
 	f.Add([]byte{})
 
-	cfg := broker.Config{}
-	cfg.ID = "b1"
-	s := NewServerOptions(cfg, nil, Options{})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(s.Close)
-
-	// The handshake prefix every fuzz connection sends before its payload:
-	// the gob hello offering binary. Constant across iterations, so it is
-	// encoded once.
-	var hs bytes.Buffer
-	if err := gob.NewEncoder(&hs).Encode(hello{ID: "fuzz", Wire: WireBinary}); err != nil {
-		f.Fatal(err)
-	}
-	helloBytes := hs.Bytes()
-
+	// Constant across iterations, so it is encoded once.
+	hello := preamble(f, "fuzz")
+	addr := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			t.Skip("dial failed; nothing to exercise")
-		}
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		conn.Write(helloBytes)
-		conn.Write(data)
-		conn.Close()
+		fuzzSend(t, addr, hello, data)
 	})
 }

@@ -63,7 +63,7 @@ func TestPeerKilledMidStreamControlNotLost(t *testing.T) {
 	opts1 := fastHeal()
 	// First wrapped connection is the subscriber client's inbound conn
 	// (untouched); the second is the dialled link to b2 — killed after its
-	// hello plus half the bytes the ten forwarded subscriptions take. b1
+	// preamble plus half the bytes the ten forwarded subscriptions take. b1
 	// writes at least all ten on that link (after a resync claim), so the
 	// kill always lands inside the subscription stream, whatever the
 	// batching.

@@ -11,6 +11,9 @@ import (
 	"repro/internal/broker"
 )
 
+// WireBinary names the wire codec; Options.Wire accepts nothing else.
+const WireBinary = "binary"
+
 // Options tunes a Server's self-healing behaviour. The zero value gives a
 // server that reconnects with the default backoff, buffers control messages
 // during outages, and sends no heartbeats.
@@ -55,11 +58,11 @@ type Options struct {
 	// DialTimeout bounds each TCP dial (default 2s).
 	DialTimeout time.Duration
 
-	// Wire selects the frame codec: WireBinary (the default) offers the
-	// varint binary format of package wirefmt on every outbound connection
-	// and accepts it inbound; WireGob forces the legacy gob framing in both
-	// directions (rollout fallback, ablation baseline). A binary broker and
-	// a gob broker interoperate: the pair negotiates down to gob.
+	// Wire may only be "" or WireBinary, the one codec (package wirefmt);
+	// NewServerOptions panics on any other value.
+	//
+	// Deprecated: the field selects nothing and is kept only for callers
+	// that still set it.
 	Wire string
 
 	// FlushInterval makes the send-batching writer linger this long after
@@ -91,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
-	}
-	if o.Wire == "" {
-		o.Wire = WireBinary
 	}
 	if o.MaxBatchBytes <= 0 {
 		o.MaxBatchBytes = 256 << 10
@@ -132,7 +132,7 @@ type HealthStats struct {
 	RetryFlushed      int64 // buffered control messages delivered on reconnect
 	RetryOverflow     int64 // control messages evicted from a full buffer
 	Resyncs           int64 // control-state resyncs initiated after attach
-	BadFrames         int64 // frames rejected by wire validation (see wire.go)
+	BadFrames         int64 // preambles and frames the wirefmt decoder rejected
 }
 
 // Health snapshots the server's self-healing counters.
@@ -178,11 +178,8 @@ type LinkStatus struct {
 	// LastRecvUnixNano is the wall-clock time of the last inbound frame
 	// (heartbeats included); 0 before first contact.
 	LastRecvUnixNano int64 `json:"last_recv_unix_nano,omitempty"`
-	// Codec is the wire format the live connection negotiated ("binary" or
-	// "gob"; empty when down).
-	Codec string `json:"codec,omitempty"`
 	// TxBytes counts bytes written to the live connection since it
-	// attached (post-handshake frames only; resets on reconnect).
+	// attached (frames only, not the preamble; resets on reconnect).
 	TxBytes int64 `json:"tx_bytes,omitempty"`
 	// BatchP50 is the connection's median frames-per-flush — 1.0 means
 	// batching is doing nothing, larger means syscalls are being amortised.
@@ -205,8 +202,7 @@ func (s *Server) Links() []LinkStatus {
 		st := LinkStatus{Peer: l.id, Up: l.pc != nil, Buffered: len(l.buf)}
 		if l.pc != nil {
 			st.QueueDepth = len(l.pc.queue)
-			st.Codec = l.pc.fw.Codec()
-			st.TxBytes = l.pc.fw.TxBytes()
+			st.TxBytes = l.pc.txBytes.Load()
 			st.BatchP50 = l.pc.batchP50()
 		}
 		l.mu.Unlock()
@@ -460,25 +456,22 @@ func (s *Server) registerHealthMetrics() {
 		{"xbroker_link_retry_flushed", "Buffered control messages delivered on reconnect.", &s.stats.retryFlushed},
 		{"xbroker_link_retry_overflow", "Control messages evicted from a full retry buffer.", &s.stats.retryOverflow},
 		{"xbroker_link_resyncs", "Control-state resyncs initiated after (re)connects.", &s.stats.resyncs},
-		{"xbroker_wire_bad_frames", "Inbound frames rejected by wire validation.", &s.stats.badFrames},
+		{"xbroker_wire_bad_frames", "Inbound preambles and frames rejected by the wire decoder.", &s.stats.badFrames},
 	}
 	for _, c := range counters {
 		v := c.v
 		s.reg.CounterFunc(c.name, c.help, func() float64 { return float64(v.Load()) })
 	}
-	for codec, agg := range map[string]*wireAgg{
-		WireBinary: &s.wireTx[0],
-		WireGob:    &s.wireTx[1],
-	} {
-		a := agg
-		s.reg.CounterFunc("xbroker_wire_tx_bytes_total",
-			"Bytes written to peers, by wire codec (handshakes excluded).",
-			func() float64 { return float64(a.bytes.Load()) }, "codec", codec)
-		s.reg.CounterFunc("xbroker_wire_tx_frames_total",
-			"Message frames written to peers, by wire codec.",
-			func() float64 { return float64(a.frames.Load()) }, "codec", codec)
-		s.reg.CounterFunc("xbroker_wire_tx_batches_total",
-			"Vectored flushes toward peers, by wire codec; frames/batches is the mean batch size.",
-			func() float64 { return float64(a.batches.Load()) }, "codec", codec)
-	}
+	// The constant codec label outlives the second codec because
+	// cmd/xload/layers.go selects these series by it.
+	a := &s.wireTx
+	s.reg.CounterFunc("xbroker_wire_tx_bytes_total",
+		"Bytes written to peers (preambles excluded).",
+		func() float64 { return float64(a.bytes.Load()) }, "codec", WireBinary)
+	s.reg.CounterFunc("xbroker_wire_tx_frames_total",
+		"Message frames written to peers.",
+		func() float64 { return float64(a.frames.Load()) }, "codec", WireBinary)
+	s.reg.CounterFunc("xbroker_wire_tx_batches_total",
+		"Vectored flushes toward peers; frames/batches is the mean batch size.",
+		func() float64 { return float64(a.batches.Load()) }, "codec", WireBinary)
 }

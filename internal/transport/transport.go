@@ -1,10 +1,10 @@
 // Package transport deploys brokers over real TCP connections — the mode the
-// paper ran on its cluster and on PlanetLab. Each connection begins with a
-// gob-encoded hello frame identifying the peer and offering a wire codec;
-// after the handshake both sides stream messages in the negotiated codec —
-// the binary varint format of package wirefmt by default (with per-link
-// symbol dictionaries and batched vectored writes), or gob for rollout and
-// ablation (Options.Wire / -wire=gob).
+// paper ran on its cluster and on PlanetLab. Every connection speaks the
+// binary codec of package wirefmt: the dialler opens with a preamble naming
+// itself, then both sides stream varint frames with per-link symbol
+// dictionaries and batched vectored writes. The wirefmt decoder is the only
+// place inbound frames are validated; a frame it rejects costs the
+// connection and is counted in HealthStats.BadFrames.
 //
 // The discrete-event simulator (package sim) is the tool for controlled
 // experiments; this package is the deployable counterpart with identical
@@ -23,7 +23,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -38,22 +37,13 @@ import (
 	"repro/internal/broker"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/wirefmt"
 )
 
-// wireAgg accumulates one codec's transmit totals across every connection
-// that spoke it (connections come and go; these never reset).
+// wireAgg accumulates transmit totals across every connection (connections
+// come and go; these never reset).
 type wireAgg struct {
 	bytes, frames, batches atomic.Int64
-}
-
-// hello is the first frame on every connection, always gob-encoded (the
-// pre-negotiation codec both ends share). Wire carries the dialler's offered
-// codec; a non-empty offer obliges the acceptor to reply with its own hello
-// naming the codec chosen for BOTH directions. An empty Wire is the legacy
-// handshake: no reply, gob framing.
-type hello struct {
-	ID   string
-	Wire string
 }
 
 // sendQueueDepth bounds each peer's outbound queue. A full queue blocks the
@@ -63,7 +53,7 @@ const sendQueueDepth = 256
 
 // queuedMsg is one outbound message with its enqueue stamp (zero when flush
 // timing is off or the frame is not a publication), so the writer goroutine
-// can observe the flush stage: send-queue wait plus gob encode.
+// can observe the flush stage: send-queue wait plus encode and write.
 type queuedMsg struct {
 	m   *broker.Message
 	enq time.Time
@@ -89,30 +79,37 @@ type batchConfig struct {
 // syscall cost vanishes; an idle link flushes every message immediately, so
 // batching adds no latency unless a linger interval explicitly asks for it.
 type peerConn struct {
-	conn  net.Conn
-	fw    frameWriter
+	conn net.Conn
+	// enc is owned by the writer goroutine. It writes the net.Conn
+	// directly: a wrapper would hide it and downgrade net.Buffers to one
+	// syscall per segment, which is the cost batching exists to avoid.
+	enc   *wirefmt.Encoder
 	queue chan queuedMsg
 	flush *metrics.Histogram // flush-stage histogram; nil disables timing
 	batch batchConfig
-	agg   *wireAgg      // server-wide per-codec tx aggregates; nil in tests
+	agg   *wireAgg      // server-wide tx aggregates
 	stop  chan struct{} // signalled by shutdown
 	done  chan struct{} // closed when the writer exits
 	once  sync.Once
 
+	// txBytes counts bytes flushed since attach (preamble excluded);
 	// batchCounts is a log2 histogram of frames-per-flush (bucket i covers
 	// (2^(i-1), 2^i]); batches is its total. Read by LinkStatus.
+	txBytes     atomic.Int64
 	batchCounts [9]atomic.Int64
 	batches     atomic.Int64
 }
 
-func newPeerConn(conn net.Conn, fw frameWriter, flush *metrics.Histogram, batch batchConfig, agg *wireAgg) *peerConn {
+// newPeerConn starts the writer goroutine of a connection whose preamble,
+// if this side dialled, enc has already written.
+func (s *Server) newPeerConn(conn net.Conn, enc *wirefmt.Encoder) *peerConn {
 	p := &peerConn{
 		conn:  conn,
-		fw:    fw,
+		enc:   enc,
 		queue: make(chan queuedMsg, sendQueueDepth),
-		flush: flush,
-		batch: batch,
-		agg:   agg,
+		flush: s.stageFlush,
+		batch: s.batchCfg,
+		agg:   &s.wireTx,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -125,7 +122,6 @@ func (p *peerConn) runWriter() {
 	defer close(p.done)
 	enqs := make([]time.Time, 0, 16)
 	var timer *time.Timer
-	var lastBytes int64
 	for {
 		var qm queuedMsg
 		select {
@@ -134,7 +130,7 @@ func (p *peerConn) runWriter() {
 		case qm = <-p.queue:
 		}
 		enqs = enqs[:0]
-		if err := p.fw.Queue(qm.m); err != nil {
+		if err := p.enc.Queue(qm.m); err != nil {
 			p.conn.Close() // unblocks the connection's read loop
 			return
 		}
@@ -152,7 +148,7 @@ func (p *peerConn) runWriter() {
 			timerC = timer.C
 		}
 	fill:
-		for frames < p.batch.maxFrames && p.fw.Pending() < p.batch.maxBytes {
+		for frames < p.batch.maxFrames && p.enc.Pending() < p.batch.maxBytes {
 			if timerC == nil {
 				select {
 				case <-p.stop:
@@ -171,7 +167,7 @@ func (p *peerConn) runWriter() {
 					break fill
 				}
 			}
-			if err := p.fw.Queue(qm.m); err != nil {
+			if err := p.enc.Queue(qm.m); err != nil {
 				p.conn.Close()
 				return
 			}
@@ -183,18 +179,16 @@ func (p *peerConn) runWriter() {
 		if timerC != nil && !timer.Stop() {
 			<-timer.C
 		}
-		if err := p.fw.Flush(); err != nil {
+		n, err := p.enc.Flush()
+		if err != nil {
 			p.conn.Close()
 			return
 		}
 		p.recordBatch(frames)
-		if p.agg != nil {
-			b := p.fw.TxBytes()
-			p.agg.bytes.Add(b - lastBytes)
-			lastBytes = b
-			p.agg.frames.Add(int64(frames))
-			p.agg.batches.Add(1)
-		}
+		p.txBytes.Add(n)
+		p.agg.bytes.Add(n)
+		p.agg.frames.Add(int64(frames))
+		p.agg.batches.Add(1)
 		if p.flush != nil && len(enqs) > 0 {
 			now := time.Now()
 			for _, e := range enqs {
@@ -301,22 +295,14 @@ type Server struct {
 	stageDecode, stageFlush *metrics.Histogram
 
 	// batchCfg is the resolved send-batching policy, shared by every
-	// peerConn writer; wireTx aggregates transmit totals per codec
-	// (index 0 binary, 1 gob) for the xbroker_wire_* metrics.
+	// peerConn writer; wireTx aggregates transmit totals for the
+	// xbroker_wire_* metrics.
 	batchCfg batchConfig
-	wireTx   [2]wireAgg
+	wireTx   wireAgg
 
 	closed  chan struct{}
 	closeMu sync.Once
 	wg      sync.WaitGroup
-}
-
-// wireAggFor returns the server-wide transmit aggregate for a codec.
-func (s *Server) wireAggFor(codec string) *wireAgg {
-	if codec == WireBinary {
-		return &s.wireTx[0]
-	}
-	return &s.wireTx[1]
 }
 
 // NewServer creates a broker server. neighbors maps neighbouring broker IDs
@@ -332,8 +318,12 @@ func NewServerWorkers(cfg broker.Config, neighbors map[string]string, workers in
 	return NewServerOptions(cfg, neighbors, Options{Workers: workers})
 }
 
-// NewServerOptions is NewServer with explicit self-healing options.
+// NewServerOptions is NewServer with explicit self-healing options. It
+// panics on an Options.Wire other than "" or WireBinary.
 func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Options) *Server {
+	if opts.Wire != "" && opts.Wire != WireBinary {
+		panic(fmt.Sprintf("transport: unknown wire codec %q (only %q remains)", opts.Wire, WireBinary))
+	}
 	opts = opts.withDefaults()
 	workers := opts.Workers
 	if workers <= 0 {
@@ -492,65 +482,55 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn handles one inbound connection: the peer identifies itself with
-// a hello frame, a codec is negotiated (see hello), and frames stream in it.
-// Neighbour connections attach to the neighbour's link (with a control-state
-// resync); client connections go straight to the peers map.
+// serveConn handles one inbound connection: the peer names itself in the
+// preamble, and frames follow; nothing is sent back until the broker has
+// something to say. Neighbour connections attach to the neighbour's link
+// (with a control-state resync); client connections go straight to the
+// peers map.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	cr := newConnReader(conn, s.timedReads())
-	hdec := gob.NewDecoder(cr.br)
-	var h hello
-	if err := hdec.Decode(&h); err != nil {
+	dec, tr := s.newDecoder(conn)
+	id, err := dec.Hello()
+	if err != nil {
+		s.countBadFrame(err)
 		return
 	}
-	codec := chooseWire(h.Wire, s.opts.Wire)
-	cw := &countWriter{w: conn}
-	henc := gob.NewEncoder(cw)
-	if h.Wire != "" {
-		// The reply is written synchronously, before the peerConn writer
-		// exists, so it is guaranteed first on the wire from this side.
-		if err := henc.Encode(hello{ID: s.cfg.ID, Wire: codec}); err != nil {
-			return
-		}
-	}
-	id := h.ID
-	pc := s.newPeerConn(conn, codec, henc, cw)
-	fr := cr.reader(codec, hdec)
+	pc := s.newPeerConn(conn, wirefmt.NewEncoder(conn, wirefmt.DefaultLimits))
 	if l := s.linkFor(id); l != nil {
 		l.attach(pc)
 		l.resyncAfterAttach()
-		s.readLoop(fr, cr.tr, id, l)
+		s.readLoop(dec, tr, id, l)
 		l.connLost(pc)
 		return
 	}
 	s.addPeer(id, pc)
 	defer s.dropPeer(id, pc)
 	s.b.AddClient(id)
-	s.readLoop(fr, cr.tr, id, nil)
+	s.readLoop(dec, tr, id, nil)
 }
 
-// timedReads reports whether connections should be wrapped for decode-stage
-// timing (a metrics registry or a flight recorder is attached);
-// uninstrumented servers read exactly as before.
-func (s *Server) timedReads() bool {
-	return s.stageDecode != nil || s.cfg.SlowLog != nil
-}
-
-// newPeerConn builds the connection's send side: the negotiated codec's
-// frameWriter behind the batching writer goroutine.
-func (s *Server) newPeerConn(conn net.Conn, codec string, henc *gob.Encoder, cw *countWriter) *peerConn {
-	var fw frameWriter
-	if codec == WireBinary {
-		// The binary encoder writes the connection directly: a wrapper would
-		// hide the net.Conn and downgrade net.Buffers to one syscall per
-		// segment, which is the cost batching exists to avoid.
-		fw = newBinWriter(conn)
-	} else {
-		fw = newGobWriter(henc, cw)
+// newDecoder builds a connection's frame decoder. When decode-stage timing
+// is on (a metrics registry or a flight recorder is attached) it reads
+// through a timedReader, which it also returns; otherwise tr is nil.
+func (s *Server) newDecoder(conn net.Conn) (dec *wirefmt.Decoder, tr *timedReader) {
+	if s.stageDecode == nil && s.cfg.SlowLog == nil {
+		return wirefmt.NewDecoder(conn, wirefmt.DefaultLimits), nil
 	}
-	return newPeerConn(conn, fw, s.stageFlush, s.batchCfg, s.wireAggFor(codec))
+	tr = &timedReader{conn: conn}
+	return wirefmt.NewDecoder(tr, wirefmt.DefaultLimits), tr
+}
+
+// countBadFrame counts a decode error in BadFrames unless it only says the
+// connection ended: a protocol violation (bad preamble, hostile varint,
+// unknown dictionary id, out-of-bound value) is a bad frame; a peer merely
+// hanging up is not.
+func (s *Server) countBadFrame(err error) {
+	var ne net.Error
+	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
+		!errors.Is(err, net.ErrClosed) && !errors.As(err, &ne) {
+		s.stats.badFrames.Add(1)
+	}
 }
 
 // timedReader wraps a connection so the read loop can time the decode stage
@@ -614,9 +594,10 @@ func (s *Server) addPeer(id string, pc *peerConn) {
 // publications (concurrent by design — see DESIGN.md "Concurrency model").
 //
 // Heartbeat frames refresh the link's liveness clock and stop here — they
-// never reach the broker. A frame that decodes into something the broker
-// chokes on must cost this connection, not the process, hence the recover.
-func (s *Server) readLoop(fr frameReader, tr *timedReader, id string, l *link) {
+// never reach the broker. Every frame has passed the decoder's wire bounds;
+// one that still makes the broker choke must cost this connection, not the
+// process, hence the recover.
+func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *link) {
 	defer func() { recover() }()
 	for {
 		var m broker.Message
@@ -624,15 +605,8 @@ func (s *Server) readLoop(fr frameReader, tr *timedReader, id string, l *link) {
 		if tr != nil {
 			decodeStart = time.Now()
 		}
-		if err := fr.Decode(&m); err != nil {
-			// A protocol violation (hostile varint, unknown dictionary id,
-			// corrupt gob stream) is a bad frame; the connection merely
-			// dropping is not.
-			var ne net.Error
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
-				!errors.Is(err, net.ErrClosed) && !errors.As(err, &ne) {
-				s.stats.badFrames.Add(1)
-			}
+		if err := dec.Decode(&m); err != nil {
+			s.countBadFrame(err)
 			return
 		}
 		var arrived time.Time
@@ -643,13 +617,6 @@ func (s *Server) readLoop(fr frameReader, tr *timedReader, id string, l *link) {
 		}
 		if l != nil {
 			l.lastRecv.Store(time.Now().UnixNano())
-		}
-		if err := checkWire(&m); err != nil {
-			// A frame outside the wire bounds costs its connection: the
-			// sender is broken or hostile either way, and nothing it sent
-			// can be trusted past this point.
-			s.stats.badFrames.Add(1)
-			return
 		}
 		if m.Type == broker.MsgHeartbeat {
 			continue
@@ -740,51 +707,23 @@ func (s *Server) dialNeighbor(l *link) error {
 	if s.opts.ConnWrap != nil {
 		conn = s.opts.ConnWrap(conn)
 	}
-	cr := newConnReader(conn, s.timedReads())
-	cw := &countWriter{w: conn}
-	henc := gob.NewEncoder(cw)
-	offer := ""
-	if s.opts.Wire == WireBinary {
-		offer = WireBinary
-	}
-	if err := henc.Encode(hello{ID: s.cfg.ID, Wire: offer}); err != nil {
+	// The preamble is written before the peerConn writer exists, so it is
+	// first on the wire.
+	enc := wirefmt.NewEncoder(conn, wirefmt.DefaultLimits)
+	if err := enc.Hello(s.cfg.ID); err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: hello to %s: %w", l.id, err)
 	}
-	hdec := gob.NewDecoder(cr.br)
-	codec := WireGob
-	if offer != "" {
-		// An offer obliges a codec-aware acceptor to reply before anything
-		// else. A peer that stays silent past the deadline predates the
-		// negotiation (legacy peers never reply), so the dialer falls back
-		// to gob — the codec every version speaks — and lets the heartbeat
-		// machinery judge the connection from there. Any other failure is a
-		// real protocol error and costs the dial attempt.
-		conn.SetReadDeadline(time.Now().Add(s.opts.DialTimeout))
-		var reply hello
-		if err := hdec.Decode(&reply); err != nil {
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				conn.Close()
-				return fmt.Errorf("transport: hello reply from %s: %w", l.id, err)
-			}
-		} else if reply.Wire != WireBinary && reply.Wire != WireGob {
-			conn.Close()
-			return fmt.Errorf("transport: %s negotiated unknown codec %q", l.id, reply.Wire)
-		} else {
-			codec = reply.Wire
-		}
-		conn.SetReadDeadline(time.Time{})
-	}
-	pc := s.newPeerConn(conn, codec, henc, cw)
+	pc := s.newPeerConn(conn, enc)
 	l.attach(pc)
 	l.resyncAfterAttach()
 	// The dialled neighbour speaks back on the same connection.
+	dec, tr := s.newDecoder(conn)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer conn.Close()
-		s.readLoop(cr.reader(codec, hdec), cr.tr, l.id, l)
+		s.readLoop(dec, tr, l.id, l)
 		l.connLost(pc)
 	}()
 	return nil
@@ -804,10 +743,6 @@ type ClientOptions struct {
 	// DialBudget caps consecutive failed redials per outage; once spent
 	// the client gives up and closes Deliveries. 0 means unlimited.
 	DialBudget int
-	// Wire selects the codec the client offers: WireBinary (the default)
-	// or WireGob. The broker may still negotiate a binary offer down to
-	// gob; WireGob skips the offer entirely (legacy handshake).
-	Wire string
 	// Durable names a durable subscription on the edge broker. When set,
 	// subscriptions sent through this client register under that name:
 	// matched publications are sequenced and logged broker-side, and on
@@ -832,9 +767,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 2 * time.Second
 	}
-	if o.Wire == "" {
-		o.Wire = WireBinary
-	}
 	return o
 }
 
@@ -847,7 +779,7 @@ type Client struct {
 
 	mu   sync.Mutex
 	conn net.Conn
-	fw   frameWriter
+	enc  *wirefmt.Encoder
 	// record holds the client's live control state (subscriptions and
 	// advertisements, withdrawals removed) — what a reconnect replays so
 	// the restarted or recovered edge broker serves the client again.
@@ -875,7 +807,7 @@ func Dial(addr, id string) (*Client, error) {
 // DialOptions is Dial with explicit reconnect options.
 func DialOptions(addr, id string, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
-	conn, fw, fr, err := clientHandshake(addr, id, opts)
+	conn, enc, dec, err := clientHandshake(addr, id)
 	if err != nil {
 		return nil, err
 	}
@@ -884,74 +816,34 @@ func DialOptions(addr, id string, opts ClientOptions) (*Client, error) {
 		addr:       addr,
 		opts:       opts,
 		conn:       conn,
-		fw:         fw,
+		enc:        enc,
 		Deliveries: make(chan *broker.Message, 1024),
 		closed:     make(chan struct{}),
 	}
-	go c.readLoop(conn, fr)
+	go c.readLoop(conn, dec)
 	return c, nil
 }
 
-// clientHandshake dials the edge broker and negotiates the wire codec,
-// returning the connection with its frame writer and reader.
-func clientHandshake(addr, id string, opts ClientOptions) (net.Conn, frameWriter, frameReader, error) {
+// clientHandshake dials the edge broker and writes the preamble, returning
+// the connection with its frame encoder and decoder.
+func clientHandshake(addr, id string) (net.Conn, *wirefmt.Encoder, *wirefmt.Decoder, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("transport: client dial %s: %w", addr, err)
 	}
-	cr := newConnReader(conn, false)
-	cw := &countWriter{w: conn}
-	henc := gob.NewEncoder(cw)
-	offer := ""
-	if opts.Wire == WireBinary {
-		offer = WireBinary
-	}
-	if err := henc.Encode(hello{ID: id, Wire: offer}); err != nil {
+	enc := wirefmt.NewEncoder(conn, wirefmt.DefaultLimits)
+	if err := enc.Hello(id); err != nil {
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("transport: client hello: %w", err)
 	}
-	hdec := gob.NewDecoder(cr.br)
-	codec := WireGob
-	if offer != "" {
-		// Same legacy fallback as dialNeighbor: a broker silent past the
-		// deadline predates negotiation, so continue in gob.
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var reply hello
-		if err := hdec.Decode(&reply); err != nil {
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				conn.Close()
-				return nil, nil, nil, fmt.Errorf("transport: client hello reply: %w", err)
-			}
-		} else if reply.Wire != WireBinary && reply.Wire != WireGob {
-			conn.Close()
-			return nil, nil, nil, fmt.Errorf("transport: broker negotiated unknown codec %q", reply.Wire)
-		} else {
-			codec = reply.Wire
-		}
-		conn.SetReadDeadline(time.Time{})
-	}
-	var fw frameWriter
-	if codec == WireBinary {
-		fw = newBinWriter(conn)
-	} else {
-		fw = newGobWriter(henc, cw)
-	}
-	return conn, fw, cr.reader(codec, hdec), nil
+	return conn, enc, wirefmt.NewDecoder(conn, wirefmt.DefaultLimits), nil
 }
 
-// Codec reports the wire codec the current connection negotiated.
-func (c *Client) Codec() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fw.Codec()
-}
-
-func (c *Client) readLoop(conn net.Conn, fr frameReader) {
+func (c *Client) readLoop(conn net.Conn, dec *wirefmt.Decoder) {
 	for {
 		for {
 			var m broker.Message
-			if err := fr.Decode(&m); err != nil {
+			if err := dec.Decode(&m); err != nil {
 				goto redial
 			}
 			c.Deliveries <- &m
@@ -961,21 +853,20 @@ func (c *Client) readLoop(conn net.Conn, fr frameReader) {
 		}
 	redial:
 		conn.Close()
-		next, nfr := c.redial()
+		next, ndec := c.redial()
 		if next == nil {
 			close(c.Deliveries)
 			return
 		}
-		conn, fr = next, nfr
+		conn, dec = next, ndec
 	}
 }
 
-// redial re-establishes the connection with exponential backoff — codec
-// negotiation included, so a broker restarted in a different wire mode is
-// still rejoined — replaying the recorded control state once connected. It
-// returns nils when reconnection is disabled, the client was closed, or the
-// dial budget ran out.
-func (c *Client) redial() (net.Conn, frameReader) {
+// redial re-establishes the connection with exponential backoff, replaying
+// the recorded control state once connected. It returns nils when
+// reconnection is disabled, the client was closed, or the dial budget ran
+// out.
+func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 	if !c.opts.Reconnect {
 		return nil, nil
 	}
@@ -987,15 +878,15 @@ func (c *Client) redial() (net.Conn, frameReader) {
 			return nil, nil
 		default:
 		}
-		conn, fw, fr, err := clientHandshake(c.addr, c.ID, c.opts)
+		conn, enc, dec, err := clientHandshake(c.addr, c.ID)
 		if err == nil {
 			// Swap and replay under the send lock so no Send interleaves
 			// with the replayed record on the fresh stream.
 			c.mu.Lock()
-			c.conn, c.fw = conn, fw
+			c.conn, c.enc = conn, enc
 			replayed := true
 			for _, m := range c.record {
-				if writeFrame(fw, m) != nil {
+				if enc.Encode(m) != nil {
 					replayed = false
 					break
 				}
@@ -1003,7 +894,7 @@ func (c *Client) redial() (net.Conn, frameReader) {
 			c.mu.Unlock()
 			if replayed {
 				c.Reconnects.Add(1)
-				return conn, fr
+				return conn, dec
 			}
 			conn.Close()
 		}
@@ -1068,7 +959,7 @@ func (c *Client) Send(m *broker.Message) error {
 	if c.opts.Reconnect {
 		c.recordControl(m)
 	}
-	if err := writeFrame(c.fw, m); err != nil {
+	if err := c.enc.Encode(m); err != nil {
 		if c.opts.Reconnect && m.Type != broker.MsgPublish {
 			return nil
 		}

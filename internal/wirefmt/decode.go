@@ -61,6 +61,34 @@ func (d *Decoder) Reset(r io.Reader) {
 	d.r.Reset(r)
 }
 
+// Hello reads the connection preamble and returns the dialler's id. Any
+// byte that does not fit the preamble is an error; a stream that ends early
+// reports io.EOF or io.ErrUnexpectedEOF.
+func (d *Decoder) Hello() (string, error) {
+	var head [len(helloMagic) + 1]byte
+	if _, err := io.ReadFull(d.r, head[:]); err != nil {
+		return "", err
+	}
+	if string(head[:len(helloMagic)]) != helloMagic {
+		return "", fmt.Errorf("wirefmt: bad preamble magic %q", head[:len(helloMagic)])
+	}
+	if v := head[len(helloMagic)]; v != helloVersion {
+		return "", fmt.Errorf("wirefmt: preamble version %d, want %d", v, helloVersion)
+	}
+	n, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return "", err
+	}
+	if n > uint64(d.lim.MaxName) {
+		return "", fmt.Errorf("wirefmt: hello id of %d bytes exceeds %d", n, d.lim.MaxName)
+	}
+	id := make([]byte, n)
+	if _, err := io.ReadFull(d.r, id); err != nil {
+		return "", err
+	}
+	return string(id), nil
+}
+
 // DictLen returns the number of symbols received so far (observability).
 func (d *Decoder) DictLen() int { return len(d.dict) }
 
@@ -312,7 +340,8 @@ func (d *Decoder) message(m *broker.Message) error {
 	}
 }
 
-// advID is a dictionary symbol with the gob path's non-empty invariant.
+// advID is a dictionary symbol naming an advertisement; it may never be
+// empty.
 func (d *Decoder) advID() (string, error) {
 	id, err := d.sym()
 	if err != nil {
@@ -367,6 +396,11 @@ func (d *Decoder) xpe() (*xpath.XPE, error) {
 			return nil, err
 		}
 		x.Steps[i] = xpath.Step{Axis: xpath.Axis(a), Name: name, Preds: preds}
+	}
+	// The matchers assume the parser's invariants; a decoded step list never
+	// saw the parser.
+	if err := x.Validate(); err != nil {
+		return nil, fmt.Errorf("wirefmt: %w", err)
 	}
 	return x, nil
 }

@@ -65,6 +65,19 @@ func NewEncoder(w io.Writer, lim Limits) *Encoder {
 	return &Encoder{w: w, lim: lim, ids: make(map[string]uint32)}
 }
 
+// Hello writes the connection preamble announcing the dialler's id. It must
+// precede every frame, and it writes straight through, so its bytes are not
+// counted in any Flush total.
+func (e *Encoder) Hello(id string) error {
+	if len(id) > e.lim.MaxName {
+		return fmt.Errorf("wirefmt: hello id of %d bytes exceeds %d", len(id), e.lim.MaxName)
+	}
+	b := append([]byte(helloMagic), helloVersion)
+	b = appendUvarint(b, uint64(len(id)))
+	_, err := e.w.Write(append(b, id...))
+	return err
+}
+
 // Queue encodes one message into the current batch. On error the batch is
 // left as it was before the call; the error means the message violates a
 // wire bound and the link should be torn down (legitimate traffic never

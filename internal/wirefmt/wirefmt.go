@@ -1,13 +1,16 @@
-// Package wirefmt is the hand-rolled binary wire codec of the data plane:
-// varint-framed records over per-link interned symbol ids, replacing gob on
-// broker and client links (DESIGN.md §5h). gob pays reflection on both ends
-// of every frame and re-transmits type structure per stream; this codec
-// writes each frame with append-only varint arithmetic into a reused batch
-// buffer and reads it back with bounds-validated slicing, so steady-state
+// Package wirefmt is the binary wire codec of every broker and client link
+// (DESIGN.md §5h): varint-framed records over per-link interned symbol ids.
+// Each frame is written with append-only varint arithmetic into a reused
+// batch buffer and read back with bounds-validated slicing, so steady-state
 // publish encode and decode allocate nothing.
 //
-// Framing. The byte stream after the (gob) attach handshake is a sequence of
-// frames, each a uvarint byte length followed by that many payload bytes.
+// Preamble. A connection opens with one preamble from the dialler — the
+// magic "XRW", a version byte, and the dialler's id as a uvarint-length-
+// prefixed string (at most MaxName bytes) — and the acceptor sends nothing
+// back (Encoder.Hello, Decoder.Hello).
+//
+// Framing. The byte stream after the preamble is a sequence of frames, each
+// a uvarint byte length followed by that many payload bytes.
 // The first payload byte is the frame kind: dictionary extension or message.
 // A batch is simply several frames written in one vectored write
 // (net.Buffers); the decoder never needs to know where batches began.
@@ -17,22 +20,24 @@
 // link: the encoder assigns the next sequential id on first use and
 // declares it in a dictionary-extension frame that precedes (in the same
 // batch) the first message frame referencing it. The dictionary starts
-// empty at attach (both sides agree on that by the handshake) and only ever
-// grows, so ids are stable for the life of the connection. High-cardinality
+// empty on both sides of a new connection and only ever grows, so ids are stable for the life of the connection. High-cardinality
 // values — attribute values, character data, trace ids, predicate strings,
 // raw document bytes — travel inline as length-prefixed bytes.
 //
-// Hostile input. The decoder validates every declared length against both
-// the configured Limits and the bytes actually remaining in the frame
-// before allocating, so a hostile peer cannot make the receiver allocate
-// more than it sends (the gob weakness that wire.go's post-decode checks
-// existed to contain). A frame that violates any bound is an error; the
+// Hostile input. The decoder is the transport's only validation surface. It
+// checks every declared length against both the configured Limits and the
+// bytes actually remaining in the frame before allocating, so a hostile
+// peer cannot make the receiver allocate more than it sends, and it checks
+// every decoded subscription against the parser's invariants
+// (xpath.XPE.Validate). A frame that violates any bound is an error; the
 // transport closes the connection.
 package wirefmt
 
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/stream"
 )
 
 // Frame kinds (first payload byte of every frame).
@@ -41,10 +46,17 @@ const (
 	frameMsg  byte = 0x02 // one broker message
 )
 
-// Wire bounds shared with the gob path's post-decode validation
-// (transport/wire.go aliases these, so the two codecs can never drift). The
-// bounds are far above anything the system generates — they exist to cap
-// hostile input, not to constrain use.
+// Preamble constants: the magic that opens every connection and the
+// protocol version that follows it.
+const (
+	helloMagic   = "XRW"
+	helloVersion = 1
+)
+
+// Wire bounds. They are far above anything the system generates — they
+// exist to cap hostile input, not to constrain use. The document bounds are
+// the streaming scanner's, so a document is accepted alike as a raw body, a
+// parsed tree, and (MaxDocDepth = MaxPath) its deepest path publication.
 const (
 	MaxSteps     = 64      // location steps per subscription
 	MaxName      = 256     // bytes per element name, attribute, or ID
@@ -52,12 +64,15 @@ const (
 	MaxAdvItems  = 256     // advertisement items, groups included
 	MaxAdvDepth  = 8       // advertisement group nesting
 	MaxResync    = 1 << 16 // entries per resync list
-	MaxDocElems  = 1 << 16 // elements per whole-document publication
-	MaxDocDepth  = MaxPath
 	MaxHops      = 1024    // carried trace hops
 	MaxRawDoc    = 1 << 20 // bytes per raw-XML publication body
 	MaxHopStages = 16      // per-stage durations per carried hop
 	MaxStageName = 32      // bytes per stage name
+
+	// Whole-document publications: elements, and nesting levels with the
+	// root included.
+	MaxDocElems = stream.MaxDocElems
+	MaxDocDepth = stream.MaxDocDepth
 
 	// MaxStageNanos caps a carried stage duration at one hour: durations
 	// are measured monotonic timings, so a larger (or negative) value can

@@ -28,7 +28,8 @@ func mustXPE(t testing.TB, s string) *xpath.XPE {
 
 // sampleMessages is one message per frame type, exercising every optional
 // field: trace hops with stage timings, attribute maps with nil holes,
-// whole documents, raw bodies, and resync payloads.
+// whole documents, raw bodies, resync payloads, and durable names and
+// sequence numbers.
 func sampleMessages(t testing.TB) []*broker.Message {
 	t.Helper()
 	doc, err := xmldoc.Parse([]byte(`<inventory count="3"><book lang="en"><title>Dissemination</title></book><cd/></inventory>`))
@@ -96,6 +97,16 @@ func sampleMessages(t testing.TB) []*broker.Message {
 			},
 		},
 		{Type: broker.MsgHeartbeat},
+		{Type: broker.MsgSubscribeDurable, Durable: "d1", XPE: mustXPE(t, "/inventory/book")},
+		{
+			Type:    broker.MsgPublish,
+			Pub:     xmldoc.Publication{DocID: 46, Path: []string{"inventory", "book"}},
+			Durable: "d1",
+			Seq:     5,
+		},
+		{Type: broker.MsgReplayBegin, Durable: "d1", Seq: 3},
+		{Type: broker.MsgReplayEnd, Durable: "d1", Seq: 9},
+		{Type: broker.MsgAck, Durable: "d1", Seq: 7},
 	}
 }
 
@@ -104,7 +115,8 @@ func sampleMessages(t testing.TB) []*broker.Message {
 // caches (xpath syms, advert NFAs, broker arrival stamps).
 func fingerprint(m *broker.Message) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "type=%d advID=%q stamp=%d traceID=%q\n", m.Type, m.AdvID, m.Stamp, m.TraceID)
+	fmt.Fprintf(&b, "type=%d advID=%q stamp=%d traceID=%q durable=%q seq=%d\n",
+		m.Type, m.AdvID, m.Stamp, m.TraceID, m.Durable, m.Seq)
 	if m.XPE != nil {
 		fmt.Fprintf(&b, "xpe=%s relative=%v\n", m.XPE.String(), m.XPE.Relative)
 		for _, s := range m.XPE.Steps {

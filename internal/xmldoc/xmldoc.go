@@ -96,7 +96,7 @@ func Parse(data []byte) (*Document, error) {
 
 // WriteTo serialises the document as XML.
 func (d *Document) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
+	cw := &byteCounter{w: w}
 	err := writeElem(cw, d.Root)
 	return cw.n, err
 }
@@ -113,19 +113,19 @@ func (d *Document) Marshal() []byte {
 
 // Size returns the serialised size in bytes.
 func (d *Document) Size() int {
-	cw := &countWriter{w: io.Discard}
+	cw := &byteCounter{w: io.Discard}
 	if err := writeElem(cw, d.Root); err != nil {
 		panic(err)
 	}
 	return int(cw.n)
 }
 
-type countWriter struct {
+type byteCounter struct {
 	w io.Writer
 	n int64
 }
 
-func (c *countWriter) Write(p []byte) (int, error) {
+func (c *byteCounter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err

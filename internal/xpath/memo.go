@@ -5,9 +5,9 @@ package xpath
 // step: the step may bind at any remaining path position, and on a
 // non-matching path the recursion explores the full choice tree — with d
 // descendant steps that is O(path^d). Parsed expressions are rarely deep
-// enough to matter, but XPEs also arrive gob-decoded off the wire, where
-// nothing limits the step list, and a crafted "//*//*//*..." expression
-// wedges a broker's matching workers at full CPU.
+// enough to matter, but XPEs also arrive decoded off the wire with up to 64
+// steps, and a crafted "//*//*//*..." expression would wedge a broker's
+// matching workers at full CPU.
 //
 // Expressions with at most one descendant step cannot blow up (the choice
 // tree is linear), so the common case keeps the allocation-free recursion;

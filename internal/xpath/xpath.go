@@ -268,7 +268,7 @@ func MustParse(input string) *XPE {
 }
 
 // Validate re-checks the structural invariants Parse guarantees, for
-// expressions that arrived by other means: gob decoding hands the routing
+// expressions that arrived by other means: wire decoding hands the routing
 // layer arbitrary Steps that never went through the parser. It rejects
 // empty expressions, unknown axes, invalid name tests, malformed predicate
 // encodings, and a relative expression whose first step is not a Child step
