@@ -74,13 +74,13 @@ func (s *pubSink) sorted() []string {
 	return out
 }
 
-// takeDests returns the destinations recorded since the last call, sorted.
+// takeDests returns the destinations recorded since the last call, in
+// emission order.
 func (s *pubSink) takeDests() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := s.dests
 	s.dests = nil
-	sort.Strings(out)
 	return out
 }
 
@@ -126,6 +126,11 @@ type routingScenario struct {
 	cfg     Config
 	durable bool // a durable subscriber registers expressions
 	resync  bool // neighbour n1 resyncs random claims; ResyncFor runs
+	// clients registers this many more clients, each with a broad and a
+	// random subscription, so publications reach more than 64
+	// destinations; between publications one client withdraws all its
+	// subscriptions or a new one joins, moving every later name's rank.
+	clients int
 }
 
 func routingScenarios(t *testing.T) []routingScenario {
@@ -148,6 +153,7 @@ func routingScenarios(t *testing.T) []routingScenario {
 		{name: "merge-imperfect/", cfg: Config{Merging: MergeImperfect, ImperfectDegree: 0.5, Estimator: est, MergeEvery: 3}},
 		{name: "durable/", cfg: Config{Durable: memStore{}}, durable: true},
 		{name: "resync/", resync: true},
+		{name: "many-clients/", clients: 70},
 	}
 }
 
@@ -155,15 +161,16 @@ func routingScenarios(t *testing.T) []routingScenario {
 // through identical random control sequences under every routing scenario
 // and checks each publication as it is routed: its destinations and its
 // delivery and false-positive counts must be exactly what treeWalkRoute
-// computes over the master tables at that moment. The two brokers must
-// also emit byte-identical publication streams, and after each run the
-// live table must have the Stats of a fresh build over the master tables.
-// publish builds the messages of one publish step from r. The scenarios
-// cover every path that edits the matching table: plain
-// subscribe/unsubscribe, merge passes (which re-seed it), a durable
-// subscriber (a virtual client), and resync claims (which subscribe and
-// withdraw in bulk). It returns each scenario's counters summed over the
-// seeds, for the callers' vacuity guards.
+// computes over the master tables at that moment, and it must reach them in
+// name order. The two brokers must also emit byte-identical publication
+// streams, and after each run the live table must have the Stats of a fresh
+// build over the master tables. publish builds the messages of one publish
+// step from r. The scenarios cover every path that edits the matching table
+// or the destination ids: plain subscribe/unsubscribe, merge passes (which
+// re-seed it), a durable subscriber (a virtual client), resync claims (which
+// subscribe and withdraw in bulk), and clients leaving and joining past 64
+// destinations. It returns each scenario's counters summed over the seeds,
+// for the callers' vacuity guards.
 func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message) map[string]Stats {
 	totals := map[string]Stats{}
 	for _, sc := range routingScenarios(t) {
@@ -184,6 +191,22 @@ func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message
 					b.AddClient("c2")
 					peers := []string{"n1", "n2", "c1", "c2"}
 					var subs []*xpath.XPE
+					// Extra clients and their subscriptions (many-clients).
+					broad := []string{"/a", "/*", "//b", "//c", "/a//d"}
+					var extra []string
+					extraSubs := map[string][]*xpath.XPE{}
+					join := func(name string) {
+						b.AddClient(name)
+						extra = append(extra, name)
+						for _, x := range []*xpath.XPE{xpath.MustParse(broad[len(extra)%len(broad)]), randomWorkloadXPE(r)} {
+							extraSubs[name] = append(extraSubs[name], x)
+							b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, name)
+						}
+					}
+					for i := 0; i < sc.clients; i++ {
+						join(fmt.Sprintf("m%02d", i))
+					}
+					wide := 0 // publications reaching more than 64 destinations
 					for i := 0; i < 300; i++ {
 						switch op := r.Intn(20); {
 						case op < 8: // subscribe
@@ -203,6 +226,18 @@ func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message
 							}
 							b.HandleMessage(&Message{Type: MsgResync, Resync: claim}, "n1")
 							b.ResyncFor("n2")
+						case op == 11 && len(extra) > 0 && r.Intn(2) == 0:
+							// A client leaves: it withdraws everything.
+							k := r.Intn(len(extra))
+							for _, x := range extraSubs[extra[k]] {
+								b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x}, extra[k])
+							}
+							delete(extraSubs, extra[k])
+							extra = append(extra[:k], extra[k+1:]...)
+						case op == 11 && sc.clients > 0:
+							// A new client joins under a name that sorts
+							// before most others.
+							join(fmt.Sprintf("j%03d", i))
 						default:
 							for _, m := range publish(r) {
 								want := treeWalkRoute(t, b, m, "producer")
@@ -210,8 +245,15 @@ func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message
 								rec.takeDests()
 								b.HandleMessage(m, "producer")
 								after := b.Stats()
-								if got := rec.takeDests(); !reflect.DeepEqual(got, want.dests) {
+								got := rec.takeDests()
+								if !sort.StringsAreSorted(got) {
+									t.Fatalf("shards=%d step %d: emitted out of name order: %v", shards, i, got)
+								}
+								if !reflect.DeepEqual(got, want.dests) {
 									t.Fatalf("shards=%d step %d: routed to %v, tree walk %v", shards, i, got, want.dests)
+								}
+								if len(got) > 64 {
+									wide++
 								}
 								if d, fp := after.Deliveries-before.Deliveries, after.FalsePositives-before.FalsePositives; d != want.deliveries || fp != want.falsePositives {
 									t.Fatalf("shards=%d step %d: %d deliveries and %d false positives, tree walk %d and %d",
@@ -225,6 +267,9 @@ func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message
 					}
 					if st := b.Stats(); st.BadDocuments != 0 {
 						t.Fatalf("shards=%d: %d well-formed documents dropped as bad", shards, st.BadDocuments)
+					}
+					if sc.clients > 0 && wide == 0 {
+						t.Fatalf("shards=%d: no publication reached more than 64 destinations: scenario is vacuous", shards)
 					}
 					return rec.sorted(), b.Stats()
 				}

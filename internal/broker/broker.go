@@ -186,6 +186,11 @@ type Broker struct {
 	neighbors []string        // broker peers
 	clients   map[string]bool // client peers
 
+	// destIDs and destNames are the destination-id space (dest.go): a
+	// stable id per name, and the name per id.
+	destIDs   map[string]int32
+	destNames []string
+
 	// SRT: advertisements with last hops, deduplicated by AdvID.
 	srt     []*advEntry
 	srtByID map[string]*advEntry
@@ -232,7 +237,7 @@ type subState struct {
 	lastHops    map[string]bool
 	forwardedTo map[string]bool
 	merger      bool
-	// entry is the node's matching-table entry (payload: sorted lastHops);
+	// entry is the node's matching-table entry (payload: lastHops as ids);
 	// the zero Handle while it has none.
 	entry pmatch.Handle
 }
@@ -255,6 +260,7 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		cfg:        cfg,
 		send:       send,
 		clients:    make(map[string]bool),
+		destIDs:    make(map[string]int32),
 		srtByID:    make(map[string]*advEntry),
 		prt:        subtree.New(),
 		clientSubs: make(map[string]*subtree.Tree),
@@ -265,7 +271,6 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 	// The empty snapshot a new broker publishes before any control traffic.
 	auto := b.table.Seal()
 	b.snap.Store(&routeSnapshot{
-		clients:  map[string]bool{},
 		durables: map[string]*durState{},
 		auto:     auto,
 		slots:    make([]slotChange, auto.SlotCount()),
@@ -391,7 +396,7 @@ func (b *Broker) AddClient(id string) {
 	defer b.mu.Unlock()
 	start := time.Now()
 	b.clients[id] = true
-	b.dirty.clients = true
+	b.dirty.dests = true
 	if b.clientSubs[id] == nil {
 		b.clientSubs[id] = subtree.New()
 	}

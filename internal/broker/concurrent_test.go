@@ -2,6 +2,8 @@ package broker
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -167,5 +169,94 @@ func TestStatsSnapshotDuringPublish(t *testing.T) {
 	st := b.Stats()
 	if st.MsgsIn[MsgPublish] != int64(len(pubs)) {
 		t.Errorf("MsgsIn[publish] = %d, want %d", st.MsgsIn[MsgPublish], len(pubs))
+	}
+}
+
+// TestConcurrentPublishAcrossDestinationChurn publishes from many
+// goroutines through a broker with more than 64 destinations while clients
+// join and leave, so destination ids are assigned and every snapshot's
+// name ranks are rebuilt under the publishers' feet. The stable client must
+// still receive exactly the sequential run's publications, every
+// publication must reach its destinations in name order, and nothing may
+// reach a client whose subscriptions it does not match. Run with -race.
+func TestConcurrentPublishAcrossDestinationChurn(t *testing.T) {
+	stable, pubs := stressWorkload()
+	want := runSequential(stable, pubs)
+
+	var mu sync.Mutex
+	order := map[uint64][]string{} // per publication, its destinations in emission order
+	var stray []string
+	b := New(Config{ID: "b1", UseCovering: true}, func(to string, m *Message) {
+		if m.Type != MsgPublish {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		order[m.Pub.DocID] = append(order[m.Pub.DocID], to)
+		if len(m.Pub.Path) == 0 || m.Pub.Path[0] != "stock" {
+			stray = append(stray, fmt.Sprintf("doc%d to %s", m.Pub.DocID, to))
+		}
+	})
+	b.AddClient("stable")
+	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: stable}, "stable")
+	broad := xpath.MustParse("/stock")
+	for i := 0; i < 70; i++ {
+		name := fmt.Sprintf("m%02d", i)
+		b.AddClient(name)
+		b.HandleMessage(&Message{Type: MsgSubscribe, XPE: broad}, name)
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			if i >= 20 { // at least 20 joins, however fast the publishers
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+			// A new client joins under a name that sorts first, so every
+			// existing destination's rank moves; then it leaves.
+			name := fmt.Sprintf("a%04d", i)
+			b.AddClient(name)
+			b.HandleMessage(&Message{Type: MsgSubscribe, XPE: stable}, name)
+			b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: stable}, name)
+		}
+	}()
+	const publishers = 8
+	var pub sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		pub.Add(1)
+		go func(w int) {
+			defer pub.Done()
+			for i := w; i < len(pubs); i += publishers {
+				b.HandleMessage(&Message{Type: MsgPublish, Pub: pubs[i]}, "producer")
+			}
+		}(w)
+	}
+	pub.Wait()
+	close(stop)
+	churn.Wait()
+
+	got := map[uint64]int{}
+	for id, dests := range order {
+		if !sort.StringsAreSorted(dests) {
+			t.Errorf("doc%d emitted out of name order: %v", id, dests)
+		}
+		for _, to := range dests {
+			if to == "stable" {
+				got[id]++
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stable client received %v, sequential run %v", got, want)
+	}
+	if len(stray) > 0 {
+		t.Errorf("publications reached clients they do not match: %v", stray)
 	}
 }

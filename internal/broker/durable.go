@@ -101,11 +101,11 @@ func (b *Broker) handleSubscribeDurable(m *Message, from string) {
 		b.dirty.durables = true
 	}
 	// Register the virtual client so matching, edge filtering, and the
-	// snapshot's client set all see the durable subscription as an
+	// snapshot's destination tables all see the durable subscription as an
 	// ordinary local client.
 	if !b.clients[key] {
 		b.clients[key] = true
-		b.dirty.clients = true
+		b.dirty.dests = true
 	}
 	if b.clientSubs[key] == nil {
 		b.clientSubs[key] = subtree.New()
@@ -233,7 +233,7 @@ func (b *Broker) RecoverDurable() {
 		key := durKey(st.Name)
 		if !b.clients[key] {
 			b.clients[key] = true
-			b.dirty.clients = true
+			b.dirty.dests = true
 		}
 		if b.clientSubs[key] == nil {
 			b.clientSubs[key] = subtree.New()

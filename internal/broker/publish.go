@@ -6,7 +6,6 @@ package broker
 // refactor lands in reviewable units; behavior is unchanged.
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/slowlog"
@@ -50,53 +49,49 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			}
 		}
 	}
-	// Collect next hops from all matching subscriptions. The same automaton
-	// run also computes the per-client edge-filter verdicts (clientMatch
-	// payloads), so delivery filtering below re-matches nothing. Attribute
-	// predicates are evaluated in-network.
-	hops := make(map[string]bool)
-	var matchedClients map[string]bool
-	collect := func(data any) {
-		switch v := data.(type) {
-		case []string:
-			for _, hop := range v {
-				if hop != from {
-					hops[hop] = true
-				}
-			}
-		case clientMatch:
-			if matchedClients == nil {
-				matchedClients = make(map[string]bool)
-			}
-			matchedClients[string(v)] = true
+	// One automaton run sets the name rank of every destination a matching
+	// entry reaches: PRT nodes their last hops (hops), client filter entries
+	// their client (matched), so the edge filter below re-matches nothing.
+	// Attribute predicates are evaluated in-network. Up to 64 destinations
+	// the two sets are words on this stack; larger brokers borrow pooled
+	// ones.
+	var hopWord, matchWord [1]uint64
+	hops, matched := destSet(hopWord[:]), destSet(matchWord[:])
+	if len(snap.dests) > 64 {
+		s := getDestScratch(setWords(len(snap.dests)))
+		defer destScratchPool.Put(s)
+		hops, matched = s.hops, s.matched
+	}
+	visit := func(data any) {
+		r := data.(*route)
+		if r.client >= 0 {
+			matched.add(int(snap.rank[r.client]))
+		}
+		for _, id := range r.hops {
+			hops.add(int(snap.rank[id]))
 		}
 	}
 	switch {
 	case len(m.Raw) > 0:
 		// One pass over the bytes: syntax, wire bounds, and matching.
-		if err := stream.Match(m.Raw, snap.auto, stream.WireLimits, collect); err != nil {
+		if err := stream.Match(m.Raw, snap.auto, stream.WireLimits, visit); err != nil {
 			b.stats.badDocs.Add(1)
 			return nil
 		}
 	case m.Doc != nil:
-		stream.MatchDoc(m.Doc, snap.auto, collect)
+		stream.MatchDoc(m.Doc, snap.auto, visit)
 	default:
 		path := m.Pub.SymPath
 		if path == nil {
 			path = symtab.InternPath(m.Pub.Path)
 		}
-		snap.auto.Match(path, m.Pub.Attrs, collect)
+		snap.auto.Match(path, m.Pub.Attrs, visit)
 	}
 	var matchEnd time.Time
 	if measure {
 		matchEnd = time.Now()
 		sp.match = matchEnd.Sub(sp.start)
 	}
-	ordered := make([]string, 0, len(hops))
-	for hop := range hops {
-		ordered = append(ordered, hop)
-	}
-	sort.Strings(ordered)
 	var ev *trace.Event
 	var nowWall int64
 	if m.TraceID != "" {
@@ -108,32 +103,32 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			RecvUnixNano: nowWall,
 		}
 	}
-	// Filter pass: apply edge filtering and trace accounting, compacting the
-	// surviving hops in place (kept shares ordered's backing array, so the
-	// two-pass structure allocates nothing). Nothing is emitted yet — the
-	// traced hop record sealed below can then carry the filter stage's
-	// duration.
-	kept := ordered[:0]
-	for _, hop := range ordered {
-		if snap.clients[hop] {
+	// Filter pass: walk the reached destinations in name order, drop the
+	// one the publication came from and the clients whose own subscriptions
+	// did not match, and do the trace accounting. hops keeps the survivors.
+	// Nothing is emitted yet — the traced hop record sealed below can then
+	// carry the filter stage's duration.
+	for r := hops.next(0); r >= 0; r = hops.next(r + 1) {
+		d := &snap.dests[r]
+		switch {
+		case d.name == from:
+			hops.del(r)
+		case d.client && !matched.has(r):
 			// Edge filtering: imperfect mergers must not leak false
-			// positives to clients. The verdict was computed in the same
-			// automaton run that produced the hop set.
-			if !matchedClients[hop] {
-				b.stats.falsePositives.Add(1)
-				if ev != nil {
-					ev.FilteredFor = append(ev.FilteredFor, hop)
-				}
-				continue
+			// positives to clients.
+			hops.del(r)
+			b.stats.falsePositives.Add(1)
+			if ev != nil {
+				ev.FilteredFor = append(ev.FilteredFor, d.name)
 			}
+		case d.client:
 			b.stats.deliveries.Add(1)
 			if ev != nil {
-				ev.DeliveredTo = append(ev.DeliveredTo, hop)
+				ev.DeliveredTo = append(ev.DeliveredTo, d.name)
 			}
-		} else if ev != nil {
-			ev.ForwardedTo = append(ev.ForwardedTo, hop)
+		case ev != nil:
+			ev.ForwardedTo = append(ev.ForwardedTo, d.name)
 		}
-		kept = append(kept, hop)
 	}
 	var filterEnd time.Time
 	if measure {
@@ -160,24 +155,21 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 		fwd = &cp
 		ev.Hops = hopList
 	}
-	for _, hop := range kept {
-		// Durable virtual clients stay in kept through the filter pass (so
+	for r := hops.next(0); r >= 0; r = hops.next(r + 1) {
+		// Durable virtual clients stay in hops through the filter pass (so
 		// delivery counters see them) and peel off here: sequence + log
-		// append + stamped emit to the attached client, if any. The length
-		// check keeps the common no-durables case to one branch.
-		if len(snap.durables) != 0 {
-			if d := snap.durables[hop]; d != nil {
-				b.durableDeliver(d, fwd)
-				continue
-			}
+		// append + stamped emit to the attached client, if any.
+		if d := &snap.dests[r]; d.dur != nil {
+			b.durableDeliver(d.dur, fwd)
+		} else {
+			b.emit(d.name, fwd)
 		}
-		b.emit(hop, fwd)
 	}
 	if measure {
 		sp.enqueue = time.Since(filterEnd)
 		b.observeSpan(&sp)
 		if b.slow != nil && sp.total() >= b.slow.Threshold() {
-			b.recordSlow(&sp, fwd, from, snap, kept)
+			b.recordSlow(&sp, fwd, from, snap, hops)
 		}
 	}
 	return ev
@@ -228,7 +220,11 @@ func (b *Broker) observeSpan(sp *pubSpan) {
 // recordSlow captures one over-threshold publication into the flight
 // recorder. It runs only for already-slow publications, so its allocations
 // and the QueueDepths callback stay off the healthy hot path.
-func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSnapshot, dests []string) {
+func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSnapshot, dests destSet) {
+	var names []string
+	for r := dests.next(0); r >= 0; r = dests.next(r + 1) {
+		names = append(names, snap.dests[r].name)
+	}
 	e := slowlog.Entry{
 		Broker:     b.cfg.ID,
 		From:       from,
@@ -240,7 +236,7 @@ func (b *Broker) recordSlow(sp *pubSpan, m *Message, from string, snap *routeSna
 		DocBytes:     len(m.Raw),
 		Epoch:        snap.epoch,
 		Hops:         len(m.Hops),
-		Destinations: append([]string(nil), dests...),
+		Destinations: names,
 	}
 	if b.cfg.QueueDepths != nil {
 		e.QueueDepths = b.cfg.QueueDepths()

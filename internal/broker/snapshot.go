@@ -26,21 +26,22 @@ type routeSnapshot struct {
 	// prtSize and prtStats describe the master PRT at this epoch.
 	prtSize  int
 	prtStats TreeStats
-	// clients is the client-peer set.
-	clients map[string]bool
+	// dests describes every destination id in name order (rank order);
+	// rank maps an id to its index in dests. Rebuilt only when a destination
+	// joins or a client or durable subscription registers (dest.go).
+	dests []destInfo
+	rank  []int32
 	// srt is the advertisement table view (entries are immutable after
 	// insertion; the slice is copied on change).
 	srt []*advEntry
 	// durables maps durable virtual-client keys (durKey(name)) to their
-	// durable-subscription states. The states are shared with the master
-	// map — each carries its own lock/atomics for the publish plane — so
-	// the snapshot copy is pointer-shallow. Empty (never nil) without
-	// durable subscriptions, keeping the publish filter pass to one map
-	// length check.
+	// durable-subscription states, for acks and status. The states are
+	// shared with the master map — each carries its own lock/atomics for the
+	// publish plane — so the snapshot copy is pointer-shallow.
 	durables map[string]*durState
 	// auto is the sealed version of the broker's matching table: PRT nodes
-	// (payload: sorted last-hop slices) and per-client filter expressions
-	// (payload: clientMatch keys), partitioned by root symbol
+	// and per-client filter expressions, each with a *route payload in
+	// destination ids (last hops, or the client), partitioned by root symbol
 	// (pmatch.ShardIndex). handlePublish runs the shard(s) a publication can
 	// hit instead of walking every subscription-tree node. Successive
 	// versions share every state and every slot a change did not touch.
@@ -58,25 +59,22 @@ type slotChange struct {
 	cost  time.Duration
 }
 
-// clientMatch is the automaton payload type of a per-client filter-tree
-// entry: the client's peer ID. Distinguished from PRT payloads ([]string
-// last-hop slices) by type in handlePublish's single type switch.
-type clientMatch string
-
 // snapDirty records which master tables a control message touched, so
 // publishSnapshot copies only those. The matching table was edited in place
 // and Seal knows which slots changed; filters only says that a client
 // filter entry did, so the snapshot swaps even when nothing else moved.
+// dests says the destination tables are stale: an id was assigned, or a
+// client or durable subscription registered.
 type snapDirty struct {
 	prt      bool
 	srt      bool
-	clients  bool
 	durables bool
 	filters  bool
+	dests    bool
 }
 
 func (d *snapDirty) any() bool {
-	return d.prt || d.srt || d.clients || d.durables || d.filters
+	return d.prt || d.srt || d.durables || d.filters || d.dests
 }
 
 // publishSnapshot swaps in a new immutable snapshot reflecting the master
@@ -99,12 +97,8 @@ func (b *Broker) publishSnapshot(start time.Time) {
 	if b.dirty.srt {
 		next.srt = append([]*advEntry(nil), b.srt...)
 	}
-	if b.dirty.clients {
-		clients := make(map[string]bool, len(b.clients))
-		for id := range b.clients {
-			clients[id] = true
-		}
-		next.clients = clients
+	if b.dirty.dests || b.dirty.durables {
+		next.dests, next.rank = b.destTables()
 	}
 	if b.dirty.durables {
 		durables := make(map[string]*durState, len(b.durables))
@@ -148,16 +142,16 @@ func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
 		b.table.Remove(st.entry)
 		st.entry = pmatch.Handle{}
 	case st.entry == pmatch.Handle{}:
-		st.entry = b.table.Add(n.XPE, sortedKeys(st.lastHops))
+		st.entry = b.table.Add(n.XPE, b.hopRoute(st.lastHops))
 	default:
-		b.table.Set(st.entry, sortedKeys(st.lastHops))
+		b.table.Set(st.entry, b.hopRoute(st.lastHops))
 	}
 }
 
 // addFilterEntry enters a new client filter-tree node into the matching
 // table; its handle lives in the node's Data.
 func (b *Broker) addFilterEntry(client string, n *subtree.Node) {
-	n.Data = b.table.Add(n.XPE, clientMatch(client))
+	n.Data = b.table.Add(n.XPE, &route{client: b.destID(client)})
 	b.dirty.filters = true
 }
 

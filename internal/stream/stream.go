@@ -65,9 +65,16 @@ var WireLimits = Limits{MaxDepth: MaxDocDepth, MaxElems: MaxDocElems, MaxName: M
 // context (interned symbols, lazily-built attribute maps) the predicate
 // post-filter needs. Pooled; one matcher serves one Match call at a time.
 type matcher struct {
-	sc    scanner
-	cur   *pmatch.ShardedCursor
-	visit func(data any)
+	sc  scanner
+	cur *pmatch.ShardedCursor
+	// hits collects the payloads accepted during one scan; Match and
+	// MatchDoc hand them to the caller's visit only after the scan ends, so
+	// the visitor is never stored in this pooled (heap) matcher and a
+	// caller's closure over its own stack variables stays on its stack.
+	// hits starts on hitBuf, so a fresh pooled matcher does not grow it
+	// append by append.
+	hits   []any
+	hitBuf [64]any
 
 	// Per-open-element stacks, index = depth (root at 0).
 	syms  []symtab.Sym        // interned element names, the post-filter path
@@ -87,6 +94,7 @@ type matcher struct {
 
 var matcherPool = sync.Pool{New: func() any {
 	m := &matcher{arenaOff: []int32{0}}
+	m.hits = m.hitBuf[:0]
 	m.accept = m.onAccept
 	m.sc.onOpen = m.openRaw
 	m.sc.onClose = m.closeElem
@@ -98,9 +106,8 @@ var matcherPool = sync.Pool{New: func() any {
 // every automaton entry whose expression matches some root-to-node path of
 // the document — the same verdict set as decomposing the parsed document
 // and matching every annotated path with a.Match, with each payload visited
-// at most once. A nil automaton validates only. On error the document is
-// rejected; any visits already made must be discarded by the caller.
-// Safe for concurrent use.
+// at most once. Visits happen after the scan, so a rejected document visits
+// nothing. A nil automaton validates only. Safe for concurrent use.
 //
 // The automaton is the broker's sharded form (pmatch.Single wraps a
 // monolithic one): the cursor binds the document root's anchored shard at
@@ -111,9 +118,19 @@ func Match(data []byte, a *pmatch.ShardedAutomaton, lim Limits, visit func(data 
 	m.sc.reset(data, lim)
 	if a != nil {
 		m.cur = a.Cursor()
-		m.visit = visit
 	}
-	return m.sc.run()
+	if err := m.sc.run(); err != nil {
+		return err
+	}
+	m.report(visit)
+	return nil
+}
+
+// report hands the scan's accepted payloads to visit.
+func (m *matcher) report(visit func(data any)) {
+	for _, d := range m.hits {
+		visit(d)
+	}
 }
 
 // Scan validates a raw document (syntax and limits) without matching.
@@ -134,8 +151,8 @@ func MatchDoc(d *xmldoc.Document, a *pmatch.ShardedAutomaton, visit func(data an
 	m := matcherPool.Get().(*matcher)
 	defer m.release()
 	m.cur = a.Cursor()
-	m.visit = visit
 	m.matchElem(d.Root)
+	m.report(visit)
 }
 
 // CheckDoc validates a parsed document against lim with the bounds Match
@@ -176,7 +193,8 @@ func (m *matcher) release() {
 		m.cur.Release()
 		m.cur = nil
 	}
-	m.visit = nil
+	clear(m.hits)
+	m.hits = m.hits[:0]
 	for i := range m.maps {
 		m.maps[i] = nil
 	}
@@ -253,12 +271,12 @@ func (m *matcher) matchElem(e *xmldoc.Elem) {
 // path separately.
 func (m *matcher) onAccept(x *xpath.XPE, hasPreds bool, data any) bool {
 	if !hasPreds {
-		m.visit(data)
+		m.hits = append(m.hits, data)
 		return true
 	}
 	m.buildMaps()
 	if x.MatchesSymPathAttrs(m.syms, m.maps) {
-		m.visit(data)
+		m.hits = append(m.hits, data)
 		return true
 	}
 	return false

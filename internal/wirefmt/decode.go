@@ -96,6 +96,7 @@ func (d *Decoder) DictLen() int { return len(d.dict) }
 // dictionary-extension frames on the way) and fills m with it. m is
 // overwritten; its Path, Attrs, and Hops slice capacities are reused, so a
 // caller that retains the previous decode's message must pass a fresh m.
+// A sequence that does not fit is allocated once at its declared length.
 func (d *Decoder) Decode(m *broker.Message) error {
 	for {
 		n, err := binary.ReadUvarint(d.r)
@@ -481,6 +482,7 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 	if err != nil {
 		return err
 	}
+	path = fit(path, n)
 	for i := 0; i < n; i++ {
 		el, err := d.sym()
 		if err != nil {
@@ -501,6 +503,7 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 		// refilled instead of reallocated, so a steady stream of
 		// identically-shaped publications decodes without touching the heap.
 		old := attrs[:cap(attrs)]
+		attrs = fit(attrs, na)
 		for i := 0; i < na; i++ {
 			v, err := d.count(d.remaining(), 2, "attribute pairs")
 			if err != nil {
@@ -564,6 +567,7 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 		if err != nil {
 			return err
 		}
+		hops = fit(hops, nh)
 		for i := 0; i < nh; i++ {
 			h, err := d.hop()
 			if err != nil {
@@ -584,6 +588,17 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 		}
 	}
 	return nil
+}
+
+// fit returns s emptied with room for n elements: s itself when its
+// capacity suffices (a reused message), else one exactly sized slice, so a
+// fresh message pays one allocation per sequence instead of append's growth
+// steps.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
 }
 
 func (d *Decoder) hop() (trace.Hop, error) {

@@ -1,8 +1,13 @@
 // Package wirefmt is the binary wire codec of every broker and client link
 // (DESIGN.md §5h): varint-framed records over per-link interned symbol ids.
 // Each frame is written with append-only varint arithmetic into a reused
-// batch buffer and read back with bounds-validated slicing, so steady-state
-// publish encode and decode allocate nothing.
+// batch buffer and read back with bounds-validated slicing. Steady-state
+// publish encode allocates nothing. Decode allocates nothing only into a
+// reused message whose path, attribute and hop capacities fit. The
+// transport hands every frame a fresh message, which a broker may retain
+// and forward, so it pays the message plus one exactly sized allocation
+// per variable-length field present (path, attribute maps, raw body, trace
+// id, hops and each hop's stages), never append's growth steps.
 //
 // Preamble. A connection opens with one preamble from the dialler — the
 // magic "XRW", a version byte, and the dialler's id as a uvarint-length-
