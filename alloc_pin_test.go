@@ -15,22 +15,23 @@ import (
 
 // publishAllocBaseline bounds the allocations of one untraced publication
 // at a broker that forwards it to a neighbour and delivers it to a client,
-// for each publication form. The broker routes on destination ids: one
-// automaton run fills a destination set on the handler's stack, and the
-// filter pass walks it in name order, so routing itself allocates nothing.
-// What remains is the hand-built path form's symtab.InternPath (wire-decoded
-// and forwarded publications pay it too). The per-stage span
-// instrumentation must not add to it: the span lives on the stack, stage
-// observations are lock-free histogram increments, and the flight recorder
-// costs one comparison when healthy. A regression here means a heap
-// allocation leaked into the publish path — fix the code, do not bump the
-// constant without a matching DESIGN.md note.
-const publishAllocBaseline = 2
+// for each publication form: none. The broker routes on destination ids:
+// one automaton run fills a destination set on the handler's stack, and the
+// filter pass walks it in name order. A wire-decoded path arrives with its
+// symbols resolved by the decoder; a hand-built one is interned into room
+// on the handler's stack. The per-stage span instrumentation must not add
+// to it: the span lives on the stack, stage observations are lock-free
+// histogram increments, and the flight recorder costs one comparison when
+// healthy. A regression here means a heap allocation leaked into the
+// publish path — fix the code, do not bump the constant without a matching
+// DESIGN.md note.
+const publishAllocBaseline = 0
 
 // TestPublishAllocsPinned pins the untraced publish path's allocations per
-// operation for path, raw and parsed publications, with and without a
-// metrics registry attached (the registry arms the stage histograms, so
-// both halves of the measure gate are covered).
+// operation for hand-built path, wire-decoded path, raw and parsed
+// publications, with and without a metrics registry attached (the registry
+// arms the stage histograms, so both halves of the measure gate are
+// covered).
 func TestPublishAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
@@ -41,11 +42,25 @@ func TestPublishAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The path publication as a broker link hands it over: decoded, with the
+	// symbols the decoder resolved.
+	var frame bytes.Buffer
+	if err := wirefmt.NewEncoder(&frame, wirefmt.DefaultLimits).Encode(&broker.Message{Type: broker.MsgPublish, Pub: pub}); err != nil {
+		t.Fatal(err)
+	}
+	decoded := new(broker.Message)
+	if err := wirefmt.NewDecoder(&frame, wirefmt.DefaultLimits).Decode(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Pub.SymPath) != len(pub.Path) {
+		t.Fatalf("decoded publication carries SymPath %v for path %q", decoded.Pub.SymPath, decoded.Pub.Path)
+	}
 	forms := []struct {
 		name string
 		msg  *broker.Message
 	}{
 		{"path", &broker.Message{Type: broker.MsgPublish, Pub: pub}},
+		{"decoded", decoded},
 		{"raw", &broker.Message{Type: broker.MsgPublish, Raw: raw}},
 		{"parsed", &broker.Message{Type: broker.MsgPublish, Doc: doc}},
 	}
@@ -133,8 +148,10 @@ func TestPublishAllocsPinned(t *testing.T) {
 // TestWireDecodeFreshMessageAllocs pins what the transport pays per frame:
 // Server.readLoop and Client.readLoop decode every frame into a fresh
 // broker.Message, which the broker may keep and forward, so no capacity is
-// ever recycled. Each variable-length field must then cost one exactly
-// sized allocation — never append's growth steps.
+// ever recycled. The path and its resolved symbols are cut from the
+// decoder's blocks, so they cost nothing per frame; every other
+// variable-length field costs one exactly sized allocation — never
+// append's growth steps.
 func TestWireDecodeFreshMessageAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
@@ -147,16 +164,21 @@ func TestWireDecodeFreshMessageAllocs(t *testing.T) {
 		name string
 		m    *broker.Message
 		// want counts the allocations: the Message, then one per present
-		// field.
+		// field other than the path.
 		want int
 	}{
-		// Message, path, attrs slice, the one attribute map (the runtime's
-		// map header and its first slot group) and its value string.
-		{"path+attrs", &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: path, Attrs: attrs}}, 1 + 1 + 1 + 2 + 1},
-		// Message, path, trace id string, hops slice, and each hop's stages.
+		// The Message alone: path and symbols come from the blocks.
+		{"path", &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: path}}, 1},
+		// The Message alone: an attribute section of holes only decodes to
+		// the shared empty window.
+		{"path+nil-attrs", &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: path, Attrs: make([]map[string]string, len(path))}}, 1},
+		// Message, attrs slice, the one attribute map (the runtime's map
+		// header and its first slot group) and its value string.
+		{"path+attrs", &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: path, Attrs: attrs}}, 1 + 1 + 2 + 1},
+		// Message, trace id string, hops slice, and each hop's stages.
 		{"traced", &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: path}, TraceID: "t-1",
 			Hops: []trace.Hop{{Broker: "b1", Stages: stages}, {Broker: "b2", Stages: stages}, {Broker: "b3", Stages: stages}}},
-			1 + 1 + 1 + 1 + 3},
+			1 + 1 + 1 + 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +212,7 @@ func TestWireDecodeFreshMessageAllocs(t *testing.T) {
 				t.Fatalf("decoded %d path elements and %d hops, sent %d and %d", len(got.Pub.Path), len(got.Hops), len(path), len(tc.m.Hops))
 			}
 			if avg > float64(tc.want) {
-				t.Errorf("fresh-message decode = %.1f allocs/op, want at most %d (the Message plus one per field)", avg, tc.want)
+				t.Errorf("fresh-message decode = %.1f allocs/op, want at most %d (the Message plus one per field beside the path)", avg, tc.want)
 			}
 		})
 	}

@@ -25,11 +25,12 @@ import (
 // (DESIGN.md §5c): a raw body (Message.Raw, never parsed into a tree) by one
 // streaming pass over its bytes, a parsed document (Message.Doc) by one walk
 // of its tree (DESIGN.md §5e), and a path publication by one run over its
-// interned path — a publication carrying no pre-interned path (hand-built)
-// is converted on arrival. A raw body that fails the streaming scan
-// (malformed XML or the wire document bounds) is dropped and counted, never
-// forwarded. For traced publications it returns the hop event for the
-// caller to record; untraced traffic returns nil.
+// interned path: the wire decoder resolves it (DESIGN.md §5h), and a
+// hand-built publication carrying none is converted on arrival. A raw body
+// that fails the streaming scan (malformed XML or the wire document bounds)
+// is dropped and counted, never forwarded. For traced publications it
+// returns the hop event for the caller to record; untraced traffic returns
+// nil.
 func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	snap := b.snap.Load()
 	// Per-stage spans are measured only when someone will read them — an
@@ -83,7 +84,10 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	default:
 		path := m.Pub.SymPath
 		if path == nil {
-			path = symtab.InternPath(m.Pub.Path)
+			// Hand-built: intern on arrival, into room on this stack (the
+			// automaton run does not keep the path).
+			var room [32]symtab.Sym
+			path = symtab.AppendInternPath(room[:0], m.Pub.Path)
 		}
 		snap.auto.Match(path, m.Pub.Attrs, visit)
 	}

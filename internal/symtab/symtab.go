@@ -149,11 +149,17 @@ func (t *Table) Len() int {
 
 // InternPath interns every element of a root-to-leaf path.
 func (t *Table) InternPath(path []string) []Sym {
-	out := make([]Sym, len(path))
-	for i, name := range path {
-		out[i] = t.Intern(name)
+	return t.AppendInternPath(make([]Sym, 0, len(path)), path)
+}
+
+// AppendInternPath appends the interned symbols of path to dst and returns
+// the extended slice, so a caller with room on its stack converts a path
+// without allocating.
+func (t *Table) AppendInternPath(dst []Sym, path []string) []Sym {
+	for _, name := range path {
+		dst = append(dst, t.Intern(name))
 	}
-	return out
+	return dst
 }
 
 // LookupPath converts a path without growing the table; elements outside the
@@ -186,6 +192,9 @@ func NameOf(sym Sym) string { return Default.NameOf(sym) }
 
 // InternPath interns a path against the Default table.
 func InternPath(path []string) []Sym { return Default.InternPath(path) }
+
+// AppendInternPath interns a path against the Default table into dst.
+func AppendInternPath(dst []Sym, path []string) []Sym { return Default.AppendInternPath(dst, path) }
 
 // LookupPath converts a path against the Default table without growing it.
 func LookupPath(path []string) []Sym { return Default.LookupPath(path) }

@@ -84,6 +84,11 @@ func TestDefaultTable(t *testing.T) {
 	if got := InternPath([]string{"*"}); got[0] != Wildcard {
 		t.Fatalf("Default InternPath(*) = %v", got)
 	}
+	var room [4]Sym
+	got := AppendInternPath(room[:1], []string{"symtab-default-test-name", "*"})
+	if len(got) != 3 || &got[0] != &room[0] || got[1] != s || got[2] != Wildcard {
+		t.Fatalf("Default AppendInternPath = %v, want [0 %d %d] in the caller's room", got, s, Wildcard)
+	}
 	if got := LookupPath([]string{"symtab-default-test-name"}); got[0] != s {
 		t.Fatalf("Default LookupPath = %v, want [%d]", got, s)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -24,11 +25,27 @@ import (
 // steady-state decode of dictionary-hit publications performs no
 // allocations beyond the message's own slices — and none at all when the
 // caller reuses the target message (see Decode).
+//
+// A publication's path arrives resolved: the decoder fills Pub.SymPath
+// through syms, its per-link map from dictionary id to symtab.Default
+// symbol, so a broker matches a forwarded path without interning it again.
+// A peer's symbols never cross the wire; each one is derived here from the
+// dictionary name.
 type Decoder struct {
 	r   *bufio.Reader
 	lim Limits
 
 	dict []string
+	// syms maps a dictionary id to its symtab.Default symbol, None until
+	// the id first names a path element, which interns it once for the link.
+	// It reaches only as far as the highest id a path has used: most of a
+	// dictionary names advertisements, brokers and stages, never a path.
+	syms []symtab.Sym
+
+	// Blocks that fresh messages' Path and SymPath slices are cut from (see
+	// cut), so a decoded path costs no allocation of its own.
+	pathBlk []string
+	symBlk  []symtab.Sym
 
 	buf []byte // reused frame buffer
 	pb  []byte // payload of the frame being parsed (slice of buf)
@@ -94,9 +111,11 @@ func (d *Decoder) DictLen() int { return len(d.dict) }
 
 // Decode reads frames until one complete message arrives (consuming any
 // dictionary-extension frames on the way) and fills m with it. m is
-// overwritten; its Path, Attrs, and Hops slice capacities are reused, so a
-// caller that retains the previous decode's message must pass a fresh m.
-// A sequence that does not fit is allocated once at its declared length.
+// overwritten; its Path, SymPath, Attrs, and Hops slice capacities are
+// reused, so a caller that retains the previous decode's message must pass
+// a fresh m. A path that does not fit is cut from the decoder's blocks;
+// any other sequence that does not fit is allocated once at its declared
+// length.
 func (d *Decoder) Decode(m *broker.Message) error {
 	for {
 		n, err := binary.ReadUvarint(d.r)
@@ -253,14 +272,38 @@ func (d *Decoder) str(max int) (string, error) {
 // sym resolves a dictionary reference. An id the sender never declared is a
 // protocol violation.
 func (d *Decoder) sym() (string, error) {
-	v, err := d.u()
+	id, err := d.symID()
 	if err != nil {
 		return "", err
 	}
-	if v >= uint64(len(d.dict)) {
-		return "", fmt.Errorf("wirefmt: unknown dictionary id %d (dictionary has %d)", v, len(d.dict))
+	return d.dict[id], nil
+}
+
+// symID reads a dictionary reference and returns the id, checked to be
+// declared.
+func (d *Decoder) symID() (int, error) {
+	v, err := d.u()
+	if err != nil {
+		return 0, err
 	}
-	return d.dict[v], nil
+	if v >= uint64(len(d.dict)) {
+		return 0, fmt.Errorf("wirefmt: unknown dictionary id %d (dictionary has %d)", v, len(d.dict))
+	}
+	return int(v), nil
+}
+
+// symOf returns the symtab.Default symbol of a declared dictionary id,
+// interning its name the first time the link uses it in a path.
+func (d *Decoder) symOf(id int) symtab.Sym {
+	if id >= len(d.syms) {
+		d.syms = append(d.syms, make([]symtab.Sym, id+1-len(d.syms))...)
+	}
+	s := d.syms[id]
+	if s == symtab.None {
+		s = symtab.Intern(d.dict[id])
+		d.syms[id] = s
+	}
+	return s
 }
 
 // dictExt applies one dictionary-extension frame. Ids are sequential by
@@ -295,7 +338,7 @@ func (d *Decoder) dictExt() error {
 
 func (d *Decoder) message(m *broker.Message) error {
 	// Recycle the big slice capacities, then zero everything else.
-	path := m.Pub.Path[:0]
+	path, syms := m.Pub.Path[:0], m.Pub.SymPath[:0]
 	attrs := m.Pub.Attrs[:0]
 	hops := m.Hops[:0]
 	*m = broker.Message{}
@@ -318,7 +361,7 @@ func (d *Decoder) message(m *broker.Message) error {
 		m.AdvID, err = d.advID()
 		return err
 	case broker.MsgPublish:
-		return d.publish(m, path, attrs, hops)
+		return d.publish(m, path, syms, attrs, hops)
 	case broker.MsgResync:
 		m.Resync, err = d.resync()
 		return err
@@ -459,7 +502,7 @@ func (d *Decoder) advItems(depth int) ([]advert.Item, error) {
 	return items, nil
 }
 
-func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]string, hops []trace.Hop) error {
+func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, attrs []map[string]string, hops []trace.Hop) error {
 	flags, err := d.b()
 	if err != nil {
 		return err
@@ -482,58 +525,21 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 	if err != nil {
 		return err
 	}
-	path = fit(path, n)
-	for i := 0; i < n; i++ {
-		el, err := d.sym()
-		if err != nil {
-			return err
-		}
-		path = append(path, el)
-	}
 	if n > 0 {
-		m.Pub.Path = path
-	}
-	if flags&pubFlagAttrs != 0 {
-		na, err := d.count(d.lim.MaxPath, 1, "attribute maps")
-		if err != nil {
-			return err
-		}
-		// The recycled attrs slice may still hold last message's maps past
-		// its truncated length; positionally matching ones are cleared and
-		// refilled instead of reallocated, so a steady stream of
-		// identically-shaped publications decodes without touching the heap.
-		old := attrs[:cap(attrs)]
-		attrs = fit(attrs, na)
-		for i := 0; i < na; i++ {
-			v, err := d.count(d.remaining(), 2, "attribute pairs")
+		path, syms = cut(path, &d.pathBlk, n, pathBlock), cut(syms, &d.symBlk, n, symBlock)
+		for i := range path {
+			id, err := d.symID()
 			if err != nil {
 				return err
 			}
-			if v == 0 {
-				attrs = append(attrs, nil)
-				continue
-			}
-			var am map[string]string
-			if i < len(old) && old[i] != nil {
-				am = old[i]
-				clear(am)
-			} else {
-				am = make(map[string]string, v-1)
-			}
-			for j := 0; j < v-1; j++ {
-				k, err := d.sym()
-				if err != nil {
-					return err
-				}
-				val, err := d.str(0)
-				if err != nil {
-					return err
-				}
-				am[k] = val
-			}
-			attrs = append(attrs, am)
+			path[i], syms[i] = d.dict[id], d.symOf(id)
 		}
-		m.Pub.Attrs = attrs
+		m.Pub.Path, m.Pub.SymPath = path, syms
+	}
+	if flags&pubFlagAttrs != 0 {
+		if m.Pub.Attrs, err = d.attrs(attrs); err != nil {
+			return err
+		}
 	}
 	if flags&pubFlagDoc != 0 {
 		d.elems = 0
@@ -590,6 +596,83 @@ func (d *Decoder) publish(m *broker.Message, path []string, attrs []map[string]s
 	return nil
 }
 
+// attrs decodes a publication's attribute section into the recycled slice
+// attrs. A section whose elements all lack attributes — a path sent with
+// its attribute holes — decodes to a window of the shared noAttrs, which
+// costs nothing and keeps the section's shape for the next hop.
+func (d *Decoder) attrs(attrs []map[string]string) ([]map[string]string, error) {
+	na, err := d.count(d.lim.MaxPath, 1, "attribute maps")
+	if err != nil {
+		return nil, err
+	}
+	if sharesNoAttrs(attrs) {
+		attrs = nil // never written
+	}
+	// The recycled attrs slice may still hold last message's maps past its
+	// truncated length; positionally matching ones are cleared and refilled
+	// instead of reallocated, so a steady stream of identically-shaped
+	// publications decodes without touching the heap.
+	old := attrs[:cap(attrs)]
+	attrs = attrs[:0]
+	filled := false // a map has appeared; attrs holds entries 0..i-1
+	for i := 0; i < na; i++ {
+		v, err := d.count(d.remaining(), 2, "attribute pairs")
+		if err != nil {
+			return nil, err
+		}
+		if v == 0 {
+			if filled {
+				attrs = append(attrs, nil)
+			}
+			continue
+		}
+		if !filled {
+			attrs = fit(attrs, na)[:i]
+			clear(attrs)
+			filled = true
+		}
+		var am map[string]string
+		if i < len(old) && old[i] != nil {
+			am = old[i]
+			clear(am)
+		} else {
+			am = make(map[string]string, v-1)
+		}
+		for j := 0; j < v-1; j++ {
+			k, err := d.sym()
+			if err != nil {
+				return nil, err
+			}
+			val, err := d.str(0)
+			if err != nil {
+				return nil, err
+			}
+			am[k] = val
+		}
+		attrs = append(attrs, am)
+	}
+	switch {
+	case filled:
+		return attrs, nil
+	case na == 0:
+		return nil, nil
+	case na <= len(noAttrs):
+		return noAttrs[:na:na], nil
+	default:
+		return make([]map[string]string, na), nil
+	}
+}
+
+// noAttrs backs the attribute section of every decoded publication whose
+// elements all lack attributes. It is never written: decoded messages are
+// immutable by contract, and Decode does not recycle a window of it.
+var noAttrs [MaxPath]map[string]string
+
+// sharesNoAttrs reports whether s is a window of noAttrs.
+func sharesNoAttrs(s []map[string]string) bool {
+	return cap(s) > 0 && &s[:1][0] == &noAttrs[0]
+}
+
 // fit returns s emptied with room for n elements: s itself when its
 // capacity suffices (a reused message), else one exactly sized slice, so a
 // fresh message pays one allocation per sequence instead of append's growth
@@ -599,6 +682,39 @@ func fit[T any](s []T, n int) []T {
 		return s[:0]
 	}
 	return make([]T, 0, n)
+}
+
+// Block lengths for decoded paths: 4 KiB each, a few dozen typical paths
+// per allocation.
+const (
+	pathBlock = 256  // names
+	symBlock  = 1024 // symbols
+)
+
+// cut returns s resized to n elements when its capacity suffices (a reused
+// message). Otherwise it carves the next n elements off the decoder-owned
+// block blk, starting a new block of per elements when the current one is
+// spent; a path longer than a quarter block gets its own allocation. A
+// carved slice has no spare capacity, so an append to one message's path
+// copies rather than writing into the next message's elements, and the
+// decoder writes a carved element again only when the message holding it is
+// passed back to Decode. A block lives as long as any message cut from it.
+// It holds only the dictionary's own strings or pointer-free symbols, so a
+// retained message keeps its block alive but never another message's
+// payload.
+func cut[T string | symtab.Sym](s []T, blk *[]T, n, per int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	if len(*blk) < n {
+		if n > per/4 {
+			return make([]T, n)
+		}
+		*blk = make([]T, per)
+	}
+	s = (*blk)[:n:n]
+	*blk = (*blk)[n:]
+	return s
 }
 
 func (d *Decoder) hop() (trace.Hop, error) {

@@ -6,8 +6,16 @@
 // reused message whose path, attribute and hop capacities fit. The
 // transport hands every frame a fresh message, which a broker may retain
 // and forward, so it pays the message plus one exactly sized allocation
-// per variable-length field present (path, attribute maps, raw body, trace
-// id, hops and each hop's stages), never append's growth steps.
+// per variable-length field present beside the path (attribute maps, raw
+// body, trace id, hops and each hop's stages), never append's growth
+// steps. A fresh message's path names and symbols are cut from
+// decoder-owned blocks, a few dozen paths per allocation, and an attribute
+// section of holes only shares one never-written array of nil maps.
+//
+// Symbol-native paths. The decoder resolves every path element to its
+// symtab.Default symbol through a per-link id→symbol slice, interning each
+// dictionary name once, and fills Pub.SymPath, so brokers never intern a
+// forwarded path again. The sender's SymPath never crosses the wire.
 //
 // Preamble. A connection opens with one preamble from the dialler — the
 // magic "XRW", a version byte, and the dialler's id as a uvarint-length-

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -147,8 +148,10 @@ func fingerprint(m *broker.Message) string {
 		}
 		b.WriteString("}\n")
 	}
-	if len(m.Pub.SymPath) > 0 {
-		fmt.Fprintf(&b, "sympath=%v\n", m.Pub.SymPath)
+	// SymPath is not wire-visible: the decoder derives it from Path, so only
+	// a disagreement between the two shows.
+	if m.Pub.SymPath != nil && !reflect.DeepEqual(m.Pub.SymPath, symtab.LookupPath(m.Pub.Path)) {
+		fmt.Fprintf(&b, "sympath=%v disagrees with path\n", m.Pub.SymPath)
 	}
 	if m.Doc != nil {
 		fmt.Fprintf(&b, "doc=%s\n", m.Doc.Marshal())

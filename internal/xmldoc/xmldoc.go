@@ -297,9 +297,9 @@ type Publication struct {
 	PathID int
 	Path   []string
 	// SymPath is Path interned against the shared symbol table, filled by
-	// Extract so every broker hop matches symbols without re-converting.
-	// Nil is allowed (hand-built publications); brokers then intern Path on
-	// arrival.
+	// Extract and by the wire decoder, so every broker hop matches symbols
+	// without re-converting. Nil is allowed (hand-built publications);
+	// brokers then intern Path on arrival.
 	SymPath []symtab.Sym
 	// Attrs holds each path element's attributes (nil entries for
 	// attribute-less elements; a nil slice means no attributes anywhere).
