@@ -28,20 +28,15 @@ import (
 const publishAllocBaseline = 0
 
 // TestPublishAllocsPinned pins the untraced publish path's allocations per
-// operation for hand-built path, wire-decoded path, raw and parsed
-// publications, with and without a metrics registry attached (the registry
-// arms the stage histograms, so both halves of the measure gate are
-// covered).
+// operation for hand-built path, wire-decoded path and raw publications,
+// with and without a metrics registry attached (the registry arms the stage
+// histograms, so both halves of the measure gate are covered).
 func TestPublishAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
 	}
 	pub := xmldoc.Publication{Path: []string{"stock", "quote", "price"}}
 	raw := []byte("<stock><quote><price/></quote></stock>")
-	doc, err := xmldoc.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The path publication as a broker link hands it over: decoded, with the
 	// symbols the decoder resolved.
 	var frame bytes.Buffer
@@ -62,7 +57,6 @@ func TestPublishAllocsPinned(t *testing.T) {
 		{"path", &broker.Message{Type: broker.MsgPublish, Pub: pub}},
 		{"decoded", decoded},
 		{"raw", &broker.Message{Type: broker.MsgPublish, Raw: raw}},
-		{"parsed", &broker.Message{Type: broker.MsgPublish, Doc: doc}},
 	}
 	run := func(t *testing.T, reg *metrics.Registry) {
 		for _, f := range forms {

@@ -53,7 +53,6 @@ func run(args []string, out io.Writer) error {
 		publish      = fs.String("publish", "", "XML file to publish as a document")
 		advertiseDTD = fs.String("advertise-dtd", "", "DTD file (or 'nitf'/'psd') whose advertisements to flood")
 		wait         = fs.Duration("wait", 0, "how long to wait for deliveries (0 = forever)")
-		raw          = fs.Bool("raw", false, "publish the file as raw XML bytes so brokers route it with the streaming matcher (no tree is ever built)")
 		traced       = fs.Bool("trace", false, "stamp the publication with a trace ID for per-hop tracing (query /debug/traces on the brokers)")
 		reconnect    = fs.Bool("reconnect", false, "redial a lost broker connection with backoff and replay subscriptions/advertisements")
 		durable      = fs.String("durable", "", "durable subscription name: the broker logs matches under this name while disconnected and replays the unacknowledged gap on reattach (requires a broker started with -durable-dir)")
@@ -99,30 +98,22 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Parse locally even for -raw: a malformed document would be
-		// silently dropped by the first broker, so fail fast here instead.
+		// The file's bytes are sent as they are, but parsed locally first: a
+		// malformed document would be silently dropped by the first broker,
+		// so fail fast here instead.
 		doc, err := xmldoc.Parse(data)
 		if err != nil {
 			return err
 		}
-		msg := &broker.Message{Type: broker.MsgPublish}
-		if *raw {
-			msg.Raw = data
-		} else {
-			msg.Doc = doc
-		}
+		msg := &broker.Message{Type: broker.MsgPublish, Raw: data}
 		if *traced {
 			msg.TraceID = trace.NewID()
 		}
 		if err := c.Send(msg); err != nil {
 			return fmt.Errorf("publish: %w", err)
 		}
-		form := ""
-		if *raw {
-			form = ", raw"
-		}
-		fmt.Fprintf(out, "published %s (%d bytes, %d paths%s)%s\n",
-			*publish, doc.Size(), len(doc.Paths()), form, traceNote(msg.TraceID))
+		fmt.Fprintf(out, "published %s (%d bytes, %d paths)%s\n",
+			*publish, len(data), len(doc.Paths()), traceNote(msg.TraceID))
 
 	case *subscribe != "":
 		x, err := xpath.Parse(*subscribe)
@@ -190,16 +181,14 @@ func printDelivery(out io.Writer, m *broker.Message) {
 		delay += fmt.Sprintf(" (delay %v)", time.Since(time.Unix(0, m.Stamp)).Round(time.Microsecond))
 	}
 	switch {
-	case m.Doc != nil:
-		fmt.Fprintf(out, "received document <%s> with %d paths%s%s\n", m.Doc.Root.Name, len(m.Doc.Paths()), delay, hopNote(m))
 	case len(m.Raw) > 0:
-		// Raw bodies arrive as the publisher's bytes; parse locally for a
+		// Documents arrive as the publisher's bytes; parse locally for a
 		// readable summary (brokers validated it while routing).
 		if doc, err := xmldoc.Parse(m.Raw); err == nil {
-			fmt.Fprintf(out, "received raw document <%s> (%d bytes, %d paths)%s%s\n",
+			fmt.Fprintf(out, "received document <%s> (%d bytes, %d paths)%s%s\n",
 				doc.Root.Name, len(m.Raw), len(doc.Paths()), delay, hopNote(m))
 		} else {
-			fmt.Fprintf(out, "received raw document (%d bytes)%s%s\n", len(m.Raw), delay, hopNote(m))
+			fmt.Fprintf(out, "received document (%d bytes)%s%s\n", len(m.Raw), delay, hopNote(m))
 		}
 	default:
 		fmt.Fprintf(out, "received %s%s%s\n", m.Pub, delay, hopNote(m))

@@ -25,7 +25,8 @@ func startBroker(t *testing.T) (*transport.Server, string) {
 
 // TestSubscribePublishEndToEnd drives the real CLI surface against an
 // in-process broker: one invocation subscribes and waits, a second publishes
-// a document file, and the subscriber must print the delivery.
+// a document file's bytes, and the subscriber must print the delivered
+// document.
 func TestSubscribePublishEndToEnd(t *testing.T) {
 	srv, addr := startBroker(t)
 
@@ -53,7 +54,7 @@ func TestSubscribePublishEndToEnd(t *testing.T) {
 	if err := run([]string{"-connect", addr, "-id", "pub1", "-publish", file}, &pubOut); err != nil {
 		t.Fatalf("publish run: %v", err)
 	}
-	if !strings.Contains(pubOut.String(), "published ") {
+	if !strings.Contains(pubOut.String(), "published "+file+" (23 bytes, 2 paths)") {
 		t.Errorf("publish output:\n%s", pubOut.String())
 	}
 
@@ -64,7 +65,7 @@ func TestSubscribePublishEndToEnd(t *testing.T) {
 	if !strings.Contains(got, "subscribed to /a//b") {
 		t.Errorf("missing subscribe acknowledgement:\n%s", got)
 	}
-	if !strings.Contains(got, "received ") {
+	if !strings.Contains(got, "received document <a> (23 bytes, 2 paths)") {
 		t.Errorf("subscriber printed no delivery:\n%s", got)
 	}
 }
@@ -87,6 +88,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"-connect", addr}, // no action selected
 		{"-connect", addr, "-subscribe", "not a [ valid"}, // bad XPE
 		{"-connect", addr, "-publish", "no-such-file.xml"},
+		{"-connect", addr, "-publish", "doc.xml", "-raw"}, // retired flag
 		{"-bogus"},
 	} {
 		var out bytes.Buffer

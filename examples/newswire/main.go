@@ -60,7 +60,7 @@ func run(covering bool) (int64, int64, []int) {
 	// A day's worth of wire stories.
 	gen := xmlrouter.NewDocGenerator(xmlrouter.NITF(), 99)
 	for i := 0; i < 20; i++ {
-		agency.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Doc: gen.Generate()})
+		agency.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Raw: gen.Generate().Marshal()})
 	}
 	net.Run()
 

@@ -57,12 +57,9 @@ func main() {
 	newsWatcher.Send(&xmlrouter.Message{Type: xmlrouter.MsgSubscribe, XPE: xmlrouter.MustParseXPE("/news/headline")})
 	net.Run()
 
-	// 4. Publish a document; it travels the chain to the interested client.
-	doc, err := xmlrouter.ParseDocument([]byte(stockDoc))
-	if err != nil {
-		log.Fatal(err)
-	}
-	producer.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Doc: doc})
+	// 4. Publish a document as its XML bytes; it travels the chain to the
+	//    interested client.
+	producer.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Raw: []byte(stockDoc)})
 	net.Run()
 
 	fmt.Printf("price-watcher deliveries: %d (delay %v)\n",

@@ -86,12 +86,8 @@ func main() {
 	waitFor(func() bool { return b1.PRTSize() > 0 })
 	fmt.Println("subscription propagated back to the publisher's broker")
 
-	doc, err := xmlrouter.ParseDocument([]byte(
-		`<cookbook><recipe><title>Toast</title><ingredient>bread</ingredient><step>toast it</step></recipe></cookbook>`))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := publisher.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Doc: doc}); err != nil {
+	recipe := []byte(`<cookbook><recipe><title>Toast</title><ingredient>bread</ingredient><step>toast it</step></recipe></cookbook>`)
+	if err := publisher.Send(&xmlrouter.Message{Type: xmlrouter.MsgPublish, Raw: recipe}); err != nil {
 		log.Fatal(err)
 	}
 	m, err := subscriber.WaitDelivery(5 * time.Second)
@@ -99,7 +95,11 @@ func main() {
 		log.Fatal(err)
 	}
 	delay := time.Since(time.Unix(0, m.Stamp)).Round(time.Microsecond)
-	fmt.Printf("subscriber received <%s> after %v over 3 TCP hops\n", m.Doc.Root.Name, delay)
+	doc, err := xmlrouter.ParseDocument(m.Raw) // the subscriber's own tree
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("subscriber received <%s> after %v over 3 TCP hops\n", doc.Root.Name, delay)
 }
 
 func waitFor(cond func() bool) {

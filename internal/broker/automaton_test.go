@@ -30,11 +30,10 @@ func pub(path []string, attrs []map[string]string, id int) xmldoc.Publication {
 }
 
 // pubSink captures the publications a broker emits, safe for concurrent
-// sends. lines keeps every emission, with a form-independent body — raw
-// bodies and parsed documents of the same content render alike — for
-// comparing brokers byte for byte; dests collects the destinations of the
-// publication in flight for treeWalkRoute, durable deliveries under their
-// virtual-client key.
+// sends. lines keeps every emission, with its body — a document's bytes or
+// a path — for comparing brokers byte for byte; dests collects the
+// destinations of the publication in flight for treeWalkRoute, durable
+// deliveries under their virtual-client key.
 type pubSink struct {
 	mu    sync.Mutex
 	lines []string
@@ -45,14 +44,9 @@ func (s *pubSink) send(to string, m *Message) {
 	if m.Type != MsgPublish {
 		return
 	}
-	var body string
-	switch {
-	case len(m.Raw) > 0:
+	body := m.Pub.String()
+	if len(m.Raw) > 0 {
 		body = string(m.Raw)
-	case m.Doc != nil:
-		body = string(m.Doc.Marshal())
-	default:
-		body = m.Pub.String()
 	}
 	line, dest := to+"<-"+body, to
 	if m.Durable != "" {

@@ -107,19 +107,17 @@ type Message struct {
 	// Resync is the control-state payload of a resync message.
 	Resync *ResyncState
 
-	// Pub is the publication payload (publish). Routing is per path: either
-	// Pub carries a single root-to-leaf path, or Doc carries a whole
-	// document whose paths are all matched at each hop (publishers submit
-	// entire documents; path decomposition is transparent to them).
+	// Pub is the publication payload (publish) when Raw is empty: a single
+	// root-to-leaf path.
 	Pub xmldoc.Publication
-	// Doc, when non-nil, is a whole-document publication.
-	Doc *xmldoc.Document
-	// Raw, when non-empty, is a whole-document publication as raw XML
-	// bytes: the broker routes it with the streaming matcher in one pass
-	// over the bytes — never parsing it into a tree — and forwards the
-	// bytes untouched. Exactly one of Raw and Doc may be set. A raw body
-	// that fails the scan (malformed XML or wire document bounds) is
-	// dropped and counted in Stats.BadDocuments.
+	// Raw, when non-empty, is a whole-document publication as XML bytes —
+	// the one form a document travels in. Every broker routes it with the
+	// streaming matcher in one pass over the bytes, matching all of its
+	// paths without parsing it into a tree, and forwards the bytes
+	// untouched. A publisher holding a tree sends doc.Marshal(); a
+	// subscriber that wants one calls xmldoc.Parse. A body that fails the
+	// scan (malformed XML or wire document bounds) is dropped and counted in
+	// Stats.BadDocuments.
 	Raw []byte
 
 	// Durable names a durable subscription (subscribe-durable, ack,

@@ -22,11 +22,11 @@ import (
 // publications never contend with each other or with control-plane updates.
 // Every publication is matched by one run of the snapshot's shared automaton,
 // which covers the PRT's last-hop entries and every client filter expression
-// (DESIGN.md §5c): a raw body (Message.Raw, never parsed into a tree) by one
-// streaming pass over its bytes, a parsed document (Message.Doc) by one walk
-// of its tree (DESIGN.md §5e), and a path publication by one run over its
-// interned path: the wire decoder resolves it (DESIGN.md §5h), and a
-// hand-built publication carrying none is converted on arrival. A raw body
+// (DESIGN.md §5c): a whole document (Message.Raw, never parsed into a tree)
+// by one streaming pass over its bytes (DESIGN.md §5e), and a path
+// publication by one run over its interned path: the wire decoder resolves
+// it (DESIGN.md §5h), and a hand-built publication carrying none is
+// converted on arrival. A raw body
 // that fails the streaming scan (malformed XML or the wire document bounds)
 // is dropped and counted, never forwarded. For traced publications it
 // returns the hop event for the caller to record; untraced traffic returns
@@ -72,16 +72,13 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			hops.add(int(snap.rank[id]))
 		}
 	}
-	switch {
-	case len(m.Raw) > 0:
+	if len(m.Raw) > 0 {
 		// One pass over the bytes: syntax, wire bounds, and matching.
 		if err := stream.Match(m.Raw, snap.auto, stream.WireLimits, visit); err != nil {
 			b.stats.badDocs.Add(1)
 			return nil
 		}
-	case m.Doc != nil:
-		stream.MatchDoc(m.Doc, snap.auto, visit)
-	default:
+	} else {
 		path := m.Pub.SymPath
 		if path == nil {
 			// Hand-built: intern on arrival, into room on this stack (the

@@ -31,18 +31,13 @@ func randomBrokerDoc(r *rand.Rand) *xmldoc.Document {
 }
 
 // TestStreamingRoutesLikeDecomposition is the broker-level differential
-// contract for DESIGN.md §5e: whole documents, published both as a raw body
-// (Message.Raw, the Marshal of the tree) and as a parsed tree (Message.Doc),
-// are streamed through the automaton, and under every routing scenario each
-// must reach exactly what the tree walk over its decomposed paths reaches
-// (checkRoutesLikeTreeWalk).
+// contract for DESIGN.md §5e: whole documents, published as their bytes
+// (Message.Raw, the Marshal of a random tree), are streamed through the
+// automaton, and under every routing scenario each must reach exactly what
+// the tree walk over its decomposed paths reaches (checkRoutesLikeTreeWalk).
 func TestStreamingRoutesLikeDecomposition(t *testing.T) {
 	totals := checkRoutesLikeTreeWalk(t, func(r *rand.Rand) []*Message {
-		doc := randomBrokerDoc(r)
-		return []*Message{
-			{Type: MsgPublish, Raw: doc.Marshal()},
-			{Type: MsgPublish, Doc: doc},
-		}
+		return []*Message{{Type: MsgPublish, Raw: randomBrokerDoc(r).Marshal()}}
 	})
 	// Merged subscriptions must be exercised by documents, not only by
 	// single paths: a document whose paths match an imperfect merger but no
@@ -54,7 +49,7 @@ func TestStreamingRoutesLikeDecomposition(t *testing.T) {
 
 // TestStreamingForwardsRawUntouched pins the zero-copy contract: a raw body
 // that matches a neighbour subscription is forwarded as the same bytes, not
-// re-marshalled or parsed into a Doc.
+// re-marshalled or copied.
 func TestStreamingForwardsRawUntouched(t *testing.T) {
 	var got *Message
 	b := New(Config{ID: "b1"}, func(to string, m *Message) {
@@ -71,8 +66,8 @@ func TestStreamingForwardsRawUntouched(t *testing.T) {
 	if got == nil {
 		t.Fatal("matching raw publication was not forwarded")
 	}
-	if &got.Raw[0] != &raw[0] || got.Doc != nil {
-		t.Fatal("raw body must be forwarded as the same bytes, without a parsed tree")
+	if &got.Raw[0] != &raw[0] {
+		t.Fatal("raw body must be forwarded as the same bytes")
 	}
 }
 

@@ -59,19 +59,15 @@ func treeWalkRoute(t *testing.T, b *Broker, m *Message, from string) routeVerdic
 }
 
 // decompose splits a publication into its annotated sym-paths: the single
-// path of a path publication, every root-to-leaf path of a document (raw
-// bodies are parsed first).
+// path of a path publication, every root-to-leaf path of a document (parsed
+// from its bytes first).
 func decompose(t *testing.T, m *Message) ([][]symtab.Sym, [][]map[string]string) {
 	t.Helper()
-	doc := m.Doc
 	if len(m.Raw) > 0 {
-		parsed, err := xmldoc.Parse(m.Raw)
+		doc, err := xmldoc.Parse(m.Raw)
 		if err != nil {
 			t.Fatalf("oracle cannot parse raw body %q: %v", m.Raw, err)
 		}
-		doc = parsed
-	}
-	if doc != nil {
 		return doc.AnnotatedSymPaths()
 	}
 	path := m.Pub.SymPath

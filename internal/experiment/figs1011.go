@@ -138,9 +138,10 @@ func buildWorkloadSet(d *dtd.DTD, n int, rate float64, seed int64) (*CoveringSet
 
 // delayByHops builds one broker chain with a subscriber at every hop
 // distance, publishes the documents end to end, and returns the mean delay
-// observed at each requested hop count. Per-hop delay combines the
-// PlanetLab-like link latency, the serialisation time of the document, and
-// the broker's measured matching time — which is what covering reduces.
+// observed at each requested hop count. Documents travel as their bytes, so
+// per-hop delay combines the PlanetLab-like link latency, the serialisation
+// time of those bytes, and the broker's measured routing time — one
+// streaming scan that matches as it goes, which covering reduces.
 func delayByHops(opts DelayOptions, covering bool, sets []*CoveringSet, docs []*xmldoc.Document, advs []*advert.Advertisement, est *merge.DegreeEstimator, maxHops int) ([]float64, error) {
 	net := sim.NewNetwork(opts.Seed)
 	net.MeasureCompute = true
@@ -172,7 +173,7 @@ func delayByHops(opts DelayOptions, covering bool, sets []*CoveringSet, docs []*
 	net.Run()
 
 	for _, doc := range docs {
-		pub.Send(&broker.Message{Type: broker.MsgPublish, Doc: doc})
+		pub.Send(&broker.Message{Type: broker.MsgPublish, Raw: doc.Marshal()})
 		net.Run() // complete each document before publishing the next
 	}
 

@@ -396,12 +396,15 @@ func (s *Store) Replay(name string, from, to uint64, fn func(seq uint64, m *brok
 			return err
 		}
 		rd := newRecordDecoder()
-		var fnErr error
+		var stopErr error
 		scanSegment(data, func(recName string, seq uint64, frames []byte) error {
 			// Every record's frames must be decoded to keep the segment's
-			// symbol dictionary in sync, even ones outside the range.
+			// symbol dictionary in sync, even ones outside the range. A
+			// record the codec refuses (one carrying a retired flag, say)
+			// ends the replay with that error rather than being skipped.
 			m, err := rd.decode(frames)
 			if err != nil {
+				stopErr = fmt.Errorf("publog: replay %s: %q seq %d: %w", filepath.Base(path), recName, seq, err)
 				return err
 			}
 			if recName != name || seq < from || seq > to {
@@ -409,13 +412,13 @@ func (s *Store) Replay(name string, from, to uint64, fn func(seq uint64, m *brok
 			}
 			s.replayed.Add(1)
 			if err := fn(seq, m); err != nil {
-				fnErr = err
+				stopErr = err
 				return err
 			}
 			return nil
 		})
-		if fnErr != nil {
-			return fnErr
+		if stopErr != nil {
+			return stopErr
 		}
 	}
 	return nil

@@ -1,9 +1,12 @@
 package publog
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -396,5 +399,38 @@ func TestStatusAndMetrics(t *testing.T) {
 	}
 	if got := s.maxLag(); got != 2 {
 		t.Fatalf("maxLag = %d, want 2", got)
+	}
+}
+
+// TestReplayRefusesRetiredTreeRecord: publication records are wirefmt
+// frames, so a record logged with the retired parsed-tree publish flag
+// fails replay with the codec's unknown-flag error instead of decoding
+// into something else.
+func TestReplayRefusesRetiredTreeRecord(t *testing.T) {
+	frames := []byte{
+		5, 0x01, 0, 1, 1, 'a', // dictionary frame: symbol 0 is "a"
+		// Publish, flags = bit 0, docID/pathID/stamp 0, empty path, then
+		// the one-element tree <a/>: name, no attributes, no text, no
+		// children.
+		11, 0x02, byte(broker.MsgPublish), 1 << 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	}
+	body := append([]byte{1, 'n', 1}, frames...) // name "n", seq 1
+	seg := append([]byte(segMagic), binary.AppendUvarint(nil, 1)...)
+	seg = binary.AppendUvarint(seg, uint64(len(body)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(body))
+	seg = append(seg, body...)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, syncOpts)
+	defer s.Close()
+	err := s.Replay("n", 1, 1, func(uint64, *broker.Message) error {
+		t.Fatal("a record with the retired tree flag was replayed")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown publication flags") {
+		t.Fatalf("Replay = %v, want the unknown-flag error", err)
 	}
 }

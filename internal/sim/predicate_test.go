@@ -29,12 +29,8 @@ func TestAttributePredicateRouting(t *testing.T) {
 		XPE: xpath.MustParse(`/insurance/claim//detail`)})
 	n.Run()
 
-	doc, err := xmldoc.Parse([]byte(
-		`<insurance><claim lang="en" urgency="high"><body><detail>rear-end collision</detail></body></claim></insurance>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub.Send(&broker.Message{Type: broker.MsgPublish, Doc: doc})
+	pub.Send(&broker.Message{Type: broker.MsgPublish, Raw: []byte(
+		`<insurance><claim lang="en" urgency="high"><body><detail>rear-end collision</detail></body></claim></insurance>`)})
 	n.Run()
 
 	if len(english.Deliveries) != 1 {

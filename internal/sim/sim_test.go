@@ -205,11 +205,8 @@ func TestDocumentPublication(t *testing.T) {
 	s1.Send(subMsg("/catalog/book/title"))
 	s2.Send(subMsg("/catalog/dvd"))
 	n.Run()
-	doc, err := xmldoc.Parse([]byte(`<catalog><book><title>t</title><author>a</author></book></catalog>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub.Send(&broker.Message{Type: broker.MsgPublish, Doc: doc})
+	pub.Send(&broker.Message{Type: broker.MsgPublish,
+		Raw: []byte(`<catalog><book><title>t</title><author>a</author></book></catalog>`)})
 	n.Run()
 	if len(s1.Deliveries) != 1 || len(s2.Deliveries) != 0 {
 		t.Fatalf("deliveries = %d/%d, want 1/0", len(s1.Deliveries), len(s2.Deliveries))
@@ -335,11 +332,8 @@ func TestLatencyModels(t *testing.T) {
 func TestTransferDelay(t *testing.T) {
 	n := NewNetwork(1)
 	n.Bandwidth = 1e6 // 1 MB/s
-	doc, err := xmldoc.Parse([]byte(`<a><b>` + strings.Repeat("x", 10000) + `</b></a>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &broker.Message{Type: broker.MsgPublish, Doc: doc}
+	raw := []byte(`<a><b>` + strings.Repeat("x", 10000) + `</b></a>`)
+	m := &broker.Message{Type: broker.MsgPublish, Raw: raw}
 	got := n.transfer(m)
 	want := time.Duration(float64(wirefmt.EstimateSize(m)) / 1e6 * float64(time.Second))
 	if got != want {
@@ -347,7 +341,7 @@ func TestTransferDelay(t *testing.T) {
 	}
 	// The wire estimate must stay anchored to the document's actual bulk —
 	// the 10KB of character data dominates whatever framing the codec adds.
-	if min := time.Duration(float64(doc.Size()) / 1e6 * float64(time.Second)); got < min/2 || got > 2*min {
+	if min := time.Duration(float64(len(raw)) / 1e6 * float64(time.Second)); got < min/2 || got > 2*min {
 		t.Errorf("transfer = %v, not within 2x of the %v raw-size delay", got, min)
 	}
 	if n.transfer(subMsg("/a")) == 0 {

@@ -15,10 +15,9 @@ import (
 
 // The differential harness is the correctness centrepiece of the streaming
 // matcher: for random workloads (expressions × documents) it asserts that
-// four independent evaluation routes produce the SAME verdict set —
+// three independent evaluation routes produce the SAME verdict set —
 //
-//	streaming over raw bytes  ≡  streaming over the parsed tree
-//	                          ≡  decompose-into-paths + pmatch per path
+//	streaming over raw bytes  ≡  decompose-into-paths + pmatch per path
 //	                          ≡  per-expression tree-walk oracle
 //
 // Documents are serialised with randomised decorations (comments, PIs,
@@ -141,7 +140,7 @@ func hexOf(s string) string {
 }
 
 // diffAutomatons compiles the workload into the single-shard (monolithic)
-// and a 4-shard partitioned automaton: the harness asserts the four-way
+// and a 4-shard partitioned automaton: the harness asserts the three-way
 // equivalence for both, so sharding cannot change a verdict.
 func diffAutomatons(xs []*xpath.XPE) map[string]*pmatch.ShardedAutomaton {
 	mono := pmatch.NewBuilder()
@@ -156,9 +155,9 @@ func diffAutomatons(xs []*xpath.XPE) map[string]*pmatch.ShardedAutomaton {
 	}
 }
 
-// fourWayVerdicts evaluates the same workload along all four routes and
+// threeWayVerdicts evaluates the same workload along all three routes and
 // returns the sorted entry-index sets.
-func fourWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, treed, decomposed, oracle []int) {
+func threeWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, decomposed, oracle []int) {
 	t.Helper()
 	collectInto := func(dst *[]int) func(any) {
 		seen := map[int]bool{}
@@ -173,9 +172,6 @@ func fourWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XP
 		t.Fatalf("stream.Match rejected %q: %v", raw, err)
 	}
 	sort.Ints(streamed)
-
-	MatchDoc(doc, auto, collectInto(&treed))
-	sort.Ints(treed)
 
 	paths, attrs := doc.AnnotatedSymPaths()
 	addD := collectInto(&decomposed)
@@ -192,19 +188,19 @@ func fourWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XP
 			}
 		}
 	}
-	return streamed, treed, decomposed, oracle
+	return streamed, decomposed, oracle
 }
 
-func assertFourWay(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte, ctx string) {
+func assertThreeWay(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte, ctx string) {
 	t.Helper()
-	streamed, treed, decomposed, oracle := fourWayVerdicts(t, auto, xs, doc, raw)
-	if !eqIntSlices(streamed, oracle) || !eqIntSlices(treed, oracle) || !eqIntSlices(decomposed, oracle) {
+	streamed, decomposed, oracle := threeWayVerdicts(t, auto, xs, doc, raw)
+	if !eqIntSlices(streamed, oracle) || !eqIntSlices(decomposed, oracle) {
 		var exprs []string
 		for _, x := range xs {
 			exprs = append(exprs, x.String())
 		}
-		t.Fatalf("%s: verdict divergence\n  raw:        %q\n  streamed:   %v\n  tree:       %v\n  decomposed: %v\n  oracle:     %v\n  exprs:      %s",
-			ctx, raw, streamed, treed, decomposed, oracle, strings.Join(exprs, " ; "))
+		t.Fatalf("%s: verdict divergence\n  raw:        %q\n  streamed:   %v\n  decomposed: %v\n  oracle:     %v\n  exprs:      %s",
+			ctx, raw, streamed, decomposed, oracle, strings.Join(exprs, " ; "))
 	}
 }
 
@@ -234,10 +230,10 @@ func TestQuickStreamEquivalence(t *testing.T) {
 			var sb strings.Builder
 			decorate(r, doc.Root, &sb)
 			for name, auto := range autos {
-				assertFourWay(t, auto, xs, doc, []byte(sb.String()), "quick/"+name)
+				assertThreeWay(t, auto, xs, doc, []byte(sb.String()), "quick/"+name)
 				// The undecorated serialisation too (self-closing vs explicit
 				// close, escaped attrs through xmldoc's own writer).
-				assertFourWay(t, auto, xs, doc, doc.Marshal(), "quick-marshal/"+name)
+				assertThreeWay(t, auto, xs, doc, doc.Marshal(), "quick-marshal/"+name)
 			}
 		}
 	}
@@ -294,7 +290,7 @@ func TestDTDStreamEquivalence(t *testing.T) {
 			autos := diffAutomatons(xs)
 			for _, doc := range docs {
 				for name, auto := range autos {
-					assertFourWay(t, auto, xs, doc, doc.Marshal(), tc.name+"/"+name)
+					assertThreeWay(t, auto, xs, doc, doc.Marshal(), tc.name+"/"+name)
 				}
 			}
 		})
@@ -302,8 +298,9 @@ func TestDTDStreamEquivalence(t *testing.T) {
 }
 
 // TestStreamEquivalenceConcurrent hammers one automaton from many
-// goroutines mixing raw and tree streaming — pooled matchers and cursors
-// must not leak state between concurrent runs (run under -race in CI).
+// goroutines mixing decorated and plain serialisations — pooled matchers and
+// cursors must not leak state between concurrent runs (run under -race in
+// CI).
 func TestStreamEquivalenceConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	b := pmatch.NewShardedBuilder(4) // pooled sharded cursors race here too
@@ -314,15 +311,15 @@ func TestStreamEquivalenceConcurrent(t *testing.T) {
 	}
 	auto := b.Build()
 	type work struct {
-		doc *xmldoc.Document
-		raw []byte
+		doc        *xmldoc.Document
+		raw, plain []byte
 	}
 	jobs := make([]work, 64)
 	for i := range jobs {
 		doc := &xmldoc.Document{Root: diffTree(r, 0)}
 		var sb strings.Builder
 		decorate(r, doc.Root, &sb)
-		jobs[i] = work{doc: doc, raw: []byte(sb.String())}
+		jobs[i] = work{doc: doc, raw: []byte(sb.String()), plain: doc.Marshal()}
 	}
 	// Per-job expected sets, computed serially first.
 	want := make([][]int, len(jobs))
@@ -352,13 +349,13 @@ func TestStreamEquivalenceConcurrent(t *testing.T) {
 						got = append(got, k)
 					}
 				}
-				if rep%2 == 0 {
-					if err := Match(jobs[i].raw, auto, Limits{}, collect); err != nil {
-						done <- err
-						return
-					}
-				} else {
-					MatchDoc(jobs[i].doc, auto, collect)
+				data := jobs[i].raw
+				if rep%2 != 0 {
+					data = jobs[i].plain
+				}
+				if err := Match(data, auto, Limits{}, collect); err != nil {
+					done <- err
+					return
 				}
 				sort.Ints(got)
 				if !eqIntSlices(got, want[i]) {

@@ -67,7 +67,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 			return
 		}
 
-		// Match-set equivalence: streaming vs decompose vs tree streaming.
+		// Match-set equivalence: streaming vs decompose.
 		var decomposed []int
 		seenD := map[int]bool{}
 		paths, attrs := doc.AnnotatedSymPaths()
@@ -79,20 +79,11 @@ func FuzzStreamEquivalence(f *testing.F) {
 				}
 			})
 		}
-		var treed []int
-		seenT := map[int]bool{}
-		MatchDoc(doc, auto, func(d any) {
-			if k := d.(int); !seenT[k] {
-				seenT[k] = true
-				treed = append(treed, k)
-			}
-		})
 		sort.Ints(streamed)
 		sort.Ints(decomposed)
-		sort.Ints(treed)
-		if !eqIntSlices(streamed, decomposed) || !eqIntSlices(treed, decomposed) {
-			t.Fatalf("match divergence on %q: streamed=%v treed=%v decomposed=%v",
-				data, streamed, treed, decomposed)
+		if !eqIntSlices(streamed, decomposed) {
+			t.Fatalf("match divergence on %q: streamed=%v decomposed=%v",
+				data, streamed, decomposed)
 		}
 
 		// Structural equivalence: names and decoded attributes, in document

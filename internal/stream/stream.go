@@ -48,9 +48,8 @@ type Limits struct {
 	MaxName int
 }
 
-// The wire document bounds, shared with internal/wirefmt: documents
-// accepted from the network are capped at this many levels, elements, and
-// element-name bytes, whether they arrive raw or parsed.
+// The wire document bounds: documents accepted from the network are capped
+// at this many levels, elements, and element-name bytes.
 const (
 	MaxDocDepth = 256
 	MaxDocElems = 1 << 16
@@ -67,10 +66,10 @@ var WireLimits = Limits{MaxDepth: MaxDocDepth, MaxElems: MaxDocElems, MaxName: M
 type matcher struct {
 	sc  scanner
 	cur *pmatch.ShardedCursor
-	// hits collects the payloads accepted during one scan; Match and
-	// MatchDoc hand them to the caller's visit only after the scan ends, so
-	// the visitor is never stored in this pooled (heap) matcher and a
-	// caller's closure over its own stack variables stays on its stack.
+	// hits collects the payloads accepted during one scan; Match hands them
+	// to the caller's visit only after the scan ends, so the visitor is
+	// never stored in this pooled (heap) matcher and a caller's closure over
+	// its own stack variables stays on its stack.
 	// hits starts on hitBuf, so a fresh pooled matcher does not grow it
 	// append by append.
 	hits   []any
@@ -81,13 +80,10 @@ type matcher struct {
 	maps  []map[string]string // attribute maps, built on first predicate accept
 	built []bool              // whether maps[d] has been built
 
-	// Raw mode: attribute spans per frame, flattened (arena[arenaOff[d]:
-	// arenaOff[d+1]] belongs to depth d).
+	// Attribute spans per frame, flattened (arena[arenaOff[d]:arenaOff[d+1]]
+	// belongs to depth d).
 	arena    []attrSpan
 	arenaOff []int32
-
-	// Doc mode (MatchDoc): the element stack instead of spans.
-	elems []*xmldoc.Elem
 
 	accept pmatch.AcceptFunc // bound method value, allocated once
 }
@@ -96,7 +92,7 @@ var matcherPool = sync.Pool{New: func() any {
 	m := &matcher{arenaOff: []int32{0}}
 	m.hits = m.hitBuf[:0]
 	m.accept = m.onAccept
-	m.sc.onOpen = m.openRaw
+	m.sc.onOpen = m.openElem
 	m.sc.onClose = m.closeElem
 	return m
 }}
@@ -122,37 +118,15 @@ func Match(data []byte, a *pmatch.ShardedAutomaton, lim Limits, visit func(data 
 	if err := m.sc.run(); err != nil {
 		return err
 	}
-	m.report(visit)
-	return nil
-}
-
-// report hands the scan's accepted payloads to visit.
-func (m *matcher) report(visit func(data any)) {
 	for _, d := range m.hits {
 		visit(d)
 	}
+	return nil
 }
 
 // Scan validates a raw document (syntax and limits) without matching.
 func Scan(data []byte, lim Limits) error {
 	return Match(data, nil, lim, nil)
-}
-
-// MatchDoc runs the automaton over an already-parsed document with the same
-// verdict semantics as Match over its serialisation: one pre-order walk,
-// accept events per element, predicates post-filtered against the live
-// stack. The broker routes parsed publications (Message.Doc) with it, so a
-// document matches alike whether it arrives as bytes or as a tree. Safe for
-// concurrent use.
-func MatchDoc(d *xmldoc.Document, a *pmatch.ShardedAutomaton, visit func(data any)) {
-	if d == nil || d.Root == nil || a == nil {
-		return
-	}
-	m := matcherPool.Get().(*matcher)
-	defer m.release()
-	m.cur = a.Cursor()
-	m.matchElem(d.Root)
-	m.report(visit)
 }
 
 // CheckDoc validates a parsed document against lim with the bounds Match
@@ -198,23 +172,19 @@ func (m *matcher) release() {
 	for i := range m.maps {
 		m.maps[i] = nil
 	}
-	for i := range m.elems {
-		m.elems[i] = nil
-	}
 	m.syms = m.syms[:0]
 	m.maps = m.maps[:0]
 	m.built = m.built[:0]
 	m.arena = m.arena[:0]
 	m.arenaOff = append(m.arenaOff[:0], 0)
-	m.elems = m.elems[:0]
 	m.sc.data = nil
 	matcherPool.Put(m)
 }
 
-// openRaw is the scanner's start-tag callback: intern the name (unknown
+// openElem is the scanner's start-tag callback: intern the name (unknown
 // names become symtab.None, which only wildcards match), bank the attribute
 // spans, and advance the cursor.
-func (m *matcher) openRaw(local span, attrs []attrSpan) {
+func (m *matcher) openElem(local span, attrs []attrSpan) {
 	if m.cur == nil {
 		return // validation-only scan
 	}
@@ -227,7 +197,7 @@ func (m *matcher) openRaw(local span, attrs []attrSpan) {
 	m.cur.Enter(sym, m.accept)
 }
 
-// closeElem pops one frame (both raw and doc modes).
+// closeElem is the scanner's end-tag callback: pop one frame.
 func (m *matcher) closeElem() {
 	if m.cur == nil {
 		return
@@ -237,30 +207,9 @@ func (m *matcher) closeElem() {
 	m.syms = m.syms[:d]
 	m.maps = m.maps[:d]
 	m.built = m.built[:d]
-	if len(m.elems) > 0 {
-		m.elems[d] = nil
-		m.elems = m.elems[:d]
-	} else {
-		m.arena = m.arena[:m.arenaOff[d]]
-		m.arenaOff = m.arenaOff[:d+1]
-	}
+	m.arena = m.arena[:m.arenaOff[d]]
+	m.arenaOff = m.arenaOff[:d+1]
 	m.cur.Leave()
-}
-
-// matchElem drives the cursor from a parsed tree (MatchDoc).
-func (m *matcher) matchElem(e *xmldoc.Elem) {
-	sym, _ := symtab.Lookup(e.Name)
-	m.syms = append(m.syms, sym)
-	m.maps = append(m.maps, nil)
-	m.built = append(m.built, false)
-	m.elems = append(m.elems, e)
-	m.cur.Enter(sym, m.accept)
-	for _, c := range e.Children {
-		if c != nil {
-			m.matchElem(c)
-		}
-	}
-	m.closeElem()
 }
 
 // onAccept handles one structural accept event from the cursor. Entries
@@ -286,16 +235,11 @@ func (m *matcher) onAccept(x *xpath.XPE, hasPreds bool, data any) bool {
 // not have one yet. Work is bounded by depth × accept events, independent
 // of document size.
 func (m *matcher) buildMaps() {
-	docMode := len(m.elems) > 0
 	for d := range m.syms {
 		if m.built[d] {
 			continue
 		}
 		m.built[d] = true
-		if docMode {
-			m.maps[d] = elemAttrMap(m.elems[d])
-			continue
-		}
 		spans := m.arena[m.arenaOff[d]:m.arenaOff[d+1]]
 		if len(spans) == 0 {
 			continue // nil map, like AnnotatedPaths
@@ -307,19 +251,6 @@ func (m *matcher) buildMaps() {
 		}
 		m.maps[d] = mp
 	}
-}
-
-// elemAttrMap mirrors xmldoc.AnnotatedPaths' attrMap: nil for
-// attribute-less elements, last duplicate wins.
-func elemAttrMap(e *xmldoc.Elem) map[string]string {
-	if len(e.Attrs) == 0 {
-		return nil
-	}
-	mp := make(map[string]string, len(e.Attrs))
-	for _, a := range e.Attrs {
-		mp[a.Name] = a.Value
-	}
-	return mp
 }
 
 // decodeAttrValue decodes one attribute value the way encoding/xml's text()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -137,18 +138,15 @@ func TestWholeDocumentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return servers[0].PRTSize() == 1 })
-	doc, err := xmldoc.Parse([]byte(`<catalog><book><title>Go</title></book></catalog>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Send(&broker.Message{Type: broker.MsgPublish, Doc: doc}); err != nil {
+	raw := []byte(`<catalog><book><title>Go</title></book></catalog>`)
+	if err := pub.Send(&broker.Message{Type: broker.MsgPublish, Raw: raw}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sub.WaitDelivery(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Doc == nil || m.Doc.Root.Name != "catalog" {
+	if !bytes.Equal(m.Raw, raw) {
 		t.Errorf("delivered %v", m)
 	}
 }

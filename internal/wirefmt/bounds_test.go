@@ -24,8 +24,6 @@ var loose = func() Limits {
 	l.MaxSteps *= 4
 	l.MaxName *= 4
 	l.MaxPath *= 4
-	l.MaxDocElems *= 4
-	l.MaxDocDepth *= 4
 	l.MaxHops *= 4
 	l.MaxRawDoc *= 4
 	l.MaxHopStages *= 4
@@ -97,16 +95,59 @@ func rawDocOfSize(n int) []byte {
 // Raw-document publications get exactly one decoder check — the size cap.
 // Syntax and the document bounds are the broker's streaming scan's job (it
 // validates while routing), so a malformed body decodes; but a body over
-// the byte cap, or a frame smuggling both document forms, must not.
+// the byte cap, or a frame that also sets the retired tree bit, must not.
 func TestDecodeRawPublicationBounds(t *testing.T) {
 	runBoundCases(t, []boundCase{
 		{name: "raw-ok", msg: &broker.Message{Type: broker.MsgPublish, Raw: []byte("<a><b/></a>")}, ok: true},
 		{name: "raw-at-cap", msg: &broker.Message{Type: broker.MsgPublish, Raw: rawDocOfSize(MaxRawDoc)}, ok: true},
 		{name: "raw-over-cap", msg: &broker.Message{Type: broker.MsgPublish, Raw: rawDocOfSize(MaxRawDoc + 1)}},
 		{name: "raw-malformed-passes", msg: &broker.Message{Type: broker.MsgPublish, Raw: []byte("<a><b></a>")}, ok: true},
-		// The flags byte alone condemns it; no encoder writes both forms.
-		{name: "raw-and-doc", frame: frameOf(frameMsg, byte(broker.MsgPublish), pubFlagDoc|pubFlagRaw)},
+		// The flags byte alone condemns it: bit 0 once marked a parsed tree.
+		{name: "raw-and-doc", frame: frameOf(frameMsg, byte(broker.MsgPublish), 1<<0|pubFlagRaw)},
 	})
+}
+
+// A flag bit the decoder does not know would change how the rest of the
+// record reads, so it loses the link rather than being skipped. That
+// includes the publish bit that once carried a parsed tree: a tree frame
+// from a peer that still sends one is refused, not misparsed.
+func TestDecodeRejectsUnknownFlags(t *testing.T) {
+	// Dictionary symbol 0 is "a".
+	dict := frameOf(frameDict, 0, 1, 1, 'a')
+	// A publication with an empty path (docID, pathID, stamp, zero
+	// elements), followed by body.
+	pub := func(flags byte, body ...byte) []byte {
+		return frameOf(append([]byte{frameMsg, byte(broker.MsgPublish), flags, 0, 0, 0, 0}, body...)...)
+	}
+	// A subscription to the one-step expression "a".
+	sub := func(flags byte) []byte {
+		return frameOf(frameMsg, byte(broker.MsgSubscribe), flags, 1, byte(xpath.Child), 0, 0)
+	}
+	// A one-element tree <a/> as bit 0 carried it: name, no attributes, no
+	// text, no children.
+	tree := []byte{0, 0, 0, 0}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		ok    bool
+	}{
+		{"pub-known-flags", pub(0), true},
+		{"pub-bit0-retired-doc", append(bytes.Clone(dict), pub(1<<0, tree...)...), false},
+		{"pub-bit7", pub(1 << 7), false},
+		{"xpe-relative", append(bytes.Clone(dict), sub(xpeFlagRelative)...), true},
+		{"xpe-bit1", append(bytes.Clone(dict), sub(1<<1)...), false},
+		{"xpe-bit7", append(bytes.Clone(dict), sub(1<<7)...), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := decodeDefault(tc.frame)
+			if tc.ok && err != nil {
+				t.Fatalf("decoder rejected a frame with known flags: %v", err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "unknown")) {
+				t.Fatalf("decoder did not refuse the unknown flag bit: err = %v", err)
+			}
+		})
+	}
 }
 
 // Carried trace hops ride every publication frame, stage durations
@@ -150,41 +191,6 @@ func TestDecodeHopStageBounds(t *testing.T) {
 	})
 }
 
-// chain is a document of the given number of nested levels.
-func chain(levels int) *xmldoc.Document {
-	root := &xmldoc.Elem{Name: "a"}
-	tip := root
-	for i := 1; i < levels; i++ {
-		c := &xmldoc.Elem{Name: "a"}
-		tip.Children = []*xmldoc.Elem{c}
-		tip = c
-	}
-	return &xmldoc.Document{Root: root}
-}
-
-// wide is a document of n elements: a root and n-1 children.
-func wide(n int) *xmldoc.Document {
-	root := &xmldoc.Elem{Name: "r"}
-	for i := 1; i < n; i++ {
-		root.Children = append(root.Children, &xmldoc.Elem{Name: "c"})
-	}
-	return &xmldoc.Document{Root: root}
-}
-
-// Parsed documents are bounded in nesting and size, so a hostile tree
-// cannot drive the matcher's recursion or the decoder's allocation.
-func TestDecodeDocBounds(t *testing.T) {
-	doc := func(d *xmldoc.Document) *broker.Message {
-		return &broker.Message{Type: broker.MsgPublish, Doc: d}
-	}
-	runBoundCases(t, []boundCase{
-		{name: "depth-at-cap", msg: doc(chain(MaxDocDepth)), ok: true},
-		{name: "depth-over-cap", msg: doc(chain(MaxDocDepth + 1))},
-		{name: "elems-at-cap", msg: doc(wide(MaxDocElems)), ok: true},
-		{name: "elems-over-cap", msg: doc(wide(MaxDocElems + 1))},
-	})
-}
-
 // Subscriptions arrive as step lists that never saw the parser; the decoder
 // bounds them and holds them to the parser's invariants.
 func TestDecodeXPEBounds(t *testing.T) {
@@ -217,10 +223,10 @@ func TestDecodeXPEBounds(t *testing.T) {
 }
 
 // One document-depth rule: the deepest document a broker accepts as a raw
-// body (it scans with stream.WireLimits), as a parsed tree, and as its
-// deepest path publication is the same, MaxDocDepth levels.
+// body (it scans with stream.WireLimits) and as its deepest path publication
+// is the same, MaxPath levels.
 func TestDeepestDocumentAgreesAcrossForms(t *testing.T) {
-	for _, levels := range []int{MaxDocDepth, MaxDocDepth + 1} {
+	for _, levels := range []int{MaxPath, MaxPath + 1} {
 		raw := []byte(strings.Repeat("<a>", levels) + strings.Repeat("</a>", levels))
 		doc, err := xmldoc.Parse(raw)
 		if err != nil {
@@ -230,10 +236,9 @@ func TestDeepestDocumentAgreesAcrossForms(t *testing.T) {
 		if len(deepest) != levels {
 			t.Fatalf("deepest path has %d elements, want %d", len(deepest), levels)
 		}
-		want := levels <= MaxDocDepth
+		want := levels <= MaxPath
 		forms := map[string]bool{
 			"raw":  stream.Scan(raw, stream.WireLimits) == nil,
-			"doc":  decodeDefault(encodeLoose(t, &broker.Message{Type: broker.MsgPublish, Doc: doc})) == nil,
 			"path": decodeDefault(encodeLoose(t, &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: deepest}})) == nil,
 		}
 		for form, ok := range forms {

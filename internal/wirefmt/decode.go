@@ -10,7 +10,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/symtab"
 	"repro/internal/trace"
-	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -51,7 +50,7 @@ type Decoder struct {
 	pb  []byte // payload of the frame being parsed (slice of buf)
 	off int    // parse cursor into pb
 
-	elems int // element budget of the document being parsed
+	advCount int // item budget of the advertisement being parsed
 }
 
 // NewDecoder builds a decoder for one connection with an empty symbol
@@ -419,6 +418,9 @@ func (d *Decoder) xpe() (*xpath.XPE, error) {
 	if err != nil {
 		return nil, err
 	}
+	if flags&^xpeFlagRelative != 0 {
+		return nil, fmt.Errorf("wirefmt: unknown expression flags %#x", flags&^xpeFlagRelative)
+	}
 	x := &xpath.XPE{Relative: flags&xpeFlagRelative != 0}
 	if n > 0 {
 		x.Steps = make([]xpath.Step, n)
@@ -450,12 +452,12 @@ func (d *Decoder) xpe() (*xpath.XPE, error) {
 }
 
 func (d *Decoder) adv() (*advert.Advertisement, error) {
-	d.elems = 0 // reused as the advertisement item budget
+	d.advCount = 0
 	items, err := d.advItems(0)
 	if err != nil {
 		return nil, err
 	}
-	if d.elems == 0 {
+	if d.advCount == 0 {
 		return nil, fmt.Errorf("wirefmt: empty advertisement")
 	}
 	return &advert.Advertisement{Items: items}, nil
@@ -465,7 +467,7 @@ func (d *Decoder) advItems(depth int) ([]advert.Item, error) {
 	if depth > d.lim.MaxAdvDepth {
 		return nil, fmt.Errorf("wirefmt: advertisement groups nested deeper than %d", d.lim.MaxAdvDepth)
 	}
-	n, err := d.count(d.lim.MaxAdvItems-d.elems, 2, "advertisement items")
+	n, err := d.count(d.lim.MaxAdvItems-d.advCount, 2, "advertisement items")
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +483,7 @@ func (d *Decoder) advItems(depth int) ([]advert.Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.elems++
+		d.advCount++
 		switch tag {
 		case 0:
 			name, err := d.sym()
@@ -507,8 +509,8 @@ func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, a
 	if err != nil {
 		return err
 	}
-	if flags&pubFlagDoc != 0 && flags&pubFlagRaw != 0 {
-		return fmt.Errorf("wirefmt: publication carrying both raw and parsed document")
+	if flags&^pubFlagsKnown != 0 {
+		return fmt.Errorf("wirefmt: unknown publication flags %#x", flags&^pubFlagsKnown)
 	}
 	if m.Pub.DocID, err = d.u(); err != nil {
 		return err
@@ -540,14 +542,6 @@ func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, a
 		if m.Pub.Attrs, err = d.attrs(attrs); err != nil {
 			return err
 		}
-	}
-	if flags&pubFlagDoc != 0 {
-		d.elems = 0
-		root, err := d.elem(0)
-		if err != nil {
-			return err
-		}
-		m.Doc = &xmldoc.Document{Root: root}
 	}
 	if flags&pubFlagRaw != 0 {
 		nr, err := d.count(d.lim.MaxRawDoc, 1, "raw bytes")
@@ -757,56 +751,6 @@ func (d *Decoder) hop() (trace.Hop, error) {
 		h.Stages[i] = trace.StageDur{Stage: stage, Nanos: nanos}
 	}
 	return h, nil
-}
-
-func (d *Decoder) elem(depth int) (*xmldoc.Elem, error) {
-	if depth >= d.lim.MaxDocDepth {
-		return nil, fmt.Errorf("wirefmt: document deeper than %d", d.lim.MaxDocDepth)
-	}
-	if d.elems++; d.elems > d.lim.MaxDocElems {
-		return nil, fmt.Errorf("wirefmt: document with more than %d elements", d.lim.MaxDocElems)
-	}
-	el := &xmldoc.Elem{}
-	var err error
-	if el.Name, err = d.sym(); err != nil {
-		return nil, err
-	}
-	na, err := d.count(d.remaining(), 2, "element attributes")
-	if err != nil {
-		return nil, err
-	}
-	if na > 0 {
-		el.Attrs = make([]xmldoc.Attr, na)
-	}
-	for i := 0; i < na; i++ {
-		name, err := d.sym()
-		if err != nil {
-			return nil, err
-		}
-		val, err := d.str(0)
-		if err != nil {
-			return nil, err
-		}
-		el.Attrs[i] = xmldoc.Attr{Name: name, Value: val}
-	}
-	if el.Text, err = d.str(0); err != nil {
-		return nil, err
-	}
-	nc, err := d.count(d.remaining(), 2, "child elements")
-	if err != nil {
-		return nil, err
-	}
-	if nc > 0 {
-		el.Children = make([]*xmldoc.Elem, nc)
-	}
-	for i := 0; i < nc; i++ {
-		c, err := d.elem(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		el.Children[i] = c
-	}
-	return el, nil
 }
 
 func (d *Decoder) resync() (*broker.ResyncState, error) {

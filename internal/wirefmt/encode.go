@@ -8,7 +8,6 @@ import (
 	"repro/internal/advert"
 	"repro/internal/broker"
 	"repro/internal/trace"
-	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -51,7 +50,6 @@ type Encoder struct {
 	runStart int         // start of the scratch run being written
 	extLen   int         // external bytes of the message being encoded
 	pendExt  int         // external bytes of all messages queued this batch
-	elems    int         // element budget of the document being encoded
 	advCount int         // item budget of the advertisement being encoded
 
 	// Frames counts message frames queued since construction — the
@@ -332,9 +330,6 @@ func (e *Encoder) advItems(items []advert.Item, depth int) error {
 
 func (e *Encoder) publish(m *broker.Message) error {
 	var flags byte
-	if m.Doc != nil {
-		flags |= pubFlagDoc
-	}
 	if len(m.Raw) > 0 {
 		flags |= pubFlagRaw
 	}
@@ -346,9 +341,6 @@ func (e *Encoder) publish(m *broker.Message) error {
 	}
 	if m.Durable != "" {
 		flags |= pubFlagDurable
-	}
-	if flags&pubFlagDoc != 0 && flags&pubFlagRaw != 0 {
-		return fmt.Errorf("wirefmt: publication carrying both raw and parsed document")
 	}
 	e.byte(flags)
 	e.u(m.Pub.DocID)
@@ -380,15 +372,6 @@ func (e *Encoder) publish(m *broker.Message) error {
 				}
 				e.str(v)
 			}
-		}
-	}
-	if flags&pubFlagDoc != 0 {
-		e.elems = 0
-		if m.Doc.Root == nil {
-			return fmt.Errorf("wirefmt: document without a root")
-		}
-		if err := e.elem(m.Doc.Root, 0); err != nil {
-			return err
 		}
 	}
 	if flags&pubFlagRaw != 0 {
@@ -442,36 +425,6 @@ func (e *Encoder) hop(h trace.Hop) error {
 			return fmt.Errorf("wirefmt: hop stage duration %dns outside [0, %dns]", sd.Nanos, e.lim.MaxStageNanos)
 		}
 		e.sv(sd.Nanos)
-	}
-	return nil
-}
-
-func (e *Encoder) elem(el *xmldoc.Elem, depth int) error {
-	if depth >= e.lim.MaxDocDepth {
-		return fmt.Errorf("wirefmt: document deeper than %d", e.lim.MaxDocDepth)
-	}
-	if e.elems++; e.elems > e.lim.MaxDocElems {
-		return fmt.Errorf("wirefmt: document with more than %d elements", e.lim.MaxDocElems)
-	}
-	if err := e.sym(el.Name); err != nil {
-		return err
-	}
-	e.u(uint64(len(el.Attrs)))
-	for _, a := range el.Attrs {
-		if err := e.sym(a.Name); err != nil {
-			return err
-		}
-		e.str(a.Value)
-	}
-	e.str(el.Text)
-	e.u(uint64(len(el.Children)))
-	for _, c := range el.Children {
-		if c == nil {
-			return fmt.Errorf("wirefmt: nil child element")
-		}
-		if err := e.elem(c, depth+1); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package wirefmt
 import (
 	"repro/internal/advert"
 	"repro/internal/broker"
-	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -58,9 +57,6 @@ func pubSize(m *broker.Message) int {
 			}
 		}
 	}
-	if m.Doc != nil && m.Doc.Root != nil {
-		n += elemSize(m.Doc.Root)
-	}
 	if len(m.Raw) > 0 {
 		n += uvSize(uint64(len(m.Raw))) + len(m.Raw)
 	}
@@ -77,21 +73,6 @@ func pubSize(m *broker.Message) int {
 	}
 	if m.Durable != "" {
 		n += symCost + uvSize(m.Seq)
-	}
-	return n
-}
-
-func elemSize(el *xmldoc.Elem) int {
-	n := symCost + uvSize(uint64(len(el.Attrs)))
-	for _, a := range el.Attrs {
-		n += symCost + uvSize(uint64(len(a.Value))) + len(a.Value)
-	}
-	n += uvSize(uint64(len(el.Text))) + len(el.Text)
-	n += uvSize(uint64(len(el.Children)))
-	for _, c := range el.Children {
-		if c != nil {
-			n += elemSize(c)
-		}
 	}
 	return n
 }

@@ -33,9 +33,10 @@
 // link: the encoder assigns the next sequential id on first use and
 // declares it in a dictionary-extension frame that precedes (in the same
 // batch) the first message frame referencing it. The dictionary starts
-// empty on both sides of a new connection and only ever grows, so ids are stable for the life of the connection. High-cardinality
-// values — attribute values, character data, trace ids, predicate strings,
-// raw document bytes — travel inline as length-prefixed bytes.
+// empty on both sides of a new connection and only ever grows, so ids are
+// stable for the life of the connection. High-cardinality values —
+// attribute values, trace ids, predicate strings, raw document bytes —
+// travel inline as length-prefixed bytes.
 //
 // Hostile input. The decoder is the transport's only validation surface. It
 // checks every declared length against both the configured Limits and the
@@ -49,8 +50,6 @@ package wirefmt
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/stream"
 )
 
 // Frame kinds (first payload byte of every frame).
@@ -67,9 +66,11 @@ const (
 )
 
 // Wire bounds. They are far above anything the system generates — they
-// exist to cap hostile input, not to constrain use. The document bounds are
-// the streaming scanner's, so a document is accepted alike as a raw body, a
-// parsed tree, and (MaxDocDepth = MaxPath) its deepest path publication.
+// exist to cap hostile input, not to constrain use. A raw body's depth,
+// element count and name length are checked by the streaming scan
+// (stream.WireLimits) when a broker routes it; its depth bound equals
+// MaxPath, so a document's deepest path publication is accepted alike
+// (TestDeepestDocumentAgreesAcrossForms).
 const (
 	MaxSteps     = 64      // location steps per subscription
 	MaxName      = 256     // bytes per element name, attribute, or ID
@@ -82,11 +83,6 @@ const (
 	MaxHopStages = 16      // per-stage durations per carried hop
 	MaxStageName = 32      // bytes per stage name
 
-	// Whole-document publications: elements, and nesting levels with the
-	// root included.
-	MaxDocElems = stream.MaxDocElems
-	MaxDocDepth = stream.MaxDocDepth
-
 	// MaxStageNanos caps a carried stage duration at one hour: durations
 	// are measured monotonic timings, so a larger (or negative) value can
 	// only be a forged frame.
@@ -98,10 +94,10 @@ const (
 	// declares more symbols than this is flooding, and loses the link.
 	MaxDict = 1 << 20
 
-	// MaxFrame bounds one frame's declared payload length. Raw documents
-	// cap at MaxRawDoc; parsed documents at MaxDocElems elements. The frame
-	// buffer grows only as bytes actually arrive, so a hostile declared
-	// length costs the sender real traffic, not the receiver memory.
+	// MaxFrame bounds one frame's declared payload length; raw documents
+	// cap at MaxRawDoc. The frame buffer grows only as bytes actually
+	// arrive, so a hostile declared length costs the sender real traffic,
+	// not the receiver memory.
 	MaxFrame = 16 << 20
 )
 
@@ -114,8 +110,6 @@ type Limits struct {
 	MaxAdvItems  int
 	MaxAdvDepth  int
 	MaxResync    int
-	MaxDocElems  int
-	MaxDocDepth  int
 	MaxHops      int
 	MaxRawDoc    int
 	MaxHopStages int
@@ -134,8 +128,6 @@ var DefaultLimits = Limits{
 	MaxAdvItems:   MaxAdvItems,
 	MaxAdvDepth:   MaxAdvDepth,
 	MaxResync:     MaxResync,
-	MaxDocElems:   MaxDocElems,
-	MaxDocDepth:   MaxDocDepth,
 	MaxHops:       MaxHops,
 	MaxRawDoc:     MaxRawDoc,
 	MaxHopStages:  MaxHopStages,
@@ -145,16 +137,18 @@ var DefaultLimits = Limits{
 	MaxFrame:      MaxFrame,
 }
 
-// publish-frame flag bits.
+// publish-frame flag bits. Bit 0 once marked a parsed document tree; it is
+// retired, and the decoder rejects it with every other unknown bit.
 const (
-	pubFlagDoc     byte = 1 << 0 // carries a parsed whole document
 	pubFlagRaw     byte = 1 << 1 // carries a raw-XML body
 	pubFlagTrace   byte = 1 << 2 // carries TraceID and hop list
 	pubFlagAttrs   byte = 1 << 3 // carries per-element attribute maps
 	pubFlagDurable byte = 1 << 4 // carries a durable name and sequence
+
+	pubFlagsKnown = pubFlagRaw | pubFlagTrace | pubFlagAttrs | pubFlagDurable
 )
 
-// xpe-record flag bits.
+// xpe-record flag bits; the decoder rejects any other.
 const xpeFlagRelative byte = 1 << 0
 
 // zigzag maps a signed value onto the uvarint space (small magnitudes stay

@@ -29,14 +29,10 @@ func mustXPE(t testing.TB, s string) *xpath.XPE {
 
 // sampleMessages is one message per frame type, exercising every optional
 // field: trace hops with stage timings, attribute maps with nil holes,
-// whole documents, raw bodies, resync payloads, and durable names and
-// sequence numbers.
+// whole documents as raw bodies (one past extThreshold), resync payloads,
+// and durable names and sequence numbers.
 func sampleMessages(t testing.TB) []*broker.Message {
 	t.Helper()
-	doc, err := xmldoc.Parse([]byte(`<inventory count="3"><book lang="en"><title>Dissemination</title></book><cd/></inventory>`))
-	if err != nil {
-		t.Fatalf("Parse doc: %v", err)
-	}
 	return []*broker.Message{
 		{Type: broker.MsgSubscribe, XPE: mustXPE(t, "/inventory/book/title")},
 		{Type: broker.MsgSubscribe, XPE: mustXPE(t, `//book[@lang="en"]/*`)},
@@ -75,7 +71,7 @@ func sampleMessages(t testing.TB) []*broker.Message {
 		{
 			Type: broker.MsgPublish,
 			Pub:  xmldoc.Publication{DocID: 43},
-			Doc:  doc,
+			Raw:  []byte(`<inventory count="3"><book lang="en"><title>Dissemination</title></book><cd/></inventory>`),
 		},
 		{
 			Type: broker.MsgPublish,
@@ -152,9 +148,6 @@ func fingerprint(m *broker.Message) string {
 	// a disagreement between the two shows.
 	if m.Pub.SymPath != nil && !reflect.DeepEqual(m.Pub.SymPath, symtab.LookupPath(m.Pub.Path)) {
 		fmt.Fprintf(&b, "sympath=%v disagrees with path\n", m.Pub.SymPath)
-	}
-	if m.Doc != nil {
-		fmt.Fprintf(&b, "doc=%s\n", m.Doc.Marshal())
 	}
 	fmt.Fprintf(&b, "raw=%q\n", m.Raw)
 	for _, h := range m.Hops {
@@ -295,13 +288,6 @@ func TestQueueErrorRollsBack(t *testing.T) {
 // TestEncoderRejects pins the encoder-side bounds: over-limit values never
 // reach the wire.
 func TestEncoderRejects(t *testing.T) {
-	deep := &xmldoc.Elem{Name: "a"}
-	tip := deep
-	for i := 0; i < MaxDocDepth+1; i++ {
-		c := &xmldoc.Elem{Name: "a"}
-		tip.Children = []*xmldoc.Elem{c}
-		tip = c
-	}
 	cases := []struct {
 		name string
 		m    *broker.Message
@@ -310,10 +296,6 @@ func TestEncoderRejects(t *testing.T) {
 		{"nil adv", &broker.Message{Type: broker.MsgAdvertise, AdvID: "a"}},
 		{"nil resync", &broker.Message{Type: broker.MsgResync}},
 		{"unknown type", &broker.Message{Type: broker.MsgType(99)}},
-		{"raw+doc", &broker.Message{Type: broker.MsgPublish,
-			Raw: []byte("<a/>"), Doc: &xmldoc.Document{Root: &xmldoc.Elem{Name: "a"}}}},
-		{"deep doc", &broker.Message{Type: broker.MsgPublish, Doc: &xmldoc.Document{Root: deep}}},
-		{"rootless doc", &broker.Message{Type: broker.MsgPublish, Doc: &xmldoc.Document{}}},
 		{"huge raw", &broker.Message{Type: broker.MsgPublish, Raw: make([]byte, MaxRawDoc+1)}},
 		{"long symbol", &broker.Message{Type: broker.MsgUnadvertise, AdvID: strings.Repeat("x", MaxName+1)}},
 		{"negative stage", &broker.Message{Type: broker.MsgPublish, TraceID: "t",
@@ -640,15 +622,16 @@ func TestDictLimitEnforced(t *testing.T) {
 }
 
 func TestDeepEqualRoundTripDocs(t *testing.T) {
-	// Structural equality on the parsed-document payload, beyond the
-	// fingerprint: Attrs order and child pointers must reconstruct exactly.
+	// A publisher holding a tree sends its Marshal; the subscriber parses the
+	// delivered bytes. Attrs order, text and children must reconstruct
+	// exactly across the wire crossing.
 	doc, err := xmldoc.Parse([]byte(`<a x="1" y="2"><b>text</b><c><d/></c>tail</a>`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := NewEncoder(&buf, DefaultLimits).Encode(&broker.Message{
-		Type: broker.MsgPublish, Doc: doc,
+		Type: broker.MsgPublish, Raw: doc.Marshal(),
 	}); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -656,8 +639,12 @@ func TestDeepEqualRoundTripDocs(t *testing.T) {
 	if err := NewDecoder(&buf, DefaultLimits).Decode(&got); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(doc.Root, got.Doc.Root) {
-		t.Errorf("document tree not deeply equal:\nsent %#v\ngot  %#v", doc.Root, got.Doc.Root)
+	tree, err := xmldoc.Parse(got.Raw)
+	if err != nil {
+		t.Fatalf("Parse delivered bytes: %v", err)
+	}
+	if !reflect.DeepEqual(doc.Root, tree.Root) {
+		t.Errorf("document tree not deeply equal:\nsent %#v\ngot  %#v", doc.Root, tree.Root)
 	}
 }
 

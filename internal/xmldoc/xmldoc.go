@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/symtab"
 )
@@ -132,11 +133,12 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 }
 
 func writeElem(w io.Writer, e *Elem) error {
-	if _, err := io.WriteString(w, "<"+e.Name); err != nil {
+	name := qualify(e.Name)
+	if _, err := io.WriteString(w, "<"+name); err != nil {
 		return err
 	}
 	for _, a := range e.Attrs {
-		if _, err := io.WriteString(w, " "+a.Name+`="`+escapeAttr(a.Value)+`"`); err != nil {
+		if _, err := io.WriteString(w, " "+qualify(a.Name)+`="`+escapeAttr(a.Value)+`"`); err != nil {
 			return err
 		}
 	}
@@ -157,13 +159,38 @@ func writeElem(w io.Writer, e *Elem) error {
 			return err
 		}
 	}
-	_, err := io.WriteString(w, "</"+e.Name+">")
+	_, err := io.WriteString(w, "</"+name+">")
 	return err
 }
 
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+// qualify returns a local name as Marshal writes it. Parse keeps only the
+// local part of a prefixed name, and that part may begin with a character
+// no name can start with (<p:0>); written with a placeholder prefix, it
+// reads back as the same local name.
+func qualify(local string) string {
+	if local == "" {
+		return local
+	}
+	c := local[0]
+	var ok bool
+	if c < utf8.RuneSelf {
+		ok = 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':'
+	} else {
+		// Rare: let the parser judge a non-ASCII first character.
+		_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
+		ok = err == nil
+	}
+	if ok {
+		return local
+	}
+	return "x:" + local
+}
 
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+// The escapers write \r as a character reference: a parser rewrites a
+// literal \r (and \r\n) to \n, so only the reference reads back as \r.
+var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;", "\r", "&#xD;")
+
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
 
 func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 func escapeText(s string) string { return textEscaper.Replace(s) }

@@ -3,6 +3,7 @@ package xmlrouter
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/broker"
@@ -17,8 +18,9 @@ import (
 // layer: it routes a Table 1-style workload through one instrumented broker
 // and writes per-stage publish-path quantiles as JSON to the file named by
 // BENCH_LATENCY_OUT (skipped when unset, so the test costs nothing in a
-// normal run). CI archives the file as BENCH_latency.json so stage-latency
-// regressions are visible across commits.
+// normal run). The repository keeps a copy as BENCH_latency.json, and CI
+// archives a fresh one, so stage-latency regressions are visible across
+// commits.
 func TestEmitLatencyBench(t *testing.T) {
 	out := os.Getenv("BENCH_LATENCY_OUT")
 	if out == "" {
@@ -55,10 +57,19 @@ func TestEmitLatencyBench(t *testing.T) {
 		P99   float64 `json:"p99_seconds"`
 	}
 	doc := struct {
+		Host          string           `json:"host"`
+		CPUs          int              `json:"cpus"`
+		Go            string           `json:"go"`
 		Subscriptions int              `json:"subscriptions"`
 		Publications  int              `json:"publications"`
 		Stages        []stageQuantiles `json:"stages"`
-	}{Subscriptions: len(set.XPEs), Publications: n}
+	}{
+		Host:          runtime.GOOS + "/" + runtime.GOARCH,
+		CPUs:          runtime.NumCPU(),
+		Go:            runtime.Version(),
+		Subscriptions: len(set.XPEs),
+		Publications:  n,
+	}
 	for _, p := range reg.Export() {
 		if p.Name != "xbroker_stage_seconds" || p.Histogram == nil {
 			continue

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -335,6 +336,9 @@ func TestEmitWireBench(t *testing.T) {
 
 	doc := struct {
 		Benchmark string   `json:"benchmark"`
+		Host      string   `json:"host"`
+		CPUs      int      `json:"cpus"`
+		Go        string   `json:"go"`
 		Messages  int      `json:"messages"`
 		Configs   []config `json:"configs"`
 		Allocs    struct {
@@ -350,6 +354,9 @@ func TestEmitWireBench(t *testing.T) {
 		} `json:"codec_bytes_per_msg"`
 	}{
 		Benchmark: "3-broker chain saturation, batched vs unbatched binary wire; codec allocs and bytes vs gob (DESIGN.md §5h)",
+		Host:      runtime.GOOS + "/" + runtime.GOARCH,
+		CPUs:      runtime.NumCPU(),
+		Go:        runtime.Version(),
 		Messages:  msgs,
 		Configs:   results,
 	}

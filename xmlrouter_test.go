@@ -39,7 +39,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub.Send(&Message{Type: MsgPublish, Doc: doc})
+	pub.Send(&Message{Type: MsgPublish, Raw: doc.Marshal()})
 	net.Run()
 	if len(sub.Deliveries) != 1 {
 		t.Fatalf("deliveries = %d", len(sub.Deliveries))
