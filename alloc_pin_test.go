@@ -2,10 +2,15 @@ package xmlrouter
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
+	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/dtddata"
+	"repro/internal/experiment"
+	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wirefmt"
@@ -242,5 +247,74 @@ func controlPairAllocs(size, shards int) float64 {
 		i++
 		br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: x}, "n1")
 		br.HandleMessage(&broker.Message{Type: broker.MsgUnsubscribe, XPE: x}, "n1")
+	})
+}
+
+// TestSubscribeAllocsFlatInSRT pins the advertisement side of a control
+// change at O(change): choosing a subscription's next hops asks each hop's
+// advertisement index, which runs the exact overlap check on a handful of
+// candidates without allocating. So a subscribe+unsubscribe pair of held-out
+// NITF expressions must cost the same allocations on a broker holding all
+// 3,692 NITF advertisements from a neighbour as on one holding every tenth
+// of them (within 10%). A linear SRT scan whose overlap checks allocate
+// makes the large broker cost several times the small one.
+func TestSubscribeAllocsFlatInSRT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is meaningless under -short's reduced runs")
+	}
+	all := experiment.GenerateAdvertisements(dtddata.NITF())
+	var tenth []*advert.Advertisement
+	for i := 0; i < len(all); i += 10 {
+		tenth = append(tenth, all[i])
+	}
+	fresh := heldOutNITF(tenth, 64)
+	small, large := srtPairAllocs(tenth, fresh), srtPairAllocs(all, fresh)
+	t.Logf("subscribe+unsubscribe: %.1f allocs at %d advertisements, %.1f at %d", small, len(tenth), large, len(all))
+	if large > small*1.1 {
+		t.Errorf("subscribe+unsubscribe = %.1f allocs at %d advertisements vs %.1f at %d — next-hop cost grows with the SRT",
+			large, len(all), small, len(tenth))
+	}
+}
+
+// heldOutNITF draws n distinct NITF expressions that overlap one of advs, so
+// both brokers of TestSubscribeAllocsFlatInSRT forward each of them to the
+// neighbour and differ only in the table they search.
+func heldOutNITF(advs []*advert.Advertisement, n int) []*xpath.XPE {
+	g := gen.NewXPathGenerator(dtddata.NITF(), 0.2, 0.1, 29)
+	g.Relative = 0.1
+	seen := make(map[string]bool)
+	var out []*xpath.XPE
+	for len(out) < n {
+		x := g.Generate()
+		if seen[x.Key()] {
+			continue
+		}
+		for _, a := range advs {
+			if a.Overlaps(x) {
+				seen[x.Key()] = true
+				out = append(out, x)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// srtPairAllocs measures allocations per subscribe+unsubscribe pair from a
+// client on a broker holding advs, advertised by its neighbour.
+func srtPairAllocs(advs []*advert.Advertisement, fresh []*xpath.XPE) float64 {
+	br := broker.New(broker.Config{ID: "b1", UseAdvertisements: true, UseCovering: true},
+		func(to string, m *broker.Message) {})
+	br.AddNeighbor("n1")
+	br.AddClient("c")
+	for i, a := range advs {
+		br.HandleMessage(&broker.Message{Type: broker.MsgAdvertise, AdvID: fmt.Sprintf("a%d", i), Adv: a}, "n1")
+	}
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		x := fresh[i%len(fresh)]
+		i++
+		br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: x}, "c")
+		br.HandleMessage(&broker.Message{Type: broker.MsgUnsubscribe, XPE: x}, "c")
 	})
 }

@@ -80,7 +80,8 @@ func (c Class) String() string {
 type Advertisement struct {
 	Items []Item
 
-	nfaCached atomic.Pointer[advNFA]
+	nfaCached  atomic.Pointer[advNFA]
+	flatCached atomic.Pointer[[]string]
 }
 
 // NewAdvertisement builds an advertisement from items.
@@ -143,7 +144,12 @@ func (a *Advertisement) IsRecursive() bool { return a.Classify() != NonRecursive
 
 // FlatNames returns the element tests of a non-recursive advertisement. It
 // panics if the advertisement is recursive; callers dispatch on Classify.
+// The slice is built on first use and shared by every later call (Overlaps
+// runs on it without allocating), so callers must not modify it.
 func (a *Advertisement) FlatNames() []string {
+	if names := a.flatCached.Load(); names != nil {
+		return *names
+	}
 	names := make([]string, len(a.Items))
 	for i, it := range a.Items {
 		if it.IsGroup() {
@@ -151,6 +157,8 @@ func (a *Advertisement) FlatNames() []string {
 		}
 		names[i] = it.Name
 	}
+	// Racing first calls build equal slices; whichever is stored is shared.
+	a.flatCached.Store(&names)
 	return names
 }
 

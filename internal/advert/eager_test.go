@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/symtab"
+	"repro/internal/xpath"
 )
 
 // TestMatchesPathDoesNotGrowInterner pins the hot-path contract: matching a
@@ -70,6 +71,35 @@ func TestHandBuiltLiteralCompilesAtomically(t *testing.T) {
 				}
 				if a.MatchesPath([]string{"hb-a", "hb-c"}) {
 					errs <- fmt.Errorf("group must repeat at least once")
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlatNamesCachedAtomically races first overlap checks on a hand-built
+// non-recursive advertisement: every goroutine must see the full flat view,
+// whichever racing store wins.
+func TestFlatNamesCachedAtomically(t *testing.T) {
+	x := xpath.MustParse("fc-b/fc-c")
+	for round := 0; round < 20; round++ {
+		a := &Advertisement{Items: []Item{Sym("fc-a"), Sym("fc-b"), Sym("fc-c")}}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !a.Overlaps(x) {
+					errs <- fmt.Errorf("fc-b/fc-c must overlap /fc-a/fc-b/fc-c")
+				}
+				if names := a.FlatNames(); len(names) != 3 || names[2] != "fc-c" {
+					errs <- fmt.Errorf("flat names %v", names)
 				}
 			}()
 		}

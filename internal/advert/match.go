@@ -16,10 +16,13 @@ func (a *Advertisement) Overlaps(s *xpath.XPE) bool {
 	if s.Len() == 0 {
 		return false
 	}
-	if a.Classify() == NonRecursive {
-		return MatchesNonRecursive(a.FlatNames(), s)
+	if names := a.flatCached.Load(); names != nil {
+		return MatchesNonRecursive(*names, s)
 	}
-	return a.overlapsNFA(s)
+	if a.IsRecursive() {
+		return a.overlapsNFA(s)
+	}
+	return MatchesNonRecursive(a.FlatNames(), s)
 }
 
 // MatchesNonRecursive implements the paper's Section 3.2 dispatch for a
@@ -122,36 +125,38 @@ func relMatchAt(adv []string, s *xpath.XPE, c int) bool {
 // against the advertisement left to right; the first segment is anchored at
 // position 0 when the subscription is absolute, every other segment may
 // float. Greedy leftmost placement is complete because placing a segment
-// earlier only leaves more room for its successors.
+// earlier only leaves more room for its successors. The segments are walked
+// as step ranges of s (xpath.XPE.SegmentEnd), so matching does not allocate.
 func DesExprAndAdv(adv []string, s *xpath.XPE) bool {
-	segs := s.Segments()
 	pos := 0
-	for si, seg := range segs {
-		if si == 0 && !s.Relative && !seg.AfterDescendant {
+	for start, end := 0, 0; start < s.Len(); start = end {
+		end = s.SegmentEnd(start)
+		seg := s.Steps[start:end]
+		if start == 0 && !s.Relative && seg[0].Axis != xpath.Descendant {
 			// Anchored first segment.
-			if !segMatchesAt(adv, seg.Names, 0) {
+			if !segMatchesAt(adv, seg, 0) {
 				return false
 			}
-			pos = len(seg.Names)
-			continue
+			pos = len(seg)
+		} else {
+			p := findSegment(adv, seg, pos)
+			if p < 0 {
+				return false
+			}
+			pos = p + len(seg)
 		}
-		p := findSegment(adv, seg.Names, pos)
-		if p < 0 {
-			return false
-		}
-		pos = p + len(seg.Names)
 	}
 	return true
 }
 
-// segMatchesAt reports whether every test of seg overlaps adv starting at
-// offset c.
-func segMatchesAt(adv, seg []string, c int) bool {
+// segMatchesAt reports whether every name test of seg overlaps adv starting
+// at offset c.
+func segMatchesAt(adv []string, seg []xpath.Step, c int) bool {
 	if c+len(seg) > len(adv) {
 		return false
 	}
-	for i, name := range seg {
-		if !xpath.SymbolOverlaps(adv[c+i], name) {
+	for i, st := range seg {
+		if !xpath.SymbolOverlaps(adv[c+i], st.Name) {
 			return false
 		}
 	}
@@ -160,7 +165,7 @@ func segMatchesAt(adv, seg []string, c int) bool {
 
 // findSegment returns the smallest offset >= from at which seg overlaps adv,
 // or -1.
-func findSegment(adv, seg []string, from int) int {
+func findSegment(adv []string, seg []xpath.Step, from int) int {
 	for c := from; c+len(seg) <= len(adv); c++ {
 		if segMatchesAt(adv, seg, c) {
 			return c
@@ -318,45 +323,37 @@ func (a *Advertisement) compileNFA() *advNFA {
 	return n
 }
 
-// overlaps64 is the allocation-light bitmask variant of the product
-// reachability search: visited[j] holds the advertisement states reached
-// with j subscription steps consumed.
+// overlaps64 is the allocation-free bitmask variant of the product
+// reachability search. A subscription step is consumed or skipped, never
+// undone, so the search runs level by level: reached holds the advertisement
+// states reached with j subscription steps consumed, next those reached with
+// j+1, and pending the states of level j whose edges are still unexplored.
 func (n *advNFA) overlaps64(s *xpath.XPE) bool {
-	k := s.Len()
 	subSyms := s.Syms()
-	visited := make([]uint64, k+1)
-	type prod struct {
-		adv int
-		sub int
-	}
-	var queue []prod
-	push := func(advMask uint64, sub int) {
-		newBits := advMask &^ visited[sub]
-		visited[sub] |= advMask
-		for rest := newBits; rest != 0; {
-			st := bits.TrailingZeros64(rest)
-			rest &^= 1 << uint(st)
-			queue = append(queue, prod{st, sub})
-		}
-	}
-	push(n.closure64[n.start], 0)
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if p.sub == k {
-			return true
-		}
-		skip := s.Steps[p.sub].Axis == xpath.Descendant || (p.sub == 0 && s.Relative)
-		for _, e := range n.edges[p.adv] {
-			if skip {
-				push(n.closure64[e.to], p.sub)
-			}
-			if xpath.SymOverlaps(e.sym, subSyms[p.sub]) {
-				push(n.closure64[e.to], p.sub+1)
+	reached := n.closure64[n.start]
+	for j, sym := range subSyms {
+		skip := s.Steps[j].Axis == xpath.Descendant || (j == 0 && s.Relative)
+		var next uint64
+		for pending := reached; pending != 0; {
+			st := bits.TrailingZeros64(pending)
+			pending &^= 1 << uint(st)
+			for _, e := range n.edges[st] {
+				to := n.closure64[e.to]
+				if skip {
+					pending |= to &^ reached
+					reached |= to
+				}
+				if xpath.SymOverlaps(e.sym, sym) {
+					next |= to
+				}
 			}
 		}
+		if next == 0 {
+			return false
+		}
+		reached = next
 	}
-	return false
+	return true
 }
 
 // closure expands a state set across epsilon transitions in place and

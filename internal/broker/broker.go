@@ -191,9 +191,12 @@ type Broker struct {
 	destIDs   map[string]int32
 	destNames []string
 
-	// SRT: advertisements with last hops, deduplicated by AdvID.
-	srt     []*advEntry
-	srtByID map[string]*advEntry
+	// SRT: advertisements with last hops, deduplicated by AdvID. advIndex
+	// holds every SRT entry in its last hop's advertisement index;
+	// subscriptionNextHops asks those indexes instead of scanning srt.
+	srt      []*advEntry
+	srtByID  map[string]*advEntry
+	advIndex map[string]*advert.Index
 
 	// PRT: the subscription tree; node Data holds *subState.
 	prt *subtree.Tree
@@ -230,6 +233,7 @@ type advEntry struct {
 	adv     *advert.Advertisement
 	lastHop string
 	flat    []string // FlatNames for non-recursive advertisements, else nil
+	slot    int      // the entry's slot in advIndex[lastHop]
 }
 
 // subState is the routing payload of a PRT node.
@@ -262,6 +266,7 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		clients:    make(map[string]bool),
 		destIDs:    make(map[string]int32),
 		srtByID:    make(map[string]*advEntry),
+		advIndex:   make(map[string]*advert.Index),
 		prt:        subtree.New(),
 		clientSubs: make(map[string]*subtree.Tree),
 		durables:   make(map[string]*durState),
@@ -434,7 +439,7 @@ func (b *Broker) PRTSize() int {
 // SRTSize returns the number of advertisements stored in the SRT. It reads
 // the routing snapshot and never blocks on the broker lock.
 func (b *Broker) SRTSize() int {
-	return len(b.snap.Load().srt)
+	return b.snap.Load().srtSize
 }
 
 // PRT exposes the subscription tree for experiments and tests. The caller

@@ -39,6 +39,12 @@ func (b *Broker) handleAdvertise(m *Message, from string) {
 			}
 		}
 	}
+	ix := b.advIndex[from]
+	if ix == nil {
+		ix = &advert.Index{}
+		b.advIndex[from] = ix
+	}
+	e.slot = ix.Add(m.Adv)
 	b.srt = append(b.srt, e)
 	b.srtByID[m.AdvID] = e
 	b.dirty.srt = true
@@ -74,6 +80,11 @@ func (b *Broker) handleUnadvertise(m *Message, from string) {
 		if cur == e {
 			b.srt = append(b.srt[:i], b.srt[i+1:]...)
 			b.dirty.srt = true
+			ix := b.advIndex[e.lastHop]
+			ix.Remove(e.slot)
+			if ix.Len() == 0 {
+				delete(b.advIndex, e.lastHop)
+			}
 			break
 		}
 	}
@@ -186,6 +197,11 @@ func coveredAtHop(coverers []*subtree.Node, hop string) bool {
 	return false
 }
 
+// subscriptionNextHops returns, sorted, the hops other than from whose
+// advertisements overlap x: a hop's advertisement index runs the exact
+// overlap check only on the advertisements its symbol filter lets through.
+// Client hops are skipped (a client publisher never takes subscriptions);
+// so is "", the broker's own advertisements.
 func (b *Broker) subscriptionNextHops(x *xpath.XPE, from string) []string {
 	if !b.cfg.UseAdvertisements {
 		out := make([]string, 0, len(b.neighbors))
@@ -196,15 +212,10 @@ func (b *Broker) subscriptionNextHops(x *xpath.XPE, from string) []string {
 		}
 		return out
 	}
-	seen := make(map[string]bool)
 	var out []string
-	for _, e := range b.srt {
-		if e.lastHop == "" || e.lastHop == from || seen[e.lastHop] {
-			continue
-		}
-		if !b.clients[e.lastHop] && e.adv.Overlaps(x) {
-			seen[e.lastHop] = true
-			out = append(out, e.lastHop)
+	for hop, ix := range b.advIndex {
+		if hop != "" && hop != from && !b.clients[hop] && ix.Overlaps(x) {
+			out = append(out, hop)
 		}
 	}
 	sort.Strings(out)

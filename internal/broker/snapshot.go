@@ -31,9 +31,8 @@ type routeSnapshot struct {
 	// joins or a client or durable subscription registers (dest.go).
 	dests []destInfo
 	rank  []int32
-	// srt is the advertisement table view (entries are immutable after
-	// insertion; the slice is copied on change).
-	srt []*advEntry
+	// srtSize is the number of advertisements in the SRT.
+	srtSize int
 	// durables maps durable virtual-client keys (durKey(name)) to their
 	// durable-subscription states, for acks and status. The states are
 	// shared with the master map — each carries its own lock/atomics for the
@@ -95,7 +94,7 @@ func (b *Broker) publishSnapshot(start time.Time) {
 		next.prtStats = TreeStats{Nodes: n, Edges: e, SuperEdges: s}
 	}
 	if b.dirty.srt {
-		next.srt = append([]*advEntry(nil), b.srt...)
+		next.srtSize = len(b.srt)
 	}
 	if b.dirty.dests || b.dirty.durables {
 		next.dests, next.rank = b.destTables()

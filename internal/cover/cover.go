@@ -34,22 +34,20 @@ func Covers(s1, s2 *xpath.XPE) bool {
 		if !s2.Relative {
 			return AbsSimCov(s1, s2)
 		}
-		// Absolute s1 against relative s2. The paper states this case never
-		// covers, but an all-wildcard absolute prefix such as "/*/*" does
-		// cover any expression guaranteeing enough path length; the exact
-		// procedure handles the corner case.
-		return !s1.HasPredicates() && CoversExact(s1, s2)
 	}
-	// Descendant-bearing expressions: the greedy procedure and the exact
-	// automaton reason over structure only, so a predicate-carrying s1 is
-	// conservatively reported as not covering (predicates only narrow s1,
-	// and missing a covering relation is always safe). A predicate-carrying
-	// s2 needs no special handling: it only narrows s2.
+	// The remaining pairs have a relative s2 or a descendant operator. The
+	// procedures below reason over structure only, so a predicate-carrying
+	// s1 is conservatively reported as not covering (predicates only narrow
+	// s1, and missing a covering relation is always safe). A
+	// predicate-carrying s2 needs no special handling: it only narrows s2.
 	if s1.HasPredicates() {
 		return false
 	}
+	if s1.IsSimple() && !s1.Relative {
+		return absSimCovFloating(s1, s2)
+	}
 	// The greedy procedure is sound and cheap; it settles almost every pair.
-	// Only its (rare) misses pay for the exact automaton check.
+	// Only its misses pay for the exact automaton check.
 	if DesCov(s1, s2) {
 		return true
 	}
@@ -86,6 +84,21 @@ func necessary(s1, s2 *xpath.XPE) bool {
 	return true
 }
 
+// Signature folds x's concrete name tests into a 64-bit set, one bit per
+// interned symbol modulo 64. A covering s1 has all its concrete names among
+// s2's (see necessary), so Covers(s1, s2) implies
+// Signature(s1)&^Signature(s2) == 0: bulk scans that keep each stored
+// expression's signature reject most pairs with one AND, before Covers.
+func Signature(x *xpath.XPE) uint64 {
+	var sig uint64
+	for _, sym := range x.Syms() {
+		if sym != symtab.Wildcard {
+			sig |= 1 << (sym % 64)
+		}
+	}
+	return sig
+}
+
 // AbsSimCov is the paper's covering algorithm for two absolute simple XPEs:
 // s1 covers s2 iff s1 is no longer than s2 and every aligned pair of element
 // tests satisfies the covering rule.
@@ -96,6 +109,34 @@ func AbsSimCov(s1, s2 *xpath.XPE) bool {
 	a, b := s1.Syms(), s2.Syms()
 	for i, st := range s1.Steps {
 		if !xpath.StepCoversSym(a[i], b[i], st, s2.Steps[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// absSimCovFloating decides exactly whether an absolute simple s1 covers an
+// s2 that is relative or has a descendant operator. A path matching s2 pins
+// only the elements of s2's first segment, and only when s2 is anchored
+// there (absolute, first operator "/"); a "//" gap, or a relative start,
+// admits any number of arbitrary elements. So s1 covers s2 iff s1's tests
+// cover s2's on the pinned positions, s1 has "*" everywhere after them, and
+// s1 is no longer than s2 (a path matching s2 may have just one element per
+// step). The paper says an absolute s1 never covers a relative s2; "/*/*"
+// covering "a/b" is the exception this rule keeps. Covers calls it after
+// necessary, which has checked the length.
+func absSimCovFloating(s1, s2 *xpath.XPE) bool {
+	pinned := 0
+	if !s2.Relative && s2.Steps[0].Axis == xpath.Child {
+		pinned = s2.SegmentEnd(0)
+	}
+	a, b := s1.Syms(), s2.Syms()
+	for i, sym := range a {
+		if i < pinned {
+			if !xpath.SymCovers(sym, b[i]) {
+				return false
+			}
+		} else if sym != symtab.Wildcard {
 			return false
 		}
 	}
@@ -150,32 +191,33 @@ func DesCov(s1, s2 *xpath.XPE) bool {
 	if !s1.Relative && s2.Relative {
 		return false
 	}
-	segs1 := s1.Segments()
-	segs2 := s2.Segments()
 	// anchored: the first segment of an absolute s1 must align at the very
-	// start of an absolute s2's first segment.
-	anchored := !s1.Relative && !segs1[0].AfterDescendant
-	if anchored && segs2[0].AfterDescendant {
+	// start of an absolute s2's first segment. Segments are walked as step
+	// ranges (xpath.XPE.SegmentEnd), so the procedure does not allocate.
+	anchored := !s1.Relative && s1.Steps[0].Axis != xpath.Descendant
+	if anchored && s2.Steps[0].Axis == xpath.Descendant {
 		// s2 may start arbitrarily deep; an anchored s1 cannot cover it.
 		return false
 	}
-	j := 0   // current segment of s2
-	off := 0 // offset within segs2[j]
-	for si, sg1 := range segs1 {
+	start2, end2 := 0, s2.SegmentEnd(0) // current segment of s2
+	off := 0                            // offset within it
+	for start1, end1 := 0, 0; start1 < s1.Len(); start1 = end1 {
+		end1 = s1.SegmentEnd(start1)
+		sg1 := s1.Steps[start1:end1]
 		placed := false
-		for ; j < len(segs2); j, off = j+1, 0 {
-			sg2 := segs2[j]
-			if si == 0 && anchored {
-				if coverAt(sg1.Names, sg2.Names, 0) {
-					off = len(sg1.Names)
+		for ; start2 < s2.Len(); start2, end2, off = end2, s2.SegmentEnd(end2), 0 {
+			sg2 := s2.Steps[start2:end2]
+			if start1 == 0 && anchored {
+				if coverAt(sg1, sg2, 0) {
+					off = len(sg1)
 					placed = true
 					break
 				}
 				return false
 			}
-			p := findCover(sg1.Names, sg2.Names, off)
+			p := findCover(sg1, sg2, off)
 			if p >= 0 {
-				off = p + len(sg1.Names)
+				off = p + len(sg1)
 				placed = true
 				break
 			}
@@ -184,23 +226,23 @@ func DesCov(s1, s2 *xpath.XPE) bool {
 			return false
 		}
 		// A segment of s1 connected to its successor by "//" may leave the
-		// rest of segs2[j] to the gap; a segment connected by the end of s1
-		// leaves the remainder to s1's implicit trailing freedom.
-		_ = si
+		// rest of s2's current segment to the gap; a segment connected by
+		// the end of s1 leaves the remainder to s1's implicit trailing
+		// freedom.
 	}
 	return true
 }
 
-// coverAt reports whether seg1 covers seg2[c:c+len(seg1)]. Trailing tests of
-// seg1 that are wildcards may extend past seg2's end into the following gap
-// only when the caller knows a gap follows; this basic form requires the run
-// to fit.
-func coverAt(seg1, seg2 []string, c int) bool {
+// coverAt reports whether the name tests of seg1 cover those of
+// seg2[c:c+len(seg1)]. Trailing tests of seg1 that are wildcards may extend
+// past seg2's end into the following gap only when the caller knows a gap
+// follows; this basic form requires the run to fit.
+func coverAt(seg1, seg2 []xpath.Step, c int) bool {
 	if c+len(seg1) > len(seg2) {
 		return false
 	}
-	for i, name := range seg1 {
-		if !xpath.SymbolCovers(name, seg2[c+i]) {
+	for i, st := range seg1 {
+		if !xpath.SymbolCovers(st.Name, seg2[c+i].Name) {
 			return false
 		}
 	}
@@ -209,7 +251,7 @@ func coverAt(seg1, seg2 []string, c int) bool {
 
 // findCover returns the smallest offset >= from at which seg1 covers a run
 // of seg2, or -1.
-func findCover(seg1, seg2 []string, from int) int {
+func findCover(seg1, seg2 []xpath.Step, from int) int {
 	for c := from; c+len(seg1) <= len(seg2); c++ {
 		if coverAt(seg1, seg2, c) {
 			return c

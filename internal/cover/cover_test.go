@@ -239,6 +239,43 @@ func TestQuickSimpleAgreesWithExact(t *testing.T) {
 	}
 }
 
+// TestQuickAbsoluteSimpleAgreesWithExact: an absolute simple s1 against a
+// relative or descendant-bearing s2 is decided in O(n); it must agree with
+// the automaton.
+func TestQuickAbsoluteSimpleAgreesWithExact(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	checked, covering := 0, 0
+	for i := 0; i < 40000; i++ {
+		s1, s2 := randomXPE(r, 4), randomXPE(r, 6)
+		if s1.Relative || !s1.IsSimple() || (s2.IsSimple() && !s2.Relative) {
+			continue
+		}
+		checked++
+		got, want := Covers(s1, s2), CoversExact(s1, s2)
+		if got != want {
+			t.Fatalf("Covers(%s, %s) = %v, exact = %v", s1, s2, got, want)
+		}
+		if got {
+			covering++
+		}
+	}
+	if checked < 2000 || covering < 50 {
+		t.Errorf("only %d pairs checked, %d covering; workload too sparse", checked, covering)
+	}
+}
+
+// TestQuickSignatureIsNecessary: a covering pair's signatures nest, which is
+// what lets the subscription tree's scans skip a pair on one AND.
+func TestQuickSignatureIsNecessary(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	for i := 0; i < 20000; i++ {
+		s1, s2 := randomXPE(r, 5), randomXPE(r, 5)
+		if Covers(s1, s2) && Signature(s1)&^Signature(s2) != 0 {
+			t.Fatalf("Covers(%s, %s) but Signature %b is not within %b", s1, s2, Signature(s1), Signature(s2))
+		}
+	}
+}
+
 // TestQuickCoveringPartialOrder: covering is reflexive and transitive.
 func TestQuickCoveringPartialOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(14))

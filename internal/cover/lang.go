@@ -26,6 +26,7 @@ func CoversExact(s1, s2 *xpath.XPE) bool {
 	}
 	var alphabet [34]string
 	names := collectNames(s1, s2, alphabet[:0])
+	a1, a2 := compileMasks(s1, names), compileMasks(s2, names)
 	accept1 := uint32(1) << uint(s1.Len())
 	accept2 := uint32(1) << uint(s2.Len())
 
@@ -45,7 +46,7 @@ func CoversExact(s1, s2 *xpath.XPE) bool {
 			queue = append(queue, k)
 		}
 	}
-	push(startMask(s1), startMask(s2))
+	push(1, 1) // state 0: no step consumed
 	for len(queue) > 0 {
 		k := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -53,8 +54,8 @@ func CoversExact(s1, s2 *xpath.XPE) bool {
 		if m2&accept2 != 0 && m1&accept1 == 0 {
 			return false // a path matching s2 but not s1
 		}
-		for _, sym := range names {
-			push(stepMask(s1, m1, sym), stepMask(s2, m2, sym))
+		for j := range names {
+			push(a1.step(m1, j), a2.step(m2, j))
 		}
 	}
 	return true
@@ -114,35 +115,37 @@ func collectNames(s1, s2 *xpath.XPE, dst []string) []string {
 	return dst
 }
 
-// startMask returns the initial state set of the XPE's path automaton.
-// State i means "i steps consumed"; state Len(s) is the absorbing accept.
-func startMask(s *xpath.XPE) uint32 {
-	return 1
+// maskAutomaton is an XPE's path automaton with its transitions tabulated
+// over a fixed alphabet. State i means "i steps consumed"; state Len(s) is
+// the absorbing accept (extensions of matched paths stay matched).
+type maskAutomaton struct {
+	// stay holds the states that persist on any symbol: a step that may be
+	// preceded by skipped elements (a descendant step, or the start of a
+	// relative expression), and the accept state.
+	stay uint32
+	// adv[j] holds the states i < Len(s) whose step test admits alphabet
+	// symbol j; reading j moves each to i+1.
+	adv [34]uint32
 }
 
-// stepMask advances the state set of s's path automaton over symbol sym.
-// From state i < k: if step i may be preceded by skipped elements (a
-// descendant step, or the start of a relative expression) the state
-// persists; if the step's test admits sym the automaton moves to i+1.
-// State k is absorbing (extensions of matched paths stay matched).
-func stepMask(s *xpath.XPE, mask uint32, sym string) uint32 {
-	k := s.Len()
-	var out uint32
-	for i := 0; i <= k; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if i == k {
-			out |= 1 << uint(i)
-			continue
-		}
-		st := s.Steps[i]
+// compileMasks tabulates s's automaton over names, once per CoversExact
+// call, so the product search advances a state set in O(1) per symbol.
+func compileMasks(s *xpath.XPE, names []string) maskAutomaton {
+	a := maskAutomaton{stay: 1 << uint(s.Len())}
+	for i, st := range s.Steps {
 		if st.Axis == xpath.Descendant || (i == 0 && s.Relative) {
-			out |= 1 << uint(i)
+			a.stay |= 1 << uint(i)
 		}
-		if st.IsWildcard() || st.Name == sym {
-			out |= 1 << uint(i+1)
+		for j, name := range names {
+			if st.IsWildcard() || st.Name == name {
+				a.adv[j] |= 1 << uint(i)
+			}
 		}
 	}
-	return out
+	return a
+}
+
+// step advances the state set mask over alphabet symbol j.
+func (a *maskAutomaton) step(mask uint32, j int) uint32 {
+	return mask&a.stay | (mask&a.adv[j])<<1
 }

@@ -61,6 +61,20 @@ type Node struct {
 	super []*Node
 	// superRefs lists nodes whose super pointers reference this node.
 	superRefs []*Node
+	// sig is cover.Signature(XPE): the scans below skip a pair whose
+	// signatures rule covering out, without calling cover.Covers.
+	sig uint64
+}
+
+// covers reports whether n's expression covers x, whose signature is sig.
+func (n *Node) covers(x *xpath.XPE, sig uint64) bool {
+	return n.sig&^sig == 0 && cover.Covers(n.XPE, x)
+}
+
+// coveredBy reports whether x, whose signature is sig, covers n's
+// expression.
+func (n *Node) coveredBy(x *xpath.XPE, sig uint64) bool {
+	return sig&^n.sig == 0 && cover.Covers(x, n.XPE)
 }
 
 // Parent returns the covering parent, or nil for a top-level node.
@@ -119,7 +133,8 @@ func (t *Tree) Insert(x *xpath.XPE) InsertResult {
 	if n := t.index[x.Key()]; n != nil {
 		return InsertResult{Node: n, Duplicate: true, Covered: true}
 	}
-	n := &Node{XPE: x}
+	sig := cover.Signature(x)
+	n := &Node{XPE: x, sig: sig}
 
 	// Find the insertion parent: descend while some child covers x.
 	parent := t.root
@@ -127,7 +142,7 @@ func (t *Tree) Insert(x *xpath.XPE) InsertResult {
 descent:
 	for {
 		for _, c := range parent.children {
-			if cover.Covers(c.XPE, x) {
+			if c.covers(x, sig) {
 				parent = c
 				covered = true
 				continue descent
@@ -143,7 +158,7 @@ descent:
 	var adopted []*Node
 	kept := make([]*Node, 0, len(parent.children)+1)
 	for _, c := range parent.children {
-		if cover.Covers(x, c.XPE) {
+		if c.coveredBy(x, sig) {
 			adopted = append(adopted, c)
 		} else {
 			kept = append(kept, c)
@@ -157,27 +172,17 @@ descent:
 	}
 	parent.children = append(parent.children, n)
 
-	// Super pointers: find the remaining top-level nodes x covers elsewhere
-	// in the tree. When x is itself covered this scan is skipped — a
-	// covered subscription is never forwarded, so its covered set is not
+	// Super pointers would record the top-level nodes x covers elsewhere in
+	// the tree, but there are none to find. A covered x skips the search —
+	// a covered subscription is never forwarded, so its covered set is not
 	// needed for routing; the paper makes the same lazy-update observation.
-	var external []*Node
-	if !covered {
-		external = t.topCoveredExcluding(x, n)
-	}
-	for _, c := range external {
-		n.super = append(n.super, c)
-		c.superRefs = append(c.superRefs, n)
-	}
-	t.superEdges += len(external)
-
-	newly := make([]*Node, 0, len(adopted)+len(external))
-	newly = append(newly, adopted...)
-	newly = append(newly, external...)
-
+	// An uncovered x was placed under the root, and the adoption scan above
+	// has already tested every top-level node: each one x covers is now its
+	// child. NewlyCovered gets its own copy: callers remove those nodes,
+	// which edits n.children.
 	t.index[x.Key()] = n
 	t.size++
-	return InsertResult{Node: n, Covered: covered, NewlyCovered: newly}
+	return InsertResult{Node: n, Covered: covered, NewlyCovered: append([]*Node(nil), adopted...)}
 }
 
 // FlatInsert stores x directly at the top level without any covering
@@ -189,7 +194,7 @@ func (t *Tree) FlatInsert(x *xpath.XPE) InsertResult {
 	if n := t.index[x.Key()]; n != nil {
 		return InsertResult{Node: n, Duplicate: true, Covered: true}
 	}
-	n := &Node{XPE: x, parent: t.root}
+	n := &Node{XPE: x, parent: t.root, sig: cover.Signature(x)}
 	t.root.children = append(t.root.children, n)
 	t.index[x.Key()] = n
 	t.size++
@@ -202,8 +207,9 @@ func (t *Tree) IsCovered(x *xpath.XPE) bool {
 	if t.index[x.Key()] != nil {
 		return true
 	}
+	sig := cover.Signature(x)
 	for _, c := range t.root.children {
-		if cover.Covers(c.XPE, x) {
+		if c.covers(x, sig) {
 			return true
 		}
 	}
@@ -216,8 +222,9 @@ func (t *Tree) IsCovered(x *xpath.XPE) bool {
 // forwarded.
 func (t *Tree) Coverers(x *xpath.XPE) []*Node {
 	var out []*Node
+	sig := cover.Signature(x)
 	for _, c := range t.root.children {
-		if c.XPE != x && cover.Covers(c.XPE, x) {
+		if c.XPE != x && c.covers(x, sig) {
 			out = append(out, c)
 		}
 	}
@@ -228,11 +235,12 @@ func (t *Tree) Coverers(x *xpath.XPE) []*Node {
 // subscription other than the excluded node. Routers use it when deciding
 // whether a subscription uncovered by an unsubscription must be forwarded.
 func (t *Tree) IsCoveredBesides(x *xpath.XPE, exclude *Node) bool {
+	sig := cover.Signature(x)
 	for _, c := range t.root.children {
 		if c == exclude {
 			continue
 		}
-		if cover.Covers(c.XPE, x) {
+		if c.covers(x, sig) {
 			return true
 		}
 	}
@@ -250,11 +258,12 @@ func (t *Tree) CoveredBy(x *xpath.XPE) []*Node {
 // covered by x, skipping the excluded node itself.
 func (t *Tree) topCoveredExcluding(x *xpath.XPE, exclude *Node) []*Node {
 	var out []*Node
+	sig := cover.Signature(x)
 	for _, c := range t.root.children {
 		if c == exclude {
 			continue
 		}
-		if cover.Covers(x, c.XPE) {
+		if c.coveredBy(x, sig) {
 			out = append(out, c)
 		}
 	}

@@ -56,7 +56,8 @@ func FuzzParseXPE(f *testing.F) {
 			x.MatchesPath(path)
 			x.MatchesPathAttrs(path, []map[string]string{{"x": "1"}})
 		}
-		_ = x.Segments()
+		for start := 0; start < x.Len(); start = x.SegmentEnd(start) {
+		}
 		_ = x.IsSimple()
 		_ = x.HasWildcard()
 		_ = x.HasPredicates()

@@ -159,3 +159,25 @@ func TestKeyStableUnderPredicateOrder(t *testing.T) {
 		t.Error("malformed predicate encoding vanished from the key")
 	}
 }
+
+// TestKeyCachedAtomically races first Key calls on fresh expressions: every
+// goroutine must read the full key, whichever racing store wins.
+func TestKeyCachedAtomically(t *testing.T) {
+	const want = `/a//b[@m='1'][@n='2']/*`
+	for round := 0; round < 20; round++ {
+		x := &XPE{Steps: []Step{
+			{Axis: Child, Name: "a"},
+			{Axis: Descendant, Name: "b", Preds: `[@n='2'][@m='1']`},
+			{Axis: Child, Name: Wildcard},
+		}}
+		got := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			go func() { got <- x.Key() }()
+		}
+		for g := 0; g < 8; g++ {
+			if k := <-got; k != want {
+				t.Fatalf("Key = %q, want %q", k, want)
+			}
+		}
+	}
+}

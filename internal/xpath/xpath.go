@@ -15,6 +15,7 @@ package xpath
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Wildcard is the element test that matches any element name.
@@ -69,6 +70,10 @@ type XPE struct {
 	// populated lazily and atomically, so concurrent matchers share one
 	// compilation. Steps must not be mutated after the first Syms call.
 	syms symsView
+	// key caches Key the same way: routing tables look an expression up by
+	// its key on every insert, lookup and removal. Steps must not be mutated
+	// after the first Key call either.
+	key atomic.Pointer[string]
 }
 
 // New constructs an XPE from explicit steps. It does not validate names.
@@ -156,8 +161,15 @@ func (x *XPE) String() string {
 // equals String; hand-built steps whose Preds list the same predicates in a
 // different order still produce the same Key, so routing tables never store
 // one logical subscription twice.
+//
+// Key is computed on first use and cached; racing first calls compute
+// equal strings and one is kept.
 func (x *XPE) Key() string {
+	if k := x.key.Load(); k != nil {
+		return *k
+	}
 	var b strings.Builder
+	b.Grow(x.renderLen())
 	for i, s := range x.Steps {
 		switch {
 		case i == 0 && x.Relative:
@@ -168,40 +180,36 @@ func (x *XPE) Key() string {
 		b.WriteString(s.Name)
 		b.WriteString(canonicalPreds(s.Preds))
 	}
-	return b.String()
+	k := b.String()
+	x.key.Store(&k)
+	return k
 }
 
-// Segment is a maximal run of steps connected only by "/" operators. The
-// covering and advertisement-matching algorithms decompose an XPE at its
-// "//" operators into segments.
-type Segment struct {
-	// Names are the name tests of the run, in order.
-	Names []string
-	// AfterDescendant records whether the segment is preceded by a "//"
-	// operator (true for every segment except possibly the first).
-	AfterDescendant bool
+// renderLen bounds the length of Key (canonical predicates are a reordering
+// of the stored ones), so Key builds its result in one allocation.
+func (x *XPE) renderLen() int {
+	n := 0
+	for _, s := range x.Steps {
+		n += len("//") + len(s.Name) + len(s.Preds)
+	}
+	return n
 }
 
-// Segments splits the expression at its "//" operators. The first segment of
-// an absolute expression starting with "/" has AfterDescendant == false; a
-// leading "//" yields a first segment with AfterDescendant == true. A
-// relative expression's first segment has AfterDescendant == false but is
-// unanchored by virtue of x.Relative.
-func (x *XPE) Segments() []Segment {
-	if len(x.Steps) == 0 {
-		return nil
+// SegmentEnd returns the end of the segment that starts at step start: the
+// index of the next step after start with a "//" operator, or Len (also for
+// a start at or past Len). A segment is a maximal run of steps connected
+// only by "/" operators; the covering and advertisement-matching algorithms
+// decompose an XPE into segments by walking
+// x.Steps[start:SegmentEnd(start)] from start 0, without allocating. A
+// segment is preceded by "//" when its first step's axis is Descendant; the
+// first segment of a relative expression is unanchored by virtue of
+// x.Relative.
+func (x *XPE) SegmentEnd(start int) int {
+	end := start + 1
+	for end < len(x.Steps) && x.Steps[end].Axis != Descendant {
+		end++
 	}
-	var segs []Segment
-	cur := Segment{AfterDescendant: x.Steps[0].Axis == Descendant}
-	for i, s := range x.Steps {
-		if i > 0 && s.Axis == Descendant {
-			segs = append(segs, cur)
-			cur = Segment{AfterDescendant: true}
-		}
-		cur.Names = append(cur.Names, s.Name)
-	}
-	segs = append(segs, cur)
-	return segs
+	return min(end, len(x.Steps))
 }
 
 // Parse parses an XPath expression of the supported fragment. It accepts

@@ -77,25 +77,41 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// segment is one run of steps between "//" operators, as SegmentEnd walks
+// them: its name tests, and whether a "//" precedes it.
+type segment struct {
+	Names           []string
+	AfterDescendant bool
+}
+
 func TestSegments(t *testing.T) {
 	tests := []struct {
 		in   string
-		want []Segment
+		want []segment
 	}{
-		{"/a/b/c", []Segment{{Names: []string{"a", "b", "c"}}}},
-		{"/a//b/c", []Segment{
+		{"/a/b/c", []segment{{Names: []string{"a", "b", "c"}}}},
+		{"/a//b/c", []segment{
 			{Names: []string{"a"}},
 			{Names: []string{"b", "c"}, AfterDescendant: true},
 		}},
-		{"//a", []Segment{{Names: []string{"a"}, AfterDescendant: true}}},
-		{"*/a//d/*/c//b", []Segment{
+		{"//a", []segment{{Names: []string{"a"}, AfterDescendant: true}}},
+		{"*/a//d/*/c//b", []segment{
 			{Names: []string{"*", "a"}},
 			{Names: []string{"d", "*", "c"}, AfterDescendant: true},
 			{Names: []string{"b"}, AfterDescendant: true},
 		}},
 	}
 	for _, tt := range tests {
-		segs := MustParse(tt.in).Segments()
+		x := MustParse(tt.in)
+		var segs []segment
+		for start, end := 0, 0; start < x.Len(); start = end {
+			end = x.SegmentEnd(start)
+			seg := segment{AfterDescendant: x.Steps[start].Axis == Descendant}
+			for _, st := range x.Steps[start:end] {
+				seg.Names = append(seg.Names, st.Name)
+			}
+			segs = append(segs, seg)
+		}
 		if len(segs) != len(tt.want) {
 			t.Fatalf("%s: got %d segments, want %d", tt.in, len(segs), len(tt.want))
 		}
@@ -106,6 +122,9 @@ func TestSegments(t *testing.T) {
 			if strings.Join(s.Names, "/") != strings.Join(tt.want[i].Names, "/") {
 				t.Errorf("%s seg %d names = %v, want %v", tt.in, i, s.Names, tt.want[i].Names)
 			}
+		}
+		if end := x.SegmentEnd(x.Len()); end != x.Len() {
+			t.Errorf("%s: SegmentEnd(Len) = %d, want Len", tt.in, end)
 		}
 	}
 }
