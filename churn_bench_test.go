@@ -11,13 +11,12 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/pmatch"
-	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
 // This file measures what one control-plane change costs. The broker edits
 // its persistent matching table (DESIGN.md §5g) at the point of change —
-// one expression's path copied, one slot resealed — so a subscribe or
+// one expression's path copied and resealed — so a subscribe or
 // unsubscribe must cost the same at any table size. BENCH_churn.json
 // records measured numbers (TestEmitChurnBench writes it).
 
@@ -29,8 +28,8 @@ import (
 // yield disjoint sets. (Interning a fresh name per subscription would be
 // unrealistic AND quadratic: symtab's copy-on-write snapshot is rebuilt per
 // new name, by design, because element alphabets are small.) A random one-
-// to-three-step prefix spreads roots across shards; one in ten expressions
-// is relative and lands in the wild shard.
+// to-three-step prefix spreads the roots over the alphabet; one in ten
+// expressions is relative.
 func churnXPEs(base, n int, seed int64) []*xpath.XPE {
 	r := rand.New(rand.NewSource(seed))
 	names := make([]string, 200)
@@ -61,10 +60,10 @@ func churnXPEs(base, n int, seed int64) []*xpath.XPE {
 	return out
 }
 
-// loadTable fills a sharded matching table with size subscriptions and
-// seals it: the automaton a broker holding them publishes.
-func loadTable(size, shards int) *pmatch.ShardedTable {
-	tbl := pmatch.NewShardedTable(shards)
+// loadTable fills a matching table with size subscriptions and seals it:
+// the automaton a broker holding them publishes.
+func loadTable(size int) *pmatch.Table {
+	tbl := pmatch.NewTable()
 	for i, x := range churnXPEs(0, size, 3) {
 		tbl.Add(x, i)
 	}
@@ -74,7 +73,7 @@ func loadTable(size, shards int) *pmatch.ShardedTable {
 
 // tableChange is one subscribe+unsubscribe pair at the matching-table
 // layer, each change sealed into a new version as the broker does.
-func tableChange(tbl *pmatch.ShardedTable, x *xpath.XPE) {
+func tableChange(tbl *pmatch.Table, x *xpath.XPE) {
 	h := tbl.Add(x, -1)
 	tbl.Seal()
 	tbl.Remove(h)
@@ -85,22 +84,21 @@ func tableChange(tbl *pmatch.ShardedTable, x *xpath.XPE) {
 // neighbour n1 (covering on, no advertisements), cached across benchmark
 // rounds and tests: each measured op is a subscribe+unsubscribe pair, so
 // the table always returns to its initial contents.
-func churnBroker(size, shards int) *broker.Broker {
-	key := [2]int{size, shards}
-	if br, ok := churnBrokers[key]; ok {
+func churnBroker(size int) *broker.Broker {
+	if br, ok := churnBrokers[size]; ok {
 		return br
 	}
-	br := broker.New(broker.Config{ID: "b1", UseCovering: true, Shards: shards},
+	br := broker.New(broker.Config{ID: "b1", UseCovering: true},
 		func(to string, m *broker.Message) {})
 	br.AddNeighbor("n1")
 	for _, x := range churnXPEs(0, size, 1) {
 		br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: x}, "n1")
 	}
-	churnBrokers[key] = br
+	churnBrokers[size] = br
 	return br
 }
 
-var churnBrokers = map[[2]int]*broker.Broker{}
+var churnBrokers = map[int]*broker.Broker{}
 
 // churnBrokerTableSize is the pre-populated table behind
 // BenchmarkControlChurn.
@@ -108,20 +106,17 @@ const churnBrokerTableSize = 2000
 
 // BenchmarkControlChurn measures steady-state control-plane churn through
 // the real broker: one subscribe of a fresh expression plus its unsubscribe
-// per op, against a pre-populated table. Both shard counts edit the
-// matching table in place; shards=8 copies shorter root fan-outs.
+// per op, against a pre-populated table.
 func BenchmarkControlChurn(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("subs=%d/shards=%d", churnBrokerTableSize, shards), func(b *testing.B) {
-			br := churnBroker(churnBrokerTableSize, shards)
-			fresh := churnXPEs(churnBrokerTableSize, b.N, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: fresh[i]}, "n1")
-				br.HandleMessage(&broker.Message{Type: broker.MsgUnsubscribe, XPE: fresh[i]}, "n1")
-			}
-		})
-	}
+	b.Run(fmt.Sprintf("subs=%d", churnBrokerTableSize), func(b *testing.B) {
+		br := churnBroker(churnBrokerTableSize)
+		fresh := churnXPEs(churnBrokerTableSize, b.N, 2)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			br.HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: fresh[i]}, "n1")
+			br.HandleMessage(&broker.Message{Type: broker.MsgUnsubscribe, XPE: fresh[i]}, "n1")
+		}
+	})
 }
 
 // BenchmarkTableChange isolates the matching-table share of one change at
@@ -130,58 +125,22 @@ func BenchmarkControlChurn(b *testing.B) {
 // op.
 func BenchmarkTableChange(b *testing.B) {
 	for _, size := range []int{100_000, 1_000_000} {
-		for _, shards := range []int{1, 8} {
-			b.Run(fmt.Sprintf("subs=%d/shards=%d", size, shards), func(b *testing.B) {
-				tbl := loadTable(size, shards)
-				fresh := churnXPEs(size, 1024, 2)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tableChange(tbl, fresh[i%len(fresh)])
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardedMatch extends the automaton-size sweep in
-// BENCH_pmatch.json to 100k–1M entries: match cost per publication path for
-// the monolithic automaton versus the 8-shard partition (two smaller
-// automaton runs: the root's shard plus the wild shard).
-func BenchmarkShardedMatch(b *testing.B) {
-	for _, size := range []int{100_000, 1_000_000} {
-		xs := churnXPEs(0, size, 4)
-		paths := make([][]symtab.Sym, 64)
-		r := rand.New(rand.NewSource(5))
-		for i := range paths {
-			n := 2 + r.Intn(5)
-			path := make([]string, n)
-			for j := range path {
-				path[j] = fmt.Sprintf("e%d", r.Intn(200))
+		b.Run(fmt.Sprintf("subs=%d", size), func(b *testing.B) {
+			tbl := loadTable(size)
+			fresh := churnXPEs(size, 1024, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tableChange(tbl, fresh[i%len(fresh)])
 			}
-			paths[i] = symtab.InternPath(path)
-		}
-		for _, shards := range []int{1, 8} {
-			b.Run(fmt.Sprintf("subs=%d/shards=%d", size, shards), func(b *testing.B) {
-				sb := pmatch.NewShardedBuilder(shards)
-				for i, x := range xs {
-					sb.Add(x, i)
-				}
-				auto := sb.Build()
-				hits := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					auto.Match(paths[i%len(paths)], nil, func(any) { hits++ })
-				}
-			})
-		}
+		})
 	}
 }
 
 // Per-change ceilings for TestEmitChurnBench. They hold at every table
-// size: a change costs one expression's path, never a slot. Measured values
-// sit well below them (BENCH_churn.json); the slack absorbs CI noise, while
-// any per-change work proportional to the table — a slot recompile, a table
+// size: a change costs one expression's path, never the table. Measured
+// values sit well below them (BENCH_churn.json); the slack absorbs CI noise,
+// while any per-change work proportional to the table — a recompile, a table
 // walk, a copied fan-out that grows with N — overshoots at 1M.
 const (
 	churnCeilingUS     = 200.0 // µs per subscribe+unsubscribe pair
@@ -189,7 +148,7 @@ const (
 )
 
 // TestEmitChurnBench is the CI bench-smoke for the control plane: it loads
-// the 8-shard matching table with 100k and then 1M subscriptions, measures
+// the matching table with 100k and then 1M subscriptions, measures
 // µs and allocations per subscribe+unsubscribe pair of fresh expressions
 // (each change sealed into a new version, as the broker publishes it), and
 // writes the result as JSON to the file named by BENCH_CHURN_OUT (skipped
@@ -199,7 +158,6 @@ func TestEmitChurnBench(t *testing.T) {
 	if out == "" {
 		t.Skip("BENCH_CHURN_OUT not set")
 	}
-	const shards = 8
 	const pairs = 2000
 	type sizeResult struct {
 		Subscriptions int     `json:"subscriptions"`
@@ -211,7 +169,7 @@ func TestEmitChurnBench(t *testing.T) {
 	var results []sizeResult
 	for _, size := range []int{100_000, 1_000_000} {
 		start := time.Now()
-		tbl := loadTable(size, shards)
+		tbl := loadTable(size)
 		load := time.Since(start)
 		fresh := churnXPEs(size, pairs, 2)
 		for _, x := range fresh {
@@ -233,7 +191,7 @@ func TestEmitChurnBench(t *testing.T) {
 			USPerPair:     elapsed.Seconds() * 1e6 / pairs,
 			AllocsPerPair: float64(after.Mallocs-before.Mallocs) / pairs,
 		}
-		if n := tbl.Seal().Entries(); n != size {
+		if n := tbl.Seal().NumEntries(); n != size {
 			t.Fatalf("table holds %d entries after the churn, want %d", n, size)
 		}
 		if r.USPerPair > churnCeilingUS || r.AllocsPerPair > churnCeilingAllocs {
@@ -248,7 +206,6 @@ func TestEmitChurnBench(t *testing.T) {
 		Host          string       `json:"host"`
 		CPUs          int          `json:"cpus"`
 		Go            string       `json:"go"`
-		Shards        int          `json:"shards"`
 		Pairs         int          `json:"pairs"`
 		CeilingUS     float64      `json:"ceiling_us_per_pair"`
 		CeilingAllocs float64      `json:"ceiling_allocs_per_pair"`
@@ -258,7 +215,6 @@ func TestEmitChurnBench(t *testing.T) {
 		Host:          runtime.GOOS + "/" + runtime.GOARCH,
 		CPUs:          runtime.NumCPU(),
 		Go:            runtime.Version(),
-		Shards:        shards,
 		Pairs:         pairs,
 		CeilingUS:     churnCeilingUS,
 		CeilingAllocs: churnCeilingAllocs,

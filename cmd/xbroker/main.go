@@ -44,7 +44,6 @@ func main() {
 		useCov    = flag.Bool("cov", true, "covering-based table compaction")
 		merging   = flag.String("merge", "off", "merging mode: off|perfect|imperfect")
 		degree    = flag.Float64("degree", 0.1, "imperfect-merging degree tolerance")
-		shards    = flag.Int("shards", 0, "matching-engine shards, keyed by the subscription's root element; a publication consults its root's shard and the wild shard (0 = GOMAXPROCS, 1 = single monolithic automaton)")
 		statsEach = flag.Duration("stats", 30*time.Second, "stats logging interval (0 disables)")
 		traceBuf  = flag.Int("tracebuf", 1024, "trace events retained in the in-memory ring")
 
@@ -100,7 +99,6 @@ func main() {
 		UseAdvertisements: *useAdv,
 		UseCovering:       *useCov,
 		ImperfectDegree:   *degree,
-		Shards:            *shards,
 		Metrics:           reg,
 		TraceSink:         ring,
 		SlowLog:           slow,
@@ -148,7 +146,7 @@ func main() {
 			Links:    func() any { return srv.Links() },
 			Queues:   srv.QueueDepths,
 			Slow:     slow,
-			Shards:   func() any { return srv.Broker().ShardStatus() },
+			Table:    func() any { return srv.Broker().TableStatus() },
 		}
 		if store != nil {
 			status.Publog = func() any { return store.Status() }

@@ -52,9 +52,8 @@ type stageQ struct {
 	P99   float64 `json:"p99"`
 }
 
-// shardInfo mirrors broker.ShardStatus's JSON.
-type shardInfo struct {
-	Shard            string  `json:"shard"`
+// tableInfo mirrors broker.TableStatus's JSON.
+type tableInfo struct {
 	Entries          int     `json:"entries"`
 	States           int     `json:"states"`
 	Epoch            uint64  `json:"epoch"`
@@ -75,7 +74,7 @@ type status struct {
 	Queues               map[string]int     `json:"queues"`
 	SlowTotal            int64              `json:"slow_total"`
 	SlowThresholdSeconds float64            `json:"slow_threshold_seconds"`
-	Shards               []shardInfo        `json:"shards"`
+	Table                *tableInfo         `json:"table"`
 }
 
 // result is one poll of one broker.
@@ -214,7 +213,7 @@ func render(out io.Writer, results []result, clear bool) {
 	fmt.Fprintf(&b, "xtop — %s\n\n", time.Now().Format("15:04:05"))
 
 	// Overview table.
-	tw := newTable(&b, "BROKER", "TARGET", "UP", "EPOCH", "PUB/S", "DLV/S", "LINKS", "WIRE", "QMAX", "SLOW", "SHARDS", "LAG")
+	tw := newTable(&b, "BROKER", "TARGET", "UP", "EPOCH", "PUB/S", "DLV/S", "LINKS", "WIRE", "QMAX", "SLOW", "NFA", "LAG")
 	for _, r := range results {
 		if r.Status == nil {
 			tw.row("?", r.Target, "DOWN", "-", "-", "-", "-", "-", "-", "-", "-", "-")
@@ -244,7 +243,7 @@ func render(out io.Writer, results []result, clear bool) {
 			formatWire(st),
 			fmt.Sprint(qmax),
 			fmt.Sprint(st.SlowTotal),
-			formatShards(st.Shards),
+			formatTable(st.Table),
 			formatLag(st),
 		)
 	}
@@ -292,19 +291,15 @@ func rateOf(st *status, key string) float64 {
 	return -1
 }
 
-// formatShards summarises the matching engine's shard vector as
-// "slots:entries" — e.g. "9:1204" for an 8-shard broker (8 anchored slots
-// plus the wild slot) holding 1204 automaton entries. "-" when the broker
-// runs without the shared NFA or predates the shard surface.
-func formatShards(shards []shardInfo) string {
-	if len(shards) == 0 {
+// formatTable summarises the matching table as "entries@epoch cost" — e.g.
+// "1204@17 23.0µs": 1204 automaton entries, last changed at snapshot epoch 17
+// by a control message that took 23µs to handle. "-" when the broker does
+// not report its table.
+func formatTable(t *tableInfo) string {
+	if t == nil {
 		return "-"
 	}
-	entries := 0
-	for _, s := range shards {
-		entries += s.Entries
-	}
-	return fmt.Sprintf("%d:%d", len(shards), entries)
+	return fmt.Sprintf("%d@%d %s", t.Entries, t.Epoch, formatDur(t.LastBuildSeconds))
 }
 
 // formatLag renders the worst durable-subscription replay backlog — the

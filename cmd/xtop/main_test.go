@@ -55,13 +55,9 @@ func startChain(t *testing.T) *chain {
 			ID:                fmt.Sprintf("b%d", i+1),
 			UseAdvertisements: true,
 			UseCovering:       true,
-			// Explicitly sharded so the acceptance test exercises the
-			// partitioned matching engine and its /statusz surface (the
-			// default tracks GOMAXPROCS, which may be 1 on small hosts).
-			Shards:    2,
-			Metrics:   reg,
-			TraceSink: c.rings[i],
-			SlowLog:   slow,
+			Metrics:           reg,
+			TraceSink:         c.rings[i],
+			SlowLog:           slow,
 		}
 		c.servers[i] = transport.NewServer(cfg, neighbors[i])
 		addr, err := c.servers[i].Listen("127.0.0.1:0")
@@ -83,7 +79,7 @@ func startChain(t *testing.T) *chain {
 				Links:    func() any { return srv.Links() },
 				Queues:   srv.QueueDepths,
 				Slow:     slow,
-				Shards:   func() any { return srv.Broker().ShardStatus() },
+				Table:    func() any { return srv.Broker().TableStatus() },
 			},
 		}.Handler())
 		t.Cleanup(c.admins[i].Close)
@@ -250,25 +246,18 @@ func TestXtopThreeBrokerChain(t *testing.T) {
 		if st.Epoch == 0 {
 			t.Errorf("%s: snapshot epoch = 0, want control-plane epochs", st.Broker)
 		}
-		// Per-shard matching-engine state: a 2-shard broker reports 2
-		// anchored slots plus the wild slot, the subscription landed exactly
-		// one entry somewhere, and the populated slot records the last
-		// snapshot epoch that changed it.
-		if len(st.Shards) != 3 {
-			t.Fatalf("%s: shard slots = %d, want 3 (%+v)", st.Broker, len(st.Shards), st.Shards)
+		// The matching table's status line: the subscription landed in
+		// every broker's table, and the line records the snapshot epoch
+		// that last changed it — no later than the broker's own epoch.
+		tb := st.Table
+		if tb == nil {
+			t.Fatalf("%s: no table status line", st.Broker)
 		}
-		if st.Shards[2].Shard != "wild" {
-			t.Errorf("%s: last slot = %q, want wild", st.Broker, st.Shards[2].Shard)
+		if tb.Entries == 0 || tb.States == 0 {
+			t.Errorf("%s: empty matching table after subscription: %+v", st.Broker, tb)
 		}
-		entries := 0
-		for _, sh := range st.Shards {
-			entries += sh.Entries
-			if sh.Entries > 0 && sh.Epoch == 0 {
-				t.Errorf("%s: populated shard %s has no change epoch: %+v", st.Broker, sh.Shard, sh)
-			}
-		}
-		if entries == 0 {
-			t.Errorf("%s: no automaton entries across shards after subscription: %+v", st.Broker, st.Shards)
+		if tb.Epoch == 0 || tb.Epoch > st.Epoch {
+			t.Errorf("%s: table epoch %d, snapshot epoch %d", st.Broker, tb.Epoch, st.Epoch)
 		}
 	}
 
@@ -293,7 +282,7 @@ func TestXtopThreeBrokerChain(t *testing.T) {
 		t.Fatalf("xtop -once exit %d:\n%s", code, buf.String())
 	}
 	table := buf.String()
-	for _, want := range []string{"BROKER", "LINKS", "SHARDS", "b1", "b2", "b3", "match", "flush", "3:"} {
+	for _, want := range []string{"BROKER", "LINKS", "NFA", "b1", "b2", "b3", "match", "flush", "@"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("xtop table missing %q:\n%s", want, table)
 		}

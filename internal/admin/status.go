@@ -41,10 +41,10 @@ type Status struct {
 	// Slow, when non-nil, contributes the flight recorder's capture count
 	// and threshold.
 	Slow *slowlog.Log
-	// Shards, when non-nil, reports the matching engine's per-shard state;
-	// the broker's ShardStatus method fits. The value is embedded verbatim
-	// in the snapshot JSON.
-	Shards func() any
+	// Table, when non-nil, reports the matching table's state; the broker's
+	// TableStatus method fits. The value is embedded verbatim in the
+	// snapshot JSON.
+	Table func() any
 	// Publog, when non-nil, reports the publication log backing durable
 	// subscriptions (segments, bytes, per-name cursors); the publog store's
 	// Status method fits. The value is embedded verbatim in the snapshot
@@ -95,10 +95,10 @@ type StatusSnapshot struct {
 	// captured entries themselves are served by /debug/slow.
 	SlowTotal            int64   `json:"slow_total,omitempty"`
 	SlowThresholdSeconds float64 `json:"slow_threshold_seconds,omitempty"`
-	// Shards is the matching engine's per-shard state (see
-	// broker.ShardStatus): entries, states, the last snapshot epoch that
-	// changed the slot, and how long that control message took to handle.
-	Shards any `json:"shards,omitempty"`
+	// Table is the matching table's state (see broker.TableStatus):
+	// entries, states, the last snapshot epoch that changed it, and how long
+	// that control message took to handle.
+	Table any `json:"table,omitempty"`
 	// Publog is the durable-subscription publication log's state (see
 	// publog.Status): segment count, byte size, and per-name cursor lag.
 	Publog any `json:"publog,omitempty"`
@@ -172,8 +172,8 @@ func (st *Status) Snapshot() StatusSnapshot {
 		out.SlowTotal = st.Slow.Total()
 		out.SlowThresholdSeconds = st.Slow.Threshold().Seconds()
 	}
-	if st.Shards != nil {
-		out.Shards = st.Shards()
+	if st.Table != nil {
+		out.Table = st.Table()
 	}
 	if st.Publog != nil {
 		out.Publog = st.Publog()

@@ -18,12 +18,6 @@ import (
 	"repro/internal/xpath"
 )
 
-// shardIndexOf is the broker-side view of the shard key: the slot a
-// subscription's automaton entry lands in for an N-shard configuration.
-func shardIndexOf(x *xpath.XPE, n int) int {
-	return pmatch.ShardIndex(x, n)
-}
-
 // pub builds a test publication with per-element attributes.
 func pub(path []string, attrs []map[string]string, id int) xmldoc.Publication {
 	return xmldoc.Publication{DocID: uint64(id), Path: path, Attrs: attrs}
@@ -151,14 +145,12 @@ func routingScenarios(t *testing.T) []routingScenario {
 	}
 }
 
-// checkRoutesLikeTreeWalk drives a one-shard and an eight-shard broker
-// through identical random control sequences under every routing scenario
-// and checks each publication as it is routed: its destinations and its
-// delivery and false-positive counts must be exactly what treeWalkRoute
-// computes over the master tables at that moment, and it must reach them in
-// name order. The two brokers must also emit byte-identical publication
-// streams, and after each run the live table must have the Stats of a fresh
-// build over the master tables. publish builds the messages of one publish
+// checkRoutesLikeTreeWalk drives a broker through random control sequences
+// under every routing scenario and checks each publication as it is routed:
+// its destinations and its delivery and false-positive counts must be
+// exactly what treeWalkRoute computes over the master tables at that
+// moment, and it must reach them in name order. After each run the live
+// table must have the Stats of a fresh build over the master tables. publish builds the messages of one publish
 // step from r. The scenarios cover every path that edits the matching table
 // or the destination ids: plain subscribe/unsubscribe, merge passes (which
 // re-seed it), a durable subscriber (a virtual client), resync claims (which
@@ -171,117 +163,106 @@ func checkRoutesLikeTreeWalk(t *testing.T, publish func(r *rand.Rand) []*Message
 		for seed := int64(1); seed <= 5; seed++ {
 			sc, seed := sc, seed
 			t.Run(fmt.Sprintf("%sseed=%d", sc.name, seed), func(t *testing.T) {
-				run := func(shards int) ([]string, Stats) {
-					r := rand.New(rand.NewSource(seed))
-					rec := &pubSink{}
-					cfg := sc.cfg
-					cfg.ID = "b1"
-					cfg.UseCovering = true
-					cfg.Shards = shards
-					b := New(cfg, rec.send)
-					b.AddNeighbor("n1")
-					b.AddNeighbor("n2")
-					b.AddClient("c1")
-					b.AddClient("c2")
-					peers := []string{"n1", "n2", "c1", "c2"}
-					var subs []*xpath.XPE
-					// Extra clients and their subscriptions (many-clients).
-					broad := []string{"/a", "/*", "//b", "//c", "/a//d"}
-					var extra []string
-					extraSubs := map[string][]*xpath.XPE{}
-					join := func(name string) {
-						b.AddClient(name)
-						extra = append(extra, name)
-						for _, x := range []*xpath.XPE{xpath.MustParse(broad[len(extra)%len(broad)]), randomWorkloadXPE(r)} {
-							extraSubs[name] = append(extraSubs[name], x)
-							b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, name)
+				r := rand.New(rand.NewSource(seed))
+				rec := &pubSink{}
+				cfg := sc.cfg
+				cfg.ID = "b1"
+				cfg.UseCovering = true
+				b := New(cfg, rec.send)
+				b.AddNeighbor("n1")
+				b.AddNeighbor("n2")
+				b.AddClient("c1")
+				b.AddClient("c2")
+				peers := []string{"n1", "n2", "c1", "c2"}
+				var subs []*xpath.XPE
+				// Extra clients and their subscriptions (many-clients).
+				broad := []string{"/a", "/*", "//b", "//c", "/a//d"}
+				var extra []string
+				extraSubs := map[string][]*xpath.XPE{}
+				join := func(name string) {
+					b.AddClient(name)
+					extra = append(extra, name)
+					for _, x := range []*xpath.XPE{xpath.MustParse(broad[len(extra)%len(broad)]), randomWorkloadXPE(r)} {
+						extraSubs[name] = append(extraSubs[name], x)
+						b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, name)
+					}
+				}
+				for i := 0; i < sc.clients; i++ {
+					join(fmt.Sprintf("m%02d", i))
+				}
+				wide := 0 // publications reaching more than 64 destinations
+				for i := 0; i < 300; i++ {
+					switch op := r.Intn(20); {
+					case op < 8: // subscribe
+						x := randomWorkloadXPE(r)
+						subs = append(subs, x)
+						b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, peers[r.Intn(len(peers))])
+					case op < 10 && len(subs) > 0: // unsubscribe
+						b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: subs[r.Intn(len(subs))]}, peers[r.Intn(len(peers))])
+					case op == 10 && sc.durable:
+						b.HandleMessage(&Message{Type: MsgSubscribeDurable, Durable: "d1", XPE: randomWorkloadXPE(r)}, "c1")
+					case op == 10 && sc.resync:
+						claim := &ResyncState{}
+						for _, x := range subs {
+							if r.Intn(2) == 0 {
+								claim.Subs = append(claim.Subs, x)
+							}
 						}
-					}
-					for i := 0; i < sc.clients; i++ {
-						join(fmt.Sprintf("m%02d", i))
-					}
-					wide := 0 // publications reaching more than 64 destinations
-					for i := 0; i < 300; i++ {
-						switch op := r.Intn(20); {
-						case op < 8: // subscribe
-							x := randomWorkloadXPE(r)
-							subs = append(subs, x)
-							b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, peers[r.Intn(len(peers))])
-						case op < 10 && len(subs) > 0: // unsubscribe
-							b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: subs[r.Intn(len(subs))]}, peers[r.Intn(len(peers))])
-						case op == 10 && sc.durable:
-							b.HandleMessage(&Message{Type: MsgSubscribeDurable, Durable: "d1", XPE: randomWorkloadXPE(r)}, "c1")
-						case op == 10 && sc.resync:
-							claim := &ResyncState{}
-							for _, x := range subs {
-								if r.Intn(2) == 0 {
-									claim.Subs = append(claim.Subs, x)
-								}
+						b.HandleMessage(&Message{Type: MsgResync, Resync: claim}, "n1")
+						b.ResyncFor("n2")
+					case op == 11 && len(extra) > 0 && r.Intn(2) == 0:
+						// A client leaves: it withdraws everything.
+						k := r.Intn(len(extra))
+						for _, x := range extraSubs[extra[k]] {
+							b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x}, extra[k])
+						}
+						delete(extraSubs, extra[k])
+						extra = append(extra[:k], extra[k+1:]...)
+					case op == 11 && sc.clients > 0:
+						// A new client joins under a name that sorts
+						// before most others.
+						join(fmt.Sprintf("j%03d", i))
+					default:
+						for _, m := range publish(r) {
+							want := treeWalkRoute(t, b, m, "producer")
+							before := b.Stats()
+							rec.takeDests()
+							b.HandleMessage(m, "producer")
+							after := b.Stats()
+							got := rec.takeDests()
+							if !sort.StringsAreSorted(got) {
+								t.Fatalf("step %d: emitted out of name order: %v", i, got)
 							}
-							b.HandleMessage(&Message{Type: MsgResync, Resync: claim}, "n1")
-							b.ResyncFor("n2")
-						case op == 11 && len(extra) > 0 && r.Intn(2) == 0:
-							// A client leaves: it withdraws everything.
-							k := r.Intn(len(extra))
-							for _, x := range extraSubs[extra[k]] {
-								b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x}, extra[k])
+							if !reflect.DeepEqual(got, want.dests) {
+								t.Fatalf("step %d: routed to %v, tree walk %v", i, got, want.dests)
 							}
-							delete(extraSubs, extra[k])
-							extra = append(extra[:k], extra[k+1:]...)
-						case op == 11 && sc.clients > 0:
-							// A new client joins under a name that sorts
-							// before most others.
-							join(fmt.Sprintf("j%03d", i))
-						default:
-							for _, m := range publish(r) {
-								want := treeWalkRoute(t, b, m, "producer")
-								before := b.Stats()
-								rec.takeDests()
-								b.HandleMessage(m, "producer")
-								after := b.Stats()
-								got := rec.takeDests()
-								if !sort.StringsAreSorted(got) {
-									t.Fatalf("shards=%d step %d: emitted out of name order: %v", shards, i, got)
-								}
-								if !reflect.DeepEqual(got, want.dests) {
-									t.Fatalf("shards=%d step %d: routed to %v, tree walk %v", shards, i, got, want.dests)
-								}
-								if len(got) > 64 {
-									wide++
-								}
-								if d, fp := after.Deliveries-before.Deliveries, after.FalsePositives-before.FalsePositives; d != want.deliveries || fp != want.falsePositives {
-									t.Fatalf("shards=%d step %d: %d deliveries and %d false positives, tree walk %d and %d",
-										shards, i, d, fp, want.deliveries, want.falsePositives)
-								}
+							if len(got) > 64 {
+								wide++
+							}
+							if d, fp := after.Deliveries-before.Deliveries, after.FalsePositives-before.FalsePositives; d != want.deliveries || fp != want.falsePositives {
+								t.Fatalf("step %d: %d deliveries and %d false positives, tree walk %d and %d",
+									i, d, fp, want.deliveries, want.falsePositives)
 							}
 						}
 					}
-					if got, want := b.NFAStats(), freshTableStats(b); got != want {
-						t.Fatalf("shards=%d: live table %+v, fresh build over the master tables %+v", shards, got, want)
-					}
-					if st := b.Stats(); st.BadDocuments != 0 {
-						t.Fatalf("shards=%d: %d well-formed documents dropped as bad", shards, st.BadDocuments)
-					}
-					if sc.clients > 0 && wide == 0 {
-						t.Fatalf("shards=%d: no publication reached more than 64 destinations: scenario is vacuous", shards)
-					}
-					return rec.sorted(), b.Stats()
 				}
-				got1, stats1 := run(1)
-				got8, stats8 := run(8)
-				if !reflect.DeepEqual(got1, got8) {
-					t.Fatalf("forwarding diverged:\nshards=1: %v\nshards=8: %v", got1, got8)
+				if got, want := b.NFAStats(), freshTableStats(b); got != want {
+					t.Fatalf("live table %+v, fresh build over the master tables %+v", got, want)
 				}
-				if stats1.Mergers != stats8.Mergers {
-					t.Fatalf("mergers diverged: shards=1 %d, shards=8 %d", stats1.Mergers, stats8.Mergers)
+				if st := b.Stats(); st.BadDocuments != 0 {
+					t.Fatalf("%d well-formed documents dropped as bad", st.BadDocuments)
 				}
-				if sc.durable && !strings.Contains(strings.Join(got1, " "), "#d1:") {
+				if sc.clients > 0 && wide == 0 {
+					t.Fatal("no publication reached more than 64 destinations: scenario is vacuous")
+				}
+				got, stats := rec.sorted(), b.Stats()
+				if sc.durable && !strings.Contains(strings.Join(got, " "), "#d1:") {
 					t.Fatal("the durable subscriber received nothing: scenario is vacuous")
 				}
 				sum := totals[sc.name]
-				sum.Deliveries += stats1.Deliveries
-				sum.FalsePositives += stats1.FalsePositives
-				sum.Mergers += stats1.Mergers
+				sum.Deliveries += stats.Deliveries
+				sum.FalsePositives += stats.FalsePositives
+				sum.Mergers += stats.Mergers
 				totals[sc.name] = sum
 			})
 		}
@@ -320,7 +301,7 @@ func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
 func freshTableStats(b *Broker) pmatch.Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	sb := pmatch.NewShardedBuilder(b.cfg.Shards)
+	sb := pmatch.NewBuilder()
 	b.prt.Walk(func(n *subtree.Node) {
 		if st := stateOf(n); st != nil && len(st.lastHops) > 0 {
 			sb.Add(n.XPE, nil)
@@ -365,82 +346,44 @@ func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 	}
 }
 
-// TestShardedRebuildGranularity pins the per-shard contract of the
-// persistent table: a control change changes only the shard its expression
-// hashes to, and each slot's ShardStatus epoch records the last snapshot
-// that changed it — untouched slots keep their epoch because the new
-// snapshot shares their automaton version.
-func TestShardedRebuildGranularity(t *testing.T) {
-	const n = 4
-	b := New(Config{ID: "b1", UseCovering: true, Shards: n}, func(string, *Message) {})
+// TestTableStatusEpoch pins the table status line: its epoch is the last
+// snapshot epoch that changed the matching table. A subscribe or an
+// unsubscribe moves it with the snapshot epoch; an advertisement and a
+// bare client registration move only the snapshot epoch.
+func TestTableStatusEpoch(t *testing.T) {
+	b := New(Config{ID: "b1", UseAdvertisements: true, UseCovering: true}, func(string, *Message) {})
 	b.AddNeighbor("n1")
-	// Find two root names that land in different anchored slots (the hash
-	// over interned symbols is stable within a process but not chosen here).
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	x1 := xpath.MustParse("/" + names[0] + "/x")
-	var x2 *xpath.XPE
-	for _, nm := range names[1:] {
-		cand := xpath.MustParse("/" + nm + "/y")
-		if shardIndexOf(cand, n) != shardIndexOf(x1, n) {
-			x2 = cand
-			break
-		}
+	if st := b.TableStatus(); st != (TableStatus{States: 1}) {
+		t.Fatalf("empty broker: %+v", st)
 	}
-	if x2 == nil {
-		t.Fatal("no two roots hash to distinct shards; widen the name set")
-	}
-	s1, s2 := shardIndexOf(x1, n), shardIndexOf(x2, n)
 
-	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x1}, "n1")
+	x := xpath.MustParse("/a/b")
+	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x}, "n1")
 	e1 := b.SnapshotEpoch()
-	st := b.ShardStatus()
-	if len(st) != n+1 {
-		t.Fatalf("ShardStatus slots = %d, want %d (N anchored + wild)", len(st), n+1)
-	}
-	if st[s1].Entries != 1 || st[s1].Epoch != e1 {
-		t.Fatalf("slot %d after first subscription: %+v (epoch %d)", s1, st[s1], e1)
+	st := b.TableStatus()
+	if st.Epoch != e1 || st.Entries != 1 || st.States != 3 || st.LastBuildSeconds <= 0 {
+		t.Fatalf("after subscribe: %+v (snapshot epoch %d)", st, e1)
 	}
 
-	// A subscription in a different shard changes only that shard: s1 keeps
-	// its epoch and its automaton version.
-	v1 := b.snap.Load().auto.Slot(s1)
-	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x2}, "n1")
+	b.HandleMessage(&Message{Type: MsgAdvertise, AdvID: "ad1", Adv: advert.MustParse("/a/b")}, "n1")
+	if e := b.SnapshotEpoch(); e == e1 {
+		t.Fatal("an advertisement must move the snapshot epoch")
+	}
+	if got := b.TableStatus(); got != st {
+		t.Fatalf("an advertisement changed the table status: %+v, was %+v", got, st)
+	}
 	e2 := b.SnapshotEpoch()
-	if e2 == e1 {
-		t.Fatal("effective control change must move the snapshot epoch")
+	b.AddClient("c1")
+	if e := b.SnapshotEpoch(); e == e2 {
+		t.Fatal("a client registration must move the snapshot epoch")
 	}
-	st = b.ShardStatus()
-	if st[s2].Entries != 1 || st[s2].Epoch != e2 {
-		t.Fatalf("slot %d after second subscription: %+v (epoch %d)", s2, st[s2], e2)
-	}
-	if st[s1].Epoch != e1 || b.snap.Load().auto.Slot(s1) != v1 {
-		t.Fatalf("untouched slot %d changed: epoch %d, want %d", s1, st[s1].Epoch, e1)
+	if got := b.TableStatus(); got != st {
+		t.Fatalf("a client registration changed the table status: %+v, was %+v", got, st)
 	}
 
-	// A descendant-rooted expression goes to the wild slot; anchored slots
-	// stay unchanged.
-	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: xpath.MustParse("//z")}, "n1")
+	b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x}, "n1")
 	e3 := b.SnapshotEpoch()
-	st = b.ShardStatus()
-	if wild := st[n]; wild.Shard != "wild" || wild.Entries != 1 || wild.Epoch != e3 {
-		t.Fatalf("wild slot after relative subscription: %+v (epoch %d)", wild, e3)
-	}
-	if st[s1].Epoch != e1 || st[s2].Epoch != e2 {
-		t.Fatalf("anchored slots changed by a wild-slot change: %+v", st)
-	}
-
-	// Unsubscribe changes only the affected shard and shrinks it back to the
-	// bare start state.
-	b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x2}, "n1")
-	e4 := b.SnapshotEpoch()
-	st = b.ShardStatus()
-	if st[s2].Entries != 0 || st[s2].States != 1 || st[s2].Epoch != e4 {
-		t.Fatalf("slot %d after unsubscribe: %+v (epoch %d)", s2, st[s2], e4)
-	}
-	if st[s1].Epoch != e1 {
-		t.Fatalf("untouched slot %d changed on an unrelated unsubscribe", s1)
-	}
-	if st[s2].LastBuildSeconds <= 0 {
-		t.Fatalf("slot %d change cost %v", s2, st[s2].LastBuildSeconds)
+	if st := b.TableStatus(); st.Epoch != e3 || st.Entries != 0 || st.States != 1 {
+		t.Fatalf("after unsubscribe: %+v (snapshot epoch %d)", st, e3)
 	}
 }

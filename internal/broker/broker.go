@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -66,14 +65,6 @@ type Config struct {
 	// MergeEvery runs a merge pass after this many new subscriptions
 	// (default 64).
 	MergeEvery int
-
-	// Shards partitions the shared matching automaton into this many
-	// shards keyed by the subscription's root symbol (pmatch.ShardIndex;
-	// DESIGN.md §5g), each a persistent table of its own: a publication
-	// consults only its root's shard plus the wild shard, and a control
-	// change reseals only the shard its expression lives in. 0 selects
-	// GOMAXPROCS; 1 is the single-automaton ablation.
-	Shards int
 
 	// Metrics, when non-nil, receives the broker's instruments: the
 	// per-stage publish-path histograms (xbroker_stage_seconds), plus
@@ -181,7 +172,7 @@ type Broker struct {
 	dirty snapDirty
 	// table is the single writer of the snapshot's matching automaton,
 	// edited by the control handlers at the point of change. Guarded by mu.
-	table *pmatch.ShardedTable
+	table *pmatch.Table
 
 	neighbors []string        // broker peers
 	clients   map[string]bool // client peers
@@ -257,9 +248,6 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 	if cfg.MergeEvery <= 0 {
 		cfg.MergeEvery = 64
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	b := &Broker{
 		cfg:        cfg,
 		send:       send,
@@ -271,14 +259,12 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		clientSubs: make(map[string]*subtree.Tree),
 		durables:   make(map[string]*durState),
 		durable:    cfg.Durable,
-		table:      pmatch.NewShardedTable(cfg.Shards),
+		table:      pmatch.NewTable(),
 	}
 	// The empty snapshot a new broker publishes before any control traffic.
-	auto := b.table.Seal()
 	b.snap.Store(&routeSnapshot{
 		durables: map[string]*durState{},
-		auto:     auto,
-		slots:    make([]slotChange, auto.SlotCount()),
+		auto:     b.table.Seal(),
 	})
 	b.slow = cfg.SlowLog
 	if cfg.Metrics != nil {
@@ -343,9 +329,6 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("xbroker_prt_edges",
 		"Parent-child (covering) edges in the covering tree.",
 		func() float64 { return float64(b.PRTStats().Edges) })
-	reg.GaugeFunc("xbroker_prt_super_edges",
-		"Super-pointer edges (cross-subtree covering relations) in the covering tree.",
-		func() float64 { return float64(b.PRTStats().SuperEdges) })
 	reg.GaugeFunc("xbroker_snapshot_epoch",
 		"Routing-snapshot epoch: increments each time a control-plane change swaps the publish view.",
 		func() float64 { return float64(b.SnapshotEpoch()) })
@@ -366,22 +349,6 @@ func (b *Broker) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("xbroker_nfa_entries",
 		"Expressions compiled into the shared matching automaton (PRT last-hop nodes plus client filter entries).",
 		func() float64 { return float64(b.NFAStats().Entries) })
-	for slot := 0; slot < pmatch.Slots(b.cfg.Shards); slot++ {
-		slot := slot
-		name := pmatch.SlotName(slot, b.cfg.Shards)
-		reg.GaugeFunc("xbroker_nfa_shard_entries",
-			"Expressions compiled into this shard of the sharded matching automaton.",
-			func() float64 { return float64(b.shardSlotStatus(slot).Entries) }, "shard", name)
-		reg.GaugeFunc("xbroker_nfa_shard_states",
-			"States in this shard of the sharded matching automaton.",
-			func() float64 { return float64(b.shardSlotStatus(slot).States) }, "shard", name)
-		reg.GaugeFunc("xbroker_nfa_shard_epoch",
-			"Last snapshot epoch that changed this shard.",
-			func() float64 { return float64(b.shardSlotStatus(slot).Epoch) }, "shard", name)
-		reg.GaugeFunc("xbroker_nfa_shard_build_seconds",
-			"Handling time, sealing included, of the control message that last changed this shard.",
-			func() float64 { return b.shardSlotStatus(slot).LastBuildSeconds }, "shard", name)
-	}
 }
 
 // ID returns the broker's identifier.
@@ -448,9 +415,8 @@ func (b *Broker) PRT() *subtree.Tree { return b.prt }
 
 // TreeStats describes the covering tree's shape.
 type TreeStats struct {
-	Nodes      int
-	Edges      int // parent-child (covering) edges
-	SuperEdges int // cross-subtree covering relations
+	Nodes int
+	Edges int // parent-child (covering) edges
 }
 
 // PRTStats measures the covering tree. It reads the routing snapshot, so

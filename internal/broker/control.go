@@ -255,12 +255,10 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 			return
 		}
 	}
-	// The nodes this subscription covered — its adopted children and its
-	// super-pointer targets — may have had forwarding suppressed on hops it
-	// served; collect them before the removal destroys the links.
-	var uncovered []*subtree.Node
-	uncovered = append(uncovered, n.Children()...)
-	uncovered = append(uncovered, n.Super()...)
+	// The nodes this subscription covered — its adopted children — may have
+	// had forwarding suppressed on hops it served; collect them before the
+	// removal destroys the links.
+	uncovered := append([]*subtree.Node(nil), n.Children()...)
 	b.prt.Remove(n)
 	// Propagate the withdrawal.
 	if st != nil {

@@ -2,8 +2,7 @@ package broker
 
 // Publish data plane: lock-free publication matching and forwarding against
 // the immutable routing snapshot, plus the per-stage latency span and slow-
-// publication capture. Split from broker.go so the sharded matching
-// refactor lands in reviewable units; behavior is unchanged.
+// publication capture.
 
 import (
 	"time"

@@ -20,7 +20,7 @@ type routeSnapshot struct {
 	// epoch increments on every swap; 0 is the empty snapshot a new broker
 	// starts with. Metrics expose it and traced publications record the
 	// epoch they matched under. The epoch moves on EVERY effective control
-	// change; slots records per shard the last epoch that changed it
+	// change; change records the last one that changed the matching table
 	// (DESIGN.md §5g).
 	epoch uint64
 	// prtSize and prtStats describe the master PRT at this epoch.
@@ -40,28 +40,27 @@ type routeSnapshot struct {
 	durables map[string]*durState
 	// auto is the sealed version of the broker's matching table: PRT nodes
 	// and per-client filter expressions, each with a *route payload in
-	// destination ids (last hops, or the client), partitioned by root symbol
-	// (pmatch.ShardIndex). handlePublish runs the shard(s) a publication can
-	// hit instead of walking every subscription-tree node. Successive
-	// versions share every state and every slot a change did not touch.
-	// Never nil: a new broker starts with the empty automaton.
-	auto *pmatch.ShardedAutomaton
-	// slots parallels auto's slots: the last change to each.
-	slots []slotChange
+	// destination ids (last hops, or the client). handlePublish runs it once
+	// per publication instead of walking every subscription-tree node.
+	// Successive versions share every state a change did not touch. Never
+	// nil: a new broker starts with the empty automaton.
+	auto *pmatch.Automaton
+	// change is the last control message that changed auto.
+	change tableChange
 }
 
-// slotChange records the control message that last changed one automaton
-// slot: the snapshot epoch it published, and what handling it cost — the
+// tableChange records the control message that last changed the matching
+// table: the snapshot epoch it published, and what handling it cost — the
 // whole handler plus the seal, timed once per message.
-type slotChange struct {
+type tableChange struct {
 	epoch uint64
 	cost  time.Duration
 }
 
 // snapDirty records which master tables a control message touched, so
 // publishSnapshot copies only those. The matching table was edited in place
-// and Seal knows which slots changed; filters only says that a client
-// filter entry did, so the snapshot swaps even when nothing else moved.
+// and Seal knows whether it changed; filters only says that a client filter
+// entry did, so the snapshot swaps even when nothing else moved.
 // dests says the destination tables are stale: an id was assigned, or a
 // client or durable subscription registered.
 type snapDirty struct {
@@ -79,8 +78,8 @@ func (d *snapDirty) any() bool {
 // publishSnapshot swaps in a new immutable snapshot reflecting the master
 // tables. It must run with b.mu held exclusively (it reads the mutable
 // tables) and is a no-op when the preceding handler changed nothing. start
-// is when the handler began; the slots the change touched record the time
-// since.
+// is when the handler began; a change to the matching table records the
+// time since.
 func (b *Broker) publishSnapshot(start time.Time) {
 	if !b.dirty.any() {
 		return
@@ -90,8 +89,8 @@ func (b *Broker) publishSnapshot(start time.Time) {
 	next.epoch++
 	if b.dirty.prt {
 		next.prtSize = b.prt.Size()
-		n, e, s := b.prt.Stats()
-		next.prtStats = TreeStats{Nodes: n, Edges: e, SuperEdges: s}
+		n, e := b.prt.Stats()
+		next.prtStats = TreeStats{Nodes: n, Edges: e}
 	}
 	if b.dirty.srt {
 		next.srtSize = len(b.srt)
@@ -112,21 +111,16 @@ func (b *Broker) publishSnapshot(start time.Time) {
 }
 
 // sealTable publishes the matching table's working version into next and
-// records the change on the slots it touched. Control messages touching no
-// entry (a pure client registration, an advertisement) seal to the previous
-// version and leave every slot's record alone.
+// records the change. Control messages touching no entry (a pure client
+// registration, an advertisement) seal to the previous version and leave
+// the record alone.
 func (b *Broker) sealTable(next, old *routeSnapshot, start time.Time) {
 	next.auto = b.table.Seal()
 	if next.auto == old.auto {
 		return
 	}
 	cost := time.Since(start)
-	next.slots = append([]slotChange(nil), old.slots...)
-	for i := range next.slots {
-		if next.auto.Slot(i) != old.auto.Slot(i) {
-			next.slots[i] = slotChange{epoch: next.epoch, cost: cost}
-		}
-	}
+	next.change = tableChange{epoch: next.epoch, cost: cost}
 	if b.nfaBuildSeconds != nil {
 		b.nfaBuildSeconds.Observe(cost.Seconds())
 	}
@@ -184,53 +178,35 @@ func (b *Broker) SnapshotEpoch() uint64 {
 	return b.snap.Load().epoch
 }
 
-// NFAStats measures the current snapshot's shared matching automaton,
-// summed across shards. Lock-free, like every snapshot reader.
+// NFAStats measures the current snapshot's shared matching automaton.
+// Lock-free, like every snapshot reader.
 func (b *Broker) NFAStats() pmatch.Stats {
 	return b.snap.Load().auto.Stats()
 }
 
-// ShardStatus describes one slot of the current snapshot's sharded
-// automaton for /statusz and cmd/xtop.
-type ShardStatus struct {
-	// Shard is the slot's name: "0".."N-1" for anchored shards, "wild" for
-	// the slot every publication consults.
-	Shard string `json:"shard"`
-	// Entries and States size the slot's automaton.
+// TableStatus describes the current snapshot's matching table for /statusz
+// and cmd/xtop.
+type TableStatus struct {
+	// Entries and States size the automaton.
 	Entries int `json:"entries"`
 	States  int `json:"states"`
-	// Epoch is the last snapshot epoch that changed this slot (it lags the
-	// broker's snapshot epoch while changes land in other slots).
+	// Epoch is the last snapshot epoch that changed the table. It lags the
+	// broker's snapshot epoch while control messages leave the table alone
+	// (advertisements, client registrations).
 	Epoch uint64 `json:"epoch"`
 	// LastBuildSeconds is how long the control message behind that change
 	// took to handle, sealing included.
 	LastBuildSeconds float64 `json:"last_build_seconds"`
 }
 
-// ShardStatus reports the per-shard state of the current snapshot's
-// matching automaton, in slot order. Lock-free, like every snapshot reader.
-func (b *Broker) ShardStatus() []ShardStatus {
+// TableStatus reports the current snapshot's matching table. Lock-free,
+// like every snapshot reader.
+func (b *Broker) TableStatus() TableStatus {
 	snap := b.snap.Load()
-	out := make([]ShardStatus, snap.auto.SlotCount())
-	for i := range out {
-		out[i] = snap.slotStatus(i)
-		out[i].Shard = pmatch.SlotName(i, snap.auto.N())
-	}
-	return out
-}
-
-// shardSlotStatus reads one slot's status from the current snapshot — the
-// per-shard metrics gauges poll it.
-func (b *Broker) shardSlotStatus(slot int) ShardStatus {
-	return b.snap.Load().slotStatus(slot)
-}
-
-func (s *routeSnapshot) slotStatus(slot int) ShardStatus {
-	a := s.auto.Slot(slot)
-	return ShardStatus{
-		Entries:          a.NumEntries(),
-		States:           a.NumStates(),
-		Epoch:            s.slots[slot].epoch,
-		LastBuildSeconds: s.slots[slot].cost.Seconds(),
+	return TableStatus{
+		Entries:          snap.auto.NumEntries(),
+		States:           snap.auto.NumStates(),
+		Epoch:            snap.change.epoch,
+		LastBuildSeconds: snap.change.cost.Seconds(),
 	}
 }

@@ -137,12 +137,11 @@ type Stats struct {
 	AcceptStates int
 }
 
-// Handle names one live entry of a Table or ShardedTable, for Set and
-// Remove. The zero Handle names no entry; Set and Remove ignore it. A
-// handle is dead once its entry is removed — the writer recycles entry ids.
+// Handle names one live entry of a Table, for Set and Remove. The zero
+// Handle names no entry; Set and Remove ignore it. A handle is dead once its
+// entry is removed — the writer recycles entry ids.
 type Handle struct {
-	slot int32 // ShardedTable slot
-	ref  int32 // entry id + 1
+	ref int32 // entry id + 1
 }
 
 // Table is the single writer of a persistent automaton: Add, Set and Remove
@@ -477,6 +476,18 @@ func (b *Builder) Build() *Automaton {
 	b.t = nil
 	return a
 }
+
+// ShardedAutomaton is an alias of Automaton.
+//
+// Deprecated: kept only for cmd/xload, frozen with the benchmark; delete with
+// the next benchmark change.
+type ShardedAutomaton = Automaton
+
+// NewShardedBuilder returns NewBuilder(); the argument is ignored.
+//
+// Deprecated: kept only for cmd/xload, frozen with the benchmark; delete with
+// the next benchmark change.
+func NewShardedBuilder(int) *Builder { return NewBuilder() }
 
 // NumEntries returns the number of compiled expressions.
 func (a *Automaton) NumEntries() int { return a.stats.Entries }

@@ -317,3 +317,30 @@ func TestDeepSharedWorkload(t *testing.T) {
 		}
 	}
 }
+
+func TestBuilderUseAfterBuildPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	b := NewBuilder()
+	b.Add(xpath.MustParse("/a"), 1)
+	b.Build()
+	mustPanic("Add after Build", func() { b.Add(xpath.MustParse("/b"), 2) })
+	mustPanic("Build after Build", func() { b.Build() })
+}
+
+func TestBuilderConcurrentUsePanics(t *testing.T) {
+	b := NewBuilder()
+	b.begin() // simulate another goroutine mid-Add
+	defer func() {
+		if recover() == nil {
+			t.Fatal("concurrent Add did not panic")
+		}
+	}()
+	b.Add(xpath.MustParse("/a"), 1)
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/symtab"
@@ -370,89 +371,74 @@ func TestTableConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedTableDifferential: a ShardedTable stays equivalent to a fresh
-// ShardedBuilder over its live entries, and a write reseals only the slot
-// it touched — every other slot keeps its *Automaton.
-func TestShardedTableDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	probes := randomProbes(r, 20)
-	for _, n := range []int{1, 4} {
-		tbl := NewShardedTable(n)
-		var live []liveEntry
-		next := 0
-		prev := tbl.Seal()
-		for op := 0; op < 300; op++ {
-			touched := -1
-			add := func(x *xpath.XPE, d any) Handle {
-				touched = ShardIndex(x, n)
-				return tbl.Add(x, d)
-			}
-			set := func(h Handle, d any) { touched = int(h.slot); tbl.Set(h, d) }
-			remove := func(h Handle) { touched = int(h.slot); tbl.Remove(h) }
-			live = randomOp(r, add, set, remove, live, &next, 0.5)
-			cur := tbl.Seal()
-			for i := 0; i < cur.SlotCount(); i++ {
-				if same := cur.Slot(i) == prev.Slot(i); same == (i == touched) {
-					t.Fatalf("n=%d op %d: slot %d shared=%v, touched slot %d", n, op, i, same, touched)
-				}
-			}
-			if tbl.Seal() != cur {
-				t.Fatal("Seal without writes must return the same version")
-			}
-			sb := NewShardedBuilder(n)
-			for _, e := range live {
-				sb.Add(e.x, e.payload)
-			}
-			fresh := sb.Build()
-			if cur.Stats() != fresh.Stats() || cur.Entries() != len(live) {
-				t.Fatalf("n=%d op %d: Stats %+v (entries %d), fresh %+v, model %d",
-					n, op, cur.Stats(), cur.Entries(), fresh.Stats(), len(live))
-			}
-			for _, p := range probes {
-				var got, want []int
-				cur.Match(p.sp, p.attrs, func(d any) { got = append(got, d.(int)) })
-				fresh.Match(p.sp, p.attrs, func(d any) { want = append(want, d.(int)) })
-				sort.Ints(got)
-				sort.Ints(want)
-				if !eqInts(got, want) {
-					t.Fatalf("n=%d op %d: table %v, fresh %v", n, op, got, want)
-				}
-			}
-			prev = cur
-		}
-		// The cursor pool is shared across versions: cursors on the last two
-		// versions interleave without crosstalk.
-		old := prev
-		tbl.Add(xpath.MustParse("//zz"), -1)
-		cur := tbl.Seal()
-		oc, nc := old.Cursor(), cur.Cursor()
-		var oldHits, newHits int
-		count := func(hits *int) AcceptFunc {
-			return func(_ *xpath.XPE, _ bool, d any) bool {
-				if d.(int) == -1 {
-					*hits++
-				}
-				return true
-			}
-		}
-		oc.Enter(symtab.Intern("zz"), count(&oldHits))
-		nc.Enter(symtab.Intern("zz"), count(&newHits))
-		oc.Release()
-		nc.Release()
-		if oldHits != 0 || newHits != 1 {
-			t.Fatalf("n=%d: //zz seen %d times by the old version, %d by the new", n, oldHits, newHits)
-		}
+// TestConcurrentRebuildAndMatch pins, under -race, the way the broker uses
+// a table: one writer edits and seals while matcher goroutines run Match and
+// Cursor walks against whatever version an atomic pointer holds. The writer
+// removes and re-adds random entries (sometimes re-pointing them too) and
+// seals only after whole pairs, so every published version holds the same
+// entry set and the per-expression oracle never changes. Any write into a
+// sealed version is a race; any corruption is an oracle mismatch.
+func TestConcurrentRebuildAndMatch(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	tbl := NewTable()
+	xs := make([]*xpath.XPE, 120)
+	hs := make([]Handle, len(xs))
+	for i := range xs {
+		xs[i] = randomXPE(r)
+		hs[i] = tbl.Add(xs[i], i)
 	}
-}
+	var ptr atomic.Pointer[Automaton]
+	ptr.Store(tbl.Seal())
 
-func TestShardedTableReset(t *testing.T) {
-	tbl := NewShardedTable(4)
-	tbl.Add(xpath.MustParse("/a/b"), 1)
-	tbl.Add(xpath.MustParse("//c"), 2)
-	before := tbl.Seal()
-	tbl.Reset()
-	after := tbl.Seal()
-	if after == before || after.Entries() != 0 || before.Entries() != 2 {
-		t.Fatalf("Reset: before %d entries, after %d", before.Entries(), after.Entries())
+	probes := randomProbes(r, 50)
+	want := make([][]int, len(probes))
+	for i, p := range probes {
+		for j, x := range xs {
+			if x.MatchesSymPathAttrs(p.sp, p.attrs) {
+				want[i] = append(want[i], j)
+			}
+		}
 	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := g; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := k % len(probes)
+				a := ptr.Load()
+				var got []int
+				a.Match(probes[i].sp, probes[i].attrs, func(d any) { got = append(got, d.(int)) })
+				sort.Ints(got)
+				if !eqInts(got, want[i]) {
+					t.Errorf("matcher %d: Match %v want %v", g, got, want[i])
+					return
+				}
+				if got := cursorPath(a, probes[i]); !eqInts(got, want[i]) {
+					t.Errorf("matcher %d: Cursor %v want %v", g, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 200; round++ {
+		for k := 1 + r.Intn(8); k > 0; k-- {
+			i := r.Intn(len(xs))
+			tbl.Remove(hs[i])
+			hs[i] = tbl.Add(xs[i], i)
+			if r.Intn(3) == 0 {
+				tbl.Set(hs[i], i)
+			}
+		}
+		ptr.Store(tbl.Seal())
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -139,25 +139,18 @@ func hexOf(s string) string {
 	return string([]byte{hexdig[c>>4], hexdig[c&0xf]}) + ";"
 }
 
-// diffAutomatons compiles the workload into the single-shard (monolithic)
-// and a 4-shard partitioned automaton: the harness asserts the three-way
-// equivalence for both, so sharding cannot change a verdict.
-func diffAutomatons(xs []*xpath.XPE) map[string]*pmatch.ShardedAutomaton {
-	mono := pmatch.NewBuilder()
-	sharded := pmatch.NewShardedBuilder(4)
+// diffAutomaton compiles the workload into one automaton, payload = index.
+func diffAutomaton(xs []*xpath.XPE) *pmatch.Automaton {
+	b := pmatch.NewBuilder()
 	for i, x := range xs {
-		mono.Add(x, i)
-		sharded.Add(x, i)
+		b.Add(x, i)
 	}
-	return map[string]*pmatch.ShardedAutomaton{
-		"shards=1": pmatch.Single(mono.Build()),
-		"shards=4": sharded.Build(),
-	}
+	return b.Build()
 }
 
 // threeWayVerdicts evaluates the same workload along all three routes and
 // returns the sorted entry-index sets.
-func threeWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, decomposed, oracle []int) {
+func threeWayVerdicts(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, decomposed, oracle []int) {
 	t.Helper()
 	collectInto := func(dst *[]int) func(any) {
 		seen := map[int]bool{}
@@ -191,7 +184,7 @@ func threeWayVerdicts(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.X
 	return streamed, decomposed, oracle
 }
 
-func assertThreeWay(t *testing.T, auto *pmatch.ShardedAutomaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte, ctx string) {
+func assertThreeWay(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte, ctx string) {
 	t.Helper()
 	streamed, decomposed, oracle := threeWayVerdicts(t, auto, xs, doc, raw)
 	if !eqIntSlices(streamed, oracle) || !eqIntSlices(decomposed, oracle) {
@@ -224,17 +217,15 @@ func TestQuickStreamEquivalence(t *testing.T) {
 		for i := range xs {
 			xs[i] = diffXPE(r)
 		}
-		autos := diffAutomatons(xs)
+		auto := diffAutomaton(xs)
 		for trial := 0; trial < 15; trial++ {
 			doc := &xmldoc.Document{Root: diffTree(r, 0)}
 			var sb strings.Builder
 			decorate(r, doc.Root, &sb)
-			for name, auto := range autos {
-				assertThreeWay(t, auto, xs, doc, []byte(sb.String()), "quick/"+name)
-				// The undecorated serialisation too (self-closing vs explicit
-				// close, escaped attrs through xmldoc's own writer).
-				assertThreeWay(t, auto, xs, doc, doc.Marshal(), "quick-marshal/"+name)
-			}
+			assertThreeWay(t, auto, xs, doc, []byte(sb.String()), "quick")
+			// The undecorated serialisation too (self-closing vs explicit
+			// close, escaped attrs through xmldoc's own writer).
+			assertThreeWay(t, auto, xs, doc, doc.Marshal(), "quick-marshal")
 		}
 	}
 }
@@ -287,11 +278,9 @@ func TestDTDStreamEquivalence(t *testing.T) {
 				}
 				xs = append(xs, x)
 			}
-			autos := diffAutomatons(xs)
+			auto := diffAutomaton(xs)
 			for _, doc := range docs {
-				for name, auto := range autos {
-					assertThreeWay(t, auto, xs, doc, doc.Marshal(), tc.name+"/"+name)
-				}
+				assertThreeWay(t, auto, xs, doc, doc.Marshal(), tc.name)
 			}
 		})
 	}
@@ -303,13 +292,11 @@ func TestDTDStreamEquivalence(t *testing.T) {
 // CI).
 func TestStreamEquivalenceConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
-	b := pmatch.NewShardedBuilder(4) // pooled sharded cursors race here too
 	xs := make([]*xpath.XPE, 25)
 	for i := range xs {
 		xs[i] = diffXPE(r)
-		b.Add(xs[i], i)
 	}
-	auto := b.Build()
+	auto := diffAutomaton(xs)
 	type work struct {
 		doc        *xmldoc.Document
 		raw, plain []byte

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/pmatch"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -38,15 +37,11 @@ func FuzzStreamEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		nx := 1 + int(seed%8)
-		// Shard count varies with the seed (1 = monolithic), so the fuzzer
-		// also hunts for sharding-induced verdict divergence.
-		b := pmatch.NewShardedBuilder(1 + int(seed%4))
 		xs := make([]*xpath.XPE, nx)
 		for i := range xs {
 			xs[i] = diffXPE(r)
-			b.Add(xs[i], i)
 		}
-		auto := b.Build()
+		auto := diffAutomaton(xs)
 
 		doc, perr := xmldoc.Parse(data)
 		parsedOK := perr == nil && CheckDoc(doc, WireLimits) == nil

@@ -65,7 +65,7 @@ var WireLimits = Limits{MaxDepth: MaxDocDepth, MaxElems: MaxDocElems, MaxName: M
 // post-filter needs. Pooled; one matcher serves one Match call at a time.
 type matcher struct {
 	sc  scanner
-	cur *pmatch.ShardedCursor
+	cur *pmatch.Cursor
 	// hits collects the payloads accepted during one scan; Match hands them
 	// to the caller's visit only after the scan ends, so the visitor is
 	// never stored in this pooled (heap) matcher and a caller's closure over
@@ -104,11 +104,7 @@ var matcherPool = sync.Pool{New: func() any {
 // and matching every annotated path with a.Match, with each payload visited
 // at most once. Visits happen after the scan, so a rejected document visits
 // nothing. A nil automaton validates only. Safe for concurrent use.
-//
-// The automaton is the broker's sharded form (pmatch.Single wraps a
-// monolithic one): the cursor binds the document root's anchored shard at
-// the first start tag and drives it alongside the wild shard.
-func Match(data []byte, a *pmatch.ShardedAutomaton, lim Limits, visit func(data any)) error {
+func Match(data []byte, a *pmatch.Automaton, lim Limits, visit func(data any)) error {
 	m := matcherPool.Get().(*matcher)
 	defer m.release()
 	m.sc.reset(data, lim)

@@ -1,9 +1,9 @@
 // Package subtree implements the paper's novel data structure for managing
 // subscriptions at a broker: a tree ordered by the covering relation, where
-// every parent covers all subscriptions in its subtree, extended with super
-// pointers that record covering relations crossing subtree boundaries. The
-// tree plus the super pointers form a DAG capturing the covering partial
-// order.
+// every parent covers all subscriptions in its subtree. The paper extends
+// the tree with super pointers for covering relations that cross subtree
+// boundaries; this tree needs none, because Insert keeps the top level
+// free of them (see Insert).
 //
 // The structure serves three routing operations:
 //
@@ -57,10 +57,6 @@ type Node struct {
 
 	parent   *Node
 	children []*Node
-	// super points to top-level nodes this node covers outside its subtree.
-	super []*Node
-	// superRefs lists nodes whose super pointers reference this node.
-	superRefs []*Node
 	// sig is cover.Signature(XPE): the scans below skip a pair whose
 	// signatures rule covering out, without calling cover.Covers.
 	sig uint64
@@ -89,16 +85,11 @@ func (n *Node) Parent() *Node {
 // tree's own; callers must not modify it.
 func (n *Node) Children() []*Node { return n.children }
 
-// Super returns the node's super pointers (covered nodes outside its
-// subtree). The returned slice is the tree's own; callers must not modify it.
-func (n *Node) Super() []*Node { return n.super }
-
 // Tree is the subscription tree. The zero value is not usable; call New.
 type Tree struct {
-	root       *Node // virtual root; XPE == nil, covers everything
-	size       int
-	superEdges int              // super pointers, kept by Insert and Remove
-	index      map[string]*Node // exact-expression lookup
+	root  *Node // virtual root; XPE == nil, covers everything
+	size  int
+	index map[string]*Node // exact-expression lookup
 }
 
 // New returns an empty subscription tree.
@@ -122,13 +113,13 @@ type InsertResult struct {
 	// different subscription — a covering-based router does not forward it.
 	Covered bool
 	// NewlyCovered lists the previously top-level nodes that the new
-	// subscription covers (they became children or super-pointer targets).
+	// subscription covers (they became its children).
 	// A covering-based router unsubscribes these from its neighbours.
 	NewlyCovered []*Node
 }
 
-// Insert stores subscription x, maintaining the covering order and super
-// pointers, and reports the covering relations relevant to routing.
+// Insert stores subscription x, maintaining the covering order, and reports
+// the covering relations relevant to routing.
 func (t *Tree) Insert(x *xpath.XPE) InsertResult {
 	if n := t.index[x.Key()]; n != nil {
 		return InsertResult{Node: n, Duplicate: true, Covered: true}
@@ -172,14 +163,14 @@ descent:
 	}
 	parent.children = append(parent.children, n)
 
-	// Super pointers would record the top-level nodes x covers elsewhere in
-	// the tree, but there are none to find. A covered x skips the search —
-	// a covered subscription is never forwarded, so its covered set is not
-	// needed for routing; the paper makes the same lazy-update observation.
-	// An uncovered x was placed under the root, and the adoption scan above
-	// has already tested every top-level node: each one x covers is now its
-	// child. NewlyCovered gets its own copy: callers remove those nodes,
-	// which edits n.children.
+	// The paper's super pointers would record the top-level nodes x covers
+	// elsewhere in the tree, but there are none to find. A covered x skips
+	// the search — a covered subscription is never forwarded, so its covered
+	// set is not needed for routing; the paper makes the same lazy-update
+	// observation. An uncovered x was placed under the root, and the
+	// adoption scan above has already tested every top-level node: each one
+	// x covers is now its child. NewlyCovered gets its own copy: callers
+	// remove those nodes, which edits n.children.
 	t.index[x.Key()] = n
 	t.size++
 	return InsertResult{Node: n, Covered: covered, NewlyCovered: append([]*Node(nil), adopted...)}
@@ -271,8 +262,7 @@ func (t *Tree) topCoveredExcluding(x *xpath.XPE, exclude *Node) []*Node {
 }
 
 // Remove deletes a stored node. Its children are spliced up to its parent
-// (the parent covers them transitively), and super pointers involving the
-// node are dropped.
+// (the parent covers them transitively).
 func (t *Tree) Remove(n *Node) {
 	if n == nil || n.XPE == nil {
 		return
@@ -286,23 +276,10 @@ func (t *Tree) Remove(n *Node) {
 		c.parent = parent
 		parent.children = append(parent.children, c)
 	}
-	// Drop super pointers from n.
-	for _, target := range n.super {
-		target.superRefs = removeNode(target.superRefs, n)
-	}
-	// Drop super pointers to n; the pointer owners now cover n's children
-	// transitively through the tree, so no replacement pointers are needed
-	// for correctness of CoveredBy (which only reports top-level nodes).
-	for _, owner := range n.superRefs {
-		owner.super = removeNode(owner.super, n)
-	}
-	t.superEdges -= len(n.super) + len(n.superRefs)
 	delete(t.index, n.XPE.Key())
 	t.size--
 	n.parent = nil
 	n.children = nil
-	n.super = nil
-	n.superRefs = nil
 }
 
 func removeNode(s []*Node, n *Node) []*Node {
@@ -395,8 +372,8 @@ func (t *Tree) MatchSymPathAnyAttrs(path []symtab.Sym, attrs []map[string]string
 	return t.matchAny(func(x *xpath.XPE) bool { return x.MatchesSymPathAttrs(path, attrs) })
 }
 
-// TopLevel returns the maximal stored subscriptions (covered by nothing in
-// the tree except possibly via incomparable super-pointer owners).
+// TopLevel returns the maximal stored subscriptions (the children of the
+// virtual root).
 func (t *Tree) TopLevel() []*Node {
 	out := make([]*Node, len(t.root.children))
 	copy(out, t.root.children)
@@ -409,12 +386,11 @@ func (t *Tree) Walk(visit func(*Node)) {
 }
 
 // Stats reports the covering structure's shape for observability: stored
-// nodes, parent-child edges, and super-pointer edges. O(1): every stored
-// node but the top-level ones has exactly one parent edge, and Insert and
-// Remove keep the super-pointer count. Read-only (see the package
-// concurrency contract).
-func (t *Tree) Stats() (nodes, edges, superEdges int) {
-	return t.size, t.size - len(t.root.children), t.superEdges
+// nodes and parent-child edges. O(1): every stored node but the top-level
+// ones has exactly one parent edge. Read-only (see the package concurrency
+// contract).
+func (t *Tree) Stats() (nodes, edges int) {
+	return t.size, t.size - len(t.root.children)
 }
 
 // Depth returns the maximum node depth (1 for children of the root).
@@ -443,14 +419,7 @@ func (t *Tree) String() string {
 	var b strings.Builder
 	var walk func(n *Node, indent int)
 	walk = func(n *Node, indent int) {
-		fmt.Fprintf(&b, "%s%s", strings.Repeat("  ", indent), n.XPE)
-		if len(n.super) > 0 {
-			b.WriteString(" ->")
-			for _, s := range n.super {
-				fmt.Fprintf(&b, " %s", s.XPE)
-			}
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", indent), n.XPE)
 		for _, c := range n.children {
 			walk(c, indent+1)
 		}

@@ -89,6 +89,10 @@ func TestInsertDuplicate(t *testing.T) {
 	}
 }
 
+// TestSuperPointers checks the case the paper's super pointers exist for:
+// a new subscription covering nodes in several top-level subtrees. An
+// uncovered insert adopts every top-level node it covers, so no covering
+// relation crosses subtrees and no super pointer is needed.
 func TestSuperPointers(t *testing.T) {
 	tr := New()
 	// Two incomparable top-level nodes both covered by a later wildcard one.
@@ -98,14 +102,15 @@ func TestSuperPointers(t *testing.T) {
 	if res.Covered {
 		t.Fatal("*/b should not be covered")
 	}
-	// */b covers both: one may be adopted, the rest via super pointers; all
-	// must be reported as newly covered.
+	// */b covers both: both are adopted and reported as newly covered.
 	if got := keys(res.NewlyCovered); strings.Join(got, " ") != "/a/b/c /x/b/d" {
 		t.Fatalf("NewlyCovered = %v", got)
 	}
-	total := len(res.Node.Children()) + len(res.Node.Super())
-	if total != 2 {
-		t.Fatalf("children+super = %d, want 2", total)
+	if got := keys(res.Node.Children()); strings.Join(got, " ") != "/a/b/c /x/b/d" {
+		t.Fatalf("children = %v, want both covered top-level nodes", got)
+	}
+	if got := keys(tr.TopLevel()); strings.Join(got, " ") != "*/b" {
+		t.Fatalf("top level = %v, want only */b", got)
 	}
 }
 
@@ -161,23 +166,21 @@ func TestRemoveSplicesChildren(t *testing.T) {
 	}
 }
 
+// TestRemoveDropsSuperPointers removes one of the nodes a later insert
+// adopted from another top-level subtree: the coverer keeps only the other.
 func TestRemoveDropsSuperPointers(t *testing.T) {
 	tr := New()
 	tr.Insert(xp("/a/b/c"))
 	tr.Insert(xp("/x/b/d"))
 	res := tr.Insert(xp("*/b"))
-	var target *Node
-	if len(res.Node.Super()) > 0 {
-		target = res.Node.Super()[0]
-	} else {
-		t.Skip("layout adopted both nodes as children")
+	if len(res.Node.Children()) != 2 {
+		t.Fatalf("children = %v, want both covered top-level nodes", keys(res.Node.Children()))
 	}
-	tr.Remove(target)
-	for _, s := range res.Node.Super() {
-		if s == target {
-			t.Fatal("super pointer to removed node survives")
-		}
+	tr.Remove(tr.Lookup(xp("/a/b/c")))
+	if got := keys(res.Node.Children()); strings.Join(got, " ") != "/x/b/d" {
+		t.Fatalf("children after remove = %v", got)
 	}
+	checkInvariants(t, tr)
 }
 
 func TestMatchPath(t *testing.T) {
@@ -230,32 +233,26 @@ func randomXPE(r *rand.Rand, maxLen int) *xpath.XPE {
 }
 
 // checkInvariants verifies the tree's structural invariants: parents cover
-// children, the index is consistent, size matches, super pointers are
-// symmetric covering relations, and the O(1) Stats agree with a walk.
+// children, the index is consistent, size matches, and the O(1) Stats agree
+// with a walk.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	count, edges, supers := 0, 0, 0
+	count, edges := 0, 0
 	tr.Walk(func(n *Node) {
 		count++
 		edges += len(n.Children())
-		supers += len(n.Super())
 		if got := tr.Lookup(n.XPE); got != n {
 			t.Fatalf("index inconsistent for %s", n.XPE)
 		}
 		if p := n.Parent(); p != nil && !cover.Covers(p.XPE, n.XPE) {
 			t.Fatalf("parent %s does not cover child %s", p.XPE, n.XPE)
 		}
-		for _, s := range n.Super() {
-			if !cover.Covers(n.XPE, s.XPE) {
-				t.Fatalf("super pointer %s -> %s without covering", n.XPE, s.XPE)
-			}
-		}
 	})
 	if count != tr.Size() {
 		t.Fatalf("walked %d nodes, Size = %d", count, tr.Size())
 	}
-	if n, e, s := tr.Stats(); n != count || e != edges || s != supers {
-		t.Fatalf("Stats = %d/%d/%d, walked %d/%d/%d", n, e, s, count, edges, supers)
+	if n, e := tr.Stats(); n != count || e != edges {
+		t.Fatalf("Stats = %d/%d, walked %d/%d", n, e, count, edges)
 	}
 }
 

@@ -44,7 +44,7 @@ func BenchmarkStreamMatch(b *testing.B) {
 		"//head/*",
 		"/doc/other/miss",
 	}
-	builder := pmatch.NewShardedBuilder(1)
+	builder := pmatch.NewBuilder()
 	for i, s := range subs {
 		builder.Add(xpath.MustParse(s), i)
 	}
