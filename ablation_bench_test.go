@@ -12,6 +12,7 @@ import (
 	"repro/internal/dtddata"
 	"repro/internal/experiment"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/subtree"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -183,7 +184,8 @@ func BenchmarkAblationMatchFlat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range pubs {
-			flat.MatchPath(pubs[j].Path, func(*subtree.Node) {})
+			path := pubs[j].SymPath
+			oracle.Walk(flat, func(x *xpath.XPE) bool { return x.MatchesSymPath(path) }, func(*subtree.Node) {})
 		}
 	}
 }
@@ -193,7 +195,8 @@ func BenchmarkAblationMatchTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range pubs {
-			covered.MatchPath(pubs[j].Path, func(*subtree.Node) {})
+			path := pubs[j].SymPath
+			oracle.Walk(covered, func(x *xpath.XPE) bool { return x.MatchesSymPath(path) }, func(*subtree.Node) {})
 		}
 	}
 }

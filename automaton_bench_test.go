@@ -7,22 +7,25 @@ import (
 	"repro/internal/dtddata"
 	"repro/internal/experiment"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/pmatch"
 	"repro/internal/subtree"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 )
 
 // BenchmarkAutomatonMatch isolates the effect of the shared path-matching
 // automaton (internal/pmatch, DESIGN.md §5c) at the matcher layer, without a
 // broker. For each subscription-table size it matches the same publication
 // stream against the same covering set held two ways: "treewalk" walks a
-// subtree.Tree with covering-based subtree pruning — the paper's router and
-// experiment.RunTable1's — and "nfa" runs one automaton compiled from the
-// same expressions. Both report every matching subscription, and the setup
-// checks that they report the same number. The gap widens with the table
-// size because the tree walk grows with the number of stored subscriptions
-// while the NFA run grows only with shared-prefix fan-out. EXPERIMENTS.md and
-// BENCH_pmatch.json record measured numbers.
+// subtree.Tree with covering-based subtree pruning (oracle.Walk) — the
+// paper's router and experiment.RunTable1's — and "nfa" runs one automaton
+// compiled from the same expressions. Both report every matching
+// subscription, and the setup checks that they report the same number. The
+// gap widens with the table size because the tree walk grows with the
+// number of stored subscriptions while the NFA run grows only with
+// shared-prefix fan-out. EXPERIMENTS.md and BENCH_pmatch.json record
+// measured numbers.
 func BenchmarkAutomatonMatch(b *testing.B) {
 	dg := gen.NewDocGenerator(dtddata.NITF(), 6)
 	dg.AvgRepeat = 1.5
@@ -52,7 +55,8 @@ func BenchmarkAutomatonMatch(b *testing.B) {
 				match func(p *xmldoc.Publication, visit func())
 			}{
 				{"treewalk", func(p *xmldoc.Publication, visit func()) {
-					tree.MatchSymPathAttrs(p.SymPath, p.Attrs, func(*subtree.Node) { visit() })
+					oracle.Walk(tree, func(x *xpath.XPE) bool { return x.MatchesSymPathAttrs(p.SymPath, p.Attrs) },
+						func(*subtree.Node) { visit() })
 				}},
 				{"nfa", func(p *xmldoc.Publication, visit func()) {
 					auto.Match(p.SymPath, p.Attrs, func(any) { visit() })

@@ -64,10 +64,10 @@ func BenchmarkTable1PublicationRouting(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.SetA.NoCovering, "A-noCovMs")
-		b.ReportMetric(res.SetA.Covering, "A-covMs")
-		b.ReportMetric(res.SetA.ImperfectMerging, "A-ipmMs")
-		b.ReportMetric(res.SetB.Covering, "B-covMs")
+		b.ReportMetric(res.SetA.NoCovering.Walk, "A-noCovMs")
+		b.ReportMetric(res.SetA.Covering.Walk, "A-covMs")
+		b.ReportMetric(res.SetA.ImperfectMerging.Walk, "A-ipmMs")
+		b.ReportMetric(res.SetB.Covering.Walk, "B-covMs")
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/subtree"
 	"repro/internal/symtab"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 )
 
 // routeVerdict is what one publication should do at a broker: the peers it
@@ -33,7 +35,7 @@ func treeWalkRoute(t *testing.T, b *Broker, m *Message, from string) routeVerdic
 	defer b.mu.RUnlock()
 	hops := make(map[string]bool)
 	for i, path := range paths {
-		b.prt.MatchSymPathAttrs(path, attrs[i], func(n *subtree.Node) {
+		oracle.Walk(b.prt, selects(path, attrs[i]), func(n *subtree.Node) {
 			if st := stateOf(n); st != nil {
 				for hop := range st.lastHops {
 					if hop != from {
@@ -79,9 +81,16 @@ func decompose(t *testing.T, m *Message) ([][]symtab.Sym, [][]map[string]string)
 
 func anyPathMatches(tree *subtree.Tree, paths [][]symtab.Sym, attrs [][]map[string]string) bool {
 	for i, path := range paths {
-		if tree.MatchSymPathAnyAttrs(path, attrs[i]) {
+		if oracle.Any(tree, selects(path, attrs[i])) {
 			return true
 		}
 	}
 	return false
+}
+
+// selects is the reference match of one annotated sym-path, predicates
+// evaluated.
+func selects(path []symtab.Sym, attrs []map[string]string) func(*xpath.XPE) bool {
+	names := oracle.Names(path)
+	return func(x *xpath.XPE) bool { return oracle.Selects(x, names, attrs, true) }
 }

@@ -188,7 +188,7 @@ func TestQuickCoversSemantics(t *testing.T) {
 		covered++
 		for j := 0; j < 40; j++ {
 			p := randomPath(r, 9)
-			if s2.MatchesPath(p) && !s1.MatchesPath(p) {
+			if s2.MatchesPathAttrs(p, nil) && !s1.MatchesPathAttrs(p, nil) {
 				t.Fatalf("Covers(%s, %s) but path %v matches s2 only", s1, s2, p)
 			}
 		}

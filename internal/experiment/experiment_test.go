@@ -111,31 +111,36 @@ func TestTable1Shape(t *testing.T) {
 	}
 	for _, set := range []struct {
 		name string
-		s    struct {
-			NoCovering       float64
-			Covering         float64
-			PerfectMerging   float64
-			ImperfectMerging float64
-			TableNoCov       int
-			TableCov         int
-			TablePM          int
-			TableIPM         int
-		}
+		s    Table1Set
 	}{{"A", res.SetA}, {"B", res.SetB}} {
-		if set.s.Covering >= set.s.NoCovering {
-			t.Errorf("set %s: covering %.4f >= no covering %.4f", set.name, set.s.Covering, set.s.NoCovering)
+		if set.s.Covering.Walk >= set.s.NoCovering.Walk {
+			t.Errorf("set %s: covering %.4f >= no covering %.4f", set.name, set.s.Covering.Walk, set.s.NoCovering.Walk)
 		}
-		if set.s.TableCov >= set.s.TableNoCov {
+		if set.s.Covering.Entries >= set.s.NoCovering.Entries {
 			t.Errorf("set %s: covering table not smaller", set.name)
 		}
-		if set.s.TableIPM > set.s.TablePM {
+		if set.s.ImperfectMerging.Entries > set.s.PerfectMerging.Entries {
 			t.Errorf("set %s: imperfect merging table larger than perfect", set.name)
+		}
+		// The automaton compiled from a table routes exactly like the
+		// table's tree walk.
+		for _, c := range []struct {
+			method string
+			cell   Table1Cell
+		}{
+			{"no covering", set.s.NoCovering}, {"covering", set.s.Covering},
+			{"perfect merging", set.s.PerfectMerging}, {"imperfect merging", set.s.ImperfectMerging},
+		} {
+			if c.cell.WalkMatches != c.cell.NFAMatches || c.cell.WalkMatches == 0 {
+				t.Errorf("set %s, %s: tree walk reports %d matches, automaton %d",
+					set.name, c.method, c.cell.WalkMatches, c.cell.NFAMatches)
+			}
 		}
 	}
 	// Set A (higher overlap) must benefit more, as in the paper's 84.6%
 	// vs 47.5%.
-	gainA := 1 - res.SetA.Covering/res.SetA.NoCovering
-	gainB := 1 - res.SetB.Covering/res.SetB.NoCovering
+	gainA := 1 - res.SetA.Covering.Walk/res.SetA.NoCovering.Walk
+	gainB := 1 - res.SetB.Covering.Walk/res.SetB.NoCovering.Walk
 	if gainA <= gainB {
 		t.Errorf("set A gain %.2f not above set B gain %.2f", gainA, gainB)
 	}

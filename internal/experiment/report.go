@@ -76,6 +76,7 @@ func (t *Table) String() string {
 }
 
 func fms(ms float64) string  { return fmt.Sprintf("%.3f", ms) }
+func fus(ms float64) string  { return fmt.Sprintf("%.1f", 1000*ms) }
 func fint(v int) string      { return fmt.Sprintf("%d", v) }
 func f64(v int64) string     { return fmt.Sprintf("%d", v) }
 func fpct(v float64) string  { return fmt.Sprintf("%.1f%%", 100*v) }

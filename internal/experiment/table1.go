@@ -6,8 +6,12 @@ import (
 	"repro/internal/dtddata"
 	"repro/internal/gen"
 	"repro/internal/merge"
+	"repro/internal/oracle"
+	"repro/internal/pmatch"
 	"repro/internal/subtree"
+	"repro/internal/symtab"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 )
 
 // Table1Options sizes the publication-routing-time experiment (paper:
@@ -42,27 +46,35 @@ func (o *Table1Options) defaults() {
 	}
 }
 
-// Table1Result holds mean per-publication routing times in milliseconds for
-// the paper's four methods on Sets A and B.
+// Table1Cell is one method's routing on one set: the table it stores, and
+// the mean per-publication routing time (ms) and total matches of two
+// matchers over that table — the paper's covering-pruned tree walk, and one
+// shared automaton (internal/pmatch, the broker's matcher) compiled from the
+// same entries.
+type Table1Cell struct {
+	Entries                 int
+	Walk, NFA               float64
+	WalkMatches, NFAMatches int
+}
+
+// Table1Set holds the four methods' cells for one subscription set.
+type Table1Set struct {
+	NoCovering, Covering, PerfectMerging, ImperfectMerging Table1Cell
+}
+
+// Table1Result holds the paper's four methods on Sets A and B.
 type Table1Result struct {
 	Publications int
-	SetA, SetB   struct {
-		NoCovering       float64
-		Covering         float64
-		PerfectMerging   float64
-		ImperfectMerging float64
-		TableNoCov       int
-		TableCov         int
-		TablePM          int
-		TableIPM         int
-	}
+	SetA, SetB   Table1Set
 	RateA, RateB float64
 }
 
 // RunTable1 reproduces Table 1: the time to route publications against a
 // large subscription table, under no covering (flat table, full scan),
 // covering (compacted table, pruned tree matching), and covering plus
-// perfect/imperfect merging.
+// perfect/imperfect merging. Each table is also routed by one automaton
+// compiled from its entries, so the covering gain can be read on the
+// matcher the broker runs.
 func RunTable1(opts Table1Options) (*Table1Result, error) {
 	opts.defaults()
 	setA, err := BuildCoveringSet(dtddata.NITF(), opts.N, opts.RateA, opts.Seed)
@@ -86,86 +98,93 @@ func RunTable1(opts Table1Options) (*Table1Result, error) {
 	est := merge.NewDegreeEstimator(GenerateAdvertisements(dtddata.NITF()), 10, 4000)
 	res := &Table1Result{Publications: len(pubs), RateA: setA.MeasuredRate, RateB: setB.MeasuredRate}
 
-	measure := func(set *CoveringSet, out *struct {
-		NoCovering       float64
-		Covering         float64
-		PerfectMerging   float64
-		ImperfectMerging float64
-		TableNoCov       int
-		TableCov         int
-		TablePM          int
-		TableIPM         int
-	}) {
+	measure := func(set *CoveringSet) Table1Set {
 		// No covering: flat table, every publication scanned against every
 		// XPE.
 		flat := subtree.New()
 		for _, x := range set.XPEs {
 			flat.FlatInsert(x)
 		}
-		out.TableNoCov = flat.Size()
-		out.NoCovering = routeAll(flat, pubs)
-
 		// Covering: the downstream table holds only uncovered XPEs and
-		// matching prunes subtrees.
-		covTree := subtree.New()
-		for _, x := range set.XPEs {
-			insertCovering(covTree, x)
+		// matching prunes subtrees; the merging methods merge it further.
+		covering := func(merging *merge.Options) *subtree.Tree {
+			tree := subtree.New()
+			for _, x := range set.XPEs {
+				insertCovering(tree, x)
+			}
+			if merging != nil {
+				merge.PassToFixpoint(tree, *merging)
+			}
+			return tree
 		}
-		out.TableCov = covTree.Size()
-		out.Covering = routeAll(covTree, pubs)
-
-		// Perfect merging on top of covering.
-		pmTree := subtree.New()
-		for _, x := range set.XPEs {
-			insertCovering(pmTree, x)
+		return Table1Set{
+			NoCovering:       routeTable(flat, pubs),
+			Covering:         routeTable(covering(nil), pubs),
+			PerfectMerging:   routeTable(covering(&merge.Options{MaxDegree: 0, Estimator: est}), pubs),
+			ImperfectMerging: routeTable(covering(&merge.Options{MaxDegree: opts.ImperfectDegree, Estimator: est}), pubs),
 		}
-		merge.PassToFixpoint(pmTree, merge.Options{MaxDegree: 0, Estimator: est})
-		out.TablePM = pmTree.Size()
-		out.PerfectMerging = routeAll(pmTree, pubs)
-
-		// Imperfect merging.
-		ipmTree := subtree.New()
-		for _, x := range set.XPEs {
-			insertCovering(ipmTree, x)
-		}
-		merge.PassToFixpoint(ipmTree, merge.Options{MaxDegree: opts.ImperfectDegree, Estimator: est})
-		out.TableIPM = ipmTree.Size()
-		out.ImperfectMerging = routeAll(ipmTree, pubs)
 	}
-	measure(setA, &res.SetA)
-	measure(setB, &res.SetB)
+	res.SetA = measure(setA)
+	res.SetB = measure(setB)
 	return res, nil
 }
 
-// routeAll matches every publication against the table and returns the mean
-// per-publication routing time in milliseconds.
-func routeAll(tree *subtree.Tree, pubs []xmldoc.Publication) float64 {
-	if len(pubs) == 0 {
-		return 0
-	}
-	sink := 0
-	start := time.Now()
-	for i := range pubs {
-		tree.MatchPath(pubs[i].Path, func(n *subtree.Node) { sink++ })
-	}
-	elapsed := time.Since(start)
-	_ = sink
-	return float64(elapsed) / float64(len(pubs)) / float64(time.Millisecond)
+// routeTable routes every publication's path through the table twice, by
+// the covering-pruned tree walk and by an automaton compiled from the
+// table's entries. Predicates are not evaluated: the sets carry none.
+func routeTable(tree *subtree.Tree, pubs []xmldoc.Publication) Table1Cell {
+	b := pmatch.NewBuilder()
+	tree.Walk(func(n *subtree.Node) { b.Add(n.XPE, nil) })
+	auto := b.Build()
+	c := Table1Cell{Entries: tree.Size()}
+	c.Walk, c.WalkMatches = routeAll(pubs, func(path []symtab.Sym, visit func()) {
+		oracle.Walk(tree, func(x *xpath.XPE) bool { return x.MatchesSymPath(path) },
+			func(*subtree.Node) { visit() })
+	})
+	c.NFA, c.NFAMatches = routeAll(pubs, func(path []symtab.Sym, visit func()) {
+		auto.MatchStructural(path, func(any) { visit() })
+	})
+	return c
 }
 
-// Table renders the result in the shape of Table 1.
+// routeAll matches every publication with match and returns the mean
+// per-publication routing time in milliseconds and the matches reported.
+func routeAll(pubs []xmldoc.Publication, match func(path []symtab.Sym, visit func())) (float64, int) {
+	if len(pubs) == 0 {
+		return 0, 0
+	}
+	matches := 0
+	visit := func() { matches++ }
+	start := time.Now()
+	for i := range pubs {
+		match(pubs[i].SymPath, visit)
+	}
+	elapsed := time.Since(start)
+	return float64(elapsed) / float64(len(pubs)) / float64(time.Millisecond), matches
+}
+
+// Table renders the result in the shape of Table 1, with the automaton's
+// time beside each tree-walk time.
 func (r *Table1Result) Table() *Table {
 	t := &Table{
-		Caption: "Table 1 — Publication routing performance (ms per publication)",
-		Columns: []string{"Method", "Set A (ms)", "Set B (ms)", "TableA", "TableB"},
+		Caption: "Table 1 — Publication routing performance (per publication)",
+		Columns: []string{"Method", "Set A (ms)", "Set A NFA (us)", "Set B (ms)", "Set B NFA (us)", "TableA", "TableB"},
 		Notes: []string{
 			fint(r.Publications) + " publications routed",
 			"Set A covering rate " + fpct(r.RateA) + ", Set B " + fpct(r.RateB),
+			"Set A/B (ms): covering-pruned tree walk; NFA (us): one shared automaton over the same table",
 		},
 	}
-	t.AddRow("No Covering", fms(r.SetA.NoCovering), fms(r.SetB.NoCovering), fint(r.SetA.TableNoCov), fint(r.SetB.TableNoCov))
-	t.AddRow("Covering", fms(r.SetA.Covering), fms(r.SetB.Covering), fint(r.SetA.TableCov), fint(r.SetB.TableCov))
-	t.AddRow("Perfect Merging", fms(r.SetA.PerfectMerging), fms(r.SetB.PerfectMerging), fint(r.SetA.TablePM), fint(r.SetB.TablePM))
-	t.AddRow("Imperfect Merging", fms(r.SetA.ImperfectMerging), fms(r.SetB.ImperfectMerging), fint(r.SetA.TableIPM), fint(r.SetB.TableIPM))
+	for _, row := range []struct {
+		name string
+		a, b Table1Cell
+	}{
+		{"No Covering", r.SetA.NoCovering, r.SetB.NoCovering},
+		{"Covering", r.SetA.Covering, r.SetB.Covering},
+		{"Perfect Merging", r.SetA.PerfectMerging, r.SetB.PerfectMerging},
+		{"Imperfect Merging", r.SetA.ImperfectMerging, r.SetB.ImperfectMerging},
+	} {
+		t.AddRow(row.name, fms(row.a.Walk), fus(row.a.NFA), fms(row.b.Walk), fus(row.b.NFA), fint(row.a.Entries), fint(row.b.Entries))
+	}
 	return t
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/advert"
+	"repro/internal/symtab"
 )
 
 // DegreeEstimator estimates the imperfect degree of a merger against the
@@ -13,7 +14,7 @@ import (
 // from it is an equivalent and more convenient carrier of the same
 // information).
 type DegreeEstimator struct {
-	universe [][]string
+	universe [][]symtab.Sym // interned once, matched many times
 }
 
 // NewDegreeEstimator enumerates the publication-path universe: expansions of
@@ -39,11 +40,12 @@ func NewDegreeEstimator(advs []*advert.Advertisement, maxLen, maxPaths int) *Deg
 	sort.Slice(universe, func(i, j int) bool {
 		return strings.Join(universe[i], "/") < strings.Join(universe[j], "/")
 	})
-	return &DegreeEstimator{universe: universe}
+	e := &DegreeEstimator{universe: make([][]symtab.Sym, len(universe))}
+	for i, w := range universe {
+		e.universe[i] = symtab.InternPath(w)
+	}
+	return e
 }
-
-// UniverseSize returns the number of paths in the estimator's universe.
-func (e *DegreeEstimator) UniverseSize() int { return len(e.universe) }
 
 // Degree estimates D_imperfect = |P(m) − ∪P(si)| / |P(m)| over the
 // enumerated universe, assuming uniformly distributed publications as the
@@ -52,12 +54,12 @@ func (e *DegreeEstimator) Degree(m *Merger) float64 {
 	matched, extra := 0, 0
 paths:
 	for _, p := range e.universe {
-		if !m.Result.MatchesPath(p) {
+		if !m.Result.MatchesSymPath(p) {
 			continue
 		}
 		matched++
 		for _, s := range m.Sources {
-			if s.MatchesPath(p) {
+			if s.MatchesSymPath(p) {
 				continue paths
 			}
 		}

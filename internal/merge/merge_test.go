@@ -1,16 +1,21 @@
 package merge
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/advert"
 	"repro/internal/dtddata"
+	"repro/internal/oracle"
 	"repro/internal/subtree"
 	"repro/internal/xpath"
 )
 
 func xp(s string) *xpath.XPE { return xpath.MustParse(s) }
+
+// sel is the reference: does x select a node on path.
+func sel(x *xpath.XPE, path []string) bool { return oracle.Selects(x, path, nil, false) }
 
 func TestMergePositionwiseRule1(t *testing.T) {
 	// Paper example: a/*/c/d and a/*/c/e merge to a/*/c/*.
@@ -119,7 +124,7 @@ func TestQuickMergerCoversSources(t *testing.T) {
 			for k := range p {
 				p[k] = alphabet[r.Intn(len(alphabet))]
 			}
-			if (s1.MatchesPath(p) || s2.MatchesPath(p)) && !m.MatchesPath(p) {
+			if (sel(s1, p) || sel(s2, p)) && !sel(m, p) {
 				t.Fatalf("merger %s of %s, %s misses path %v", m, s1, s2, p)
 			}
 		}
@@ -154,7 +159,7 @@ func TestQuickInfixMergerCoversSources(t *testing.T) {
 			for k := range p {
 				p[k] = alphabet[r.Intn(len(alphabet))]
 			}
-			if (s1.MatchesPath(p) || s2.MatchesPath(p)) && !m.MatchesPath(p) {
+			if (sel(s1, p) || sel(s2, p)) && !sel(m, p) {
 				t.Fatalf("infix merger %s of %s, %s misses path %v", m, s1, s2, p)
 			}
 		}
@@ -170,7 +175,7 @@ func TestDegreeEstimator(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewDegreeEstimator(advs, 10, 10000)
-	if est.UniverseSize() == 0 {
+	if len(est.universe) == 0 {
 		t.Fatal("empty universe")
 	}
 	// /ProteinDatabase/ProteinEntry/protein/name and .../alt-name merged to
@@ -260,6 +265,118 @@ func TestPassToFixpointCascades(t *testing.T) {
 	}
 	if tr.Lookup(xp("/a/*/*")) == nil {
 		t.Errorf("cascaded merger missing:\n%s", tr)
+	}
+}
+
+// TestImperfectMergingProperty pins the paper's imperfect merging (Fig. 9)
+// to the reference semantics over the estimator's universe U. For a merger
+// m, let P(m) be the paths of U that m selects and extra(m) those none of
+// its sources selects: Degree(m)·|P(m)| must equal |extra(m)|. After
+// PassToFixpoint at degree d, every applied merger has Degree <= d, and
+// every path the merged table selects that no original subscription
+// selects lies in some applied merger's extra set — merging admits no
+// false positive it did not account for.
+func TestImperfectMergingProperty(t *testing.T) {
+	advs, err := advert.Generate(dtddata.NITF())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := NewDegreeEstimator(advs, 10, 2000)
+	universe := make([][]string, len(est.universe))
+	for i, p := range est.universe {
+		universe[i] = oracle.Names(p)
+	}
+	// extra returns the indices of the universe paths m admits beyond its
+	// sources, and |P(m)|.
+	extra := func(m *Merger) (map[int]bool, int) {
+		out, matched := map[int]bool{}, 0
+	paths:
+		for i, p := range universe {
+			if !sel(m.Result, p) {
+				continue
+			}
+			matched++
+			for _, s := range m.Sources {
+				if sel(s, p) {
+					continue paths
+				}
+			}
+			out[i] = true
+		}
+		return out, matched
+	}
+
+	// The subscriptions are every 5th universe path of at least five elements,
+	// written as an absolute expression: sibling leaves merge into parent/*,
+	// which admits the unsampled siblings too.
+	var subs []*xpath.XPE
+	for i := 0; i < len(universe); i += 5 {
+		if len(universe[i]) < 5 {
+			continue
+		}
+		steps := make([]xpath.Step, len(universe[i]))
+		for k, name := range universe[i] {
+			steps[k] = xpath.Step{Axis: xpath.Child, Name: name}
+		}
+		subs = append(subs, xpath.New(false, steps...))
+	}
+
+	imperfect := 0
+	for i := 0; i < len(subs); i++ {
+		for j := i + 1; j < len(subs); j++ {
+			res, _, ok := MergePositionwise([]*xpath.XPE{subs[i], subs[j]}, 1, 1)
+			if !ok {
+				continue
+			}
+			m := &Merger{Result: res, Sources: []*xpath.XPE{subs[i], subs[j]}}
+			ex, matched := extra(m)
+			deg := est.Degree(m)
+			if math.Abs(deg*float64(matched)-float64(len(ex))) > 1e-6 {
+				t.Fatalf("merger %s of %s, %s: Degree %.4f × |P(m)| %d != %d extra paths",
+					res, subs[i], subs[j], deg, matched, len(ex))
+			}
+			if len(ex) > 0 {
+				imperfect++
+			}
+		}
+	}
+	if imperfect < 10 {
+		t.Fatalf("only %d imperfect mergers sampled", imperfect)
+	}
+
+	const d = 0.3
+	tr := subtree.New()
+	for _, x := range subs {
+		tr.Insert(x)
+	}
+	applied := PassToFixpoint(tr, Options{MaxDegree: d, Estimator: est})
+	if len(applied) == 0 {
+		t.Fatal("no merger applied")
+	}
+	accounted := map[int]bool{}
+	for _, m := range applied {
+		if m.Degree > d {
+			t.Errorf("applied merger %s has degree %.3f > %.1f", m.Result, m.Degree, d)
+		}
+		ex, _ := extra(m)
+		for i := range ex {
+			accounted[i] = true
+		}
+	}
+	beyond := 0
+	var table []*xpath.XPE
+	tr.Walk(func(n *subtree.Node) { table = append(table, n.XPE) })
+	for i, p := range universe {
+		if len(oracle.Flat(table, p, nil, false)) == 0 || len(oracle.Flat(subs, p, nil, false)) > 0 {
+			continue
+		}
+		beyond++
+		if !accounted[i] {
+			t.Fatalf("merged table selects %v, which no subscription and no merger's extra set does", p)
+		}
+	}
+	if beyond == 0 {
+		t.Fatal("merging admitted no path beyond the subscriptions; the check is vacuous")
 	}
 }
 

@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
 // FuzzAutomatonEquivalence cross-checks the shared automaton's accept set
-// against flat per-XPE MatchesSymPath evaluation. The fuzzer supplies a
+// against flat per-XPE evaluation by the reference (oracle.Selects). The fuzzer supplies a
 // ';'-separated list of expressions and a '/'-separated publication path;
 // unparsable expressions are skipped, so any byte soup still exercises the
 // comparison. A mismatch would mean the shared automaton routes differently
@@ -56,10 +57,10 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 
 		// live maps each payload to its expression.
 		live := map[int]*xpath.XPE{}
-		oracle := func() []int {
+		reference := func() []int {
 			var want []int
 			for p, x := range live {
-				if x.MatchesSymPath(sp) {
+				if oracle.Selects(x, path, nil, false) {
 					want = append(want, p)
 				}
 			}
@@ -85,7 +86,7 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 			var midWant []int
 			for i, op := range ops {
 				if i == len(ops)/2 {
-					mid, midWant = tbl.Seal(), oracle()
+					mid, midWant = tbl.Seal(), reference()
 				}
 				switch {
 				case len(xs) == 0:
@@ -128,7 +129,7 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 		}
 
 		got := structuralInts(auto, sp)
-		if want := oracle(); !eqInts(got, want) {
+		if want := reference(); !eqInts(got, want) {
 			t.Fatalf("accept sets diverge on path %q:\nautomaton=%v\nflat=%v\nexprs=%s",
 				path, got, want, dumpExprs(xs))
 		}

@@ -332,8 +332,8 @@ func (t *Table) own(s *state) *state {
 // state. All descendant steps leaving one state share its skip state, so
 // "//a" and "//b" from a common prefix share the self-loop. Wildcard steps
 // use the dedicated wildcard transition so that a concrete path element
-// named "*" is still only matched by wildcard steps (mirroring
-// symStepMatches).
+// named "*" is still only matched by wildcard steps (mirroring xpath's
+// evaluator).
 func (t *Table) reach(x *xpath.XPE) *state {
 	t.root = t.own(t.root)
 	cur := t.root

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
@@ -31,13 +32,11 @@ func structuralSet(a *Automaton, path []symtab.Sym) []string {
 }
 
 // flatStructural is the per-XPE oracle: every expression evaluated
-// independently with MatchesSymPath.
+// independently by the reference, predicates ignored.
 func flatStructural(xs []*xpath.XPE, path []symtab.Sym) []string {
 	var got []string
-	for _, x := range xs {
-		if x.MatchesSymPath(path) {
-			got = append(got, x.String())
-		}
+	for _, i := range oracle.Flat(xs, oracle.Names(path), nil, false) {
+		got = append(got, xs[i].String())
 	}
 	sort.Strings(got)
 	return got
@@ -243,7 +242,7 @@ func TestHandBuiltRelativeDescendantFirstStep(t *testing.T) {
 		if hit != tc.want {
 			t.Errorf("path %v: automaton=%v want %v", tc.path, hit, tc.want)
 		}
-		if flat := x.MatchesSymPath(sp); flat != tc.want {
+		if flat := oracle.Selects(x, tc.path, nil, false); flat != tc.want {
 			t.Errorf("path %v: oracle disagrees (%v)", tc.path, flat)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
@@ -14,8 +15,8 @@ import (
 // descendant steps, relative expressions, attribute predicates) and random
 // annotated publication paths, and checks that the shared automaton's
 // accept set is IDENTICAL to evaluating every expression independently with
-// MatchesSymPath / MatchesSymPathAttrs. This is the equivalence contract
-// the broker's publish path relies on.
+// the reference (oracle.Selects), predicates ignored and evaluated. This is
+// the equivalence contract the broker's publish path relies on.
 
 var quickAlphabet = []string{"a", "b", "c", "d", "e"}
 
@@ -81,12 +82,7 @@ func TestQuickAutomatonEquivalence(t *testing.T) {
 			var gotS []int
 			auto.MatchStructural(sp, func(d any) { gotS = append(gotS, d.(int)) })
 			sort.Ints(gotS)
-			var wantS []int
-			for i, x := range xs {
-				if x.MatchesSymPath(sp) {
-					wantS = append(wantS, i)
-				}
-			}
+			wantS := oracle.Flat(xs, path, nil, false)
 			if !eqInts(gotS, wantS) {
 				t.Fatalf("round %d: structural mismatch on %v\nautomaton=%v\nflat=%v\nexprs=%s",
 					round, path, gotS, wantS, dumpExprs(xs))
@@ -95,12 +91,7 @@ func TestQuickAutomatonEquivalence(t *testing.T) {
 			var gotA []int
 			auto.Match(sp, attrs, func(d any) { gotA = append(gotA, d.(int)) })
 			sort.Ints(gotA)
-			var wantA []int
-			for i, x := range xs {
-				if x.MatchesSymPathAttrs(sp, attrs) {
-					wantA = append(wantA, i)
-				}
-			}
+			wantA := oracle.Flat(xs, path, attrs, true)
 			if !eqInts(gotA, wantA) {
 				t.Fatalf("round %d: attr mismatch on %v attrs=%v\nautomaton=%v\nflat=%v\nexprs=%s",
 					round, path, attrs, gotA, wantA, dumpExprs(xs))
@@ -127,13 +118,7 @@ func TestQuickScratchReuse(t *testing.T) {
 		var got []int
 		auto.MatchStructural(sp, func(d any) { got = append(got, d.(int)) })
 		sort.Ints(got)
-		var want []int
-		for i, x := range xs {
-			if x.MatchesSymPath(sp) {
-				want = append(want, i)
-			}
-		}
-		if !eqInts(got, want) {
+		if want := oracle.Flat(xs, path, nil, false); !eqInts(got, want) {
 			t.Fatalf("trial %d: path %v: automaton=%v flat=%v", trial, path, got, want)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
@@ -393,11 +394,7 @@ func TestConcurrentRebuildAndMatch(t *testing.T) {
 	probes := randomProbes(r, 50)
 	want := make([][]int, len(probes))
 	for i, p := range probes {
-		for j, x := range xs {
-			if x.MatchesSymPathAttrs(p.sp, p.attrs) {
-				want[i] = append(want[i], j)
-			}
-		}
+		want[i] = oracle.Flat(xs, oracle.Names(p.sp), p.attrs, true)
 	}
 
 	stop := make(chan struct{})

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dtddata"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/pmatch"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -150,7 +151,7 @@ func diffAutomaton(xs []*xpath.XPE) *pmatch.Automaton {
 
 // threeWayVerdicts evaluates the same workload along all three routes and
 // returns the sorted entry-index sets.
-func threeWayVerdicts(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, decomposed, oracle []int) {
+func threeWayVerdicts(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte) (streamed, decomposed, reference []int) {
 	t.Helper()
 	collectInto := func(dst *[]int) func(any) {
 		seen := map[int]bool{}
@@ -173,27 +174,19 @@ func threeWayVerdicts(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc
 	}
 	sort.Ints(decomposed)
 
-	for i, x := range xs {
-		for pi, p := range paths {
-			if x.MatchesSymPathAttrs(p, attrs[pi]) {
-				oracle = append(oracle, i)
-				break
-			}
-		}
-	}
-	return streamed, decomposed, oracle
+	return streamed, decomposed, oracle.FlatDoc(xs, doc)
 }
 
 func assertThreeWay(t *testing.T, auto *pmatch.Automaton, xs []*xpath.XPE, doc *xmldoc.Document, raw []byte, ctx string) {
 	t.Helper()
-	streamed, decomposed, oracle := threeWayVerdicts(t, auto, xs, doc, raw)
-	if !eqIntSlices(streamed, oracle) || !eqIntSlices(decomposed, oracle) {
+	streamed, decomposed, reference := threeWayVerdicts(t, auto, xs, doc, raw)
+	if !eqIntSlices(streamed, reference) || !eqIntSlices(decomposed, reference) {
 		var exprs []string
 		for _, x := range xs {
 			exprs = append(exprs, x.String())
 		}
 		t.Fatalf("%s: verdict divergence\n  raw:        %q\n  streamed:   %v\n  decomposed: %v\n  oracle:     %v\n  exprs:      %s",
-			ctx, raw, streamed, decomposed, oracle, strings.Join(exprs, " ; "))
+			ctx, raw, streamed, decomposed, reference, strings.Join(exprs, " ; "))
 	}
 }
 

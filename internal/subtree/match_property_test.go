@@ -1,4 +1,4 @@
-package subtree
+package subtree_test
 
 import (
 	"fmt"
@@ -8,14 +8,16 @@ import (
 
 	"repro/internal/dtddata"
 	"repro/internal/gen"
+	"repro/internal/oracle"
+	"repro/internal/subtree"
 	"repro/internal/xpath"
 )
 
 // TestMatchPathPruningEquivalentToFlat is the randomized soundness test for
 // the covering-pruned publication matching claim (DESIGN.md §2): on the same
-// stored subscription set, the covering tree's pruned traversal must report
-// exactly the subscriptions a flat full scan reports, for every publication
-// path. Workload per trial: 1,000 random NITF XPEs, 500 root-to-leaf paths
+// stored subscription set, oracle.Walk over the covering tree must report
+// exactly the subscriptions it reports over a flat tree (a full scan), for
+// every publication path. Workload per trial: 1,000 random NITF XPEs, 500 root-to-leaf paths
 // from random NITF documents.
 func TestMatchPathPruningEquivalentToFlat(t *testing.T) {
 	const (
@@ -37,8 +39,8 @@ func TestMatchPathPruningEquivalentToFlat(t *testing.T) {
 				Relative:   0.2,
 				Rand:       rand.New(rand.NewSource(seed)),
 			}
-			covering := New()
-			flat := New()
+			covering := subtree.New()
+			flat := subtree.New()
 			stored := 0
 			for stored < numXPEs {
 				x := g.Generate()
@@ -63,16 +65,16 @@ func TestMatchPathPruningEquivalentToFlat(t *testing.T) {
 						break
 					}
 					checked++
-					got := matchedKeys(covering, path)
-					want := matchedKeys(flat, path)
+					got := matchedKeys(covering, selects(path))
+					want := matchedKeys(flat, selects(path))
 					if !equalKeys(got, want) {
 						t.Fatalf("path /%v: pruned traversal matched %d XPEs, flat scan %d\npruned: %v\nflat:   %v",
 							path, len(got), len(want), diff(got, want), diff(want, got))
 					}
 					// The boolean fast path must agree as well.
-					if covering.MatchPathAny(path) != (len(want) > 0) {
-						t.Fatalf("path /%v: MatchPathAny = %v but %d matches stored",
-							path, covering.MatchPathAny(path), len(want))
+					if oracle.Any(covering, selects(path)) != (len(want) > 0) {
+						t.Fatalf("path /%v: Any = %v but %d matches stored",
+							path, oracle.Any(covering, selects(path)), len(want))
 					}
 				}
 			}
@@ -80,11 +82,11 @@ func TestMatchPathPruningEquivalentToFlat(t *testing.T) {
 	}
 }
 
-// matchedKeys collects the canonical keys of all subscriptions the tree
-// reports for a path, sorted.
-func matchedKeys(tree *Tree, path []string) []string {
+// matchedKeys collects the canonical keys of all subscriptions oracle.Walk
+// reports over the tree, sorted.
+func matchedKeys(tree *subtree.Tree, match func(*xpath.XPE) bool) []string {
 	var keys []string
-	tree.MatchPath(path, func(n *Node) { keys = append(keys, n.XPE.Key()) })
+	oracle.Walk(tree, match, func(n *subtree.Node) { keys = append(keys, n.XPE.Key()) })
 	sort.Strings(keys)
 	return keys
 }
@@ -117,12 +119,12 @@ func diff(a, b []string) []string {
 }
 
 // TestMatchPathAttrsPruningEquivalentToFlat repeats the cross-validation for
-// the predicate-aware matcher with random per-element attributes, since
+// attribute predicates evaluated against random per-element attributes, since
 // predicate-aware covering is the more delicate pruning order.
 func TestMatchPathAttrsPruningEquivalentToFlat(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	covering := New()
-	flat := New()
+	covering := subtree.New()
+	flat := subtree.New()
 	attrsOf := []string{"lang", "type", "v"}
 	vals := []string{"a", "b", "c"}
 	names := []string{"x", "y", "z", "w"}
@@ -165,11 +167,8 @@ func TestMatchPathAttrsPruningEquivalentToFlat(t *testing.T) {
 				attrs[i] = map[string]string{attrsOf[r.Intn(len(attrsOf))]: vals[r.Intn(len(vals))]}
 			}
 		}
-		var got, want []string
-		covering.MatchPathAttrs(path, attrs, func(n *Node) { got = append(got, n.XPE.Key()) })
-		flat.MatchPathAttrs(path, attrs, func(n *Node) { want = append(want, n.XPE.Key()) })
-		sort.Strings(got)
-		sort.Strings(want)
+		match := func(x *xpath.XPE) bool { return oracle.Selects(x, path, attrs, true) }
+		got, want := matchedKeys(covering, match), matchedKeys(flat, match)
 		if !equalKeys(got, want) {
 			t.Fatalf("path %v attrs %v: pruned %d vs flat %d matches\nmissing: %v\nextra: %v",
 				path, attrs, len(got), len(want), diff(want, got), diff(got, want))

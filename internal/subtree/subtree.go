@@ -5,31 +5,28 @@
 // boundaries; this tree needs none, because Insert keeps the top level
 // free of them (see Insert).
 //
-// The structure serves three routing operations:
+// The structure serves two routing operations:
 //
 //   - deciding whether an arriving subscription is covered by an existing
-//     one (and need not be forwarded),
+//     one (and need not be forwarded), and
 //   - finding the existing subscriptions a new subscription covers (which
-//     must be unsubscribed when the new one is forwarded), and
-//   - matching a publication path against all stored subscriptions with
-//     covering-based pruning: once a node fails to match, its entire
-//     subtree is skipped, because a publication outside P(parent) cannot be
-//     in P(child) ⊆ P(parent).
+//     must be unsubscribed when the new one is forwarded).
+//
+// Its order also lets a publication walk skip the subtree of every node
+// that fails to match; internal/oracle holds that walk.
 //
 // # Concurrency
 //
 // A Tree is not internally synchronised, but its operations divide into two
 // classes with a guaranteed contract:
 //
-//   - READ-ONLY: MatchPath, MatchPathAttrs, MatchSymPath, MatchSymPathAttrs,
-//     MatchPathAny, MatchPathAnyAttrs, MatchSymPathAnyAttrs, Lookup, Size,
-//     Depth, Walk, Stats, TopLevel, Coverers, CoveredBy, IsCovered,
-//     IsCoveredBesides, String, and the Node accessors. These never mutate
-//     the tree (they may not even write transient scratch state into it) and
-//     are safe to run concurrently with each other. Callers matching
-//     publications in parallel against one tree under a shared lock depend
-//     on this invariant; changing any of these to mutate the tree is a
-//     breaking change and must be flagged in review. A race-detector test
+//   - READ-ONLY: Lookup, Size, Depth, Walk, Stats, TopLevel, Coverers,
+//     CoveredBy, IsCovered, String, and the Node accessors. These never
+//     mutate the tree (they may not even write transient scratch state into
+//     it) and are safe to run concurrently with each other. Callers reading
+//     one tree in parallel under a shared lock depend on this invariant;
+//     changing any of these to mutate the tree is a breaking change and must
+//     be flagged in review. A race-detector test
 //     (TestMatchIsReadOnlyUnderRace) enforces the invariant.
 //
 //   - MUTATING: Insert, FlatInsert, Remove, and writes through Node.Data.
@@ -44,7 +41,6 @@ import (
 	"strings"
 
 	"repro/internal/cover"
-	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -222,38 +218,13 @@ func (t *Tree) Coverers(x *xpath.XPE) []*Node {
 	return out
 }
 
-// IsCoveredBesides reports whether x is covered by a stored top-level
-// subscription other than the excluded node. Routers use it when deciding
-// whether a subscription uncovered by an unsubscription must be forwarded.
-func (t *Tree) IsCoveredBesides(x *xpath.XPE, exclude *Node) bool {
-	sig := cover.Signature(x)
-	for _, c := range t.root.children {
-		if c == exclude {
-			continue
-		}
-		if c.covers(x, sig) {
-			return true
-		}
-	}
-	return false
-}
-
 // CoveredBy returns the stored top-level subscriptions that x covers. Only
 // "higher level" nodes are reported, as the paper notes: nodes deeper in the
 // tree are covered by their ancestors and were never forwarded.
 func (t *Tree) CoveredBy(x *xpath.XPE) []*Node {
-	return t.topCoveredExcluding(x, nil)
-}
-
-// topCoveredExcluding walks the top level of the tree collecting nodes
-// covered by x, skipping the excluded node itself.
-func (t *Tree) topCoveredExcluding(x *xpath.XPE, exclude *Node) []*Node {
 	var out []*Node
 	sig := cover.Signature(x)
 	for _, c := range t.root.children {
-		if c == exclude {
-			continue
-		}
 		if c.coveredBy(x, sig) {
 			out = append(out, c)
 		}
@@ -291,87 +262,6 @@ func removeNode(s []*Node, n *Node) []*Node {
 	return s
 }
 
-// matchWalk is the single covering-pruned traversal behind every MatchPath*
-// variant: it invokes visit for every stored subscription whose expression
-// satisfies matches, skipping the entire subtree of any node that fails —
-// sound because a parent covers its subtree, so a publication outside
-// P(parent) cannot be in P(child). It is read-only (see the package
-// concurrency contract); the wrappers below differ only in the predicate
-// they close over.
-func (t *Tree) matchWalk(matches func(*xpath.XPE) bool, visit func(*Node)) {
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if !matches(n.XPE) {
-			return
-		}
-		visit(n)
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	for _, c := range t.root.children {
-		walk(c)
-	}
-}
-
-// matchAny is the shared top-level scan behind the MatchPathAny* variants.
-// Because every node is covered by its top-level ancestor, only the top
-// level needs checking.
-func (t *Tree) matchAny(matches func(*xpath.XPE) bool) bool {
-	for _, c := range t.root.children {
-		if matches(c.XPE) {
-			return true
-		}
-	}
-	return false
-}
-
-// MatchPath invokes visit for every stored subscription matching the
-// publication path, pruning subtrees whose root fails to match. It is
-// read-only and safe for concurrent use with other readers (see the package
-// comment).
-func (t *Tree) MatchPath(path []string, visit func(*Node)) {
-	t.matchWalk(func(x *xpath.XPE) bool { return x.MatchesPath(path) }, visit)
-}
-
-// MatchPathAttrs is MatchPath with attribute predicates evaluated against
-// the publication's per-element attributes. Pruning stays sound because the
-// tree's covering order is predicate-aware: a parent admits every
-// publication its children admit. Like MatchPath it is read-only and safe
-// for concurrent use with other readers.
-func (t *Tree) MatchPathAttrs(path []string, attrs []map[string]string, visit func(*Node)) {
-	t.matchWalk(func(x *xpath.XPE) bool { return x.MatchesPathAttrs(path, attrs) }, visit)
-}
-
-// MatchSymPath is MatchPath over an interned publication path — the broker
-// data plane's representation. Read-only, like every Match* traversal.
-func (t *Tree) MatchSymPath(path []symtab.Sym, visit func(*Node)) {
-	t.matchWalk(func(x *xpath.XPE) bool { return x.MatchesSymPath(path) }, visit)
-}
-
-// MatchSymPathAttrs is MatchPathAttrs over an interned publication path.
-// Read-only, like every Match* traversal.
-func (t *Tree) MatchSymPathAttrs(path []symtab.Sym, attrs []map[string]string, visit func(*Node)) {
-	t.matchWalk(func(x *xpath.XPE) bool { return x.MatchesSymPathAttrs(path, attrs) }, visit)
-}
-
-// MatchPathAnyAttrs reports whether any stored subscription matches the
-// annotated path.
-func (t *Tree) MatchPathAnyAttrs(path []string, attrs []map[string]string) bool {
-	return t.matchAny(func(x *xpath.XPE) bool { return x.MatchesPathAttrs(path, attrs) })
-}
-
-// MatchPathAny reports whether any stored subscription matches the path.
-func (t *Tree) MatchPathAny(path []string) bool {
-	return t.matchAny(func(x *xpath.XPE) bool { return x.MatchesPath(path) })
-}
-
-// MatchSymPathAnyAttrs reports whether any stored subscription matches the
-// interned annotated path — the edge client filter's hot-path form.
-func (t *Tree) MatchSymPathAnyAttrs(path []symtab.Sym, attrs []map[string]string) bool {
-	return t.matchAny(func(x *xpath.XPE) bool { return x.MatchesSymPathAttrs(path, attrs) })
-}
-
 // TopLevel returns the maximal stored subscriptions (the children of the
 // virtual root).
 func (t *Tree) TopLevel() []*Node {
@@ -380,9 +270,19 @@ func (t *Tree) TopLevel() []*Node {
 	return out
 }
 
-// Walk visits every stored node in depth-first order.
+// Walk visits every stored node in depth-first order, each parent before
+// its children.
 func (t *Tree) Walk(visit func(*Node)) {
-	t.matchWalk(func(*xpath.XPE) bool { return true }, visit)
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		visit(n)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	for _, c := range t.root.children {
+		walk(c)
+	}
 }
 
 // Stats reports the covering structure's shape for observability: stored

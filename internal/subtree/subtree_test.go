@@ -183,27 +183,6 @@ func TestRemoveDropsSuperPointers(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
-func TestMatchPath(t *testing.T) {
-	tr := New()
-	for _, s := range []string{"/a", "/a/b", "/a/c", "/x/y", "b/c"} {
-		tr.Insert(xp(s))
-	}
-	var got []string
-	tr.MatchPath([]string{"a", "b", "z"}, func(n *Node) {
-		got = append(got, n.XPE.String())
-	})
-	sort.Strings(got)
-	if strings.Join(got, " ") != "/a /a/b" {
-		t.Fatalf("MatchPath = %v", got)
-	}
-	if !tr.MatchPathAny([]string{"a", "b", "c"}) {
-		t.Error("MatchPathAny missed a/b/c")
-	}
-	if tr.MatchPathAny([]string{"q"}) {
-		t.Error("MatchPathAny matched q")
-	}
-}
-
 func TestDepthAndString(t *testing.T) {
 	tr := New()
 	tr.Insert(xp("/a"))
@@ -284,72 +263,6 @@ func TestQuickInvariantsUnderChurn(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
-// TestQuickMatchEquivalence: covering-pruned matching returns exactly the
-// subscriptions a linear scan finds.
-func TestQuickMatchEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	tr := New()
-	var all []*xpath.XPE
-	for i := 0; i < 400; i++ {
-		res := tr.Insert(randomXPE(r, 4))
-		if !res.Duplicate {
-			all = append(all, res.Node.XPE)
-		}
-	}
-	alphabet := []string{"a", "b", "c", "d"}
-	for i := 0; i < 500; i++ {
-		n := 1 + r.Intn(8)
-		path := make([]string, n)
-		for j := range path {
-			path[j] = alphabet[r.Intn(len(alphabet))]
-		}
-		want := make(map[string]bool)
-		for _, x := range all {
-			if x.MatchesPath(path) {
-				want[x.Key()] = true
-			}
-		}
-		got := make(map[string]bool)
-		tr.MatchPath(path, func(n *Node) { got[n.XPE.Key()] = true })
-		if len(got) != len(want) {
-			t.Fatalf("path %v: tree found %d, scan found %d\n%s", path, len(got), len(want), tr)
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("path %v: tree missed %s", path, k)
-			}
-		}
-	}
-}
-
-// TestQuickCoveredNeverForwardedIsSafe: for any publication matching a
-// covered subscription, some top-level subscription also matches — dropping
-// covered subscriptions from forwarding loses nothing.
-func TestQuickCoveredSafety(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	tr := New()
-	for i := 0; i < 300; i++ {
-		tr.Insert(randomXPE(r, 4))
-	}
-	alphabet := []string{"a", "b", "c", "d"}
-	for i := 0; i < 2000; i++ {
-		n := 1 + r.Intn(8)
-		path := make([]string, n)
-		for j := range path {
-			path[j] = alphabet[r.Intn(len(alphabet))]
-		}
-		anyMatch := false
-		tr.Walk(func(nd *Node) {
-			if nd.XPE.MatchesPath(path) {
-				anyMatch = true
-			}
-		})
-		if anyMatch && !tr.MatchPathAny(path) {
-			t.Fatalf("path %v matches a stored subscription but no top-level one", path)
-		}
-	}
-}
-
 func BenchmarkInsert(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	xpes := make([]*xpath.XPE, 10000)
@@ -360,18 +273,5 @@ func BenchmarkInsert(b *testing.B) {
 	tr := New()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(xpes[i%len(xpes)])
-	}
-}
-
-func BenchmarkMatchPath(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	tr := New()
-	for i := 0; i < 5000; i++ {
-		tr.Insert(randomXPE(r, 6))
-	}
-	path := []string{"a", "b", "c", "a", "b"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.MatchPath(path, func(*Node) {})
 	}
 }

@@ -1,24 +1,25 @@
-package subtree
+package subtree_test
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dtddata"
 	"repro/internal/gen"
+	"repro/internal/oracle"
+	"repro/internal/subtree"
 	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
 // TestSymPathMatchingEquivalentToStrings is the cross-representation
 // soundness test for symbol interning: on random subscription sets and
-// random document paths, the interned-symbol matchers must report exactly
-// the subscriptions the string matchers report — at the tree level (pruned
-// traversal) and at the single-expression level. Any divergence means the
-// Sym adapters changed matching semantics, which would silently misroute
-// publications.
+// random document paths, the evaluator over interned paths must report
+// exactly the subscriptions the reference (oracle.Selects, over element
+// names) reports — at the tree level (pruned walk) and at the
+// single-expression level. Any divergence means interning or the evaluator
+// changed matching semantics, which would silently misroute publications.
 func TestSymPathMatchingEquivalentToStrings(t *testing.T) {
 	const (
 		trials   = 3
@@ -39,7 +40,7 @@ func TestSymPathMatchingEquivalentToStrings(t *testing.T) {
 				Relative:   0.2,
 				Rand:       rand.New(rand.NewSource(seed)),
 			}
-			tree := New()
+			tree := subtree.New()
 			var exprs []*xpath.XPE
 			for len(exprs) < numXPEs {
 				x := g.Generate()
@@ -67,19 +68,19 @@ func TestSymPathMatchingEquivalentToStrings(t *testing.T) {
 					checked++
 					syms := symPaths[pi]
 
-					got := symMatchedKeys(tree, syms)
-					want := matchedKeys(tree, path)
+					got := matchedKeys(tree, func(x *xpath.XPE) bool { return x.MatchesSymPath(syms) })
+					want := matchedKeys(tree, selects(path))
 					if !equalKeys(got, want) {
-						t.Fatalf("path /%v: sym matcher found %d, string matcher %d\nsym-only: %v\nstring-only: %v",
+						t.Fatalf("path /%v: evaluator found %d, reference %d\nevaluator-only: %v\nreference-only: %v",
 							path, len(got), len(want), diff(got, want), diff(want, got))
 					}
 
 					// Single-expression adapters must agree too (the tree
 					// walk prunes, so it exercises different code paths).
 					for _, x := range exprs[:20] {
-						if x.MatchesSymPath(syms) != x.MatchesPath(path) {
-							t.Fatalf("XPE %s path /%v: MatchesSymPath = %v, MatchesPath = %v",
-								x, path, x.MatchesSymPath(syms), x.MatchesPath(path))
+						if x.MatchesSymPath(syms) != oracle.Selects(x, path, nil, false) {
+							t.Fatalf("XPE %s path /%v: MatchesSymPath = %v, Selects = %v",
+								x, path, x.MatchesSymPath(syms), oracle.Selects(x, path, nil, false))
 						}
 					}
 				}
@@ -89,10 +90,10 @@ func TestSymPathMatchingEquivalentToStrings(t *testing.T) {
 }
 
 // TestSymPathAttrsMatchingEquivalentToStrings repeats the cross-validation
-// for the predicate-aware matchers with random per-element attributes.
+// with attribute predicates evaluated against random per-element attributes.
 func TestSymPathAttrsMatchingEquivalentToStrings(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	tree := New()
+	tree := subtree.New()
 	attrsOf := []string{"lang", "type", "v"}
 	vals := []string{"a", "b", "c"}
 	names := []string{"x", "y", "z", "w"}
@@ -133,33 +134,21 @@ func TestSymPathAttrsMatchingEquivalentToStrings(t *testing.T) {
 			}
 		}
 		syms := symtab.InternPath(path)
-		var got, want []string
-		tree.MatchSymPathAttrs(syms, attrs, func(n *Node) { got = append(got, n.XPE.Key()) })
-		tree.MatchPathAttrs(path, attrs, func(n *Node) { want = append(want, n.XPE.Key()) })
-		sort.Strings(got)
-		sort.Strings(want)
+		eval := func(x *xpath.XPE) bool { return x.MatchesSymPathAttrs(syms, attrs) }
+		ref := func(x *xpath.XPE) bool { return oracle.Selects(x, path, attrs, true) }
+		got, want := matchedKeys(tree, eval), matchedKeys(tree, ref)
 		if !equalKeys(got, want) {
-			t.Fatalf("path %v attrs %v: sym %d vs string %d matches\nsym-only: %v\nstring-only: %v",
+			t.Fatalf("path %v attrs %v: evaluator %d vs reference %d matches\nevaluator-only: %v\nreference-only: %v",
 				path, attrs, len(got), len(want), diff(got, want), diff(want, got))
 		}
-		if tree.MatchSymPathAnyAttrs(syms, attrs) != (len(want) > 0) {
-			t.Fatalf("path %v: MatchSymPathAnyAttrs = %v but %d matches stored",
-				path, tree.MatchSymPathAnyAttrs(syms, attrs), len(want))
+		if oracle.Any(tree, eval) != (len(want) > 0) {
+			t.Fatalf("path %v: Any = %v but %d matches stored", path, oracle.Any(tree, eval), len(want))
 		}
 		for _, x := range exprs[:20] {
-			if x.MatchesSymPathAttrs(syms, attrs) != x.MatchesPathAttrs(path, attrs) {
-				t.Fatalf("XPE %s path %v attrs %v: sym = %v, string = %v",
-					x, path, attrs, x.MatchesSymPathAttrs(syms, attrs), x.MatchesPathAttrs(path, attrs))
+			if eval(x) != ref(x) {
+				t.Fatalf("XPE %s path %v attrs %v: evaluator = %v, reference = %v",
+					x, path, attrs, eval(x), ref(x))
 			}
 		}
 	}
-}
-
-// symMatchedKeys collects the canonical keys of all subscriptions the tree
-// reports for an interned path, sorted.
-func symMatchedKeys(tree *Tree, path []symtab.Sym) []string {
-	var keys []string
-	tree.MatchSymPath(path, func(n *Node) { keys = append(keys, n.XPE.Key()) })
-	sort.Strings(keys)
-	return keys
 }

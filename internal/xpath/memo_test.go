@@ -1,11 +1,8 @@
 package xpath
 
 import (
-	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/symtab"
 )
 
 // A wire-decoded expression made of many descendant wildcard steps used to
@@ -25,75 +22,20 @@ func TestHostileDescendantExpressionCompletes(t *testing.T) {
 	}
 
 	done := make(chan bool, 1)
-	go func() { done <- x.MatchesPath(path) }()
+	go func() { done <- matchesPath(x, path) }()
 	select {
 	case got := <-done:
 		if got {
 			t.Error("expression with unmatched trailing step reported a match")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("MatchesPath did not return — exponential backtracking is back")
+		t.Fatal("match did not return — exponential backtracking is back")
 	}
 
 	// The same expression minus the impossible tail must still match.
 	ok := New(false, steps[:40]...)
-	if !ok.MatchesPath(path) {
+	if !matchesPath(ok, path) {
 		t.Error("pure descendant-wildcard expression must match a long path")
-	}
-}
-
-// matchTable must agree with the recursive matcher on every input; the
-// recursion is the executable spec for sizes where it is tractable.
-func TestMatchTableAgreesWithRecursion(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	names := []string{"a", "b", "c", Wildcard}
-	for trial := 0; trial < 5000; trial++ {
-		nsteps := 1 + r.Intn(5)
-		steps := make([]Step, nsteps)
-		for i := range steps {
-			axis := Child
-			if r.Intn(2) == 0 {
-				axis = Descendant
-			}
-			steps[i] = Step{Axis: axis, Name: names[r.Intn(len(names))]}
-		}
-		relative := r.Intn(2) == 0
-		if relative {
-			steps[0].Axis = Child
-		}
-		path := make([]string, r.Intn(7))
-		for i := range path {
-			path[i] = names[r.Intn(3)] // concrete names only
-		}
-
-		var want bool
-		if relative {
-			for start := 0; start+len(steps) <= len(path); start++ {
-				if matchFrom(steps, path, start) {
-					want = true
-					break
-				}
-			}
-		} else {
-			want = matchFrom(steps, path, 0)
-		}
-		got := matchTable(steps, len(path), relative, func(i, p int) bool {
-			return stepMatches(steps[i], path[p])
-		})
-		if got != want {
-			x := New(relative, steps...)
-			t.Fatalf("trial %d: %s on %v: matchTable=%v recursion=%v", trial, x, path, got, want)
-		}
-
-		// The symbol matcher must agree too, through the public entry point
-		// (needsMemo decides the engine; both answers must equal the spec).
-		x := New(relative, steps...)
-		if x.MatchesPath(path) != want {
-			t.Fatalf("trial %d: MatchesPath disagrees with spec on %s %v", trial, x, path)
-		}
-		if x.MatchesSymPath(symtab.InternPath(path)) != want {
-			t.Fatalf("trial %d: MatchesSymPath disagrees with spec on %s %v", trial, x, path)
-		}
 	}
 }
 

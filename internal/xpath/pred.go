@@ -96,91 +96,16 @@ func (x *XPE) HasPredicates() bool {
 	return false
 }
 
-// predsSatisfied reports whether the step's predicates hold for the
-// attributes of one path element. A missing attribute fails its predicate.
-func predsSatisfied(s Step, attrs map[string]string) bool {
-	if s.Preds == "" {
-		return true
-	}
-	for _, p := range DecodePreds(s.Preds) {
-		if attrs == nil {
-			return false
-		}
-		if v, ok := attrs[p.Attr]; !ok || v != p.Value {
-			return false
-		}
-	}
-	return true
-}
-
-// stepMatchesAnnotated is stepMatches plus predicate evaluation.
-func stepMatchesAnnotated(s Step, name string, attrs map[string]string) bool {
-	return stepMatches(s, name) && predsSatisfied(s, attrs)
-}
-
-// MatchesPathAttrs is MatchesPath with attribute predicates evaluated
-// against per-element attribute maps (attrs[i] belongs to path[i]; a nil
-// slice or nil entry means "no attributes", which fails any predicate).
-// Expressions without predicates behave exactly like MatchesPath.
-func (x *XPE) MatchesPathAttrs(path []string, attrs []map[string]string) bool {
-	if len(x.Steps) == 0 {
-		return false
-	}
-	if !x.HasPredicates() {
-		return x.MatchesPath(path)
-	}
-	at := func(i int) map[string]string {
-		if i < len(attrs) {
-			return attrs[i]
-		}
-		return nil
-	}
-	if needsMemo(x.Steps) {
-		return matchTable(x.Steps, len(path), x.Relative, func(i, p int) bool {
-			return stepMatchesAnnotated(x.Steps[i], path[p], at(p))
-		})
-	}
-	if x.Relative {
-		for start := 0; start+len(x.Steps) <= len(path); start++ {
-			if matchFromAttrs(x.Steps, path, start, at) {
-				return true
-			}
-		}
-		return false
-	}
-	return matchFromAttrs(x.Steps, path, 0, at)
-}
-
-func matchFromAttrs(steps []Step, path []string, pos int, at func(int) map[string]string) bool {
-	if len(steps) == 0 {
-		return true
-	}
-	s := steps[0]
-	if s.Axis == Child {
-		if pos >= len(path) || !stepMatchesAnnotated(s, path[pos], at(pos)) {
-			return false
-		}
-		return matchFromAttrs(steps[1:], path, pos+1, at)
-	}
-	for p := pos; p < len(path); p++ {
-		if stepMatchesAnnotated(s, path[p], at(p)) && matchFromAttrs(steps[1:], path, p+1, at) {
-			return true
-		}
-	}
-	return false
-}
-
 // StepCovers extends the element-wise covering rule to predicates: step a
 // covers step b iff a's name test covers b's and a's predicates are a
 // subset of b's (fewer constraints admit more publications).
 func StepCovers(a, b Step) bool {
-	if !SymbolCovers(a.Name, b.Name) {
-		return false
-	}
-	if a.Preds == "" || a.Preds == b.Preds {
-		return true
-	}
-	return predsSubset(DecodePreds(a.Preds), DecodePreds(b.Preds))
+	return SymbolCovers(a.Name, b.Name) && predsCover(a, b)
+}
+
+// predsCover reports whether step a's predicates are a subset of b's.
+func predsCover(a, b Step) bool {
+	return a.Preds == "" || a.Preds == b.Preds || predsSubset(DecodePreds(a.Preds), DecodePreds(b.Preds))
 }
 
 // predsSubset reports whether every predicate of a also appears in b.
@@ -205,42 +130,52 @@ outer:
 func parsePredicates(input string, i int) ([]Pred, int, error) {
 	var preds []Pred
 	for i < len(input) && input[i] == '[' {
-		j := i + 1
-		if j >= len(input) || input[j] != '@' {
-			return nil, i, fmt.Errorf("expected '@' after '[' at offset %d", i)
+		p, next, err := nextPred(input, i)
+		if err != nil {
+			return nil, i, err
 		}
-		j++
-		nameStart := j
-		for j < len(input) && input[j] != '=' {
-			j++
-		}
-		if j >= len(input) {
-			return nil, i, fmt.Errorf("unterminated predicate at offset %d", i)
-		}
-		name := input[nameStart:j]
-		if name == "" {
-			return nil, i, fmt.Errorf("empty attribute name at offset %d", nameStart)
-		}
-		j++ // '='
-		if j >= len(input) || (input[j] != '\'' && input[j] != '"') {
-			return nil, i, fmt.Errorf("expected quoted value at offset %d", j)
-		}
-		quote := input[j]
-		j++
-		valStart := j
-		end := strings.IndexByte(input[j:], quote)
-		if end < 0 {
-			return nil, i, fmt.Errorf("unterminated value at offset %d", valStart)
-		}
-		j += end
-		value := input[valStart:j]
-		j++ // closing quote
-		if j >= len(input) || input[j] != ']' {
-			return nil, i, fmt.Errorf("expected ']' at offset %d", j)
-		}
-		j++
-		preds = append(preds, Pred{Attr: name, Value: value})
-		i = j
+		preds = append(preds, p)
+		i = next
 	}
 	return preds, i, nil
+}
+
+// nextPred parses the one "[@name='value']" group at input[i] and returns
+// it with the offset just past it. The predicate's strings are substrings
+// of input, so parsing allocates nothing.
+func nextPred(input string, i int) (Pred, int, error) {
+	j := i + 1
+	if j >= len(input) || input[j] != '@' {
+		return Pred{}, i, fmt.Errorf("expected '@' after '[' at offset %d", i)
+	}
+	j++
+	nameStart := j
+	for j < len(input) && input[j] != '=' {
+		j++
+	}
+	if j >= len(input) {
+		return Pred{}, i, fmt.Errorf("unterminated predicate at offset %d", i)
+	}
+	name := input[nameStart:j]
+	if name == "" {
+		return Pred{}, i, fmt.Errorf("empty attribute name at offset %d", nameStart)
+	}
+	j++ // '='
+	if j >= len(input) || (input[j] != '\'' && input[j] != '"') {
+		return Pred{}, i, fmt.Errorf("expected quoted value at offset %d", j)
+	}
+	quote := input[j]
+	j++
+	valStart := j
+	end := strings.IndexByte(input[j:], quote)
+	if end < 0 {
+		return Pred{}, i, fmt.Errorf("unterminated value at offset %d", valStart)
+	}
+	j += end
+	value := input[valStart:j]
+	j++ // closing quote
+	if j >= len(input) || input[j] != ']' {
+		return Pred{}, i, fmt.Errorf("expected ']' at offset %d", j)
+	}
+	return Pred{Attr: name, Value: value}, j + 1, nil
 }

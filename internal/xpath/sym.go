@@ -9,10 +9,8 @@ import (
 // This file threads the interned symbol alphabet (package symtab) through
 // expression matching. An XPE lazily compiles its step name tests into
 // []symtab.Sym once and caches the result, so the publication hot path
-// compares uint32 symbols instead of strings. The string-based matchers
-// (MatchesPath, MatchesPathAttrs) remain as the compatibility surface;
-// publication paths converted once per hop (xmldoc.Publication.SymPath) are
-// matched with the MatchesSymPath variants.
+// compares uint32 symbols instead of strings; publication paths are
+// converted once per hop (xmldoc.Publication.SymPath).
 
 // Syms returns the interned name tests of all steps, with wildcard steps
 // mapped to symtab.Wildcard. The slice is computed against the symtab
@@ -69,114 +67,7 @@ func SymCovers(a, b symtab.Sym) bool {
 // pre-interned symbols (sa, sb are the interned names of a, b). It lets bulk
 // covering scans avoid re-comparing strings for every step pair.
 func StepCoversSym(sa, sb symtab.Sym, a, b Step) bool {
-	if !SymCovers(sa, sb) {
-		return false
-	}
-	if a.Preds == "" || a.Preds == b.Preds {
-		return true
-	}
-	return predsSubset(DecodePreds(a.Preds), DecodePreds(b.Preds))
-}
-
-// MatchesSymPath is MatchesPath over an interned publication path. Path
-// elements outside the interned alphabet appear as symtab.None, which only
-// wildcard steps match — exactly the string semantics, since a concrete step
-// whose name was never interned cannot exist (Syms interns it).
-func (x *XPE) MatchesSymPath(path []symtab.Sym) bool {
-	if len(x.Steps) == 0 {
-		return false
-	}
-	syms := x.Syms()
-	if needsMemo(x.Steps) {
-		return matchTable(x.Steps, len(path), x.Relative, func(i, p int) bool {
-			return symStepMatches(syms[i], path[p])
-		})
-	}
-	if x.Relative {
-		for start := 0; start+len(syms) <= len(path); start++ {
-			if symMatchFrom(x.Steps, syms, path, start) {
-				return true
-			}
-		}
-		return false
-	}
-	return symMatchFrom(x.Steps, syms, path, 0)
-}
-
-// symMatchFrom mirrors matchFrom with the name tests compared as symbols;
-// steps and syms advance in lockstep (syms[i] is steps[i]'s interned name).
-func symMatchFrom(steps []Step, syms []symtab.Sym, path []symtab.Sym, pos int) bool {
-	if len(syms) == 0 {
-		return true
-	}
-	if steps[0].Axis == Child {
-		if pos >= len(path) || !symStepMatches(syms[0], path[pos]) {
-			return false
-		}
-		return symMatchFrom(steps[1:], syms[1:], path, pos+1)
-	}
-	for p := pos; p < len(path); p++ {
-		if symStepMatches(syms[0], path[p]) && symMatchFrom(steps[1:], syms[1:], path, p+1) {
-			return true
-		}
-	}
-	return false
-}
-
-func symStepMatches(step, elem symtab.Sym) bool {
-	return step == symtab.Wildcard || step == elem
-}
-
-// MatchesSymPathAttrs is MatchesPathAttrs over an interned path: symbol
-// comparison for the name tests, string evaluation for the attribute
-// predicates (attrs[i] belongs to path[i]).
-func (x *XPE) MatchesSymPathAttrs(path []symtab.Sym, attrs []map[string]string) bool {
-	if len(x.Steps) == 0 {
-		return false
-	}
-	if !x.HasPredicates() {
-		return x.MatchesSymPath(path)
-	}
-	at := func(i int) map[string]string {
-		if i < len(attrs) {
-			return attrs[i]
-		}
-		return nil
-	}
-	syms := x.Syms()
-	if needsMemo(x.Steps) {
-		return matchTable(x.Steps, len(path), x.Relative, func(i, p int) bool {
-			return symStepMatches(syms[i], path[p]) && predsSatisfied(x.Steps[i], at(p))
-		})
-	}
-	if x.Relative {
-		for start := 0; start+len(syms) <= len(path); start++ {
-			if symMatchFromAttrs(x.Steps, syms, path, start, at) {
-				return true
-			}
-		}
-		return false
-	}
-	return symMatchFromAttrs(x.Steps, syms, path, 0, at)
-}
-
-func symMatchFromAttrs(steps []Step, syms []symtab.Sym, path []symtab.Sym, pos int, at func(int) map[string]string) bool {
-	if len(syms) == 0 {
-		return true
-	}
-	if steps[0].Axis == Child {
-		if pos >= len(path) || !symStepMatches(syms[0], path[pos]) || !predsSatisfied(steps[0], at(pos)) {
-			return false
-		}
-		return symMatchFromAttrs(steps[1:], syms[1:], path, pos+1, at)
-	}
-	for p := pos; p < len(path); p++ {
-		if symStepMatches(syms[0], path[p]) && predsSatisfied(steps[0], at(p)) &&
-			symMatchFromAttrs(steps[1:], syms[1:], path, p+1, at) {
-			return true
-		}
-	}
-	return false
+	return SymCovers(sa, sb) && predsCover(a, b)
 }
 
 // symsView is the cached compiled form; a named type keeps the XPE field

@@ -84,9 +84,6 @@ func New(relative bool, steps ...Step) *XPE {
 // Len returns the number of location steps.
 func (x *XPE) Len() int { return len(x.Steps) }
 
-// IsAbsolute reports whether the expression is anchored at the document root.
-func (x *XPE) IsAbsolute() bool { return !x.Relative }
-
 // IsSimple reports whether the expression contains no "//" operator beyond a
 // possible leading one on a relative expression. The paper calls expressions
 // without any "//" operator "simple"; we apply that test to all steps.
@@ -107,15 +104,6 @@ func (x *XPE) HasWildcard() bool {
 		}
 	}
 	return false
-}
-
-// Names returns the sequence of name tests of all steps.
-func (x *XPE) Names() []string {
-	names := make([]string, len(x.Steps))
-	for i, s := range x.Steps {
-		names[i] = s.Name
-	}
-	return names
 }
 
 // Clone returns a deep copy of the expression.
@@ -336,55 +324,4 @@ func SymbolCovers(a, b string) bool {
 		return true
 	}
 	return b != Wildcard && a == b
-}
-
-// MatchesPath reports whether the expression selects a node on the given
-// root-to-leaf element path. An absolute expression must match a prefix of
-// the path; a relative expression may begin at any position; a "//" step may
-// skip zero or more additional elements.
-func (x *XPE) MatchesPath(path []string) bool {
-	if len(x.Steps) == 0 {
-		return false
-	}
-	if needsMemo(x.Steps) {
-		return matchTable(x.Steps, len(path), x.Relative, func(i, p int) bool {
-			return stepMatches(x.Steps[i], path[p])
-		})
-	}
-	if x.Relative {
-		for start := 0; start+len(x.Steps) <= len(path); start++ {
-			if matchFrom(x.Steps, path, start) {
-				return true
-			}
-		}
-		return false
-	}
-	return matchFrom(x.Steps, path, 0)
-}
-
-// matchFrom matches steps against path beginning exactly at path[pos]
-// (step 0's own axis is honoured: a Descendant first step may still skip
-// ahead from pos).
-func matchFrom(steps []Step, path []string, pos int) bool {
-	if len(steps) == 0 {
-		return true
-	}
-	s := steps[0]
-	if s.Axis == Child {
-		if pos >= len(path) || !stepMatches(s, path[pos]) {
-			return false
-		}
-		return matchFrom(steps[1:], path, pos+1)
-	}
-	// Descendant: the step's element may appear at pos, pos+1, ...
-	for p := pos; p < len(path); p++ {
-		if stepMatches(s, path[p]) && matchFrom(steps[1:], path, p+1) {
-			return true
-		}
-	}
-	return false
-}
-
-func stepMatches(s Step, name string) bool {
-	return s.IsWildcard() || s.Name == name
 }

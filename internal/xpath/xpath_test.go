@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/symtab"
 )
 
 func TestParseValid(t *testing.T) {
@@ -159,8 +161,11 @@ func TestMatchesPath(t *testing.T) {
 		t.Run(tt.xpe+" vs "+tt.path, func(t *testing.T) {
 			x := MustParse(tt.xpe)
 			path := strings.Split(tt.path, "/")
-			if got := x.MatchesPath(path); got != tt.want {
-				t.Errorf("MatchesPath = %v, want %v", got, tt.want)
+			if got := matchesPath(x, path); got != tt.want {
+				t.Errorf("match = %v, want %v", got, tt.want)
+			}
+			if got := x.MatchesSymPath(symtab.LookupPath(path)); got != tt.want {
+				t.Errorf("MatchesSymPath = %v, want %v", got, tt.want)
 			}
 		})
 	}
@@ -273,7 +278,7 @@ func TestQuickRelativeImpliesFloating(t *testing.T) {
 		anchored.Relative = false
 		anchored.Steps[0].Axis = Descendant
 		p := randomPath(r, 10)
-		if x.MatchesPath(p) != anchored.MatchesPath(p) {
+		if matchesPath(x, p) != matchesPath(anchored, p) {
 			t.Fatalf("relative %s and anchored %s disagree on %v", x, anchored, p)
 		}
 	}
@@ -288,7 +293,7 @@ func TestQuickWildcardWidens(t *testing.T) {
 		w := x.Clone()
 		w.Steps[r.Intn(len(w.Steps))].Name = Wildcard
 		p := randomPath(r, 10)
-		if x.MatchesPath(p) && !w.MatchesPath(p) {
+		if matchesPath(x, p) && !matchesPath(w, p) {
 			t.Fatalf("%s matches %v but widened %s does not", x, p, w)
 		}
 	}
@@ -307,7 +312,7 @@ func TestQuickChildToDescendantWidens(t *testing.T) {
 		}
 		w.Steps[j].Axis = Descendant
 		p := randomPath(r, 10)
-		if x.MatchesPath(p) && !w.MatchesPath(p) {
+		if matchesPath(x, p) && !matchesPath(w, p) {
 			t.Fatalf("%s matches %v but loosened %s does not", x, p, w)
 		}
 	}
@@ -320,11 +325,11 @@ func TestQuickPrefixMatchesExtensions(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		x := randomXPE(r, 6)
 		p := randomPath(r, 8)
-		if !x.MatchesPath(p) {
+		if !matchesPath(x, p) {
 			continue
 		}
 		ext := append(append([]string{}, p...), "zz")
-		if !x.MatchesPath(ext) {
+		if !matchesPath(x, ext) {
 			t.Fatalf("%s matches %v but not its extension", x, p)
 		}
 	}
@@ -338,11 +343,15 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-func BenchmarkMatchesPath(b *testing.B) {
+func BenchmarkMatchesSymPath(b *testing.B) {
 	x := MustParse("/a/*//d/*/c//b")
-	path := []string{"a", "x", "q", "d", "y", "c", "m", "n", "b"}
+	path := symtab.InternPath([]string{"a", "x", "q", "d", "y", "c", "m", "n", "b"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.MatchesPath(path)
+		x.MatchesSymPath(path)
 	}
 }
+
+// matchesPath evaluates x structurally on an element-name path, through the
+// string adapter.
+func matchesPath(x *XPE, path []string) bool { return x.MatchesPathAttrs(path, nil) }
