@@ -222,15 +222,23 @@ func TestWireDecodeFreshMessageAllocs(t *testing.T) {
 // path, so it must cost the same allocations on a broker holding 2,000
 // subscriptions as on one holding 200 (within 10%). A snapshot that copies
 // the PRT, the client trees, or the whole automaton per change makes
-// the large broker cost about ten times the small one.
+// the large broker cost about ten times the small one. Neither may exceed
+// the pair's measured cost, controlPairCeiling: a state copy is one edge
+// array and the PRT node's hop sets are slices, not maps.
 func TestControlAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
 	}
+	const controlPairCeiling = 39
 	small, large := controlPairAllocs(200), controlPairAllocs(2000)
+	t.Logf("subscribe+unsubscribe: %.1f allocs at 200 subscriptions, %.1f at 2,000", small, large)
 	if large > small*1.1 {
 		t.Errorf("subscribe+unsubscribe = %.1f allocs at 2,000 subscriptions vs %.1f at 200 — control-plane cost grows with the table",
 			large, small)
+	}
+	if max(small, large) > controlPairCeiling {
+		t.Errorf("subscribe+unsubscribe = %.1f allocs at 200 subscriptions and %.1f at 2,000, want at most %d",
+			small, large, controlPairCeiling)
 	}
 }
 
@@ -255,11 +263,13 @@ func controlPairAllocs(size int) float64 {
 // NITF expressions must cost the same allocations on a broker holding all
 // 3,692 NITF advertisements from a neighbour as on one holding every tenth
 // of them (within 10%). A linear SRT scan whose overlap checks allocate
-// makes the large broker cost several times the small one.
+// makes the large broker cost several times the small one. Neither may
+// exceed the pair's measured cost, srtPairCeiling.
 func TestSubscribeAllocsFlatInSRT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
 	}
+	const srtPairCeiling = 38
 	all := experiment.GenerateAdvertisements(dtddata.NITF())
 	var tenth []*advert.Advertisement
 	for i := 0; i < len(all); i += 10 {
@@ -271,6 +281,10 @@ func TestSubscribeAllocsFlatInSRT(t *testing.T) {
 	if large > small*1.1 {
 		t.Errorf("subscribe+unsubscribe = %.1f allocs at %d advertisements vs %.1f at %d — next-hop cost grows with the SRT",
 			large, len(all), small, len(tenth))
+	}
+	if max(small, large) > srtPairCeiling {
+		t.Errorf("subscribe+unsubscribe = %.1f allocs at %d advertisements and %.1f at %d, want at most %d",
+			small, len(tenth), large, len(all), srtPairCeiling)
 	}
 }
 

@@ -200,13 +200,13 @@ func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
 	}
 	// Simulate the NFA over the concrete path; acceptance requires consuming
 	// the entire path and ending in the accept state.
-	cur := n.closure(map[int]bool{n.start: true})
+	cur := n.closure(map[int]bool{0: true})
 	for _, sym := range path {
 		next := make(map[int]bool)
 		for st := range cur {
-			for _, e := range n.edges[st] {
+			for _, e := range n.edges(st) {
 				if e.sym == symtab.Wildcard || e.sym == sym {
-					next[e.to] = true
+					next[int(e.to)] = true
 				}
 			}
 		}
@@ -215,18 +215,18 @@ func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
 		}
 		cur = n.closure(next)
 	}
-	return cur[n.accept]
+	return cur[int(n.accept)]
 }
 
 // matchesPath64 is the allocation-free bitmask simulation.
 func (n *advNFA) matchesPath64(path []symtab.Sym) bool {
-	cur := n.closure64[n.start]
+	cur := n.closure64[0]
 	for _, sym := range path {
 		var next uint64
 		for rest := cur; rest != 0; {
 			st := bits.TrailingZeros64(rest)
 			rest &^= 1 << uint(st)
-			for _, e := range n.edges[st] {
+			for _, e := range n.edges(st) {
 				if e.sym == symtab.Wildcard || e.sym == sym {
 					next |= n.closure64[e.to]
 				}
@@ -244,20 +244,31 @@ func (n *advNFA) matchesPath64(path []symtab.Sym) bool {
 
 type nfaEdge struct {
 	sym symtab.Sym // interned element test; symtab.Wildcard matches anything
-	to  int
+	to  int32
 }
 
+// advNFA is an advertisement's automaton, its transitions in one compressed
+// array: state st's symbol-labelled edges are all[off[st]:off[st+1]]. State
+// 0 is the start state. An automaton of at most 64 states (every
+// DTD-derived advertisement) keeps each state's epsilon closure as a
+// bitmask in closure64, so its matchers neither allocate nor need the
+// epsilon edges, which are dropped. A larger one has no closure64 and keeps
+// its epsilon edges, laid out the same way in epsOff and eps, for closure.
 type advNFA struct {
-	edges   [][]nfaEdge // symbol-labelled transitions per state
-	eps     [][]int     // epsilon transitions per state
-	start   int
-	accept  int
-	nstates int
-	// closure64 holds each state's epsilon closure as a bitmask when the
-	// automaton has at most 64 states (always true for DTD-derived
-	// advertisements); the bitmask paths avoid per-match allocations.
+	off       []int32
+	all       []nfaEdge
+	accept    int32
 	closure64 []uint64
+	epsOff    []int32
+	eps       []int32
 }
+
+// edges returns state st's symbol-labelled transitions.
+func (n *advNFA) edges(st int) []nfaEdge { return n.all[n.off[st]:n.off[st+1]] }
+
+// epsilon returns state st's epsilon transitions (automata without
+// closure64, and during construction).
+func (n *advNFA) epsilon(st int) []int32 { return n.eps[n.epsOff[st]:n.epsOff[st+1]] }
 
 // nfa returns the advertisement's automaton, whose language is exactly its
 // expansion set. Constructor-built advertisements compiled it eagerly;
@@ -278,49 +289,81 @@ func (a *Advertisement) nfa() *advNFA {
 // compileNFA builds the automaton: one state per symbol plus a private entry
 // state per group.
 func (a *Advertisement) compileNFA() *advNFA {
-	n := &advNFA{}
-	newState := func() int {
-		n.edges = append(n.edges, nil)
-		n.eps = append(n.eps, nil)
-		n.nstates++
-		return n.nstates - 1
+	syms, groups := nfaSize(a.Items)
+	states := 1 + syms + groups
+	n := &advNFA{
+		off:    make([]int32, 0, states+1),
+		all:    make([]nfaEdge, 0, syms),
+		epsOff: make([]int32, 0, states+1),
+		eps:    make([]int32, 0, 2*groups),
 	}
-	n.start = newState()
-	var compile func(seq []Item, from int) int
-	compile = func(seq []Item, from int) int {
-		cur := from
-		for _, it := range seq {
-			if it.IsGroup() {
-				// The group gets a private entry state so that its
-				// loop-back cannot leak into epsilon edges of whatever
-				// preceded it.
-				entry := newState()
-				n.eps[cur] = append(n.eps[cur], entry)
-				end := compile(it.Group, entry)
-				// One-or-more: after a full iteration, loop back.
-				n.eps[end] = append(n.eps[end], entry)
-				cur = end
-			} else {
-				next := newState()
-				n.edges[cur] = append(n.edges[cur], nfaEdge{sym: symtab.Intern(it.Name), to: next})
-				cur = next
-			}
-		}
-		return cur
-	}
-	n.accept = compile(a.Items, n.start)
-	if n.nstates <= 64 {
-		n.closure64 = make([]uint64, n.nstates)
-		for st := 0; st < n.nstates; st++ {
-			set := n.closure(map[int]bool{st: true})
-			var mask uint64
-			for q := range set {
-				mask |= 1 << uint(q)
+	n.newState()
+	n.accept = n.compile(a.Items, 0)
+	n.off = append(n.off, int32(len(n.all)))
+	n.epsOff = append(n.epsOff, int32(len(n.eps)))
+	if states <= 64 {
+		n.closure64 = make([]uint64, states)
+		for st := range n.closure64 {
+			mask := uint64(1) << uint(st)
+			for pending := mask; pending != 0; {
+				q := bits.TrailingZeros64(pending)
+				pending &^= 1 << uint(q)
+				for _, to := range n.epsilon(q) {
+					if bit := uint64(1) << uint(to); mask&bit == 0 {
+						mask |= bit
+						pending |= bit
+					}
+				}
 			}
 			n.closure64[st] = mask
 		}
+		n.epsOff, n.eps = nil, nil
 	}
 	return n
+}
+
+// nfaSize counts the symbols and groups of seq at any depth.
+func nfaSize(seq []Item) (syms, groups int) {
+	for _, it := range seq {
+		if it.IsGroup() {
+			s, g := nfaSize(it.Group)
+			syms += s
+			groups += g + 1
+		} else {
+			syms++
+		}
+	}
+	return syms, groups
+}
+
+// compile lays seq down from state cur and returns the state it ends in.
+// Rows are appended in state order: every edge added leaves the newest
+// state (cur always is), so a state's rows are complete once the next state
+// is created.
+func (n *advNFA) compile(seq []Item, cur int32) int32 {
+	for _, it := range seq {
+		if it.IsGroup() {
+			// The group gets a private entry state so that its loop-back
+			// cannot leak into epsilon edges of whatever preceded it.
+			n.eps = append(n.eps, cur+1)
+			entry := n.newState()
+			end := n.compile(it.Group, entry)
+			// One-or-more: after a full iteration, loop back.
+			n.eps = append(n.eps, entry)
+			cur = end
+		} else {
+			n.all = append(n.all, nfaEdge{sym: symtab.Intern(it.Name), to: cur + 1})
+			cur = n.newState()
+		}
+	}
+	return cur
+}
+
+// newState opens the next state's rows and returns its id.
+func (n *advNFA) newState() int32 {
+	n.off = append(n.off, int32(len(n.all)))
+	n.epsOff = append(n.epsOff, int32(len(n.eps)))
+	return int32(len(n.off) - 1)
 }
 
 // overlaps64 is the allocation-free bitmask variant of the product
@@ -330,14 +373,14 @@ func (a *Advertisement) compileNFA() *advNFA {
 // j+1, and pending the states of level j whose edges are still unexplored.
 func (n *advNFA) overlaps64(s *xpath.XPE) bool {
 	subSyms := s.Syms()
-	reached := n.closure64[n.start]
+	reached := n.closure64[0]
 	for j, sym := range subSyms {
 		skip := s.Steps[j].Axis == xpath.Descendant || (j == 0 && s.Relative)
 		var next uint64
 		for pending := reached; pending != 0; {
 			st := bits.TrailingZeros64(pending)
 			pending &^= 1 << uint(st)
-			for _, e := range n.edges[st] {
+			for _, e := range n.edges(st) {
 				to := n.closure64[e.to]
 				if skip {
 					pending |= to &^ reached
@@ -366,10 +409,10 @@ func (n *advNFA) closure(set map[int]bool) map[int]bool {
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, to := range n.eps[st] {
-			if !set[to] {
-				set[to] = true
-				stack = append(stack, to)
+		for _, to := range n.epsilon(st) {
+			if !set[int(to)] {
+				set[int(to)] = true
+				stack = append(stack, int(to))
 			}
 		}
 	}
@@ -405,7 +448,7 @@ func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 			queue = append(queue, p)
 		}
 	}
-	for st := range n.closure(map[int]bool{n.start: true}) {
+	for st := range n.closure(map[int]bool{0: true}) {
 		push(prod{st, 0})
 	}
 	for len(queue) > 0 {
@@ -415,8 +458,8 @@ func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 			return true
 		}
 		skip := s.Steps[p.sub].Axis == xpath.Descendant || (p.sub == 0 && s.Relative)
-		for _, e := range n.edges[p.adv] {
-			targets := n.closure(map[int]bool{e.to: true})
+		for _, e := range n.edges(p.adv) {
+			targets := n.closure(map[int]bool{int(e.to): true})
 			for to := range targets {
 				if skip {
 					push(prod{to, p.sub})

@@ -58,12 +58,22 @@ func AbsExprAndSimRecAdv(a1, a2, a3 []string, s *xpath.XPE) bool {
 // simple-recursive advertisement by the paper's expansion strategy,
 // generalising Figure 3 beyond absolute simple XPEs by reusing the
 // appropriate non-recursive matcher per expansion.
+//
+// Figure 3's repetition bound holds only for an absolute simple XPE, whose
+// steps are anchored at position 0. A floating segment (a relative start,
+// or a segment after "//") can need more: "x/x/x" against /p/q(/x)+ needs
+// three repetitions. Any repetition of a2 that no step lands in can be cut
+// without breaking the match — it lies before a floating segment, inside a
+// "//" gap, or past the last step — so s.Len() repetitions always suffice.
 func OverlapsSimRec(a *Advertisement, s *xpath.XPE) bool {
 	a1, a2, a3, ok := a.SplitSimple()
 	if !ok {
 		return false
 	}
-	rmax := (s.Len()-len(a1))/len(a2) + 1
+	rmax := s.Len()
+	if s.IsSimple() && !s.Relative {
+		rmax = (s.Len()-len(a1))/len(a2) + 1
+	}
 	if rmax < 1 {
 		rmax = 1
 	}

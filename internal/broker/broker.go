@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -229,12 +230,41 @@ type advEntry struct {
 
 // subState is the routing payload of a PRT node.
 type subState struct {
-	lastHops    map[string]bool
-	forwardedTo map[string]bool
+	lastHops    hopSet
+	forwardedTo hopSet
 	merger      bool
 	// entry is the node's matching-table entry (payload: lastHops as ids);
 	// the zero Handle while it has none.
 	entry pmatch.Handle
+}
+
+// hopSet is a set of peer names kept as a sorted slice. Almost every PRT
+// node's sets hold one or two hops, so a slice is far smaller than a map,
+// and ranging over it visits hops in name order: the control messages a
+// change emits come out in a fixed order. The zero value is the empty set.
+type hopSet []string
+
+func (s hopSet) has(hop string) bool {
+	_, ok := slices.BinarySearch(s, hop)
+	return ok
+}
+
+// add inserts hop and reports whether it was missing.
+func (s *hopSet) add(hop string) bool {
+	i, ok := slices.BinarySearch(*s, hop)
+	if !ok {
+		*s = slices.Insert(*s, i, hop)
+	}
+	return !ok
+}
+
+// del removes hop and reports whether it was present.
+func (s *hopSet) del(hop string) bool {
+	i, ok := slices.BinarySearch(*s, hop)
+	if ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
+	return ok
 }
 
 func stateOf(n *subtree.Node) *subState {
@@ -480,8 +510,8 @@ func (b *Broker) Routes() RouteTables {
 			sr.Parent = p.XPE.String()
 		}
 		if st := stateOf(n); st != nil {
-			sr.LastHops = sortedKeys(st.lastHops)
-			sr.ForwardedTo = sortedKeys(st.forwardedTo)
+			sr.LastHops = append([]string{}, st.lastHops...)
+			sr.ForwardedTo = append([]string{}, st.forwardedTo...)
 			sr.Merger = st.merger
 		}
 		out.Subscriptions = append(out.Subscriptions, sr)

@@ -8,6 +8,7 @@ package broker
 // routeSnapshot before the lock drops.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/advert"
@@ -59,11 +60,11 @@ func (b *Broker) handleAdvertise(m *Message, from string) {
 	if b.cfg.UseAdvertisements && from != "" {
 		for _, n := range b.prt.TopLevel() {
 			st := stateOf(n)
-			if st == nil || st.forwardedTo[from] {
+			if st == nil || st.forwardedTo.has(from) {
 				continue
 			}
 			if m.Adv.Overlaps(n.XPE) {
-				st.forwardedTo[from] = true
+				st.forwardedTo.add(from)
 				b.emit(from, &Message{Type: MsgSubscribe, XPE: n.XPE})
 			}
 		}
@@ -114,11 +115,10 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 	}
 	st := stateOf(res.Node)
 	if st == nil {
-		st = &subState{lastHops: make(map[string]bool), forwardedTo: make(map[string]bool)}
+		st = &subState{}
 		res.Node.Data = st
 	}
-	newDirection := !st.lastHops[from]
-	st.lastHops[from] = true
+	newDirection := st.lastHops.add(from)
 	if res.Duplicate && !newDirection {
 		return // a pure repeat from the same peer changes nothing
 	}
@@ -133,19 +133,20 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 
 	// Withdraw the subscriptions this one covers from the hops both were
 	// forwarded to: downstream tables keep routing through the broader
-	// subscription.
+	// subscription. The covered set is filtered in place, in hop order.
 	if b.cfg.UseCovering {
 		for _, covered := range res.NewlyCovered {
 			cst := stateOf(covered)
 			if cst == nil {
 				continue
 			}
-			for hop := range cst.forwardedTo {
-				if st.forwardedTo[hop] {
-					b.emit(hop, &Message{Type: MsgUnsubscribe, XPE: covered.XPE})
-					delete(cst.forwardedTo, hop)
+			cst.forwardedTo = slices.DeleteFunc(cst.forwardedTo, func(hop string) bool {
+				if !st.forwardedTo.has(hop) {
+					return false
 				}
-			}
+				b.emit(hop, &Message{Type: MsgUnsubscribe, XPE: covered.XPE})
+				return true
+			})
 		}
 	}
 
@@ -175,13 +176,13 @@ func (b *Broker) forwardSubscription(n *subtree.Node, st *subState, from string)
 		// subscription are NOT skipped: they sent it on behalf of a
 		// different subscriber direction and still need to learn of this
 		// one for reverse-path delivery.
-		if st.forwardedTo[hop] {
+		if st.forwardedTo.has(hop) {
 			continue
 		}
 		if coveredAtHop(coverers, hop) {
 			continue
 		}
-		st.forwardedTo[hop] = true
+		st.forwardedTo.add(hop)
 		b.emit(hop, &Message{Type: MsgSubscribe, XPE: n.XPE})
 	}
 }
@@ -190,7 +191,7 @@ func (b *Broker) forwardSubscription(n *subtree.Node, st *subState, from string)
 // hop.
 func coveredAtHop(coverers []*subtree.Node, hop string) bool {
 	for _, c := range coverers {
-		if cst := stateOf(c); cst != nil && cst.forwardedTo[hop] {
+		if cst := stateOf(c); cst != nil && cst.forwardedTo.has(hop) {
 			return true
 		}
 	}
@@ -236,7 +237,7 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 	b.dirty.prt = true
 	st := stateOf(n)
 	if st != nil {
-		delete(st.lastHops, from)
+		st.lastHops.del(from)
 		b.syncEntry(n, st) // re-pointed, or removed with the last direction
 		if len(st.lastHops) > 0 {
 			// Other peers still need the subscription, but a forward to a
@@ -244,13 +245,8 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 			// If the sole remaining direction is a hop this subscription was
 			// forwarded to, that forward is now vacuous — withdraw it, or
 			// the hop keeps a phantom interest entry pointing back here.
-			if len(st.lastHops) == 1 {
-				for only := range st.lastHops {
-					if st.forwardedTo[only] {
-						delete(st.forwardedTo, only)
-						b.emit(only, &Message{Type: MsgUnsubscribe, XPE: m.XPE})
-					}
-				}
+			if only := st.lastHops[0]; len(st.lastHops) == 1 && st.forwardedTo.del(only) {
+				b.emit(only, &Message{Type: MsgUnsubscribe, XPE: m.XPE})
 			}
 			return
 		}
@@ -262,7 +258,7 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 	b.prt.Remove(n)
 	// Propagate the withdrawal.
 	if st != nil {
-		for hop := range st.forwardedTo {
+		for _, hop := range st.forwardedTo {
 			b.emit(hop, &Message{Type: MsgUnsubscribe, XPE: m.XPE})
 		}
 	}
@@ -298,23 +294,16 @@ func (b *Broker) runMergePass() {
 			b.stats.mergers.Add(1)
 			st := stateOf(mergerNode)
 			if st == nil {
-				st = &subState{lastHops: make(map[string]bool), forwardedTo: make(map[string]bool), merger: true}
+				st = &subState{merger: true}
 				mergerNode.Data = st
 			}
-			var oldForwards map[string]bool
 			for _, src := range sources {
 				sst := stateOf(src)
 				if sst == nil {
 					continue
 				}
-				for hop := range sst.lastHops {
-					st.lastHops[hop] = true
-				}
-				if oldForwards == nil {
-					oldForwards = make(map[string]bool)
-				}
-				for hop := range sst.forwardedTo {
-					oldForwards[hop] = true
+				for _, hop := range sst.lastHops {
+					st.lastHops.add(hop)
 				}
 			}
 			// Withdraw the sources upstream and forward the merger instead.
@@ -323,16 +312,14 @@ func (b *Broker) runMergePass() {
 				if sst == nil {
 					continue
 				}
-				for hop := range sst.forwardedTo {
+				for _, hop := range sst.forwardedTo {
 					b.emit(hop, &Message{Type: MsgUnsubscribe, XPE: src.XPE})
 				}
 			}
 			for _, hop := range b.subscriptionNextHops(mergerNode.XPE, "") {
-				if st.forwardedTo[hop] {
-					continue
+				if st.forwardedTo.add(hop) {
+					b.emit(hop, &Message{Type: MsgSubscribe, XPE: mergerNode.XPE})
 				}
-				st.forwardedTo[hop] = true
-				b.emit(hop, &Message{Type: MsgSubscribe, XPE: mergerNode.XPE})
 			}
 		},
 	}

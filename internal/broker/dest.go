@@ -50,10 +50,10 @@ func (b *Broker) destID(name string) int32 {
 }
 
 // hopRoute is the payload of a PRT node with the given last hops.
-func (b *Broker) hopRoute(lastHops map[string]bool) *route {
-	r := &route{hops: make([]int32, 0, len(lastHops)), client: -1}
-	for hop := range lastHops {
-		r.hops = append(r.hops, b.destID(hop))
+func (b *Broker) hopRoute(lastHops hopSet) *route {
+	r := &route{hops: make([]int32, len(lastHops)), client: -1}
+	for i, hop := range lastHops {
+		r.hops[i] = b.destID(hop)
 	}
 	return r
 }

@@ -54,7 +54,7 @@ func TestMergePassNetworkOperations(t *testing.T) {
 		t.Fatalf("merger not in PRT:\n%s", b.PRT())
 	}
 	st := stateOf(node)
-	if !st.lastHops["c1"] || !st.lastHops["c2"] {
+	if !st.lastHops.has("c1") || !st.lastHops.has("c2") {
 		t.Errorf("merger lastHops = %v, want union of sources'", st.lastHops)
 	}
 	// Wire protocol: three subscribes up, then three unsubscribes for the

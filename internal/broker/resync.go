@@ -57,7 +57,7 @@ func (b *Broker) ResyncFor(peer string) {
 		}
 	}
 	b.prt.Walk(func(n *subtree.Node) {
-		if s := stateOf(n); s != nil && s.forwardedTo[peer] {
+		if s := stateOf(n); s != nil && s.forwardedTo.has(peer) {
 			st.Subs = append(st.Subs, n.XPE)
 		}
 	})
@@ -121,7 +121,7 @@ func (b *Broker) handleResync(m *Message, from string) {
 	// direction. Collect first — removal mutates the tree under the walk.
 	var stale []*xpath.XPE
 	b.prt.Walk(func(n *subtree.Node) {
-		if s := stateOf(n); s != nil && s.lastHops[from] && !wanted[n.XPE.Key()] {
+		if s := stateOf(n); s != nil && s.lastHops.has(from) && !wanted[n.XPE.Key()] {
 			stale = append(stale, n.XPE)
 		}
 	})

