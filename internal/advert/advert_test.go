@@ -176,12 +176,26 @@ func TestOverlapsRecursive(t *testing.T) {
 		{"/a(/b)+(/c)+/d", "/a/c/b/d", false},
 		{"/a(/b)+/c", "/*/*/*/*/*", true},
 		{"/a(/b)+", "//b/b/b/b/b/b/b/b", true},
+		// A relative start or a segment after "//" floats, so it can need
+		// one repetition more than Figure 3's bound for anchored steps.
+		{"/p/q(/x)+", "x/x/x", true},
+		{"/p/q(/x)+", "x/x/x/x", true},
+		{"/p/q(/x)+", "x/q", false},
+		{"/p(/x/y)+", "y/x/y/x", true},
+		{"/p/q(/x/y)+", "//y/x/y/x", true},
+		{"/p/q(/x/y)+", "//y/y", false},
 	}
 	for _, tt := range tests {
 		a := MustParse(tt.adv)
 		s := xpath.MustParse(tt.sub)
 		if got := a.Overlaps(s); got != tt.want {
 			t.Errorf("Overlaps(%s, %s) = %v, want %v", tt.adv, tt.sub, got, tt.want)
+		}
+		if a.Classify() != SimpleRecursive {
+			continue
+		}
+		if got := OverlapsSimRec(a, s); got != tt.want {
+			t.Errorf("OverlapsSimRec(%s, %s) = %v, want %v", tt.adv, tt.sub, got, tt.want)
 		}
 	}
 }

@@ -91,15 +91,16 @@ func TestFig8Shape(t *testing.T) {
 		}
 		return total / float64(len(xs))
 	}
-	// Covering must cut the overlap checks for both DTDs. On NITF, whose
-	// advertisement set is far larger, the saving is wide enough to show
-	// in wall-clock time too; PSD's is a few microseconds per XPE, within
-	// timing noise, so it is judged by the count alone.
-	if res.NITFCovChecks >= res.NITFNoCovChecks {
-		t.Errorf("NITF covering ran %d overlap checks >= %d without", res.NITFCovChecks, res.NITFNoCovChecks)
+	// Covering must skip the advertisement checks of some XPEs for both
+	// DTDs. On NITF, whose advertisement set is far larger, the saving is
+	// wide enough to show in wall-clock time too; PSD's is a few
+	// microseconds per XPE, within timing noise, so it is judged by the
+	// count alone.
+	if res.NITFSkipped == 0 {
+		t.Error("NITF covering skipped no XPE")
 	}
-	if res.PSDCovChecks >= res.PSDNoCovChecks {
-		t.Errorf("PSD covering ran %d overlap checks >= %d without", res.PSDCovChecks, res.PSDNoCovChecks)
+	if res.PSDSkipped == 0 {
+		t.Error("PSD covering skipped no XPE")
 	}
 	if mean(res.NITFCov) >= mean(res.NITFNoCov) {
 		t.Errorf("NITF covering %.4f >= no covering %.4f", mean(res.NITFCov), mean(res.NITFNoCov))

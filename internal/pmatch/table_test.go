@@ -216,8 +216,7 @@ func TestTableDifferential(t *testing.T) {
 }
 
 // TestWideStateEdges drives the start state, and the skip state below it,
-// past linearEdges, so step binary-searches them, through inserts and prunes
-// in random order. Every sealed version must keep its edges sorted, match
+// to 40 edges each, through inserts and prunes in random order. Every sealed version must keep its edges sorted, match
 // exactly the live expressions, and keep its answers after later writes.
 func TestWideStateEdges(t *testing.T) {
 	const width = 40
