@@ -221,7 +221,7 @@ func TestWireDecodeFreshMessageAllocs(t *testing.T) {
 // subscribe+unsubscribe pair edits the matching table along one expression's
 // path, so it must cost the same allocations on a broker holding 2,000
 // subscriptions as on one holding 200 (within 10%). A snapshot that copies
-// the PRT, the client trees, or the whole automaton per change makes
+// the PRT, the client filters, or the whole automaton per change makes
 // the large broker cost about ten times the small one. Neither may exceed
 // the pair's measured cost, controlPairCeiling: a state copy is one edge
 // array and the PRT node's hop sets are slices, not maps.

@@ -132,7 +132,7 @@ func DesExprAndAdv(adv []string, s *xpath.XPE) bool {
 	for start, end := 0, 0; start < s.Len(); start = end {
 		end = s.SegmentEnd(start)
 		seg := s.Steps[start:end]
-		if start == 0 && !s.Relative && seg[0].Axis != xpath.Descendant {
+		if start == 0 && !s.Skips(0) {
 			// Anchored first segment.
 			if !segMatchesAt(adv, seg, 0) {
 				return false
@@ -375,7 +375,7 @@ func (n *advNFA) overlaps64(s *xpath.XPE) bool {
 	subSyms := s.Syms()
 	reached := n.closure64[0]
 	for j, sym := range subSyms {
-		skip := s.Steps[j].Axis == xpath.Descendant || (j == 0 && s.Relative)
+		skip := s.Skips(j)
 		var next uint64
 		for pending := reached; pending != 0; {
 			st := bits.TrailingZeros64(pending)
@@ -427,11 +427,10 @@ func (n *advNFA) closure(set map[int]bool) map[int]bool {
 // and as the testing oracle for the paper's specialised algorithms.
 //
 // Subscription states are 0..k (number of steps consumed). Before consuming
-// a Descendant step — or at state 0 of a relative subscription — the
-// subscription may skip arbitrarily many advertisement symbols. Acceptance
-// only requires consuming all subscription steps: any advertisement state
-// can complete to a full expansion, so the remaining publication tail is
-// unconstrained.
+// a step that Skips (xpath.XPE.Skips) the subscription may skip arbitrarily
+// many advertisement symbols. Acceptance only requires consuming all
+// subscription steps: any advertisement state can complete to a full
+// expansion, so the remaining publication tail is unconstrained.
 func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 	n := a.nfa()
 	if n.closure64 != nil {
@@ -457,7 +456,7 @@ func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 		if p.sub == k {
 			return true
 		}
-		skip := s.Steps[p.sub].Axis == xpath.Descendant || (p.sub == 0 && s.Relative)
+		skip := s.Skips(p.sub)
 		for _, e := range n.edges(p.adv) {
 			targets := n.closure(map[int]bool{int(e.to): true})
 			for to := range targets {

@@ -296,7 +296,7 @@ func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
 }
 
 // freshTableStats compiles the broker's master tables in one shot — every
-// PRT node with a last hop, every client filter node — for comparison with
+// PRT node with a last hop, every client filter — for comparison with
 // the incrementally maintained table.
 func freshTableStats(b *Broker) pmatch.Stats {
 	b.mu.RLock()
@@ -307,8 +307,10 @@ func freshTableStats(b *Broker) pmatch.Stats {
 			sb.Add(n.XPE, nil)
 		}
 	})
-	for _, t := range b.clientSubs {
-		t.Walk(func(n *subtree.Node) { sb.Add(n.XPE, nil) })
+	for _, subs := range b.clientSubs {
+		for _, f := range subs {
+			sb.Add(f.xpe, nil)
+		}
 	}
 	return sb.Build().Stats()
 }
@@ -316,7 +318,7 @@ func freshTableStats(b *Broker) pmatch.Stats {
 // TestAutomatonRebuildTracksControlPlane pins the table's lifecycle: the
 // automaton is empty on an empty broker, grows with subscriptions, shrinks
 // on unsubscribe, and does not change on control messages that touch
-// neither the PRT nor a client filter tree.
+// neither the PRT nor a client's filters.
 func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 	b := New(Config{ID: "b1", UseCovering: true}, func(string, *Message) {})
 	if s := b.NFAStats(); s.Entries != 0 {

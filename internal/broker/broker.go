@@ -192,10 +192,11 @@ type Broker struct {
 
 	// PRT: the subscription tree; node Data holds *subState.
 	prt *subtree.Tree
-	// clientSubs holds each client's original subscriptions for final
-	// delivery filtering: mergers may overapproximate, and the paper's
-	// semantics require that false positives never reach clients.
-	clientSubs map[string]*subtree.Tree
+	// clientSubs holds each client's original subscriptions, by
+	// xpath.XPE.Key, for final delivery filtering: mergers may
+	// overapproximate, and the paper's semantics require that false
+	// positives never reach clients.
+	clientSubs map[string]map[string]clientFilter
 
 	// durables holds the master durable-subscription states by name;
 	// guarded by mu (the states themselves carry their own locks for the
@@ -286,7 +287,7 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		srtByID:    make(map[string]*advEntry),
 		advIndex:   make(map[string]*advert.Index),
 		prt:        subtree.New(),
-		clientSubs: make(map[string]*subtree.Tree),
+		clientSubs: make(map[string]map[string]clientFilter),
 		durables:   make(map[string]*durState),
 		durable:    cfg.Durable,
 		table:      pmatch.NewTable(),
@@ -399,9 +400,6 @@ func (b *Broker) AddClient(id string) {
 	start := time.Now()
 	b.clients[id] = true
 	b.dirty.dests = true
-	if b.clientSubs[id] == nil {
-		b.clientSubs[id] = subtree.New()
-	}
 	b.publishSnapshot(start)
 }
 

@@ -283,3 +283,38 @@ func TestUnsubscribeWithdrawsVacuousForward(t *testing.T) {
 	}
 	t.Fatal("/root entry removed entirely")
 }
+
+// TestLongSubscriptionsDoNotPanic: the wire admits expressions of up to
+// xpath.MaxSteps steps, and covering must answer for any pair of them. This
+// pair once made the exact covering check panic on the second subscribe,
+// which the transport could survive only by dropping the client's link.
+// Both subscriptions must be stored and route a path each selects, with
+// covering on and off.
+func TestLongSubscriptionsDoNotPanic(t *testing.T) {
+	first := "//*/*/*/a/*/*//a//*//a/*/a/a/a//a//*/a//*"
+	second := "/b/*/a/b/b/a/*/a/b/a/b/a/*//a/a//a/*//*"
+	path := []string{"b", "a", "a", "b", "b", "a", "a", "a", "b", "a", "b", "a", "a", "a", "a", "a", "a", "a"}
+	for _, covering := range []bool{false, true} {
+		b, cap := newTestBroker(Config{UseCovering: covering})
+		b.AddNeighbor("b2")
+		b.AddClient("c1")
+		b.HandleMessage(sub(first), "c1")
+		b.HandleMessage(sub(second), "c1")
+		if got := b.PRTSize(); got != 2 {
+			t.Errorf("covering %v: PRT holds %d subscriptions, want 2", covering, got)
+		}
+		if !xpath.MustParse(second).MatchesPathAttrs(path, nil) {
+			t.Fatalf("test path %v does not match %s", path, second)
+		}
+		b.HandleMessage(&Message{Type: MsgPublish, Pub: xmldoc.Publication{Path: path}}, "b2")
+		delivered := 0
+		for _, s := range cap.sent {
+			if s.to == "c1" && s.msg.Type == MsgPublish {
+				delivered++
+			}
+		}
+		if delivered != 1 {
+			t.Errorf("covering %v: delivered %d publications to c1, want 1", covering, delivered)
+		}
+	}
+}

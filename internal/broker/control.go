@@ -102,9 +102,7 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 	if b.clients[from] {
 		// Remember the client's original subscription for delivery
 		// filtering.
-		if cres := b.clientSubs[from].Insert(m.XPE); !cres.Duplicate {
-			b.addFilterEntry(from, cres.Node)
-		}
+		b.addFilter(from, m.XPE)
 	}
 
 	var res subtree.InsertResult
@@ -225,10 +223,7 @@ func (b *Broker) subscriptionNextHops(x *xpath.XPE, from string) []string {
 
 func (b *Broker) handleUnsubscribe(m *Message, from string) {
 	if b.clients[from] {
-		if n := b.clientSubs[from].Lookup(m.XPE); n != nil {
-			b.clientSubs[from].Remove(n)
-			b.removeFilterEntry(n)
-		}
+		b.removeFilter(from, m.XPE)
 	}
 	n := b.prt.Lookup(m.XPE)
 	if n == nil {

@@ -21,7 +21,7 @@ import (
 )
 
 // route is the payload of every matching-table entry, in destination ids:
-// a PRT node reports its last hops, a client filter-tree entry the client
+// a PRT node reports its last hops, a client filter entry the client
 // whose own subscription matched.
 type route struct {
 	hops   []int32 // PRT node: its last hops

@@ -14,7 +14,7 @@ package broker
 //
 // Mechanically, a durable subscription is a virtual client: its
 // expressions register under the reserved peer key durKey(name) in the
-// client set, the client filter trees, and the PRT, so matching and edge
+// client set, the client filters, and the PRT, so matching and edge
 // filtering need no new code — the publish filter pass finds the durable
 // hop exactly as it finds a real client, and redirects delivery through
 // durableDeliver.
@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/subtree"
 	"repro/internal/xpath"
 )
 
@@ -106,9 +105,6 @@ func (b *Broker) handleSubscribeDurable(m *Message, from string) {
 	if !b.clients[key] {
 		b.clients[key] = true
 		b.dirty.dests = true
-	}
-	if b.clientSubs[key] == nil {
-		b.clientSubs[key] = subtree.New()
 	}
 	if expr := m.XPE.String(); !d.xpes[expr] {
 		d.xpes[expr] = true
@@ -234,9 +230,6 @@ func (b *Broker) RecoverDurable() {
 		if !b.clients[key] {
 			b.clients[key] = true
 			b.dirty.dests = true
-		}
-		if b.clientSubs[key] == nil {
-			b.clientSubs[key] = subtree.New()
 		}
 		for _, expr := range st.Subs {
 			if d.xpes[expr] {

@@ -14,8 +14,10 @@ import (
 // broker with four neighbours — subscriptions forwarded to several hops,
 // covered withdrawals, a second direction, unsubscribes that uncover, and
 // periodic merge passes — and requires the emitted (hop, type, XPE)
-// sequence to be the same on every run. The PRT's hop sets are ranged in
-// hop order, so nothing here may depend on map iteration order.
+// sequence to be the same on every run, followed by the resync payload it
+// then owes each neighbour. The PRT's hop sets are ranged in hop order and
+// resync lists advertisements by ID, so nothing here may depend on map
+// iteration order.
 func TestControlOrderIsFixed(t *testing.T) {
 	d := dtd.MustParse(`
 <!ELEMENT r (s | t)*>
@@ -82,9 +84,18 @@ func TestControlOrderIsFixed(t *testing.T) {
 		for _, s := range steps {
 			b.HandleMessage(s.msg, s.from)
 		}
+		for _, nb := range neighbours {
+			b.ResyncFor(nb)
+		}
 		out := make([]string, len(cap.sent))
 		for i, s := range cap.sent {
 			out[i] = fmt.Sprintf("%s %s %s", s.to, s.msg.Type, s.msg.XPE)
+			if r := s.msg.Resync; r != nil {
+				for _, a := range r.Advs {
+					out[i] += fmt.Sprintf(" %s=%v", a.ID, a.Adv)
+				}
+				out[i] += fmt.Sprint(" ", r.Subs)
+			}
 		}
 		return out
 	}

@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/advert"
 	"repro/internal/subtree"
 	"repro/internal/xpath"
@@ -20,8 +23,9 @@ import (
 type ResyncState struct {
 	// Advs lists every (ID, advertisement) pair the sender's SRT holds with
 	// a last hop other than the receiver — the set the sender's floods would
-	// have delivered. Covered-duplicate IDs are listed with the covering
-	// entry's pattern so the receiver's own dedup state stays reachable.
+	// have delivered, sorted by ID. Covered-duplicate IDs are listed with
+	// the covering entry's pattern so the receiver's own dedup state stays
+	// reachable.
 	Advs []ResyncAdv
 	// Subs lists every PRT expression the sender has forwarded to the
 	// receiver (including forwards that were lost in flight: the sender
@@ -56,6 +60,7 @@ func (b *Broker) ResyncFor(peer string) {
 			st.Advs = append(st.Advs, ResyncAdv{ID: id, Adv: e.adv})
 		}
 	}
+	slices.SortFunc(st.Advs, func(x, y ResyncAdv) int { return strings.Compare(x.ID, y.ID) })
 	b.prt.Walk(func(n *subtree.Node) {
 		if s := stateOf(n); s != nil && s.forwardedTo.has(peer) {
 			st.Subs = append(st.Subs, n.XPE)

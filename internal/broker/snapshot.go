@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pmatch"
 	"repro/internal/subtree"
+	"repro/internal/xpath"
 )
 
 // routeSnapshot is the immutable routing state the publish data plane reads.
@@ -141,21 +142,43 @@ func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
 	}
 }
 
-// addFilterEntry enters a new client filter-tree node into the matching
-// table; its handle lives in the node's Data.
-func (b *Broker) addFilterEntry(client string, n *subtree.Node) {
-	n.Data = b.table.Add(n.XPE, &route{client: b.destID(client)})
-	b.dirty.filters = true
+// clientFilter is one of a client's original subscriptions and its entry
+// in the matching table.
+type clientFilter struct {
+	xpe   *xpath.XPE
+	entry pmatch.Handle
 }
 
-// removeFilterEntry withdraws a removed client filter-tree node.
-func (b *Broker) removeFilterEntry(n *subtree.Node) {
-	b.table.Remove(n.Data.(pmatch.Handle))
+// addFilter records a client's subscription and enters it into the
+// matching table, unless the client already holds one with the same key.
+func (b *Broker) addFilter(client string, x *xpath.XPE) {
+	subs := b.clientSubs[client]
+	if subs == nil {
+		subs = make(map[string]clientFilter)
+		b.clientSubs[client] = subs
+	}
+	if _, dup := subs[x.Key()]; !dup {
+		subs[x.Key()] = clientFilter{xpe: x, entry: b.filterEntry(client, x)}
+	}
+}
+
+// removeFilter withdraws a client's subscription and its table entry.
+func (b *Broker) removeFilter(client string, x *xpath.XPE) {
+	if f, ok := b.clientSubs[client][x.Key()]; ok {
+		delete(b.clientSubs[client], x.Key())
+		b.table.Remove(f.entry)
+		b.dirty.filters = true
+	}
+}
+
+// filterEntry enters a client filter into the matching table.
+func (b *Broker) filterEntry(client string, x *xpath.XPE) pmatch.Handle {
 	b.dirty.filters = true
+	return b.table.Add(x, &route{client: b.destID(client)})
 }
 
 // reseedTable refills the matching table from the master PRT and client
-// trees. A merge pass rewrites arbitrary sibling groups and is O(table)
+// filters. A merge pass rewrites arbitrary sibling groups and is O(table)
 // already, so it re-seeds rather than tracking each merged source.
 func (b *Broker) reseedTable() {
 	b.table.Reset()
@@ -165,8 +188,11 @@ func (b *Broker) reseedTable() {
 			b.syncEntry(n, st)
 		}
 	})
-	for id, t := range b.clientSubs {
-		t.Walk(func(n *subtree.Node) { b.addFilterEntry(id, n) })
+	for id, subs := range b.clientSubs {
+		for k, f := range subs {
+			f.entry = b.filterEntry(id, f.xpe)
+			subs[k] = f
+		}
 	}
 }
 

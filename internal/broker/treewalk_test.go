@@ -24,10 +24,10 @@ type routeVerdict struct {
 // treeWalkRoute is the reference router the shared automaton is held to:
 // the paper's covering-pruned walk of the master PRT, where every matched
 // node contributes its last hops except from, followed by the edge filter,
-// which passes a client hop only when the client's own filter tree matches
-// some path of the publication. Both walk the publication's decomposed
-// sym-paths. It reads the master tables under the shared lock, so control
-// messages cannot interleave.
+// which passes a client hop only when one of the client's own
+// subscriptions selects some path of the publication. Both walk the
+// publication's decomposed sym-paths. It reads the master tables under the
+// shared lock, so control messages cannot interleave.
 func treeWalkRoute(t *testing.T, b *Broker, m *Message, from string) routeVerdict {
 	t.Helper()
 	paths, attrs := decompose(t, m)
@@ -79,10 +79,13 @@ func decompose(t *testing.T, m *Message) ([][]symtab.Sym, [][]map[string]string)
 	return [][]symtab.Sym{path}, [][]map[string]string{m.Pub.Attrs}
 }
 
-func anyPathMatches(tree *subtree.Tree, paths [][]symtab.Sym, attrs [][]map[string]string) bool {
+func anyPathMatches(subs map[string]clientFilter, paths [][]symtab.Sym, attrs [][]map[string]string) bool {
 	for i, path := range paths {
-		if oracle.Any(tree, selects(path, attrs[i])) {
-			return true
+		match := selects(path, attrs[i])
+		for _, f := range subs {
+			if match(f.xpe) {
+				return true
+			}
 		}
 	}
 	return false

@@ -194,8 +194,8 @@ func DesCov(s1, s2 *xpath.XPE) bool {
 	// anchored: the first segment of an absolute s1 must align at the very
 	// start of an absolute s2's first segment. Segments are walked as step
 	// ranges (xpath.XPE.SegmentEnd), so the procedure does not allocate.
-	anchored := !s1.Relative && s1.Steps[0].Axis != xpath.Descendant
-	if anchored && s2.Steps[0].Axis == xpath.Descendant {
+	anchored := !s1.Skips(0)
+	if anchored && s2.Skips(0) {
 		// s2 may start arbitrarily deep; an anchored s1 cannot cover it.
 		return false
 	}

@@ -9,6 +9,12 @@ import (
 
 func xp(s string) *xpath.XPE { return xpath.MustParse(s) }
 
+// longA and longB are longer than CoversExact's masks hold.
+const (
+	longA = "//*/*/*/a/*/*//a//*//a/*/a/a/a//a//*/a//*"
+	longB = "/b/*/a/b/b/a/*/a/b/a/b/a/*//a/a//a/*//*"
+)
+
 func TestAbsSimCov(t *testing.T) {
 	tests := []struct {
 		s1, s2 string
@@ -68,6 +74,14 @@ func TestCoversDispatch(t *testing.T) {
 		{"/a//b//c", "/a//c", false},
 		{"*", "/a", true},
 		{"*", "anything", true},
+		// Past CoversExact's masks (the wire admits up to xpath.MaxSteps
+		// steps). This pair once made Covers panic when DesCov missed;
+		// neither covers the other (the first needs an "a" after its
+		// "a/*/a/a/a", which the second's shortest paths lack, and the
+		// second needs a leading "b"). DesCov still settles what it can.
+		{longA, longB, false},
+		{longB, longA, false},
+		{longA, longA, true},
 	}
 	for _, tt := range tests {
 		if got := Covers(xp(tt.s1), xp(tt.s2)); got != tt.want {
@@ -125,6 +139,7 @@ func TestCoversExact(t *testing.T) {
 		{"b//d", "/a/b/c/d", true},
 		{"b//d", "/a/b/d", true},
 		{"b//d", "/a/d/b", false},
+		{longA, longA, false}, // past the masks: reported as not covering
 	}
 	for _, tt := range tests {
 		if got := CoversExact(xp(tt.s1), xp(tt.s2)); got != tt.want {

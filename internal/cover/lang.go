@@ -14,17 +14,18 @@ import (
 // exists). Containment over the infinite element alphabet reduces to
 // containment over the names occurring in either expression plus one fresh
 // symbol, because the expressions can only test equality against their own
-// names. Both expressions are at most a dozen steps, so the subset-product
-// search is trivially small.
+// names. Routing workloads keep expressions to about a dozen steps, so the
+// subset-product search is trivially small.
+//
+// The masks and the alphabet are sized for expressions of up to
+// maxExactSteps steps. A longer one, which the wire admits up to
+// xpath.MaxSteps, is reported as not covered: missing a covering relation
+// is always safe (see Covers).
 func CoversExact(s1, s2 *xpath.XPE) bool {
-	if s1.Len() == 0 || s2.Len() == 0 {
+	if s1.Len() == 0 || s2.Len() == 0 || s1.Len() > maxExactSteps || s2.Len() > maxExactSteps {
 		return false
 	}
-	if s1.Len() > 16 || s2.Len() > 16 {
-		// Masks are uint32; routing workloads cap expression length at 10.
-		panic("cover: expression too long for exact containment check")
-	}
-	var alphabet [34]string
+	var alphabet [2*maxExactSteps + 1]string
 	names := collectNames(s1, s2, alphabet[:0])
 	a1, a2 := compileMasks(s1, names), compileMasks(s2, names)
 	accept1 := uint32(1) << uint(s1.Len())
@@ -92,6 +93,11 @@ func (s *prodSet) add(k uint64) bool {
 	return true
 }
 
+// maxExactSteps bounds the expressions CoversExact decides: each mask has a
+// bit per step plus the accept bit, and the alphabet holds both
+// expressions' names and freshName.
+const maxExactSteps = 16
+
 // freshName is an element name guaranteed not to occur in any expression
 // (parsers reject it), standing in for "every other element".
 const freshName = "\x00fresh"
@@ -125,7 +131,7 @@ type maskAutomaton struct {
 	stay uint32
 	// adv[j] holds the states i < Len(s) whose step test admits alphabet
 	// symbol j; reading j moves each to i+1.
-	adv [34]uint32
+	adv [2*maxExactSteps + 1]uint32
 }
 
 // compileMasks tabulates s's automaton over names, once per CoversExact
@@ -133,7 +139,7 @@ type maskAutomaton struct {
 func compileMasks(s *xpath.XPE, names []string) maskAutomaton {
 	a := maskAutomaton{stay: 1 << uint(s.Len())}
 	for i, st := range s.Steps {
-		if st.Axis == xpath.Descendant || (i == 0 && s.Relative) {
+		if s.Skips(i) {
 			a.stay |= 1 << uint(i)
 		}
 		for j, name := range names {

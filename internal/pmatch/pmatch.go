@@ -377,14 +377,8 @@ func (t *Table) reach(x *xpath.XPE) *state {
 	cur := t.root
 	t.path = append(t.path[:0], pathStep{s: cur})
 	syms := x.Syms()
-	for i, st := range x.Steps {
-		axis := st.Axis
-		if i == 0 && x.Relative {
-			// A relative expression may begin at any position: same
-			// language as a leading "//" step.
-			axis = xpath.Descendant
-		}
-		if axis == xpath.Descendant {
+	for i := range x.Steps {
+		if x.Skips(i) {
 			d := cur.dslash
 			if d == nil {
 				d = t.newState(true)

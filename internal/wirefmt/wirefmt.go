@@ -50,6 +50,8 @@ package wirefmt
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/xpath"
 )
 
 // Frame kinds (first payload byte of every frame).
@@ -72,16 +74,16 @@ const (
 // MaxPath, so a document's deepest path publication is accepted alike
 // (TestDeepestDocumentAgreesAcrossForms).
 const (
-	MaxSteps     = 64      // location steps per subscription
-	MaxName      = 256     // bytes per element name, attribute, or ID
-	MaxPath      = 256     // elements per publication path
-	MaxAdvItems  = 256     // advertisement items, groups included
-	MaxAdvDepth  = 8       // advertisement group nesting
-	MaxResync    = 1 << 16 // entries per resync list
-	MaxHops      = 1024    // carried trace hops
-	MaxRawDoc    = 1 << 20 // bytes per raw-XML publication body
-	MaxHopStages = 16      // per-stage durations per carried hop
-	MaxStageName = 32      // bytes per stage name
+	MaxSteps     = xpath.MaxSteps // location steps per subscription
+	MaxName      = 256            // bytes per element name, attribute, or ID
+	MaxPath      = 256            // elements per publication path
+	MaxAdvItems  = 256            // advertisement items, groups included
+	MaxAdvDepth  = 8              // advertisement group nesting
+	MaxResync    = 1 << 16        // entries per resync list
+	MaxHops      = 1024           // carried trace hops
+	MaxRawDoc    = 1 << 20        // bytes per raw-XML publication body
+	MaxHopStages = 16             // per-stage durations per carried hop
+	MaxStageName = 32             // bytes per stage name
 
 	// MaxStageNanos caps a carried stage duration at one hour: durations
 	// are measured monotonic timings, so a larger (or negative) value can

@@ -16,9 +16,9 @@ import (
 // fuzzed one, the expression's own names, and those with strangers mixed
 // in, each under attribute sets that satisfy the expression's predicates on
 // the elements mask selects and contradict them on the rest — and checks
-// MatchesSymPath, MatchesSymPathAttrs and both engines forced in turn.
-// The test lives in package xpath_test, not internal/oracle, because
-// forcing an engine needs the unexported evaluator (export_test.go).
+// MatchesSymPath and MatchesSymPathAttrs, with and without attributes.
+// Expressions run up to MaxSteps steps: the evaluator's cost is linear in
+// the path whatever the number of "//" steps.
 func FuzzEvaluatorAgreesWithReference(f *testing.F) {
 	for _, seed := range []struct {
 		expr, path string
@@ -37,12 +37,12 @@ func FuzzEvaluatorAgreesWithReference(f *testing.F) {
 		f.Add(seed.expr, seed.path, seed.mask)
 	}
 	f.Fuzz(func(t *testing.T, src, pathStr string, mask uint16) {
-		if len(src) > 80 {
+		if len(src) > 4*xpath.MaxSteps {
 			return
 		}
 		x, err := xpath.Parse(src)
-		if err != nil || x.Len() > 10 {
-			return // the forced recursion is exponential in "//" steps
+		if err != nil || x.Len() > xpath.MaxSteps {
+			return
 		}
 		var fuzzed []string
 		for _, el := range strings.Split(pathStr, "/") {
@@ -81,15 +81,6 @@ func FuzzEvaluatorAgreesWithReference(f *testing.F) {
 					attrs[i] = good
 				}
 			}
-			for _, preds := range []bool{false, true} {
-				want := oracle.Selects(x, path, attrs, preds)
-				for _, memo := range []bool{false, true} {
-					if got := x.MatchesWith(memo, sp, attrs, preds); got != want {
-						t.Fatalf("%s on %v %v (preds %v, table %v): evaluator %v, reference %v",
-							x, path, attrs, preds, memo, got, want)
-					}
-				}
-			}
 			if got, want := x.MatchesSymPath(sp), oracle.Selects(x, path, nil, false); got != want {
 				t.Fatalf("%s on %v: MatchesSymPath %v, reference %v", x, path, got, want)
 			}
@@ -105,9 +96,8 @@ func FuzzEvaluatorAgreesWithReference(f *testing.F) {
 
 // TestMatchTableAgreesWithRecursion draws 5,000 random expressions and
 // annotated paths over a small alphabet, so that names, wildcards, axes and
-// predicates collide often, and holds each engine forced in turn, the
-// public entry points (which pick the engine by needsMemo) and the string
-// adapter to oracle.Selects, with and without predicates.
+// predicates collide often, and holds the public entry points and the
+// string adapter to oracle.Selects, with and without predicates.
 func TestMatchTableAgreesWithRecursion(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	names := []string{"a", "b", "c", xpath.Wildcard}
@@ -139,15 +129,6 @@ func TestMatchTableAgreesWithRecursion(t *testing.T) {
 		}
 		x := xpath.New(relative, steps...)
 		sp := symtab.InternPath(path)
-		for _, preds := range []bool{false, true} {
-			want := oracle.Selects(x, path, attrs, preds)
-			for _, memo := range []bool{false, true} {
-				if got := x.MatchesWith(memo, sp, attrs, preds); got != want {
-					t.Fatalf("trial %d: %s on %v %v (preds %v, table %v): evaluator %v, reference %v",
-						trial, x, path, attrs, preds, memo, got, want)
-				}
-			}
-		}
 		if got, want := x.MatchesSymPath(sp), oracle.Selects(x, path, nil, false); got != want {
 			t.Fatalf("trial %d: %s on %v: MatchesSymPath %v, reference %v", trial, x, path, got, want)
 		}

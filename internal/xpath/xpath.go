@@ -50,6 +50,11 @@ type Step struct {
 	Preds string
 }
 
+// MaxSteps bounds an expression's location steps. Parse and Validate reject
+// longer expressions, the wire codec caps decoded ones at the same bound,
+// and the evaluator keeps one bit per step in a machine word.
+const MaxSteps = 64
+
 // IsWildcard reports whether the step's name test matches any element.
 func (s Step) IsWildcard() bool { return s.Name == Wildcard }
 
@@ -94,6 +99,16 @@ func (x *XPE) IsSimple() bool {
 		}
 	}
 	return true
+}
+
+// Skips reports whether step i may be preceded by skipped path elements:
+// a "//" step, or the first step of a relative expression, which may start
+// anywhere on the path. In every position automaton built from an
+// expression (the evaluator, the matching table, the advertisement overlap
+// search and the covering check) such a step's state persists across any
+// element.
+func (x *XPE) Skips(i int) bool {
+	return x.Steps[i].Axis == Descendant || (i == 0 && x.Relative)
 }
 
 // HasWildcard reports whether any step's name test is the wildcard.
@@ -202,8 +217,9 @@ func (x *XPE) SegmentEnd(start int) int {
 
 // Parse parses an XPath expression of the supported fragment. It accepts
 // absolute expressions ("/a/*//b", "//a"), and relative expressions ("a/b",
-// "*/c//d"). It rejects empty expressions, empty steps, and names containing
-// characters outside the NCName-like set [A-Za-z0-9._:-].
+// "*/c//d"). It rejects empty expressions, empty steps, names containing
+// characters outside the NCName-like set [A-Za-z0-9._:-], and expressions
+// of more than MaxSteps steps.
 func Parse(input string) (*XPE, error) {
 	if input == "" {
 		return nil, fmt.Errorf("xpath: empty expression")
@@ -234,6 +250,9 @@ func Parse(input string) (*XPE, error) {
 			return nil, fmt.Errorf("xpath: %q: %w", input, err)
 		}
 		i = next
+		if len(x.Steps) == MaxSteps {
+			return nil, fmt.Errorf("xpath: %q: more than %d steps", input, MaxSteps)
+		}
 		x.Steps = append(x.Steps, Step{Axis: axis, Name: name, Preds: EncodePreds(preds)})
 		if i == len(input) {
 			break
@@ -266,12 +285,16 @@ func MustParse(input string) *XPE {
 // Validate re-checks the structural invariants Parse guarantees, for
 // expressions that arrived by other means: wire decoding hands the routing
 // layer arbitrary Steps that never went through the parser. It rejects
-// empty expressions, unknown axes, invalid name tests, malformed predicate
-// encodings, and a relative expression whose first step is not a Child step
-// (Parse never produces one, and the matchers assume it).
+// empty expressions, expressions of more than MaxSteps steps, unknown axes,
+// invalid name tests, malformed predicate encodings, and a relative
+// expression whose first step is not a Child step (Parse never produces
+// one, and the matchers assume it).
 func (x *XPE) Validate() error {
 	if len(x.Steps) == 0 {
 		return fmt.Errorf("xpath: no steps")
+	}
+	if len(x.Steps) > MaxSteps {
+		return fmt.Errorf("xpath: %d steps exceed %d", len(x.Steps), MaxSteps)
 	}
 	if x.Relative && x.Steps[0].Axis != Child {
 		return fmt.Errorf("xpath: relative expression with leading descendant step")
