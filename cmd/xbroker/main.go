@@ -54,7 +54,6 @@ func main() {
 		deadAfter    = flag.Duration("dead-after", 0, "silence after which a neighbour link is declared dead (default 3x heartbeat)")
 		reconnectMin = flag.Duration("reconnect-min", 0, "initial reconnect backoff for lost neighbour links (default 50ms)")
 		reconnectMax = flag.Duration("reconnect-max", 0, "reconnect backoff ceiling (default 2s)")
-		retryBuffer  = flag.Int("retry-buffer", 0, "control messages buffered per neighbour across outages (default 1024)")
 		dialBudget   = flag.Int("dial-budget", 0, "consecutive failed dials before a link goes dormant until new control traffic (0 = unlimited)")
 
 		durableDir    = flag.String("durable-dir", "", "publication-log directory for durable subscriptions (empty disables durability)")
@@ -122,7 +121,6 @@ func main() {
 		DeadAfter:      *deadAfter,
 		ReconnectMin:   *reconnectMin,
 		ReconnectMax:   *reconnectMax,
-		RetryBuffer:    *retryBuffer,
 		DialBudget:     *dialBudget,
 		FlushInterval:  *flushInterval,
 		MaxBatchBytes:  *maxBatchBytes,

@@ -38,7 +38,6 @@ type linkInfo struct {
 	Peer       string  `json:"peer"`
 	Up         bool    `json:"up"`
 	QueueDepth int     `json:"queue_depth"`
-	Buffered   int     `json:"buffered"`
 	TxBytes    int64   `json:"tx_bytes"`
 	BatchP50   float64 `json:"batch_p50"`
 }

@@ -25,7 +25,18 @@ import (
 // is the resync protocol (broker.ResyncFor anti-entropy on heal/restart)
 // plus client replay of recorded control messages; this test pins that the
 // combination converges, for every strategy and many seeds.
+//
+// The bytes subtest charges every frame the bytes its link's encoder writes
+// (Bandwidth > 0) and also detaches and reattaches the subscribers, so the
+// per-link encoder resets on heal, restart and reattach run under faults.
 func TestChaosEquivalence(t *testing.T) {
+	t.Run("latency", func(t *testing.T) { chaosEquivalence(t, 0) })
+	t.Run("bytes", func(t *testing.T) { chaosEquivalence(t, 1e6, "sub0", "sub1", "sub2", "sub3") })
+}
+
+// chaosEquivalence runs the seeded plans at the given link bandwidth (0 for
+// none); detach names clients the plans may also detach and reattach.
+func chaosEquivalence(t *testing.T, bandwidth float64, detach ...string) {
 	chaosDTD := dtd.MustParse(`
 <!ELEMENT root (sec+)>
 <!ELEMENT sec (head?, (par | sec | list)*)>
@@ -56,15 +67,20 @@ func TestChaosEquivalence(t *testing.T) {
 		trials, plansPerTrial = 2, 2
 	}
 
-	var totalDrops int64
+	var totalDrops, detaches int64
 	for trial := 0; trial < trials; trial++ {
 		ops, docs := chaosWorkload(chaosDTD, int64(trial))
 		for si, s := range strategies {
-			oracle := runChaosWorkload(t, s.cfg, ops, docs, nil)
+			oracle := runChaosWorkload(t, s.cfg, bandwidth, ops, docs, nil)
 			for ps := 0; ps < plansPerTrial; ps++ {
 				seed := int64(1000*trial + 10*si + ps)
-				plan := chaosPlan(seed)
-				got := runChaosWorkload(t, s.cfg, ops, docs, plan)
+				plan := chaosPlan(seed, detach...)
+				for _, e := range plan.Events {
+					if e.Kind == faultinject.KindCrash && strings.HasPrefix(e.A, "sub") {
+						detaches++
+					}
+				}
+				got := runChaosWorkload(t, s.cfg, bandwidth, ops, docs, plan)
 				totalDrops += got.drops
 				if got.deliveries != oracle.deliveries {
 					t.Fatalf("trial %d strategy %d: delivered sets diverge after heal\n%s\noracle:\n%s\nchaos:\n%s\noracle tables:\n%s\nchaos tables:\n%s",
@@ -82,15 +98,20 @@ func TestChaosEquivalence(t *testing.T) {
 	if totalDrops == 0 {
 		t.Fatal("no frames were dropped by any fault plan — the chaos schedules exercised nothing")
 	}
+	if len(detach) > 0 && detaches == 0 {
+		t.Fatal("no fault plan detached a client")
+	}
 }
 
 // chaosPlan builds the fault schedule for one run: partitions over the
-// 7-broker tree's links plus crash/restart of any broker.
-func chaosPlan(seed int64) *faultinject.Plan {
-	brokers := make([]string, 0, 7)
+// 7-broker tree's links plus crash/restart of any broker, and detach and
+// reattach of the named clients.
+func chaosPlan(seed int64, clients ...string) *faultinject.Plan {
+	brokers := make([]string, 0, 7+len(clients))
 	for i := 1; i <= 7; i++ {
 		brokers = append(brokers, fmt.Sprintf("b%d", i))
 	}
+	brokers = append(brokers, clients...)
 	p := faultinject.New(seed, faultinject.Options{
 		Links: [][2]string{
 			{"b1", "b2"}, {"b1", "b3"}, {"b2", "b4"}, {"b2", "b5"}, {"b3", "b6"}, {"b3", "b7"},
@@ -149,9 +170,10 @@ type chaosResult struct {
 // clock past the plan horizon so every fault heals and resync completes,
 // and finally publishes. Publications flow through the healed overlay only;
 // what chaos must not corrupt is the control state they are routed by.
-func runChaosWorkload(t *testing.T, cfg broker.Config, ops []chaosOp, docs []*xmldoc.Document, plan *faultinject.Plan) chaosResult {
+func runChaosWorkload(t *testing.T, cfg broker.Config, bandwidth float64, ops []chaosOp, docs []*xmldoc.Document, plan *faultinject.Plan) chaosResult {
 	t.Helper()
 	net := NewNetwork(1)
+	net.Bandwidth = bandwidth
 	leaves := BuildCompleteBinaryTree(net, 3, ConfigTemplate(cfg))
 	pub := net.AddClient("pub", "b2")
 	if cfg.UseAdvertisements {

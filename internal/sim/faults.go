@@ -54,6 +54,7 @@ func (n *Network) applyFault(e *faultinject.Event) {
 		n.partitioned[linkKey(e.A, e.B)] = true
 	case faultinject.KindHeal:
 		delete(n.partitioned, linkKey(e.A, e.B))
+		n.reconnect(e.A, e.B)
 		// Both ends replay their owed control state, like the transport
 		// after a successful reconnect. A still-crashed end resyncs when it
 		// restarts instead.
@@ -94,6 +95,7 @@ func (n *Network) restartBroker(id string) {
 	}
 	fresh := n.newBrokerInstance(cfg)
 	n.brokers[id] = fresh
+	n.reconnect(id, "")
 
 	neighbors := make([]string, 0, len(n.adj[id]))
 	for nb := range n.adj[id] {
@@ -121,14 +123,7 @@ func (n *Network) restartBroker(id string) {
 		n.invoke(id, func(b *broker.Broker) { b.ResyncFor(nb) })
 	}
 	for _, c := range clients {
-		for _, m := range c.record {
-			n.push(&event{
-				at:   n.now + n.Latency.Latency(c.ID, c.Broker, n.rand) + n.transfer(m),
-				from: c.ID,
-				to:   c.Broker,
-				msg:  m,
-			})
-		}
+		c.replay()
 	}
 }
 
@@ -143,13 +138,14 @@ func (c *Client) Detach() { c.detached = true }
 func (c *Client) Reattach() {
 	c.detached = false
 	c.replaying = false
-	for _, m := range c.record {
-		c.net.push(&event{
-			at:   c.net.now + c.net.Latency.Latency(c.ID, c.Broker, c.net.rand) + c.net.transfer(m),
-			from: c.ID,
-			to:   c.Broker,
-			msg:  m,
-		})
+	c.net.reconnect(c.ID, c.Broker)
+	c.replay()
+}
+
+// replay re-sends the client's recorded control messages to its edge broker.
+func (c *Client) replay() {
+	for _, m := range c.Messages() {
+		c.net.send(c.ID, c.Broker, m, 0)
 	}
 }
 
@@ -178,15 +174,7 @@ func (n *Network) invoke(id string, fn func(*broker.Broker)) {
 	}
 	n.outbox = n.outbox[:0]
 	fn(b)
-	for _, om := range n.outbox {
-		n.push(&event{
-			at:   n.now + n.Latency.Latency(id, om.to, n.rand) + n.transfer(om.msg),
-			from: id,
-			to:   om.to,
-			msg:  om.msg,
-		})
-	}
-	n.outbox = n.outbox[:0]
+	n.flushOutbox(id, 0)
 }
 
 // RunFor processes events until the queue drains or the virtual clock would

@@ -11,6 +11,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -37,21 +38,18 @@ type Client struct {
 	ID     string
 	Broker string
 
-	// Durable, when set, names a durable subscription on the edge broker:
+	// ClientRecord holds the client's live control messages — what the
+	// TCP client's reconnect replays, and what the simulator re-sends when
+	// the client reattaches or its edge broker restarts. Its Durable field,
+	// when set, names a durable subscription on the edge broker:
 	// Subscribe/Send convert plain subscriptions to durable registrations
-	// under that name, and deliveries carry sequence numbers. AutoAck
-	// acknowledges each delivery as it arrives.
-	Durable string
+	// under that name, and deliveries carry sequence numbers.
+	broker.ClientRecord
+	// AutoAck acknowledges each durable delivery as it arrives.
 	AutoAck bool
 
 	// Deliveries accumulates received publications.
 	Deliveries []Delivery
-
-	// record holds the client's live control messages (subscriptions and
-	// advertisements, with withdrawals removed) — what a real client's
-	// reconnect logic replays. When the edge broker restarts after a crash,
-	// the simulator re-enqueues the record.
-	record []*broker.Message
 
 	// detached marks a client whose connection is severed: frames addressed
 	// to it are lost like any partitioned link's. replaying tracks whether
@@ -95,9 +93,10 @@ type Network struct {
 	// MeasureCompute adds each broker's real message-handling CPU time to
 	// the virtual clock, so delays reflect routing-table work.
 	MeasureCompute bool
-	// Bandwidth, when positive, adds a serialisation delay of
-	// wire-size/Bandwidth (bytes per second) per hop, which is how document
-	// size reaches the notification delay.
+	// Bandwidth, when positive, adds a serialisation delay per hop: the
+	// bytes the link's wirefmt encoder writes for the message, divided by
+	// Bandwidth (bytes per second). That is how document size reaches the
+	// notification delay.
 	Bandwidth float64
 
 	// DurableReopen, when set, reopens a restarted broker's durable store
@@ -112,6 +111,18 @@ type Network struct {
 	brokerReceived map[broker.MsgType]int64
 
 	outbox []outMsg // sends buffered during the current handler call
+
+	// links holds the state of every directed link that has carried a
+	// frame while Bandwidth is positive.
+	links map[[2]string]*linkState
+}
+
+// linkState is one directed link's wire state: the encoder whose output is
+// charged as transfer delay, and the arrival time of the link's latest
+// frame. A TCP stream delivers in order, so no frame arrives before it.
+type linkState struct {
+	enc  *wirefmt.Encoder
+	last time.Duration
 }
 
 type outMsg struct {
@@ -162,6 +173,7 @@ func NewNetwork(seed int64) *Network {
 		adj:            make(map[string]map[string]bool),
 		partitioned:    make(map[string]bool),
 		down:           make(map[string]bool),
+		links:          make(map[[2]string]*linkState),
 	}
 }
 
@@ -243,46 +255,34 @@ func (n *Network) enqueueFromClient(c *Client, m *broker.Message) {
 	if m.Type == broker.MsgPublish && m.Stamp == 0 {
 		m.Stamp = int64(n.now)
 	}
-	// A durable client's subscriptions register under its durable name —
-	// converted before recording, so a broker-restart replay re-sends the
-	// durable registration (which doubles as reattach).
-	if c.Durable != "" && m.Type == broker.MsgSubscribe {
-		m.Type = broker.MsgSubscribeDurable
-		m.Durable = c.Durable
-	}
-	c.recordControl(m)
-	n.push(&event{
-		at:   n.now + n.Latency.Latency(c.ID, c.Broker, n.rand) + n.transfer(m),
-		from: c.ID,
-		to:   c.Broker,
-		msg:  m,
-	})
+	c.Prepare(m)
+	c.Note(m)
+	n.send(c.ID, c.Broker, m, 0)
 }
 
-// recordControl maintains the client's replayable control state: withdrawals
-// cancel the matching prior message instead of being recorded themselves.
-func (c *Client) recordControl(m *broker.Message) {
-	switch m.Type {
-	case broker.MsgSubscribe, broker.MsgAdvertise, broker.MsgSubscribeDurable:
-		c.record = append(c.record, m)
-	case broker.MsgUnsubscribe:
-		c.dropRecord(func(r *broker.Message) bool {
-			return r.Type == broker.MsgSubscribe && r.XPE.Key() == m.XPE.Key()
-		})
-	case broker.MsgUnadvertise:
-		c.dropRecord(func(r *broker.Message) bool {
-			return r.Type == broker.MsgAdvertise && r.AdvID == m.AdvID
-		})
-	}
-}
-
-func (c *Client) dropRecord(match func(*broker.Message) bool) {
-	for i, r := range c.record {
-		if match(r) {
-			c.record = append(c.record[:i], c.record[i+1:]...)
-			return
+// send schedules a frame on the directed link from→to. It arrives after
+// the sender's processing time proc, the link latency and the transfer
+// delay — the one place every frame's arrival time is computed.
+func (n *Network) send(from, to string, m *broker.Message, proc time.Duration) {
+	at := n.now + proc + n.Latency.Latency(from, to, n.rand)
+	if n.Bandwidth > 0 {
+		l := n.link(from, to)
+		at += n.transfer(l, m)
+		if at < l.last {
+			at = l.last
 		}
+		l.last = at
 	}
+	n.push(&event{at: at, from: from, to: to, msg: m})
+}
+
+// flushOutbox schedules every message the broker from emitted during the
+// handler call that just ended, proc after now.
+func (n *Network) flushOutbox(from string, proc time.Duration) {
+	for _, om := range n.outbox {
+		n.send(from, om.to, om.msg, proc)
+	}
+	n.outbox = n.outbox[:0]
 }
 
 func (n *Network) push(e *event) {
@@ -330,15 +330,7 @@ func (n *Network) step() int {
 		} else {
 			b.HandleMessage(e.msg, e.from)
 		}
-		for _, om := range n.outbox {
-			n.push(&event{
-				at:   n.now + proc + n.Latency.Latency(e.to, om.to, n.rand) + n.transfer(om.msg),
-				from: e.to,
-				to:   om.to,
-				msg:  om.msg,
-			})
-		}
-		n.outbox = n.outbox[:0]
+		n.flushOutbox(e.to, proc)
 		return 1
 	}
 	if c := n.clients[e.to]; c != nil {
@@ -358,12 +350,7 @@ func (n *Network) step() int {
 			}
 			c.Deliveries = append(c.Deliveries, d)
 			if c.AutoAck && e.msg.Durable != "" {
-				n.push(&event{
-					at:   n.now + n.Latency.Latency(c.ID, c.Broker, n.rand),
-					from: c.ID,
-					to:   c.Broker,
-					msg:  &broker.Message{Type: broker.MsgAck, Durable: e.msg.Durable, Seq: e.msg.Seq},
-				})
+				n.send(c.ID, c.Broker, &broker.Message{Type: broker.MsgAck, Durable: e.msg.Durable, Seq: e.msg.Seq}, 0)
 			}
 		case broker.MsgReplayBegin:
 			c.replaying = true
@@ -375,14 +362,46 @@ func (n *Network) step() int {
 	panic(fmt.Sprintf("sim: event for unknown peer %s", e.to))
 }
 
-// transfer returns the serialisation delay for a message on a link, sized
-// with the binary wire codec's analytic estimator so simulated bandwidth
-// costs track what the real transport puts on a warm-dictionary link.
-func (n *Network) transfer(m *broker.Message) time.Duration {
-	if n.Bandwidth <= 0 {
-		return 0
+// link returns the state of the directed link from→to. A link without an
+// encoder gets a fresh one: the empty dictionary of a new connection.
+func (n *Network) link(from, to string) *linkState {
+	k := [2]string{from, to}
+	l := n.links[k]
+	if l == nil {
+		l = &linkState{}
+		n.links[k] = l
 	}
-	return time.Duration(float64(wirefmt.EstimateSize(m)) / n.Bandwidth * float64(time.Second))
+	if l.enc == nil {
+		l.enc = wirefmt.NewEncoder(io.Discard, wirefmt.DefaultLimits)
+	}
+	return l
+}
+
+// transfer returns the serialisation delay of m on link l: the bytes l's
+// encoder writes for it — dictionary extension included — divided by
+// Bandwidth.
+func (n *Network) transfer(l *linkState, m *broker.Message) time.Duration {
+	if err := l.enc.Queue(m); err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+	b, err := l.enc.Flush()
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+	return time.Duration(float64(b) / n.Bandwidth * float64(time.Second))
+}
+
+// reconnect drops the encoder of every directed link between a and b
+// (b == "" means every link touching a): the next frame opens a new
+// connection, whose dictionary starts empty. Arrival order is kept, so no
+// frame overtakes one still in flight.
+func (n *Network) reconnect(a, b string) {
+	joins := func(x, y string) bool { return x == a && (b == "" || y == b) }
+	for k, l := range n.links {
+		if joins(k[0], k[1]) || joins(k[1], k[0]) {
+			l.enc = nil
+		}
+	}
 }
 
 // BrokerReceived returns how many messages of each type brokers received —

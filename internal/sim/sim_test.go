@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/faultinject"
 	"repro/internal/wirefmt"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -329,22 +331,54 @@ func TestLatencyModels(t *testing.T) {
 	}
 }
 
+// The transfer delay is what the link's encoder writes, divided by the
+// bandwidth: a link's first frame carries its dictionary, a repeat reuses
+// it, and a healed link starts over with an empty one.
 func TestTransferDelay(t *testing.T) {
 	n := NewNetwork(1)
 	n.Bandwidth = 1e6 // 1 MB/s
+	n.AddBroker(broker.Config{ID: "b1"})
+	n.AddBroker(broker.Config{ID: "b2"})
+	n.Connect("b1", "b2")
+	delay := func(bytes int) time.Duration {
+		return time.Duration(float64(bytes) / 1e6 * float64(time.Second))
+	}
+	// encoded returns the bytes a fresh encoder writes for each message in
+	// turn.
+	encoded := func(ms ...*broker.Message) []int {
+		var buf bytes.Buffer
+		enc := wirefmt.NewEncoder(&buf, wirefmt.DefaultLimits)
+		out := make([]int, len(ms))
+		for i, m := range ms {
+			buf.Reset()
+			if err := enc.Encode(m); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = buf.Len()
+		}
+		return out
+	}
+
 	raw := []byte(`<a><b>` + strings.Repeat("x", 10000) + `</b></a>`)
-	m := &broker.Message{Type: broker.MsgPublish, Raw: raw}
-	got := n.transfer(m)
-	want := time.Duration(float64(wirefmt.EstimateSize(m)) / 1e6 * float64(time.Second))
-	if got != want {
-		t.Errorf("transfer = %v, want %v", got, want)
+	doc := &broker.Message{Type: broker.MsgPublish, Raw: raw}
+	if got, want := n.transfer(n.link("b1", "b2"), doc), delay(encoded(doc)[0]); got != want {
+		t.Errorf("raw document: transfer = %v, want %v (fresh encoder bytes)", got, want)
 	}
-	// The wire estimate must stay anchored to the document's actual bulk —
-	// the 10KB of character data dominates whatever framing the codec adds.
-	if min := time.Duration(float64(len(raw)) / 1e6 * float64(time.Second)); got < min/2 || got > 2*min {
-		t.Errorf("transfer = %v, not within 2x of the %v raw-size delay", got, min)
+
+	sub := subMsg("/nitf/head/title")
+	sizes := encoded(sub, sub)
+	cold := n.transfer(n.link("b2", "b1"), sub)
+	warm := n.transfer(n.link("b2", "b1"), sub)
+	if cold != delay(sizes[0]) || warm != delay(sizes[1]) {
+		t.Errorf("subscription: transfer %v then %v, want %v then %v", cold, warm, delay(sizes[0]), delay(sizes[1]))
 	}
-	if n.transfer(subMsg("/a")) == 0 {
-		t.Error("control messages should have a small transfer cost")
+	if warm >= cold {
+		t.Errorf("repeat on a warm link costs %v, not less than the first send's %v", warm, cold)
+	}
+
+	n.applyFault(&faultinject.Event{Kind: faultinject.KindPartition, A: "b1", B: "b2"})
+	n.applyFault(&faultinject.Event{Kind: faultinject.KindHeal, A: "b1", B: "b2"})
+	if got := n.transfer(n.link("b2", "b1"), sub); got != cold {
+		t.Errorf("after heal: transfer = %v, want the cold link's %v", got, cold)
 	}
 }

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/advert"
 	"repro/internal/broker"
 	"repro/internal/faultinject"
 	"repro/internal/xmldoc"
@@ -52,8 +54,8 @@ func startPair(t *testing.T, cfg broker.Config, opts1, opts2 Options) (*Server, 
 // message when the peer's connection was dead or the redial failed. Here the
 // first broker-to-broker connection is killed mid-stream while a client is
 // issuing subscriptions; every subscription must still reach the neighbour —
-// through the retry buffer, the reconnect, and the resync that repairs
-// whatever died inside the killed connection's send queue.
+// through the reconnect and the resync that repairs whatever died inside the
+// killed connection's send queue or was dropped while the link was down.
 func TestPeerKilledMidStreamControlNotLost(t *testing.T) {
 	const subs = 10
 	msgs := make([]*broker.Message, subs)
@@ -103,8 +105,9 @@ func TestPeerKilledMidStreamControlNotLost(t *testing.T) {
 }
 
 // A neighbour that crashes and restarts empty must be repopulated: control
-// messages issued during the outage are retry-buffered and flushed on
-// reconnect, and the resync replays the state forwarded before the crash.
+// messages issued during the outage are dropped and counted, and the resync
+// at reconnect replays them together with the state forwarded before the
+// crash.
 func TestNeighborRestartRepopulatedByResync(t *testing.T) {
 	s1, s2, addrs := startPair(t, broker.Config{}, fastHeal(), fastHeal())
 
@@ -119,13 +122,13 @@ func TestNeighborRestartRepopulatedByResync(t *testing.T) {
 	}
 	waitFor(t, func() bool { return s2.PRTSize() == 1 })
 
-	// Crash b2. The subscription issued during the outage has nowhere to go
-	// except b1's retry buffer.
+	// Crash b2. The subscription issued during the outage has nowhere to go:
+	// b1 drops it.
 	s2.Close()
 	if err := sub.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/b")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return s1.Health().RetryBuffered >= 1 })
+	waitFor(t, func() bool { return s1.Health().DroppedControl >= 1 })
 
 	// Restart b2 empty on the same address; b1's reconnect loop finds it.
 	c2 := broker.Config{}
@@ -136,15 +139,11 @@ func TestNeighborRestartRepopulatedByResync(t *testing.T) {
 	}
 	t.Cleanup(s3.Close)
 
-	// Both the buffered /b and the pre-crash /a must reappear.
+	// Both the dropped /b and the pre-crash /a must reappear.
 	waitFor(t, func() bool { return s3.PRTSize() == 2 })
 
-	h := s1.Health()
-	if h.Reconnects == 0 {
+	if s1.Health().Reconnects == 0 {
 		t.Error("no reconnect recorded")
-	}
-	if h.RetryFlushed == 0 {
-		t.Error("retry buffer was never flushed")
 	}
 }
 
@@ -220,38 +219,66 @@ func TestDialBudgetExhaustionAndRevival(t *testing.T) {
 	waitFor(t, func() bool { return s.Health().ReconnectAttempts == 4 })
 }
 
-// The retry buffer is bounded: overflow evicts the oldest entries and is
-// counted, so operators can see that resync had to repair the loss.
-func TestRetryBufferOverflowCounted(t *testing.T) {
+// Cold start: a broker whose neighbour is not listening yet takes a client's
+// whole control flood — more messages than any bounded buffer would hold —
+// and drops every message bound for the neighbour. When the neighbour
+// starts, with no warm-up traffic, the one resync at attach must bring its
+// tables to the full state.
+func TestColdStartConvergesByResync(t *testing.T) {
+	const n = 1500
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadAddr := ln.Addr().String()
+	addr2 := ln.Addr().String()
 	ln.Close()
 
-	opts := fastHeal()
-	opts.RetryBuffer = 2
-	opts.DialBudget = 1
-	cfg := broker.Config{}
-	cfg.ID = "b1"
-	s := NewServerOptions(cfg, map[string]string{"b2": deadAddr}, opts)
-	t.Cleanup(s.Close)
+	c1 := broker.Config{}
+	c1.ID = "b1"
+	s1 := NewServerOptions(c1, map[string]string{"b2": addr2}, fastHeal())
+	addr1, err := s1.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s1.Close)
 
-	for _, e := range []string{"/a", "/b", "/c", "/d", "/e"} {
-		s.Broker().HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse(e)}, "")
+	cl, err := Dial(addr1, "c")
+	if err != nil {
+		t.Fatal(err)
 	}
-	h := s.Health()
-	if h.RetryBuffered != 5 {
-		t.Errorf("RetryBuffered = %d, want 5", h.RetryBuffered)
+	defer cl.Close()
+	for i := 0; i < n; i++ {
+		e := fmt.Sprintf("/r/e%d", i)
+		if err := cl.Send(&broker.Message{Type: broker.MsgAdvertise, AdvID: fmt.Sprintf("a%d", i), Adv: advert.MustParse(e)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse(e)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if h.RetryOverflow != 3 {
-		t.Errorf("RetryOverflow = %d, want 3", h.RetryOverflow)
+	waitFor(t, func() bool { return s1.SRTSize() == n && s1.PRTSize() == n })
+	waitFor(t, func() bool { return s1.Health().DroppedControl == 2*n })
+
+	c2 := broker.Config{}
+	c2.ID = "b2"
+	s2 := NewServerOptions(c2, map[string]string{"b1": addr1}, fastHeal())
+	if _, err := s2.Listen(addr2); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+
+	waitFor(t, func() bool { return s2.SRTSize() == n && s2.PRTSize() == n })
+	h := s1.Health()
+	if h.DroppedControl != 2*n {
+		t.Errorf("DroppedControl = %d, want %d", h.DroppedControl, 2*n)
+	}
+	if h.Resyncs < 1 {
+		t.Errorf("Resyncs = %d, want at least 1", h.Resyncs)
 	}
 }
 
-// Publications are never buffered across an outage — they are dropped and
-// counted; only control state is retried.
+// A publication bound for a down link is dropped and counted as a
+// publication, not as control: only control state is repaired by resync.
 func TestPublicationsDroppedNotBuffered(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -271,7 +298,7 @@ func TestPublicationsDroppedNotBuffered(t *testing.T) {
 	s.Broker().HandleMessage(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}, "b2")
 	s.Broker().HandleMessage(&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: []string{"a", "b"}}}, "")
 	waitFor(t, func() bool { return s.Health().DroppedPubs == 1 })
-	if got := s.Health().RetryBuffered; got != 0 {
-		t.Errorf("RetryBuffered = %d, want 0 (publications must not be buffered)", got)
+	if got := s.Health().DroppedControl; got != 0 {
+		t.Errorf("DroppedControl = %d, want 0 (a publication is not control)", got)
 	}
 }

@@ -15,8 +15,8 @@ import (
 const WireBinary = "binary"
 
 // Options tunes a Server's self-healing behaviour. The zero value gives a
-// server that reconnects with the default backoff, buffers control messages
-// during outages, and sends no heartbeats.
+// server that reconnects with the default backoff, repairs every outage with
+// a control-state resync, and sends no heartbeats.
 type Options struct {
 	// Workers sizes the publication-matching pool; 0 means GOMAXPROCS.
 	Workers int
@@ -31,13 +31,6 @@ type Options struct {
 	// exhausted the link stays quiescent until new control traffic or an
 	// inbound connection revives it. 0 means unlimited.
 	DialBudget int
-
-	// RetryBuffer bounds the control messages (advertise, subscribe,
-	// unsubscribe, resync, ...) held per neighbour while its link is down;
-	// they are flushed in order on reconnect. When the buffer is full the
-	// oldest message is dropped and counted — the resync that follows every
-	// reconnect repairs whatever the overflow lost. Default 1024.
-	RetryBuffer int
 
 	// Heartbeat, when positive, sends a heartbeat frame to every connected
 	// neighbour at this interval. Heartbeats are consumed by the receiving
@@ -86,9 +79,6 @@ func (o Options) withDefaults() Options {
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 2 * time.Second
 	}
-	if o.RetryBuffer <= 0 {
-		o.RetryBuffer = 1024
-	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3 * o.Heartbeat
 	}
@@ -113,9 +103,7 @@ type healthStats struct {
 	heartbeatsSent    atomic.Int64
 	deadPeers         atomic.Int64
 	droppedPubs       atomic.Int64
-	retryBuffered     atomic.Int64
-	retryFlushed      atomic.Int64
-	retryOverflow     atomic.Int64
+	droppedControl    atomic.Int64
 	resyncs           atomic.Int64
 	badFrames         atomic.Int64
 }
@@ -128,9 +116,7 @@ type HealthStats struct {
 	HeartbeatsSent    int64
 	DeadPeers         int64 // connections dropped by the dead-peer detector
 	DroppedPubs       int64 // publications dropped because a link was down
-	RetryBuffered     int64 // control messages buffered during outages
-	RetryFlushed      int64 // buffered control messages delivered on reconnect
-	RetryOverflow     int64 // control messages evicted from a full buffer
+	DroppedControl    int64 // control messages dropped because a link was down
 	Resyncs           int64 // control-state resyncs initiated after attach
 	BadFrames         int64 // preambles and frames the wirefmt decoder rejected
 }
@@ -144,9 +130,7 @@ func (s *Server) Health() HealthStats {
 		HeartbeatsSent:    s.stats.heartbeatsSent.Load(),
 		DeadPeers:         s.stats.deadPeers.Load(),
 		DroppedPubs:       s.stats.droppedPubs.Load(),
-		RetryBuffered:     s.stats.retryBuffered.Load(),
-		RetryFlushed:      s.stats.retryFlushed.Load(),
-		RetryOverflow:     s.stats.retryOverflow.Load(),
+		DroppedControl:    s.stats.droppedControl.Load(),
 		Resyncs:           s.stats.resyncs.Load(),
 		BadFrames:         s.stats.badFrames.Load(),
 	}
@@ -173,8 +157,6 @@ type LinkStatus struct {
 	Up bool `json:"up"`
 	// QueueDepth is the outbound send queue's current length (0 when down).
 	QueueDepth int `json:"queue_depth"`
-	// Buffered counts control messages held for the next reconnect.
-	Buffered int `json:"buffered,omitempty"`
 	// LastRecvUnixNano is the wall-clock time of the last inbound frame
 	// (heartbeats included); 0 before first contact.
 	LastRecvUnixNano int64 `json:"last_recv_unix_nano,omitempty"`
@@ -199,7 +181,7 @@ func (s *Server) Links() []LinkStatus {
 	seen := make(map[string]bool, len(links))
 	for _, l := range links {
 		l.mu.Lock()
-		st := LinkStatus{Peer: l.id, Up: l.pc != nil, Buffered: len(l.buf)}
+		st := LinkStatus{Peer: l.id, Up: l.pc != nil}
 		if l.pc != nil {
 			st.QueueDepth = len(l.pc.queue)
 			st.TxBytes = l.pc.txBytes.Load()
@@ -219,31 +201,36 @@ func (s *Server) Links() []LinkStatus {
 	return out
 }
 
-// link owns one neighbour relationship: the live connection (if any), the
-// retry buffer that keeps control messages from being lost while the link is
-// down, and the reconnect state machine. The broker's send callback routes
-// every neighbour-bound message through deliver; connection loss anywhere
-// (write failure, read failure, dead-peer detection) funnels through
-// connLost, which starts the reconnect loop.
+// link owns one neighbour relationship: the live connection (if any) and
+// the reconnect state machine. The broker's send callback routes every
+// neighbour-bound message through deliver; connection loss anywhere (write
+// failure, read failure, dead-peer detection) funnels through connLost,
+// which starts the reconnect loop. Nothing is held for a down link: the
+// resync after every attach is the one mechanism that repairs an outage.
 type link struct {
 	s    *Server
 	id   string
 	addr string
 
 	mu       sync.Mutex
-	pc       *peerConn         // nil while the link is down
-	buf      []*broker.Message // control messages awaiting a live connection
-	dialing  bool              // a reconnect loop is running
-	attempts int               // consecutive failed dials this outage
+	pc       *peerConn // nil while the link is down
+	dialing  bool      // a reconnect loop is running
+	attempts int       // consecutive failed dials this outage
 
 	// lastRecv is the unix-nano time of the last inbound frame, feeding
 	// dead-peer detection.
 	lastRecv atomic.Int64
 }
 
-// deliver sends a message over the link, buffering control messages and
-// counting dropped publications while the link is down. Called by the broker
-// with its routing lock held, so it must never call back into the broker.
+// deliver sends a message over the link, or drops and counts it while the
+// link is down. Called by the broker with its routing lock held, so it must
+// never call back into the broker.
+//
+// A dropped control message loses no control state. Every control emission
+// runs under the broker's exclusive lock, and the resync that follows an
+// attach takes that lock after the new connection is installed. An emission
+// that found the link down therefore finishes before that resync builds its
+// claim, and the claim includes the dropped message's effect.
 func (l *link) deliver(m *broker.Message) {
 	l.mu.Lock()
 	pc := l.pc
@@ -254,28 +241,18 @@ func (l *link) deliver(m *broker.Message) {
 		}
 		l.connLost(pc)
 	}
-	if m.Type == broker.MsgPublish {
-		// Publications are not buffered: they are only meaningful promptly,
-		// and the paper's delivery guarantee is re-established by resync
-		// plus fresh publications. Count the loss instead of hiding it.
+	switch m.Type {
+	case broker.MsgHeartbeat:
+		// A heartbeat for a dead link is meaningless.
+	case broker.MsgPublish:
+		// Publications are only meaningful promptly; the paper's delivery
+		// guarantee is re-established by resync plus fresh publications.
 		l.s.stats.droppedPubs.Add(1)
 		l.ensureDialing(false)
-		return
+	default:
+		l.s.stats.droppedControl.Add(1)
+		l.ensureDialing(true)
 	}
-	if m.Type == broker.MsgHeartbeat {
-		return // a heartbeat for a dead link is meaningless
-	}
-	l.mu.Lock()
-	if len(l.buf) >= l.s.opts.RetryBuffer {
-		// Evict the oldest: later control messages supersede earlier ones
-		// more often than not, and the reconnect resync repairs the rest.
-		l.buf = append(l.buf[:0:0], l.buf[1:]...)
-		l.s.stats.retryOverflow.Add(1)
-	}
-	l.buf = append(l.buf, m)
-	l.mu.Unlock()
-	l.s.stats.retryBuffered.Add(1)
-	l.ensureDialing(true)
 }
 
 // connLost records that a connection died. Only the goroutine that observes
@@ -345,7 +322,7 @@ func (l *link) reconnectLoop() {
 		l.s.stats.reconnectAttempts.Add(1)
 		if l.s.dialNeighbor(l) == nil {
 			l.s.stats.reconnects.Add(1)
-			return // dialNeighbor attached, flushed, and resynced
+			return // dialNeighbor attached and resynced
 		}
 
 		// Full jitter on the upper half of the window keeps two brokers
@@ -366,9 +343,8 @@ func (l *link) reconnectLoop() {
 }
 
 // attach installs a new connection as the link's active one, replacing (and
-// shutting down) any previous connection, and flushes the retry buffer in
-// order. The caller must follow up with resyncAfterAttach once it is not
-// holding any broker lock.
+// shutting down) any previous connection. The caller must follow up with
+// resyncAfterAttach once it is not holding any broker lock.
 func (l *link) attach(pc *peerConn) {
 	l.lastRecv.Store(time.Now().UnixNano())
 	l.mu.Lock()
@@ -376,8 +352,6 @@ func (l *link) attach(pc *peerConn) {
 	l.pc = pc
 	l.dialing = false
 	l.attempts = 0
-	buf := l.buf
-	l.buf = nil
 	// The peers-map update stays under the link lock: two racing attaches
 	// (inbound accept vs outbound dial) must not leave the map pointing at
 	// the losing connection, or Close would never reach the winner.
@@ -387,18 +361,6 @@ func (l *link) attach(pc *peerConn) {
 	}
 	l.s.addPeer(l.id, pc)
 	l.mu.Unlock()
-	for i, m := range buf {
-		if pc.write(m) != nil {
-			// The fresh connection died mid-flush; keep the remainder for
-			// the next attach.
-			l.mu.Lock()
-			l.buf = append(append([]*broker.Message{}, buf[i:]...), l.buf...)
-			l.mu.Unlock()
-			l.connLost(pc)
-			return
-		}
-		l.s.stats.retryFlushed.Add(1)
-	}
 }
 
 // resyncAfterAttach replays the control state owed to the neighbour. It must
@@ -452,9 +414,7 @@ func (s *Server) registerHealthMetrics() {
 		{"xbroker_link_heartbeats_sent", "Heartbeat frames sent to neighbours.", &s.stats.heartbeatsSent},
 		{"xbroker_link_dead_peers", "Connections dropped by dead-peer detection.", &s.stats.deadPeers},
 		{"xbroker_link_dropped_publications", "Publications dropped while a link was down.", &s.stats.droppedPubs},
-		{"xbroker_link_retry_buffered", "Control messages buffered during link outages.", &s.stats.retryBuffered},
-		{"xbroker_link_retry_flushed", "Buffered control messages delivered on reconnect.", &s.stats.retryFlushed},
-		{"xbroker_link_retry_overflow", "Control messages evicted from a full retry buffer.", &s.stats.retryOverflow},
+		{"xbroker_link_dropped_control", "Control messages dropped while a link was down (the resync at attach repairs them).", &s.stats.droppedControl},
 		{"xbroker_link_resyncs", "Control-state resyncs initiated after (re)connects.", &s.stats.resyncs},
 		{"xbroker_wire_bad_frames", "Inbound preambles and frames rejected by the wire decoder.", &s.stats.badFrames},
 	}

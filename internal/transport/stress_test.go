@@ -71,7 +71,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 		t.Fatal("workload broken: sequential run delivered nothing")
 	}
 
-	srv := NewServerWorkers(broker.Config{ID: "b1"}, nil, 4)
+	srv := NewServerOptions(broker.Config{ID: "b1"}, nil, Options{Workers: 4})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -265,9 +265,9 @@ type Server struct {
 	peers sync.Map // peer ID -> *peerConn
 
 	// links holds the self-healing state of each neighbour relationship
-	// (retry buffer, reconnect loop, heartbeat liveness). Created lazily on
-	// first contact because neighbour addresses may be filled in after
-	// construction (listeners must bind before addresses exist).
+	// (reconnect loop, heartbeat liveness). Created lazily on first contact
+	// because neighbour addresses may be filled in after construction
+	// (listeners must bind before addresses exist).
 	linkMu sync.Mutex
 	links  map[string]*link
 
@@ -305,17 +305,11 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// NewServer creates a broker server. neighbors maps neighbouring broker IDs
-// to their TCP addresses; they are registered as overlay links immediately
-// and dialled lazily. workers sizes the publication-matching pool; 0 means
-// GOMAXPROCS.
+// NewServer creates a broker server with default options. neighbors maps
+// neighbouring broker IDs to their TCP addresses; they are registered as
+// overlay links immediately and dialled lazily.
 func NewServer(cfg broker.Config, neighbors map[string]string) *Server {
-	return NewServerWorkers(cfg, neighbors, 0)
-}
-
-// NewServerWorkers is NewServer with an explicit worker-pool size.
-func NewServerWorkers(cfg broker.Config, neighbors map[string]string, workers int) *Server {
-	return NewServerOptions(cfg, neighbors, Options{Workers: workers})
+	return NewServerOptions(cfg, neighbors, Options{})
 }
 
 // NewServerOptions is NewServer with explicit self-healing options. It
@@ -654,9 +648,9 @@ func (s *Server) dropPeer(id string, pc *peerConn) {
 
 // send delivers a message to a peer. It is called by the broker with its
 // lock held (shared for publications), so it must not call back into the
-// broker; enqueueing on a send queue or retry buffer is all it does.
-// Neighbour traffic goes through the neighbour's link, which buffers control
-// messages across outages instead of dropping them; client traffic is
+// broker; enqueueing on a send queue is all it does. Neighbour traffic goes
+// through the neighbour's link, which counts what a down link drops and
+// leaves the repair to the resync at the next attach; client traffic is
 // best-effort on the live connection (a gone client is gone).
 func (s *Server) send(to string, m *broker.Message) {
 	if l := s.linkFor(to); l != nil {
@@ -697,8 +691,8 @@ func (s *Server) linkFor(id string) *link {
 }
 
 // dialNeighbor makes one dial attempt for a down link. On success the new
-// connection is attached (flushing the retry buffer), the neighbour is
-// resynced, and a read loop is started.
+// connection is attached, the neighbour is resynced, and a read loop is
+// started.
 func (s *Server) dialNeighbor(l *link) error {
 	conn, err := net.DialTimeout("tcp", l.addr, s.opts.DialTimeout)
 	if err != nil {
@@ -780,10 +774,11 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	enc  *wirefmt.Encoder
-	// record holds the client's live control state (subscriptions and
-	// advertisements, withdrawals removed) — what a reconnect replays so
-	// the restarted or recovered edge broker serves the client again.
-	record []*broker.Message
+	// record holds the client's live control state — what a reconnect
+	// replays so the restarted or recovered edge broker serves the client
+	// again — and does the durable-subscribe conversion. It records only
+	// with Reconnect on.
+	record broker.ClientRecord
 
 	// Reconnects counts successful redials — observability for callers and
 	// tests.
@@ -817,6 +812,7 @@ func DialOptions(addr, id string, opts ClientOptions) (*Client, error) {
 		opts:       opts,
 		conn:       conn,
 		enc:        enc,
+		record:     broker.ClientRecord{Durable: opts.Durable},
 		Deliveries: make(chan *broker.Message, 1024),
 		closed:     make(chan struct{}),
 	}
@@ -885,7 +881,7 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 			c.mu.Lock()
 			c.conn, c.enc = conn, enc
 			replayed := true
-			for _, m := range c.record {
+			for _, m := range c.record.Messages() {
 				if enc.Encode(m) != nil {
 					replayed = false
 					break
@@ -913,34 +909,6 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 	}
 }
 
-// recordControl maintains the replayable control state under c.mu:
-// withdrawals cancel the matching prior message instead of being recorded.
-// Replaying a recorded durable subscription doubles as reattach: the broker
-// responds with the unacknowledged gap bracketed in replay markers.
-func (c *Client) recordControl(m *broker.Message) {
-	switch m.Type {
-	case broker.MsgSubscribe, broker.MsgAdvertise, broker.MsgSubscribeDurable:
-		c.record = append(c.record, m)
-	case broker.MsgUnsubscribe:
-		c.dropRecord(func(r *broker.Message) bool {
-			return r.Type == broker.MsgSubscribe && r.XPE.Key() == m.XPE.Key()
-		})
-	case broker.MsgUnadvertise:
-		c.dropRecord(func(r *broker.Message) bool {
-			return r.Type == broker.MsgAdvertise && r.AdvID == m.AdvID
-		})
-	}
-}
-
-func (c *Client) dropRecord(match func(*broker.Message) bool) {
-	for i, r := range c.record {
-		if match(r) {
-			c.record = append(c.record[:i], c.record[i+1:]...)
-			return
-		}
-	}
-}
-
 // Send submits any message to the edge broker. With reconnection enabled, a
 // control message that hits a dead connection is not an error: it is
 // recorded and will be replayed when the redial succeeds. Publications are
@@ -951,13 +919,9 @@ func (c *Client) Send(m *broker.Message) error {
 	if m.Type == broker.MsgPublish && m.Stamp == 0 {
 		m.Stamp = time.Now().UnixNano()
 	}
-	// A durable client's subscriptions register under its durable name.
-	if c.opts.Durable != "" && m.Type == broker.MsgSubscribe {
-		m.Type = broker.MsgSubscribeDurable
-		m.Durable = c.opts.Durable
-	}
+	c.record.Prepare(m)
 	if c.opts.Reconnect {
-		c.recordControl(m)
+		c.record.Note(m)
 	}
 	if err := c.enc.Encode(m); err != nil {
 		if c.opts.Reconnect && m.Type != broker.MsgPublish {

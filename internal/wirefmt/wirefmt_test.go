@@ -542,48 +542,6 @@ func TestEncoderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestEstimateSizeTracksEncoding(t *testing.T) {
-	for i, m := range sampleMessages(t) {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, DefaultLimits)
-		if err := enc.Encode(m); err != nil {
-			t.Fatalf("msg %d: Encode: %v", i, err)
-		}
-		est := EstimateSize(m)
-		// Cold encoding carries the dictionary strings the estimate assumes
-		// are warm, so actual ≥ estimate is normal on frame one; the
-		// estimate must still be within 4× either way.
-		if est <= 0 {
-			t.Errorf("msg %d: estimate %d ≤ 0", i, est)
-		}
-		if actual := buf.Len(); est > 4*actual || actual > 4*est+64 {
-			t.Errorf("msg %d: estimate %d vs actual %d — off by more than 4×", i, est, actual)
-		}
-	}
-}
-
-func TestEstimateSizeWarm(t *testing.T) {
-	// On a warm link the estimate should be close to the real frame size.
-	m := &broker.Message{
-		Type: broker.MsgPublish,
-		Pub:  xmldoc.Publication{DocID: 9, Path: []string{"inventory", "book", "title"}},
-	}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, DefaultLimits)
-	if err := enc.Encode(m); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	buf.Reset()
-	if err := enc.Encode(m); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	warm := buf.Len()
-	est := EstimateSize(m)
-	if diff := est - warm; diff < -8 || diff > 8 {
-		t.Errorf("warm frame %d bytes, estimate %d — drifted past ±8", warm, est)
-	}
-}
-
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), 1<<63 - 1, -1 << 63} {
 		if got := unzigzag(zigzag(v)); got != v {
