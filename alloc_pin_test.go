@@ -110,44 +110,65 @@ func TestPublishAllocsPinned(t *testing.T) {
 			t.Errorf("steady-state wire encode = %.1f allocs/op, want 0", avg)
 		}
 	})
+	// Decoding into a reused message — what a broker hop does with the
+	// messages it recycles — costs nothing either, a raw body included: the
+	// body is copied into the message's own capacity.
 	t.Run("wire-decode", func(t *testing.T) {
-		m := &broker.Message{Type: broker.MsgPublish, Pub: pub, Stamp: 1}
-		var warm, frame bytes.Buffer
-		enc := wirefmt.NewEncoder(io.MultiWriter(&warm, &frame), wirefmt.DefaultLimits)
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-		frame.Reset() // keep only the dictionary-warm frame bytes
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-		dec := wirefmt.NewDecoder(&warm, wirefmt.DefaultLimits)
-		var got broker.Message
-		if err := dec.Decode(&got); err != nil { // consume the dict frame
-			t.Fatal(err)
-		}
-		if err := dec.Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		steady := frame.Bytes()
-		r := bytes.NewReader(nil)
-		avg := testing.AllocsPerRun(200, func() {
-			r.Reset(steady)
-			dec.Reset(r)
-			if err := dec.Decode(&got); err != nil {
-				t.Fatal(err)
+		body := bytes.Repeat([]byte("<price>12.5</price>"), 64)
+		body = append(append([]byte("<stock><quote>"), body...), "</quote></stock>"...)
+		for _, m := range []*broker.Message{
+			{Type: broker.MsgPublish, Pub: pub, Stamp: 1},
+			{Type: broker.MsgPublish, Raw: body, Stamp: 1},
+		} {
+			name := "path"
+			if len(m.Raw) > 0 {
+				name = "raw"
 			}
-		})
-		if avg != 0 {
-			t.Errorf("steady-state wire decode = %.1f allocs/op, want 0", avg)
+			t.Run(name, func(t *testing.T) {
+				var warm, frame bytes.Buffer
+				enc := wirefmt.NewEncoder(io.MultiWriter(&warm, &frame), wirefmt.DefaultLimits)
+				if err := enc.Encode(m); err != nil {
+					t.Fatal(err)
+				}
+				frame.Reset() // keep only the dictionary-warm frame bytes
+				if err := enc.Encode(m); err != nil {
+					t.Fatal(err)
+				}
+				dec := wirefmt.NewDecoder(&warm, wirefmt.DefaultLimits)
+				var got broker.Message
+				if err := dec.Decode(&got); err != nil { // consume the dict frame
+					t.Fatal(err)
+				}
+				if err := dec.Decode(&got); err != nil {
+					t.Fatal(err)
+				}
+				steady := frame.Bytes()
+				r := bytes.NewReader(nil)
+				avg := testing.AllocsPerRun(200, func() {
+					r.Reset(steady)
+					dec.Reset(r)
+					if err := dec.Decode(&got); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if !bytes.Equal(got.Raw, m.Raw) {
+					t.Fatalf("decoded body of %d bytes, sent %d", len(got.Raw), len(m.Raw))
+				}
+				if avg != 0 {
+					t.Errorf("steady-state wire decode into a reused message = %.1f allocs/op, want 0", avg)
+				}
+			})
 		}
 	})
 }
 
-// TestWireDecodeFreshMessageAllocs pins what the transport pays per frame:
-// Server.readLoop and Client.readLoop decode every frame into a fresh
-// broker.Message, which the broker may keep and forward, so no capacity is
-// ever recycled. The path and its resolved symbols are cut from the
+// TestWireDecodeFreshMessageAllocs pins what a decode into a fresh
+// broker.Message costs. Client.readLoop decodes every delivery that way,
+// since the application keeps what Deliveries hands it; Server.readLoop
+// decodes publications into recycled messages instead (pinned at zero by
+// TestPublishAllocsPinned/wire-decode and, for the whole hop, by
+// internal/transport's TestHopAllocsPinned), and control frames into fresh
+// ones the broker keeps. The path and its resolved symbols are cut from the
 // decoder's blocks, so they cost nothing per frame; every other
 // variable-length field costs one exactly sized allocation — never
 // append's growth steps.

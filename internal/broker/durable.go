@@ -139,11 +139,11 @@ func (b *Broker) replayDurable(d *durState, peer string) {
 	b.emit(peer, &Message{Type: MsgReplayBegin, Durable: d.name, Seq: from})
 	if last > acked {
 		b.durable.Replay(d.name, from, last, func(seq uint64, m *Message) error {
-			cp := *m
+			cp := m.variant()
 			cp.Type = MsgPublish
 			cp.Durable = d.name
 			cp.Seq = seq
-			b.emit(peer, &cp)
+			b.emit(peer, cp)
 			return nil
 		})
 	}
@@ -166,10 +166,10 @@ func (b *Broker) durableDeliver(d *durState, m *Message) {
 	peer := d.peer
 	d.mu.Unlock()
 	if peer != "" {
-		cp := *m
+		cp := m.variant()
 		cp.Durable = d.name
 		cp.Seq = seq
-		b.emit(peer, &cp)
+		b.emit(peer, cp)
 	}
 }
 

@@ -10,6 +10,7 @@ package broker
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/advert"
@@ -152,6 +153,11 @@ type Message struct {
 	// wire crossing — a peer can neither see nor forge them.
 	arrivalDecode   time.Duration // wire read + decode time of this frame
 	arrivalEnqueued time.Time     // when the frame entered the matching queue
+
+	// life is the reference count of a publication the transport decoded
+	// into a pooled message (see Lifetime); nil on every other message. A
+	// shallow copy shares it, so holders of the copy keep the original.
+	life *Lifetime
 }
 
 // SetArrival records the receive-side timings of a publication: how long
@@ -166,6 +172,72 @@ func (m *Message) SetArrival(decode time.Duration, enqueued time.Time) {
 // Arrival returns the receive-side timings recorded by SetArrival.
 func (m *Message) Arrival() (decode time.Duration, enqueued time.Time) {
 	return m.arrivalDecode, m.arrivalEnqueued
+}
+
+// A Lifetime is the reference count of one reusable message. The transport
+// decodes each publication into a pooled message, arms its lifetime with
+// itself as the first holder, and lets every further holder — a matching
+// worker, each peer send queue the message is enqueued on — add a hold with
+// Hold and drop it with Release. The last Release hands the lifetime to its
+// recycle hook, which returns it to the pool for the next decode
+// (DESIGN.md §5h). Messages built any other way carry no lifetime, and Hold
+// and Release do nothing for them.
+type Lifetime struct {
+	msg     Message
+	holders atomic.Int32
+	recycle func(*Lifetime)
+}
+
+// NewLifetime returns a reusable message whose lifetimes end in recycle.
+// Build recycle once per owner, not per message: a method value made at
+// each call allocates a closure each time.
+func NewLifetime(recycle func(*Lifetime)) *Lifetime {
+	return &Lifetime{recycle: recycle}
+}
+
+// Message returns the reusable message, for a decode to fill.
+func (l *Lifetime) Message() *Message { return &l.msg }
+
+// Arm starts a lifetime for the message just decoded into l.Message(),
+// with the caller as its one holder. A decode overwrites the message's link
+// to l, so Arm follows every decode whose message is to be recycled.
+func (l *Lifetime) Arm() {
+	l.msg.life = l
+	l.holders.Store(1)
+}
+
+// Hold adds a holder to m's lifetime. Only a holder may add another (the
+// count must not reach zero in between), and each Hold is matched by one
+// Release.
+func (m *Message) Hold() {
+	if l := m.life; l != nil {
+		l.holders.Add(1)
+	}
+}
+
+// Release drops one hold on m's lifetime; the last one recycles the message.
+// After its Release a holder must not read m, or any slice that m or a
+// shallow copy of it shares.
+func (m *Message) Release() {
+	l := m.life
+	if l == nil {
+		return
+	}
+	switch n := l.holders.Add(-1); {
+	case n == 0:
+		l.recycle(l)
+	case n < 0:
+		panic("broker: message released more often than held")
+	}
+}
+
+// variant returns a shallow copy of m to forward with a field changed (a
+// traced hop list, a durable stamp). The copy shares m's slices, so it also
+// shares m's lifetime: while any holder of the copy remains, m is not
+// recycled.
+func (m *Message) variant() *Message {
+	cp := *m
+	return &cp
 }
 
 // String renders a short description for logs.

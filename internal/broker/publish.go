@@ -150,9 +150,8 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 			Epoch:    snap.epoch,
 			Stages:   sp.hopStages(),
 		})
-		cp := *m
-		cp.Hops = hopList
-		fwd = &cp
+		fwd = m.variant()
+		fwd.Hops = hopList
 		ev.Hops = hopList
 	}
 	for r := hops.next(0); r >= 0; r = hops.next(r + 1) {

@@ -20,6 +20,14 @@
 // spread across workers. Outbound messages fan in to one ordered send queue
 // per peer connection, drained by a single writer goroutine, so each peer
 // observes deliveries in enqueue order.
+//
+// Message lifetime: a publication is decoded into a message from the
+// server's pool, and the read loop is its first holder. The hold passes to
+// the matching worker, which drops it when the broker returns; each enqueue
+// on a peer send queue adds a hold, which the writer drops after the flush
+// that wrote the frame. The last holder returns the message to the pool
+// (see broker.Lifetime). Control frames are decoded into messages that
+// leave the pool: the broker keeps their payloads.
 package transport
 
 import (
@@ -120,7 +128,12 @@ func (s *Server) newPeerConn(conn net.Conn, enc *wirefmt.Encoder) *peerConn {
 // runWriter is the connection's single writer goroutine: stage, drain, flush.
 func (p *peerConn) runWriter() {
 	defer close(p.done)
-	enqs := make([]time.Time, 0, 16)
+	// staged are the messages taken off the queue since the last flush. The
+	// encoder references a raw body over its inline threshold as a vector
+	// segment until the flush writes it, so their holds are dropped after the
+	// flush, or when the writer exits with a batch staged.
+	staged := make([]queuedMsg, 0, 16)
+	defer func() { release(staged) }()
 	var timer *time.Timer
 	for {
 		var qm queuedMsg
@@ -129,15 +142,11 @@ func (p *peerConn) runWriter() {
 			return
 		case qm = <-p.queue:
 		}
-		enqs = enqs[:0]
+		staged = append(staged, qm)
 		if err := p.enc.Queue(qm.m); err != nil {
 			p.conn.Close() // unblocks the connection's read loop
 			return
 		}
-		if !qm.enq.IsZero() {
-			enqs = append(enqs, qm.enq)
-		}
-		frames := 1
 		var timerC <-chan time.Time
 		if p.batch.interval > 0 {
 			if timer == nil {
@@ -148,7 +157,7 @@ func (p *peerConn) runWriter() {
 			timerC = timer.C
 		}
 	fill:
-		for frames < p.batch.maxFrames && p.enc.Pending() < p.batch.maxBytes {
+		for len(staged) < p.batch.maxFrames && p.enc.Pending() < p.batch.maxBytes {
 			if timerC == nil {
 				select {
 				case <-p.stop:
@@ -167,14 +176,11 @@ func (p *peerConn) runWriter() {
 					break fill
 				}
 			}
+			staged = append(staged, qm)
 			if err := p.enc.Queue(qm.m); err != nil {
 				p.conn.Close()
 				return
 			}
-			if !qm.enq.IsZero() {
-				enqs = append(enqs, qm.enq)
-			}
-			frames++
 		}
 		if timerC != nil && !timer.Stop() {
 			<-timer.C
@@ -184,18 +190,32 @@ func (p *peerConn) runWriter() {
 			p.conn.Close()
 			return
 		}
+		if p.flush != nil {
+			now := time.Now()
+			for _, qm := range staged {
+				if !qm.enq.IsZero() {
+					p.flush.Observe(now.Sub(qm.enq).Seconds())
+				}
+			}
+		}
+		frames := len(staged)
+		staged = release(staged)
 		p.recordBatch(frames)
 		p.txBytes.Add(n)
 		p.agg.bytes.Add(n)
 		p.agg.frames.Add(int64(frames))
 		p.agg.batches.Add(1)
-		if p.flush != nil && len(enqs) > 0 {
-			now := time.Now()
-			for _, e := range enqs {
-				p.flush.Observe(now.Sub(e).Seconds())
-			}
-		}
 	}
+}
+
+// release drops the writer's hold on each staged message and returns the
+// batch emptied.
+func release(staged []queuedMsg) []queuedMsg {
+	for i := range staged {
+		staged[i].m.Release()
+		staged[i] = queuedMsg{}
+	}
+	return staged[:0]
 }
 
 // recordBatch files one flush's frame count into the log2 histogram.
@@ -225,17 +245,23 @@ func (p *peerConn) batchP50() float64 {
 	return float64(uint(1) << (len(p.batchCounts) - 1))
 }
 
-// write enqueues a message for the peer. It reports an error when the
-// writer has already shut down (encode failure or connection close).
+// write enqueues a message for the peer, adding a hold on it that the
+// writer drops after the flush. It reports an error, holding nothing, when
+// the writer has already shut down (encode failure or connection close). A
+// message that lands in the queue of a writer exiting meanwhile keeps its
+// hold and is left to the garbage collector: it is never recycled.
 func (p *peerConn) write(m *broker.Message) error {
 	qm := queuedMsg{m: m}
 	if p.flush != nil && m.Type == broker.MsgPublish {
 		qm.enq = time.Now()
 	}
+	m.Hold()
 	select {
 	case <-p.done:
+		m.Release()
 		return errors.New("transport: peer writer closed")
 	case <-p.stop:
+		m.Release()
 		return errors.New("transport: peer shutting down")
 	case p.queue <- qm:
 		return nil
@@ -248,7 +274,8 @@ func (p *peerConn) shutdown() {
 	p.conn.Close()
 }
 
-// pubTask is one publication awaiting matching, tagged with its source.
+// pubTask is one publication awaiting matching, tagged with its source. The
+// task carries the read loop's hold on m to the worker.
 type pubTask struct {
 	m    *broker.Message
 	from string
@@ -277,6 +304,12 @@ type Server struct {
 	// pubQueues feeds the matching worker pool; queue index is chosen by
 	// hashing the source peer ID, preserving per-connection order.
 	pubQueues []chan pubTask
+
+	// msgs pools the messages publications are decoded into, as
+	// *broker.Lifetime; recycle, built once, returns one when its last
+	// holder releases it.
+	msgs    sync.Pool
+	recycle func(*broker.Lifetime)
 
 	// InFlight gauges publications currently queued or being matched; its
 	// high-water mark shows how deep the pool has been driven.
@@ -336,6 +369,8 @@ func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Optio
 			maxFrames: opts.MaxBatchFrames,
 		},
 	}
+	s.recycle = func(l *broker.Lifetime) { s.msgs.Put(l) }
+	s.msgs.New = func() any { return broker.NewLifetime(s.recycle) }
 	// The broker's flight recorder snapshots per-peer send-queue depths at
 	// capture time; install the callback before the broker copies its config.
 	if cfg.QueueDepths == nil {
@@ -433,25 +468,34 @@ func (s *Server) matchLoop(q chan pubTask) {
 	}
 }
 
-// matchOne matches one publication. A frame crafted to make matching panic
-// (decoded off the wire from a hostile or corrupt peer) must cost that
-// message, not the worker or the process; broker locks are deferred, so the
-// unwind releases them.
+// matchOne matches one publication and drops the worker's hold on it. A
+// frame crafted to make matching panic (decoded off the wire from a hostile
+// or corrupt peer) must cost that message, not the worker or the process;
+// broker locks are deferred, so the unwind releases them.
 func (s *Server) matchOne(t pubTask) {
 	defer s.InFlight.Add(-1)
+	defer t.m.Release()
 	defer func() { recover() }()
 	s.b.HandleMessage(t.m, t.from)
 }
 
-// dispatchPublish hands a publication to the worker owning the source peer.
-func (s *Server) dispatchPublish(m *broker.Message, from string) {
+// workerQueue returns the queue of the matching worker that owns a source
+// peer. A read loop picks it once, so one connection's publications are
+// matched in arrival order.
+func (s *Server) workerQueue(from string) chan pubTask {
 	h := fnv.New32a()
 	h.Write([]byte(from))
-	q := s.pubQueues[int(h.Sum32())%len(s.pubQueues)]
+	return s.pubQueues[int(h.Sum32())%len(s.pubQueues)]
+}
+
+// dispatchPublish hands a publication, with the read loop's hold on it, to
+// the worker queue q; on a closed server it drops the hold instead.
+func (s *Server) dispatchPublish(q chan pubTask, m *broker.Message, from string) {
 	s.InFlight.Add(1)
 	select {
 	case <-s.closed:
 		s.InFlight.Add(-1)
+		m.Release()
 	case q <- pubTask{m: m, from: from}:
 	}
 }
@@ -588,18 +632,24 @@ func (s *Server) addPeer(id string, pc *peerConn) {
 // publications (concurrent by design — see DESIGN.md "Concurrency model").
 //
 // Heartbeat frames refresh the link's liveness clock and stop here — they
-// never reach the broker. Every frame has passed the decoder's wire bounds;
-// one that still makes the broker choke must cost this connection, not the
-// process, hence the recover.
+// never reach the broker, and their message is decoded into again. Every
+// frame has passed the decoder's wire bounds; one that still makes the
+// broker choke must cost this connection, not the process, hence the
+// recover.
 func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *link) {
 	defer func() { recover() }()
+	q := s.workerQueue(id)
+	var lt *broker.Lifetime
 	for {
-		var m broker.Message
+		if lt == nil {
+			lt = s.msgs.Get().(*broker.Lifetime)
+		}
+		m := lt.Message()
 		var decodeStart time.Time
 		if tr != nil {
 			decodeStart = time.Now()
 		}
-		if err := dec.Decode(&m); err != nil {
+		if err := dec.Decode(m); err != nil {
 			s.countBadFrame(err)
 			return
 		}
@@ -616,6 +666,7 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 			continue
 		}
 		if m.Type == broker.MsgPublish {
+			lt.Arm()
 			if tr != nil {
 				now := time.Now()
 				d := now.Sub(arrived)
@@ -627,10 +678,12 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 				}
 				m.SetArrival(d, now)
 			}
-			s.dispatchPublish(&m, id)
+			s.dispatchPublish(q, m, id)
+			lt = nil
 			continue
 		}
-		s.b.HandleMessage(&m, id)
+		lt = nil // the broker may keep a control message
+		s.b.HandleMessage(m, id)
 	}
 }
 

@@ -110,11 +110,12 @@ func (d *Decoder) DictLen() int { return len(d.dict) }
 
 // Decode reads frames until one complete message arrives (consuming any
 // dictionary-extension frames on the way) and fills m with it. m is
-// overwritten; its Path, SymPath, Attrs, and Hops slice capacities are
+// overwritten; its Path, SymPath, Attrs, Hops and Raw capacities are
 // reused, so a caller that retains the previous decode's message must pass
-// a fresh m. A path that does not fit is cut from the decoder's blocks;
-// any other sequence that does not fit is allocated once at its declared
-// length.
+// a fresh m (the transport passes a recycled one only after its last
+// holder released it). A path that does not fit is cut from the decoder's
+// blocks; any other sequence that does not fit is allocated once at its
+// declared length.
 func (d *Decoder) Decode(m *broker.Message) error {
 	for {
 		n, err := binary.ReadUvarint(d.r)
@@ -339,7 +340,7 @@ func (d *Decoder) message(m *broker.Message) error {
 	// Recycle the big slice capacities, then zero everything else.
 	path, syms := m.Pub.Path[:0], m.Pub.SymPath[:0]
 	attrs := m.Pub.Attrs[:0]
-	hops := m.Hops[:0]
+	hops, raw := m.Hops[:0], m.Raw[:0]
 	*m = broker.Message{}
 	t, err := d.b()
 	if err != nil {
@@ -360,7 +361,7 @@ func (d *Decoder) message(m *broker.Message) error {
 		m.AdvID, err = d.advID()
 		return err
 	case broker.MsgPublish:
-		return d.publish(m, path, syms, attrs, hops)
+		return d.publish(m, path, syms, attrs, hops, raw)
 	case broker.MsgResync:
 		m.Resync, err = d.resync()
 		return err
@@ -504,7 +505,7 @@ func (d *Decoder) advItems(depth int) ([]advert.Item, error) {
 	return items, nil
 }
 
-func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, attrs []map[string]string, hops []trace.Hop) error {
+func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, attrs []map[string]string, hops []trace.Hop, raw []byte) error {
 	flags, err := d.b()
 	if err != nil {
 		return err
@@ -556,8 +557,9 @@ func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, a
 			return err
 		}
 		// Copied out: the frame buffer is reused for the next frame while
-		// the broker still holds (and forwards) these bytes.
-		m.Raw = append([]byte(nil), b...)
+		// the broker still holds (and forwards) these bytes. A reused
+		// message's capacity takes them when it suffices.
+		m.Raw = append(raw, b...)
 	}
 	if flags&pubFlagTrace != 0 {
 		if m.TraceID, err = d.str(d.lim.MaxName); err != nil {

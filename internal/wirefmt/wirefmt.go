@@ -3,14 +3,16 @@
 // Each frame is written with append-only varint arithmetic into a reused
 // batch buffer and read back with bounds-validated slicing. Steady-state
 // publish encode allocates nothing. Decode allocates nothing only into a
-// reused message whose path, attribute and hop capacities fit. The
-// transport hands every frame a fresh message, which a broker may retain
-// and forward, so it pays the message plus one exactly sized allocation
-// per variable-length field present beside the path (attribute maps, raw
-// body, trace id, hops and each hop's stages), never append's growth
-// steps. A fresh message's path names and symbols are cut from
-// decoder-owned blocks, a few dozen paths per allocation, and an attribute
-// section of holes only shares one never-written array of nil maps.
+// reused message whose path, attribute, hop and raw-body capacities fit,
+// which is how a broker hop decodes publications: into messages it
+// recycles once their last holder lets go. A fresh message — every
+// delivery a client decodes, every control frame — costs the message plus
+// one exactly sized allocation per variable-length field present beside
+// the path (attribute maps, raw body, trace id, hops and each hop's
+// stages), never append's growth steps. A fresh message's path names and
+// symbols are cut from decoder-owned blocks, a few dozen paths per
+// allocation, and an attribute section of holes only shares one
+// never-written array of nil maps.
 //
 // Symbol-native paths. The decoder resolves every path element to its
 // symtab.Default symbol through a per-link id→symbol slice, interning each

@@ -3,8 +3,10 @@
 # bytes on the links: runs cmd/xload for 2 s on every workload listed in
 # xload-allocs.ceiling (tracing off) and fails if any workload's
 # allocs_per_pub, table_heap_mb or link_bytes_per_pub exceeds its ceiling
-# there. Each is deterministic to within about 1% between a 2 s and a 10 s
-# run, so 2 s are enough. Run it from the repository root:
+# there. Each repeats to within a few percent run to run, so 2 s are
+# enough; allocs_per_pub reads 2-6% higher at 2 s than at 10 s (fixed costs
+# weigh more in a shorter run), so every ceiling is set on a 2 s run. Run it
+# from the repository root:
 #
 #   bash scripts/xload-allocs-gate.sh
 #
