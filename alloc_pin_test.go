@@ -33,34 +33,46 @@ import (
 const publishAllocBaseline = 0
 
 // TestPublishAllocsPinned pins the untraced publish path's allocations per
-// operation for hand-built path, wire-decoded path and raw publications,
-// with and without a metrics registry attached (the registry arms the stage
-// histograms, so both halves of the measure gate are covered).
+// operation for hand-built path, wire-decoded path (three elements, and
+// wirefmt.MaxPath) and raw publications, with and without a metrics
+// registry attached (the registry arms the stage histograms, so both halves
+// of the measure gate are covered).
 func TestPublishAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
 	}
 	pub := xmldoc.Publication{Path: []string{"stock", "quote", "price"}}
 	raw := []byte("<stock><quote><price/></quote></stock>")
-	// The path publication as a broker link hands it over: decoded, with the
-	// symbols the decoder resolved.
-	var frame bytes.Buffer
-	if err := wirefmt.NewEncoder(&frame, wirefmt.DefaultLimits).Encode(&broker.Message{Type: broker.MsgPublish, Pub: pub}); err != nil {
-		t.Fatal(err)
+	// decode returns a path publication as a broker link hands it over:
+	// decoded, with the symbols the decoder resolved.
+	decode := func(pub xmldoc.Publication) *broker.Message {
+		var frame bytes.Buffer
+		if err := wirefmt.NewEncoder(&frame, wirefmt.DefaultLimits).Encode(&broker.Message{Type: broker.MsgPublish, Pub: pub}); err != nil {
+			t.Fatal(err)
+		}
+		m := new(broker.Message)
+		if err := wirefmt.NewDecoder(&frame, wirefmt.DefaultLimits).Decode(m); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Pub.SymPath) != len(pub.Path) {
+			t.Fatalf("decoded publication carries SymPath %v for path %q", m.Pub.SymPath, m.Pub.Path)
+		}
+		return m
 	}
-	decoded := new(broker.Message)
-	if err := wirefmt.NewDecoder(&frame, wirefmt.DefaultLimits).Decode(decoded); err != nil {
-		t.Fatal(err)
+	// The longest path the wire accepts, between "stock" and "price", so the
+	// skip state of "/stock//price" stays live along all of it.
+	long := make([]string, wirefmt.MaxPath)
+	for i := range long {
+		long[i] = "quote"
 	}
-	if len(decoded.Pub.SymPath) != len(pub.Path) {
-		t.Fatalf("decoded publication carries SymPath %v for path %q", decoded.Pub.SymPath, decoded.Pub.Path)
-	}
+	long[0], long[len(long)-1] = "stock", "price"
 	forms := []struct {
 		name string
 		msg  *broker.Message
 	}{
 		{"path", &broker.Message{Type: broker.MsgPublish, Pub: pub}},
-		{"decoded", decoded},
+		{"decoded", decode(pub)},
+		{"max-path", decode(xmldoc.Publication{Path: long})},
 		{"raw", &broker.Message{Type: broker.MsgPublish, Raw: raw}},
 	}
 	run := func(t *testing.T, reg *metrics.Registry) {

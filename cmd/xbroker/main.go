@@ -61,7 +61,6 @@ func main() {
 		retention     = flag.Int64("retention", 0, "force-reclaim the oldest closed log segments once the publication log exceeds this many bytes, even unacknowledged ones (0 = reclaim only fully-acknowledged segments)")
 		retainAge     = flag.Duration("retain-age", 0, "force-reclaim closed log segments older than this (0 = never by age)")
 
-		flushInterval  = flag.Duration("flush-interval", 0, "how long a queued publication may linger to grow its batch (0 = flush opportunistically, no added latency)")
 		maxBatchBytes  = flag.Int("max-batch-bytes", 0, "flush a neighbour batch once it holds this many bytes (default 256KiB)")
 		maxBatchFrames = flag.Int("max-batch-frames", 0, "flush a neighbour batch once it holds this many frames (default 128)")
 	)
@@ -122,7 +121,6 @@ func main() {
 		ReconnectMin:   *reconnectMin,
 		ReconnectMax:   *reconnectMax,
 		DialBudget:     *dialBudget,
-		FlushInterval:  *flushInterval,
 		MaxBatchBytes:  *maxBatchBytes,
 		MaxBatchFrames: *maxBatchFrames,
 	})

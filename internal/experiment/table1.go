@@ -142,7 +142,7 @@ func routeTable(tree *subtree.Tree, pubs []xmldoc.Publication) Table1Cell {
 			func(*subtree.Node) { visit() })
 	})
 	c.NFA, c.NFAMatches = routeAll(pubs, func(path []symtab.Sym, visit func()) {
-		auto.MatchStructural(path, func(any) { visit() })
+		auto.Match(path, nil, func(any) { visit() })
 	})
 	return c
 }

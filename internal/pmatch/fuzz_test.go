@@ -11,12 +11,13 @@ import (
 )
 
 // FuzzAutomatonEquivalence cross-checks the shared automaton's accept set
-// against flat per-XPE evaluation by the reference (oracle.Selects). The fuzzer supplies a
-// ';'-separated list of expressions and a '/'-separated publication path;
-// unparsable expressions are skipped, so any byte soup still exercises the
-// comparison. A mismatch would mean the shared automaton routes differently
-// from the per-subscription semantics — the one bug class this package must
-// never ship.
+// against flat per-XPE evaluation by the reference (oracle.Selects),
+// predicates evaluated. The fuzzer supplies a ';'-separated list of
+// expressions and a '/'-separated publication path whose elements may carry
+// one attribute as "name@key=value"; unparsable expressions are skipped, so
+// any byte soup still exercises the comparison. A mismatch would mean the
+// shared automaton routes differently from the per-subscription semantics —
+// the one bug class this package must never ship.
 //
 // With empty ops the expressions are bulk-built. Otherwise ops is an edit
 // script for a Table, one op per byte: below 128 adds expression b%len, below
@@ -31,6 +32,7 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 	f.Add("/a[@k='v']/b;a/b", "a/b", []byte(nil))
 	f.Add("/a/b;//c;a/*;/a//c", "a/b/c", []byte{0, 1, 2, 3, 200, 130, 0, 255, 66})
 	f.Add("//a;//a/b;/a/b/c", "a/b/c", []byte{0, 1, 2, 250, 251, 252, 2, 1, 0})
+	f.Add("/a[@k='v']/b;a[@k='w'];//b[@j='x']", "a@k=v/b@j=x", []byte(nil))
 	f.Fuzz(func(t *testing.T, exprList, pathStr string, ops []byte) {
 		var xs []*xpath.XPE
 		for _, src := range strings.Split(exprList, ";") {
@@ -45,22 +47,36 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 		}
 
 		var path []string
+		var attrs []map[string]string
 		for _, el := range strings.Split(pathStr, "/") {
-			if el != "" {
-				path = append(path, el)
+			if el == "" {
+				continue
 			}
+			name, attr, _ := strings.Cut(el, "@")
+			var m map[string]string
+			if k, v, ok := strings.Cut(attr, "="); ok {
+				m = map[string]string{k: v}
+			}
+			path = append(path, name)
+			attrs = append(attrs, m)
 			if len(path) >= 12 {
 				break
 			}
 		}
 		sp := symtab.InternPath(path)
+		match := func(a *Automaton) []int {
+			var got []int
+			a.Match(sp, attrs, func(d any) { got = append(got, d.(int)) })
+			sort.Ints(got)
+			return got
+		}
 
 		// live maps each payload to its expression.
 		live := map[int]*xpath.XPE{}
 		reference := func() []int {
 			var want []int
 			for p, x := range live {
-				if oracle.Selects(x, path, nil, false) {
+				if oracle.Selects(x, path, attrs, true) {
 					want = append(want, p)
 				}
 			}
@@ -122,13 +138,13 @@ func FuzzAutomatonEquivalence(f *testing.F) {
 				t.Fatalf("Stats %+v, fresh build %+v\nexprs=%s", got, want, dumpExprs(xs))
 			}
 			if mid != nil {
-				if got := structuralInts(mid, sp); !eqInts(got, midWant) {
+				if got := match(mid); !eqInts(got, midWant) {
 					t.Fatalf("version sealed halfway now gives %v, gave %v", got, midWant)
 				}
 			}
 		}
 
-		got := structuralInts(auto, sp)
+		got := match(auto)
 		if want := reference(); !eqInts(got, want) {
 			t.Fatalf("accept sets diverge on path %q:\nautomaton=%v\nflat=%v\nexprs=%s",
 				path, got, want, dumpExprs(xs))

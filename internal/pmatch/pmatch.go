@@ -31,8 +31,12 @@
 // Attribute predicates are not compiled into the automaton: an entry whose
 // expression carries predicates is structurally matched first and then
 // verified with XPE.MatchesSymPathAttrs as a post-filter, exactly once per
-// run. This keeps the automaton alphabet small while preserving
+// path. This keeps the automaton alphabet small while preserving
 // MatchesSymPathAttrs semantics bit for bit.
+//
+// The automaton has one execution engine, Cursor (stream.go), which runs it
+// over a document's element open/close events. Match runs it over a path,
+// the one-branch case of that event stream.
 //
 // Transitions are stored flat, not hashed, as in YFilter and the FPGA
 // filter: a state's transitions on concrete symbols are one array sorted by
@@ -57,9 +61,9 @@
 // # Concurrency
 //
 // An Automaton is immutable and safe for any number of concurrent Match
-// calls and Cursors. Per-run scratch (active state sets and epoch stamps,
-// indexed by state and entry ids) is pooled per Table and shared by all of
-// its versions, so steady-state matching allocates nothing, even across
+// calls and Cursors. Cursors (active state sets and epoch stamps, indexed
+// by state and entry ids) are pooled per Table and shared by all of its
+// versions, so steady-state matching allocates nothing, even across
 // versions. Ids are unique within one version and recycled by the writer, so
 // the stamp tables stay bounded by the largest table the writer has held.
 // Table and Builder are not safe for concurrent use.
@@ -148,15 +152,13 @@ type Automaton struct {
 	pools              *pools
 }
 
-// pools holds the per-run scratch of every version sealed from one Table.
+// pools holds the cursors of every version sealed from one Table.
 type pools struct {
-	scratch sync.Pool // *scratch
-	cursors sync.Pool // *Cursor (streaming execution, see stream.go)
+	cursors sync.Pool // *Cursor (see stream.go)
 }
 
 func newPools() *pools {
 	p := &pools{}
-	p.scratch.New = func() any { return &scratch{} }
 	p.cursors.New = func() any { return &Cursor{offs: make([]int32, 0, 16)} }
 	return p
 }
@@ -529,18 +531,6 @@ func (a *Automaton) NumStates() int { return a.stats.States }
 // Stats measures the automaton (O(1): the writer keeps the counts).
 func (a *Automaton) Stats() Stats { return a.stats }
 
-// scratch is the per-run working set: the active state frontier (cur/nxt)
-// plus epoch-stamped visited markers. stateEpoch advances once per consumed
-// path element (a state may re-activate at a later position); entryEpoch
-// advances once per run (each entry is reported at most once per Match).
-type scratch struct {
-	cur, nxt   []*state
-	stateStamp []uint32
-	entryStamp []uint32
-	stateEpoch uint32
-	entryEpoch uint32
-}
-
 // fitStamps returns a stamp table covering n ids: s itself when it is long
 // enough, else a fresh zeroed one with headroom, so a growing table
 // reallocates rarely. Zero never equals a live epoch, so fresh stamps are
@@ -552,11 +542,10 @@ func fitStamps(s []uint32, n int32) []uint32 {
 	return make([]uint32, int(n)+int(n)/4)
 }
 
-// frontierCap sizes a fresh frontier once, so a new scratch or cursor does
-// not grow it append by append: room for every state of automata up to 8k
-// states (a cursor's frontier stacks every open depth's set, so it can
-// outgrow one position's), a generous bound on the active set of larger
-// ones.
+// frontierCap sizes a fresh frontier once, so a new cursor does not grow it
+// append by append: room for every state of automata up to 8k states (a
+// cursor's frontier stacks every open depth's set, so it can outgrow one
+// position's), a generous bound on the active set of larger ones.
 func frontierCap(f []*state, n int32) []*state {
 	if cap(f) > 0 {
 		return f
@@ -570,102 +559,27 @@ func frontierCap(f []*state, n int32) []*state {
 // path[i]; nil attrs fail any predicate — the MatchesSymPathAttrs
 // contract). Each entry is visited at most once per call, in unspecified
 // order. Safe for concurrent use.
+//
+// A path is a document with one branch, so Match is a Cursor run: one Enter
+// per element. Every accept settles its entry, and an entry with predicates
+// is checked once, against the whole path.
 func (a *Automaton) Match(path []symtab.Sym, attrs []map[string]string, visit func(data any)) {
-	a.run(path, attrs, false, visit)
-}
-
-// MatchStructural is Match with attribute predicates ignored: it reports
-// every entry whose expression structurally matches the path, mirroring
-// XPE.MatchesSymPath. Tests and predicate-free workloads use it.
-func (a *Automaton) MatchStructural(path []symtab.Sym, visit func(data any)) {
-	a.run(path, nil, true, visit)
-}
-
-func (a *Automaton) run(path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) {
 	if a.stats.Entries == 0 || len(path) == 0 {
 		return
 	}
-	s := a.pools.scratch.Get().(*scratch)
-	s.stateStamp = fitStamps(s.stateStamp, a.stateIDs)
-	s.entryStamp = fitStamps(s.entryStamp, a.entryIDs)
-	s.cur = frontierCap(s.cur, a.stateIDs)
-	s.nxt = frontierCap(s.nxt, a.stateIDs)
-	s.entryEpoch++
-	if s.entryEpoch == 0 { // epoch wrapped: stale stamps could collide
-		clearStamps(s.entryStamp)
-		s.entryEpoch = 1
-	}
-	// The frontiers live in locals for the run: swapping them in the pooled
-	// scratch would cost two pointer write barriers per position while the
-	// GC marks.
-	cur, nxt := s.cur[:0], s.nxt[:0]
-	s.beginPosition()
-	// Position 0: the start state and, by epsilon, its skip state. No entry
-	// can accept here (expressions have at least one step).
-	cur = activate(a.root, cur, s, path, attrs, structural, visit)
-	for _, sym := range path {
-		s.beginPosition()
-		nxt = nxt[:0]
-		for _, st := range cur {
-			if st.selfLoop {
-				// Skip states consume any element and stay active.
-				nxt = activate(st, nxt, s, path, attrs, structural, visit)
-			}
-			if t := st.step(sym); t != nil {
-				nxt = activate(t, nxt, s, path, attrs, structural, visit)
-			}
-			if st.wild != nil {
-				nxt = activate(st.wild, nxt, s, path, attrs, structural, visit)
-			}
+	accept := func(x *xpath.XPE, hasPreds bool, data any) bool {
+		if !hasPreds || x.MatchesSymPathAttrs(path, attrs) {
+			visit(data)
 		}
-		cur, nxt = nxt, cur
-		if len(cur) == 0 {
+		return true
+	}
+	c := a.Cursor()
+	for _, sym := range path {
+		if !c.descend(sym, accept) {
 			break // no live prefix can revive
 		}
 	}
-	s.cur, s.nxt = cur, nxt
-	a.pools.scratch.Put(s)
-}
-
-// beginPosition opens a fresh state-dedup window.
-func (s *scratch) beginPosition() {
-	s.stateEpoch++
-	if s.stateEpoch == 0 {
-		clearStamps(s.stateStamp)
-		s.stateEpoch = 1
-	}
-}
-
-// activate marks a state active (deduplicated per position), adds it to the
-// frontier if it can consume an element, reports its accepting entries, and
-// follows the epsilon edge into its skip state. Accepting here — at
-// activation, i.e. the moment the entry's last step is consumed — implements
-// prefix-match acceptance at every position.
-func activate(st *state, frontier []*state, s *scratch, path []symtab.Sym, attrs []map[string]string, structural bool, visit func(data any)) []*state {
-	for {
-		if s.stateStamp[st.id] == s.stateEpoch {
-			return frontier
-		}
-		s.stateStamp[st.id] = s.stateEpoch
-		if st.consumes() {
-			frontier = append(frontier, st)
-		}
-		for i := range st.accept {
-			e := &st.accept[i]
-			if s.entryStamp[e.id] == s.entryEpoch {
-				continue
-			}
-			s.entryStamp[e.id] = s.entryEpoch
-			if !structural && e.hasPreds && !e.x.MatchesSymPathAttrs(path, attrs) {
-				continue
-			}
-			visit(e.data)
-		}
-		if st.dslash == nil {
-			return frontier
-		}
-		st = st.dslash // epsilon into the skip state
-	}
+	c.Release()
 }
 
 // consumes reports whether the state has a transition on some element. A

@@ -23,17 +23,18 @@ func buildFrom(exprs ...string) (*Automaton, []*xpath.XPE) {
 	return b.Build(), xs
 }
 
-// structuralSet runs MatchStructural and returns the sorted payload strings.
-func structuralSet(a *Automaton, path []symtab.Sym) []string {
+// matchSet runs Match without attributes and returns the sorted payload
+// strings.
+func matchSet(a *Automaton, path []symtab.Sym) []string {
 	var got []string
-	a.MatchStructural(path, func(d any) { got = append(got, d.(string)) })
+	a.Match(path, nil, func(d any) { got = append(got, d.(string)) })
 	sort.Strings(got)
 	return got
 }
 
-// flatStructural is the per-XPE oracle: every expression evaluated
-// independently by the reference, predicates ignored.
-func flatStructural(xs []*xpath.XPE, path []symtab.Sym) []string {
+// flatSet is the per-XPE oracle for predicate-free expressions: every
+// expression evaluated independently by the reference.
+func flatSet(xs []*xpath.XPE, path []symtab.Sym) []string {
 	var got []string
 	for _, i := range oracle.Flat(xs, oracle.Names(path), nil, false) {
 		got = append(got, xs[i].String())
@@ -69,8 +70,8 @@ func TestMatchAgainstFlatOracle(t *testing.T) {
 	}
 	for _, p := range paths {
 		sp := symtab.InternPath(p)
-		got := structuralSet(auto, sp)
-		want := flatStructural(xs, sp)
+		got := matchSet(auto, sp)
+		want := flatSet(xs, sp)
 		if !eq(got, want) {
 			t.Errorf("path %v: automaton=%v flat=%v", p, got, want)
 		}
@@ -82,8 +83,8 @@ func TestMatchUnknownSymbolsOnlyMatchWildcards(t *testing.T) {
 	// LookupPath maps never-interned names to None; only wildcard steps may
 	// match those elements, exactly like the per-XPE matchers.
 	path := symtab.LookupPath([]string{"a", "never-interned-name-xyz"})
-	got := structuralSet(auto, path)
-	want := flatStructural(xs, path)
+	got := matchSet(auto, path)
+	want := flatSet(xs, path)
 	if !eq(got, want) {
 		t.Fatalf("automaton=%v flat=%v", got, want)
 	}
@@ -97,8 +98,8 @@ func TestMatchLiteralStarElement(t *testing.T) {
 	// concrete step must not match it, a wildcard step must.
 	auto, xs := buildFrom("/a/b", "/a/*")
 	path := symtab.InternPath([]string{"a", "*"})
-	got := structuralSet(auto, path)
-	want := flatStructural(xs, path)
+	got := matchSet(auto, path)
+	want := flatSet(xs, path)
 	if !eq(got, want) || !eq(got, []string{"/a/*"}) {
 		t.Fatalf("automaton=%v flat=%v", got, want)
 	}
@@ -128,13 +129,6 @@ func TestMatchPredicatePostFilter(t *testing.T) {
 	if got := collect(nil); !eq(got, []string{"any"}) {
 		t.Fatalf("nil attrs must fail predicates: got %v", got)
 	}
-	// MatchStructural ignores predicates entirely.
-	var structural []string
-	auto.MatchStructural(path, func(d any) { structural = append(structural, d.(string)) })
-	sort.Strings(structural)
-	if !eq(structural, []string{"any", "en"}) {
-		t.Fatalf("structural: got %v", structural)
-	}
 }
 
 func TestDuplicateExpressionsEachReported(t *testing.T) {
@@ -143,7 +137,7 @@ func TestDuplicateExpressionsEachReported(t *testing.T) {
 	b.Add(xpath.MustParse("/a/b"), "second")
 	auto := b.Build()
 	var got []string
-	auto.MatchStructural(symtab.InternPath([]string{"a", "b"}), func(d any) { got = append(got, d.(string)) })
+	auto.Match(symtab.InternPath([]string{"a", "b"}), nil, func(d any) { got = append(got, d.(string)) })
 	sort.Strings(got)
 	if !eq(got, []string{"first", "second"}) {
 		t.Fatalf("got %v", got)
@@ -161,9 +155,19 @@ func TestEntryReportedOncePerRun(t *testing.T) {
 	b.Add(xpath.MustParse("a"), "rel-a")
 	auto := b.Build()
 	var n int
-	auto.MatchStructural(symtab.InternPath([]string{"a", "a", "a"}), func(any) { n++ })
+	auto.Match(symtab.InternPath([]string{"a", "a", "a"}), nil, func(any) { n++ })
 	if n != 1 {
 		t.Fatalf("visited %d times, want 1", n)
+	}
+	// With a predicate that only the last element satisfies, the first
+	// accept settles the entry against the whole path: visited once too.
+	b = NewBuilder()
+	b.Add(xpath.MustParse("a[@k='v']"), "rel-a-k")
+	n = 0
+	attrs := []map[string]string{nil, {"k": "w"}, {"k": "v"}}
+	b.Build().Match(symtab.InternPath([]string{"a", "a", "a"}), attrs, func(any) { n++ })
+	if n != 1 {
+		t.Fatalf("predicate entry visited %d times, want 1", n)
 	}
 }
 
@@ -198,7 +202,7 @@ func TestSkipStateSharing(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	empty := NewBuilder().Build()
-	empty.MatchStructural(symtab.InternPath([]string{"a"}), func(any) {
+	empty.Match(symtab.InternPath([]string{"a"}), nil, func(any) {
 		t.Fatal("empty automaton must match nothing")
 	})
 	if s := empty.Stats(); s.States != 1 || s.Entries != 0 {
@@ -213,12 +217,12 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		t.Fatalf("degenerate adds must be ignored, len=%d", b.Len())
 	}
 	auto := b.Build()
-	auto.MatchStructural(symtab.InternPath([]string{"a"}), func(any) {
+	auto.Match(symtab.InternPath([]string{"a"}), nil, func(any) {
 		t.Fatal("degenerate entries must match nothing")
 	})
 	// Empty path matches nothing either.
 	full, _ := buildFrom("/a", "a", "//a")
-	full.MatchStructural(nil, func(any) { t.Fatal("empty path must match nothing") })
+	full.Match(nil, nil, func(any) { t.Fatal("empty path must match nothing") })
 }
 
 func TestHandBuiltRelativeDescendantFirstStep(t *testing.T) {
@@ -238,7 +242,7 @@ func TestHandBuiltRelativeDescendantFirstStep(t *testing.T) {
 	} {
 		sp := symtab.InternPath(tc.path)
 		var hit bool
-		auto.MatchStructural(sp, func(any) { hit = true })
+		auto.Match(sp, nil, func(any) { hit = true })
 		if hit != tc.want {
 			t.Errorf("path %v: automaton=%v want %v", tc.path, hit, tc.want)
 		}
@@ -260,7 +264,7 @@ func TestConcurrentMatch(t *testing.T) {
 	}
 	want := make([][]string, len(paths))
 	for i, p := range paths {
-		want[i] = flatStructural(xs, p)
+		want[i] = flatSet(xs, p)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -269,7 +273,7 @@ func TestConcurrentMatch(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
 				i := iter % len(paths)
-				if got := structuralSet(auto, paths[i]); !eq(got, want[i]) {
+				if got := matchSet(auto, paths[i]); !eq(got, want[i]) {
 					t.Errorf("path %d: got %v want %v", i, got, want[i])
 					return
 				}
@@ -311,7 +315,7 @@ func TestDeepSharedWorkload(t *testing.T) {
 	}
 	for _, p := range paths {
 		sp := symtab.InternPath(p)
-		if got, want := structuralSet(auto, sp), flatStructural(xs, sp); !eq(got, want) {
+		if got, want := matchSet(auto, sp), flatSet(xs, sp); !eq(got, want) {
 			t.Errorf("path %v: automaton=%v flat=%v", p, got, want)
 		}
 	}

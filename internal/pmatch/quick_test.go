@@ -15,8 +15,8 @@ import (
 // descendant steps, relative expressions, attribute predicates) and random
 // annotated publication paths, and checks that the shared automaton's
 // accept set is IDENTICAL to evaluating every expression independently with
-// the reference (oracle.Selects), predicates ignored and evaluated. This is
-// the equivalence contract the broker's publish path relies on.
+// the reference (oracle.Selects), with the path's attributes and with none.
+// This is the equivalence contract the broker's publish path relies on.
 
 var quickAlphabet = []string{"a", "b", "c", "d", "e"}
 
@@ -79,13 +79,11 @@ func TestQuickAutomatonEquivalence(t *testing.T) {
 			path, attrs := randomPath(r)
 			sp := symtab.InternPath(path)
 
-			var gotS []int
-			auto.MatchStructural(sp, func(d any) { gotS = append(gotS, d.(int)) })
-			sort.Ints(gotS)
-			wantS := oracle.Flat(xs, path, nil, false)
-			if !eqInts(gotS, wantS) {
-				t.Fatalf("round %d: structural mismatch on %v\nautomaton=%v\nflat=%v\nexprs=%s",
-					round, path, gotS, wantS, dumpExprs(xs))
+			gotN := matchInts(auto, sp)
+			wantN := oracle.Flat(xs, path, nil, true)
+			if !eqInts(gotN, wantN) {
+				t.Fatalf("round %d: nil-attrs mismatch on %v\nautomaton=%v\nflat=%v\nexprs=%s",
+					round, path, gotN, wantN, dumpExprs(xs))
 			}
 
 			var gotA []int
@@ -100,7 +98,7 @@ func TestQuickAutomatonEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickScratchReuse exercises the pooled scratch across many sequential
+// TestQuickScratchReuse exercises the pooled cursor across many sequential
 // runs on one automaton (epoch stamping must never leak accepts or frontier
 // state between runs).
 func TestQuickScratchReuse(t *testing.T) {
@@ -113,12 +111,12 @@ func TestQuickScratchReuse(t *testing.T) {
 	}
 	auto := b.Build()
 	for trial := 0; trial < 3000; trial++ {
-		path, _ := randomPath(r)
+		path, attrs := randomPath(r)
 		sp := symtab.InternPath(path)
 		var got []int
-		auto.MatchStructural(sp, func(d any) { got = append(got, d.(int)) })
+		auto.Match(sp, attrs, func(d any) { got = append(got, d.(int)) })
 		sort.Ints(got)
-		if want := oracle.Flat(xs, path, nil, false); !eqInts(got, want) {
+		if want := oracle.Flat(xs, path, attrs, true); !eqInts(got, want) {
 			t.Fatalf("trial %d: path %v: automaton=%v flat=%v", trial, path, got, want)
 		}
 	}

@@ -5,28 +5,25 @@ import (
 	"repro/internal/xpath"
 )
 
-// This file adds the streaming execution mode of the shared automaton: a
-// Cursor runs the same NFA over a document's element OPEN/CLOSE events
-// instead of over one flattened root-to-leaf path. The frontier of active
+// This file holds the automaton's execution engine: a Cursor runs the NFA
+// over a document's element OPEN/CLOSE events. The frontier of active
 // states is kept per open element — Enter computes the child frontier from
-// the parent's exactly like one step of Automaton.run, Leave discards it —
-// so a whole document is matched in a single pre-order traversal without
-// ever materialising its paths. The language is identical by construction:
-// the frontier reached after Enter(e1)...Enter(ek) is the frontier run()
-// reaches after consuming the path [e1..ek], and every root-to-node path of
-// the document is exactly one such Enter chain.
+// the parent's, Leave discards it — so a whole document is matched in a
+// single pre-order traversal without ever materialising its paths. Every
+// root-to-node path of the document is exactly one Enter chain, and
+// Automaton.Match is that chain for one path.
 //
-// Acceptance differs from run() only in WHEN predicates are evaluated.
-// run() post-filters a predicate-carrying entry once per path with the
-// whole path in hand; a Cursor sees paths incrementally, so it reports the
-// entry to the visitor at every structural accept and lets the visitor
-// decide (returning true settles the entry for the rest of the document,
-// false keeps it eligible at later accepts). A visitor that evaluates
-// MatchesSymPathAttrs against the current root-to-node stack and settles on
-// success computes exactly the union-over-paths verdict of the per-path
-// runs: every stack prefix at an accept event is a real root-to-node path
-// prefix, and every position at which an expression completes on some path
-// generates an accept event on that path's Enter chain.
+// Predicates are evaluated by the visitor. A Cursor sees paths
+// incrementally, so it reports the entry to the visitor at every structural
+// accept and lets the visitor decide (returning true settles the entry for
+// the rest of the run, false keeps it eligible at later accepts). Match
+// settles at the first accept and checks predicates once, against the
+// whole path. A document visitor that evaluates MatchesSymPathAttrs against
+// the current root-to-node stack and settles on success computes exactly
+// the union-over-paths verdict of the per-path runs: every stack prefix at
+// an accept event is a real root-to-node path prefix, and every position at
+// which an expression completes on some path generates an accept event on
+// that path's Enter chain.
 
 // AcceptFunc receives one structural accept event: entry's expression x
 // completed at the element just entered. Returning true settles the entry —
@@ -47,8 +44,8 @@ type Cursor struct {
 	// Leave is two truncations — the document stack IS the NFA state.
 	frontier []*state
 	offs     []int32
-	// Epoch-stamped dedup, as in scratch: states per position (one Enter is
-	// one position), entries per run.
+	// Epoch-stamped dedup: states per position (one Enter is one position),
+	// entries per run.
 	stateStamp []uint32
 	entryStamp []uint32
 	stateEpoch uint32
@@ -96,12 +93,11 @@ func (c *Cursor) Reset() {
 func (c *Cursor) Depth() int { return len(c.offs) - 1 }
 
 // Enter descends into a child element with the given interned name,
-// computing the new frontier from the current one (exactly one position of
-// Automaton.run) and reporting unsettled entries that accept at the new
-// element through visit. Names outside the interned alphabet are passed as
-// symtab.None and match only wildcard and skip transitions — LookupBytes
-// semantics, identical to the per-path matchers. visit may be nil to ignore
-// accepts (validation-only scans).
+// computing the new frontier from the current one and reporting unsettled
+// entries that accept at the new element through visit. Names outside the
+// interned alphabet are passed as symtab.None and match only wildcard and
+// skip transitions — LookupBytes semantics, identical to the per-path
+// matchers. visit may be nil to ignore accepts (validation-only scans).
 func (c *Cursor) Enter(sym symtab.Sym, visit AcceptFunc) {
 	parentStart := int(c.offs[len(c.offs)-1])
 	parentEnd := len(c.frontier)
@@ -122,6 +118,19 @@ func (c *Cursor) Enter(sym symtab.Sym, visit AcceptFunc) {
 			c.push(st.wild, visit)
 		}
 	}
+}
+
+// descend is Enter for a path, which never leaves an element: it drops the
+// parent's frontier, so the cursor holds one position's set, and reports
+// whether that set is non-empty.
+func (c *Cursor) descend(sym symtab.Sym, visit AcceptFunc) bool {
+	c.Enter(sym, visit)
+	top := len(c.offs) - 1
+	start := c.offs[top-1]
+	n := copy(c.frontier[start:], c.frontier[c.offs[top]:])
+	c.frontier = c.frontier[:int(start)+n]
+	c.offs = c.offs[:top]
+	return n > 0
 }
 
 // Leave closes the current element, discarding its frontier. Calling Leave
@@ -145,8 +154,9 @@ func (c *Cursor) beginPosition() {
 
 // push marks a state active (deduplicated per position), adds it to the top
 // frontier if it can consume an element, reports its accepting entries, and
-// follows the epsilon edge into its skip state — the Cursor form of
-// Automaton.activate.
+// follows the epsilon edge into its skip state. Accepting here — at
+// activation, the moment the entry's last step is consumed — implements
+// prefix-match acceptance at every position.
 func (c *Cursor) push(st *state, visit AcceptFunc) {
 	for {
 		if c.stateStamp[st.id] == c.stateEpoch {

@@ -42,17 +42,15 @@ func randomProbes(r *rand.Rand, n int) []probe {
 	return ps
 }
 
-// answers records a version's sorted payloads per probe, predicates
-// evaluated and ignored.
+// answers records a version's sorted payloads per probe, with the probe's
+// attributes and with none.
 func answers(a *Automaton, ps []probe) [][]int {
 	out := make([][]int, 0, 2*len(ps))
 	for _, p := range ps {
-		var got, structural []int
+		var got []int
 		a.Match(p.sp, p.attrs, func(d any) { got = append(got, d.(int)) })
-		a.MatchStructural(p.sp, func(d any) { structural = append(structural, d.(int)) })
 		sort.Ints(got)
-		sort.Ints(structural)
-		out = append(out, got, structural)
+		out = append(out, got, matchInts(a, p.sp))
 	}
 	return out
 }
@@ -234,7 +232,7 @@ func TestWideStateEdges(t *testing.T) {
 	answers := func(a *Automaton) [][]int {
 		out := make([][]int, width)
 		for i, p := range paths {
-			out[i] = structuralInts(a, p)
+			out[i] = matchInts(a, p)
 		}
 		return out
 	}
@@ -296,10 +294,10 @@ func TestTableSealWithoutWritesIsStable(t *testing.T) {
 		t.Fatal("Seal after Set must return a new version")
 	}
 	path := symtab.InternPath([]string{"a", "b"})
-	if got := structuralInts(a1, path); !eqInts(got, []int{1}) {
+	if got := matchInts(a1, path); !eqInts(got, []int{1}) {
 		t.Fatalf("old version sees %v, want [1]", got)
 	}
-	if got := structuralInts(a2, path); !eqInts(got, []int{2}) {
+	if got := matchInts(a2, path); !eqInts(got, []int{2}) {
 		t.Fatalf("new version sees %v, want [2]", got)
 	}
 	// Untouched states are shared: only the path to the accept state was
@@ -335,10 +333,10 @@ func TestTableReset(t *testing.T) {
 	tbl.Add(xpath.MustParse("/a"), 2)
 	after := tbl.Seal()
 	path := symtab.InternPath([]string{"a", "b"})
-	if got := structuralInts(before, path); !eqInts(got, []int{1}) {
+	if got := matchInts(before, path); !eqInts(got, []int{1}) {
 		t.Fatalf("version sealed before Reset sees %v", got)
 	}
-	if got := structuralInts(after, path); !eqInts(got, []int{2}) {
+	if got := matchInts(after, path); !eqInts(got, []int{2}) {
 		t.Fatalf("version after Reset sees %v", got)
 	}
 	if s := after.Stats(); s.States != 2 || s.Entries != 1 {
@@ -346,9 +344,10 @@ func TestTableReset(t *testing.T) {
 	}
 }
 
-func structuralInts(a *Automaton, path []symtab.Sym) []int {
+// matchInts runs Match without attributes and returns the sorted payloads.
+func matchInts(a *Automaton, path []symtab.Sym) []int {
 	var got []int
-	a.MatchStructural(path, func(d any) { got = append(got, d.(int)) })
+	a.Match(path, nil, func(d any) { got = append(got, d.(int)) })
 	sort.Ints(got)
 	return got
 }

@@ -58,16 +58,10 @@ type Options struct {
 	// that still set it.
 	Wire string
 
-	// FlushInterval makes the send-batching writer linger this long after
-	// the first staged frame, growing the batch before the vectored write.
-	// 0 (the default) flushes as soon as the queue is momentarily empty —
-	// batching under load, zero added latency when idle. Values beyond a
-	// few ms trade delivery latency for syscall amortisation.
-	FlushInterval time.Duration
-
 	// MaxBatchBytes flushes a batch once this many bytes are staged
 	// (default 256KiB); MaxBatchFrames once this many frames are
-	// (default 128).
+	// (default 128). The writer flushes as soon as its queue is momentarily
+	// empty — batching under load, no added latency when idle.
 	MaxBatchBytes  int
 	MaxBatchFrames int
 }

@@ -69,9 +69,8 @@ type queuedMsg struct {
 
 // batchConfig is the resolved batching policy a peerConn writer runs with.
 type batchConfig struct {
-	interval  time.Duration // linger after the first staged frame; 0 = none
-	maxBytes  int           // flush once this many bytes are staged
-	maxFrames int           // flush once this many frames are staged
+	maxBytes  int // flush once this many bytes are staged
+	maxFrames int // flush once this many frames are staged
 }
 
 // peerConn is one live connection with its ordered send queue. All writes
@@ -81,11 +80,10 @@ type batchConfig struct {
 // the writer is stopped via the stop channel and announces its exit on done.
 //
 // The writer batches: it stages the message it woke up for, opportunistically
-// drains whatever else is already queued (up to maxFrames/maxBytes, lingering
-// up to interval when configured), then flushes the whole batch in one
-// vectored write. Under load batches grow toward the caps and the per-message
-// syscall cost vanishes; an idle link flushes every message immediately, so
-// batching adds no latency unless a linger interval explicitly asks for it.
+// drains whatever else is already queued (up to maxFrames/maxBytes), then
+// flushes the whole batch in one vectored write. Under load batches grow
+// toward the caps and the per-message syscall cost vanishes; an idle link
+// flushes every message immediately, so batching adds no latency.
 type peerConn struct {
 	conn net.Conn
 	// enc is owned by the writer goroutine. It writes the net.Conn
@@ -134,7 +132,6 @@ func (p *peerConn) runWriter() {
 	// flush, or when the writer exits with a batch staged.
 	staged := make([]queuedMsg, 0, 16)
 	defer func() { release(staged) }()
-	var timer *time.Timer
 	for {
 		var qm queuedMsg
 		select {
@@ -147,43 +144,20 @@ func (p *peerConn) runWriter() {
 			p.conn.Close() // unblocks the connection's read loop
 			return
 		}
-		var timerC <-chan time.Time
-		if p.batch.interval > 0 {
-			if timer == nil {
-				timer = time.NewTimer(p.batch.interval)
-			} else {
-				timer.Reset(p.batch.interval)
-			}
-			timerC = timer.C
-		}
 	fill:
 		for len(staged) < p.batch.maxFrames && p.enc.Pending() < p.batch.maxBytes {
-			if timerC == nil {
-				select {
-				case <-p.stop:
-					return
-				case qm = <-p.queue:
-				default:
-					break fill
-				}
-			} else {
-				select {
-				case <-p.stop:
-					return
-				case qm = <-p.queue:
-				case <-timerC:
-					timerC = nil
-					break fill
-				}
+			select {
+			case <-p.stop:
+				return
+			case qm = <-p.queue:
+			default:
+				break fill
 			}
 			staged = append(staged, qm)
 			if err := p.enc.Queue(qm.m); err != nil {
 				p.conn.Close()
 				return
 			}
-		}
-		if timerC != nil && !timer.Stop() {
-			<-timer.C
 		}
 		n, err := p.enc.Flush()
 		if err != nil {
@@ -364,7 +338,6 @@ func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Optio
 		pubQueues: make([]chan pubTask, workers),
 		links:     make(map[string]*link, len(neighbors)),
 		batchCfg: batchConfig{
-			interval:  opts.FlushInterval,
 			maxBytes:  opts.MaxBatchBytes,
 			maxFrames: opts.MaxBatchFrames,
 		},
@@ -432,6 +405,12 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
+	s.serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// serve starts the matching worker pool and the accept loop on ln.
+func (s *Server) serve(ln net.Listener) {
 	s.ln = ln
 	for _, q := range s.pubQueues {
 		s.wg.Add(1)
@@ -439,7 +418,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return ln.Addr().String(), nil
 }
 
 // Close stops the server and drops all connections.
@@ -500,18 +478,24 @@ func (s *Server) dispatchPublish(q chan pubTask, m *broker.Message, from string)
 	}
 }
 
+// acceptLoop serves inbound connections until Close. A failed Accept — a
+// transient EMFILE or ECONNABORTED — is retried after a short backoff that
+// doubles up to a second, so the server never silently stops accepting.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 			select {
 			case <-s.closed:
 				return
-			default:
+			case <-time.After(backoff):
 			}
-			return
+			continue
 		}
+		backoff = 0
 		if s.opts.ConnWrap != nil {
 			conn = s.opts.ConnWrap(conn)
 		}
@@ -688,13 +672,12 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 }
 
 // dropPeer removes a peer mapping (and its queue gauge) if it still refers
-// to this connection.
+// to this connection. The compare and the delete are one step: a
+// connection attached in between must stay in the map, or Close would never
+// reach it.
 func (s *Server) dropPeer(id string, pc *peerConn) {
-	if cur, ok := s.peers.Load(id); ok && cur == pc {
-		s.peers.Delete(id)
-		if s.reg != nil {
-			s.reg.Unregister("xbroker_send_queue_depth", "peer", id)
-		}
+	if s.peers.CompareAndDelete(id, pc) && s.reg != nil {
+		s.reg.Unregister("xbroker_send_queue_depth", "peer", id)
 	}
 	pc.shutdown()
 }
@@ -888,14 +871,22 @@ func clientHandshake(addr, id string) (net.Conn, *wirefmt.Encoder, *wirefmt.Deco
 	return conn, enc, wirefmt.NewDecoder(conn, wirefmt.DefaultLimits), nil
 }
 
+// readLoop hands every decoded delivery to Deliveries, redialling when the
+// connection drops. It closes Deliveries when it gives up, or when Close is
+// called, even while the application has stopped draining the channel.
 func (c *Client) readLoop(conn net.Conn, dec *wirefmt.Decoder) {
+	defer close(c.Deliveries)
 	for {
 		for {
 			var m broker.Message
 			if err := dec.Decode(&m); err != nil {
 				goto redial
 			}
-			c.Deliveries <- &m
+			select {
+			case c.Deliveries <- &m:
+			case <-c.closed:
+				return
+			}
 			if c.opts.AutoAck && m.Type == broker.MsgPublish && m.Durable != "" {
 				c.Ack(m.Seq)
 			}
@@ -904,7 +895,6 @@ func (c *Client) readLoop(conn net.Conn, dec *wirefmt.Decoder) {
 		conn.Close()
 		next, ndec := c.redial()
 		if next == nil {
-			close(c.Deliveries)
 			return
 		}
 		conn, dec = next, ndec

@@ -3,6 +3,11 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -161,4 +166,97 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached in time")
+}
+
+// readLoops counts the goroutines running a client read loop.
+func readLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), ".(*Client).readLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestClientCloseWhileDeliveriesFull fills a subscriber's Deliveries
+// channel and leaves its read loop blocked on one more delivery: Close must
+// still end that loop, and the loop must close Deliveries.
+func TestClientCloseWhileDeliveriesFull(t *testing.T) {
+	servers := startChain(t, 1, broker.Config{})
+	addr := servers[0].ln.Addr().String()
+	sub, err := Dial(addr, "sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := Dial(addr, "pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := sub.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return servers[0].PRTSize() == 1 })
+	n := cap(sub.Deliveries) + 8
+	for i := 0; i < n; i++ {
+		m := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: uint64(i), Path: []string{"a"}}}
+		if err := pub.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return len(sub.Deliveries) == cap(sub.Deliveries) })
+	// Read loops of earlier tests' closed clients may still be exiting, so
+	// the count is only required to fall.
+	open := readLoops()
+	sub.Close()
+	waitFor(t, func() bool { return readLoops() < open })
+	got := 0
+	for range sub.Deliveries {
+		got++
+	}
+	if got < cap(sub.Deliveries) {
+		t.Fatalf("drained %d deliveries after Close, want at least %d", got, cap(sub.Deliveries))
+	}
+}
+
+// failingListener returns EMFILE from its next fails Accept calls.
+type failingListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptRetriesAfterError starts a server whose first Accept calls
+// fail: it must keep accepting, and a client must still be served.
+func TestAcceptRetriesAfterError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &failingListener{Listener: ln}
+	fl.fails.Store(3)
+	s := NewServer(broker.Config{ID: "b1"}, nil)
+	s.serve(fl)
+	t.Cleanup(s.Close)
+	c, err := Dial(ln.Addr().String(), "sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.PRTSize() == 1 })
+	if fl.fails.Load() >= 0 {
+		t.Fatalf("%d failing Accept calls left unmade", fl.fails.Load()+1)
+	}
 }

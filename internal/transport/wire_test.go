@@ -300,18 +300,22 @@ func TestDifferentialCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	// The linger holds the writer open long enough to stage every frame.
+	// The gate holds the writer's first flush until every frame is queued,
+	// so the rest go out staged in one batch.
+	held := newHeldConn(out)
+	held.armed.Store(true)
 	cfg := broker.Config{}
 	cfg.ID = "b1"
-	s := NewServerOptions(cfg, nil, Options{FlushInterval: 100 * time.Millisecond})
+	s := NewServerOptions(cfg, nil, Options{})
 	t.Cleanup(s.Close)
-	pc := s.newPeerConn(out, wirefmt.NewEncoder(out, wirefmt.DefaultLimits))
+	pc := s.newPeerConn(held, wirefmt.NewEncoder(held, wirefmt.DefaultLimits))
 	defer pc.shutdown()
 	for i, m := range msgs {
 		if err := pc.write(m); err != nil {
 			t.Fatalf("msg %d: write: %v", i, err)
 		}
 	}
+	close(held.gate)
 
 	in.SetReadDeadline(time.Now().Add(5 * time.Second))
 	viaLink := wirefmt.NewDecoder(in, wirefmt.DefaultLimits)
