@@ -31,7 +31,7 @@ import (
 
 // stageOrder fixes the column order of the stage table: the publish
 // pipeline's own order.
-var stageOrder = []string{"decode", "queue", "match", "filter", "enqueue", "flush"}
+var stageOrder = []string{"decode", "match", "filter", "enqueue", "flush"}
 
 // linkInfo mirrors transport.LinkStatus's JSON.
 type linkInfo struct {

@@ -204,13 +204,13 @@ func TestXtopThreeBrokerChain(t *testing.T) {
 			t.Errorf("result %d broker = %s, want %s", i, st.Broker, want)
 		}
 		// Per-broker stage-latency quantiles: every broker matched
-		// publications, so queue/match/filter/enqueue all have counts and
+		// publications, so match/filter/enqueue all have counts and
 		// non-decreasing quantiles.
 		byStage := make(map[string]stageQ)
 		for _, s := range st.Stages {
 			byStage[s.Stage] = s
 		}
-		for _, name := range []string{"queue", "match", "filter", "enqueue"} {
+		for _, name := range []string{"match", "filter", "enqueue"} {
 			s, ok := byStage[name]
 			if !ok || s.Count == 0 {
 				t.Errorf("%s: stage %q missing or empty: %+v", st.Broker, name, st.Stages)

@@ -231,7 +231,7 @@ func TestThreeBrokerChainObservability(t *testing.T) {
 		`xbroker_srt_advertisements 1`,
 		`xbroker_send_queue_depth{peer="b1"}`,
 		`xbroker_send_queue_depth{peer="b3"}`,
-		`xbroker_pool_workers`,
+		`xbroker_panics_total 0`,
 		`xbroker_msgs_in_total{type="publish"} 1`,
 	} {
 		if !strings.Contains(metricsBody, want) {

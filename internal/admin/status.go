@@ -85,7 +85,7 @@ type StatusSnapshot struct {
 	// scrape; absent on the first scrape.
 	RatesPerSec map[string]float64 `json:"rates_per_sec,omitempty"`
 	// Stages summarises the publish pipeline's stage latencies in pipeline
-	// order (decode, queue, match, filter, enqueue, flush).
+	// order (decode, match, filter, enqueue, flush).
 	Stages []StageQuantiles `json:"stages,omitempty"`
 	// Links is the transport's neighbour-link health (see transport.LinkStatus).
 	Links any `json:"links,omitempty"`
@@ -107,11 +107,10 @@ type StatusSnapshot struct {
 // stageOrder fixes the pipeline order for the Stages list.
 var stageOrder = map[string]int{
 	trace.StageDecode:  0,
-	trace.StageQueue:   1,
-	trace.StageMatch:   2,
-	trace.StageFilter:  3,
-	trace.StageEnqueue: 4,
-	trace.StageFlush:   5,
+	trace.StageMatch:   1,
+	trace.StageFilter:  2,
+	trace.StageEnqueue: 3,
+	trace.StageFlush:   4,
 }
 
 // Snapshot assembles one /statusz document and advances the rate baseline.

@@ -78,8 +78,8 @@ type Config struct {
 	// recorded after the routing lock is released.
 	TraceSink trace.Sink
 	// SlowLog, when non-nil, is the slow-publication flight recorder: any
-	// publication whose measured in-broker time (decode + queue + match +
-	// filter + enqueue) reaches SlowLog.Threshold() is captured with its
+	// publication whose measured in-broker time (decode + match + filter +
+	// enqueue) reaches SlowLog.Threshold() is captured with its
 	// full stage breakdown. Healthy publications pay one comparison.
 	SlowLog *slowlog.Log
 	// QueueDepths, when non-nil, snapshots the transport's per-peer send
@@ -212,7 +212,7 @@ type Broker struct {
 	// pre-resolved so the hot path never touches the registry; all nil when
 	// Config.Metrics is nil. The decode and flush stages live in the
 	// transport, which measures them (see package transport).
-	stageQueue, stageMatch, stageFilter, stageEnqueue *metrics.Histogram
+	stageMatch, stageFilter, stageEnqueue *metrics.Histogram
 	// slow mirrors Config.SlowLog for the hot-path nil check.
 	slow *slowlog.Log
 	// nfaBuildSeconds records how long each automaton-changing control
@@ -310,9 +310,7 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 // adds) to the publish hot path.
 func (b *Broker) registerMetrics(reg *metrics.Registry) {
 	const stageHelp = "Publish-path stage latency in seconds, by pipeline stage " +
-		"(decode, queue, match, filter, enqueue, flush — see DESIGN.md §5f)."
-	b.stageQueue = reg.Histogram("xbroker_stage_seconds", stageHelp,
-		metrics.DefBuckets, "stage", trace.StageQueue)
+		"(decode, match, filter, enqueue, flush — see DESIGN.md §5f)."
 	b.stageMatch = reg.Histogram("xbroker_stage_seconds", stageHelp,
 		metrics.DefBuckets, "stage", trace.StageMatch)
 	b.stageFilter = reg.Histogram("xbroker_stage_seconds", stageHelp,

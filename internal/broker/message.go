@@ -149,10 +149,9 @@ type Message struct {
 
 	// Receive-side span metadata, set by the local transport before the
 	// publication reaches the broker. Unexported on purpose: the wire codec
-	// never carries them, so the values are process-local and reset on every
-	// wire crossing — a peer can neither see nor forge them.
-	arrivalDecode   time.Duration // wire read + decode time of this frame
-	arrivalEnqueued time.Time     // when the frame entered the matching queue
+	// never carries it, so the value is process-local and reset on every
+	// wire crossing — a peer can neither see nor forge it.
+	arrivalDecode time.Duration // wire read + decode time of this frame
 
 	// life is the reference count of a publication the transport decoded
 	// into a pooled message (see Lifetime); nil on every other message. A
@@ -160,24 +159,18 @@ type Message struct {
 	life *Lifetime
 }
 
-// SetArrival records the receive-side timings of a publication: how long
-// the transport spent reading and decoding the frame, and when it was
-// handed to the matching queue. The broker folds both into the publication's
-// stage spans (decode and queue). The zero time disables the queue span.
-func (m *Message) SetArrival(decode time.Duration, enqueued time.Time) {
-	m.arrivalDecode = decode
-	m.arrivalEnqueued = enqueued
-}
+// SetArrival records how long the transport spent reading and decoding a
+// publication's frame. The broker folds it into the publication's decode
+// stage span.
+func (m *Message) SetArrival(decode time.Duration) { m.arrivalDecode = decode }
 
-// Arrival returns the receive-side timings recorded by SetArrival.
-func (m *Message) Arrival() (decode time.Duration, enqueued time.Time) {
-	return m.arrivalDecode, m.arrivalEnqueued
-}
+// Arrival returns the decode time recorded by SetArrival.
+func (m *Message) Arrival() (decode time.Duration) { return m.arrivalDecode }
 
 // A Lifetime is the reference count of one reusable message. The transport
 // decodes each publication into a pooled message, arms its lifetime with
-// itself as the first holder, and lets every further holder — a matching
-// worker, each peer send queue the message is enqueued on — add a hold with
+// itself as the first holder, and lets every further holder — each peer
+// send queue the message is enqueued on — add a hold with
 // Hold and drop it with Release. The last Release hands the lifetime to its
 // recycle hook, which returns it to the pool for the next decode
 // (DESIGN.md §5h). Messages built any other way carry no lifetime, and Hold

@@ -41,13 +41,7 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	measure := b.stageMatch != nil || b.slow != nil || m.TraceID != ""
 	if measure {
 		sp.start = time.Now()
-		var enqueued time.Time
-		sp.decode, enqueued = m.Arrival()
-		if !enqueued.IsZero() {
-			if sp.queue = sp.start.Sub(enqueued); sp.queue < 0 {
-				sp.queue = 0
-			}
-		}
+		sp.decode = m.Arrival()
 	}
 	// One automaton run sets the name rank of every destination a matching
 	// entry reaches: PRT nodes their last hops (hops), client filter entries
@@ -138,7 +132,7 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 	// Traced publications travel on as a copy with this broker appended to
 	// the hop list; the received message is never mutated (simulator peers
 	// share message pointers). The hop is sealed after the filter pass so its
-	// stage list carries decode, queue, match, and filter; enqueue and flush
+	// stage list carries decode, match, and filter; enqueue and flush
 	// happen later and appear in histograms and the inter-hop wall-clock gap.
 	fwd := m
 	if ev != nil {
@@ -180,7 +174,6 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 type pubSpan struct {
 	start   time.Time
 	decode  time.Duration
-	queue   time.Duration
 	match   time.Duration
 	filter  time.Duration
 	enqueue time.Duration
@@ -189,7 +182,7 @@ type pubSpan struct {
 // total is the publication's in-broker time — the value the flight
 // recorder's threshold is compared against.
 func (s *pubSpan) total() time.Duration {
-	return s.decode + s.queue + s.match + s.filter + s.enqueue
+	return s.decode + s.match + s.filter + s.enqueue
 }
 
 // hopStages renders the stages known at hop-append time. Enqueue and flush
@@ -198,7 +191,6 @@ func (s *pubSpan) total() time.Duration {
 func (s *pubSpan) hopStages() []trace.StageDur {
 	return []trace.StageDur{
 		{Stage: trace.StageDecode, Nanos: int64(s.decode)},
-		{Stage: trace.StageQueue, Nanos: int64(s.queue)},
 		{Stage: trace.StageMatch, Nanos: int64(s.match)},
 		{Stage: trace.StageFilter, Nanos: int64(s.filter)},
 	}
@@ -207,10 +199,9 @@ func (s *pubSpan) hopStages() []trace.StageDur {
 // observeSpan feeds the broker-side stage histograms. Decode and flush are
 // observed by the transport that measures them (see package transport).
 func (b *Broker) observeSpan(sp *pubSpan) {
-	if b.stageQueue == nil {
+	if b.stageMatch == nil {
 		return
 	}
-	b.stageQueue.Observe(sp.queue.Seconds())
 	b.stageMatch.Observe(sp.match.Seconds())
 	b.stageFilter.Observe(sp.filter.Seconds())
 	b.stageEnqueue.Observe(sp.enqueue.Seconds())

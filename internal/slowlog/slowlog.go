@@ -34,8 +34,8 @@ type Entry struct {
 	// TotalNanos is the publication's in-broker time: the sum of the stage
 	// durations below, on the monotonic clock.
 	TotalNanos int64 `json:"total_nanos"`
-	// Stages is the per-stage breakdown (decode, queue, match, filter,
-	// enqueue — see trace stage names).
+	// Stages is the per-stage breakdown (decode, match, filter, enqueue —
+	// see trace stage names).
 	Stages []trace.StageDur `json:"stages,omitempty"`
 	// DocBytes is the raw document size for streaming publications, 0
 	// otherwise.

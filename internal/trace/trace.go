@@ -26,9 +26,6 @@ const (
 	// measured by the receiving transport from the arrival of the frame's
 	// first byte.
 	StageDecode = "decode"
-	// StageQueue is the wait in the matching worker pool, from dispatch to
-	// the worker picking the publication up.
-	StageQueue = "queue"
 	// StageMatch is the routing computation: one shared-automaton run (or
 	// the covering tree walk) over the publication's paths or raw bytes.
 	StageMatch = "match"
@@ -63,8 +60,8 @@ type Hop struct {
 	// traced publications crossing one broker with different epochs
 	// bracketed a control-plane change.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Stages breaks the crossing into per-stage durations (decode, queue,
-	// match, filter — the stages known when the hop is appended), measured
+	// Stages breaks the crossing into per-stage durations (decode, match,
+	// filter — the stages known when the hop is appended), measured
 	// on the broker's monotonic clock. Send-side time (enqueue, flush, wire)
 	// is the remainder of the wall-clock gap to the next hop.
 	Stages []StageDur `json:"stages,omitempty"`

@@ -67,7 +67,8 @@ func fuzzFrames(f *testing.F) []byte {
 // process survival: whatever a connection opens with — a bad or truncated
 // preamble, an old build's gob hello, or a valid session with damage after
 // it — the server must at worst close that connection. A panic anywhere
-// (preamble check, decoder, broker matching, worker pool) fails the run.
+// (preamble check, decoder, broker matching) fails the run: the read loop
+// re-raises what it recovers in this package's tests (repanic_test.go).
 func FuzzFrameDecode(f *testing.F) {
 	hello := preamble(f, "fuzz")
 	valid := append(bytes.Clone(hello), fuzzFrames(f)...)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/advert"
 	"repro/internal/broker"
 	"repro/internal/faultinject"
+	"repro/internal/wirefmt"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -300,5 +301,100 @@ func TestPublicationsDroppedNotBuffered(t *testing.T) {
 	waitFor(t, func() bool { return s.Health().DroppedPubs == 1 })
 	if got := s.Health().DroppedControl; got != 0 {
 		t.Errorf("DroppedControl = %d, want 0 (a publication is not control)", got)
+	}
+}
+
+// TestHeartbeatDetectsJammedPeer covers a neighbour that keeps its
+// connection open and stops reading while a publisher floods it: once the
+// send queue toward it is full, the neighbour goes silent too. The heartbeat
+// loop must not wait on the full queue to send its beat, or it never gets
+// back to the silence check and the jammed link is never declared dead.
+func TestHeartbeatDetectsJammedPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+	opts := fastHeal()
+	opts.Heartbeat = 20 * time.Millisecond
+	opts.DeadAfter = 100 * time.Millisecond
+	opts.ConnWrap = smallSocketBuffers
+	s := NewServerOptions(broker.Config{ID: "b1"}, map[string]string{"b2": deadAddr}, opts)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	// The fake b2 dials in, subscribes to /a and beats every 10 ms, but
+	// never reads.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	smallSocketBuffers(conn)
+	enc := wirefmt.NewEncoder(conn, wirefmt.DefaultLimits)
+	if err := enc.Hello("b2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+		t.Fatal(err)
+	}
+	silent := make(chan struct{})
+	go func() {
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-silent:
+				return
+			case <-tick.C:
+			}
+			if enc.Encode(&broker.Message{Type: broker.MsgHeartbeat}) != nil {
+				return
+			}
+		}
+	}()
+	waitFor(t, func() bool { return s.PRTSize() == 1 })
+
+	pub, err := Dial(addr, "pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	raw := floodDoc()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if pub.Send(&broker.Message{Type: broker.MsgPublish, Raw: raw}) != nil {
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.QueueDepths()["b2"] < sendQueueDepth {
+		if time.Now().After(deadline) {
+			t.Fatalf("the queue toward b2 never filled: %v", s.QueueDepths())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(silent)
+	deadline = time.Now().Add(3 * time.Second)
+	for s.Health().DeadPeers == 0 {
+		if time.Now().After(deadline) {
+			h, q := s.Health(), s.QueueDepths()
+			// Closing the server frees a publisher blocked in Send.
+			s.Close()
+			t.Fatalf("jammed b2 never declared dead: %d heartbeats sent, queues %v", h.HeartbeatsSent, q)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

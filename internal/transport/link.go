@@ -18,9 +18,6 @@ const WireBinary = "binary"
 // server that reconnects with the default backoff, repairs every outage with
 // a control-state resync, and sends no heartbeats.
 type Options struct {
-	// Workers sizes the publication-matching pool; 0 means GOMAXPROCS.
-	Workers int
-
 	// ReconnectMin and ReconnectMax bound the exponential backoff between
 	// redial attempts of a lost neighbour link (defaults 50ms and 2s). Each
 	// wait gets up to 50% random jitter so two brokers redialling each
@@ -100,6 +97,7 @@ type healthStats struct {
 	droppedControl    atomic.Int64
 	resyncs           atomic.Int64
 	badFrames         atomic.Int64
+	panics            atomic.Int64
 }
 
 // HealthStats is a point-in-time copy of a server's self-healing counters.
@@ -113,6 +111,7 @@ type HealthStats struct {
 	DroppedControl    int64 // control messages dropped because a link was down
 	Resyncs           int64 // control-state resyncs initiated after attach
 	BadFrames         int64 // preambles and frames the wirefmt decoder rejected
+	Panics            int64 // panics recovered on a read loop, each costing its connection
 }
 
 // Health snapshots the server's self-healing counters.
@@ -127,6 +126,7 @@ func (s *Server) Health() HealthStats {
 		DroppedControl:    s.stats.droppedControl.Load(),
 		Resyncs:           s.stats.resyncs.Load(),
 		BadFrames:         s.stats.badFrames.Load(),
+		Panics:            s.stats.panics.Load(),
 	}
 }
 
@@ -387,11 +387,16 @@ func (l *link) heartbeatLoop() {
 			l.connLost(pc)
 			continue
 		}
-		if err := pc.write(&broker.Message{Type: broker.MsgHeartbeat}); err != nil {
-			l.connLost(pc)
-			continue
+		// A beat that finds the send queue full is skipped, not waited
+		// for: a peer that stopped reading would hold this loop in the
+		// write forever, and only the silence check above declares it
+		// dead. A writer that exited has closed the connection, so its
+		// read loop reports the loss.
+		select {
+		case pc.queue <- queuedMsg{m: &broker.Message{Type: broker.MsgHeartbeat}}:
+			l.s.stats.heartbeatsSent.Add(1)
+		default:
 		}
-		l.s.stats.heartbeatsSent.Add(1)
 	}
 }
 
@@ -411,6 +416,7 @@ func (s *Server) registerHealthMetrics() {
 		{"xbroker_link_dropped_control", "Control messages dropped while a link was down (the resync at attach repairs them).", &s.stats.droppedControl},
 		{"xbroker_link_resyncs", "Control-state resyncs initiated after (re)connects.", &s.stats.resyncs},
 		{"xbroker_wire_bad_frames", "Inbound preambles and frames rejected by the wire decoder.", &s.stats.badFrames},
+		{"xbroker_panics_total", "Panics recovered while handling an inbound frame; each closed its connection.", &s.stats.panics},
 	}
 	for _, c := range counters {
 		v := c.v

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,7 +74,7 @@ func TestConcurrentPublishStress(t *testing.T) {
 		t.Fatal("workload broken: sequential run delivered nothing")
 	}
 
-	srv := NewServerOptions(broker.Config{ID: "b1"}, nil, Options{Workers: 4})
+	srv := NewServer(broker.Config{ID: "b1"}, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -186,5 +189,103 @@ drain:
 	}
 	if n := srv.InFlight.Load(); n != 0 {
 		t.Errorf("InFlight after drain = %d, want 0", n)
+	}
+}
+
+// floodDoc is a raw document of about 4 KB that "/a" and "/a/b" select.
+func floodDoc() []byte {
+	var b bytes.Buffer
+	b.WriteString("<a>")
+	for b.Len() < 4<<10 {
+		b.WriteString("<b>0123456789abcdef0123456789abcdef</b>")
+	}
+	b.WriteString("</a>")
+	return b.Bytes()
+}
+
+// smallSocketBuffers caps a connection's kernel socket buffers at 64 KiB,
+// so a reader that stops reading backs its peer up into the send queue
+// after a few dozen frames rather than after megabytes. Options stay
+// default otherwise.
+func smallSocketBuffers(c net.Conn) net.Conn {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetReadBuffer(64 << 10)
+		tc.SetWriteBuffer(64 << 10)
+	}
+	return c
+}
+
+// TestBidirectionalFloodDoesNotStall floods raw documents across one link
+// in both directions at once: a publisher and a subscriber on each of two
+// brokers. Every publication crosses the link, so each broker's link read
+// loop matches traffic that goes out to a local client, while its clients'
+// publications go out on the link. A broker whose link read loop can wait on
+// a goroutine that itself waits on the full link queue stalls here for good,
+// on both sides. The publisher ids are chosen so that a matching pool of two
+// workers, keyed by an FNV hash of the source id, would put each publisher
+// on the same worker as its broker's link.
+func TestBidirectionalFloodDoesNotStall(t *testing.T) {
+	const docs = 1000
+	opts := Options{ConnWrap: smallSocketBuffers}
+	s1, s2, addrs := startPair(t, broker.Config{}, opts, opts)
+	var subs [2]*Client
+	for i, x := range []string{"/a", "/a/b"} {
+		c, err := Dial(addrs[i], fmt.Sprintf("s%d", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse(x)}); err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = c
+	}
+	waitFor(t, func() bool { return s1.PRTSize() == 2 && s2.PRTSize() == 2 })
+
+	var got [2]atomic.Int64
+	for i, c := range subs {
+		go func() {
+			for range c.Deliveries {
+				got[i].Add(1)
+			}
+		}()
+	}
+	raw := floodDoc()
+	errs := make(chan error, 2)
+	for i, id := range []string{"p2", "p1"} {
+		pub, err := Dial(addrs[i], id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pub.Close()
+		go func() {
+			for n := 0; n < docs; n++ {
+				m := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: uint64(n)}, Raw: raw}
+				if err := pub.Send(m); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for got[0].Load() < 2*docs || got[1].Load() < 2*docs {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			q1, q2 := s1.QueueDepths(), s2.QueueDepths()
+			// Closing the servers first frees a publisher blocked in Send.
+			s1.Close()
+			s2.Close()
+			t.Fatalf("flood stalled: subscribers got %d and %d of %d; send queues %v and %v",
+				got[0].Load(), got[1].Load(), 2*docs, q1, q2)
+		}
 	}
 }

@@ -10,34 +10,29 @@
 // experiments; this package is the deployable counterpart with identical
 // broker semantics.
 //
-// Concurrency: the server no longer serialises all broker handling behind
-// one mutex. The broker itself orders its two planes (control messages
-// exclusive, publications shared — see package broker); on top of that the
-// server runs a bounded worker pool that matches publications from
-// concurrent client connections in parallel. Publications are dispatched to
-// a worker chosen by the source peer's ID, so the publications of one
-// connection are processed in arrival order while different connections
-// spread across workers. Outbound messages fan in to one ordered send queue
-// per peer connection, drained by a single writer goroutine, so each peer
-// observes deliveries in enqueue order.
+// Concurrency: the broker orders its two planes itself (control messages
+// exclusive, publications shared — see package broker). Each connection has
+// one read loop, which decodes a frame and hands it to the broker before it
+// reads the next, so one connection's frames are handled in strict arrival
+// order while different connections match in parallel. Outbound messages fan
+// in to one ordered send queue per peer connection, drained by a single
+// writer goroutine, so each peer observes deliveries in enqueue order.
 //
 // Message lifetime: a publication is decoded into a message from the
-// server's pool, and the read loop is its first holder. The hold passes to
-// the matching worker, which drops it when the broker returns; each enqueue
-// on a peer send queue adds a hold, which the writer drops after the flush
-// that wrote the frame. The last holder returns the message to the pool
-// (see broker.Lifetime). Control frames are decoded into messages that
-// leave the pool: the broker keeps their payloads.
+// server's pool, and the read loop is its first holder; it drops that hold
+// when the broker returns. Each enqueue on a peer send queue adds a hold,
+// which the writer drops after the flush that wrote the frame. The last
+// holder returns the message to the pool (see broker.Lifetime). Control
+// frames are decoded into messages that leave the pool: the broker keeps
+// their payloads.
 package transport
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/bits"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +50,8 @@ type wireAgg struct {
 }
 
 // sendQueueDepth bounds each peer's outbound queue. A full queue blocks the
-// matching worker (backpressure toward the producer) rather than growing
-// without bound.
+// read loop matching the publication (backpressure toward the producer)
+// rather than growing without bound.
 const sendQueueDepth = 256
 
 // queuedMsg is one outbound message with its enqueue stamp (zero when flush
@@ -248,13 +243,6 @@ func (p *peerConn) shutdown() {
 	p.conn.Close()
 }
 
-// pubTask is one publication awaiting matching, tagged with its source. The
-// task carries the read loop's hold on m to the worker.
-type pubTask struct {
-	m    *broker.Message
-	from string
-}
-
 // Server hosts one broker behind a TCP listener.
 type Server struct {
 	cfg       broker.Config
@@ -275,23 +263,20 @@ type Server struct {
 	// stats counts self-healing events; see Health.
 	stats healthStats
 
-	// pubQueues feeds the matching worker pool; queue index is chosen by
-	// hashing the source peer ID, preserving per-connection order.
-	pubQueues []chan pubTask
-
 	// msgs pools the messages publications are decoded into, as
 	// *broker.Lifetime; recycle, built once, returns one when its last
 	// holder releases it.
 	msgs    sync.Pool
 	recycle func(*broker.Lifetime)
 
-	// InFlight gauges publications currently queued or being matched; its
-	// high-water mark shows how deep the pool has been driven.
+	// InFlight gauges the publications read loops are matching, one at
+	// most per connection. It stays only because cmd/xload reads its
+	// high-water mark.
 	InFlight metrics.Gauge
 
 	// reg mirrors cfg.Metrics: when non-nil the server registers its own
-	// transport-level instruments (pool occupancy, per-peer send-queue
-	// depths) next to the broker's.
+	// transport-level instruments (per-peer send-queue depths, self-healing
+	// counters) next to the broker's.
 	reg *metrics.Registry
 
 	// stageDecode and stageFlush are the transport-measured spans of the
@@ -326,16 +311,11 @@ func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Optio
 		panic(fmt.Sprintf("transport: unknown wire codec %q (only %q remains)", opts.Wire, WireBinary))
 	}
 	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{
 		cfg:       cfg,
 		neighbors: neighbors,
 		opts:      opts,
 		closed:    make(chan struct{}),
-		pubQueues: make([]chan pubTask, workers),
 		links:     make(map[string]*link, len(neighbors)),
 		batchCfg: batchConfig{
 			maxBytes:  opts.MaxBatchBytes,
@@ -360,26 +340,14 @@ func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Optio
 	if cfg.Durable != nil {
 		s.b.RecoverDurable()
 	}
-	for i := range s.pubQueues {
-		s.pubQueues[i] = make(chan pubTask, sendQueueDepth)
-	}
 	if cfg.Metrics != nil {
 		s.reg = cfg.Metrics
 		const stageHelp = "Publish-path stage latency in seconds, by pipeline stage " +
-			"(decode, queue, match, filter, enqueue, flush — see DESIGN.md §5f)."
+			"(decode, match, filter, enqueue, flush — see DESIGN.md §5f)."
 		s.stageDecode = s.reg.Histogram("xbroker_stage_seconds", stageHelp,
 			metrics.DefBuckets, "stage", trace.StageDecode)
 		s.stageFlush = s.reg.Histogram("xbroker_stage_seconds", stageHelp,
 			metrics.DefBuckets, "stage", trace.StageFlush)
-		s.reg.GaugeFunc("xbroker_pool_in_flight",
-			"Publications queued or being matched in the worker pool.",
-			func() float64 { return float64(s.InFlight.Load()) })
-		s.reg.GaugeFunc("xbroker_pool_in_flight_high",
-			"High-water mark of worker-pool occupancy.",
-			func() float64 { return float64(s.InFlight.High()) })
-		s.reg.GaugeFunc("xbroker_pool_workers",
-			"Size of the publication-matching worker pool.",
-			func() float64 { return float64(len(s.pubQueues)) })
 		s.registerHealthMetrics()
 	}
 	return s
@@ -398,8 +366,8 @@ func (s *Server) SRTSize() int { return s.b.SRTSize() }
 // Stats returns the broker's counters.
 func (s *Server) Stats() broker.Stats { return s.b.Stats() }
 
-// Listen binds the server to addr (use "127.0.0.1:0" for tests), starts the
-// matching worker pool and the accept loop. It returns the bound address.
+// Listen binds the server to addr (use "127.0.0.1:0" for tests) and starts
+// the accept loop. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -409,13 +377,9 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// serve starts the matching worker pool and the accept loop on ln.
+// serve starts the accept loop on ln.
 func (s *Server) serve(ln net.Listener) {
 	s.ln = ln
-	for _, q := range s.pubQueues {
-		s.wg.Add(1)
-		go s.matchLoop(q)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 }
@@ -431,51 +395,6 @@ func (s *Server) Close() {
 		return true
 	})
 	s.wg.Wait()
-}
-
-// matchLoop is one worker of the publication-matching pool.
-func (s *Server) matchLoop(q chan pubTask) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case t := <-q:
-			s.matchOne(t)
-		}
-	}
-}
-
-// matchOne matches one publication and drops the worker's hold on it. A
-// frame crafted to make matching panic (decoded off the wire from a hostile
-// or corrupt peer) must cost that message, not the worker or the process;
-// broker locks are deferred, so the unwind releases them.
-func (s *Server) matchOne(t pubTask) {
-	defer s.InFlight.Add(-1)
-	defer t.m.Release()
-	defer func() { recover() }()
-	s.b.HandleMessage(t.m, t.from)
-}
-
-// workerQueue returns the queue of the matching worker that owns a source
-// peer. A read loop picks it once, so one connection's publications are
-// matched in arrival order.
-func (s *Server) workerQueue(from string) chan pubTask {
-	h := fnv.New32a()
-	h.Write([]byte(from))
-	return s.pubQueues[int(h.Sum32())%len(s.pubQueues)]
-}
-
-// dispatchPublish hands a publication, with the read loop's hold on it, to
-// the worker queue q; on a closed server it drops the hold instead.
-func (s *Server) dispatchPublish(q chan pubTask, m *broker.Message, from string) {
-	s.InFlight.Add(1)
-	select {
-	case <-s.closed:
-		s.InFlight.Add(-1)
-		m.Release()
-	case q <- pubTask{m: m, from: from}:
-	}
 }
 
 // acceptLoop serves inbound connections until Close. A failed Accept — a
@@ -607,22 +526,20 @@ func (s *Server) addPeer(id string, pc *peerConn) {
 	}
 }
 
-// readLoop decodes frames from one connection. Control messages are handled
-// inline (the broker serialises them on its exclusive lock), so a peer's
-// subscribe is fully applied before its next frame is read; publications go
-// to the worker pool. Ordering guarantee per connection: control messages
-// stay ordered among themselves and publications among themselves; a
-// control message may only overtake this connection's own still-queued
-// publications (concurrent by design — see DESIGN.md "Concurrency model").
+// readLoop decodes frames from one connection and hands each to the broker
+// before it reads the next, so the connection's frames are handled in strict
+// arrival order: a subscribe is applied before the publication that follows
+// it, and no control message overtakes an earlier publication. Control
+// messages take the broker's exclusive lock; a publication is matched right
+// here, on the connection's own goroutine (see DESIGN.md §5a).
 //
 // Heartbeat frames refresh the link's liveness clock and stop here — they
 // never reach the broker, and their message is decoded into again. Every
 // frame has passed the decoder's wire bounds; one that still makes the
-// broker choke must cost this connection, not the process, hence the
+// broker panic must cost this connection, not the process, hence the
 // recover.
 func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *link) {
-	defer func() { recover() }()
-	q := s.workerQueue(id)
+	defer s.recoverPanic()
 	var lt *broker.Lifetime
 	for {
 		if lt == nil {
@@ -649,25 +566,48 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 		if m.Type == broker.MsgHeartbeat {
 			continue
 		}
-		if m.Type == broker.MsgPublish {
-			lt.Arm()
-			if tr != nil {
-				now := time.Now()
-				d := now.Sub(arrived)
-				if d < 0 {
-					d = 0
-				}
-				if s.stageDecode != nil {
-					s.stageDecode.Observe(d.Seconds())
-				}
-				m.SetArrival(d, now)
-			}
-			s.dispatchPublish(q, m, id)
-			lt = nil
+		if m.Type != broker.MsgPublish {
+			lt = nil // the broker may keep a control message
+			s.b.HandleMessage(m, id)
 			continue
 		}
-		lt = nil // the broker may keep a control message
-		s.b.HandleMessage(m, id)
+		lt.Arm()
+		lt = nil // the last holder returns it to the pool
+		if tr != nil {
+			d := max(time.Since(arrived), 0)
+			if s.stageDecode != nil {
+				s.stageDecode.Observe(d.Seconds())
+			}
+			m.SetArrival(d)
+		}
+		s.match(m, id)
+	}
+}
+
+// match hands one publication to the broker and drops the read loop's hold
+// on it when the broker returns, or panics.
+func (s *Server) match(m *broker.Message, from string) {
+	s.InFlight.Add(1)
+	defer s.InFlight.Add(-1)
+	defer m.Release()
+	s.b.HandleMessage(m, from)
+}
+
+// repanic makes recoverPanic re-raise what it recovered, after counting it.
+// The package's tests set it, so a test or fuzz target that makes the broker
+// panic fails instead of seeing a closed connection.
+var repanic bool
+
+// recoverPanic, deferred by a read loop, turns a panic on one connection's
+// frame into the loss of that connection: it counts the panic in
+// HealthStats.Panics, and the read loop returns, which closes the
+// connection. Broker locks are deferred, so the unwind has released them.
+func (s *Server) recoverPanic() {
+	if r := recover(); r != nil {
+		s.stats.panics.Add(1)
+		if repanic {
+			panic(r)
+		}
 	}
 }
 
@@ -807,9 +747,13 @@ type Client struct {
 	addr string
 	opts ClientOptions
 
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *wirefmt.Encoder
+	// mu is the send lock: it serialises encodes, and a redial's replay.
+	mu  sync.Mutex
+	enc *wirefmt.Encoder
+	// connMu guards conn, the current connection. Close takes only this
+	// lock, so it can close a connection that a Send is blocked writing to.
+	connMu sync.Mutex
+	conn   net.Conn
 	// record holds the client's live control state — what a reconnect
 	// replays so the restarted or recovered edge broker serves the client
 	// again — and does the durable-subscribe conversion. It records only
@@ -919,10 +863,13 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 		}
 		conn, enc, dec, err := clientHandshake(c.addr, c.ID)
 		if err == nil {
+			if !c.setConn(conn) {
+				return nil, nil
+			}
 			// Swap and replay under the send lock so no Send interleaves
 			// with the replayed record on the fresh stream.
 			c.mu.Lock()
-			c.conn, c.enc = conn, enc
+			c.enc = enc
 			replayed := true
 			for _, m := range c.record.Messages() {
 				if enc.Encode(m) != nil {
@@ -950,6 +897,21 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 			backoff = c.opts.ReconnectMax
 		}
 	}
+}
+
+// setConn makes conn the connection Close closes. It reports false, having
+// closed conn, when the client is already closed.
+func (c *Client) setConn(conn net.Conn) bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	select {
+	case <-c.closed:
+		conn.Close()
+		return false
+	default:
+	}
+	c.conn = conn
+	return true
 }
 
 // Send submits any message to the edge broker. With reconnection enabled, a
@@ -991,13 +953,14 @@ func (c *Client) Ack(seq uint64) error {
 	return err
 }
 
-// Close drops the connection and stops any reconnection.
+// Close drops the connection and stops any reconnection. It does not wait
+// for a Send in progress: closing the connection fails that Send.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed)
-		c.mu.Lock()
+		c.connMu.Lock()
 		c.conn.Close()
-		c.mu.Unlock()
+		c.connMu.Unlock()
 	})
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/trace"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -258,5 +260,121 @@ func TestAcceptRetriesAfterError(t *testing.T) {
 	waitFor(t, func() bool { return s.PRTSize() == 1 })
 	if fl.fails.Load() >= 0 {
 		t.Fatalf("%d failing Accept calls left unmade", fl.fails.Load()+1)
+	}
+}
+
+// TestClientCloseDuringBlockedSend points a client at a broker that reads
+// its preamble and then stops reading, and sends until a Send blocks in the
+// socket write. Close must not wait for that Send: it must return at once,
+// fail the Send and close Deliveries.
+func TestClientCloseDuringBlockedSend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hello := make([]byte, helloBytes(t, "c"))
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		io.ReadFull(conn, hello)
+		accepted <- conn
+	}()
+	c, err := Dial(ln.Addr().String(), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srvConn := <-accepted
+	// Closing the server's end, last, frees a Send that Close failed to.
+	defer srvConn.Close()
+
+	raw := floodDoc()
+	var sent atomic.Int64
+	sendErr := make(chan error, 1)
+	go func() {
+		for {
+			if err := c.Send(&broker.Message{Type: broker.MsgPublish, Raw: raw}); err != nil {
+				sendErr <- err
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	// Blocked: no Send has returned for 200 ms.
+	for last := int64(-1); sent.Load() != last; time.Sleep(200 * time.Millisecond) {
+		last = sent.Load()
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close waited for the blocked Send")
+	}
+	select {
+	case err := <-sendErr:
+		if err == nil {
+			t.Fatal("the blocked Send succeeded after Close")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the blocked Send did not return after Close")
+	}
+	select {
+	case _, ok := <-c.Deliveries:
+		if ok {
+			t.Fatal("a delivery arrived from a broker that sends nothing")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Deliveries not closed after Close")
+	}
+}
+
+// panicSink is a trace sink that panics on every event.
+type panicSink struct{}
+
+func (panicSink) Record(trace.Event) { panic("trace sink failed") }
+
+// TestRecoveredPanicClosesConnection makes the broker panic on a traced
+// publication, with the re-raise off: the panic must be counted, and the
+// publisher's connection closed.
+func TestRecoveredPanicClosesConnection(t *testing.T) {
+	repanic = false
+	s := NewServer(broker.Config{ID: "b1", TraceSink: panicSink{}}, nil)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for the read loops, so none still reads repanic.
+	defer func() {
+		s.Close()
+		repanic = true
+	}()
+	c, err := Dial(addr, "pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: []string{"a"}}, TraceID: "t-1"}
+	if err := c.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case _, ok := <-c.Deliveries:
+		if ok {
+			t.Fatal("a delivery arrived for a publication nobody subscribed to")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection stayed open after a panic")
+	}
+	if got := s.Health().Panics; got != 1 {
+		t.Fatalf("Panics = %d, want 1", got)
 	}
 }
