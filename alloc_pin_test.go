@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/metrics"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/wirefmt"
 	"repro/internal/xmldoc"
@@ -44,7 +45,10 @@ func TestPublishAllocsPinned(t *testing.T) {
 	pub := xmldoc.Publication{Path: []string{"stock", "quote", "price"}}
 	raw := []byte("<stock><quote><price/></quote></stock>")
 	// decode returns a path publication as a broker link hands it over:
-	// decoded, with the symbols the decoder resolved.
+	// decoded, with the symbols the decoder resolved. The decoder only looks
+	// names up, and the subscriptions that intern these are made per run
+	// below, so they are interned first, as at a broker already serving them.
+	symtab.InternPath(pub.Path)
 	decode := func(pub xmldoc.Publication) *broker.Message {
 		var frame bytes.Buffer
 		if err := wirefmt.NewEncoder(&frame, wirefmt.DefaultLimits).Encode(&broker.Message{Type: broker.MsgPublish, Pub: pub}); err != nil {

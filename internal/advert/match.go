@@ -192,52 +192,35 @@ func (a *Advertisement) MatchesPath(path []string) bool {
 
 // MatchesSymPath is MatchesPath over an interned path: the automaton's
 // alphabet is the shared symbol table, so the simulation compares uint32
-// symbols only.
+// symbols only. Acceptance requires consuming the entire path and ending
+// in the accept state.
 func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
 	n := a.nfa()
-	if n.closure64 != nil {
-		return n.matchesPath64(path)
-	}
-	// Simulate the NFA over the concrete path; acceptance requires consuming
-	// the entire path and ending in the accept state.
-	cur := n.closure(map[int]bool{0: true})
+	var buf [2 * stackWords]uint64
+	sets := n.scratch(buf[:], 2)
+	cur, next := sets[:n.words], sets[n.words:]
+	orInto(cur, n.closureOf(0))
 	for _, sym := range path {
-		next := make(map[int]bool)
-		for st := range cur {
-			for _, e := range n.edges(st) {
-				if e.sym == symtab.Wildcard || e.sym == sym {
-					next[int(e.to)] = true
+		clear(next)
+		found := false
+		for w, word := range cur {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &^= 1 << uint(b)
+				for _, e := range n.edges(w<<6 | b) {
+					if e.sym == symtab.Wildcard || e.sym == sym {
+						orInto(next, n.closureOf(e.to))
+						found = true
+					}
 				}
 			}
 		}
-		if len(next) == 0 {
+		if !found {
 			return false
 		}
-		cur = n.closure(next)
+		cur, next = next, cur
 	}
-	return cur[int(n.accept)]
-}
-
-// matchesPath64 is the allocation-free bitmask simulation.
-func (n *advNFA) matchesPath64(path []symtab.Sym) bool {
-	cur := n.closure64[0]
-	for _, sym := range path {
-		var next uint64
-		for rest := cur; rest != 0; {
-			st := bits.TrailingZeros64(rest)
-			rest &^= 1 << uint(st)
-			for _, e := range n.edges(st) {
-				if e.sym == symtab.Wildcard || e.sym == sym {
-					next |= n.closure64[e.to]
-				}
-			}
-		}
-		if next == 0 {
-			return false
-		}
-		cur = next
-	}
-	return cur&(1<<uint(n.accept)) != 0
+	return cur[n.accept>>6]&(1<<uint(n.accept&63)) != 0
 }
 
 // --- automaton construction and the general overlap matcher ---
@@ -249,26 +232,47 @@ type nfaEdge struct {
 
 // advNFA is an advertisement's automaton, its transitions in one compressed
 // array: state st's symbol-labelled edges are all[off[st]:off[st+1]]. State
-// 0 is the start state. An automaton of at most 64 states (every
-// DTD-derived advertisement) keeps each state's epsilon closure as a
-// bitmask in closure64, so its matchers neither allocate nor need the
-// epsilon edges, which are dropped. A larger one has no closure64 and keeps
-// its epsilon edges, laid out the same way in epsOff and eps, for closure.
+// 0 is the start state. Each state's epsilon closure is a bitset of words
+// uint64s, closure[st*words:(st+1)*words], so the matchers simulate the
+// automaton on state sets without its epsilon edges, which construction
+// drops. An automaton of at most 64 states (every DTD-derived
+// advertisement) has one-word sets.
 type advNFA struct {
-	off       []int32
-	all       []nfaEdge
-	accept    int32
-	closure64 []uint64
-	epsOff    []int32
-	eps       []int32
+	off     []int32
+	all     []nfaEdge
+	accept  int32
+	words   int
+	closure []uint64
 }
+
+// stackWords is the widest state set, in words, the matchers keep on the
+// stack: automata of up to 4·64 states simulate without allocating.
+const stackWords = 4
 
 // edges returns state st's symbol-labelled transitions.
 func (n *advNFA) edges(st int) []nfaEdge { return n.all[n.off[st]:n.off[st+1]] }
 
-// epsilon returns state st's epsilon transitions (automata without
-// closure64, and during construction).
-func (n *advNFA) epsilon(st int) []int32 { return n.eps[n.epsOff[st]:n.epsOff[st+1]] }
+// closureOf returns state st's epsilon closure.
+func (n *advNFA) closureOf(st int32) []uint64 {
+	i := int(st) * n.words
+	return n.closure[i : i+n.words]
+}
+
+// scratch returns sets state sets laid end to end, in buf (which must be
+// zero) when they fit.
+func (n *advNFA) scratch(buf []uint64, sets int) []uint64 {
+	if need := sets * n.words; need <= len(buf) {
+		return buf[:need]
+	}
+	return make([]uint64, sets*n.words)
+}
+
+// orInto adds every state of src to dst.
+func orInto(dst, src []uint64) {
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
 
 // nfa returns the advertisement's automaton, whose language is exactly its
 // expansion set. Constructor-built advertisements compiled it eagerly;
@@ -286,38 +290,57 @@ func (a *Advertisement) nfa() *advNFA {
 	return a.nfaCached.Load()
 }
 
+// nfaBuilder holds an automaton under construction with its epsilon edges,
+// laid out like the symbol edges: state st's are eps[epsOff[st]:epsOff[st+1]].
+type nfaBuilder struct {
+	n      *advNFA
+	epsOff []int32
+	eps    []int32
+}
+
 // compileNFA builds the automaton: one state per symbol plus a private entry
 // state per group.
 func (a *Advertisement) compileNFA() *advNFA {
 	syms, groups := nfaSize(a.Items)
 	states := 1 + syms + groups
 	n := &advNFA{
-		off:    make([]int32, 0, states+1),
-		all:    make([]nfaEdge, 0, syms),
+		off:   make([]int32, 0, states+1),
+		all:   make([]nfaEdge, 0, syms),
+		words: (states + 63) >> 6,
+	}
+	b := nfaBuilder{
+		n:      n,
 		epsOff: make([]int32, 0, states+1),
 		eps:    make([]int32, 0, 2*groups),
 	}
-	n.newState()
-	n.accept = n.compile(a.Items, 0)
+	b.newState()
+	n.accept = b.compile(a.Items, 0)
 	n.off = append(n.off, int32(len(n.all)))
-	n.epsOff = append(n.epsOff, int32(len(n.eps)))
-	if states <= 64 {
-		n.closure64 = make([]uint64, states)
-		for st := range n.closure64 {
-			mask := uint64(1) << uint(st)
-			for pending := mask; pending != 0; {
-				q := bits.TrailingZeros64(pending)
-				pending &^= 1 << uint(q)
-				for _, to := range n.epsilon(q) {
-					if bit := uint64(1) << uint(to); mask&bit == 0 {
-						mask |= bit
-						pending |= bit
-					}
+	b.epsOff = append(b.epsOff, int32(len(b.eps)))
+
+	n.closure = make([]uint64, states*n.words)
+	var buf [stackWords]uint64
+	pending := n.scratch(buf[:], 1)
+	for st := int32(0); st < int32(states); st++ {
+		row := n.closureOf(st)
+		row[st>>6] |= 1 << uint(st&63)
+		pending[st>>6] |= 1 << uint(st&63)
+		for w := 0; w < len(pending); {
+			if pending[w] == 0 {
+				w++
+				continue
+			}
+			bit := bits.TrailingZeros64(pending[w])
+			pending[w] &^= 1 << uint(bit)
+			q := w<<6 | bit
+			for _, to := range b.eps[b.epsOff[q]:b.epsOff[q+1]] {
+				if m := uint64(1) << uint(to&63); row[to>>6]&m == 0 {
+					row[to>>6] |= m
+					pending[to>>6] |= m
+					w = min(w, int(to>>6))
 				}
 			}
-			n.closure64[st] = mask
 		}
-		n.epsOff, n.eps = nil, nil
 	}
 	return n
 }
@@ -340,83 +363,30 @@ func nfaSize(seq []Item) (syms, groups int) {
 // Rows are appended in state order: every edge added leaves the newest
 // state (cur always is), so a state's rows are complete once the next state
 // is created.
-func (n *advNFA) compile(seq []Item, cur int32) int32 {
+func (b *nfaBuilder) compile(seq []Item, cur int32) int32 {
 	for _, it := range seq {
 		if it.IsGroup() {
 			// The group gets a private entry state so that its loop-back
 			// cannot leak into epsilon edges of whatever preceded it.
-			n.eps = append(n.eps, cur+1)
-			entry := n.newState()
-			end := n.compile(it.Group, entry)
+			b.eps = append(b.eps, cur+1)
+			entry := b.newState()
+			end := b.compile(it.Group, entry)
 			// One-or-more: after a full iteration, loop back.
-			n.eps = append(n.eps, entry)
+			b.eps = append(b.eps, entry)
 			cur = end
 		} else {
-			n.all = append(n.all, nfaEdge{sym: symtab.Intern(it.Name), to: cur + 1})
-			cur = n.newState()
+			b.n.all = append(b.n.all, nfaEdge{sym: symtab.Intern(it.Name), to: cur + 1})
+			cur = b.newState()
 		}
 	}
 	return cur
 }
 
 // newState opens the next state's rows and returns its id.
-func (n *advNFA) newState() int32 {
-	n.off = append(n.off, int32(len(n.all)))
-	n.epsOff = append(n.epsOff, int32(len(n.eps)))
-	return int32(len(n.off) - 1)
-}
-
-// overlaps64 is the allocation-free bitmask variant of the product
-// reachability search. A subscription step is consumed or skipped, never
-// undone, so the search runs level by level: reached holds the advertisement
-// states reached with j subscription steps consumed, next those reached with
-// j+1, and pending the states of level j whose edges are still unexplored.
-func (n *advNFA) overlaps64(s *xpath.XPE) bool {
-	subSyms := s.Syms()
-	reached := n.closure64[0]
-	for j, sym := range subSyms {
-		skip := s.Skips(j)
-		var next uint64
-		for pending := reached; pending != 0; {
-			st := bits.TrailingZeros64(pending)
-			pending &^= 1 << uint(st)
-			for _, e := range n.edges(st) {
-				to := n.closure64[e.to]
-				if skip {
-					pending |= to &^ reached
-					reached |= to
-				}
-				if xpath.SymOverlaps(e.sym, sym) {
-					next |= to
-				}
-			}
-		}
-		if next == 0 {
-			return false
-		}
-		reached = next
-	}
-	return true
-}
-
-// closure expands a state set across epsilon transitions in place and
-// returns it.
-func (n *advNFA) closure(set map[int]bool) map[int]bool {
-	var stack []int
-	for st := range set {
-		stack = append(stack, st)
-	}
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, to := range n.epsilon(st) {
-			if !set[int(to)] {
-				set[int(to)] = true
-				stack = append(stack, int(to))
-			}
-		}
-	}
-	return set
+func (b *nfaBuilder) newState() int32 {
+	b.n.off = append(b.n.off, int32(len(b.n.all)))
+	b.epsOff = append(b.epsOff, int32(len(b.eps)))
+	return int32(len(b.n.off) - 1)
 }
 
 // overlapsNFA decides publication-set overlap between the advertisement and
@@ -431,43 +401,54 @@ func (n *advNFA) closure(set map[int]bool) map[int]bool {
 // many advertisement symbols. Acceptance only requires consuming all
 // subscription steps: any advertisement state can complete to a full
 // expansion, so the remaining publication tail is unconstrained.
+//
+// A subscription step is consumed or skipped, never undone, so the search
+// runs level by level: reached holds the advertisement states reached with
+// j subscription steps consumed, next those reached with j+1, and pending
+// the states of level j whose edges are still unexplored.
 func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 	n := a.nfa()
-	if n.closure64 != nil {
-		return n.overlaps64(s)
-	}
-	k := s.Len()
 	subSyms := s.Syms()
-	type prod struct{ adv, sub int }
-	seen := make(map[prod]bool)
-	var queue []prod
-	push := func(p prod) {
-		if !seen[p] {
-			seen[p] = true
-			queue = append(queue, p)
+	var buf [3 * stackWords]uint64
+	sets := n.scratch(buf[:], 3)
+	reached, next, pending := sets[:n.words], sets[n.words:2*n.words], sets[2*n.words:]
+	orInto(reached, n.closureOf(0))
+	for j, sym := range subSyms {
+		skip := s.Skips(j)
+		// One loop, not copy and clear: sets are usually one word, too
+		// small for a call to memmove or memclr to pay.
+		for i := range pending {
+			pending[i], next[i] = reached[i], 0
 		}
-	}
-	for st := range n.closure(map[int]bool{0: true}) {
-		push(prod{st, 0})
-	}
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if p.sub == k {
-			return true
-		}
-		skip := s.Skips(p.sub)
-		for _, e := range n.edges(p.adv) {
-			targets := n.closure(map[int]bool{int(e.to): true})
-			for to := range targets {
+		found := false
+		for w := 0; w < len(pending); {
+			if pending[w] == 0 {
+				w++
+				continue
+			}
+			b := bits.TrailingZeros64(pending[w])
+			pending[w] &^= 1 << uint(b)
+			for _, e := range n.edges(w<<6 | b) {
+				to := n.closureOf(e.to)
 				if skip {
-					push(prod{to, p.sub})
+					for i, t := range to {
+						if fresh := t &^ reached[i]; fresh != 0 {
+							reached[i] |= fresh
+							pending[i] |= fresh
+							w = min(w, i)
+						}
+					}
 				}
-				if xpath.SymOverlaps(e.sym, subSyms[p.sub]) {
-					push(prod{to, p.sub + 1})
+				if xpath.SymOverlaps(e.sym, sym) {
+					orInto(next, to)
+					found = true
 				}
 			}
 		}
+		if !found {
+			return false
+		}
+		reached, next = next, reached
 	}
-	return false
+	return true
 }

@@ -104,11 +104,11 @@ type healthStats struct {
 type HealthStats struct {
 	ReconnectAttempts int64 // dial attempts for lost neighbour links
 	Reconnects        int64 // neighbour links successfully re-established
-	Disconnects       int64 // neighbour connections lost
+	Disconnects       int64 // current connections lost, client or neighbour
 	HeartbeatsSent    int64
 	DeadPeers         int64 // connections dropped by the dead-peer detector
-	DroppedPubs       int64 // publications dropped because a link was down
-	DroppedControl    int64 // control messages dropped because a link was down
+	DroppedPubs       int64 // publications dropped because a peer's link was down
+	DroppedControl    int64 // control messages dropped because a peer's link was down
 	Resyncs           int64 // control-state resyncs initiated after attach
 	BadFrames         int64 // preambles and frames the wirefmt decoder rejected
 	Panics            int64 // panics recovered on a read loop, each costing its connection
@@ -136,10 +136,11 @@ func (s *Server) Health() HealthStats {
 // lengths only, so it is safe at any time.
 func (s *Server) QueueDepths() map[string]int {
 	out := make(map[string]int)
-	s.peers.Range(func(k, v any) bool {
-		out[k.(string)] = len(v.(*peerConn).queue)
-		return true
-	})
+	for _, l := range s.allLinks() {
+		if pc := l.conn(); pc != nil {
+			out[l.id] = len(pc.queue)
+		}
+	}
 	return out
 }
 
@@ -163,26 +164,21 @@ type LinkStatus struct {
 }
 
 // Links snapshots the health of every configured neighbour link, sorted by
-// peer ID.
+// peer ID. Client links are left out.
 func (s *Server) Links() []LinkStatus {
-	s.linkMu.Lock()
-	links := make([]*link, 0, len(s.links))
-	for _, l := range s.links {
-		links = append(links, l)
-	}
-	s.linkMu.Unlock()
-	out := make([]LinkStatus, 0, len(links))
-	seen := make(map[string]bool, len(links))
-	for _, l := range links {
-		l.mu.Lock()
-		st := LinkStatus{Peer: l.id, Up: l.pc != nil}
-		if l.pc != nil {
-			st.QueueDepth = len(l.pc.queue)
-			st.TxBytes = l.pc.txBytes.Load()
-			st.BatchP50 = l.pc.batchP50()
+	out := make([]LinkStatus, 0, len(s.neighbors))
+	seen := make(map[string]bool, len(s.neighbors))
+	for _, l := range s.allLinks() {
+		if l.addr == "" {
+			continue
 		}
-		l.mu.Unlock()
-		st.LastRecvUnixNano = l.lastRecv.Load()
+		st := LinkStatus{Peer: l.id, LastRecvUnixNano: l.lastRecv.Load()}
+		if pc := l.conn(); pc != nil {
+			st.Up = true
+			st.QueueDepth = len(pc.queue)
+			st.TxBytes = pc.txBytes.Load()
+			st.BatchP50 = pc.batchP50()
+		}
 		out = append(out, st)
 		seen[l.id] = true
 	}
@@ -195,15 +191,19 @@ func (s *Server) Links() []LinkStatus {
 	return out
 }
 
-// link owns one neighbour relationship: the live connection (if any) and
-// the reconnect state machine. The broker's send callback routes every
-// neighbour-bound message through deliver; connection loss anywhere (write
-// failure, read failure, dead-peer detection) funnels through connLost,
-// which starts the reconnect loop. Nothing is held for a down link: the
-// resync after every attach is the one mechanism that repairs an outage.
+// link owns one peer, client or neighbour: its live connection (if any) and,
+// for a neighbour, the reconnect state machine. The broker's send callback
+// routes every message through deliver; connection loss anywhere (write
+// failure, read failure, dead-peer detection) funnels through connLost.
+// Nothing is held for a down link: a neighbour is repaired by the resync
+// after its next attach, a client by replaying its own record when it
+// redials.
 type link struct {
-	s    *Server
-	id   string
+	s  *Server
+	id string
+	// addr is a neighbour's address. A client's link has none: nothing
+	// dials it, it is not resynced, and it gets no heartbeats (a heartbeat
+	// would reach Client.Deliveries).
 	addr string
 
 	mu       sync.Mutex
@@ -216,6 +216,46 @@ type link struct {
 	lastRecv atomic.Int64
 }
 
+// linkFor returns the link of a peer ID, creating it on first contact: a
+// configured neighbour's link carries its address and starts its heartbeat
+// loop when heartbeats are enabled; any other ID is a client.
+func (s *Server) linkFor(id string) *link {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	if l := s.links[id]; l != nil {
+		return l
+	}
+	l := &link{s: s, id: id, addr: s.neighbors[id]}
+	s.links[id] = l
+	if l.addr != "" && s.opts.Heartbeat > 0 {
+		select {
+		case <-s.closed:
+		default:
+			s.wg.Add(1)
+			go l.heartbeatLoop()
+		}
+	}
+	return l
+}
+
+// allLinks snapshots the peer table.
+func (s *Server) allLinks() []*link {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	out := make([]*link, 0, len(s.links))
+	for _, l := range s.links {
+		out = append(out, l)
+	}
+	return out
+}
+
+// conn returns the live connection, or nil while the link is down.
+func (l *link) conn() *peerConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.pc
+}
+
 // deliver sends a message over the link, or drops and counts it while the
 // link is down. Called by the broker with its routing lock held, so it must
 // never call back into the broker.
@@ -226,10 +266,7 @@ type link struct {
 // that found the link down therefore finishes before that resync builds its
 // claim, and the claim includes the dropped message's effect.
 func (l *link) deliver(m *broker.Message) {
-	l.mu.Lock()
-	pc := l.pc
-	l.mu.Unlock()
-	if pc != nil {
+	if pc := l.conn(); pc != nil {
 		if err := pc.write(m); err == nil {
 			return
 		}
@@ -249,28 +286,68 @@ func (l *link) deliver(m *broker.Message) {
 	}
 }
 
+// attach installs a new connection as the link's active one, replacing (and
+// shutting down) any previous connection, and publishes its send-queue
+// gauge. A neighbour's caller must follow up with resyncAfterAttach once it
+// is not holding any broker lock.
+func (l *link) attach(pc *peerConn) {
+	l.lastRecv.Store(time.Now().UnixNano())
+	l.mu.Lock()
+	old := l.pc
+	l.pc = pc
+	l.dialing = false
+	l.attempts = 0
+	// Under the link lock, so a racing connLost of the old connection
+	// cannot unregister the new connection's gauge.
+	if reg := l.s.reg; reg != nil {
+		reg.GaugeFunc("xbroker_send_queue_depth",
+			"Outbound messages queued toward a peer connection.",
+			func() float64 { return float64(len(pc.queue)) }, "peer", l.id)
+	}
+	l.mu.Unlock()
+	if old != nil {
+		old.shutdown()
+	}
+	// A connection attached while Close is sweeping the links would be
+	// missed by the sweep and its read loop would outlive the server. The
+	// store above and this check bracket Close's close(closed)+sweep pair:
+	// either the sweep sees the connection, or this check sees closed.
+	select {
+	case <-l.s.closed:
+		pc.shutdown()
+	default:
+	}
+}
+
 // connLost records that a connection died. Only the goroutine that observes
-// the currently-attached connection failing starts a reconnect; stale
-// connections (already replaced by a newer attach) are just cleaned up.
+// the currently-attached connection failing counts the disconnect, removes
+// the gauge and starts a reconnect; stale connections (already replaced by a
+// newer attach) are just shut down.
 func (l *link) connLost(pc *peerConn) {
 	l.mu.Lock()
 	current := l.pc == pc
 	if current {
 		l.pc = nil
+		if reg := l.s.reg; reg != nil {
+			reg.Unregister("xbroker_send_queue_depth", "peer", l.id)
+		}
 	}
 	l.mu.Unlock()
 	pc.shutdown()
-	l.s.dropPeer(l.id, pc)
 	if current {
 		l.s.stats.disconnects.Add(1)
 		l.ensureDialing(false)
 	}
 }
 
-// ensureDialing starts the reconnect loop if the link is down and no loop is
-// already running. revive re-arms a link whose dial budget was exhausted —
-// new control traffic is evidence the neighbour is still wanted.
+// ensureDialing starts the reconnect loop if the link is a neighbour's, is
+// down, and no loop is already running. revive re-arms a link whose dial
+// budget was exhausted — new control traffic is evidence the neighbour is
+// still wanted.
 func (l *link) ensureDialing(revive bool) {
+	if l.addr == "" {
+		return // a client redials by itself
+	}
 	select {
 	case <-l.s.closed:
 		return
@@ -292,12 +369,12 @@ func (l *link) ensureDialing(revive bool) {
 	go l.reconnectLoop()
 }
 
-// reconnectLoop redials the neighbour with exponential backoff and jitter
-// until it succeeds, the dial budget runs out, the server closes, or an
-// inbound connection attaches first.
+// reconnectLoop redials the neighbour with backoff until it succeeds, the
+// dial budget runs out, the server closes, or an inbound connection attaches
+// first.
 func (l *link) reconnectLoop() {
 	defer l.s.wg.Done()
-	backoff := l.s.opts.ReconnectMin
+	wait := backoff{min: l.s.opts.ReconnectMin, max: l.s.opts.ReconnectMax}
 	for {
 		l.mu.Lock()
 		if l.pc != nil { // an inbound connection won the race
@@ -318,43 +395,13 @@ func (l *link) reconnectLoop() {
 			l.s.stats.reconnects.Add(1)
 			return // dialNeighbor attached and resynced
 		}
-
-		// Full jitter on the upper half of the window keeps two brokers
-		// redialling each other from colliding in lockstep.
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-l.s.closed:
+		if !wait.sleep(l.s.closed) {
 			l.mu.Lock()
 			l.dialing = false
 			l.mu.Unlock()
 			return
-		case <-time.After(d):
-		}
-		if backoff *= 2; backoff > l.s.opts.ReconnectMax {
-			backoff = l.s.opts.ReconnectMax
 		}
 	}
-}
-
-// attach installs a new connection as the link's active one, replacing (and
-// shutting down) any previous connection. The caller must follow up with
-// resyncAfterAttach once it is not holding any broker lock.
-func (l *link) attach(pc *peerConn) {
-	l.lastRecv.Store(time.Now().UnixNano())
-	l.mu.Lock()
-	old := l.pc
-	l.pc = pc
-	l.dialing = false
-	l.attempts = 0
-	// The peers-map update stays under the link lock: two racing attaches
-	// (inbound accept vs outbound dial) must not leave the map pointing at
-	// the losing connection, or Close would never reach the winner.
-	if old != nil && old != pc {
-		old.shutdown()
-		l.s.dropPeer(l.id, old)
-	}
-	l.s.addPeer(l.id, pc)
-	l.mu.Unlock()
 }
 
 // resyncAfterAttach replays the control state owed to the neighbour. It must
@@ -376,9 +423,7 @@ func (l *link) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		l.mu.Lock()
-		pc := l.pc
-		l.mu.Unlock()
+		pc := l.conn()
 		if pc == nil {
 			continue
 		}
@@ -400,6 +445,29 @@ func (l *link) heartbeatLoop() {
 	}
 }
 
+// backoff is the one retry schedule of the accept loop, a neighbour's
+// redial and a client's redial: the window starts at min and doubles up to
+// max after every wait, and each wait is drawn from the window's upper half,
+// so two brokers redialling each other do not stay in lockstep.
+type backoff struct {
+	min, max, window time.Duration
+}
+
+// sleep waits out the next wait and widens the window, reporting false if
+// stop closes first.
+func (b *backoff) sleep(stop <-chan struct{}) bool {
+	b.window = max(b.window, b.min)
+	t := time.NewTimer(b.window/2 + time.Duration(rand.Int63n(int64(b.window/2)+1)))
+	defer t.Stop()
+	b.window = min(2*b.window, b.max)
+	select {
+	case <-stop:
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
 // registerHealthMetrics exposes the self-healing counters on the server's
 // metrics registry.
 func (s *Server) registerHealthMetrics() {
@@ -409,11 +477,11 @@ func (s *Server) registerHealthMetrics() {
 	}{
 		{"xbroker_link_reconnect_attempts", "Dial attempts for lost neighbour links.", &s.stats.reconnectAttempts},
 		{"xbroker_link_reconnects", "Neighbour links successfully re-established.", &s.stats.reconnects},
-		{"xbroker_link_disconnects", "Neighbour connections lost.", &s.stats.disconnects},
+		{"xbroker_link_disconnects", "Peer connections lost, client or neighbour.", &s.stats.disconnects},
 		{"xbroker_link_heartbeats_sent", "Heartbeat frames sent to neighbours.", &s.stats.heartbeatsSent},
 		{"xbroker_link_dead_peers", "Connections dropped by dead-peer detection.", &s.stats.deadPeers},
-		{"xbroker_link_dropped_publications", "Publications dropped while a link was down.", &s.stats.droppedPubs},
-		{"xbroker_link_dropped_control", "Control messages dropped while a link was down (the resync at attach repairs them).", &s.stats.droppedControl},
+		{"xbroker_link_dropped_publications", "Publications dropped while a peer's link was down, client or neighbour.", &s.stats.droppedPubs},
+		{"xbroker_link_dropped_control", "Control messages dropped while a peer's link was down (a neighbour's resync at attach, or a client's replay, repairs them).", &s.stats.droppedControl},
 		{"xbroker_link_resyncs", "Control-state resyncs initiated after (re)connects.", &s.stats.resyncs},
 		{"xbroker_wire_bad_frames", "Inbound preambles and frames rejected by the wire decoder.", &s.stats.badFrames},
 		{"xbroker_panics_total", "Panics recovered while handling an inbound frame; each closed its connection.", &s.stats.panics},

@@ -106,7 +106,7 @@ func TestHopAllocsPinned(t *testing.T) {
 
 			// The neighbour attaches first, so the server never dials it.
 			n1 := dialRaw(t, addr, "n1")
-			waitFor(t, func() bool { _, ok := s.peers.Load("n1"); return ok })
+			waitFor(t, func() bool { return s.linkFor("n1").conn() != nil })
 			sub := dialRaw(t, addr, "sub")
 			for _, p := range []struct {
 				peer *rawPeer
@@ -360,11 +360,10 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 	}
 	// b1 holds the four distinct expressions, two of them from b2 too.
 	waitFor(t, func() bool { return b1.PRTSize() == 4 && b1.Stats().MsgsIn[broker.MsgSubscribe] == 3 })
-	v, ok := b1.peers.Load("keeper")
-	if !ok || v.(*peerConn).conn != held {
+	pc := b1.linkFor("keeper").conn()
+	if pc == nil || pc.conn != held {
 		t.Fatal("the held connection is not the durable client's")
 	}
-	pc := v.(*peerConn)
 	pub, err := Dial(addr1, "pub")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,12 @@
 // place inbound frames are validated; a frame it rejects costs the
 // connection and is counted in HealthStats.BadFrames.
 //
+// The server keeps one peer table, as the broker routes by one kind of last
+// hop: every connection, a client's or a neighbour's, attaches to the link
+// of the id its preamble names, and every message for a peer is delivered
+// through that link. A neighbour's link also redials, resyncs and sends
+// heartbeats; a client's has no address and does none of these.
+//
 // The discrete-event simulator (package sim) is the tool for controlled
 // experiments; this package is the deployable counterpart with identical
 // broker semantics.
@@ -249,14 +255,14 @@ type Server struct {
 	neighbors map[string]string // broker ID -> address
 	opts      Options
 
-	b     *broker.Broker
-	ln    net.Listener
-	peers sync.Map // peer ID -> *peerConn
+	b  *broker.Broker
+	ln net.Listener
 
-	// links holds the self-healing state of each neighbour relationship
-	// (reconnect loop, heartbeat liveness). Created lazily on first contact
-	// because neighbour addresses may be filled in after construction
-	// (listeners must bind before addresses exist).
+	// links is the peer table: one link per peer ID, client or neighbour,
+	// holding its live connection and, for a neighbour, the self-healing
+	// state (reconnect loop, heartbeat liveness). Created lazily on first
+	// contact because neighbour addresses may be filled in after
+	// construction (listeners must bind before addresses exist).
 	linkMu sync.Mutex
 	links  map[string]*link
 
@@ -390,31 +396,30 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	s.peers.Range(func(_, v any) bool {
-		v.(*peerConn).shutdown()
-		return true
-	})
+	for _, l := range s.allLinks() {
+		if pc := l.conn(); pc != nil {
+			pc.shutdown()
+		}
+	}
 	s.wg.Wait()
 }
 
 // acceptLoop serves inbound connections until Close. A failed Accept — a
 // transient EMFILE or ECONNABORTED — is retried after a short backoff that
-// doubles up to a second, so the server never silently stops accepting.
+// grows from 5ms up to a second, so the server never silently stops
+// accepting.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	var backoff time.Duration
+	wait := backoff{min: 5 * time.Millisecond, max: time.Second}
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
-			select {
-			case <-s.closed:
+			if !wait.sleep(s.closed) {
 				return
-			case <-time.After(backoff):
 			}
 			continue
 		}
-		backoff = 0
+		wait.window = 0
 		if s.opts.ConnWrap != nil {
 			conn = s.opts.ConnWrap(conn)
 		}
@@ -425,9 +430,8 @@ func (s *Server) acceptLoop() {
 
 // serveConn handles one inbound connection: the peer names itself in the
 // preamble, and frames follow; nothing is sent back until the broker has
-// something to say. Neighbour connections attach to the neighbour's link
-// (with a control-state resync); client connections go straight to the
-// peers map.
+// something to say. The connection attaches to the peer's link; a neighbour
+// is then resynced, a client registered with the broker.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -437,18 +441,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.countBadFrame(err)
 		return
 	}
+	l := s.linkFor(id)
 	pc := s.newPeerConn(conn, wirefmt.NewEncoder(conn, wirefmt.DefaultLimits))
-	if l := s.linkFor(id); l != nil {
-		l.attach(pc)
+	l.attach(pc)
+	if l.addr == "" {
+		s.b.AddClient(id)
+	} else {
 		l.resyncAfterAttach()
-		s.readLoop(dec, tr, id, l)
-		l.connLost(pc)
-		return
 	}
-	s.addPeer(id, pc)
-	defer s.dropPeer(id, pc)
-	s.b.AddClient(id)
-	s.readLoop(dec, tr, id, nil)
+	s.readLoop(dec, tr, l)
+	l.connLost(pc)
 }
 
 // newDecoder builds a connection's frame decoder. When decode-stage timing
@@ -505,27 +507,6 @@ func (r *timedReader) frameStart(fallback time.Time) time.Time {
 	return r.at
 }
 
-// addPeer publishes a live connection and its queue-depth gauge. The gauge
-// reads len() of the peer's channel at exposition time — no bookkeeping on
-// the send path. Reconnections replace the previous gauge callback.
-func (s *Server) addPeer(id string, pc *peerConn) {
-	s.peers.Store(id, pc)
-	if s.reg != nil {
-		s.reg.GaugeFunc("xbroker_send_queue_depth",
-			"Outbound messages queued toward a peer connection.",
-			func() float64 { return float64(len(pc.queue)) }, "peer", id)
-	}
-	// A connection attached while Close is sweeping the peers map would be
-	// missed by the sweep and its read loop would outlive the server. The
-	// store above and this check bracket Close's close(closed)+Range pair:
-	// either the sweep sees the entry, or this check sees closed.
-	select {
-	case <-s.closed:
-		pc.shutdown()
-	default:
-	}
-}
-
 // readLoop decodes frames from one connection and hands each to the broker
 // before it reads the next, so the connection's frames are handled in strict
 // arrival order: a subscribe is applied before the publication that follows
@@ -533,12 +514,12 @@ func (s *Server) addPeer(id string, pc *peerConn) {
 // messages take the broker's exclusive lock; a publication is matched right
 // here, on the connection's own goroutine (see DESIGN.md §5a).
 //
-// Heartbeat frames refresh the link's liveness clock and stop here — they
+// Every frame refreshes the link's liveness clock. Heartbeat frames stop here — they
 // never reach the broker, and their message is decoded into again. Every
 // frame has passed the decoder's wire bounds; one that still makes the
 // broker panic must cost this connection, not the process, hence the
 // recover.
-func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *link) {
+func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, l *link) {
 	defer s.recoverPanic()
 	var lt *broker.Lifetime
 	for {
@@ -560,15 +541,13 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 			// never leaks into the next publication's decode span.
 			arrived = tr.frameStart(decodeStart)
 		}
-		if l != nil {
-			l.lastRecv.Store(time.Now().UnixNano())
-		}
+		l.lastRecv.Store(time.Now().UnixNano())
 		if m.Type == broker.MsgHeartbeat {
 			continue
 		}
 		if m.Type != broker.MsgPublish {
 			lt = nil // the broker may keep a control message
-			s.b.HandleMessage(m, id)
+			s.b.HandleMessage(m, l.id)
 			continue
 		}
 		lt.Arm()
@@ -580,7 +559,7 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, id string, l *l
 			}
 			m.SetArrival(d)
 		}
-		s.match(m, id)
+		s.match(m, l.id)
 	}
 }
 
@@ -611,59 +590,13 @@ func (s *Server) recoverPanic() {
 	}
 }
 
-// dropPeer removes a peer mapping (and its queue gauge) if it still refers
-// to this connection. The compare and the delete are one step: a
-// connection attached in between must stay in the map, or Close would never
-// reach it.
-func (s *Server) dropPeer(id string, pc *peerConn) {
-	if s.peers.CompareAndDelete(id, pc) && s.reg != nil {
-		s.reg.Unregister("xbroker_send_queue_depth", "peer", id)
-	}
-	pc.shutdown()
-}
-
-// send delivers a message to a peer. It is called by the broker with its
-// lock held (shared for publications), so it must not call back into the
-// broker; enqueueing on a send queue is all it does. Neighbour traffic goes
-// through the neighbour's link, which counts what a down link drops and
-// leaves the repair to the resync at the next attach; client traffic is
-// best-effort on the live connection (a gone client is gone).
+// send delivers a message to a peer through its link. It is called by the
+// broker with its lock held (shared for publications), so it must not call
+// back into the broker; enqueueing on a send queue is all it does. A link
+// that is down counts what it drops; a neighbour is repaired by the resync
+// at its next attach, a client by its own replay when it redials.
 func (s *Server) send(to string, m *broker.Message) {
-	if l := s.linkFor(to); l != nil {
-		l.deliver(m)
-		return
-	}
-	if pc, ok := s.peers.Load(to); ok {
-		if err := pc.(*peerConn).write(m); err != nil {
-			s.dropPeer(to, pc.(*peerConn))
-		}
-	}
-}
-
-// linkFor returns the link for a neighbour ID (creating it on first
-// contact), or nil when the ID is not a configured neighbour. Link creation
-// also starts the neighbour's heartbeat loop when heartbeats are enabled.
-func (s *Server) linkFor(id string) *link {
-	s.linkMu.Lock()
-	defer s.linkMu.Unlock()
-	if l := s.links[id]; l != nil {
-		return l
-	}
-	addr, ok := s.neighbors[id]
-	if !ok {
-		return nil
-	}
-	l := &link{s: s, id: id, addr: addr}
-	s.links[id] = l
-	if s.opts.Heartbeat > 0 {
-		select {
-		case <-s.closed:
-		default:
-			s.wg.Add(1)
-			go l.heartbeatLoop()
-		}
-	}
-	return l
+	s.linkFor(to).deliver(m)
 }
 
 // dialNeighbor makes one dial attempt for a down link. On success the new
@@ -693,7 +626,7 @@ func (s *Server) dialNeighbor(l *link) error {
 	go func() {
 		defer s.wg.Done()
 		defer conn.Close()
-		s.readLoop(dec, tr, l.id, l)
+		s.readLoop(dec, tr, l)
 		l.connLost(pc)
 	}()
 	return nil
@@ -845,7 +778,7 @@ func (c *Client) readLoop(conn net.Conn, dec *wirefmt.Decoder) {
 	}
 }
 
-// redial re-establishes the connection with exponential backoff, replaying
+// redial re-establishes the connection with the servers' backoff, replaying
 // the recorded control state once connected. It returns nils when
 // reconnection is disabled, the client was closed, or the dial budget ran
 // out.
@@ -853,7 +786,7 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 	if !c.opts.Reconnect {
 		return nil, nil
 	}
-	backoff := c.opts.ReconnectMin
+	wait := backoff{min: c.opts.ReconnectMin, max: c.opts.ReconnectMax}
 	attempts := 0
 	for {
 		select {
@@ -888,13 +821,8 @@ func (c *Client) redial() (net.Conn, *wirefmt.Decoder) {
 		if b := c.opts.DialBudget; b > 0 && attempts >= b {
 			return nil, nil
 		}
-		select {
-		case <-c.closed:
+		if !wait.sleep(c.closed) {
 			return nil, nil
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > c.opts.ReconnectMax {
-			backoff = c.opts.ReconnectMax
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
@@ -161,6 +162,82 @@ func TestWireDropsForeignSymPath(t *testing.T) {
 	}
 	if _, err := sub.WaitDelivery(5 * time.Second); err != nil {
 		t.Fatal("publication with a forged SymPath was not delivered by Path: ", err)
+	}
+}
+
+// A peer's publication paths must not grow the process symbol table: each
+// new name would copy the whole table and stay for good. The decoder looks
+// names up instead, so fresh names still reach a wildcard subscriber, and a
+// name a later subscription interns is matched on the link's next use of it.
+func TestPeerPathsDoNotGrowSymbolTable(t *testing.T) {
+	s, addr := startEdge(t, nil)
+	all, err := Dial(addr, "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Close()
+	if err := all.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("//*")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.PRTSize() == 1 })
+	pub, err := Dial(addr, "pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	const n = 5000
+	prefix := fmt.Sprintf("fresh%d-", time.Now().UnixNano())
+	publish := func(doc int) error {
+		name := prefix + fmt.Sprint(doc%n)
+		return pub.Send(&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{
+			DocID: uint64(doc), Path: []string{name, name + "x"}}})
+	}
+	before := symtab.Default.Len()
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := publish(i); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < n; i++ {
+		m, err := all.WaitDelivery(5 * time.Second)
+		if err != nil {
+			t.Fatalf("delivery %d: %v", i, err)
+		}
+		if m.Pub.DocID != uint64(i) {
+			t.Fatalf("delivery %d is doc %d", i, m.Pub.DocID)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if after := symtab.Default.Len(); after != before {
+		t.Fatalf("symbol table grew from %d to %d names", before, after)
+	}
+
+	one, err := Dial(addr, "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if err := one.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/" + prefix + "17")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.PRTSize() == 2 })
+	if err := publish(n + 17); err != nil {
+		t.Fatal(err)
+	}
+	m, err := one.WaitDelivery(5 * time.Second)
+	if err != nil {
+		t.Fatal("the publication a later subscription interned was not delivered: ", err)
+	}
+	if m.Pub.DocID != n+17 {
+		t.Fatalf("got doc %d, want %d", m.Pub.DocID, n+17)
 	}
 }
 

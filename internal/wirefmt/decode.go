@@ -36,7 +36,7 @@ type Decoder struct {
 
 	dict []string
 	// syms maps a dictionary id to its symtab.Default symbol, None until
-	// the id first names a path element, which interns it once for the link.
+	// the id names a path element whose name the table holds (see symOf).
 	// It reaches only as far as the highest id a path has used: most of a
 	// dictionary names advertisements, brokers and stages, never a path.
 	syms []symtab.Sym
@@ -292,15 +292,19 @@ func (d *Decoder) symID() (int, error) {
 	return int(v), nil
 }
 
-// symOf returns the symtab.Default symbol of a declared dictionary id,
-// interning its name the first time the link uses it in a path.
+// symOf returns the symtab.Default symbol of a declared dictionary id used
+// in a publication path. It looks the name up and never interns it: a peer
+// must not grow the process table, whose every new name copies it whole. A
+// name no subscription or advertisement has interned maps to None, which
+// only wildcards match, and is not cached, so it is looked up again on its
+// next use and matched once something interns it.
 func (d *Decoder) symOf(id int) symtab.Sym {
 	if id >= len(d.syms) {
 		d.syms = append(d.syms, make([]symtab.Sym, id+1-len(d.syms))...)
 	}
 	s := d.syms[id]
 	if s == symtab.None {
-		s = symtab.Intern(d.dict[id])
+		s, _ = symtab.Lookup(d.dict[id])
 		d.syms[id] = s
 	}
 	return s

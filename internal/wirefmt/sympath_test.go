@@ -13,15 +13,16 @@ import (
 )
 
 // TestDecodeResolvesSymPath pins the symbol-native publication hop: every
-// decoded path carries its symtab.Default symbols, equal to interning the
-// decoded names, whatever SymPath the sender held. A name the process never
-// saw is interned once for the link; "*" resolves to the Wildcard sentinel,
-// as InternPath would.
+// decoded path carries the symtab.Default symbols of its decoded names,
+// whatever SymPath the sender held. Decoding never interns: a name the
+// process never saw resolves to None, and to its symbol once something
+// interns it; "*" resolves to the Wildcard sentinel.
 func TestDecodeResolvesSymPath(t *testing.T) {
 	fresh := fmt.Sprintf("sympath-test-%p", t)
 	if _, ok := symtab.Lookup(fresh); ok {
 		t.Fatalf("%q already interned", fresh)
 	}
+	symtab.InternPath([]string{"inventory", "book", "title"})
 	sent := []*broker.Message{
 		{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: []string{"inventory", "book", "title"}}},
 		// A forged SymPath never crosses the wire.
@@ -51,15 +52,28 @@ func TestDecodeResolvesSymPath(t *testing.T) {
 			}
 			continue
 		}
-		if want := symtab.InternPath(m.Pub.Path); !reflect.DeepEqual(got.Pub.SymPath, want) {
-			t.Errorf("msg %d: SymPath %v, want %v (InternPath of %q)", i, got.Pub.SymPath, want, m.Pub.Path)
+		if want := symtab.LookupPath(m.Pub.Path); !reflect.DeepEqual(got.Pub.SymPath, want) {
+			t.Errorf("msg %d: SymPath %v, want %v (LookupPath of %q)", i, got.Pub.SymPath, want, m.Pub.Path)
 		}
 	}
-	if s, ok := symtab.Lookup(fresh); !ok || s < symtab.FirstDynamic {
-		t.Errorf("a path element's name was not interned: %v %v", s, ok)
+	if _, ok := symtab.Lookup(fresh); ok {
+		t.Errorf("decoding interned the path element %q", fresh)
 	}
 	if s, _ := symtab.Lookup("*"); s != symtab.Wildcard {
 		t.Errorf("\"*\" resolved to %v, want Wildcard", s)
+	}
+
+	// Once interned, the name resolves on the link's next use of its id.
+	want := symtab.Intern(fresh)
+	if err := enc.Encode(&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{Path: []string{fresh}}}); err != nil {
+		t.Fatal(err)
+	}
+	got := new(broker.Message)
+	if err := dec.Decode(got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Pub.SymPath, []symtab.Sym{want}) {
+		t.Errorf("after Intern: SymPath %v, want [%v]", got.Pub.SymPath, want)
 	}
 }
 
@@ -115,6 +129,11 @@ func TestDecodedPathsOwnTheirElements(t *testing.T) {
 			path[j] = fmt.Sprintf("e%d", (i+j)%40)
 		}
 		sent = append(sent, &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: uint64(i), Path: path}})
+	}
+	// The decoder only looks names up, so the symbols checked below must
+	// exist before it runs.
+	for j := 0; j < 40; j++ {
+		symtab.Intern(fmt.Sprintf("e%d", j))
 	}
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, DefaultLimits)
