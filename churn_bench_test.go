@@ -26,9 +26,8 @@ import (
 // not symbolic: the trailing three steps spell base+i in base 200, so no
 // broker-level subscribe is ever a no-op duplicate and disjoint base ranges
 // yield disjoint sets. (Interning a fresh name per subscription would be
-// unrealistic AND quadratic: symtab's copy-on-write snapshot is rebuilt per
-// new name, by design, because element alphabets are small.) A random one-
-// to-three-step prefix spreads the roots over the alphabet; one in ten
+// unrealistic, and every name interned stays in symtab for good.) A random
+// one-to-three-step prefix spreads the roots over the alphabet; one in ten
 // expressions is relative.
 func churnXPEs(base, n int, seed int64) []*xpath.XPE {
 	r := rand.New(rand.NewSource(seed))

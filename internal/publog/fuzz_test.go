@@ -7,6 +7,7 @@ package publog
 // land the torn-tail offset on a valid boundary so truncation converges.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,7 +74,7 @@ func FuzzPublogDecode(f *testing.F) {
 	}
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
-	f.Add([]byte("XPLG1\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add(append([]byte(segMagic), "\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var total int
@@ -93,6 +94,11 @@ func FuzzPublogDecode(f *testing.F) {
 		if end < 0 || end > int64(len(data)) {
 			t.Fatalf("scan end %d outside input of %d bytes", end, len(data))
 		}
+		// A version-1 segment (absolute stamps) is refused whole: the
+		// checked-in seed-* corpus files are such segments.
+		if bytes.HasPrefix(data, []byte(segMagicV1)) && end != 0 {
+			t.Fatalf("version-1 segment scanned to %d, want 0", end)
+		}
 		if total > len(data) {
 			t.Fatalf("scanner handed out %d frame bytes from a %d-byte input", total, len(data))
 		}
@@ -105,8 +111,13 @@ func FuzzPublogDecode(f *testing.F) {
 	})
 }
 
+// segMagicV1 opens a version-1 segment.
+const segMagicV1 = "XPLG1"
+
 // TestGenerateFuzzCorpus materialises the seed inputs as files in the
-// checked-in corpus directory. Run manually after a format change:
+// checked-in corpus directory, named v2-*; the seed-* files there are
+// version-1 segments, kept as inputs the scanner must refuse. Run manually
+// after a format change:
 //
 //	PUBLOG_GEN_CORPUS=1 go test ./internal/publog -run TestGenerateFuzzCorpus
 func TestGenerateFuzzCorpus(t *testing.T) {
@@ -125,14 +136,14 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 	segs := fuzzSeedSegments(t)
 	for i, seg := range segs {
-		write(fmt.Sprintf("seed-segment-%d", i), seg)
+		write(fmt.Sprintf("v2-segment-%d", i), seg)
 		if len(seg) > 8 {
-			write(fmt.Sprintf("seed-torn-%d", i), seg[:len(seg)-3])
+			write(fmt.Sprintf("v2-torn-%d", i), seg[:len(seg)-3])
 			crc := append([]byte(nil), seg...)
 			crc[len(crc)-1] ^= 0x01
-			write(fmt.Sprintf("seed-badcrc-%d", i), crc)
+			write(fmt.Sprintf("v2-badcrc-%d", i), crc)
 		}
 	}
-	write("seed-header-only", []byte(segMagic))
-	write("seed-huge-created", []byte("XPLG1\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	write("v2-header-only", []byte(segMagic))
+	write("v2-huge-created", append([]byte(segMagic), "\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"...))
 }

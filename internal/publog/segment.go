@@ -2,7 +2,7 @@ package publog
 
 // Segment file format. Each segment is:
 //
-//	"XPLG1" || uvarint(createdUnixNano) || record*
+//	"XPLG2" || uvarint(createdUnixNano) || record*
 //
 // and each record is the envelope:
 //
@@ -17,8 +17,14 @@ package publog
 // followed by one message frame. The symbol dictionary is PER SEGMENT —
 // one persistent encoder writes the whole segment, so repeated element
 // names cost one varint after first use, and recovery never needs state
-// from another file. That is also why reopening a log always rolls a new
-// segment: a half-written dictionary cannot be resumed.
+// from another file. So is the stamp base: each record's Stamp is written
+// as the delta from the previous record's in the same segment, so a record
+// decodes only after every record before it in its file. That is also why
+// reopening a log always rolls a new segment: a half-written dictionary
+// and stamp base cannot be resumed.
+//
+// Version 1 ("XPLG1") wrote absolute stamps; its segments fail the header
+// check, so recovery drops them whole rather than misread them.
 //
 // Recovery walks the envelopes: the first record whose length or CRC does
 // not check out marks the torn tail, and truncating there lands exactly on
@@ -44,7 +50,7 @@ import (
 )
 
 const (
-	segMagic = "XPLG1"
+	segMagic = "XPLG2"
 	// maxRecordBytes bounds one record's body: a maximal wirefmt frame
 	// (16 MiB) plus the name/seq preamble. A larger declared length is
 	// corruption, not a big record.

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -140,5 +141,96 @@ func TestConcurrentInternLookup(t *testing.T) {
 	}
 	if got := tb.Len(); got != names+2 {
 		t.Fatalf("Len = %d after concurrent interning, want %d", got, names+2)
+	}
+}
+
+// TestInternCostFlat pins the insert cost: the bytes a new name allocates
+// stay flat as the table grows, from the 1,000th name to the 40,000th. A
+// table that copies itself per insert fails by orders of magnitude. The
+// seed is fixed, so the trie's shape, and the count, are deterministic.
+func TestInternCostFlat(t *testing.T) {
+	const window = 1000
+	names := make([]string, 40*window)
+	for i := range names {
+		names[i] = fmt.Sprintf("name%05d", i)
+	}
+	tb := newTable(1, ^uint64(0))
+	var ms runtime.MemStats
+	perName := func(from int) float64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for _, n := range names[from : from+window] {
+			tb.Intern(n)
+		}
+		runtime.ReadMemStats(&ms)
+		return float64(ms.TotalAlloc-before) / window
+	}
+	for _, n := range names[:window] {
+		tb.Intern(n)
+	}
+	early := perName(window)
+	for _, n := range names[2*window : len(names)-window] {
+		tb.Intern(n)
+	}
+	late := perName(len(names) - window)
+	t.Logf("bytes per new name: %.1f at 1,000 names, %.1f at 39,000", early, late)
+	if late > 1.25*early {
+		t.Errorf("bytes per new name grew from %.1f to %.1f as the table grew 39x", early, late)
+	}
+	if got := tb.Len(); got != len(names)+2 {
+		t.Fatalf("Len = %d, want %d", got, len(names)+2)
+	}
+}
+
+// TestLookupAllocFree pins the read path at zero allocations, for names
+// held as strings and as bytes, present or not.
+func TestLookupAllocFree(t *testing.T) {
+	tb := NewTable()
+	tb.InternPath([]string{"alpha", "beta", "gamma"})
+	hit, miss := []byte("beta"), []byte("delta")
+	avg := testing.AllocsPerRun(100, func() {
+		tb.Lookup("gamma")
+		tb.Lookup("delta")
+		tb.LookupBytes(hit)
+		tb.LookupBytes(miss)
+		tb.NameOf(FirstDynamic)
+	})
+	if avg != 0 {
+		t.Errorf("lookups allocate %.1f/op, want 0", avg)
+	}
+}
+
+// TestHashCollisions keeps only a few hash bits, so names share trie slots
+// all the way down and whole hashes collide: every name must still intern
+// to its own symbol and be found again by string and by bytes.
+func TestHashCollisions(t *testing.T) {
+	for _, mask := range []uint64{0, 0x3, 0xff, 0xf0f0} {
+		tb := newTable(7, mask)
+		syms := make(map[Sym]string)
+		for i := 0; i < 300; i++ {
+			name := fmt.Sprintf("c%d", i)
+			s := tb.Intern(name)
+			if prev, dup := syms[s]; dup {
+				t.Fatalf("mask %#x: %q and %q share symbol %d", mask, prev, name, s)
+			}
+			syms[s] = name
+		}
+		for s, name := range syms {
+			if got, ok := tb.Lookup(name); !ok || got != s {
+				t.Fatalf("mask %#x: Lookup(%q) = %d, %v; want %d", mask, name, got, ok, s)
+			}
+			if got, ok := tb.LookupBytes([]byte(name)); !ok || got != s {
+				t.Fatalf("mask %#x: LookupBytes(%q) = %d, %v; want %d", mask, name, got, ok, s)
+			}
+			if tb.NameOf(s) != name {
+				t.Fatalf("mask %#x: NameOf(%d) = %q, want %q", mask, s, tb.NameOf(s), name)
+			}
+		}
+		if _, ok := tb.LookupBytes([]byte("c300")); ok {
+			t.Fatalf("mask %#x: a name never interned was found", mask)
+		}
+		if got := tb.Intern(WildcardName); got != Wildcard {
+			t.Fatalf("mask %#x: Intern(*) = %d, want Wildcard", mask, got)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func FuzzFrameDecode(f *testing.F) {
 	badVersion := bytes.Clone(valid)
 	badVersion[len("XRW")]++
 	f.Add(badVersion)
-	f.Add(overLongHello())
+	f.Add(overLongHello(f))
 	f.Add(gobHello(f)) // what a build from before the preamble sends
 	f.Add([]byte{})
 

@@ -435,8 +435,19 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	// Until the preamble attaches it to a link, Close's sweep cannot reach
+	// the connection, so it is closed here when the server closes.
+	helloDone := make(chan struct{})
+	go func() {
+		select {
+		case <-s.closed:
+			conn.Close()
+		case <-helloDone:
+		}
+	}()
 	dec, tr := s.newDecoder(conn)
 	id, err := dec.Hello()
+	close(helloDone)
 	if err != nil {
 		s.countBadFrame(err)
 		return

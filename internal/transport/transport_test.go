@@ -263,6 +263,39 @@ func TestAcceptRetriesAfterError(t *testing.T) {
 	}
 }
 
+// TestCloseWithSilentConnection dials a server and writes nothing: the
+// accepted connection waits for its preamble and belongs to no link yet.
+// Close must close it and return rather than wait for the preamble.
+func TestCloseWithSilentConnection(t *testing.T) {
+	accepted := make(chan struct{}, 1)
+	s, addr := startEdge(t, func(c net.Conn) net.Conn {
+		accepted <- struct{}{}
+		return c
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the connection")
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		conn.Close() // the preamble read fails, so Close can return
+		<-closed
+		t.Fatal("Close blocked on a connection that never sent its preamble")
+	}
+}
+
 // TestClientCloseDuringBlockedSend points a client at a broker that reads
 // its preamble and then stops reading, and sends until a Send blocks in the
 // socket write. Close must not wait for that Send: it must return at once,

@@ -38,8 +38,9 @@ func gobHello(t testing.TB) []byte {
 }
 
 // overLongHello is a preamble whose id is one byte over the bound.
-func overLongHello() []byte {
-	b := binary.AppendUvarint([]byte("XRW\x01"), wirefmt.MaxName+1)
+func overLongHello(t testing.TB) []byte {
+	head := preamble(t, "")[:len("XRW")+1] // magic and version
+	b := binary.AppendUvarint(head, wirefmt.MaxName+1)
 	return append(b, strings.Repeat("i", wirefmt.MaxName+1)...)
 }
 
@@ -74,7 +75,7 @@ func TestBadPreambleClosesConnection(t *testing.T) {
 	}{
 		{"bad-magic", badMagic},
 		{"wrong-version", badVersion},
-		{"over-long-id", overLongHello()},
+		{"over-long-id", overLongHello(t)},
 		{"gob-hello", gobHello(t)},
 		{"http", []byte("GET / HTTP/1.1\r\n\r\n")},
 	}

@@ -150,6 +150,35 @@ func TestDecodeRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
+// A sparse attribute section is na, the count k of non-empty maps, and k
+// pairs of (holes skipped, map). Its counts and gaps must stay inside the
+// section, and a map it lists must hold a pair.
+func TestDecodeSparseAttrBounds(t *testing.T) {
+	// Dictionary symbol 0 is "a".
+	dict := frameOf(frameDict, 0, 1, 1, 'a')
+	// A one-element path "a" whose attribute section is section.
+	pub := func(section ...byte) []byte {
+		head := []byte{frameMsg, byte(broker.MsgPublish), pubFlagAttrs, 0, 0, 0, 1, 0}
+		return append(bytes.Clone(dict), frameOf(append(head, section...)...)...)
+	}
+	// pair is one attribute: key symbol 0, value "v".
+	pair := []byte{0, 1, 'v'}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	runBoundCases(t, []boundCase{
+		{name: "one-map", frame: pub(cat([]byte{1, 1, 0, 1}, pair)...), ok: true},
+		{name: "holes-only", frame: pub(1, 0), ok: true},
+		{name: "empty-section", frame: pub(0, 0), ok: true},
+		{name: "second-map-after-a-hole", frame: pub(cat([]byte{3, 2, 0, 1}, pair, []byte{1, 1}, pair)...), ok: true},
+		{name: "gap-past-na", frame: pub(cat([]byte{1, 1, 1, 1}, pair)...)},
+		{name: "second-gap-past-na", frame: pub(cat([]byte{2, 2, 1, 1}, pair, []byte{0, 1}, pair)...)},
+		{name: "k-over-na", frame: pub(cat([]byte{1, 2, 0, 1}, pair, []byte{0, 1}, pair)...)},
+		// The listed empty map is followed by a valid one, so only the
+		// empty-map check can refuse the frame.
+		{name: "empty-attributed-map", frame: pub(2, 2, 0, 0, 0, 1, 0, 3, 'v', 'v', 'v')},
+		{name: "na-over-max-path", frame: pub(cat(appendUvarint(nil, MaxPath+1), []byte{0})...)},
+	})
+}
+
 // Carried trace hops ride every publication frame, stage durations
 // included, so a hostile peer can try to smuggle unbounded hop lists,
 // oversized stage names, or absurd durations that would poison latency
@@ -276,9 +305,11 @@ func TestHello(t *testing.T) {
 	for name, b := range map[string][]byte{
 		"bad-magic":     patch(0, 'x'),
 		"wrong-version": patch(len(helloMagic), helloVersion+1),
-		"over-long-id":  long.Bytes(),
-		"truncated":     good[:len(good)-1],
-		"empty":         nil,
+		// Version 1 wrote absolute stamps and dense attribute sections.
+		"version-1":    patch(len(helloMagic), 1),
+		"over-long-id": long.Bytes(),
+		"truncated":    good[:len(good)-1],
+		"empty":        nil,
 	} {
 		if _, err := NewDecoder(bytes.NewReader(b), DefaultLimits).Hello(); err == nil {
 			t.Errorf("%s: preamble accepted", name)

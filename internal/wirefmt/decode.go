@@ -46,6 +46,10 @@ type Decoder struct {
 	pathBlk []string
 	symBlk  []symtab.Sym
 
+	// stamp is the Stamp of the last publication decoded on this stream,
+	// the base the next one's delta is added to (see Encoder.stamp).
+	stamp int64
+
 	buf []byte // reused frame buffer
 	pb  []byte // payload of the frame being parsed (slice of buf)
 	off int    // parse cursor into pb
@@ -66,9 +70,10 @@ func asBufio(r io.Reader) *bufio.Reader {
 	return bufio.NewReader(r)
 }
 
-// Reset swaps the byte source, keeping the dictionary and buffers — the
-// steady-state-reuse hook benchmarks and tests use. It is NOT a new link:
-// real reconnects build a fresh Decoder (fresh dictionary).
+// Reset swaps the byte source, keeping the dictionary, the stamp base and
+// the buffers — the steady-state-reuse hook benchmarks and tests use. It is
+// NOT a new link: real reconnects build a fresh Decoder (fresh dictionary,
+// stamp base 0).
 func (d *Decoder) Reset(r io.Reader) {
 	if br, ok := r.(*bufio.Reader); ok {
 		d.r = br
@@ -294,7 +299,7 @@ func (d *Decoder) symID() (int, error) {
 
 // symOf returns the symtab.Default symbol of a declared dictionary id used
 // in a publication path. It looks the name up and never interns it: a peer
-// must not grow the process table, whose every new name copies it whole. A
+// must not grow the process table, which never forgets a name. A
 // name no subscription or advertisement has interned maps to None, which
 // only wildcards match, and is not cached, so it is looked up again on its
 // next use and matched once something interns it.
@@ -525,9 +530,12 @@ func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, a
 		return err
 	}
 	m.Pub.PathID = int(pid)
-	if m.Stamp, err = d.sv(); err != nil {
+	delta, err := d.sv()
+	if err != nil {
 		return err
 	}
+	m.Stamp = d.stamp + delta
+	d.stamp = m.Stamp
 	n, err := d.count(d.lim.MaxPath, 1, "path elements")
 	if err != nil {
 		return err
@@ -596,64 +604,27 @@ func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, a
 	return nil
 }
 
-// attrs decodes a publication's attribute section into the recycled slice
-// attrs. A section whose elements all lack attributes — a path sent with
-// its attribute holes — decodes to a window of the shared noAttrs, which
-// costs nothing and keeps the section's shape for the next hop.
+// attrs decodes a publication's sparse attribute section — its length na,
+// the count k of non-empty maps, then k pairs of (holes skipped, map) — into
+// the recycled slice attrs. A section of holes only decodes to a window of
+// the shared noAttrs, which costs nothing and keeps the section's shape for
+// the next hop.
+//
+// Holes cost no bytes, so na is bounded by MaxPath alone, not by the frame:
+// a section that lists a map may cost up to MaxPath slots.
 func (d *Decoder) attrs(attrs []map[string]string) ([]map[string]string, error) {
-	na, err := d.count(d.lim.MaxPath, 1, "attribute maps")
+	na, err := d.count(d.lim.MaxPath, 0, "attribute maps")
 	if err != nil {
 		return nil, err
 	}
-	if sharesNoAttrs(attrs) {
-		attrs = nil // never written
-	}
-	// The recycled attrs slice may still hold last message's maps past its
-	// truncated length; positionally matching ones are cleared and refilled
-	// instead of reallocated, so a steady stream of identically-shaped
-	// publications decodes without touching the heap.
-	old := attrs[:cap(attrs)]
-	attrs = attrs[:0]
-	filled := false // a map has appeared; attrs holds entries 0..i-1
-	for i := 0; i < na; i++ {
-		v, err := d.count(d.remaining(), 2, "attribute pairs")
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 {
-			if filled {
-				attrs = append(attrs, nil)
-			}
-			continue
-		}
-		if !filled {
-			attrs = fit(attrs, na)[:i]
-			clear(attrs)
-			filled = true
-		}
-		var am map[string]string
-		if i < len(old) && old[i] != nil {
-			am = old[i]
-			clear(am)
-		} else {
-			am = make(map[string]string, v-1)
-		}
-		for j := 0; j < v-1; j++ {
-			k, err := d.sym()
-			if err != nil {
-				return nil, err
-			}
-			val, err := d.str(0)
-			if err != nil {
-				return nil, err
-			}
-			am[k] = val
-		}
-		attrs = append(attrs, am)
+	// A map costs at least 4 bytes: its gap, its pair count, and one key
+	// and one value length.
+	k, err := d.count(na, 4, "non-empty attribute maps")
+	if err != nil {
+		return nil, err
 	}
 	switch {
-	case filled:
-		return attrs, nil
+	case k > 0:
 	case na == 0:
 		return nil, nil
 	case na <= len(noAttrs):
@@ -661,6 +632,57 @@ func (d *Decoder) attrs(attrs []map[string]string) ([]map[string]string, error) 
 	default:
 		return make([]map[string]string, na), nil
 	}
+	if sharesNoAttrs(attrs) {
+		attrs = nil // never written
+	}
+	// The recycled attrs slice may still hold last message's maps past its
+	// truncated length; positionally matching ones are cleared and refilled
+	// instead of reallocated, so a steady stream of identically-shaped
+	// publications decodes without touching the heap. Each old map is read
+	// before its position is written.
+	old := attrs[:cap(attrs)]
+	attrs = fit(attrs, na)[:na]
+	next := 0 // the first position not yet written
+	for j := 0; j < k; j++ {
+		gap, err := d.u()
+		if err != nil {
+			return nil, err
+		}
+		if gap >= uint64(na-next) {
+			return nil, fmt.Errorf("wirefmt: attribute map past the %d-element section", na)
+		}
+		i := next + int(gap)
+		clear(attrs[next:i])
+		v, err := d.count(d.remaining(), 2, "attribute pairs")
+		if err != nil {
+			return nil, err
+		}
+		if v == 0 {
+			return nil, fmt.Errorf("wirefmt: empty attribute map at element %d", i)
+		}
+		var am map[string]string
+		if i < len(old) && old[i] != nil {
+			am = old[i]
+			clear(am)
+		} else {
+			am = make(map[string]string, v)
+		}
+		for ; v > 0; v-- {
+			key, err := d.sym()
+			if err != nil {
+				return nil, err
+			}
+			val, err := d.str(0)
+			if err != nil {
+				return nil, err
+			}
+			am[key] = val
+		}
+		attrs[i] = am
+		next = i + 1
+	}
+	clear(attrs[next:])
+	return attrs, nil
 }
 
 // noAttrs backs the attribute section of every decoded publication whose

@@ -43,6 +43,11 @@ type Encoder struct {
 	nextID  uint32
 	newSyms []string // symbols interned since the last Flush, in id order
 
+	// stamp is the Stamp of the last publication queued on this stream, the
+	// base the next one's Stamp is written against. It starts at 0, like
+	// the Decoder's, and only publish frames move it.
+	stamp int64
+
 	scratch  []byte
 	segs     []seg
 	bufs     [][]byte
@@ -76,19 +81,24 @@ func (e *Encoder) Hello(id string) error {
 	return err
 }
 
-// Queue encodes one message into the current batch. On error the batch is
-// left as it was before the call; the error means the message violates a
-// wire bound and the link should be torn down (legitimate traffic never
-// trips one — inbound frames were bounds-checked on ingress).
+// Queue encodes one message into the current batch. On error the batch and
+// the stamp base are left as they were before the call; the error means the
+// message violates a wire bound and the link should be torn down
+// (legitimate traffic never trips one — inbound frames were bounds-checked
+// on ingress).
 func (e *Encoder) Queue(m *broker.Message) error {
-	scratchMark, segMark := len(e.scratch), len(e.segs)
+	scratchMark, segMark, stampMark := len(e.scratch), len(e.segs), e.stamp
+	rollback := func() {
+		e.scratch = e.scratch[:scratchMark]
+		e.segs = e.segs[:segMark]
+		e.stamp = stampMark
+	}
 	e.segs = append(e.segs, seg{}) // length-prefix placeholder
 	plStart := len(e.scratch)
 	e.runStart = plStart
 	e.extLen = 0
 	if err := e.message(m); err != nil {
-		e.scratch = e.scratch[:scratchMark]
-		e.segs = e.segs[:segMark]
+		rollback()
 		return err
 	}
 	if len(e.scratch) > e.runStart {
@@ -96,8 +106,7 @@ func (e *Encoder) Queue(m *broker.Message) error {
 	}
 	payload := len(e.scratch) - plStart + e.extLen
 	if payload > e.lim.MaxFrame {
-		e.scratch = e.scratch[:scratchMark]
-		e.segs = e.segs[:segMark]
+		rollback()
 		return fmt.Errorf("wirefmt: frame of %d bytes exceeds %d", payload, e.lim.MaxFrame)
 	}
 	lenOff := len(e.scratch)
@@ -345,7 +354,8 @@ func (e *Encoder) publish(m *broker.Message) error {
 	e.byte(flags)
 	e.u(m.Pub.DocID)
 	e.sv(int64(m.Pub.PathID))
-	e.sv(m.Stamp)
+	e.sv(m.Stamp - e.stamp) // wraps, as the decoder's sum does
+	e.stamp = m.Stamp
 	if len(m.Pub.Path) > e.lim.MaxPath {
 		return fmt.Errorf("wirefmt: publication path of %d elements exceeds %d", len(m.Pub.Path), e.lim.MaxPath)
 	}
@@ -359,13 +369,25 @@ func (e *Encoder) publish(m *broker.Message) error {
 		if len(m.Pub.Attrs) > e.lim.MaxPath {
 			return fmt.Errorf("wirefmt: publication with %d attribute maps exceeds %d", len(m.Pub.Attrs), e.lim.MaxPath)
 		}
+		// Sparse: the section's length, the count of non-empty maps, then
+		// each of those as the holes skipped since the last one and the map.
+		// An empty map is a hole.
 		e.u(uint64(len(m.Pub.Attrs)))
+		listed := 0
 		for _, am := range m.Pub.Attrs {
-			if am == nil {
-				e.u(0)
+			if len(am) > 0 {
+				listed++
+			}
+		}
+		e.u(uint64(listed))
+		next := 0
+		for i, am := range m.Pub.Attrs {
+			if len(am) == 0 {
 				continue
 			}
-			e.u(uint64(len(am)) + 1)
+			e.u(uint64(i - next))
+			next = i + 1
+			e.u(uint64(len(am)))
 			for k, v := range am {
 				if err := e.sym(k); err != nil {
 					return err

@@ -14,15 +14,26 @@
 // allocation, and an attribute section of holes only shares one
 // never-written array of nil maps.
 //
+// Publication records. A publication's Stamp is written as the zigzag
+// delta from the previous publication's Stamp on the same stream: Encoder
+// and Decoder each hold that base beside the dictionary, it starts at 0 on
+// a new stream, only publish frames move it, and Encoder.Queue restores it
+// when it rolls a message back. The arithmetic wraps, so every int64
+// sequence round-trips. DocID stays absolute. The attribute section is
+// sparse: its length na, the count k of non-empty maps, then k pairs of
+// (holes skipped since the previous map, map), so a section of holes only
+// costs 2 bytes. An empty map travels as a hole.
+//
 // Symbol-native paths. The decoder resolves every path element to its
 // symtab.Default symbol through a per-link id→symbol slice, interning each
 // dictionary name once, and fills Pub.SymPath, so brokers never intern a
 // forwarded path again. The sender's SymPath never crosses the wire.
 //
 // Preamble. A connection opens with one preamble from the dialler — the
-// magic "XRW", a version byte, and the dialler's id as a uvarint-length-
-// prefixed string (at most MaxName bytes) — and the acceptor sends nothing
-// back (Encoder.Hello, Decoder.Hello).
+// magic "XRW", the version byte 2, and the dialler's id as a uvarint-
+// length-prefixed string (at most MaxName bytes) — and the acceptor sends
+// nothing back (Encoder.Hello, Decoder.Hello). A version-1 peer, which
+// wrote absolute stamps and one byte per attribute hole, is refused there.
 //
 // Framing. The byte stream after the preamble is a sequence of frames, each
 // a uvarint byte length followed by that many payload bytes.
@@ -66,7 +77,7 @@ const (
 // protocol version that follows it.
 const (
 	helloMagic   = "XRW"
-	helloVersion = 1
+	helloVersion = 2
 )
 
 // Wire bounds. They are far above anything the system generates — they
