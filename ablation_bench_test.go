@@ -14,21 +14,22 @@ import (
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/subtree"
+	"repro/internal/symtab"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
 // relativeWorkload builds advertisements and relative subscriptions for the
 // matcher ablations.
-func relativeWorkload(tb testing.TB) ([][]string, []*xpath.XPE) {
+func relativeWorkload(tb testing.TB) ([][]symtab.Sym, []*xpath.XPE) {
 	tb.Helper()
 	advs, err := advert.Generate(dtddata.PSD())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	flat := make([][]string, 0, len(advs))
+	flat := make([][]symtab.Sym, 0, len(advs))
 	for _, a := range advs {
-		flat = append(flat, a.FlatNames())
+		flat = append(flat, a.Tokens())
 	}
 	g := gen.NewXPathGenerator(dtddata.PSD(), 0.3, 0, 1)
 	g.Relative = 1 // relative expressions only

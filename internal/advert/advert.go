@@ -13,16 +13,21 @@
 package advert
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
-// Item is one component of an advertisement: either a single element test
-// (Name != "", Group == nil) or a one-or-more group over a nested sequence
-// (Name == "", Group != nil).
+// Item is one component of an advertisement under construction: either a
+// single element test (Name != "", Group == nil) or a one-or-more group
+// over a nested sequence (Name == "", Group != nil). Items are how callers
+// spell an advertisement for NewAdvertisement; the advertisement itself
+// keeps only its token string.
 type Item struct {
 	Name  string
 	Group []Item
@@ -70,108 +75,148 @@ func (c Class) String() string {
 // Advertisement is an absolute path pattern over element names and
 // wildcards, with optional one-or-more groups.
 //
-// The package constructors (NewAdvertisement, FromPath, Parse, Clone, and
-// the DTD generator) compile the matching automaton EAGERLY, which interns
-// the advertisement's element names at construction — control-plane time —
-// so the publish-path matchers never grow the shared symbol table (see
-// MatchesPath). A hand-built literal (&Advertisement{Items: ...}) still
-// works: its automaton is compiled atomically on first match. Either way an
-// Advertisement must be treated as immutable once constructed.
+// It is stored as one token string over the shared symbol table
+// (symtab.Default): an element test is its interned name (symtab.Wildcard
+// for "*"), and a group is its body between symtab.GroupOpen and
+// symtab.GroupClose, so "/a(/b/c)+/d" is [a ( b c ) d]. A non-recursive
+// advertisement's tokens are exactly its element tests, which the paper's
+// algorithms read in place. Every constructor interns the names, at
+// control-plane time, so the publish-path matchers never grow the symbol
+// table (see MatchesPath). A recursive advertisement's automaton is
+// compiled from the tokens on its first match. An Advertisement is
+// immutable once constructed and safe for concurrent use.
 type Advertisement struct {
-	Items []Item
-
-	nfaCached  atomic.Pointer[advNFA]
-	flatCached atomic.Pointer[[]string]
+	toks      []symtab.Sym
+	nfaCached atomic.Pointer[advNFA]
 }
 
 // NewAdvertisement builds an advertisement from items.
 func NewAdvertisement(items ...Item) *Advertisement {
-	return compiled(&Advertisement{Items: items})
+	return build(appendItems(nil, items))
+}
+
+// appendItems appends seq's tokens to dst, interning its names.
+func appendItems(dst []symtab.Sym, seq []Item) []symtab.Sym {
+	for _, it := range seq {
+		if it.IsGroup() {
+			dst = append(dst, symtab.GroupOpen)
+			dst = appendItems(dst, it.Group)
+			dst = append(dst, symtab.GroupClose)
+		} else {
+			dst = append(dst, symtab.Intern(it.Name))
+		}
+	}
+	return dst
 }
 
 // FromPath builds a non-recursive advertisement from element names.
 func FromPath(names ...string) *Advertisement {
-	items := make([]Item, len(names))
-	for i, n := range names {
-		items[i] = Sym(n)
-	}
-	return compiled(&Advertisement{Items: items})
+	return build(symtab.InternPath(names))
 }
 
-// compiled eagerly builds the advertisement's automaton and returns it.
-func compiled(a *Advertisement) *Advertisement {
-	a.nfaCached.Store(a.compileNFA())
-	return a
+// FromTokens builds an advertisement that takes ownership of toks, a token
+// string in the Advertisement layout. It rejects an empty string, a group
+// that is empty or unbalanced, and a token that is neither a group bracket
+// nor a name symbol.
+func FromTokens(toks []symtab.Sym) (*Advertisement, error) {
+	if len(toks) == 0 {
+		return nil, fmt.Errorf("advert: empty advertisement")
+	}
+	depth := 0
+	for i, t := range toks {
+		switch {
+		case t == symtab.GroupOpen:
+			depth++
+		case t == symtab.GroupClose:
+			if depth == 0 {
+				return nil, fmt.Errorf("advert: unbalanced group close at token %d", i)
+			}
+			if toks[i-1] == symtab.GroupOpen {
+				return nil, fmt.Errorf("advert: empty group at token %d", i)
+			}
+			depth--
+		case t == symtab.None || (t > symtab.GroupClose && t < symtab.FirstDynamic):
+			return nil, fmt.Errorf("advert: reserved symbol %d at token %d", t, i)
+		}
+	}
+	if depth != 0 {
+		return nil, fmt.Errorf("advert: %d unterminated groups", depth)
+	}
+	return build(toks), nil
+}
+
+// build wraps a token string the package built or checked.
+func build(toks []symtab.Sym) *Advertisement {
+	return &Advertisement{toks: toks}
+}
+
+// Tokens returns the advertisement's token string (see Advertisement). The
+// slice is shared; callers must not modify it.
+func (a *Advertisement) Tokens() []symtab.Sym { return a.toks }
+
+// isName reports whether t is an element test rather than a group bracket.
+func isName(t symtab.Sym) bool { return t != symtab.GroupOpen && t != symtab.GroupClose }
+
+// groupEnd returns the index of the GroupClose that matches the GroupOpen
+// at toks[open].
+func groupEnd(toks []symtab.Sym, open int) int {
+	depth := 0
+	for i := open; ; i++ {
+		switch toks[i] {
+		case symtab.GroupOpen:
+			depth++
+		case symtab.GroupClose:
+			if depth--; depth == 0 {
+				return i
+			}
+		}
+	}
+}
+
+// itemEnd returns the index just past the item that starts at toks[i]: a
+// name, or a whole group.
+func itemEnd(toks []symtab.Sym, i int) int {
+	if toks[i] == symtab.GroupOpen {
+		return groupEnd(toks, i) + 1
+	}
+	return i + 1
 }
 
 // Classify returns the advertisement's class.
 func (a *Advertisement) Classify() Class {
-	top, nested := countGroups(a.Items, false)
+	groups, depth, nested := 0, 0, false
+	for _, t := range a.toks {
+		switch t {
+		case symtab.GroupOpen:
+			groups++
+			if depth++; depth > 1 {
+				nested = true
+			}
+		case symtab.GroupClose:
+			depth--
+		}
+	}
 	switch {
 	case nested:
 		return EmbeddedRecursive
-	case top == 0:
+	case groups == 0:
 		return NonRecursive
-	case top == 1:
+	case groups == 1:
 		return SimpleRecursive
 	default:
 		return SeriesRecursive
 	}
 }
 
-// countGroups counts groups at any depth of seq; top is the total group
-// count, nested reports whether any group occurs inside another.
-func countGroups(seq []Item, inGroup bool) (total int, nested bool) {
-	for _, it := range seq {
-		if !it.IsGroup() {
-			continue
-		}
-		total++
-		if inGroup {
-			nested = true
-		}
-		t, n := countGroups(it.Group, true)
-		total += t
-		if n {
-			nested = true
-		}
-	}
-	return total, nested
-}
-
 // IsRecursive reports whether the advertisement contains any group.
-func (a *Advertisement) IsRecursive() bool { return a.Classify() != NonRecursive }
-
-// FlatNames returns the element tests of a non-recursive advertisement. It
-// panics if the advertisement is recursive; callers dispatch on Classify.
-// The slice is built on first use and shared by every later call (Overlaps
-// runs on it without allocating), so callers must not modify it.
-func (a *Advertisement) FlatNames() []string {
-	if names := a.flatCached.Load(); names != nil {
-		return *names
-	}
-	names := make([]string, len(a.Items))
-	for i, it := range a.Items {
-		if it.IsGroup() {
-			panic("advert: FlatNames on recursive advertisement " + a.String())
-		}
-		names[i] = it.Name
-	}
-	// Racing first calls build equal slices; whichever is stored is shared.
-	a.flatCached.Store(&names)
-	return names
-}
+func (a *Advertisement) IsRecursive() bool { return slices.Contains(a.toks, symtab.GroupOpen) }
 
 // MinLen returns the length of the shortest expansion (each group expanded
 // exactly once).
-func (a *Advertisement) MinLen() int { return minLen(a.Items) }
-
-func minLen(seq []Item) int {
+func (a *Advertisement) MinLen() int {
 	n := 0
-	for _, it := range seq {
-		if it.IsGroup() {
-			n += minLen(it.Group)
-		} else {
+	for _, t := range a.toks {
+		if isName(t) {
 			n++
 		}
 	}
@@ -182,94 +227,82 @@ func minLen(seq []Item) int {
 // "/a/*(/e/d)+/c". The result round-trips through Parse.
 func (a *Advertisement) String() string {
 	var b strings.Builder
-	writeItems(&b, a.Items)
+	for _, t := range a.toks {
+		switch t {
+		case symtab.GroupOpen:
+			b.WriteByte('(')
+		case symtab.GroupClose:
+			b.WriteString(")+")
+		default:
+			b.WriteByte('/')
+			b.WriteString(symtab.NameOf(t))
+		}
+	}
 	return b.String()
 }
 
-func writeItems(b *strings.Builder, seq []Item) {
-	for _, it := range seq {
-		if it.IsGroup() {
-			b.WriteByte('(')
-			writeItems(b, it.Group)
-			b.WriteString(")+")
-		} else {
-			b.WriteByte('/')
-			b.WriteString(it.Name)
-		}
-	}
-}
+// Key returns a canonical map key for the advertisement: its token string's
+// bytes, which are equal exactly when the advertisements are (Equal).
+func (a *Advertisement) Key() string { return tokenKey(a.toks) }
 
-// Key returns a canonical map key for the advertisement.
-func (a *Advertisement) Key() string { return a.String() }
+// tokenKey packs a token string into a map key, four bytes per token.
+func tokenKey(toks []symtab.Sym) string {
+	b := make([]byte, 0, 4*len(toks))
+	for _, t := range toks {
+		b = binary.LittleEndian.AppendUint32(b, uint32(t))
+	}
+	return string(b)
+}
 
 // Equal reports structural equality.
-func (a *Advertisement) Equal(b *Advertisement) bool {
-	return itemsEqual(a.Items, b.Items)
-}
-
-func itemsEqual(x, y []Item) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i].Name != y[i].Name {
-			return false
-		}
-		if (x[i].Group == nil) != (y[i].Group == nil) {
-			return false
-		}
-		if x[i].Group != nil && !itemsEqual(x[i].Group, y[i].Group) {
-			return false
-		}
-	}
-	return true
-}
+func (a *Advertisement) Equal(b *Advertisement) bool { return slices.Equal(a.toks, b.toks) }
 
 // Clone returns a deep copy.
-func (a *Advertisement) Clone() *Advertisement {
-	return compiled(&Advertisement{Items: cloneItems(a.Items)})
-}
-
-func cloneItems(seq []Item) []Item {
-	out := make([]Item, len(seq))
-	for i, it := range seq {
-		out[i] = Item{Name: it.Name}
-		if it.Group != nil {
-			out[i].Group = cloneItems(it.Group)
-		}
-	}
-	return out
-}
+func (a *Advertisement) Clone() *Advertisement { return build(slices.Clone(a.toks)) }
 
 // ToXPE converts a non-recursive advertisement to the equivalent absolute
 // simple XPE (advertisements have the same format as absolute simple
 // subscriptions, which is what makes advertisement covering reuse the
-// subscription covering algorithms).
+// subscription covering algorithms). It panics if the advertisement is
+// recursive; callers dispatch on Classify.
 func (a *Advertisement) ToXPE() *xpath.XPE {
-	names := a.FlatNames()
-	steps := make([]xpath.Step, len(names))
-	for i, n := range names {
-		steps[i] = xpath.Step{Axis: xpath.Child, Name: n}
+	if a.IsRecursive() {
+		panic("advert: ToXPE on recursive advertisement " + a.String())
+	}
+	steps := make([]xpath.Step, len(a.toks))
+	for i, t := range a.toks {
+		steps[i] = xpath.Step{Axis: xpath.Child, Name: symtab.NameOf(t)}
 	}
 	return &xpath.XPE{Steps: steps}
 }
 
 // Parse parses the paper's advertisement notation: a leading-"/" path whose
 // components are element names or "*", with "(...)+" groups, e.g.
-// "/a/*/c(/e/d)+/*/c/e" or "/x(/a(/b)+/c)+/y".
+// "/a/*/c(/e/d)+/*/c/e" or "/x(/a(/b)+/c)+/y". Names are interned only once
+// the whole input has parsed.
 func Parse(input string) (*Advertisement, error) {
 	p := &advParser{src: input}
-	items, err := p.sequence(false)
-	if err != nil {
+	if err := p.sequence(false); err != nil {
 		return nil, fmt.Errorf("advert: parse %q: %w", input, err)
 	}
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("advert: parse %q: trailing input at offset %d", input, p.pos)
 	}
-	if len(items) == 0 {
+	if len(p.toks) == 0 {
 		return nil, fmt.Errorf("advert: parse %q: empty advertisement", input)
 	}
-	return compiled(&Advertisement{Items: items}), nil
+	toks := make([]symtab.Sym, len(p.toks))
+	for i, t := range p.toks {
+		switch t {
+		case "(":
+			toks[i] = symtab.GroupOpen
+		case ")":
+			toks[i] = symtab.GroupClose
+		default:
+			toks[i] = symtab.Intern(t)
+		}
+	}
+	return build(toks), nil
 }
 
 // MustParse is Parse for statically known advertisements; it panics on error.
@@ -281,13 +314,15 @@ func MustParse(input string) *Advertisement {
 	return a
 }
 
+// advParser reads the notation into a token string of names, with "(" and
+// ")" for the group brackets (neither can occur in a name).
 type advParser struct {
-	src string
-	pos int
+	src  string
+	pos  int
+	toks []string
 }
 
-func (p *advParser) sequence(inGroup bool) ([]Item, error) {
-	var items []Item
+func (p *advParser) sequence(inGroup bool) error {
 	for p.pos < len(p.src) {
 		switch p.src[p.pos] {
 		case '/':
@@ -298,34 +333,35 @@ func (p *advParser) sequence(inGroup bool) ([]Item, error) {
 			}
 			name := p.src[start:p.pos]
 			if name == "" {
-				return nil, fmt.Errorf("empty element name at offset %d", start)
+				return fmt.Errorf("empty element name at offset %d", start)
 			}
-			items = append(items, Sym(name))
+			p.toks = append(p.toks, name)
 		case '(':
 			p.pos++
-			inner, err := p.sequence(true)
-			if err != nil {
-				return nil, err
+			p.toks = append(p.toks, "(")
+			open := len(p.toks)
+			if err := p.sequence(true); err != nil {
+				return err
 			}
-			if len(inner) == 0 {
-				return nil, fmt.Errorf("empty group at offset %d", p.pos)
+			if len(p.toks) == open {
+				return fmt.Errorf("empty group at offset %d", p.pos)
 			}
 			if !strings.HasPrefix(p.src[p.pos:], ")+") {
-				return nil, fmt.Errorf("group not closed with \")+\" at offset %d", p.pos)
+				return fmt.Errorf("group not closed with \")+\" at offset %d", p.pos)
 			}
 			p.pos += 2
-			items = append(items, Item{Group: inner})
+			p.toks = append(p.toks, ")")
 		case ')':
 			if !inGroup {
-				return nil, fmt.Errorf("unbalanced ')' at offset %d", p.pos)
+				return fmt.Errorf("unbalanced ')' at offset %d", p.pos)
 			}
-			return items, nil
+			return nil
 		default:
-			return nil, fmt.Errorf("unexpected %q at offset %d", p.src[p.pos], p.pos)
+			return fmt.Errorf("unexpected %q at offset %d", p.src[p.pos], p.pos)
 		}
 	}
 	if inGroup {
-		return nil, fmt.Errorf("unterminated group")
+		return fmt.Errorf("unterminated group")
 	}
-	return items, nil
+	return nil
 }

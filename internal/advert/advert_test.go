@@ -1,8 +1,10 @@
 package advert
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -61,7 +63,7 @@ func TestSplitSimple(t *testing.T) {
 	if !ok {
 		t.Fatal("not simple-recursive")
 	}
-	if len(a1) != 3 || a1[2] != "c" || len(a2) != 2 || a2[0] != "e" || len(a3) != 3 || a3[2] != "e" {
+	if names(a1) != "a/*/c" || names(a2) != "e/d" || names(a3) != "*/c/e" {
 		t.Errorf("split = %v %v %v", a1, a2, a3)
 	}
 	if _, _, _, ok := MustParse("/a/b").SplitSimple(); ok {
@@ -89,7 +91,7 @@ func TestMinLen(t *testing.T) {
 // a = /b/*/*/c/c/d and s = /*/c/*/b/c do not overlap (mismatch at the
 // fourth pair).
 func TestAbsExprAndAdvPaperExample(t *testing.T) {
-	adv := []string{"b", "*", "*", "c", "c", "d"}
+	adv := symtab.InternPath([]string{"b", "*", "*", "c", "c", "d"})
 	s := xpath.MustParse("/*/c/*/b/c")
 	if AbsExprAndAdv(adv, s) {
 		t.Error("paper example should not overlap")
@@ -107,7 +109,7 @@ func TestAbsExprAndAdvPaperExample(t *testing.T) {
 // TestDesExprAndAdvPaperExample encodes the Section 3.2 descendant example:
 // a = /a/*/e/*/d/*/c/b and s = */a//d/*/c//b overlap.
 func TestDesExprAndAdvPaperExample(t *testing.T) {
-	adv := []string{"a", "*", "e", "*", "d", "*", "c", "b"}
+	adv := symtab.InternPath([]string{"a", "*", "e", "*", "d", "*", "c", "b"})
 	s := xpath.MustParse("*/a//d/*/c//b")
 	if !DesExprAndAdv(adv, s) {
 		t.Error("paper example should overlap")
@@ -130,7 +132,7 @@ func TestRelExprAndAdv(t *testing.T) {
 		{"/x/*/*/y", "*/*", true},
 	}
 	for _, tt := range tests {
-		adv := MustParse(tt.adv).FlatNames()
+		adv := MustParse(tt.adv).Tokens()
 		s := xpath.MustParse(tt.sub)
 		if got := RelExprAndAdv(adv, s); got != tt.want {
 			t.Errorf("RelExprAndAdv(%s, %s) = %v, want %v", tt.adv, tt.sub, got, tt.want)
@@ -227,8 +229,8 @@ func TestMatchesPath(t *testing.T) {
 func TestExpansions(t *testing.T) {
 	a := MustParse("/a(/b)+/c")
 	var got []string
-	a.Expansions(5, func(w []string) bool {
-		got = append(got, joinPath(w))
+	a.Expansions(5, func(w []symtab.Sym) bool {
+		got = append(got, names(w))
 		return true
 	})
 	want := map[string]bool{"a/b/c": true, "a/b/b/c": true, "a/b/b/b/c": true}
@@ -246,8 +248,8 @@ func TestExpansionsNested(t *testing.T) {
 	// Nested groups must allow different inner counts per outer iteration.
 	a := MustParse("/x(/a(/b)+)+")
 	found := false
-	a.Expansions(7, func(w []string) bool {
-		if joinPath(w) == "x/a/b/a/b/b" {
+	a.Expansions(7, func(w []symtab.Sym) bool {
+		if names(w) == "x/a/b/a/b/b" {
 			found = true
 			return false
 		}
@@ -258,15 +260,13 @@ func TestExpansionsNested(t *testing.T) {
 	}
 }
 
-func joinPath(w []string) string {
-	out := ""
-	for i, s := range w {
-		if i > 0 {
-			out += "/"
-		}
-		out += s
+// names joins a token string's element names with "/".
+func names(w []symtab.Sym) string {
+	parts := make([]string, len(w))
+	for i, t := range w {
+		parts[i] = symtab.NameOf(t)
 	}
-	return out
+	return strings.Join(parts, "/")
 }
 
 func TestToXPE(t *testing.T) {
@@ -282,11 +282,11 @@ func TestEqualClone(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("clone not equal")
 	}
-	b.Items[1].Group[1].Group[0].Name = "z"
+	b.toks[4] = symtab.Intern("z") // the inner group's "b"
 	if a.Equal(b) {
 		t.Fatal("mutated clone still equal")
 	}
-	if a.Items[1].Group[1].Group[0].Name != "b" {
+	if a.String() != "/x(/a(/b)+/c)+/y" {
 		t.Fatal("clone aliases original")
 	}
 }

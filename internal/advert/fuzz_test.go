@@ -3,6 +3,8 @@ package advert
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/symtab"
 )
 
 // FuzzOverlapsAgreesWithPaper holds the automaton engine, at every width,
@@ -52,7 +54,7 @@ func FuzzOverlapsAgreesWithPaper(f *testing.F) {
 		for _, n := range a3 {
 			items = append(items, Sym(n))
 		}
-		a := &Advertisement{Items: items}
+		a := NewAdvertisement(items...)
 		if n := a.nfa(); wide && n.words < 2 {
 			t.Fatalf("%s: %d states in one word, want a wide automaton", a, len(n.off)-1)
 		}
@@ -85,12 +87,12 @@ func FuzzOverlapsAgreesWithPaper(f *testing.F) {
 				path[r.Intn(len(path))] = "fuzz-foreign"
 			}
 			member := false
-			a.Expansions(len(path), func(w []string) bool {
+			a.Expansions(len(path), func(w []symtab.Sym) bool {
 				if len(w) != len(path) {
 					return true
 				}
 				for i := range w {
-					if w[i] != "*" && w[i] != path[i] {
+					if w[i] != symtab.Wildcard && symtab.NameOf(w[i]) != path[i] {
 						return true
 					}
 				}
@@ -104,7 +106,7 @@ func FuzzOverlapsAgreesWithPaper(f *testing.F) {
 			// s.Len() repetitions suffice (see OverlapsSimRec).
 			s := wideSub(r, expansion(1+r.Intn(3)), alphabet)
 			want := false
-			a.Expansions(a.MinLen()+s.Len()*len(a2), func(w []string) bool {
+			a.Expansions(a.MinLen()+s.Len()*len(a2), func(w []symtab.Sym) bool {
 				want = MatchesNonRecursive(w, s)
 				return !want
 			})

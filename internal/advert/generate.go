@@ -2,8 +2,10 @@ package advert
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dtd"
+	"repro/internal/symtab"
 )
 
 // DefaultGenerateLimit bounds the number of advertisements Generate will
@@ -50,8 +52,8 @@ func GenerateLimited(d *dtd.DTD, limit int) ([]*Advertisement, error) {
 
 type generator struct {
 	d       *dtd.DTD
-	items   []Item         // the open path under construction
-	onStack map[string]int // ancestor element -> index into items; -1 while wrapped
+	toks    []symtab.Sym   // the open path under construction, as tokens
+	onStack map[string]int // ancestor element -> index of its token; -1 while wrapped
 	results []*Advertisement
 	seen    map[string]bool
 	limit   int
@@ -61,8 +63,7 @@ type generator struct {
 var errLimit = fmt.Errorf("advert: advertisement limit exceeded")
 
 func (g *generator) emit() error {
-	adv := &Advertisement{Items: cloneItems(g.items)}
-	key := adv.Key()
+	key := tokenKey(g.toks)
 	if g.seen[key] {
 		return nil
 	}
@@ -70,20 +71,18 @@ func (g *generator) emit() error {
 		return fmt.Errorf("%w (%d)", errLimit, g.limit)
 	}
 	g.seen[key] = true
-	// Compile eagerly only for advertisements actually kept; duplicates and
-	// over-limit candidates never pay for an automaton.
-	g.results = append(g.results, compiled(adv))
+	g.results = append(g.results, build(slices.Clone(g.toks)))
 	return nil
 }
 
 // visit explores element name as the next path component.
 func (g *generator) visit(name string) error {
-	idx := len(g.items)
-	g.items = append(g.items, Sym(name))
+	idx := len(g.toks)
+	g.toks = append(g.toks, symtab.Intern(name))
 	g.onStack[name] = idx
 	defer func() {
 		delete(g.onStack, name)
-		g.items = g.items[:idx]
+		g.toks = g.toks[:idx]
 	}()
 
 	if g.d.CanBeChildless(name) {
@@ -115,9 +114,9 @@ func (g *generator) descend(c string) error {
 	}
 }
 
-// handleBackEdge is called when the current element (the last of g.items)
-// has a child that is already on the path at item index pos. The run
-// items[pos:] is one full lap of a cycle; the grouped advertisement
+// handleBackEdge is called when the current element (the last of g.toks)
+// has a child that is already on the path at token index pos. The run
+// toks[pos:] is one full lap of a cycle; the grouped advertisement
 // (lap)+ covers one or more laps. The method emits and explores every
 // continuation of the pumped pattern:
 //
@@ -126,12 +125,12 @@ func (g *generator) descend(c string) error {
 //   - partial re-walks of the lap followed by an exit from an interior
 //     element.
 func (g *generator) handleBackEdge(pos int) error {
-	lap := cloneItems(g.items[pos:])
-	saved := g.items
-	g.items = append(append([]Item{}, g.items[:pos]...), Item{Group: lap})
+	lap := slices.Clone(g.toks[pos:])
+	saved := g.toks
+	g.toks = slices.Concat(saved[:pos], []symtab.Sym{symtab.GroupOpen}, lap, []symtab.Sym{symtab.GroupClose})
 
 	// While exploring the pumped configuration, ancestors whose symbols were
-	// swallowed by the group must not be wrapped again: their recorded item
+	// swallowed by the group must not be wrapped again: their recorded token
 	// indices are stale.
 	var masked []string
 	for el, p := range g.onStack {
@@ -141,7 +140,7 @@ func (g *generator) handleBackEdge(pos int) error {
 		}
 	}
 	defer func() {
-		g.items = saved
+		g.toks = saved
 		for _, el := range masked {
 			// All masked elements are still on the path frames below us;
 			// restore their true indices from the saved layout.
@@ -176,12 +175,13 @@ func (g *generator) handleBackEdge(pos int) error {
 	return g.partialLaps(lap)
 }
 
-// partialLaps appends lap[0..m] for every strict prefix and explores exits
-// from the prefix's last element.
-func (g *generator) partialLaps(lap []Item) error {
-	for m := 0; m < len(lap)-1; m++ {
-		g.items = append(g.items, lap[m])
-		el := itemElement(lap[m])
+// partialLaps appends the lap's items one at a time, every one but the
+// last, and explores exits from each prefix's last element.
+func (g *generator) partialLaps(lap []symtab.Sym) error {
+	base := len(g.toks)
+	for i, j := 0, itemEnd(lap, 0); j < len(lap); i, j = j, itemEnd(lap, j) {
+		g.toks = append(g.toks, lap[i:j]...)
+		el := itemElement(lap[i:j])
 		if el == "" {
 			continue // divergence inside a nested group is not re-walked
 		}
@@ -191,7 +191,7 @@ func (g *generator) partialLaps(lap []Item) error {
 			}
 		}
 		for _, x := range g.d.Children(el) {
-			if x == headElement(lap[m+1:]) {
+			if x == headElement(lap[j:]) {
 				continue // continuing the lap is covered by longer prefixes
 			}
 			if err := g.descend(x); err != nil {
@@ -199,53 +199,60 @@ func (g *generator) partialLaps(lap []Item) error {
 			}
 		}
 	}
-	g.items = g.items[:len(g.items)-(len(lap)-1)]
+	g.toks = g.toks[:base]
 	return nil
 }
 
-// itemElement returns the element a path position corresponds to: the name
-// of a symbol item, or the single element of a self-loop group. Nested
-// multi-element groups have no single representative and yield "".
-func itemElement(it Item) string {
-	if !it.IsGroup() {
-		return it.Name
-	}
-	if len(it.Group) == 1 && !it.Group[0].IsGroup() {
-		return it.Group[0].Name
+// itemElement returns the element a path position corresponds to, given
+// the item's tokens: the name of a symbol item, or the single element of a
+// self-loop group. Nested multi-element groups have no single
+// representative and yield "".
+func itemElement(item []symtab.Sym) string {
+	switch {
+	case len(item) == 1:
+		return symtab.NameOf(item[0])
+	case len(item) == 3 && isName(item[1]):
+		return symtab.NameOf(item[1])
 	}
 	return ""
 }
 
-// headElement returns the first element of an item run's expansion.
-func headElement(seq []Item) string {
-	if len(seq) == 0 {
-		return ""
+// headElement returns the first element of a token run's expansion.
+func headElement(toks []symtab.Sym) string {
+	for _, t := range toks {
+		if t != symtab.GroupOpen {
+			return symtab.NameOf(t)
+		}
 	}
-	if seq[0].IsGroup() {
-		return headElement(seq[0].Group)
-	}
-	return seq[0].Name
+	return ""
 }
 
-// lastElement returns the final element of an item run's expansion. Every
+// lastElement returns the final element of a token run's expansion. Every
 // expansion of a group ends with the group body's last element.
-func lastElement(seq []Item) string {
-	if len(seq) == 0 {
-		return ""
+func lastElement(toks []symtab.Sym) string {
+	for i := len(toks) - 1; i >= 0; i-- {
+		if toks[i] != symtab.GroupClose {
+			return symtab.NameOf(toks[i])
+		}
 	}
-	it := seq[len(seq)-1]
-	if it.IsGroup() {
-		return lastElement(it.Group)
-	}
-	return it.Name
+	return ""
 }
 
-// indexOfSym finds the item index of element el in an open-path layout,
-// looking through symbols only; -1 if the element is inside a group.
-func indexOfSym(items []Item, el string) int {
-	for i, it := range items {
-		if !it.IsGroup() && it.Name == el {
-			return i
+// indexOfSym finds the token index of element el in an open-path layout,
+// looking through top-level symbols only; -1 if the element is inside a
+// group.
+func indexOfSym(toks []symtab.Sym, el string) int {
+	sym, depth := symtab.Intern(el), 0
+	for i, t := range toks {
+		switch t {
+		case symtab.GroupOpen:
+			depth++
+		case symtab.GroupClose:
+			depth--
+		case sym:
+			if depth == 0 {
+				return i
+			}
 		}
 	}
 	return -1

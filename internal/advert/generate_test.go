@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/dtddata"
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -260,14 +261,14 @@ func TestQuickOverlapsAgainstEnumeration(t *testing.T) {
 			}
 			return items
 		}
-		return &Advertisement{Items: build(0, 1+r.Intn(4))}
+		return NewAdvertisement(build(0, 1+r.Intn(4))...)
 	}
 	for i := 0; i < 3000; i++ {
 		a := randomAdv()
 		s := randomSub(r, 5)
 		got := a.Overlaps(s)
 		want := false
-		a.Expansions(s.Len()+a.MinLen()+6, func(w []string) bool {
+		a.Expansions(s.Len()+a.MinLen()+6, func(w []symtab.Sym) bool {
 			if MatchesNonRecursive(w, s) {
 				want = true
 				return false
@@ -309,13 +310,13 @@ func TestQuickSimRecAgainstNFA(t *testing.T) {
 		for _, n := range a3 {
 			items = append(items, Sym(n))
 		}
-		a := &Advertisement{Items: items}
+		a := NewAdvertisement(items...)
 		// Absolute simple subscription.
 		s := &xpath.XPE{}
 		for _, n := range randomNames(1 + r.Intn(8)) {
 			s.Steps = append(s.Steps, xpath.Step{Axis: xpath.Child, Name: n})
 		}
-		got := AbsExprAndSimRecAdv(a1, a2, a3, s)
+		got := AbsExprAndSimRecAdv(symtab.InternPath(a1), symtab.InternPath(a2), symtab.InternPath(a3), s)
 		want := a.overlapsNFA(s)
 		if got != want {
 			t.Fatalf("AbsExprAndSimRecAdv(%s, %s) = %v, NFA says %v", a, s, got, want)

@@ -78,32 +78,30 @@ func (ix *Index) Add(a *Advertisement) int {
 	if ix.posts == nil {
 		ix.posts = make(map[symtab.Sym]bitset)
 	}
-	ix.post(a.Items, slot)
+	ix.post(a.toks, slot)
 	return slot
 }
 
-// post sets slot in the posting of every name in seq, groups included.
-func (ix *Index) post(seq []Item, slot int) {
-	for _, it := range seq {
-		if it.IsGroup() {
-			ix.post(it.Group, slot)
-		} else if sym := symtab.Intern(it.Name); sym == symtab.Wildcard {
+// post sets slot in the posting of every name in toks, groups included.
+func (ix *Index) post(toks []symtab.Sym, slot int) {
+	for _, t := range toks {
+		switch {
+		case t == symtab.Wildcard:
 			ix.wild = ix.wild.set(slot)
-		} else {
-			ix.posts[sym] = ix.posts[sym].set(slot)
+		case isName(t):
+			ix.posts[t] = ix.posts[t].set(slot)
 		}
 	}
 }
 
-// unpost clears slot from the posting of every name in seq.
-func (ix *Index) unpost(seq []Item, slot int) {
-	for _, it := range seq {
-		if it.IsGroup() {
-			ix.unpost(it.Group, slot)
-		} else if sym := symtab.Intern(it.Name); sym == symtab.Wildcard {
+// unpost clears slot from the posting of every name in toks.
+func (ix *Index) unpost(toks []symtab.Sym, slot int) {
+	for _, t := range toks {
+		switch {
+		case t == symtab.Wildcard:
 			ix.wild.clear(slot)
-		} else {
-			ix.posts[sym].clear(slot)
+		case isName(t):
+			ix.posts[t].clear(slot)
 		}
 	}
 }
@@ -117,7 +115,7 @@ func (ix *Index) Remove(slot int) {
 	if a == nil {
 		panic("advert: Index.Remove of a free slot")
 	}
-	ix.unpost(a.Items, slot)
+	ix.unpost(a.toks, slot)
 	ix.live.clear(slot)
 	ix.advs[slot] = nil
 	ix.free = append(ix.free, slot)

@@ -2,11 +2,13 @@ package advert
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dtddata"
 	"repro/internal/gen"
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -32,10 +34,14 @@ func nitfXPEs(n int, seed int64) []*xpath.XPE {
 	return out
 }
 
-// literal copies an advertisement the way the wire decoder builds one: a
-// bare literal whose automaton and flat names are derived lazily.
+// literal copies an advertisement the way the wire decoder builds one: from
+// a fresh token string, its automaton not yet compiled.
 func literal(a *Advertisement) *Advertisement {
-	return &Advertisement{Items: cloneItems(a.Items)}
+	b, err := FromTokens(slices.Clone(a.Tokens()))
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // randomMixedAdv draws an advertisement for the index's differential test:
@@ -50,13 +56,13 @@ func randomMixedAdv(r *rand.Rand) *Advertisement {
 	case 1:
 		return literal(nitf[r.Intn(len(nitf))])
 	case 2:
-		items := cloneItems(nitf[r.Intn(len(nitf))].Items)
+		toks := slices.Clone(nitf[r.Intn(len(nitf))].Tokens())
 		for i := 0; i < 1+r.Intn(2); i++ {
-			if k := r.Intn(len(items)); !items[k].IsGroup() {
-				items[k] = Sym(xpath.Wildcard)
+			if k := r.Intn(len(toks)); isName(toks[k]) {
+				toks[k] = symtab.Wildcard
 			}
 		}
-		return &Advertisement{Items: items}
+		return build(toks)
 	default:
 		return randomAdvFrom(r)
 	}
@@ -94,8 +100,8 @@ var smallAlphabet = []string{"a", "b", "c", "head", "p", xpath.Wildcard}
 // name, which only the index's wildcard posting lets through. nil when the
 // drawn length bound admits no expansion.
 func cutFromExpansion(r *rand.Rand, a *Advertisement) *xpath.XPE {
-	var word []string
-	a.Expansions(a.MinLen()+r.Intn(3), func(w []string) bool {
+	var word []symtab.Sym
+	a.Expansions(a.MinLen()+r.Intn(3), func(w []symtab.Sym) bool {
 		word = w
 		return r.Intn(3) > 0
 	})
@@ -112,7 +118,7 @@ func cutFromExpansion(r *rand.Rand, a *Advertisement) *xpath.XPE {
 				i++
 			}
 		}
-		name := word[i]
+		name := symtab.NameOf(word[i])
 		if name == xpath.Wildcard {
 			name = smallAlphabet[r.Intn(len(smallAlphabet)-1)]
 		} else if r.Intn(5) == 0 {
@@ -237,7 +243,7 @@ func TestOverlapsAllocFree(t *testing.T) {
 			ix.Overlaps(x)
 		}
 	}
-	scan() // warm-up: symbol caches, flat names, lazily compiled automata
+	scan() // warm-up: symbol caches, lazily compiled automata
 	query()
 	if got := testing.AllocsPerRun(3, scan); got != 0 {
 		t.Errorf("Advertisement.Overlaps: %.1f allocations per pass, want 0", got)

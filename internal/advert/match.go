@@ -11,24 +11,23 @@ import (
 // the subscription's publication set, i.e. whether a subscription must be
 // forwarded toward the advertisement's producer. It dispatches to the
 // paper's algorithms for non-recursive advertisements and to the automaton
-// matcher for recursive ones.
+// matcher for recursive ones. It does not allocate once the subscription's
+// symbols are cached (xpath.XPE.Syms) and a recursive advertisement's
+// automaton is compiled.
 func (a *Advertisement) Overlaps(s *xpath.XPE) bool {
 	if s.Len() == 0 {
 		return false
 	}
-	if names := a.flatCached.Load(); names != nil {
-		return MatchesNonRecursive(*names, s)
-	}
 	if a.IsRecursive() {
 		return a.overlapsNFA(s)
 	}
-	return MatchesNonRecursive(a.FlatNames(), s)
+	return MatchesNonRecursive(a.toks, s)
 }
 
 // MatchesNonRecursive implements the paper's Section 3.2 dispatch for a
-// non-recursive advertisement (given as its element-test sequence) against
+// non-recursive advertisement (given as its element-test symbols) against
 // any supported subscription.
-func MatchesNonRecursive(adv []string, s *xpath.XPE) bool {
+func MatchesNonRecursive(adv []symtab.Sym, s *xpath.XPE) bool {
 	switch {
 	case !s.IsSimple():
 		return DesExprAndAdv(adv, s)
@@ -43,12 +42,13 @@ func MatchesNonRecursive(adv []string, s *xpath.XPE) bool {
 // against non-recursive advertisements: the subscription may not be longer
 // than the advertisement, and every aligned pair of element tests must
 // overlap.
-func AbsExprAndAdv(adv []string, s *xpath.XPE) bool {
-	if s.Len() > len(adv) {
+func AbsExprAndAdv(adv []symtab.Sym, s *xpath.XPE) bool {
+	syms := s.Syms()
+	if len(syms) > len(adv) {
 		return false
 	}
-	for i, st := range s.Steps {
-		if !xpath.SymbolOverlaps(adv[i], st.Name) {
+	for i, sym := range syms {
+		if !xpath.SymOverlaps(adv[i], sym) {
 			return false
 		}
 	}
@@ -67,14 +67,15 @@ func AbsExprAndAdv(adv []string, s *xpath.XPE) bool {
 // anchor, scans the advertisement for positions compatible with that anchor,
 // and verifies each candidate. It is sound and complete, O(n) in practice
 // and O(n*k) worst case; see DESIGN.md.
-func RelExprAndAdv(adv []string, s *xpath.XPE) bool {
-	k := s.Len()
+func RelExprAndAdv(adv []symtab.Sym, s *xpath.XPE) bool {
+	syms := s.Syms()
+	k := len(syms)
 	if k > len(adv) {
 		return false
 	}
 	anchor := -1 // index in s of the anchor element
-	for i, st := range s.Steps {
-		if !st.IsWildcard() {
+	for i, sym := range syms {
+		if sym != symtab.Wildcard {
 			anchor = i
 			break
 		}
@@ -84,13 +85,13 @@ func RelExprAndAdv(adv []string, s *xpath.XPE) bool {
 		// overlaps.
 		return true
 	}
-	name := s.Steps[anchor].Name
-	// A start offset c aligns s.Steps[anchor] with adv[c+anchor].
+	name := syms[anchor]
+	// A start offset c aligns step anchor with adv[c+anchor].
 	for c := 0; c+k <= len(adv); c++ {
-		if !xpath.SymbolOverlaps(adv[c+anchor], name) {
+		if !xpath.SymOverlaps(adv[c+anchor], name) {
 			continue
 		}
-		if relMatchAt(adv, s, c) {
+		if segMatchesAt(adv, syms, c) {
 			return true
 		}
 	}
@@ -100,23 +101,8 @@ func RelExprAndAdv(adv []string, s *xpath.XPE) bool {
 // RelExprAndAdvNaive is the unoptimised relative matcher the paper
 // describes before proposing its KMP adaptation: try every start offset.
 // It exists as the ablation baseline for RelExprAndAdv.
-func RelExprAndAdvNaive(adv []string, s *xpath.XPE) bool {
-	k := s.Len()
-	for c := 0; c+k <= len(adv); c++ {
-		if relMatchAt(adv, s, c) {
-			return true
-		}
-	}
-	return false
-}
-
-func relMatchAt(adv []string, s *xpath.XPE, c int) bool {
-	for i, st := range s.Steps {
-		if !xpath.SymbolOverlaps(adv[c+i], st.Name) {
-			return false
-		}
-	}
-	return true
+func RelExprAndAdvNaive(adv []symtab.Sym, s *xpath.XPE) bool {
+	return findSegment(adv, s.Syms(), 0) >= 0
 }
 
 // DesExprAndAdv is the matching algorithm for XPEs containing descendant
@@ -127,11 +113,12 @@ func relMatchAt(adv []string, s *xpath.XPE, c int) bool {
 // float. Greedy leftmost placement is complete because placing a segment
 // earlier only leaves more room for its successors. The segments are walked
 // as step ranges of s (xpath.XPE.SegmentEnd), so matching does not allocate.
-func DesExprAndAdv(adv []string, s *xpath.XPE) bool {
+func DesExprAndAdv(adv []symtab.Sym, s *xpath.XPE) bool {
+	syms := s.Syms()
 	pos := 0
-	for start, end := 0, 0; start < s.Len(); start = end {
+	for start, end := 0, 0; start < len(syms); start = end {
 		end = s.SegmentEnd(start)
-		seg := s.Steps[start:end]
+		seg := syms[start:end]
 		if start == 0 && !s.Skips(0) {
 			// Anchored first segment.
 			if !segMatchesAt(adv, seg, 0) {
@@ -151,12 +138,12 @@ func DesExprAndAdv(adv []string, s *xpath.XPE) bool {
 
 // segMatchesAt reports whether every name test of seg overlaps adv starting
 // at offset c.
-func segMatchesAt(adv []string, seg []xpath.Step, c int) bool {
+func segMatchesAt(adv, seg []symtab.Sym, c int) bool {
 	if c+len(seg) > len(adv) {
 		return false
 	}
-	for i, st := range seg {
-		if !xpath.SymbolOverlaps(adv[c+i], st.Name) {
+	for i, sym := range seg {
+		if !xpath.SymOverlaps(adv[c+i], sym) {
 			return false
 		}
 	}
@@ -165,7 +152,7 @@ func segMatchesAt(adv []string, seg []xpath.Step, c int) bool {
 
 // findSegment returns the smallest offset >= from at which seg overlaps adv,
 // or -1.
-func findSegment(adv []string, seg []xpath.Step, from int) int {
+func findSegment(adv, seg []symtab.Sym, from int) int {
 	for c := from; c+len(seg) <= len(adv); c++ {
 		if segMatchesAt(adv, seg, c) {
 			return c
@@ -180,21 +167,30 @@ func findSegment(adv []string, seg []xpath.Step, from int) int {
 // or more times; lengths must agree exactly). It is the string adapter over
 // MatchesSymPath. The path is converted with Lookup, NOT Intern, so foreign
 // publication paths never grow the shared interner on the publish hot path:
-// the automaton is materialised first (package constructors compile it at
-// construction; nfa() covers hand-built literals), which guarantees every
-// edge name is already in the table — a path element Lookup maps to None
-// therefore provably differs from every concrete edge symbol and can only
-// be matched by wildcard edges, exactly the string semantics.
+// construction interned every name of the advertisement, so a path element
+// Lookup maps to None provably differs from every concrete test and can only
+// be matched by a wildcard, exactly the string semantics.
 func (a *Advertisement) MatchesPath(path []string) bool {
-	a.nfa() // edge names are interned no later than this
 	return a.MatchesSymPath(symtab.LookupPath(path))
 }
 
-// MatchesSymPath is MatchesPath over an interned path: the automaton's
-// alphabet is the shared symbol table, so the simulation compares uint32
-// symbols only. Acceptance requires consuming the entire path and ending
-// in the accept state.
+// MatchesSymPath is MatchesPath over an interned path: the advertisement's
+// alphabet is the shared symbol table, so matching compares uint32 symbols
+// only. A non-recursive advertisement compares position by position; a
+// recursive one runs its automaton, which accepts only on consuming the
+// entire path in the accept state.
 func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
+	if !a.IsRecursive() {
+		if len(path) != len(a.toks) {
+			return false
+		}
+		for i, t := range a.toks {
+			if t != symtab.Wildcard && t != path[i] {
+				return false
+			}
+		}
+		return true
+	}
 	n := a.nfa()
 	var buf [2 * stackWords]uint64
 	sets := n.scratch(buf[:], 2)
@@ -274,16 +270,15 @@ func orInto(dst, src []uint64) {
 	}
 }
 
-// nfa returns the advertisement's automaton, whose language is exactly its
-// expansion set. Constructor-built advertisements compiled it eagerly;
-// hand-built literals compile here on first use, atomically — racing
-// callers compile equivalent automata and one wins the CAS, so a caller
-// never observes a partially built automaton.
+// nfa returns the automaton of a recursive advertisement, whose language is
+// exactly its expansion set, compiling it on first use. Racing first callers
+// compile equivalent automata and one wins the CAS, so a caller never
+// observes a partially built automaton.
 func (a *Advertisement) nfa() *advNFA {
 	if n := a.nfaCached.Load(); n != nil {
 		return n
 	}
-	n := a.compileNFA()
+	n := compileNFA(a.toks)
 	if a.nfaCached.CompareAndSwap(nil, n) {
 		return n
 	}
@@ -298,10 +293,19 @@ type nfaBuilder struct {
 	eps    []int32
 }
 
-// compileNFA builds the automaton: one state per symbol plus a private entry
-// state per group.
-func (a *Advertisement) compileNFA() *advNFA {
-	syms, groups := nfaSize(a.Items)
+// compileNFA builds the automaton of a token string: one state per name
+// plus a private entry state per group. The token string is walked once;
+// the entry states of the open groups wait on a small stack. Rows are
+// appended in state order: every edge added leaves the newest state, so a
+// state's rows are complete once the next state is created.
+func compileNFA(toks []symtab.Sym) *advNFA {
+	groups := 0
+	for _, t := range toks {
+		if t == symtab.GroupOpen {
+			groups++
+		}
+	}
+	syms := len(toks) - 2*groups
 	states := 1 + syms + groups
 	n := &advNFA{
 		off:   make([]int32, 0, states+1),
@@ -313,8 +317,27 @@ func (a *Advertisement) compileNFA() *advNFA {
 		epsOff: make([]int32, 0, states+1),
 		eps:    make([]int32, 0, 2*groups),
 	}
-	b.newState()
-	n.accept = b.compile(a.Items, 0)
+	var stack [8]int32
+	entries := stack[:0]
+	cur := b.newState()
+	for _, t := range toks {
+		switch t {
+		case symtab.GroupOpen:
+			// The group gets a private entry state so that its loop-back
+			// cannot leak into epsilon edges of whatever preceded it.
+			b.eps = append(b.eps, cur+1)
+			cur = b.newState()
+			entries = append(entries, cur)
+		case symtab.GroupClose:
+			// One-or-more: after a full iteration, loop back.
+			b.eps = append(b.eps, entries[len(entries)-1])
+			entries = entries[:len(entries)-1]
+		default:
+			b.n.all = append(b.n.all, nfaEdge{sym: t, to: cur + 1})
+			cur = b.newState()
+		}
+	}
+	n.accept = cur
 	n.off = append(n.off, int32(len(n.all)))
 	b.epsOff = append(b.epsOff, int32(len(b.eps)))
 
@@ -343,43 +366,6 @@ func (a *Advertisement) compileNFA() *advNFA {
 		}
 	}
 	return n
-}
-
-// nfaSize counts the symbols and groups of seq at any depth.
-func nfaSize(seq []Item) (syms, groups int) {
-	for _, it := range seq {
-		if it.IsGroup() {
-			s, g := nfaSize(it.Group)
-			syms += s
-			groups += g + 1
-		} else {
-			syms++
-		}
-	}
-	return syms, groups
-}
-
-// compile lays seq down from state cur and returns the state it ends in.
-// Rows are appended in state order: every edge added leaves the newest
-// state (cur always is), so a state's rows are complete once the next state
-// is created.
-func (b *nfaBuilder) compile(seq []Item, cur int32) int32 {
-	for _, it := range seq {
-		if it.IsGroup() {
-			// The group gets a private entry state so that its loop-back
-			// cannot leak into epsilon edges of whatever preceded it.
-			b.eps = append(b.eps, cur+1)
-			entry := b.newState()
-			end := b.compile(it.Group, entry)
-			// One-or-more: after a full iteration, loop back.
-			b.eps = append(b.eps, entry)
-			cur = end
-		} else {
-			b.n.all = append(b.n.all, nfaEdge{sym: symtab.Intern(it.Name), to: cur + 1})
-			cur = b.newState()
-		}
-	}
-	return cur
 }
 
 // newState opens the next state's rows and returns its id.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -22,7 +23,7 @@ func TestCompileAllocsPinned(t *testing.T) {
 		}
 	}
 	for _, a := range []*Advertisement{rec, flat} {
-		if got := testing.AllocsPerRun(100, func() { a.compileNFA() }); got > ceiling {
+		if got := testing.AllocsPerRun(100, func() { compileNFA(a.toks) }); got > ceiling {
 			t.Errorf("compiling %s: %.0f allocations, want at most %d", a, got, ceiling)
 		}
 	}
@@ -64,7 +65,7 @@ func TestWideAdvertisementAgreesWithPaper(t *testing.T) {
 		for _, n := range a3 {
 			items = append(items, Sym(n))
 		}
-		a := &Advertisement{Items: items}
+		a := NewAdvertisement(items...)
 		if n := a.nfa(); n.words < 2 || len(n.off)-1 <= 64 {
 			t.Fatalf("%s: %d states in %d-word sets; want more than 64 states", a, len(n.off)-1, n.words)
 		}
@@ -127,13 +128,13 @@ func TestWideAdvertisementAgreesWithPaper(t *testing.T) {
 				t.Fatalf("Overlaps(%s, %s) = %v, OverlapsSimRec says %v", a, s, got, want)
 			}
 			if s.IsSimple() && !s.Relative {
-				if want := AbsExprAndSimRecAdv(a1, a2, a3, s); got != want {
+				if want := AbsExprAndSimRecAdv(symtab.InternPath(a1), symtab.InternPath(a2), symtab.InternPath(a3), s); got != want {
 					t.Fatalf("Overlaps(%s, %s) = %v, AbsExprAndSimRecAdv says %v", a, s, got, want)
 				}
 			}
 			// s.Len() repetitions suffice (see OverlapsSimRec).
 			want := false
-			a.Expansions(a.MinLen()+s.Len()*len(a2), func(w []string) bool {
+			a.Expansions(a.MinLen()+s.Len()*len(a2), func(w []symtab.Sym) bool {
 				want = MatchesNonRecursive(w, s)
 				return !want
 			})

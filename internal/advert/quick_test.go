@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -24,7 +25,7 @@ func randomAdvFrom(r *rand.Rand) *Advertisement {
 		}
 		return items
 	}
-	return &Advertisement{Items: build(0, 1+r.Intn(4))}
+	return NewAdvertisement(build(0, 1+r.Intn(4))...)
 }
 
 // TestQuickAdvParseRoundTrip: String and Parse are inverses for arbitrary
@@ -50,9 +51,9 @@ func TestQuickExpansionsMatchPath(t *testing.T) {
 		a := randomAdvFrom(r)
 		ok := true
 		count := 0
-		a.Expansions(a.MinLen()+4, func(w []string) bool {
+		a.Expansions(a.MinLen()+4, func(w []symtab.Sym) bool {
 			count++
-			if len(w) > a.MinLen()+4 || !a.MatchesPath(w) {
+			if len(w) > a.MinLen()+4 || !a.MatchesSymPath(w) {
 				ok = false
 				return false
 			}
@@ -74,7 +75,7 @@ func TestQuickMinLenIsShortestExpansion(t *testing.T) {
 		min := a.MinLen()
 		sawMin := false
 		ok := true
-		a.Expansions(min+3, func(w []string) bool {
+		a.Expansions(min+3, func(w []symtab.Sym) bool {
 			if len(w) < min {
 				ok = false
 				return false

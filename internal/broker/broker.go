@@ -189,6 +189,11 @@ type Broker struct {
 	srt      []*advEntry
 	srtByID  map[string]*advEntry
 	advIndex map[string]*advert.Index
+	// flatSRT holds the non-recursive SRT entries by last hop and length,
+	// each list in SRT order: advertisement covering compares a new
+	// non-recursive advertisement only with the one list it can be
+	// covered from. Empty without Config.UseCovering.
+	flatSRT map[flatKey][]*advEntry
 
 	// PRT: the subscription tree; node Data holds *subState.
 	prt *subtree.Tree
@@ -225,8 +230,22 @@ type advEntry struct {
 	id      string
 	adv     *advert.Advertisement
 	lastHop string
-	flat    []string // FlatNames for non-recursive advertisements, else nil
-	slot    int      // the entry's slot in advIndex[lastHop]
+	slot    int // the entry's slot in advIndex[lastHop]
+}
+
+// flatKey is the (last hop, length) bucket of a non-recursive SRT entry.
+// An advertisement covers another only when both came from the same hop
+// and have the same length (cover.CoversAdvertisement).
+type flatKey struct {
+	hop string
+	n   int
+}
+
+// coverKey returns e's covering bucket and whether it has one: only
+// non-recursive advertisements take part in advertisement covering, and
+// only under Config.UseCovering.
+func (b *Broker) coverKey(e *advEntry) (flatKey, bool) {
+	return flatKey{e.lastHop, len(e.adv.Tokens())}, b.cfg.UseCovering && !e.adv.IsRecursive()
 }
 
 // subState is the routing payload of a PRT node.
@@ -286,6 +305,7 @@ func New(cfg Config, send func(to string, m *Message)) *Broker {
 		destIDs:    make(map[string]int32),
 		srtByID:    make(map[string]*advEntry),
 		advIndex:   make(map[string]*advert.Index),
+		flatSRT:    make(map[flatKey][]*advEntry),
 		prt:        subtree.New(),
 		clientSubs: make(map[string]map[string]clientFilter),
 		durables:   make(map[string]*durState),

@@ -25,20 +25,19 @@ func (b *Broker) handleAdvertise(m *Message, from string) {
 		return // flooding duplicate
 	}
 	e := &advEntry{id: m.AdvID, adv: m.Adv, lastHop: from}
-	if m.Adv.Classify() == advert.NonRecursive {
-		e.flat = m.Adv.FlatNames()
-	}
 	// Advertisement covering: an advertisement covered by an existing one
 	// with the same last hop is redundant — subscriptions overlapping it
 	// are already routed that way. (Different last hops must both stay:
-	// they lead to different producers.)
-	if b.cfg.UseCovering && e.flat != nil {
-		for _, old := range b.srt {
-			if old.lastHop == from && old.flat != nil && cover.CoversAdvertisement(old.flat, e.flat) {
+	// they lead to different producers.) The first coverer in SRT order
+	// takes the ID.
+	if key, ok := b.coverKey(e); ok {
+		for _, old := range b.flatSRT[key] {
+			if cover.CoversAdvertisement(old.adv.Tokens(), m.Adv.Tokens()) {
 				b.srtByID[m.AdvID] = old // remember the ID for dedup
 				return
 			}
 		}
+		b.flatSRT[key] = append(b.flatSRT[key], e)
 	}
 	ix := b.advIndex[from]
 	if ix == nil {
@@ -86,6 +85,7 @@ func (b *Broker) handleUnadvertise(m *Message, from string) {
 			if ix.Len() == 0 {
 				delete(b.advIndex, e.lastHop)
 			}
+			b.unbucket(e)
 			break
 		}
 	}
@@ -93,6 +93,24 @@ func (b *Broker) handleUnadvertise(m *Message, from string) {
 		if nb != from {
 			b.emit(nb, m)
 		}
+	}
+}
+
+// unbucket takes e out of its covering bucket, if it has one, keeping the
+// rest in SRT order.
+func (b *Broker) unbucket(e *advEntry) {
+	key, ok := b.coverKey(e)
+	if !ok {
+		return
+	}
+	list := b.flatSRT[key]
+	if i := slices.Index(list, e); i >= 0 {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(b.flatSRT, key)
+	} else {
+		b.flatSRT[key] = list
 	}
 }
 

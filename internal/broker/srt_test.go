@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/advert"
 	"repro/internal/dtddata"
 	"repro/internal/gen"
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -35,7 +37,7 @@ func linearNextHops(b *Broker, x *xpath.XPE, from string) []string {
 
 // checkAdvIndex verifies that the advertisement indexes hold exactly the
 // SRT's entries: each entry sits in its last hop's index at its slot, and no
-// index holds anything else.
+// index holds anything else. So do the covering buckets.
 func checkAdvIndex(t *testing.T, b *Broker) {
 	t.Helper()
 	perHop := make(map[string]int)
@@ -50,6 +52,17 @@ func checkAdvIndex(t *testing.T, b *Broker) {
 		if ix.Len() != perHop[hop] {
 			t.Fatalf("hop %q: index holds %d advertisements, SRT %d", hop, ix.Len(), perHop[hop])
 		}
+	}
+	// The covering buckets hold exactly the SRT's covering candidates, each
+	// bucket in SRT order.
+	buckets := make(map[flatKey][]*advEntry)
+	for _, e := range b.srt {
+		if key, ok := b.coverKey(e); ok {
+			buckets[key] = append(buckets[key], e)
+		}
+	}
+	if !reflect.DeepEqual(buckets, b.flatSRT) {
+		t.Fatalf("covering buckets %v, want %v", b.flatSRT, buckets)
 	}
 }
 
@@ -92,12 +105,14 @@ func TestNextHopsMatchLinearScan(t *testing.T) {
 				}
 				a := nitf[r.Intn(len(nitf))]
 				if r.Intn(4) == 0 {
-					// A wire-style literal with a wildcard item.
-					items := append([]advert.Item(nil), a.Items...)
-					if k := r.Intn(len(items)); !items[k].IsGroup() {
-						items[k] = advert.Sym(xpath.Wildcard)
+					// A fresh token string with a wildcard item.
+					toks := slices.Clone(a.Tokens())
+					if k := r.Intn(len(toks)); toks[k] != symtab.GroupOpen && toks[k] != symtab.GroupClose {
+						toks[k] = symtab.Wildcard
 					}
-					a = &advert.Advertisement{Items: items}
+					if a, err = advert.FromTokens(toks); err != nil {
+						t.Fatal(err)
+					}
 				}
 				b.HandleMessage(&Message{Type: MsgAdvertise, AdvID: id, Adv: a}, advertised[id])
 			case op < 6 && len(ids) > 0:

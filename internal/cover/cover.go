@@ -261,17 +261,17 @@ func findCover(seg1, seg2 []xpath.Step, from int) int {
 }
 
 // CoversAdvertisement reports whether non-recursive advertisement tests a1
-// cover a2. Advertisements use the same pairwise covering rule as absolute
+// cover a2, both given as interned symbols (advert.Advertisement.Tokens). Advertisements use the same pairwise covering rule as absolute
 // simple XPEs, but their publication sets contain only paths of exactly the
 // advertisement's length, so covering additionally requires equal length —
 // a shorter advertisement describes different-length publications, and
 // dropping the longer one would lose subscriptions routed toward it.
-func CoversAdvertisement(a1, a2 []string) bool {
+func CoversAdvertisement(a1, a2 []symtab.Sym) bool {
 	if len(a1) != len(a2) {
 		return false
 	}
-	for i, n := range a1 {
-		if !xpath.SymbolCovers(n, a2[i]) {
+	for i, t := range a1 {
+		if !xpath.SymCovers(t, a2[i]) {
 			return false
 		}
 	}

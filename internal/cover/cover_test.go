@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/symtab"
 	"repro/internal/xpath"
 )
 
@@ -159,7 +160,7 @@ func TestCoversAdvertisement(t *testing.T) {
 		{[]string{"a", "b"}, []string{"a", "*"}, false},
 	}
 	for _, tt := range tests {
-		if got := CoversAdvertisement(tt.a1, tt.a2); got != tt.want {
+		if got := CoversAdvertisement(symtab.InternPath(tt.a1), symtab.InternPath(tt.a2)); got != tt.want {
 			t.Errorf("CoversAdvertisement(%v, %v) = %v, want %v", tt.a1, tt.a2, got, tt.want)
 		}
 	}

@@ -1,7 +1,7 @@
 package merge
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/advert"
@@ -21,28 +21,34 @@ type DegreeEstimator struct {
 // the advertisements up to maxLen elements, capped at maxPaths paths
 // (deterministically, advertisement by advertisement).
 func NewDegreeEstimator(advs []*advert.Advertisement, maxLen, maxPaths int) *DegreeEstimator {
+	type path struct {
+		key  string // the names joined by "/"
+		syms []symtab.Sym
+	}
 	seen := make(map[string]bool)
-	var universe [][]string
+	var universe []path
 	for _, a := range advs {
 		if len(universe) >= maxPaths {
 			break
 		}
-		a.Expansions(maxLen, func(w []string) bool {
-			key := strings.Join(w, "/")
+		a.Expansions(maxLen, func(w []symtab.Sym) bool {
+			names := make([]string, len(w))
+			for i, s := range w {
+				names[i] = symtab.NameOf(s)
+			}
+			key := strings.Join(names, "/")
 			if !seen[key] {
 				seen[key] = true
-				universe = append(universe, w)
+				universe = append(universe, path{key, w})
 			}
 			return len(universe) < maxPaths
 		})
 	}
 	// Deterministic order independent of advertisement enumeration detail.
-	sort.Slice(universe, func(i, j int) bool {
-		return strings.Join(universe[i], "/") < strings.Join(universe[j], "/")
-	})
+	slices.SortFunc(universe, func(x, y path) int { return strings.Compare(x.key, y.key) })
 	e := &DegreeEstimator{universe: make([][]symtab.Sym, len(universe))}
-	for i, w := range universe {
-		e.universe[i] = symtab.InternPath(w)
+	for i, p := range universe {
+		e.universe[i] = p.syms
 	}
 	return e
 }

@@ -6,10 +6,13 @@
 // device FPGA XML filters use to keep their match pipelines narrow.
 //
 // A small range of symbols is reserved for sentinels: None (the zero Sym,
-// never assigned to a name), Wildcard (the XPath "*" test), and Attr (a
-// marker for encoding attribute tokens into path alphabets). Intern maps "*"
-// to Wildcard, so interned expressions and interned publication paths agree
-// on the wildcard without special cases.
+// never assigned to a name), Wildcard (the XPath "*" test), Attr (a marker
+// for encoding attribute tokens into path alphabets), and GroupOpen and
+// GroupClose (the brackets of an advertisement's "(...)+" group in its
+// token string). Intern maps "*" to Wildcard, so interned expressions and
+// interned publication paths agree on the wildcard without special cases.
+// No name interns to either group bracket, so no element name, however
+// spelled, can open or close a group.
 //
 // # Concurrency
 //
@@ -45,8 +48,13 @@ const (
 	// Attr is the reserved marker for attribute tokens in encoded path
 	// alphabets (e.g. interleaving "@name" tokens with element symbols).
 	Attr Sym = 2
+	// GroupOpen opens a one-or-more group in an advertisement's token
+	// string; GroupClose ends it. Neither has a name.
+	GroupOpen  Sym = 3
+	GroupClose Sym = 4
 	// FirstDynamic is the first symbol assigned to an ordinary name;
-	// symbols in [Attr+1, FirstDynamic) are reserved for future sentinels.
+	// symbols in [GroupClose+1, FirstDynamic) are reserved for future
+	// sentinels.
 	FirstDynamic Sym = 8
 )
 

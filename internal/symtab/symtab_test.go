@@ -27,6 +27,18 @@ func TestSentinels(t *testing.T) {
 	if got := tb.Len(); got != 2 {
 		t.Fatalf("empty table Len = %d, want 2 sentinels", got)
 	}
+	// The group brackets have no name: nothing interns to them, so an
+	// advertisement element read off the wire can never open a group.
+	for _, s := range []Sym{GroupOpen, GroupClose} {
+		if got := tb.NameOf(s); got != "" {
+			t.Fatalf("NameOf(%d) = %q, want empty", s, got)
+		}
+	}
+	for _, name := range []string{"", "(", ")", ")+", "(...)+"} {
+		if got := tb.Intern(name); got < FirstDynamic {
+			t.Fatalf("Intern(%q) = %d, inside the reserved range", name, got)
+		}
+	}
 }
 
 func TestInternAssignsStableSymbols(t *testing.T) {
@@ -233,4 +245,70 @@ func TestHashCollisions(t *testing.T) {
 			t.Fatalf("mask %#x: Intern(*) = %d, want Wildcard", mask, got)
 		}
 	}
+}
+
+// sink keeps the benchmarks' results live.
+var sink Sym
+
+// benchNames is an element alphabet the size of NITF's (about 120 names).
+func benchNames() []string {
+	names := make([]string, 128)
+	for i := range names {
+		names[i] = fmt.Sprintf("element-%d", i)
+	}
+	return names
+}
+
+// BenchmarkLookup reads names the table holds and names it does not, the
+// two cases a decoded publication path meets.
+func BenchmarkLookup(b *testing.B) {
+	tb := NewTable()
+	names := benchNames()
+	tb.InternPath(names)
+	absent := make([]string, len(names))
+	for i, n := range names {
+		absent[i] = n + "-absent"
+	}
+	b.Run("present", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink, _ = tb.Lookup(names[i%len(names)])
+		}
+	})
+	b.Run("absent", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink, _ = tb.Lookup(absent[i%len(absent)])
+		}
+	})
+}
+
+// BenchmarkIntern interns names the table already holds (the lock-free
+// path a decoded advertisement takes for a known element) and fresh names
+// (the writer path), restarting from an empty table every 4,096 names so
+// the table stays the size of a real alphabet.
+func BenchmarkIntern(b *testing.B) {
+	names := benchNames()
+	const batch = 4096
+	fresh := make([]string, batch)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("fresh-%d", i)
+	}
+	b.Run("present", func(b *testing.B) {
+		tb := NewTable()
+		tb.InternPath(names)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink = tb.Intern(names[i%len(names)])
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		tb := NewTable()
+		for i := 0; i < b.N; i++ {
+			if i%batch == 0 && i > 0 {
+				b.StopTimer()
+				tb = NewTable()
+				b.StartTimer()
+			}
+			sink = tb.Intern(fresh[i%batch])
+		}
+	})
 }

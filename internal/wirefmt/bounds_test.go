@@ -2,10 +2,12 @@ package wirefmt
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/advert"
 	"repro/internal/broker"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -29,6 +31,8 @@ var loose = func() Limits {
 	l.MaxHopStages *= 4
 	l.MaxStageName *= 4
 	l.MaxStageNanos *= 4
+	l.MaxAdvItems *= 4
+	l.MaxAdvDepth *= 4
 	return l
 }()
 
@@ -90,6 +94,56 @@ func rawDocOfSize(n int) []byte {
 		b = append(b, 'x')
 	}
 	return append(b, "</a>"...)
+}
+
+// advertise wraps an advertisement in an advertise message.
+func advertise(a *advert.Advertisement) *broker.Message {
+	return &broker.Message{Type: broker.MsgAdvertise, AdvID: "a", Adv: a}
+}
+
+// names returns n distinct name items.
+func names(n int) []advert.Item {
+	items := make([]advert.Item, n)
+	for i := range items {
+		items[i] = advert.Sym(fmt.Sprintf("n%d", i))
+	}
+	return items
+}
+
+// nested returns depth groups, each the only item of the one around it,
+// the innermost holding one name.
+func nested(depth int) advert.Item {
+	it := advert.Sym("leaf")
+	for i := 0; i < depth; i++ {
+		it = advert.Rep(it)
+	}
+	return it
+}
+
+// An advertisement's item count (groups included) and group nesting are
+// bounded, and its groups and the advertisement itself are never empty. An
+// element name is never empty either: it would print as "/" and parse as
+// nothing.
+func TestDecodeAdvertisementBounds(t *testing.T) {
+	// Dictionary symbol 0 is "a" (the advertisement id), symbol 1 "".
+	dict := frameOf(frameDict, 0, 2, 1, 'a', 0)
+	adv := func(items ...byte) []byte {
+		return append(append([]byte(nil), dict...), frameOf(append([]byte{frameMsg, byte(broker.MsgAdvertise), 0}, items...)...)...)
+	}
+	runBoundCases(t, []boundCase{
+		{name: "adv-items-at-cap", msg: advertise(advert.NewAdvertisement(names(MaxAdvItems)...)), ok: true},
+		{name: "adv-items-over-cap", msg: advertise(advert.NewAdvertisement(names(MaxAdvItems + 1)...))},
+		{name: "adv-group-items-at-cap", msg: advertise(advert.NewAdvertisement(advert.Rep(names(MaxAdvItems - 1)...))), ok: true},
+		{name: "adv-group-items-over-cap", msg: advertise(advert.NewAdvertisement(advert.Rep(names(MaxAdvItems)...)))},
+		{name: "adv-depth-at-cap", msg: advertise(advert.NewAdvertisement(nested(MaxAdvDepth))), ok: true},
+		{name: "adv-depth-over-cap", msg: advertise(advert.NewAdvertisement(nested(MaxAdvDepth + 1)))},
+		{name: "adv-one-name", frame: adv(1, 0, 0), ok: true},
+		{name: "adv-empty", frame: adv(0)},
+		{name: "adv-empty-group", frame: adv(2, 0, 0, 1, 0)},
+		{name: "adv-empty-name", frame: adv(1, 0, 1)},
+		{name: "adv-unknown-tag", frame: adv(1, 2, 0)},
+		{name: "adv-undeclared-name", frame: adv(1, 0, 2)},
+	})
 }
 
 // Raw-document publications get exactly one decoder check — the size cap.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/advert"
 	"repro/internal/broker"
@@ -36,9 +37,10 @@ type Decoder struct {
 
 	dict []string
 	// syms maps a dictionary id to its symtab.Default symbol, None until
-	// the id names a path element whose name the table holds (see symOf).
-	// It reaches only as far as the highest id a path has used: most of a
-	// dictionary names advertisements, brokers and stages, never a path.
+	// the id names a path element whose name the table holds (see symOf)
+	// or an advertisement element (see internOf). It reaches only as far
+	// as the highest id a path or an advertisement has used: much of a
+	// dictionary names advertisement ids, brokers and stages.
 	syms []symtab.Sym
 
 	// Blocks that fresh messages' Path and SymPath slices are cut from (see
@@ -54,7 +56,8 @@ type Decoder struct {
 	pb  []byte // payload of the frame being parsed (slice of buf)
 	off int    // parse cursor into pb
 
-	advCount int // item budget of the advertisement being parsed
+	advCount int          // item budget of the advertisement being parsed
+	advToks  []symtab.Sym // scratch token string of that advertisement
 }
 
 // NewDecoder builds a decoder for one connection with an empty symbol
@@ -304,15 +307,32 @@ func (d *Decoder) symID() (int, error) {
 // only wildcards match, and is not cached, so it is looked up again on its
 // next use and matched once something interns it.
 func (d *Decoder) symOf(id int) symtab.Sym {
+	s := d.symSlot(id)
+	if *s == symtab.None {
+		*s, _ = symtab.Lookup(d.dict[id])
+	}
+	return *s
+}
+
+// internOf returns the symtab.Default symbol of a declared dictionary id
+// used as an advertisement element, interning the name on its first such
+// use on this link. An advertisement is control-plane state the broker
+// keeps, so its names join the table, as every advertisement
+// constructor's do.
+func (d *Decoder) internOf(id int) symtab.Sym {
+	s := d.symSlot(id)
+	if *s == symtab.None {
+		*s = symtab.Intern(d.dict[id])
+	}
+	return *s
+}
+
+// symSlot returns id's entry in syms, growing syms to reach it.
+func (d *Decoder) symSlot(id int) *symtab.Sym {
 	if id >= len(d.syms) {
 		d.syms = append(d.syms, make([]symtab.Sym, id+1-len(d.syms))...)
 	}
-	s := d.syms[id]
-	if s == symtab.None {
-		s, _ = symtab.Lookup(d.dict[id])
-		d.syms[id] = s
-	}
-	return s
+	return &d.syms[id]
 }
 
 // dictExt applies one dictionary-extension frame. Ids are sequential by
@@ -461,57 +481,65 @@ func (d *Decoder) xpe() (*xpath.XPE, error) {
 	return x, nil
 }
 
+// adv decodes an advertisement into its token string: it is read into the
+// decoder's scratch tokens, then copied into one slice of its exact length,
+// which the advertisement owns.
 func (d *Decoder) adv() (*advert.Advertisement, error) {
 	d.advCount = 0
-	items, err := d.advItems(0)
+	toks, err := d.advSeq(d.advToks[:0], 0)
+	d.advToks = toks[:0]
 	if err != nil {
 		return nil, err
 	}
 	if d.advCount == 0 {
 		return nil, fmt.Errorf("wirefmt: empty advertisement")
 	}
-	return &advert.Advertisement{Items: items}, nil
+	a, err := advert.FromTokens(slices.Clone(toks))
+	if err != nil {
+		return nil, fmt.Errorf("wirefmt: %w", err)
+	}
+	return a, nil
 }
 
-func (d *Decoder) advItems(depth int) ([]advert.Item, error) {
+// advSeq appends the tokens of one item list (see Encoder.advSeq) to toks.
+func (d *Decoder) advSeq(toks []symtab.Sym, depth int) ([]symtab.Sym, error) {
 	if depth > d.lim.MaxAdvDepth {
-		return nil, fmt.Errorf("wirefmt: advertisement groups nested deeper than %d", d.lim.MaxAdvDepth)
+		return toks, fmt.Errorf("wirefmt: advertisement groups nested deeper than %d", d.lim.MaxAdvDepth)
 	}
 	n, err := d.count(d.lim.MaxAdvItems-d.advCount, 2, "advertisement items")
 	if err != nil {
-		return nil, err
+		return toks, err
 	}
 	if n == 0 && depth > 0 {
-		return nil, fmt.Errorf("wirefmt: empty advertisement group")
-	}
-	var items []advert.Item
-	if n > 0 {
-		items = make([]advert.Item, n)
+		return toks, fmt.Errorf("wirefmt: empty advertisement group")
 	}
 	for i := 0; i < n; i++ {
 		tag, err := d.b()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		d.advCount++
 		switch tag {
 		case 0:
-			name, err := d.sym()
+			id, err := d.symID()
 			if err != nil {
-				return nil, err
+				return toks, err
 			}
-			items[i] = advert.Item{Name: name}
+			if d.dict[id] == "" {
+				return toks, fmt.Errorf("wirefmt: empty advertisement element name")
+			}
+			toks = append(toks, d.internOf(id))
 		case 1:
-			group, err := d.advItems(depth + 1)
+			toks, err = d.advSeq(append(toks, symtab.GroupOpen), depth+1)
 			if err != nil {
-				return nil, err
+				return toks, err
 			}
-			items[i] = advert.Item{Group: group}
+			toks = append(toks, symtab.GroupClose)
 		default:
-			return nil, fmt.Errorf("wirefmt: unknown advertisement item tag %d", tag)
+			return toks, fmt.Errorf("wirefmt: unknown advertisement item tag %d", tag)
 		}
 	}
-	return items, nil
+	return toks, nil
 }
 
 func (d *Decoder) publish(m *broker.Message, path []string, syms []symtab.Sym, attrs []map[string]string, hops []trace.Hop, raw []byte) error {

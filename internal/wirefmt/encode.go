@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/xpath"
 )
@@ -310,31 +311,64 @@ func (e *Encoder) adv(a *advert.Advertisement) error {
 		return fmt.Errorf("wirefmt: missing advertisement")
 	}
 	e.advCount = 0
-	return e.advItems(a.Items, 0)
+	_, err := e.advSeq(a.Tokens(), 0, 0)
+	return err
 }
 
-func (e *Encoder) advItems(items []advert.Item, depth int) error {
+// advSeq writes the items of toks from index i to the end of the enclosing
+// group (or of toks, at depth 0) in the nested wire layout: the item count,
+// then per item a tag, 0 and the name's dictionary id, or 1 and the group's
+// own item list. It returns the index of the GroupClose that ended the run.
+func (e *Encoder) advSeq(toks []symtab.Sym, i, depth int) (int, error) {
 	if depth > e.lim.MaxAdvDepth {
-		return fmt.Errorf("wirefmt: advertisement groups nested deeper than %d", e.lim.MaxAdvDepth)
+		return 0, fmt.Errorf("wirefmt: advertisement groups nested deeper than %d", e.lim.MaxAdvDepth)
 	}
-	e.u(uint64(len(items)))
-	for _, it := range items {
+	e.u(uint64(advItemCount(toks, i)))
+	for i < len(toks) && toks[i] != symtab.GroupClose {
 		if e.advCount++; e.advCount > e.lim.MaxAdvItems {
-			return fmt.Errorf("wirefmt: advertisement with more than %d items", e.lim.MaxAdvItems)
+			return 0, fmt.Errorf("wirefmt: advertisement with more than %d items", e.lim.MaxAdvItems)
 		}
-		if it.IsGroup() {
+		if toks[i] == symtab.GroupOpen {
 			e.byte(1)
-			if err := e.advItems(it.Group, depth+1); err != nil {
-				return err
+			end, err := e.advSeq(toks, i+1, depth+1)
+			if err != nil {
+				return 0, err
 			}
+			i = end + 1
 		} else {
 			e.byte(0)
-			if err := e.sym(it.Name); err != nil {
-				return err
+			if err := e.sym(symtab.NameOf(toks[i])); err != nil {
+				return 0, err
+			}
+			i++
+		}
+	}
+	return i, nil
+}
+
+// advItemCount counts the items of toks from index i to the end of the
+// enclosing group: names and whole groups at that level.
+func advItemCount(toks []symtab.Sym, i int) int {
+	n, depth := 0, 0
+	for ; i < len(toks); i++ {
+		switch toks[i] {
+		case symtab.GroupOpen:
+			if depth == 0 {
+				n++
+			}
+			depth++
+		case symtab.GroupClose:
+			if depth == 0 {
+				return n
+			}
+			depth--
+		default:
+			if depth == 0 {
+				n++
 			}
 		}
 	}
-	return nil
+	return n
 }
 
 func (e *Encoder) publish(m *broker.Message) error {

@@ -6,12 +6,16 @@ import (
 	"io"
 	"maps"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/advert"
 	"repro/internal/broker"
+	"repro/internal/symtab"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 )
 
 // FuzzDecode throws arbitrary bytes at the decoder. The contract under
@@ -182,6 +186,89 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		if err := dec.Decode(new(broker.Message)); err != io.EOF {
 			t.Fatalf("stream did not end after %d messages: %v", len(msgs), err)
+		}
+	})
+}
+
+// FuzzAdvertRoundTrip draws an advertisement from the fuzzed seed — names
+// and "*" over a small alphabet, groups in series and nested up to three
+// deep — sends it through an encoder and a fresh decoder as a link would,
+// and holds the decoded advertisement to the original and to the paper's
+// definition. It must print as the original and hold the same tokens, and
+// its Overlaps must agree with the original's and with the brute-force
+// oracle: some expansion of the advertisement satisfies the subscription
+// under the paper's non-recursive algorithms.
+func FuzzAdvertRoundTrip(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	alphabet := []string{"a", "b", "c", "*"}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		var build func(depth, n int) []advert.Item
+		build = func(depth, n int) []advert.Item {
+			items := make([]advert.Item, n)
+			for i := range items {
+				if depth < 3 && r.Intn(3) == 0 {
+					items[i] = advert.Rep(build(depth+1, 1+r.Intn(2))...)
+				} else {
+					items[i] = advert.Sym(alphabet[r.Intn(len(alphabet))])
+				}
+			}
+			return items
+		}
+		a := advert.NewAdvertisement(build(0, 1+r.Intn(3))...)
+
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf, DefaultLimits).Encode(&broker.Message{Type: broker.MsgAdvertise, AdvID: "a", Adv: a}); err != nil {
+			t.Fatalf("encoding %s: %v", a, err)
+		}
+		var m broker.Message
+		if err := NewDecoder(&buf, DefaultLimits).Decode(&m); err != nil {
+			t.Fatalf("decoding %s: %v", a, err)
+		}
+		b := m.Adv
+		if b.String() != a.String() || !b.Equal(a) {
+			t.Fatalf("round trip of %s gave %s (tokens %v, want %v)", a, b, b.Tokens(), a.Tokens())
+		}
+
+		// An overlap needs, beyond the shortest expansion, at most one more
+		// iteration per group level for each subscription step, each at
+		// most the advertisement's MinLen long.
+		depth, open := 0, 0
+		for _, tok := range a.Tokens() {
+			switch tok {
+			case symtab.GroupOpen:
+				open++
+				depth = max(depth, open)
+			case symtab.GroupClose:
+				open--
+			}
+		}
+		for k := 0; k < 8; k++ {
+			s := &xpath.XPE{Relative: r.Intn(3) == 0}
+			for i := 0; i < 1+r.Intn(3); i++ {
+				axis := xpath.Child
+				if (i > 0 || !s.Relative) && r.Intn(4) == 0 {
+					axis = xpath.Descendant
+				}
+				s.Steps = append(s.Steps, xpath.Step{Axis: axis, Name: alphabet[r.Intn(len(alphabet))]})
+			}
+			got := b.Overlaps(s)
+			if want := a.Overlaps(s); got != want {
+				t.Fatalf("decoded %s overlaps %s: %v, original says %v", b, s, got, want)
+			}
+			// The enumeration is exponential in the length bound for
+			// nested groups; past a budget of words it decides nothing.
+			want, words := false, 0
+			b.Expansions(a.MinLen()*(1+s.Len()*depth), func(w []symtab.Sym) bool {
+				words++
+				want = advert.MatchesNonRecursive(w, s)
+				return !want && words < 20000
+			})
+			if (want || words < 20000) && got != want {
+				t.Fatalf("Overlaps(%s, %s) = %v, expansion oracle says %v", b, s, got, want)
+			}
 		}
 	})
 }

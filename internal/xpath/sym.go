@@ -48,8 +48,9 @@ func (x *XPE) SymsIn(t *symtab.Table) []symtab.Sym {
 	return syms
 }
 
-// SymOverlaps is SymbolOverlaps over interned symbols: two name tests
-// overlap unless both are concrete and differ.
+// SymOverlaps implements the advertisement/subscription overlap rule of the
+// paper (Fig. 2(b)) over interned symbols: two name tests overlap unless
+// both are concrete element names and differ.
 func SymOverlaps(a, b symtab.Sym) bool {
 	return a == symtab.Wildcard || b == symtab.Wildcard || a == b
 }

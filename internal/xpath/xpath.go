@@ -332,13 +332,6 @@ func validateName(name string) error {
 	return nil
 }
 
-// SymbolOverlaps implements the advertisement/subscription overlap rules of
-// the paper (Fig. 2(b)): two name tests overlap unless both are concrete
-// element names and differ.
-func SymbolOverlaps(a, b string) bool {
-	return a == Wildcard || b == Wildcard || a == b
-}
-
 // SymbolCovers implements the element-wise covering rule: test a covers test
 // b if a is the wildcard, or if neither is the wildcard and they are equal.
 // Note that a concrete name never covers the wildcard.

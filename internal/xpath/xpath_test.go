@@ -183,11 +183,15 @@ func TestSymbolRules(t *testing.T) {
 		{"t1", "t2", false, false},
 	}
 	for _, tt := range tests {
-		if got := SymbolOverlaps(tt.a, tt.b); got != tt.overlap {
-			t.Errorf("SymbolOverlaps(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.overlap)
+		sa, sb := symtab.Intern(tt.a), symtab.Intern(tt.b)
+		if got := SymOverlaps(sa, sb); got != tt.overlap {
+			t.Errorf("SymOverlaps(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.overlap)
 		}
 		if got := SymbolCovers(tt.a, tt.b); got != tt.cover {
 			t.Errorf("SymbolCovers(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.cover)
+		}
+		if got := SymCovers(sa, sb); got != tt.cover {
+			t.Errorf("SymCovers(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.cover)
 		}
 	}
 }
