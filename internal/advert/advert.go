@@ -241,11 +241,32 @@ func (a *Advertisement) String() string {
 	return b.String()
 }
 
-// Key returns a canonical map key for the advertisement: its token string's
-// bytes, which are equal exactly when the advertisements are (Equal).
-func (a *Advertisement) Key() string { return tokenKey(a.toks) }
+// GobEncode encodes the advertisement for encoding/gob as its notation
+// (String). It fails for an element name that the notation cannot spell,
+// which an advertisement from FromTokens, such as a decoded one, can hold.
+func (a *Advertisement) GobEncode() ([]byte, error) {
+	for _, t := range a.toks {
+		if isName(t) && strings.ContainsAny(symtab.NameOf(t), "/()") {
+			return nil, fmt.Errorf("advert: element name %q has no notation", symtab.NameOf(t))
+		}
+	}
+	return []byte(a.String()), nil
+}
 
-// tokenKey packs a token string into a map key, four bytes per token.
+// GobDecode sets a to the advertisement GobEncode encoded.
+func (a *Advertisement) GobDecode(data []byte) error {
+	p, err := Parse(string(data))
+	if err != nil {
+		return err
+	}
+	a.toks = p.toks
+	a.nfaCached.Store(nil)
+	return nil
+}
+
+// tokenKey packs a token string into a map key, four bytes per token. The
+// key is equal exactly when the token strings are; symbols are local to the
+// process, so the key must not outlive it.
 func tokenKey(toks []symtab.Sym) string {
 	b := make([]byte, 0, 4*len(toks))
 	for _, t := range toks {

@@ -290,3 +290,29 @@ func TestEqualClone(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
+
+func TestGobRoundTrip(t *testing.T) {
+	for _, in := range []string{"/a/*/c", "/x(/a(/b)+/c)+/y", "/a(/b)+(/c/*)+"} {
+		a := MustParse(in)
+		text, err := a.GobEncode()
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		var b Advertisement
+		if err := b.GobDecode(text); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if !a.Equal(&b) || !b.Overlaps(xpath.MustParse("//c")) {
+			t.Errorf("%s: gob round trip gave %s", in, &b)
+		}
+	}
+	// A name the notation would split must not encode as a different
+	// advertisement.
+	bad, err := FromTokens([]symtab.Sym{symtab.Intern("a/b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text, err := bad.GobEncode(); err == nil {
+		t.Errorf("name \"a/b\" encoded as %q", text)
+	}
+}

@@ -56,7 +56,7 @@ func FuzzOverlapsAgreesWithPaper(f *testing.F) {
 		}
 		a := NewAdvertisement(items...)
 		if n := a.nfa(); wide && n.words < 2 {
-			t.Fatalf("%s: %d states in one word, want a wide automaton", a, len(n.off)-1)
+			t.Fatalf("%s: %d states in one word, want a wide automaton", a, n.states())
 		}
 		expansion := func(reps int) []string {
 			w := append([]string(nil), a1...)

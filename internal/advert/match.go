@@ -203,11 +203,10 @@ func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
-				for _, e := range n.edges(w<<6 | b) {
-					if e.sym == symtab.Wildcard || e.sym == sym {
-						orInto(next, n.closureOf(e.to))
-						found = true
-					}
+				st := w<<6 | b
+				if lab := n.label(st); lab != symtab.None && (lab == symtab.Wildcard || lab == sym) {
+					orInto(next, n.closureOf(int32(st+1)))
+					found = true
 				}
 			}
 		}
@@ -221,37 +220,41 @@ func (a *Advertisement) MatchesSymPath(path []symtab.Sym) bool {
 
 // --- automaton construction and the general overlap matcher ---
 
-type nfaEdge struct {
-	sym symtab.Sym // interned element test; symtab.Wildcard matches anything
-	to  int32
-}
-
-// advNFA is an advertisement's automaton, its transitions in one compressed
-// array: state st's symbol-labelled edges are all[off[st]:off[st+1]]. State
-// 0 is the start state. Each state's epsilon closure is a bitset of words
-// uint64s, closure[st*words:(st+1)*words], so the matchers simulate the
-// automaton on state sets without its epsilon edges, which construction
-// drops. An automaton of at most 64 states (every DTD-derived
-// advertisement) has one-word sets.
+// advNFA is an advertisement's automaton. Construction makes one state per
+// element test plus a private entry state per group, in token order, so
+// every state but the accept state has exactly one forward transition, to
+// the next state: labelled with the element test that created that state,
+// or an epsilon transition into a group's entry state. The other epsilon
+// transitions are the groups' loop-backs. State 0 is the start state and
+// the last state accepts.
+//
+// The automaton is one block of rows, one per state: the state's out-label
+// (symtab.None for an epsilon transition or the accept state), then its
+// epsilon closure as a bitset of words uint64s. The matchers simulate the
+// automaton on state sets through the closures, so no epsilon transition is
+// kept. An automaton of at most 64 states (every DTD-derived advertisement)
+// has one-word sets.
 type advNFA struct {
-	off     []int32
-	all     []nfaEdge
-	accept  int32
-	words   int
-	closure []uint64
+	rows   []uint64
+	accept int32
+	words  int
 }
 
 // stackWords is the widest state set, in words, the matchers keep on the
 // stack: automata of up to 4·64 states simulate without allocating.
 const stackWords = 4
 
-// edges returns state st's symbol-labelled transitions.
-func (n *advNFA) edges(st int) []nfaEdge { return n.all[n.off[st]:n.off[st+1]] }
+// states returns the number of states.
+func (n *advNFA) states() int { return len(n.rows) / (n.words + 1) }
+
+// label returns the symbol on state st's forward transition, or symtab.None
+// if st has no symbol-labelled transition.
+func (n *advNFA) label(st int) symtab.Sym { return symtab.Sym(n.rows[st*(n.words+1)]) }
 
 // closureOf returns state st's epsilon closure.
 func (n *advNFA) closureOf(st int32) []uint64 {
-	i := int(st) * n.words
-	return n.closure[i : i+n.words]
+	i := int(st)*(n.words+1) + 1
+	return n.rows[i : i+n.words]
 }
 
 // scratch returns sets state sets laid end to end, in buf (which must be
@@ -285,19 +288,15 @@ func (a *Advertisement) nfa() *advNFA {
 	return a.nfaCached.Load()
 }
 
-// nfaBuilder holds an automaton under construction with its epsilon edges,
-// laid out like the symbol edges: state st's are eps[epsOff[st]:epsOff[st+1]].
-type nfaBuilder struct {
-	n      *advNFA
-	epsOff []int32
-	eps    []int32
-}
+// loopBack is a group's epsilon transition from its last state back to its
+// entry state.
+type loopBack struct{ from, to int32 }
 
-// compileNFA builds the automaton of a token string: one state per name
-// plus a private entry state per group. The token string is walked once;
-// the entry states of the open groups wait on a small stack. Rows are
-// appended in state order: every edge added leaves the newest state, so a
-// state's rows are complete once the next state is created.
+// compileNFA builds the automaton of a token string in two allocations, the
+// struct and its rows. The token string is walked once, numbering the
+// states as their tokens come: the entry states of the open groups wait on
+// a stack, and each group close records its loop-back. The closures are
+// then computed from the forward epsilon transitions and the loop-backs.
 func compileNFA(toks []symtab.Sym) *advNFA {
 	groups := 0
 	for _, t := range toks {
@@ -305,43 +304,32 @@ func compileNFA(toks []symtab.Sym) *advNFA {
 			groups++
 		}
 	}
-	syms := len(toks) - 2*groups
-	states := 1 + syms + groups
-	n := &advNFA{
-		off:   make([]int32, 0, states+1),
-		all:   make([]nfaEdge, 0, syms),
-		words: (states + 63) >> 6,
-	}
-	b := nfaBuilder{
-		n:      n,
-		epsOff: make([]int32, 0, states+1),
-		eps:    make([]int32, 0, 2*groups),
-	}
-	var stack [8]int32
-	entries := stack[:0]
-	cur := b.newState()
+	// The start state, and one state for every token but a group close.
+	states := 1 + len(toks) - groups
+	words := (states + 63) >> 6
+	n := &advNFA{rows: make([]uint64, states*(words+1)), words: words}
+	var openBuf [8]int32
+	var backBuf [16]loopBack
+	open, back := openBuf[:0], backBuf[:0]
+	cur := int32(0)
 	for _, t := range toks {
 		switch t {
 		case symtab.GroupOpen:
 			// The group gets a private entry state so that its loop-back
-			// cannot leak into epsilon edges of whatever preceded it.
-			b.eps = append(b.eps, cur+1)
-			cur = b.newState()
-			entries = append(entries, cur)
+			// cannot leak into epsilon transitions of whatever preceded it.
+			cur++
+			open = append(open, cur)
 		case symtab.GroupClose:
 			// One-or-more: after a full iteration, loop back.
-			b.eps = append(b.eps, entries[len(entries)-1])
-			entries = entries[:len(entries)-1]
+			back = append(back, loopBack{from: cur, to: open[len(open)-1]})
+			open = open[:len(open)-1]
 		default:
-			b.n.all = append(b.n.all, nfaEdge{sym: t, to: cur + 1})
-			cur = b.newState()
+			n.rows[int(cur)*(words+1)] = uint64(t)
+			cur++
 		}
 	}
 	n.accept = cur
-	n.off = append(n.off, int32(len(n.all)))
-	b.epsOff = append(b.epsOff, int32(len(b.eps)))
 
-	n.closure = make([]uint64, states*n.words)
 	var buf [stackWords]uint64
 	pending := n.scratch(buf[:], 1)
 	for st := int32(0); st < int32(states); st++ {
@@ -355,12 +343,13 @@ func compileNFA(toks []symtab.Sym) *advNFA {
 			}
 			bit := bits.TrailingZeros64(pending[w])
 			pending[w] &^= 1 << uint(bit)
-			q := w<<6 | bit
-			for _, to := range b.eps[b.epsOff[q]:b.epsOff[q+1]] {
-				if m := uint64(1) << uint(to&63); row[to>>6]&m == 0 {
-					row[to>>6] |= m
-					pending[to>>6] |= m
-					w = min(w, int(to>>6))
+			q := int32(w<<6 | bit)
+			if q != n.accept && n.label(int(q)) == symtab.None {
+				w = min(w, reach(row, pending, q+1))
+			}
+			for _, e := range back {
+				if e.from == q {
+					w = min(w, reach(row, pending, e.to))
 				}
 			}
 		}
@@ -368,11 +357,17 @@ func compileNFA(toks []symtab.Sym) *advNFA {
 	return n
 }
 
-// newState opens the next state's rows and returns its id.
-func (b *nfaBuilder) newState() int32 {
-	b.n.off = append(b.n.off, int32(len(b.n.all)))
-	b.epsOff = append(b.epsOff, int32(len(b.eps)))
-	return int32(len(b.n.off) - 1)
+// reach adds state to to the closure row and, if it is new there, to
+// pending; it returns the word of pending to rescan from, or len(pending)
+// if nothing was added.
+func reach(row, pending []uint64, to int32) int {
+	w, m := int(to>>6), uint64(1)<<uint(to&63)
+	if row[w]&m != 0 {
+		return len(pending)
+	}
+	row[w] |= m
+	pending[w] |= m
+	return w
 }
 
 // overlapsNFA decides publication-set overlap between the advertisement and
@@ -414,21 +409,24 @@ func (a *Advertisement) overlapsNFA(s *xpath.XPE) bool {
 			}
 			b := bits.TrailingZeros64(pending[w])
 			pending[w] &^= 1 << uint(b)
-			for _, e := range n.edges(w<<6 | b) {
-				to := n.closureOf(e.to)
-				if skip {
-					for i, t := range to {
-						if fresh := t &^ reached[i]; fresh != 0 {
-							reached[i] |= fresh
-							pending[i] |= fresh
-							w = min(w, i)
-						}
+			st := w<<6 | b
+			lab := n.label(st)
+			if lab == symtab.None {
+				continue
+			}
+			to := n.closureOf(int32(st + 1))
+			if skip {
+				for i, t := range to {
+					if fresh := t &^ reached[i]; fresh != 0 {
+						reached[i] |= fresh
+						pending[i] |= fresh
+						w = min(w, i)
 					}
 				}
-				if xpath.SymOverlaps(e.sym, sym) {
-					orInto(next, to)
-					found = true
-				}
+			}
+			if xpath.SymOverlaps(lab, sym) {
+				orInto(next, to)
+				found = true
 			}
 		}
 		if !found {

@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,6 +137,31 @@ func TestNextHopsMatchLinearScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMessageGobCarriesAdvertisement holds that encoding/gob, the codec the
+// wire benchmark compares the binary codec against, can still encode every
+// control message: gob compiles an encoder for each field type of Message,
+// Adv's too, even for messages that leave it nil.
+func TestMessageGobCarriesAdvertisement(t *testing.T) {
+	msgs := []*Message{
+		{Type: MsgAdvertise, AdvID: "a1", Adv: advert.MustParse("/nitf(/body)+/p")},
+		{Type: MsgSubscribe, XPE: xpath.MustParse("/nitf//p")},
+	}
+	var buf bytes.Buffer
+	enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+	for _, m := range msgs {
+		if err := enc.Encode(m); err != nil {
+			t.Fatalf("encode %v: %v", m.Type, err)
+		}
+		var got Message
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("decode %v: %v", m.Type, err)
+		}
+		if (m.Adv == nil) != (got.Adv == nil) || m.Adv != nil && !m.Adv.Equal(got.Adv) {
+			t.Errorf("%v: advertisement %v came back as %v", m.Type, m.Adv, got.Adv)
 		}
 	}
 }
