@@ -295,21 +295,41 @@ func TestAutomatonRoutesLikeTreeWalk(t *testing.T) {
 	}
 }
 
-// freshTableStats compiles the broker's master tables in one shot — every
-// PRT node with a last hop, every client filter — for comparison with
-// the incrementally maintained table.
+// freshTableStats compiles the broker's master tables in one shot for
+// comparison with the incrementally maintained table: a PRT node with last
+// hops gets an entry when it is top-level or adds a destination to its
+// covering parent — a last hop the parent lacks, or a client whose own
+// subscription it is but not the parent — and a client subscription gets a
+// filter entry when no PRT node holding it reaches the client (a merger
+// absorbed it).
 func freshTableStats(b *Broker) pmatch.Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	owns := func(hop string, n *subtree.Node) bool {
+		_, ok := b.clientSubs[hop][n.XPE.Key()]
+		return ok
+	}
 	sb := pmatch.NewBuilder()
 	b.prt.Walk(func(n *subtree.Node) {
-		if st := stateOf(n); st != nil && len(st.lastHops) > 0 {
+		st := stateOf(n)
+		if st == nil || len(st.lastHops) == 0 {
+			return
+		}
+		p := n.Parent()
+		adds := p == nil || stateOf(p) == nil
+		for _, hop := range st.lastHops {
+			adds = adds || !stateOf(p).lastHops.has(hop) || owns(hop, n) && !owns(hop, p)
+		}
+		if adds {
 			sb.Add(n.XPE, nil)
 		}
 	})
-	for _, subs := range b.clientSubs {
+	for client, subs := range b.clientSubs {
 		for _, f := range subs {
-			sb.Add(f.xpe, nil)
+			n := b.prt.Lookup(f.xpe)
+			if n == nil || stateOf(n) == nil || !stateOf(n).lastHops.has(client) {
+				sb.Add(f.xpe, nil)
+			}
 		}
 	}
 	return sb.Build().Stats()
@@ -327,13 +347,21 @@ func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 	b.AddClient("c1")
 	x1, x2 := xpath.MustParse("/a/b"), xpath.MustParse("/a//c")
 	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x1}, "c1")
-	// PRT node + client filter node.
-	if s := b.NFAStats(); s.Entries != 2 {
+	// One PRT node, which matches the subscription for c1 too: no filter
+	// entry.
+	if s := b.NFAStats(); s.Entries != 1 {
 		t.Fatalf("after one client subscription: %+v", s)
 	}
 	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x2}, "peer")
-	if s := b.NFAStats(); s.Entries != 3 {
+	if s := b.NFAStats(); s.Entries != 2 {
 		t.Fatalf("after peer subscription: %+v", s)
+	}
+	// A subscription covered by /a/b from the same client adds no
+	// destination, so no entry.
+	x3 := xpath.MustParse("/a/b/c")
+	b.HandleMessage(&Message{Type: MsgSubscribe, XPE: x3}, "c1")
+	if s := b.NFAStats(); s.Entries != 2 {
+		t.Fatalf("after a covered client subscription: %+v", s)
 	}
 	before := b.SnapshotEpoch()
 	// A duplicate subscription from the same peer changes nothing: no new
@@ -343,8 +371,17 @@ func TestAutomatonRebuildTracksControlPlane(t *testing.T) {
 		t.Fatal("no-op control change must not swap the snapshot")
 	}
 	b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x2}, "peer")
-	if s := b.NFAStats(); s.Entries != 2 {
+	if s := b.NFAStats(); s.Entries != 1 {
 		t.Fatalf("after unsubscribe: %+v", s)
+	}
+	// Withdrawing the coverer splices /a/b/c up to the top level, where it
+	// needs an entry of its own.
+	b.HandleMessage(&Message{Type: MsgUnsubscribe, XPE: x1}, "c1")
+	if s := b.NFAStats(); s.Entries != 1 {
+		t.Fatalf("after the coverer's unsubscribe: %+v", s)
+	}
+	if got, want := b.NFAStats(), freshTableStats(b); got != want {
+		t.Fatalf("live table %+v, fresh build over the master tables %+v", got, want)
 	}
 }
 

@@ -117,11 +117,10 @@ func (b *Broker) unbucket(e *advEntry) {
 // --- subscriptions ---
 
 func (b *Broker) handleSubscribe(m *Message, from string) {
-	if b.clients[from] {
-		// Remember the client's original subscription for delivery
-		// filtering.
-		b.addFilter(from, m.XPE)
-	}
+	// Remember a client's original subscription for delivery filtering:
+	// the PRT node it lands on matches it for the client, and a merge pass
+	// gives it a filter entry of its own once a merger absorbs it.
+	owned := b.clients[from] && b.addFilter(from, m.XPE)
 
 	var res subtree.InsertResult
 	if b.cfg.UseCovering {
@@ -135,11 +134,18 @@ func (b *Broker) handleSubscribe(m *Message, from string) {
 		res.Node.Data = st
 	}
 	newDirection := st.lastHops.add(from)
-	if res.Duplicate && !newDirection {
+	if res.Duplicate && !newDirection && !owned {
 		return // a pure repeat from the same peer changes nothing
 	}
 	b.dirty.prt = true
-	b.syncEntry(res.Node, st)
+	// The node's route changed, and on insert its adopted children — the
+	// subscriptions it newly covers — have a new parent to be judged
+	// against.
+	b.routeChanged(res.Node, st)
+	b.dropFilterEntry(from, m.XPE)
+	if !newDirection {
+		return // the client now owns an expression that reached it already
+	}
 	// A known expression arriving from a NEW direction must still
 	// propagate: reverse-path delivery needs every broker between the
 	// publisher and the new subscriber to record the new interest
@@ -251,8 +257,8 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 	st := stateOf(n)
 	if st != nil {
 		st.lastHops.del(from)
-		b.syncEntry(n, st) // re-pointed, or removed with the last direction
 		if len(st.lastHops) > 0 {
+			b.routeChanged(n, st)
 			// Other peers still need the subscription, but a forward to a
 			// hop is justified only by interest from some *other* direction.
 			// If the sole remaining direction is a hop this subscription was
@@ -263,12 +269,15 @@ func (b *Broker) handleUnsubscribe(m *Message, from string) {
 			}
 			return
 		}
+		b.syncEntry(n, st, false) // removed with the last direction
 	}
 	// The nodes this subscription covered — its adopted children — may have
 	// had forwarding suppressed on hops it served; collect them before the
-	// removal destroys the links.
+	// removal destroys the links. Spliced up to its parent, they are judged
+	// against that parent now.
 	uncovered := append([]*subtree.Node(nil), n.Children()...)
 	b.prt.Remove(n)
+	b.recheck(uncovered)
 	// Propagate the withdrawal.
 	if st != nil {
 		for _, hop := range st.forwardedTo {
@@ -338,6 +347,6 @@ func (b *Broker) runMergePass() {
 	}
 	merge.Pass(b.prt, opts)
 	// Sources vanished, mergers appeared, hop sets unioned — anywhere in
-	// the tree.
+	// the tree — and the absorbed client subscriptions need filter entries.
 	b.reseedTable()
 }

@@ -18,13 +18,19 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/subtree"
 )
 
-// route is the payload of every matching-table entry, in destination ids:
-// a PRT node reports its last hops, a client filter entry the client
-// whose own subscription matched.
+// route is the payload of every matching-table entry, in destination ids.
+// A PRT node reaches its last hops; those whose own subscription the node
+// is — a client that subscribed exactly this expression — come first and
+// are matched too, so the edge filter passes them without a second entry.
+// A client filter entry (a subscription a merger absorbed) matches its
+// client and reaches nothing.
 type route struct {
-	hops   []int32 // PRT node: its last hops
+	hops   []int32 // PRT node: its last hops, own ones first
+	own    int32   // PRT node: hops[:own] are also matched
 	client int32   // client filter entry: the client; -1 on a PRT node
 }
 
@@ -49,11 +55,20 @@ func (b *Broker) destID(name string) int32 {
 	return id
 }
 
-// hopRoute is the payload of a PRT node with the given last hops.
-func (b *Broker) hopRoute(lastHops hopSet) *route {
-	r := &route{hops: make([]int32, len(lastHops)), client: -1}
-	for i, hop := range lastHops {
-		r.hops[i] = b.destID(hop)
+// hopRoute is the payload of PRT node n with last hops st.lastHops.
+func (b *Broker) hopRoute(n *subtree.Node, st *subState) *route {
+	r := &route{hops: make([]int32, 0, len(st.lastHops)), client: -1}
+	key := n.XPE.Key()
+	for _, hop := range st.lastHops {
+		if b.ownsSub(hop, key) {
+			r.hops = append(r.hops, b.destID(hop))
+		}
+	}
+	r.own = int32(len(r.hops))
+	for _, hop := range st.lastHops {
+		if !b.ownsSub(hop, key) {
+			r.hops = append(r.hops, b.destID(hop))
+		}
 	}
 	return r
 }

@@ -20,9 +20,10 @@ import (
 // immutable view plus atomic counters — zero mutex acquisitions, so
 // publications never contend with each other or with control-plane updates.
 // Every publication is matched by one run of the snapshot's shared automaton,
-// which covers the PRT's last-hop entries and every client filter expression
-// (DESIGN.md §5c): a whole document (Message.Raw, never parsed into a tree)
-// by one streaming pass over its bytes (DESIGN.md §5e), and a path
+// which holds the PRT nodes that add a destination and the client
+// subscriptions mergers absorbed (DESIGN.md §5c): a whole document
+// (Message.Raw, never parsed into a tree) by one streaming pass over its
+// bytes (DESIGN.md §5e), and a path
 // publication by one run over its interned path: the wire decoder resolves
 // it (DESIGN.md §5h), and a hand-built publication carrying none is
 // converted on arrival. A raw body
@@ -44,8 +45,10 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 		sp.decode = m.Arrival()
 	}
 	// One automaton run sets the name rank of every destination a matching
-	// entry reaches: PRT nodes their last hops (hops), client filter entries
-	// their client (matched), so the edge filter below re-matches nothing.
+	// entry reaches: PRT nodes their last hops (hops) and, of those, the
+	// clients whose own subscription the node is (matched); client filter
+	// entries, for subscriptions a merger absorbed, their client (matched).
+	// So the edge filter below re-matches nothing.
 	// Attribute predicates are evaluated in-network. Up to 64 destinations
 	// the two sets are words on this stack; larger brokers borrow pooled
 	// ones.
@@ -61,8 +64,12 @@ func (b *Broker) handlePublish(m *Message, from string) *trace.Event {
 		if r.client >= 0 {
 			matched.add(int(snap.rank[r.client]))
 		}
-		for _, id := range r.hops {
-			hops.add(int(snap.rank[id]))
+		for i, id := range r.hops {
+			rk := int(snap.rank[id])
+			hops.add(rk)
+			if i < int(r.own) {
+				matched.add(rk)
+			}
 		}
 	}
 	if len(m.Raw) > 0 {

@@ -39,10 +39,11 @@ type routeSnapshot struct {
 	// shared with the master map — each carries its own lock/atomics for the
 	// publish plane — so the snapshot copy is pointer-shallow.
 	durables map[string]*durState
-	// auto is the sealed version of the broker's matching table: PRT nodes
-	// and per-client filter expressions, each with a *route payload in
-	// destination ids (last hops, or the client). handlePublish runs it once
-	// per publication instead of walking every subscription-tree node.
+	// auto is the sealed version of the broker's matching table: the PRT
+	// nodes that add a destination to their covering parent, and the client
+	// subscriptions mergers absorbed, each with a *route payload in
+	// destination ids (dest.go). handlePublish runs it once per publication
+	// instead of walking every subscription-tree node.
 	// Successive versions share every state a change did not touch. Never
 	// nil: a new broker starts with the empty automaton.
 	auto *pmatch.Automaton
@@ -127,70 +128,158 @@ func (b *Broker) sealTable(next, old *routeSnapshot, start time.Time) {
 	}
 }
 
-// syncEntry brings a PRT node's matching entry in line with its last hops:
-// added with the first direction, re-pointed when the set changes, removed
-// with the last. Handlers call it at the point of change, under b.mu.
-func (b *Broker) syncEntry(n *subtree.Node, st *subState) {
+// needsEntry reports whether PRT node n adds a destination to its covering
+// parent's: it has last hops, and it is top-level, or one of its last hops
+// is not the parent's, or is a client that owns n's expression (ownsSub)
+// but not the parent's. The matching table holds an entry only where one
+// adds a destination (DESIGN.md §5c). A covered node's match implies its
+// parent's — cover refuses a predicate-carrying coverer — so a node that
+// adds nothing reaches and matches nothing its parent does not, and a
+// parent without an entry is itself implied by its parent: the rule chains
+// up to a top-level node, which always has one.
+func (b *Broker) needsEntry(n *subtree.Node, st *subState) bool {
+	if len(st.lastHops) == 0 {
+		return false
+	}
+	p := n.Parent()
+	if p == nil {
+		return true
+	}
+	pst := stateOf(p)
+	if pst == nil {
+		return true
+	}
+	key, pkey := n.XPE.Key(), p.XPE.Key()
+	for _, hop := range st.lastHops {
+		if !pst.lastHops.has(hop) || b.ownsSub(hop, key) && !b.ownsSub(hop, pkey) {
+			return true
+		}
+	}
+	return false
+}
+
+// ownsSub reports whether hop is a client one of whose own subscriptions
+// is the expression with the given key. The PRT node holding that
+// expression matches it for the client; a separate filter entry remains
+// only for a subscription a merger absorbed.
+func (b *Broker) ownsSub(hop, key string) bool {
+	_, ok := b.clientSubs[hop][key]
+	return ok
+}
+
+// syncEntry brings a PRT node's matching entry in line with needsEntry:
+// added when the node comes to add a destination, removed when it no longer
+// does. repoint says the node's route changed (its last hops, or which of
+// them it owns), so an entry it keeps is re-pointed. Handlers call it at
+// the point of change, under b.mu.
+func (b *Broker) syncEntry(n *subtree.Node, st *subState, repoint bool) {
+	need, has := b.needsEntry(n, st), st.entry != (pmatch.Handle{})
 	switch {
-	case len(st.lastHops) == 0:
+	case !need && has:
 		b.table.Remove(st.entry)
 		st.entry = pmatch.Handle{}
-	case st.entry == pmatch.Handle{}:
-		st.entry = b.table.Add(n.XPE, b.hopRoute(st.lastHops))
-	default:
-		b.table.Set(st.entry, b.hopRoute(st.lastHops))
+	case need && !has:
+		st.entry = b.table.Add(n.XPE, b.hopRoute(n, st))
+	case need && repoint:
+		b.table.Set(st.entry, b.hopRoute(n, st))
 	}
 }
 
-// clientFilter is one of a client's original subscriptions and its entry
-// in the matching table.
+// routeChanged re-syncs a node whose route changed, and its direct
+// children, whose need for an entry is judged against it.
+func (b *Broker) routeChanged(n *subtree.Node, st *subState) {
+	b.syncEntry(n, st, true)
+	b.recheck(n.Children())
+}
+
+// recheck re-syncs nodes whose covering parent changed, or whose parent's
+// route did; their own routes are unchanged.
+func (b *Broker) recheck(nodes []*subtree.Node) {
+	for _, c := range nodes {
+		if cst := stateOf(c); cst != nil {
+			b.syncEntry(c, cst, false)
+		}
+	}
+}
+
+// clientFilter is one of a client's original subscriptions and, while a
+// merger has absorbed it, its entry in the matching table.
 type clientFilter struct {
 	xpe   *xpath.XPE
 	entry pmatch.Handle
 }
 
-// addFilter records a client's subscription and enters it into the
-// matching table, unless the client already holds one with the same key.
-func (b *Broker) addFilter(client string, x *xpath.XPE) {
+// addFilter records a client's subscription and reports whether it is new:
+// the client held none with the same key. It enters no table entry — the
+// PRT node the subscription lands on matches it for the client.
+func (b *Broker) addFilter(client string, x *xpath.XPE) bool {
 	subs := b.clientSubs[client]
 	if subs == nil {
 		subs = make(map[string]clientFilter)
 		b.clientSubs[client] = subs
 	}
-	if _, dup := subs[x.Key()]; !dup {
-		subs[x.Key()] = clientFilter{xpe: x, entry: b.filterEntry(client, x)}
+	if _, dup := subs[x.Key()]; dup {
+		return false
 	}
+	subs[x.Key()] = clientFilter{xpe: x}
+	return true
 }
 
-// removeFilter withdraws a client's subscription and its table entry.
+// removeFilter withdraws a client's subscription and its table entry, if
+// it has one.
 func (b *Broker) removeFilter(client string, x *xpath.XPE) {
 	if f, ok := b.clientSubs[client][x.Key()]; ok {
 		delete(b.clientSubs[client], x.Key())
+		if f.entry != (pmatch.Handle{}) {
+			b.table.Remove(f.entry)
+			b.dirty.filters = true
+		}
+	}
+}
+
+// dropFilterEntry removes the filter entry of a client subscription that a
+// PRT node holds again for the client (the client re-subscribed it after a
+// merger absorbed it): the node matches it now.
+func (b *Broker) dropFilterEntry(client string, x *xpath.XPE) {
+	subs := b.clientSubs[client]
+	if f, ok := subs[x.Key()]; ok && f.entry != (pmatch.Handle{}) {
 		b.table.Remove(f.entry)
+		f.entry = pmatch.Handle{}
+		subs[x.Key()] = f
 		b.dirty.filters = true
 	}
 }
 
-// filterEntry enters a client filter into the matching table.
-func (b *Broker) filterEntry(client string, x *xpath.XPE) pmatch.Handle {
-	b.dirty.filters = true
-	return b.table.Add(x, &route{client: b.destID(client)})
+// absorbed reports whether a client's subscription x is held by no PRT node
+// reaching the client, so only a filter entry can match it for the client:
+// a merger absorbed it.
+func (b *Broker) absorbed(client string, x *xpath.XPE) bool {
+	n := b.prt.Lookup(x)
+	if n == nil {
+		return true
+	}
+	st := stateOf(n)
+	return st == nil || !st.lastHops.has(client)
 }
 
-// reseedTable refills the matching table from the master PRT and client
-// filters. A merge pass rewrites arbitrary sibling groups and is O(table)
-// already, so it re-seeds rather than tracking each merged source.
+// reseedTable refills the matching table from the master PRT and the
+// client subscriptions mergers absorbed. A merge pass rewrites arbitrary
+// sibling groups and is O(table) already, so it re-seeds rather than
+// tracking each merged source.
 func (b *Broker) reseedTable() {
 	b.table.Reset()
 	b.prt.Walk(func(n *subtree.Node) {
 		if st := stateOf(n); st != nil {
 			st.entry = pmatch.Handle{}
-			b.syncEntry(n, st)
+			b.syncEntry(n, st, false)
 		}
 	})
 	for id, subs := range b.clientSubs {
 		for k, f := range subs {
-			f.entry = b.filterEntry(id, f.xpe)
+			f.entry = pmatch.Handle{}
+			if b.absorbed(id, f.xpe) {
+				f.entry = b.table.Add(f.xpe, &route{client: b.destID(id)})
+			}
 			subs[k] = f
 		}
 	}

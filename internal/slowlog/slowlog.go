@@ -92,19 +92,18 @@ type Log struct {
 	// line).
 	Logger func(Entry)
 
-	mu    sync.Mutex
-	buf   []Entry
-	next  int
-	total int64
+	mu       sync.Mutex
+	capacity int
+	buf      []Entry // grows with the captures, up to capacity
+	next     int     // once full, the index of the slot the next capture lands in
+	total    int64
 }
 
 // New creates a flight recorder capturing publications slower than
-// threshold, retaining up to capacity entries (minimum 1).
+// threshold, retaining up to capacity entries (minimum 1). Its buffer grows
+// with the captures, so a recorder that never fires costs nothing.
 func New(threshold time.Duration, capacity int) *Log {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Log{threshold: threshold, buf: make([]Entry, 0, capacity)}
+	return &Log{threshold: threshold, capacity: max(capacity, 1)}
 }
 
 // Threshold returns the capture threshold. The broker compares each
@@ -116,11 +115,11 @@ func (l *Log) Threshold() time.Duration { return l.threshold }
 func (l *Log) Record(e Entry) {
 	l.mu.Lock()
 	l.total++
-	if len(l.buf) < cap(l.buf) {
+	if len(l.buf) < l.capacity {
 		l.buf = append(l.buf, e)
 	} else {
 		l.buf[l.next] = e
-		l.next = (l.next + 1) % cap(l.buf)
+		l.next = (l.next + 1) % l.capacity
 	}
 	logger := l.Logger
 	l.mu.Unlock()
@@ -134,7 +133,7 @@ func (l *Log) Snapshot() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Entry, 0, len(l.buf))
-	if len(l.buf) == cap(l.buf) {
+	if len(l.buf) == l.capacity {
 		out = append(out, l.buf[l.next:]...)
 		out = append(out, l.buf[:l.next]...)
 	} else {

@@ -2,6 +2,7 @@ package slowlog
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,36 @@ func TestRingEviction(t *testing.T) {
 	for i, e := range snap {
 		if e.TotalNanos != int64(i+2) {
 			t.Errorf("snap[%d].TotalNanos = %d, want %d", i, e.TotalNanos, i+2)
+		}
+	}
+}
+
+// TestRecorderLazy pins the recorder's buffer to what it holds: an unused
+// New(_, 256) allocates under 1 KB, and one filled past its capacity keeps
+// the newest entries oldest-first.
+func TestRecorderLazy(t *testing.T) {
+	const n = 100
+	logs := make([]*Log, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range logs {
+		logs[i] = New(time.Millisecond, 256)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("an unused New(_, 256) allocates %d B, want under 1 KB", per)
+	}
+	l := logs[0]
+	for i := 0; i < 700; i++ {
+		l.Record(Entry{TotalNanos: int64(i)})
+	}
+	snap := l.Snapshot()
+	if len(snap) != 256 || l.Total() != 700 {
+		t.Fatalf("retained %d of %d entries, want 256 of 700", len(snap), l.Total())
+	}
+	for i, e := range snap {
+		if want := int64(700 - 256 + i); e.TotalNanos != want {
+			t.Fatalf("snap[%d].TotalNanos = %d, want %d", i, e.TotalNanos, want)
 		}
 	}
 }

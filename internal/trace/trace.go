@@ -116,20 +116,20 @@ type Sink interface {
 }
 
 // Ring is a bounded in-memory event store: the newest events overwrite the
-// oldest once capacity is reached. All methods are safe for concurrent use.
+// oldest once capacity is reached. Its buffer grows with the events it
+// holds, so a ring nothing is recorded into costs nothing. All methods are
+// safe for concurrent use.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int // index of the slot the next event lands in
-	total int64
+	mu       sync.Mutex
+	capacity int
+	buf      []Event
+	next     int // once full, the index of the slot the next event lands in
+	total    int64
 }
 
 // NewRing creates a ring retaining up to capacity events (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{capacity: max(capacity, 1)}
 }
 
 // Record stores one event, evicting the oldest when full.
@@ -137,12 +137,12 @@ func (r *Ring) Record(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.capacity {
 		r.buf = append(r.buf, ev)
 		return
 	}
 	r.buf[r.next] = ev
-	r.next = (r.next + 1) % cap(r.buf)
+	r.next = (r.next + 1) % r.capacity
 }
 
 // Snapshot returns the retained events oldest-first.
@@ -150,7 +150,7 @@ func (r *Ring) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
+	if len(r.buf) == r.capacity {
 		out = append(out, r.buf[r.next:]...)
 		out = append(out, r.buf[:r.next]...)
 	} else {

@@ -2,9 +2,41 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
+
+// TestRingLazy pins the ring's buffer to what it holds: an unused
+// NewRing(1024) allocates under 1 KB, where a buffer sized up front costs
+// 1,024 events, and a ring filled well past its capacity still keeps the
+// newest events oldest-first.
+func TestRingLazy(t *testing.T) {
+	const n = 100
+	rings := make([]*Ring, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rings {
+		rings[i] = NewRing(1024)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("an unused NewRing(1024) allocates %d B, want under 1 KB", per)
+	}
+	r := rings[0]
+	for i := 0; i < 3000; i++ {
+		r.Record(Event{TraceID: fmt.Sprintf("t%d", i)})
+	}
+	got := r.Snapshot()
+	if len(got) != 1024 || r.Total() != 3000 {
+		t.Fatalf("retained %d of %d events, want 1024 of 3000", len(got), r.Total())
+	}
+	for i, ev := range got {
+		if want := fmt.Sprintf("t%d", 3000-1024+i); ev.TraceID != want {
+			t.Fatalf("event[%d] = %s, want %s", i, ev.TraceID, want)
+		}
+	}
+}
 
 func TestRingBounded(t *testing.T) {
 	r := NewRing(4)

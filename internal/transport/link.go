@@ -290,10 +290,27 @@ func (l *link) deliver(m *broker.Message) {
 // shutting down) any previous connection, and publishes its send-queue
 // gauge. A neighbour's caller must follow up with resyncAfterAttach once it
 // is not holding any broker lock.
-func (l *link) attach(pc *peerConn) {
-	l.lastRecv.Store(time.Now().UnixNano())
+//
+// Two neighbours that dial each other at once would each replace the
+// connection it dialled with the one it accepted, closing the one the other
+// side kept: both links drop and redial, the crossing can repeat, and each
+// round loses what the replaced connections had queued. So when a live
+// connection and a new one run in opposite directions, both sides keep the
+// one the broker with the smaller id dialled, and attach refuses the other,
+// reporting false. Only the larger side closes the loser, a connection it
+// dialled: the smaller side stops writing to it and reads it until then
+// (serveConn), since closing it first would make the larger side redial at
+// once, only to be refused again.
+func (l *link) attach(pc *peerConn) bool {
 	l.mu.Lock()
 	old := l.pc
+	smaller := l.s.cfg.ID < l.id
+	crossing := old != nil && old.dialled != pc.dialled && old.live()
+	if crossing && old.dialled == smaller {
+		l.mu.Unlock()
+		return false
+	}
+	l.lastRecv.Store(time.Now().UnixNano())
 	l.pc = pc
 	l.dialing = false
 	l.attempts = 0
@@ -305,7 +322,10 @@ func (l *link) attach(pc *peerConn) {
 			func() float64 { return float64(len(pc.queue)) }, "peer", l.id)
 	}
 	l.mu.Unlock()
-	if old != nil {
+	switch {
+	case crossing && smaller:
+		old.stopWriter()
+	case old != nil:
 		old.shutdown()
 	}
 	// A connection attached while Close is sweeping the links would be
@@ -317,6 +337,7 @@ func (l *link) attach(pc *peerConn) {
 		pc.shutdown()
 	default:
 	}
+	return true
 }
 
 // connLost records that a connection died. Only the goroutine that observes

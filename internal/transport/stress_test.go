@@ -280,12 +280,17 @@ func TestBidirectionalFloodDoesNotStall(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
+			// Where the publications went: queued, dropped on a down link,
+			// or lost with a replaced connection.
 			q1, q2 := s1.QueueDepths(), s2.QueueDepths()
+			h1, h2 := s1.Health(), s2.Health()
+			l1, l2 := s1.Links(), s2.Links()
 			// Closing the servers first frees a publisher blocked in Send.
 			s1.Close()
 			s2.Close()
-			t.Fatalf("flood stalled: subscribers got %d and %d of %d; send queues %v and %v",
-				got[0].Load(), got[1].Load(), 2*docs, q1, q2)
+			t.Fatalf("flood stalled: subscribers got %d and %d of %d; send queues %v and %v; "+
+				"b1 health %+v links %+v; b2 health %+v links %+v",
+				got[0].Load(), got[1].Load(), 2*docs, q1, q2, h1, l1, h2, l2)
 		}
 	}
 }

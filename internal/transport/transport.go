@@ -98,6 +98,9 @@ type peerConn struct {
 	stop  chan struct{} // signalled by shutdown
 	done  chan struct{} // closed when the writer exits
 	once  sync.Once
+	// dialled says this side dialled the connection (link.attach's
+	// tie-break between crossing dials).
+	dialled bool
 
 	// txBytes counts bytes flushed since attach (preamble excluded);
 	// batchCounts is a log2 histogram of frames-per-flush (bucket i covers
@@ -243,9 +246,25 @@ func (p *peerConn) write(m *broker.Message) error {
 	}
 }
 
+// live reports whether the connection's writer is still running.
+func (p *peerConn) live() bool {
+	select {
+	case <-p.stop:
+		return false
+	case <-p.done:
+		return false
+	default:
+		return true
+	}
+}
+
+// stopWriter stops the writer goroutine, leaving the connection open for
+// reading.
+func (p *peerConn) stopWriter() { p.once.Do(func() { close(p.stop) }) }
+
 // shutdown closes the connection and stops the writer goroutine.
 func (p *peerConn) shutdown() {
-	p.once.Do(func() { close(p.stop) })
+	p.stopWriter()
 	p.conn.Close()
 }
 
@@ -435,29 +454,34 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	// Until the preamble attaches it to a link, Close's sweep cannot reach
-	// the connection, so it is closed here when the server closes.
-	helloDone := make(chan struct{})
+	// Close's sweep reaches only the connections links hold: before the
+	// preamble, and for a refused crossing dial, this one is closed here
+	// when the server closes.
+	served := make(chan struct{})
+	defer close(served)
 	go func() {
 		select {
 		case <-s.closed:
 			conn.Close()
-		case <-helloDone:
+		case <-served:
 		}
 	}()
 	dec, tr := s.newDecoder(conn)
 	id, err := dec.Hello()
-	close(helloDone)
 	if err != nil {
 		s.countBadFrame(err)
 		return
 	}
 	l := s.linkFor(id)
 	pc := s.newPeerConn(conn, wirefmt.NewEncoder(conn, wirefmt.DefaultLimits))
-	l.attach(pc)
-	if l.addr == "" {
+	switch {
+	case !l.attach(pc):
+		// A crossing dial this side refused (link.attach): the neighbour
+		// writes here until it closes the connection, so read on.
+		pc.stopWriter()
+	case l.addr == "":
 		s.b.AddClient(id)
-	} else {
+	default:
 		l.resyncAfterAttach()
 	}
 	s.readLoop(dec, tr, l)
@@ -629,7 +653,16 @@ func (s *Server) dialNeighbor(l *link) error {
 		return fmt.Errorf("transport: hello to %s: %w", l.id, err)
 	}
 	pc := s.newPeerConn(conn, enc)
-	l.attach(pc)
+	pc.dialled = true
+	if !l.attach(pc) {
+		// The link is up on the connection the neighbour dialled, and the
+		// reconnect loop that dialled this one ends.
+		pc.shutdown()
+		l.mu.Lock()
+		l.dialing = false
+		l.mu.Unlock()
+		return nil
+	}
 	l.resyncAfterAttach()
 	// The dialled neighbour speaks back on the same connection.
 	dec, tr := s.newDecoder(conn)
