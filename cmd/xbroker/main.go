@@ -60,9 +60,6 @@ func main() {
 		fsyncInterval = flag.Duration("fsync-interval", 5*time.Millisecond, "publication-log group-commit interval: how long an appended record may wait for its fsync while the batch grows (0 = fsync per drained batch)")
 		retention     = flag.Int64("retention", 0, "force-reclaim the oldest closed log segments once the publication log exceeds this many bytes, even unacknowledged ones (0 = reclaim only fully-acknowledged segments)")
 		retainAge     = flag.Duration("retain-age", 0, "force-reclaim closed log segments older than this (0 = never by age)")
-
-		maxBatchBytes  = flag.Int("max-batch-bytes", 0, "flush a neighbour batch once it holds this many bytes (default 256KiB)")
-		maxBatchFrames = flag.Int("max-batch-frames", 0, "flush a neighbour batch once it holds this many frames (default 128)")
 	)
 	flag.Parse()
 
@@ -116,13 +113,11 @@ func main() {
 	}
 
 	srv := transport.NewServerOptions(cfg, nb, transport.Options{
-		Heartbeat:      *heartbeat,
-		DeadAfter:      *deadAfter,
-		ReconnectMin:   *reconnectMin,
-		ReconnectMax:   *reconnectMax,
-		DialBudget:     *dialBudget,
-		MaxBatchBytes:  *maxBatchBytes,
-		MaxBatchFrames: *maxBatchFrames,
+		Heartbeat:    *heartbeat,
+		DeadAfter:    *deadAfter,
+		ReconnectMin: *reconnectMin,
+		ReconnectMax: *reconnectMax,
+		DialBudget:   *dialBudget,
 	})
 	addr, err := srv.Listen(*listen)
 	if err != nil {

@@ -229,8 +229,8 @@ var errClosed = fmt.Errorf("publog: store closed")
 // record goes into the active segment's buffered writer; durability
 // arrives with the next group commit (or inline with SyncAppend). The
 // caller must not reuse m's referenced buffers before Append returns —
-// the record is fully encoded inside the call, so m may be recycled
-// afterwards.
+// the record is fully encoded inside the call, so m may be decoded into
+// again afterwards.
 func (s *Store) Append(name string, seq uint64, m *broker.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

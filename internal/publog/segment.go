@@ -33,7 +33,6 @@ package publog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -80,7 +79,6 @@ type segWriter struct {
 	f       *os.File
 	bw      *bufio.Writer
 	enc     *wirefmt.Encoder
-	encBuf  bytes.Buffer
 	scratch []byte
 }
 
@@ -104,7 +102,7 @@ func newSegWriter(dir string, index uint64) (*segWriter, error) {
 		f:  f,
 		bw: bufio.NewWriterSize(f, 64<<10),
 	}
-	w.enc = wirefmt.NewEncoder(&w.encBuf, wirefmt.DefaultLimits)
+	w.enc = wirefmt.NewEncoder(nil, wirefmt.DefaultLimits)
 	hdr := append([]byte(segMagic), binary.AppendUvarint(nil, uint64(w.created))...)
 	if _, err := w.bw.Write(hdr); err != nil {
 		f.Close()
@@ -120,16 +118,15 @@ func (w *segWriter) append(name string, seq uint64, m *broker.Message) (int, err
 	if name == "" || len(name) > maxNameLen {
 		return 0, fmt.Errorf("publog: bad durable name (%d bytes)", len(name))
 	}
-	w.encBuf.Reset()
-	if err := w.enc.Encode(m); err != nil {
-		return 0, fmt.Errorf("publog: encode record: %w", err)
-	}
 	b := w.scratch[:0]
 	b = binary.AppendUvarint(b, uint64(len(name)))
 	b = append(b, name...)
 	b = binary.AppendUvarint(b, seq)
-	b = append(b, w.encBuf.Bytes()...)
+	b, err := w.enc.Append(b, m)
 	w.scratch = b // keep the grown capacity
+	if err != nil {
+		return 0, fmt.Errorf("publog: encode record: %w", err)
+	}
 	var env [binary.MaxVarintLen64 + 4]byte
 	n := binary.PutUvarint(env[:], uint64(len(b)))
 	binary.LittleEndian.PutUint32(env[n:], crc32.ChecksumIEEE(b))

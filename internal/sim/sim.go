@@ -11,7 +11,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -118,11 +117,13 @@ type Network struct {
 }
 
 // linkState is one directed link's wire state: the encoder whose output is
-// charged as transfer delay, and the arrival time of the link's latest
-// frame. A TCP stream delivers in order, so no frame arrives before it.
+// charged as transfer delay, its frame buffer, and the arrival time of the
+// link's latest frame. A TCP stream delivers in order, so no frame arrives
+// before it.
 type linkState struct {
-	enc  *wirefmt.Encoder
-	last time.Duration
+	enc    *wirefmt.Encoder
+	frames []byte
+	last   time.Duration
 }
 
 type outMsg struct {
@@ -372,7 +373,7 @@ func (n *Network) link(from, to string) *linkState {
 		n.links[k] = l
 	}
 	if l.enc == nil {
-		l.enc = wirefmt.NewEncoder(io.Discard, wirefmt.DefaultLimits)
+		l.enc = wirefmt.NewEncoder(nil, wirefmt.DefaultLimits)
 	}
 	return l
 }
@@ -381,14 +382,11 @@ func (n *Network) link(from, to string) *linkState {
 // encoder writes for it — dictionary extension included — divided by
 // Bandwidth.
 func (n *Network) transfer(l *linkState, m *broker.Message) time.Duration {
-	if err := l.enc.Queue(m); err != nil {
+	var err error
+	if l.frames, err = l.enc.Append(l.frames[:0], m); err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	b, err := l.enc.Flush()
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return time.Duration(float64(b) / n.Bandwidth * float64(time.Second))
+	return time.Duration(float64(len(l.frames)) / n.Bandwidth * float64(time.Second))
 }
 
 // reconnect drops the encoder of every directed link between a and b

@@ -32,11 +32,13 @@ const (
 	// StageFilter is post-match routing bookkeeping: hop ordering, edge
 	// client filtering, and trace accounting.
 	StageFilter = "filter"
-	// StageEnqueue is handing the publication to every next hop's ordered
-	// send queue; it grows under backpressure from full queues.
+	// StageEnqueue is handing the publication to every next hop: encoding
+	// its frame onto the connection's staged bytes. It grows under
+	// backpressure from full staging buffers.
 	StageEnqueue = "enqueue"
-	// StageFlush is the send-queue wait plus encode to the socket,
-	// measured by the sending transport's writer goroutine. It happens after
+	// StageFlush is the writer's wake-up plus the write that carried the
+	// frame, from the staged bytes turning non-empty, measured by the
+	// sending transport's writer goroutine. It happens after
 	// the hop record was forwarded, so it appears in histograms but never in
 	// a Hop's stage list — across brokers it is part of the wall-clock gap
 	// between consecutive hop stamps.

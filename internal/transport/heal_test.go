@@ -380,7 +380,7 @@ func TestHeartbeatDetectsJammedPeer(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepths()["b2"] < sendQueueDepth {
+	for !stagedFull(s, "b2") {
 		if time.Now().After(deadline) {
 			t.Fatalf("the queue toward b2 never filled: %v", s.QueueDepths())
 		}
@@ -397,4 +397,16 @@ func TestHeartbeatDetectsJammedPeer(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// stagedFull reports whether the frames staged toward peer fill the
+// staging bound, so a delivery there would wait.
+func stagedFull(s *Server, peer string) bool {
+	pc := s.linkFor(peer).conn()
+	if pc == nil {
+		return false
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return len(pc.staged) >= stageBytes
 }

@@ -54,13 +54,6 @@ type Options struct {
 	// Deprecated: the field selects nothing and is kept only for callers
 	// that still set it.
 	Wire string
-
-	// MaxBatchBytes flushes a batch once this many bytes are staged
-	// (default 256KiB); MaxBatchFrames once this many frames are
-	// (default 128). The writer flushes as soon as its queue is momentarily
-	// empty — batching under load, no added latency when idle.
-	MaxBatchBytes  int
-	MaxBatchFrames int
 }
 
 func (o Options) withDefaults() Options {
@@ -75,12 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 256 << 10
-	}
-	if o.MaxBatchFrames <= 0 {
-		o.MaxBatchFrames = 128
 	}
 	return o
 }
@@ -107,8 +94,8 @@ type HealthStats struct {
 	Disconnects       int64 // current connections lost, client or neighbour
 	HeartbeatsSent    int64
 	DeadPeers         int64 // connections dropped by the dead-peer detector
-	DroppedPubs       int64 // publications dropped because a peer's link was down
-	DroppedControl    int64 // control messages dropped because a peer's link was down
+	DroppedPubs       int64 // publications dropped: a peer's link was down, or its connection closed before writing them
+	DroppedControl    int64 // control messages dropped: a peer's link was down, or its connection closed before writing them
 	Resyncs           int64 // control-state resyncs initiated after attach
 	BadFrames         int64 // preambles and frames the wirefmt decoder rejected
 	Panics            int64 // panics recovered on a read loop, each costing its connection
@@ -130,15 +117,15 @@ func (s *Server) Health() HealthStats {
 	}
 }
 
-// QueueDepths snapshots every live peer connection's outbound send-queue
-// depth, keyed by peer ID. The broker's flight recorder calls it when
-// capturing a slow publication, and /statusz serves it; it reads channel
-// lengths only, so it is safe at any time.
+// QueueDepths snapshots the frames staged toward every live peer
+// connection, keyed by peer ID. The broker's flight recorder calls it when
+// capturing a slow publication, and /statusz serves it; it takes each
+// connection's lock only to read a count, so it is safe at any time.
 func (s *Server) QueueDepths() map[string]int {
 	out := make(map[string]int)
 	for _, l := range s.allLinks() {
 		if pc := l.conn(); pc != nil {
-			out[l.id] = len(pc.queue)
+			out[l.id] = pc.depth()
 		}
 	}
 	return out
@@ -150,7 +137,7 @@ type LinkStatus struct {
 	// Up reports a live connection; false covers both an outage mid-redial
 	// and a configured neighbour never yet contacted.
 	Up bool `json:"up"`
-	// QueueDepth is the outbound send queue's current length (0 when down).
+	// QueueDepth is the number of outbound frames staged (0 when down).
 	QueueDepth int `json:"queue_depth"`
 	// LastRecvUnixNano is the wall-clock time of the last inbound frame
 	// (heartbeats included); 0 before first contact.
@@ -158,7 +145,7 @@ type LinkStatus struct {
 	// TxBytes counts bytes written to the live connection since it
 	// attached (frames only, not the preamble; resets on reconnect).
 	TxBytes int64 `json:"tx_bytes,omitempty"`
-	// BatchP50 is the connection's median frames-per-flush — 1.0 means
+	// BatchP50 is the connection's median frames per write — 1.0 means
 	// batching is doing nothing, larger means syscalls are being amortised.
 	BatchP50 float64 `json:"batch_p50,omitempty"`
 }
@@ -175,7 +162,7 @@ func (s *Server) Links() []LinkStatus {
 		st := LinkStatus{Peer: l.id, LastRecvUnixNano: l.lastRecv.Load()}
 		if pc := l.conn(); pc != nil {
 			st.Up = true
-			st.QueueDepth = len(pc.queue)
+			st.QueueDepth = pc.depth()
 			st.TxBytes = pc.txBytes.Load()
 			st.BatchP50 = pc.batchP50()
 		}
@@ -256,9 +243,9 @@ func (l *link) conn() *peerConn {
 	return l.pc
 }
 
-// deliver sends a message over the link, or drops and counts it while the
-// link is down. Called by the broker with its routing lock held, so it must
-// never call back into the broker.
+// deliver encodes a message onto the link's staged frames, or drops and
+// counts it while the link is down. Called by the broker with its routing
+// lock held, so it must never call back into the broker.
 //
 // A dropped control message loses no control state. Every control emission
 // runs under the broker's exclusive lock, and the resync that follows an
@@ -267,7 +254,7 @@ func (l *link) conn() *peerConn {
 // claim, and the claim includes the dropped message's effect.
 func (l *link) deliver(m *broker.Message) {
 	if pc := l.conn(); pc != nil {
-		if err := pc.write(m); err == nil {
+		if err := pc.write(m, true); err == nil {
 			return
 		}
 		l.connLost(pc)
@@ -287,14 +274,15 @@ func (l *link) deliver(m *broker.Message) {
 }
 
 // attach installs a new connection as the link's active one, replacing (and
-// shutting down) any previous connection, and publishes its send-queue
-// gauge. A neighbour's caller must follow up with resyncAfterAttach once it
+// shutting down) any previous connection, and publishes its staged-frames
+// gauge. The frames a replaced connection had staged are counted as
+// dropped. A neighbour's caller must follow up with resyncAfterAttach once it
 // is not holding any broker lock.
 //
 // Two neighbours that dial each other at once would each replace the
 // connection it dialled with the one it accepted, closing the one the other
 // side kept: both links drop and redial, the crossing can repeat, and each
-// round loses what the replaced connections had queued. So when a live
+// round loses what the replaced connections had staged. So when a live
 // connection and a new one run in opposite directions, both sides keep the
 // one the broker with the smaller id dialled, and attach refuses the other,
 // reporting false. Only the larger side closes the loser, a connection it
@@ -318,8 +306,8 @@ func (l *link) attach(pc *peerConn) bool {
 	// cannot unregister the new connection's gauge.
 	if reg := l.s.reg; reg != nil {
 		reg.GaugeFunc("xbroker_send_queue_depth",
-			"Outbound messages queued toward a peer connection.",
-			func() float64 { return float64(len(pc.queue)) }, "peer", l.id)
+			"Outbound frames staged toward a peer connection.",
+			func() float64 { return float64(pc.depth()) }, "peer", l.id)
 	}
 	l.mu.Unlock()
 	switch {
@@ -453,18 +441,19 @@ func (l *link) heartbeatLoop() {
 			l.connLost(pc)
 			continue
 		}
-		// A beat that finds the send queue full is skipped, not waited
+		// A beat that finds the staged frames full is skipped, not waited
 		// for: a peer that stopped reading would hold this loop in the
 		// write forever, and only the silence check above declares it
 		// dead. A writer that exited has closed the connection, so its
 		// read loop reports the loss.
-		select {
-		case pc.queue <- queuedMsg{m: &broker.Message{Type: broker.MsgHeartbeat}}:
+		if pc.write(heartbeat, false) == nil {
 			l.s.stats.heartbeatsSent.Add(1)
-		default:
 		}
 	}
 }
+
+// heartbeat is the one heartbeat message every link encodes.
+var heartbeat = &broker.Message{Type: broker.MsgHeartbeat}
 
 // backoff is the one retry schedule of the accept loop, a neighbour's
 // redial and a client's redial: the window starts at min and doubles up to
@@ -501,8 +490,8 @@ func (s *Server) registerHealthMetrics() {
 		{"xbroker_link_disconnects", "Peer connections lost, client or neighbour.", &s.stats.disconnects},
 		{"xbroker_link_heartbeats_sent", "Heartbeat frames sent to neighbours.", &s.stats.heartbeatsSent},
 		{"xbroker_link_dead_peers", "Connections dropped by dead-peer detection.", &s.stats.deadPeers},
-		{"xbroker_link_dropped_publications", "Publications dropped while a peer's link was down, client or neighbour.", &s.stats.droppedPubs},
-		{"xbroker_link_dropped_control", "Control messages dropped while a peer's link was down (a neighbour's resync at attach, or a client's replay, repairs them).", &s.stats.droppedControl},
+		{"xbroker_link_dropped_publications", "Publications dropped while a peer's link was down or because its connection closed before writing them, client or neighbour.", &s.stats.droppedPubs},
+		{"xbroker_link_dropped_control", "Control messages dropped while a peer's link was down or because its connection closed before writing them (a neighbour's resync at attach, or a client's replay, repairs them).", &s.stats.droppedControl},
 		{"xbroker_link_resyncs", "Control-state resyncs initiated after (re)connects.", &s.stats.resyncs},
 		{"xbroker_wire_bad_frames", "Inbound preambles and frames rejected by the wire decoder.", &s.stats.badFrames},
 		{"xbroker_panics_total", "Panics recovered while handling an inbound frame; each closed its connection.", &s.stats.panics},
@@ -521,6 +510,6 @@ func (s *Server) registerHealthMetrics() {
 		"Message frames written to peers.",
 		func() float64 { return float64(a.frames.Load()) }, "codec", WireBinary)
 	s.reg.CounterFunc("xbroker_wire_tx_batches_total",
-		"Vectored flushes toward peers; frames/batches is the mean batch size.",
+		"Writes toward peers; frames/batches is the mean batch size.",
 		func() float64 { return float64(a.batches.Load()) }, "codec", WireBinary)
 }

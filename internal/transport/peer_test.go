@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,6 +92,60 @@ func TestClientReattachClosesOldConnection(t *testing.T) {
 	}
 	if h := s.Health(); h.DroppedPubs != 0 || h.Disconnects != 0 {
 		t.Errorf("health %+v: a replaced connection is neither a disconnect nor a drop", h)
+	}
+}
+
+// A connection replaced by a reattach under the same id is shut down with
+// whatever it had staged. Those publications are counted as dropped: here
+// the first connection's writer is held in its write while the rest of the
+// publications for it are staged, and the client then dials again.
+func TestReattachCountsStagedFramesDropped(t *testing.T) {
+	const n = 20
+	var held *heldConn
+	var accepted atomic.Int32
+	s, addr := startEdge(t, func(c net.Conn) net.Conn {
+		if accepted.Add(1) == 1 {
+			held = newHeldConn(c)
+			return held
+		}
+		return c
+	})
+	first, err := Dial(addr, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := first.Send(&broker.Message{Type: broker.MsgSubscribe, XPE: xpath.MustParse("/a")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.PRTSize() == 1 })
+	held.armed.Store(true)
+
+	pub, err := Dial(addr, "pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	for i := 0; i < n; i++ {
+		if err := pub.Send(&broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: uint64(i), Path: []string{"a"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer holds what it took first in its write; the rest are staged
+	// behind it.
+	waitFor(t, func() bool {
+		return s.Stats().MsgsIn[broker.MsgPublish] == n && s.InFlight.Load() == 0 && s.QueueDepths()["c"] < n
+	})
+
+	second, err := Dial(addr, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	waitFor(t, func() bool { return s.Health().DroppedPubs == n })
+	time.Sleep(20 * time.Millisecond)
+	if h := s.Health(); h.DroppedPubs != n || h.DroppedControl != 0 || h.Disconnects != 0 {
+		t.Errorf("health %+v: want %d dropped publications, no dropped control and no disconnect", h, n)
 	}
 }
 

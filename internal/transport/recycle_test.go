@@ -1,10 +1,12 @@
 package transport
 
-// A broker hop recycles the messages it decodes publications into (see the
-// package comment, "Message lifetime"). These tests pin the saving — a
-// forwarded publication costs the hop no allocation — and the safety: a
-// message is not decoded into again while any holder, a shallow copy's
-// included, can still read it.
+// A broker hop decodes every publication into the one message its read
+// loop owns, and a delivery encodes the message onto the peer connection's
+// staged frames before HandleMessage returns (see the package comment,
+// "Message lifetime"). These tests pin the saving — a forwarded publication
+// costs the hop no allocation — and the safety: frames staged behind a held
+// writer carry exactly what was published, although the read loop has
+// decoded later publications into the same message since.
 
 import (
 	"bytes"
@@ -30,8 +32,8 @@ import (
 // hopAllocCeiling bounds the mallocs, counted process-wide, per publication
 // a broker receives from a client and forwards to a neighbour link and a
 // client. Decoding into a fresh message costs at least one per
-// publication, and so does a recycle hook made per publication; the pooled
-// steady state costs none, and the ceiling leaves room for stray runtime
+// publication, and so does a staged buffer that is not reused; the steady
+// state costs none, and the ceiling leaves room for stray runtime
 // allocations over a round.
 const hopAllocCeiling = 0.05
 
@@ -72,7 +74,7 @@ func dialRaw(t *testing.T, addr, id string) *rawPeer {
 // mallocs over a burst, divided by the burst's publications, must stay at
 // or below hopAllocCeiling. The neighbour, the subscriber and the publisher
 // are raw connections that allocate nothing per frame, so the count is the
-// server's: read loop, decode, matching, send queues and writers.
+// server's: read loop, decode, matching, staging and writers.
 func TestHopAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is meaningless under -short's reduced runs")
@@ -82,7 +84,7 @@ func TestHopAllocsPinned(t *testing.T) {
 	}
 	var body strings.Builder
 	body.WriteString("<stock><quote>")
-	for body.Len() < 1024 { // well over the encoder's 256-byte inline threshold
+	for body.Len() < 1024 { // a body of several writes' worth of path frames
 		body.WriteString("<price>12.5</price>")
 	}
 	body.WriteString("</quote></stock>")
@@ -145,9 +147,9 @@ func TestHopAllocsPinned(t *testing.T) {
 			}
 			const burst = 2000
 			send(1)
-			send(burst) // warm the pool, the queues and both links' dictionaries
+			send(burst) // warm the staged buffers and both links' dictionaries
 			// The best of three rounds: a stray allocation elsewhere in the
-			// process (a runtime timer, a GC emptying the pool) can land in
+			// process (a runtime timer, a GC emptying a pool) can land in
 			// one round, while a per-publication allocation shows in all.
 			best := -1.0
 			for round := 0; round < 3; round++ {
@@ -161,7 +163,7 @@ func TestHopAllocsPinned(t *testing.T) {
 			}
 			t.Logf("%s: %.4f mallocs per forwarded publication", f.name, best)
 			if best > hopAllocCeiling {
-				t.Errorf("%s publication: %.3f mallocs per forwarded publication, ceiling %.2f — the hop allocates per message again (a fresh decode target or a per-publication recycle hook?)",
+				t.Errorf("%s publication: %.3f mallocs per forwarded publication, ceiling %.2f — the hop allocates per message again (a fresh decode target, or a staged buffer that is not reused?)",
 					f.name, best, hopAllocCeiling)
 			}
 		})
@@ -170,8 +172,8 @@ func TestHopAllocsPinned(t *testing.T) {
 
 // heldConn gates the server's writes to one connection: once armed, every
 // Write waits until the test opens the gate, or fails when the connection
-// is closed meanwhile — a peer whose writer is held back with a staged
-// batch.
+// is closed meanwhile — a peer whose writer is held back while frames are
+// staged behind it.
 type heldConn struct {
 	net.Conn
 	armed  atomic.Bool
@@ -201,11 +203,12 @@ func (h *heldConn) Close() error {
 }
 
 // recycleStream is the mixed publication stream of the safety test: path
-// publications (some with attributes), raw bodies over the encoder's inline
-// threshold, traced publications with an upstream hop, and publications
-// only a durable subscription selects. Every publication differs from every
-// other in its path, document id, attributes, body and trace, so a message
-// decoded into while still queued shows in a delivery.
+// publications (some with attributes), raw bodies over 256 bytes, traced
+// publications with an upstream hop, and publications only a durable
+// subscription selects. Every publication differs from every other in its
+// path, document id, attributes, body and trace, so a staged frame that
+// read a message after the read loop decoded into it again shows in a
+// delivery.
 func recycleStream(n int) []*broker.Message {
 	out := make([]*broker.Message, n)
 	for i := range out {
@@ -270,17 +273,14 @@ func checkDelivery(t *testing.T, who string, got, sent *broker.Message, wantHops
 }
 
 // TestRecycledMessagesNeverReusedWhileHeld publishes a mixed stream —
-// paths, raw bodies over the inline threshold, traced and durable
-// publications — through broker b1, whose durable subscriber's writer is
-// held back: its durable copies (of traced copies too) and the raw bodies
-// they share stay queued and staged while b1 decodes later frames into
-// recycled messages. Every delivery, at b1's plain client, at the held
-// durable client and past the link at b2, must still carry exactly what was
-// published, and every message b1 decoded a publication into must return
-// to its pool exactly once. In "released" the gate opens; in "dropped" the
-// held client goes away with its batch staged, and b1 must release the
-// staged holds — only the messages stranded in the dead writer's queue are
-// never recycled.
+// paths, raw bodies over 256 bytes, traced and durable publications —
+// through broker b1, whose durable subscriber's writer is held back: its
+// durable copies (of traced copies too) stay staged while b1's read loop
+// decodes later frames into the message they were encoded from. Every
+// delivery, at b1's plain client, at the held durable client and past the
+// link at b2, must still carry exactly what was published. In "released"
+// the gate opens; in "dropped" the held client goes away with its frames
+// staged, and b1 must count every one of them as a dropped publication.
 func TestRecycledMessagesNeverReusedWhileHeld(t *testing.T) {
 	for _, mode := range []string{"released", "dropped"} {
 		t.Run(mode, func(t *testing.T) { testRecycleUnderHold(t, mode == "dropped") })
@@ -308,11 +308,6 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 			return c
 		},
 	})
-	var recycled atomic.Int64
-	b1.recycle = func(l *broker.Lifetime) {
-		recycled.Add(1)
-		b1.msgs.Put(l)
-	}
 	b2 := NewServer(broker.Config{ID: "b2"}, n2)
 	addr1, err := b1.Listen("127.0.0.1:0")
 	if err != nil {
@@ -370,9 +365,9 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 	}
 	defer pub.Close()
 
-	// 400 publications, 150 of them for the held client: within its send
-	// queue and one staged batch, so b1's read loop never blocks on it
-	// and the other 250 keep recycling.
+	// 400 publications, 150 of them for the held client: about 22 KB, within
+	// its staging bound, so b1's read loop never blocks on it and keeps
+	// decoding into the same message.
 	stream := recycleStream(400)
 	held.armed.Store(true)
 	for _, m := range stream {
@@ -386,15 +381,18 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 			checkDelivery(t, "far", nextDelivery(t, far), sent, []string{"b1", "b2"}, "", 0)
 		}
 	}
-	// Once no read loop of b1 is matching, everything but the held client's
-	// share has been flushed, and nothing more is routed to the held client.
+	// Once no read loop of b1 is matching, nothing more is routed to the
+	// held client.
 	waitFor(t, func() bool { return b1.InFlight.Load() == 0 })
-	waitRecycled(t, &recycled, 250)
 
 	if drop {
+		// The counters are server-wide: control messages b1 emitted to b2
+		// before the link came up are dropped already (the resync at attach
+		// repairs them), so the held client's drops are the difference.
+		before := b1.Health()
 		keeper.Close()
-		// The writer fails its held flush and exits; the broker routes
-		// nothing more to the gone client.
+		// The writer fails its held write and exits; what it was writing
+		// and what was staged behind it are dropped publications.
 		waitFor(t, func() bool {
 			select {
 			case <-pc.done:
@@ -403,11 +401,11 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 				return false
 			}
 		})
-		stranded := int64(len(pc.queue))
-		if stranded == 0 || stranded == 150 {
-			t.Fatalf("%d of 150 held messages stranded in the queue; want a staged batch and a queued rest", stranded)
+		h := b1.Health()
+		if pubs, control := h.DroppedPubs-before.DroppedPubs, h.DroppedControl-before.DroppedControl; pubs != 150 || control != 0 {
+			t.Fatalf("dropped %d publications and %d control messages with the held client, want 150 and 0",
+				pubs, control)
 		}
-		waitRecycled(t, &recycled, int64(len(stream))-stranded)
 		return
 	}
 	close(held.gate)
@@ -419,47 +417,76 @@ func testRecycleUnderHold(t *testing.T, drop bool) {
 		seq++
 		checkDelivery(t, "keeper", nextDelivery(t, keeper), sent, []string{"b1"}, "keep", seq)
 	}
-	waitRecycled(t, &recycled, int64(len(stream)))
 }
 
-// waitRecycled waits for the recycle count to reach want and stay there:
-// fewer means a hold was never dropped, more that one was dropped early.
-func waitRecycled(t *testing.T, recycled *atomic.Int64, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for recycled.Load() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d messages recycled, want %d", recycled.Load(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
+// TestStagingEndsWithItsConnection covers the deliveries that never reach
+// a writer. A delivery to a connection whose writer has exited, or is
+// stopping, fails; the frame a failed write took is a dropped publication.
+// A delivery waiting for room in full staged frames returns an error once
+// the connection stops, although the writer is still held in its write.
+func TestStagingEndsWithItsConnection(t *testing.T) {
+	s := NewServer(broker.Config{ID: "b1"}, nil)
+	m := &broker.Message{Type: broker.MsgPublish, Stamp: 1, Raw: bytes.Repeat([]byte("x"), 4<<10)}
+	pipe := func() (net.Conn, net.Conn) {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		return a, b
 	}
-	time.Sleep(20 * time.Millisecond)
-	if got := recycled.Load(); got != want {
-		t.Fatalf("%d messages recycled, want %d", got, want)
-	}
-}
 
-// TestFailurePathsReleaseTheirHold covers the holds that never reach a
-// writer: an enqueue on a peer whose writer has exited or is stopping drops
-// the hold it took, so the message is still recycled once its other holders
-// let go.
-func TestFailurePathsReleaseTheirHold(t *testing.T) {
-	recycled := 0
-	l := broker.NewLifetime(func(*broker.Lifetime) { recycled++ })
-	m := l.Message()
-
-	exited := &peerConn{queue: make(chan queuedMsg), stop: make(chan struct{}), done: make(chan struct{})}
-	close(exited.done)
-	stopping := &peerConn{queue: make(chan queuedMsg), stop: make(chan struct{}), done: make(chan struct{})}
-	close(stopping.stop)
-	for _, p := range []*peerConn{exited, stopping} {
-		l.Arm()
-		if err := p.write(m); err == nil {
-			t.Fatal("write to a dead peer succeeded")
+	t.Run("exited", func(t *testing.T) {
+		a, b := pipe()
+		b.Close() // the write of the first frame fails
+		pc := s.newPeerConn(a, wirefmt.NewEncoder(a, wirefmt.DefaultLimits))
+		before := s.Health().DroppedPubs
+		if err := pc.write(m, true); err != nil {
+			t.Fatal(err)
 		}
-		m.Release() // the caller's own hold
-	}
-	if recycled != 2 {
-		t.Fatalf("%d recycles after two failed writes, want 2", recycled)
-	}
+		<-pc.done
+		if err := pc.write(m, true); err == nil {
+			t.Fatal("a delivery to an exited writer succeeded")
+		}
+		if got := s.Health().DroppedPubs - before; got != 1 {
+			t.Fatalf("%d publications dropped with the failed write, want 1", got)
+		}
+	})
+	t.Run("stopping", func(t *testing.T) {
+		a, _ := pipe()
+		pc := s.newPeerConn(a, wirefmt.NewEncoder(a, wirefmt.DefaultLimits))
+		pc.stopWriter()
+		if err := pc.write(m, true); err == nil {
+			t.Fatal("a delivery to a stopping writer succeeded")
+		}
+	})
+	t.Run("waiting", func(t *testing.T) {
+		a, _ := pipe()
+		held := newHeldConn(a)
+		held.armed.Store(true)
+		pc := s.newPeerConn(held, wirefmt.NewEncoder(held, wirefmt.DefaultLimits))
+		if err := pc.write(m, true); err != nil {
+			t.Fatal(err)
+		}
+		for pc.depth() != 0 { // the writer takes the frame into its held write
+			time.Sleep(time.Millisecond)
+		}
+		for pc.write(m, false) == nil {
+		}
+		returned := make(chan error, 1)
+		go func() { returned <- pc.write(m, true) }()
+		select {
+		case err := <-returned:
+			t.Fatalf("a delivery to full staged frames returned %v without waiting", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		pc.stopWriter() // the writer stays held in its write
+		select {
+		case err := <-returned:
+			if err == nil {
+				t.Fatal("a delivery waiting for room succeeded after the connection stopped")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a delivery waiting for room did not return after the connection stopped")
+		}
+		held.Close()
+		<-pc.done
+	})
 }

@@ -2,9 +2,9 @@
 // paper ran on its cluster and on PlanetLab. Every connection speaks the
 // binary codec of package wirefmt: the dialler opens with a preamble naming
 // itself, then both sides stream varint frames with per-link symbol
-// dictionaries and batched vectored writes. The wirefmt decoder is the only
-// place inbound frames are validated; a frame it rejects costs the
-// connection and is counted in HealthStats.BadFrames.
+// dictionaries. The wirefmt decoder is the only place inbound frames are
+// validated; a frame it rejects costs the connection and is counted in
+// HealthStats.BadFrames.
 //
 // The server keeps one peer table, as the broker routes by one kind of last
 // hop: every connection, a client's or a neighbour's, attaches to the link
@@ -20,17 +20,17 @@
 // exclusive, publications shared — see package broker). Each connection has
 // one read loop, which decodes a frame and hands it to the broker before it
 // reads the next, so one connection's frames are handled in strict arrival
-// order while different connections match in parallel. Outbound messages fan
-// in to one ordered send queue per peer connection, drained by a single
-// writer goroutine, so each peer observes deliveries in enqueue order.
+// order while different connections match in parallel. A link stages bytes,
+// not messages: a delivery encodes the message onto its connection's staged
+// frames under that connection's lock, and one writer goroutine per
+// connection takes whatever is staged and writes it in one Write, so each
+// peer observes deliveries in the order they were staged.
 //
-// Message lifetime: a publication is decoded into a message from the
-// server's pool, and the read loop is its first holder; it drops that hold
-// when the broker returns. Each enqueue on a peer send queue adds a hold,
-// which the writer drops after the flush that wrote the frame. The last
-// holder returns the message to the pool (see broker.Lifetime). Control
-// frames are decoded into messages that leave the pool: the broker keeps
-// their payloads.
+// Message lifetime: a publication lives until HandleMessage returns. Each
+// read loop decodes every publication into the one message it owns, and
+// nothing the broker delivers outlives the call, since a delivery is
+// encoded before it returns. Control frames are decoded into fresh
+// messages: the broker keeps their payloads.
 package transport
 
 import (
@@ -55,55 +55,86 @@ type wireAgg struct {
 	bytes, frames, batches atomic.Int64
 }
 
-// sendQueueDepth bounds each peer's outbound queue. A full queue blocks the
-// read loop matching the publication (backpressure toward the producer)
-// rather than growing without bound.
-const sendQueueDepth = 256
+// stageBytes bounds the bytes staged toward one peer connection. A delivery
+// that finds this many staged waits until the writer takes them: a full
+// buffer blocks the read loop matching the publication (backpressure toward
+// the producer) rather than growing without bound. The frame that fills the
+// buffer may overshoot the bound, so a frame larger than it still goes into
+// an empty buffer.
+const stageBytes = 64 << 10
 
-// queuedMsg is one outbound message with its enqueue stamp (zero when flush
-// timing is off or the frame is not a publication), so the writer goroutine
-// can observe the flush stage: send-queue wait plus encode and write.
-type queuedMsg struct {
-	m   *broker.Message
-	enq time.Time
+// keepBytes bounds the capacity of the buffers a connection keeps once it
+// has been at rest — nothing staged since its last write — for restAfter.
+// A busy writer reuses its two buffers whatever their size, so a burst
+// allocates nothing once they have grown, a pause within a burst included;
+// a rested one leaves a buffer grown past keepBytes, by an advertisement
+// flood against a slow reader or a burst of raw documents, to the
+// collector, so an idle connection holds at most two small buffers (the
+// table heap xload measures after its setup flood).
+const (
+	keepBytes = 32 << 10
+	restAfter = 5 * time.Millisecond
+)
+
+// frameCounts counts staged frames by kind, so the frames a closed
+// connection never wrote are dropped under their names.
+type frameCounts struct{ pubs, control, beats int64 }
+
+func (c *frameCounts) add(m *broker.Message) {
+	switch m.Type {
+	case broker.MsgPublish:
+		c.pubs++
+	case broker.MsgHeartbeat:
+		c.beats++
+	default:
+		c.control++
+	}
 }
 
-// batchConfig is the resolved batching policy a peerConn writer runs with.
-type batchConfig struct {
-	maxBytes  int // flush once this many bytes are staged
-	maxFrames int // flush once this many frames are staged
-}
+func (c frameCounts) frames() int64 { return c.pubs + c.control + c.beats }
 
-// peerConn is one live connection with its ordered send queue. All writes
-// funnel through the queue and are encoded by a single writer goroutine, so
-// messages reach the peer in enqueue order without a per-write lock. The
-// queue channel itself is never closed (many goroutines may be sending);
-// the writer is stopped via the stop channel and announces its exit on done.
-//
-// The writer batches: it stages the message it woke up for, opportunistically
-// drains whatever else is already queued (up to maxFrames/maxBytes), then
-// flushes the whole batch in one vectored write. Under load batches grow
-// toward the caps and the per-message syscall cost vanishes; an idle link
-// flushes every message immediately, so batching adds no latency.
+// Errors of a delivery that stages nothing.
+var (
+	errClosing = errors.New("transport: peer connection closing")
+	errFull    = errors.New("transport: peer connection's staged frames full")
+)
+
+// peerConn is one live connection with its staged outbound frames. Every
+// delivery encodes onto the staged bytes under mu, and a single writer
+// goroutine takes them and writes them, so frames reach the peer in the
+// order they were staged. A batch is whatever was staged while the previous
+// write ran: under load batches grow and the per-message syscall cost
+// vanishes; an idle link writes every frame at once, so batching adds no
+// latency. The writer is stopped via the stop channel and announces its
+// exit on done.
 type peerConn struct {
 	conn net.Conn
-	// enc is owned by the writer goroutine. It writes the net.Conn
-	// directly: a wrapper would hide it and downgrade net.Buffers to one
-	// syscall per segment, which is the cost batching exists to avoid.
-	enc   *wirefmt.Encoder
-	queue chan queuedMsg
+
+	// mu guards the encoder, the staged frames and closed. The encoder
+	// holds the link's dictionary and stamp base, so frames are encoded in
+	// the order they are staged. room is signalled whenever the writer
+	// takes the staged bytes or staging closes.
+	mu       sync.Mutex
+	room     sync.Cond
+	enc      *wirefmt.Encoder
+	staged   []byte
+	counts   frameCounts
+	stagedAt time.Time // when staged turned non-empty; set when flush timing is on
+	closed   bool      // staging has ended: the writer stopped or is stopping
+
+	wake  chan struct{}      // one token: staged turned non-empty
 	flush *metrics.Histogram // flush-stage histogram; nil disables timing
-	batch batchConfig
-	agg   *wireAgg      // server-wide tx aggregates
-	stop  chan struct{} // signalled by shutdown
-	done  chan struct{} // closed when the writer exits
+	agg   *wireAgg           // server-wide tx aggregates
+	stats *healthStats       // drop counters for frames never written
+	stop  chan struct{}      // signalled by stopWriter
+	done  chan struct{}      // closed when the writer exits
 	once  sync.Once
 	// dialled says this side dialled the connection (link.attach's
 	// tie-break between crossing dials).
 	dialled bool
 
-	// txBytes counts bytes flushed since attach (preamble excluded);
-	// batchCounts is a log2 histogram of frames-per-flush (bucket i covers
+	// txBytes counts bytes written since attach (preamble excluded);
+	// batchCounts is a log2 histogram of frames per write (bucket i covers
 	// (2^(i-1), 2^i]); batches is its total. Read by LinkStatus.
 	txBytes     atomic.Int64
 	batchCounts [9]atomic.Int64
@@ -116,88 +147,142 @@ func (s *Server) newPeerConn(conn net.Conn, enc *wirefmt.Encoder) *peerConn {
 	p := &peerConn{
 		conn:  conn,
 		enc:   enc,
-		queue: make(chan queuedMsg, sendQueueDepth),
+		wake:  make(chan struct{}, 1),
 		flush: s.stageFlush,
-		batch: s.batchCfg,
 		agg:   &s.wireTx,
+		stats: &s.stats,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	p.room.L = &p.mu
 	go p.runWriter()
 	return p
 }
 
-// runWriter is the connection's single writer goroutine: stage, drain, flush.
+// write encodes m onto the staged frames and wakes the writer if they were
+// empty. While the staged bytes fill the bound it waits for the writer to
+// take them, or, when wait is false, reports errFull at once. It stages
+// nothing and reports an error when staging has closed or m breaks a wire
+// bound.
+func (p *peerConn) write(m *broker.Message, wait bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.staged) >= stageBytes && !p.closed {
+		if !wait {
+			return errFull
+		}
+		p.room.Wait()
+	}
+	if p.closed {
+		return errClosing
+	}
+	empty := len(p.staged) == 0
+	var err error
+	if p.staged, err = p.enc.Append(p.staged, m); err != nil {
+		return err
+	}
+	p.counts.add(m)
+	if empty {
+		if p.flush != nil {
+			p.stagedAt = time.Now()
+		}
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+// runWriter is the connection's single writer goroutine: take what is
+// staged, write it in one Write, and keep the written buffer as the next
+// one to stage into (see keepBytes). When it exits, staging closes, and
+// every frame still staged, or in a write that failed, is counted as
+// dropped.
 func (p *peerConn) runWriter() {
-	defer close(p.done)
-	// staged are the messages taken off the queue since the last flush. The
-	// encoder references a raw body over its inline threshold as a vector
-	// segment until the flush writes it, so their holds are dropped after the
-	// flush, or when the writer exits with a batch staged.
-	staged := make([]queuedMsg, 0, 16)
-	defer func() { release(staged) }()
+	var batch []byte
+	var unsent frameCounts
+	defer func() {
+		p.mu.Lock()
+		p.closed = true
+		unsent.pubs += p.counts.pubs
+		unsent.control += p.counts.control
+		p.staged, p.counts = nil, frameCounts{}
+		p.mu.Unlock()
+		p.room.Broadcast()
+		p.stats.droppedPubs.Add(unsent.pubs)
+		p.stats.droppedControl.Add(unsent.control)
+		close(p.done)
+	}()
+	// rest fires restAfter after the last write; a connection with nothing
+	// staged by then is at rest. Only this goroutine receives from it.
+	rest := time.NewTimer(restAfter)
+	defer rest.Stop()
 	for {
-		var qm queuedMsg
 		select {
 		case <-p.stop:
 			return
-		case qm = <-p.queue:
+		case <-p.wake:
+		case <-rest.C:
+			if cap(batch) > keepBytes {
+				batch = nil
+			}
+			p.mu.Lock()
+			if len(p.staged) == 0 && cap(p.staged) > keepBytes {
+				p.staged = nil
+			}
+			p.mu.Unlock()
+			continue
 		}
-		staged = append(staged, qm)
-		if err := p.enc.Queue(qm.m); err != nil {
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			return
+		}
+		batch, p.staged = p.staged, batch[:0]
+		sent, stagedAt := p.counts, p.stagedAt
+		p.counts = frameCounts{}
+		p.mu.Unlock()
+		p.room.Broadcast()
+		if len(batch) == 0 {
+			continue
+		}
+		if _, err := p.conn.Write(batch); err != nil {
+			unsent = sent
 			p.conn.Close() // unblocks the connection's read loop
 			return
 		}
-	fill:
-		for len(staged) < p.batch.maxFrames && p.enc.Pending() < p.batch.maxBytes {
-			select {
-			case <-p.stop:
-				return
-			case qm = <-p.queue:
-			default:
-				break fill
-			}
-			staged = append(staged, qm)
-			if err := p.enc.Queue(qm.m); err != nil {
-				p.conn.Close()
-				return
-			}
-		}
-		n, err := p.enc.Flush()
-		if err != nil {
-			p.conn.Close()
-			return
-		}
 		if p.flush != nil {
-			now := time.Now()
-			for _, qm := range staged {
-				if !qm.enq.IsZero() {
-					p.flush.Observe(now.Sub(qm.enq).Seconds())
-				}
+			d := time.Since(stagedAt).Seconds()
+			for i := int64(0); i < sent.pubs; i++ {
+				p.flush.Observe(d)
 			}
 		}
-		frames := len(staged)
-		staged = release(staged)
-		p.recordBatch(frames)
+		n := int64(len(batch))
+		p.recordBatch(sent.frames())
 		p.txBytes.Add(n)
 		p.agg.bytes.Add(n)
-		p.agg.frames.Add(int64(frames))
+		p.agg.frames.Add(sent.frames())
 		p.agg.batches.Add(1)
+		if !rest.Stop() {
+			select {
+			case <-rest.C:
+			default:
+			}
+		}
+		rest.Reset(restAfter)
 	}
 }
 
-// release drops the writer's hold on each staged message and returns the
-// batch emptied.
-func release(staged []queuedMsg) []queuedMsg {
-	for i := range staged {
-		staged[i].m.Release()
-		staged[i] = queuedMsg{}
-	}
-	return staged[:0]
+// depth returns the number of frames staged.
+func (p *peerConn) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return int(p.counts.frames())
 }
 
 // recordBatch files one flush's frame count into the log2 histogram.
-func (p *peerConn) recordBatch(frames int) {
+func (p *peerConn) recordBatch(frames int64) {
 	i := bits.Len(uint(frames - 1)) // 1→0, 2→1, 3..4→2, ...
 	if i >= len(p.batchCounts) {
 		i = len(p.batchCounts) - 1
@@ -223,29 +308,6 @@ func (p *peerConn) batchP50() float64 {
 	return float64(uint(1) << (len(p.batchCounts) - 1))
 }
 
-// write enqueues a message for the peer, adding a hold on it that the
-// writer drops after the flush. It reports an error, holding nothing, when
-// the writer has already shut down (encode failure or connection close). A
-// message that lands in the queue of a writer exiting meanwhile keeps its
-// hold and is left to the garbage collector: it is never recycled.
-func (p *peerConn) write(m *broker.Message) error {
-	qm := queuedMsg{m: m}
-	if p.flush != nil && m.Type == broker.MsgPublish {
-		qm.enq = time.Now()
-	}
-	m.Hold()
-	select {
-	case <-p.done:
-		m.Release()
-		return errors.New("transport: peer writer closed")
-	case <-p.stop:
-		m.Release()
-		return errors.New("transport: peer shutting down")
-	case p.queue <- qm:
-		return nil
-	}
-}
-
 // live reports whether the connection's writer is still running.
 func (p *peerConn) live() bool {
 	select {
@@ -258,9 +320,17 @@ func (p *peerConn) live() bool {
 	}
 }
 
-// stopWriter stops the writer goroutine, leaving the connection open for
-// reading.
-func (p *peerConn) stopWriter() { p.once.Do(func() { close(p.stop) }) }
+// stopWriter closes staging and stops the writer goroutine, leaving the
+// connection open for reading. A delivery waiting for room returns.
+func (p *peerConn) stopWriter() {
+	p.once.Do(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		p.room.Broadcast()
+		close(p.stop)
+	})
+}
 
 // shutdown closes the connection and stops the writer goroutine.
 func (p *peerConn) shutdown() {
@@ -288,34 +358,25 @@ type Server struct {
 	// stats counts self-healing events; see Health.
 	stats healthStats
 
-	// msgs pools the messages publications are decoded into, as
-	// *broker.Lifetime; recycle, built once, returns one when its last
-	// holder releases it.
-	msgs    sync.Pool
-	recycle func(*broker.Lifetime)
-
 	// InFlight gauges the publications read loops are matching, one at
 	// most per connection. It stays only because cmd/xload reads its
 	// high-water mark.
 	InFlight metrics.Gauge
 
 	// reg mirrors cfg.Metrics: when non-nil the server registers its own
-	// transport-level instruments (per-peer send-queue depths, self-healing
+	// transport-level instruments (per-peer staged frames, self-healing
 	// counters) next to the broker's.
 	reg *metrics.Registry
 
 	// stageDecode and stageFlush are the transport-measured spans of the
 	// publish path (xbroker_stage_seconds{stage="decode"|"flush"}): the
 	// broker cannot see wire read + decode time or the writer goroutine's
-	// queue-drain + encode time, so the transport observes them. Nil without
-	// a registry.
+	// wake-up + write time, so the transport observes them. Nil without a
+	// registry.
 	stageDecode, stageFlush *metrics.Histogram
 
-	// batchCfg is the resolved send-batching policy, shared by every
-	// peerConn writer; wireTx aggregates transmit totals for the
-	// xbroker_wire_* metrics.
-	batchCfg batchConfig
-	wireTx   wireAgg
+	// wireTx aggregates transmit totals for the xbroker_wire_* metrics.
+	wireTx wireAgg
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -342,14 +403,8 @@ func NewServerOptions(cfg broker.Config, neighbors map[string]string, opts Optio
 		opts:      opts,
 		closed:    make(chan struct{}),
 		links:     make(map[string]*link, len(neighbors)),
-		batchCfg: batchConfig{
-			maxBytes:  opts.MaxBatchBytes,
-			maxFrames: opts.MaxBatchFrames,
-		},
 	}
-	s.recycle = func(l *broker.Lifetime) { s.msgs.Put(l) }
-	s.msgs.New = func() any { return broker.NewLifetime(s.recycle) }
-	// The broker's flight recorder snapshots per-peer send-queue depths at
+	// The broker's flight recorder snapshots per-peer staged frames at
 	// capture time; install the callback before the broker copies its config.
 	if cfg.QueueDepths == nil {
 		cfg.QueueDepths = s.QueueDepths
@@ -549,19 +604,16 @@ func (r *timedReader) frameStart(fallback time.Time) time.Time {
 // messages take the broker's exclusive lock; a publication is matched right
 // here, on the connection's own goroutine (see DESIGN.md §5a).
 //
-// Every frame refreshes the link's liveness clock. Heartbeat frames stop here — they
-// never reach the broker, and their message is decoded into again. Every
+// Every frame refreshes the link's liveness clock. Heartbeat frames stop
+// here: they never reach the broker. A heartbeat's or a publication's
+// message is decoded into again by the next frame. Every
 // frame has passed the decoder's wire bounds; one that still makes the
 // broker panic must cost this connection, not the process, hence the
 // recover.
 func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, l *link) {
 	defer s.recoverPanic()
-	var lt *broker.Lifetime
+	m := new(broker.Message)
 	for {
-		if lt == nil {
-			lt = s.msgs.Get().(*broker.Lifetime)
-		}
-		m := lt.Message()
 		var decodeStart time.Time
 		if tr != nil {
 			decodeStart = time.Now()
@@ -581,12 +633,10 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, l *link) {
 			continue
 		}
 		if m.Type != broker.MsgPublish {
-			lt = nil // the broker may keep a control message
 			s.b.HandleMessage(m, l.id)
+			m = new(broker.Message) // the broker may keep a control message
 			continue
 		}
-		lt.Arm()
-		lt = nil // the last holder returns it to the pool
 		if tr != nil {
 			d := max(time.Since(arrived), 0)
 			if s.stageDecode != nil {
@@ -598,12 +648,11 @@ func (s *Server) readLoop(dec *wirefmt.Decoder, tr *timedReader, l *link) {
 	}
 }
 
-// match hands one publication to the broker and drops the read loop's hold
-// on it when the broker returns, or panics.
+// match hands one publication to the broker, counted in InFlight while the
+// broker has it.
 func (s *Server) match(m *broker.Message, from string) {
 	s.InFlight.Add(1)
 	defer s.InFlight.Add(-1)
-	defer m.Release()
 	s.b.HandleMessage(m, from)
 }
 
@@ -627,7 +676,8 @@ func (s *Server) recoverPanic() {
 
 // send delivers a message to a peer through its link. It is called by the
 // broker with its lock held (shared for publications), so it must not call
-// back into the broker; enqueueing on a send queue is all it does. A link
+// back into the broker; encoding onto a connection's staged frames is all
+// it does. A link
 // that is down counts what it drops; a neighbour is repaired by the resync
 // at its next attach, a client by its own replay when it redials.
 func (s *Server) send(to string, m *broker.Message) {

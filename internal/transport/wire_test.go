@@ -349,8 +349,8 @@ func diffMessages(t testing.TB) []*broker.Message {
 }
 
 // TestDifferentialCodecRoundTrip sends every frame type down the two encode
-// paths a deployment uses — a broker link's batching writer (staged frames,
-// one vectored write over TCP) and a client's one-frame-per-write Encode —
+// paths a deployment uses — a broker link's staged frames, written in one
+// Write over TCP, and a client's one-frame-per-write Encode —
 // and requires the decoded values to be deeply equal, so routing state
 // cannot diverge by which side of a connection wrote it.
 func TestDifferentialCodecRoundTrip(t *testing.T) {
@@ -378,8 +378,8 @@ func TestDifferentialCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	// The gate holds the writer's first flush until every frame is queued,
-	// so the rest go out staged in one batch.
+	// The gate holds the writer's first write until every frame is staged,
+	// so the rest go out in one batch.
 	held := newHeldConn(out)
 	held.armed.Store(true)
 	cfg := broker.Config{}
@@ -389,7 +389,7 @@ func TestDifferentialCodecRoundTrip(t *testing.T) {
 	pc := s.newPeerConn(held, wirefmt.NewEncoder(held, wirefmt.DefaultLimits))
 	defer pc.shutdown()
 	for i, m := range msgs {
-		if err := pc.write(m); err != nil {
+		if err := pc.write(m, true); err != nil {
 			t.Fatalf("msg %d: write: %v", i, err)
 		}
 	}
@@ -412,7 +412,7 @@ func TestDifferentialCodecRoundTrip(t *testing.T) {
 		}
 	}
 	if b := pc.batches.Load(); b >= int64(len(msgs)) {
-		t.Errorf("link writer flushed %d times for %d frames — the batched path went untested", b, len(msgs))
+		t.Errorf("link writer wrote %d times for %d frames — the batched path went untested", b, len(msgs))
 	}
 }
 

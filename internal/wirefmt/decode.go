@@ -120,8 +120,8 @@ func (d *Decoder) DictLen() int { return len(d.dict) }
 // dictionary-extension frames on the way) and fills m with it. m is
 // overwritten; its Path, SymPath, Attrs, Hops and Raw capacities are
 // reused, so a caller that retains the previous decode's message must pass
-// a fresh m (the transport passes a recycled one only after its last
-// holder released it). A path that does not fit is cut from the decoder's
+// a fresh m (the transport reuses a publication's message only after
+// HandleMessage has returned). A path that does not fit is cut from the decoder's
 // blocks; any other sequence that does not fit is allocated once at its
 // declared length.
 func (d *Decoder) Decode(m *broker.Message) error {

@@ -3,7 +3,6 @@ package wirefmt
 import (
 	"fmt"
 	"io"
-	"net"
 
 	"repro/internal/advert"
 	"repro/internal/broker"
@@ -12,55 +11,38 @@ import (
 	"repro/internal/xpath"
 )
 
-// extThreshold is the payload size above which a byte slice is written by
-// reference (its own iovec in the vectored write) instead of being copied
-// into the batch buffer. Raw document bodies clear it; everything else is
-// cheaper to copy than to add a writev segment for.
-const extThreshold = 256
-
-// seg is one wire-ordered piece of a batch: either a range of the encoder's
-// scratch buffer (recorded as offsets, so scratch may reallocate while the
-// batch grows) or an external message-owned byte slice.
-type seg struct {
-	off, end int
-	ext      []byte
-}
-
 // Encoder writes binary frames to one link. It is not safe for concurrent
-// use — the transport funnels each connection's writes through a single
-// writer goroutine, which is what makes the lock-free dictionary and the
-// reused batch buffers sound.
+// use: the transport encodes each connection's messages under that
+// connection's lock, which is what makes the lock-free dictionary and the
+// reused scratch buffer sound.
 //
-// Queue appends a message's frames to the current batch without touching
-// the connection; Flush writes the whole batch — a dictionary-extension
-// frame for any symbols first used in this batch, then the message frames —
-// in one vectored write. Steady state (no new symbols, warm buffers)
-// allocates nothing.
+// Append encodes a message as whole frames onto a caller's buffer — a
+// dictionary-extension frame for the names the message uses first, right
+// before the message frame — so a link's byte stream is the same however
+// its frames fall into writes. Encode does the same into the encoder's own
+// buffer and writes it in one Write. Steady state (no new symbols, warm
+// buffers) allocates nothing.
 type Encoder struct {
 	w   io.Writer
 	lim Limits
 
 	ids     map[string]uint32
 	nextID  uint32
-	newSyms []string // symbols interned since the last Flush, in id order
+	newSyms []string // symbols first used by the message being encoded
 
-	// stamp is the Stamp of the last publication queued on this stream, the
-	// base the next one's Stamp is written against. It starts at 0, like
-	// the Decoder's, and only publish frames move it.
+	// stamp is the Stamp of the last publication encoded on this stream,
+	// the base the next one's Stamp is written against. It starts at 0,
+	// like the Decoder's, and only publish frames move it.
 	stamp int64
 
+	// scratch holds the payload of the message being encoded, all but a
+	// raw body: that is copied once, straight into the caller's buffer, at
+	// offset rawAt of the payload.
 	scratch  []byte
-	segs     []seg
-	bufs     [][]byte
-	nb       net.Buffers // consumable view of bufs for the vectored write
-	runStart int         // start of the scratch run being written
-	extLen   int         // external bytes of the message being encoded
-	pendExt  int         // external bytes of all messages queued this batch
-	advCount int         // item budget of the advertisement being encoded
-
-	// Frames counts message frames queued since construction — the
-	// transport's per-link frame counter reads it after each Flush.
-	Frames int64
+	raw      []byte
+	rawAt    int
+	advCount int    // item budget of the advertisement being encoded
+	out      []byte // Encode's buffer
 }
 
 // NewEncoder builds an encoder for one connection with an empty symbol
@@ -70,8 +52,8 @@ func NewEncoder(w io.Writer, lim Limits) *Encoder {
 }
 
 // Hello writes the connection preamble announcing the dialler's id. It must
-// precede every frame, and it writes straight through, so its bytes are not
-// counted in any Flush total.
+// precede every frame, and it writes straight through to the encoder's
+// writer.
 func (e *Encoder) Hello(id string) error {
 	if len(id) > e.lim.MaxName {
 		return fmt.Errorf("wirefmt: hello id of %d bytes exceeds %d", len(id), e.lim.MaxName)
@@ -82,115 +64,67 @@ func (e *Encoder) Hello(id string) error {
 	return err
 }
 
-// Queue encodes one message into the current batch. On error the batch and
-// the stamp base are left as they were before the call; the error means the
-// message violates a wire bound and the link should be torn down
-// (legitimate traffic never trips one — inbound frames were bounds-checked
-// on ingress).
-func (e *Encoder) Queue(m *broker.Message) error {
-	scratchMark, segMark, stampMark := len(e.scratch), len(e.segs), e.stamp
-	rollback := func() {
-		e.scratch = e.scratch[:scratchMark]
-		e.segs = e.segs[:segMark]
-		e.stamp = stampMark
+// Append encodes one message onto buf as whole frames and returns the
+// extended buffer. On error buf, the dictionary and the stamp base are left
+// as they were before the call; the error means the message violates a
+// wire bound and the link should be torn down (legitimate traffic never
+// trips one — inbound frames were bounds-checked on ingress).
+func (e *Encoder) Append(buf []byte, m *broker.Message) ([]byte, error) {
+	stampMark := e.stamp
+	e.scratch, e.newSyms = e.scratch[:0], e.newSyms[:0]
+	err := e.message(m)
+	raw := e.raw
+	e.raw = nil
+	payload := len(e.scratch) + len(raw)
+	if err == nil && payload > e.lim.MaxFrame {
+		err = fmt.Errorf("wirefmt: frame of %d bytes exceeds %d", payload, e.lim.MaxFrame)
 	}
-	e.segs = append(e.segs, seg{}) // length-prefix placeholder
-	plStart := len(e.scratch)
-	e.runStart = plStart
-	e.extLen = 0
-	if err := e.message(m); err != nil {
-		rollback()
-		return err
-	}
-	if len(e.scratch) > e.runStart {
-		e.segs = append(e.segs, seg{off: e.runStart, end: len(e.scratch)})
-	}
-	payload := len(e.scratch) - plStart + e.extLen
-	if payload > e.lim.MaxFrame {
-		rollback()
-		return fmt.Errorf("wirefmt: frame of %d bytes exceeds %d", payload, e.lim.MaxFrame)
-	}
-	lenOff := len(e.scratch)
-	e.scratch = appendUvarint(e.scratch, uint64(payload))
-	e.segs[segMark] = seg{off: lenOff, end: len(e.scratch)}
-	e.pendExt += e.extLen
-	e.Frames++
-	return nil
-}
-
-// Flush writes the queued batch — new dictionary entries first, then the
-// message frames — in one vectored write and resets the batch buffers. It
-// returns the bytes written.
-func (e *Encoder) Flush() (int64, error) {
-	if len(e.segs) == 0 && len(e.newSyms) == 0 {
-		return 0, nil
-	}
-	// The dictionary-extension frame is built in scratch too; every scratch
-	// append happens before any slice of scratch is taken, so reallocation
-	// cannot invalidate the vectored segments.
-	dictOff, dictEnd, dictLenOff := -1, -1, -1
-	if len(e.newSyms) > 0 {
-		dictOff = len(e.scratch)
-		e.scratch = append(e.scratch, frameDict)
-		e.scratch = appendUvarint(e.scratch, uint64(e.nextID)-uint64(len(e.newSyms)))
-		e.scratch = appendUvarint(e.scratch, uint64(len(e.newSyms)))
-		for _, s := range e.newSyms {
-			e.scratch = appendUvarint(e.scratch, uint64(len(s)))
-			e.scratch = append(e.scratch, s...)
-		}
-		dictEnd = len(e.scratch)
-		dictLenOff = len(e.scratch)
-		e.scratch = appendUvarint(e.scratch, uint64(dictEnd-dictOff))
-	}
-	bufs := e.bufs[:0]
-	var total int64
-	add := func(b []byte) {
-		bufs = append(bufs, b)
-		total += int64(len(b))
-	}
-	if dictOff >= 0 {
-		add(e.scratch[dictLenOff:])
-		add(e.scratch[dictOff:dictEnd])
-	}
-	for _, s := range e.segs {
-		if s.ext != nil {
-			add(s.ext)
-		} else {
-			add(e.scratch[s.off:s.end])
-		}
-	}
-	// WriteTo consumes its receiver (writev advances the slice), so it gets
-	// a throwaway view in a reused field; bufs itself keeps its capacity.
-	e.nb = net.Buffers(bufs)
-	_, err := e.nb.WriteTo(e.w)
-	e.nb = nil
-	e.bufs = bufs[:0]
-	e.scratch = e.scratch[:0]
-	e.segs = e.segs[:0]
-	e.newSyms = e.newSyms[:0]
-	e.pendExt = 0
 	if err != nil {
-		return 0, err
+		for _, s := range e.newSyms {
+			delete(e.ids, s)
+		}
+		e.nextID -= uint32(len(e.newSyms))
+		e.stamp = stampMark
+		return buf, err
 	}
-	return total, nil
+	if len(e.newSyms) > 0 {
+		first, count := uint64(e.nextID)-uint64(len(e.newSyms)), uint64(len(e.newSyms))
+		n := 1 + uvarintLen(first) + uvarintLen(count)
+		for _, s := range e.newSyms {
+			n += uvarintLen(uint64(len(s))) + len(s)
+		}
+		buf = appendUvarint(buf, uint64(n))
+		buf = append(buf, frameDict)
+		buf = appendUvarint(buf, first)
+		buf = appendUvarint(buf, count)
+		for _, s := range e.newSyms {
+			buf = appendUvarint(buf, uint64(len(s)))
+			buf = append(buf, s...)
+		}
+	}
+	buf = appendUvarint(buf, uint64(payload))
+	if raw == nil {
+		return append(buf, e.scratch...), nil
+	}
+	buf = append(buf, e.scratch[:e.rawAt]...)
+	buf = append(buf, raw...)
+	return append(buf, e.scratch[e.rawAt:]...), nil
 }
 
-// Encode is Queue followed by Flush — the unbatched path (clients, control
-// traffic, tests).
+// Encode appends one message's frames to the encoder's own buffer and
+// writes them in one Write — the unbatched path (clients, tests).
 func (e *Encoder) Encode(m *broker.Message) error {
-	if err := e.Queue(m); err != nil {
+	b, err := e.Append(e.out[:0], m)
+	e.out = b[:0]
+	if err != nil {
 		return err
 	}
-	_, err := e.Flush()
+	_, err = e.w.Write(b)
 	return err
 }
 
 // DictLen returns the number of symbols interned so far (observability).
 func (e *Encoder) DictLen() int { return int(e.nextID) }
-
-// Pending returns the approximate bytes queued and not yet flushed — what
-// the transport's batching writer compares against its max-batch-bytes cap.
-func (e *Encoder) Pending() int { return len(e.scratch) + e.pendExt }
 
 // --- scratch append helpers ---
 
@@ -202,23 +136,6 @@ func (e *Encoder) byte(b byte) { e.scratch = append(e.scratch, b) }
 func (e *Encoder) str(s string) {
 	e.u(uint64(len(s)))
 	e.scratch = append(e.scratch, s...)
-}
-
-// bytesMaybeExt writes a length prefix, then the bytes — inline when small,
-// as their own vectored segment when large (the caller must not mutate b
-// until the batch is flushed; message payloads are immutable by contract).
-func (e *Encoder) bytesMaybeExt(b []byte) {
-	e.u(uint64(len(b)))
-	if len(b) <= extThreshold {
-		e.scratch = append(e.scratch, b...)
-		return
-	}
-	if len(e.scratch) > e.runStart {
-		e.segs = append(e.segs, seg{off: e.runStart, end: len(e.scratch)})
-	}
-	e.segs = append(e.segs, seg{ext: b})
-	e.runStart = len(e.scratch)
-	e.extLen += len(b)
 }
 
 // sym writes a dictionary reference, interning s on first use.
@@ -434,7 +351,8 @@ func (e *Encoder) publish(m *broker.Message) error {
 		if len(m.Raw) > e.lim.MaxRawDoc {
 			return fmt.Errorf("wirefmt: raw document of %d bytes exceeds %d", len(m.Raw), e.lim.MaxRawDoc)
 		}
-		e.bytesMaybeExt(m.Raw)
+		e.u(uint64(len(m.Raw)))
+		e.raw, e.rawAt = m.Raw, len(e.scratch)
 	}
 	if flags&pubFlagTrace != 0 {
 		if len(m.TraceID) > e.lim.MaxName {

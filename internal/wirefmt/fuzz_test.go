@@ -124,9 +124,11 @@ func fuzzStream(data []byte) (msgs []*broker.Message, flush []bool, overAt int) 
 // written as the delta from the previous publication on the stream, so the
 // sequence covers the extremes, repeats and decreases; attribute sections
 // are sparse, so maps sit at any position among holes. One over-limit
-// message is queued mid-stream: Queue must refuse it and leave the stream,
-// stamp base included, as it was. Every decoded message must equal the one
-// sent in path, attribute shape and stamp.
+// message is appended mid-stream: Append must refuse it and leave the
+// buffer, dictionary and stamp base as they were. The stream, however its
+// frames fall into writes, must be the bytes one Encode per message writes
+// (their length, where a map's pair order may differ), and every decoded
+// message must equal the one sent in path, attribute shape and stamp.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 2, 3})                                     // MinInt64 with a path
 	f.Add([]byte{1, 1, 0, 0, 1, 0, 3, 9, 2, 0})                         // MaxInt64, then a decrease past it, then MinInt64
@@ -144,24 +146,40 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			over.Pub.Path[i] = "x"
 		}
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf, DefaultLimits)
+		enc := NewEncoder(nil, DefaultLimits)
+		var batch []byte
 		for i, m := range msgs {
 			if i == overAt {
-				if err := enc.Queue(over); err == nil {
-					t.Fatal("Queue accepted an over-limit path")
+				n := len(batch)
+				var err error
+				if batch, err = enc.Append(batch, over); err == nil || len(batch) != n {
+					t.Fatalf("Append of an over-limit path: error %v, %d bytes added", err, len(batch)-n)
 				}
 			}
-			if err := enc.Queue(m); err != nil {
-				t.Fatalf("msg %d: Queue: %v", i, err)
+			var err error
+			if batch, err = enc.Append(batch, m); err != nil {
+				t.Fatalf("msg %d: Append: %v", i, err)
 			}
 			if flush[i] {
-				if _, err := enc.Flush(); err != nil {
-					t.Fatal(err)
-				}
+				buf.Write(batch)
+				batch = batch[:0]
 			}
 		}
-		if _, err := enc.Flush(); err != nil {
-			t.Fatal(err)
+		buf.Write(batch)
+		var single bytes.Buffer
+		one := NewEncoder(&single, DefaultLimits)
+		for i, m := range msgs {
+			if err := one.Encode(m); err != nil {
+				t.Fatalf("msg %d: Encode: %v", i, err)
+			}
+		}
+		// A map of two pairs is written in iteration order, so only the
+		// length of its stream is fixed.
+		ordered := !slices.ContainsFunc(msgs, func(m *broker.Message) bool {
+			return slices.ContainsFunc(m.Pub.Attrs, func(am map[string]string) bool { return len(am) > 1 })
+		})
+		if buf.Len() != single.Len() || ordered && !bytes.Equal(buf.Bytes(), single.Bytes()) {
+			t.Fatalf("batched stream of %d bytes differs from the %d bytes of one Encode per message", buf.Len(), single.Len())
 		}
 		dec := NewDecoder(&buf, DefaultLimits)
 		for i, want := range msgs {

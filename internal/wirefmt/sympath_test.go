@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/broker"
@@ -12,13 +13,18 @@ import (
 	"repro/internal/xmldoc"
 )
 
+// sympathRuns numbers TestDecodeResolvesSymPath's runs in this process.
+var sympathRuns atomic.Int64
+
 // TestDecodeResolvesSymPath pins the symbol-native publication hop: every
 // decoded path carries the symtab.Default symbols of its decoded names,
 // whatever SymPath the sender held. Decoding never interns: a name the
 // process never saw resolves to None, and to its symbol once something
 // interns it; "*" resolves to the Wildcard sentinel.
 func TestDecodeResolvesSymPath(t *testing.T) {
-	fresh := fmt.Sprintf("sympath-test-%p", t)
+	// A counter, not an address: a later -count run's *testing.T can reuse
+	// an earlier one's address, whose name is interned by then.
+	fresh := fmt.Sprintf("sympath-test-%d", sympathRuns.Add(1))
 	if _, ok := symtab.Lookup(fresh); ok {
 		t.Fatalf("%q already interned", fresh)
 	}

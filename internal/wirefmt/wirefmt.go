@@ -1,11 +1,11 @@
 // Package wirefmt is the binary wire codec of every broker and client link
 // (DESIGN.md §5h): varint-framed records over per-link interned symbol ids.
-// Each frame is written with append-only varint arithmetic into a reused
-// batch buffer and read back with bounds-validated slicing. Steady-state
-// publish encode allocates nothing. Decode allocates nothing only into a
-// reused message whose path, attribute, hop and raw-body capacities fit,
-// which is how a broker hop decodes publications: into messages it
-// recycles once their last holder lets go. A fresh message — every
+// Each frame is written with append-only varint arithmetic onto a caller's
+// buffer and read back with bounds-validated slicing. Steady-state publish
+// encode allocates nothing. Decode allocates nothing only into a reused
+// message whose path, attribute, hop and raw-body capacities fit, which is
+// how a broker hop decodes publications: each read loop into the one
+// message it owns. A fresh message — every
 // delivery a client decodes, every control frame — costs the message plus
 // one exactly sized allocation per variable-length field present beside
 // the path (attribute maps, raw body, trace id, hops and each hop's
@@ -17,7 +17,7 @@
 // Publication records. A publication's Stamp is written as the zigzag
 // delta from the previous publication's Stamp on the same stream: Encoder
 // and Decoder each hold that base beside the dictionary, it starts at 0 on
-// a new stream, only publish frames move it, and Encoder.Queue restores it
+// a new stream, only publish frames move it, and Encoder.Append restores it
 // when it rolls a message back. The arithmetic wraps, so every int64
 // sequence round-trips. DocID stays absolute. The attribute section is
 // sparse: its length na, the count k of non-empty maps, then k pairs of
@@ -38,14 +38,15 @@
 // Framing. The byte stream after the preamble is a sequence of frames, each
 // a uvarint byte length followed by that many payload bytes.
 // The first payload byte is the frame kind: dictionary extension or message.
-// A batch is simply several frames written in one vectored write
-// (net.Buffers); the decoder never needs to know where batches began.
+// A batch is simply several frames written in one write; the encoder writes
+// the same bytes however frames fall into writes, and the decoder never
+// needs to know where batches began.
 //
 // Symbol dictionary. Low-cardinality strings — element names, XPath step
 // names, advertisement ids, broker ids, stage names — are sent once per
 // link: the encoder assigns the next sequential id on first use and
-// declares it in a dictionary-extension frame that precedes (in the same
-// batch) the first message frame referencing it. The dictionary starts
+// declares it in a dictionary-extension frame right before the message
+// frame that first references it. The dictionary starts
 // empty on both sides of a new connection and only ever grows, so ids are
 // stable for the life of the connection. High-cardinality values —
 // attribute values, trace ids, predicate strings, raw document bytes —
@@ -63,6 +64,7 @@ package wirefmt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/xpath"
 )
@@ -175,6 +177,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendUvarint appends v to b in LEB128 form.
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// uvarintLen returns the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // errTruncated is the generic inside-a-frame underrun error.
 var errTruncated = fmt.Errorf("wirefmt: truncated frame")

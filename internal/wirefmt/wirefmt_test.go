@@ -29,7 +29,7 @@ func mustXPE(t testing.TB, s string) *xpath.XPE {
 
 // sampleMessages is one message per frame type, exercising every optional
 // field: trace hops with stage timings, attribute maps with nil holes,
-// whole documents as raw bodies (one past extThreshold), resync payloads,
+// whole documents as raw bodies (one over 256 bytes), resync payloads,
 // and durable names and sequence numbers.
 func sampleMessages(t testing.TB) []*broker.Message {
 	t.Helper()
@@ -81,7 +81,7 @@ func sampleMessages(t testing.TB) []*broker.Message {
 		{
 			Type: broker.MsgPublish,
 			Pub:  xmldoc.Publication{DocID: 45},
-			Raw:  bytes.Repeat([]byte("x"), 4096), // clears extThreshold
+			Raw:  bytes.Repeat([]byte("x"), 4096),
 		},
 		{
 			Type: broker.MsgResync,
@@ -210,28 +210,32 @@ func TestRoundTripSharedStream(t *testing.T) {
 	}
 }
 
-// TestBatchQueueFlush checks that a multi-message batch produces one
-// decodable stream and that Flush reports the bytes written.
+// TestBatchQueueFlush checks that messages appended into one buffer form
+// one decodable stream, as long as one Encode per message writes (a map of
+// two pairs is written in iteration order, so only the length is fixed;
+// TestStreamGolden pins the bytes).
 func TestBatchQueueFlush(t *testing.T) {
 	msgs := sampleMessages(t)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, DefaultLimits)
+	enc := NewEncoder(nil, DefaultLimits)
+	var batch []byte
 	for i, m := range msgs {
-		if err := enc.Queue(m); err != nil {
-			t.Fatalf("msg %d: Queue: %v", i, err)
+		var err error
+		if batch, err = enc.Append(batch, m); err != nil {
+			t.Fatalf("msg %d: Append: %v", i, err)
 		}
 	}
-	n, err := enc.Flush()
-	if err != nil {
-		t.Fatalf("Flush: %v", err)
+	var single bytes.Buffer
+	one := NewEncoder(&single, DefaultLimits)
+	for i, m := range msgs {
+		if err := one.Encode(m); err != nil {
+			t.Fatalf("msg %d: Encode: %v", i, err)
+		}
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("Flush reported %d bytes, wrote %d", n, buf.Len())
+	if len(batch) != single.Len() {
+		t.Errorf("one buffer of %d bytes, one Encode per message wrote %d", len(batch), single.Len())
 	}
-	if enc.Frames != int64(len(msgs)) {
-		t.Errorf("Frames = %d, queued %d", enc.Frames, len(msgs))
-	}
-	dec := NewDecoder(&buf, DefaultLimits)
+	buf := bytes.NewBuffer(batch)
+	dec := NewDecoder(buf, DefaultLimits)
 	for i, m := range msgs {
 		var got broker.Message
 		if err := dec.Decode(&got); err != nil {
@@ -241,36 +245,41 @@ func TestBatchQueueFlush(t *testing.T) {
 			t.Errorf("msg %d batch mismatch:\nsent:\n%s\ngot:\n%s", i, want, have)
 		}
 	}
-	if _, err := enc.Flush(); err != nil {
-		t.Fatalf("empty Flush: %v", err)
-	}
 }
 
-// TestQueueErrorRollsBack checks that a rejected message leaves the batch
-// exactly as it was: earlier queued frames still decode, the bad one leaves
-// no partial bytes.
+// TestQueueErrorRollsBack checks that a rejected message leaves the buffer
+// exactly as it was: earlier frames still decode, the bad one leaves no
+// partial bytes, and a name only it used is declared again by the next
+// message that uses it.
 func TestQueueErrorRollsBack(t *testing.T) {
 	good := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 1, Path: []string{"a"}}}
 	bad := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 2, Path: make([]string, MaxPath+1)}}
 	for i := range bad.Pub.Path {
 		bad.Pub.Path[i] = "x"
 	}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, DefaultLimits)
-	if err := enc.Queue(good); err != nil {
-		t.Fatalf("Queue(good): %v", err)
+	bad.Pub.Path[0] = "fresh"
+	enc := NewEncoder(nil, DefaultLimits)
+	b, err := enc.Append(nil, good)
+	if err != nil {
+		t.Fatalf("Append(good): %v", err)
 	}
-	if err := enc.Queue(bad); err == nil {
-		t.Fatal("Queue(bad) accepted an over-limit path")
+	n := len(b)
+	if b, err = enc.Append(b, bad); err == nil || len(b) != n {
+		t.Fatalf("Append(bad): error %v, %d bytes added", err, len(b)-n)
 	}
-	if err := enc.Queue(good); err != nil {
-		t.Fatalf("Queue(good) after rollback: %v", err)
+	if enc.DictLen() != 1 {
+		t.Fatalf("dictionary holds %d names after the rollback, want 1", enc.DictLen())
 	}
-	if _, err := enc.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if b, err = enc.Append(b, good); err != nil {
+		t.Fatalf("Append(good) after rollback: %v", err)
 	}
-	dec := NewDecoder(&buf, DefaultLimits)
-	for i := 0; i < 2; i++ {
+	fresh := &broker.Message{Type: broker.MsgPublish, Pub: xmldoc.Publication{DocID: 1, Path: []string{"fresh"}}}
+	if b, err = enc.Append(b, fresh); err != nil {
+		t.Fatalf("Append(fresh) after rollback: %v", err)
+	}
+	buf := bytes.NewBuffer(b)
+	dec := NewDecoder(buf, DefaultLimits)
+	for i := 0; i < 3; i++ {
 		var got broker.Message
 		if err := dec.Decode(&got); err != nil {
 			t.Fatalf("Decode %d after rollback: %v", i, err)
@@ -281,7 +290,7 @@ func TestQueueErrorRollsBack(t *testing.T) {
 	}
 	var extra broker.Message
 	if err := dec.Decode(&extra); err != io.EOF {
-		t.Errorf("stream should end after 2 messages, got %v", err)
+		t.Errorf("stream should end after 3 messages, got %v", err)
 	}
 }
 
@@ -486,39 +495,6 @@ func TestResetKeepsDictionary(t *testing.T) {
 		if got.Pub.DocID != 9 || !reflect.DeepEqual(got.Pub.Path, m.Pub.Path) {
 			t.Errorf("after Reset got %+v, want %+v", got.Pub, m.Pub)
 		}
-	}
-}
-
-// TestPendingTracksQueue pins the batching writer's byte accounting:
-// Pending grows with queued frames (including the dictionary extension of a
-// first-seen symbol) and returns to zero after Flush.
-func TestPendingTracksQueue(t *testing.T) {
-	enc := NewEncoder(io.Discard, DefaultLimits)
-	if got := enc.Pending(); got != 0 {
-		t.Fatalf("Pending on fresh encoder = %d, want 0", got)
-	}
-	m := &broker.Message{
-		Type: broker.MsgPublish,
-		Pub:  xmldoc.Publication{DocID: 1, Path: []string{"inventory", "book"}},
-	}
-	if err := enc.Queue(m); err != nil {
-		t.Fatalf("Queue: %v", err)
-	}
-	first := enc.Pending()
-	if first == 0 {
-		t.Fatal("Pending after Queue = 0, want > 0 (message + dictionary extension)")
-	}
-	if err := enc.Queue(m); err != nil {
-		t.Fatalf("Queue: %v", err)
-	}
-	if second := enc.Pending(); second <= first {
-		t.Errorf("Pending after second Queue = %d, want > %d", second, first)
-	}
-	if _, err := enc.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if got := enc.Pending(); got != 0 {
-		t.Errorf("Pending after Flush = %d, want 0", got)
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 
 // This file measures what the binary wire protocol (DESIGN.md §5h) buys on
 // a real 3-broker TCP chain at saturation: messages per second end to end,
-// bytes per message on the broker-broker links, batched versus unbatched;
-// and, at the codec level against gob, allocations per encode/decode and
-// bytes per message. TestEmitWireBench writes BENCH_wire.json.
+// bytes per message on the broker-broker links and frames per write; and,
+// at the codec level against gob, allocations per encode/decode and bytes
+// per message. TestEmitWireBench writes BENCH_wire.json.
 
-// wireChain boots pub→b1→b2→b3→sub over loopback TCP with the given wire
-// options on every broker, returning the servers and their listen addresses.
-func wireChain(t testing.TB, opts transport.Options) ([]*transport.Server, []string) {
+// wireChain boots pub→b1→b2→b3→sub over loopback TCP with default options
+// on every broker, returning the servers and their listen addresses.
+func wireChain(t testing.TB) ([]*transport.Server, []string) {
 	t.Helper()
 	const n = 3
 	addrs := make([]string, n)
@@ -38,7 +38,7 @@ func wireChain(t testing.TB, opts transport.Options) ([]*transport.Server, []str
 	for i := range servers {
 		cfg := broker.Config{}
 		cfg.ID = fmt.Sprintf("b%d", i+1)
-		servers[i] = transport.NewServerOptions(cfg, neighbors[i], opts)
+		servers[i] = transport.NewServer(cfg, neighbors[i])
 		addr, err := servers[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -91,15 +91,16 @@ func wireBenchMessage(i int) *broker.Message {
 	}
 }
 
-// chainThroughput saturates one chain configuration with msgs publications
-// and returns end-to-end messages/sec and mean bytes/message on the two
-// broker-broker hops. Several concurrent publishers keep the ingress broker's
-// send queue full so the broker-broker links — where the codec and batching
-// live — are the measured path, not one client's synchronous write loop.
-func chainThroughput(t testing.TB, opts transport.Options, msgs int) (msgsPerSec, bytesPerMsg, batchP50 float64) {
+// chainThroughput saturates a chain with msgs publications and returns
+// end-to-end messages/sec, mean bytes/message on the two broker-broker hops
+// and their median frames per write. Several concurrent publishers keep the
+// ingress broker's staged frames full so the broker-broker links — where
+// the codec and batching live — are the measured path, not one client's
+// synchronous write loop.
+func chainThroughput(t testing.TB, msgs int) (msgsPerSec, bytesPerMsg, batchP50 float64) {
 	t.Helper()
 	const pubs = 4
-	servers, addrs := wireChain(t, opts)
+	servers, addrs := wireChain(t)
 
 	sub, err := transport.Dial(addrs[2], "sub")
 	if err != nil {
@@ -286,30 +287,19 @@ func TestEmitWireBench(t *testing.T) {
 
 	type config struct {
 		Name       string  `json:"name"`
-		Batched    bool    `json:"batched"`
 		MsgsPerSec float64 `json:"msgs_per_sec"`
 		BytesPer   float64 `json:"bytes_per_msg"`
 		BatchP50   float64 `json:"batch_p50"`
 	}
-	configs := []struct {
-		name string
-		opts transport.Options
-	}{
-		{"binary-unbatched", transport.Options{MaxBatchFrames: 1}},
-		{"binary-batched", transport.Options{MaxBatchFrames: 512, MaxBatchBytes: 1 << 20}},
-	}
-	var results []config
-	for _, c := range configs {
-		best := config{Name: c.name, Batched: c.opts.MaxBatchFrames != 1}
-		for r := 0; r < rounds; r++ {
-			mps, bpm, b50 := chainThroughput(t, c.opts, msgs)
-			if mps > best.MsgsPerSec {
-				best.MsgsPerSec, best.BytesPer, best.BatchP50 = mps, bpm, b50
-			}
+	best := config{Name: "binary"}
+	for r := 0; r < rounds; r++ {
+		mps, bpm, b50 := chainThroughput(t, msgs)
+		if mps > best.MsgsPerSec {
+			best.MsgsPerSec, best.BytesPer, best.BatchP50 = mps, bpm, b50
 		}
-		results = append(results, best)
-		t.Logf("%s: %.0f msgs/s, %.0f bytes/msg, batch p50 %.0f", c.name, best.MsgsPerSec, best.BytesPer, best.BatchP50)
 	}
+	results := []config{best}
+	t.Logf("%s: %.0f msgs/s, %.0f bytes/msg, batch p50 %.0f", best.Name, best.MsgsPerSec, best.BytesPer, best.BatchP50)
 
 	gobEnc, gobDec, gobBytes := codecAllocs(t, true, wireBenchMessage(1))
 	binEnc, binDec, binBytes := codecAllocs(t, false, wireBenchMessage(1))
@@ -353,7 +343,7 @@ func TestEmitWireBench(t *testing.T) {
 			Binary float64 `json:"binary"`
 		} `json:"codec_bytes_per_msg"`
 	}{
-		Benchmark: "3-broker chain saturation, batched vs unbatched binary wire; codec allocs and bytes vs gob (DESIGN.md §5h)",
+		Benchmark: "3-broker chain saturation over the binary wire; codec allocs and bytes vs gob (DESIGN.md §5h)",
 		Host:      runtime.GOOS + "/" + runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
 		Go:        runtime.Version(),
